@@ -13,8 +13,16 @@ use ggs_apps::AppKind;
 use ggs_core::experiment::{run_workload, ExperimentSpec};
 use ggs_core::sweep::figure5_configs;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
+use ggs_graph::Csr;
+use ggs_model::SystemConfig;
+use ggs_sim::ExecStats;
+use ggs_trace::Tracer;
 
 const SCALE: f64 = 0.02;
+
+fn run(app: AppKind, graph: &Csr, config: SystemConfig, spec: &ExperimentSpec) -> ExecStats {
+    run_workload(app, graph, config, spec, Tracer::off(), None).expect("figure 5 cells run")
+}
 
 fn bench_workloads(c: &mut Criterion) {
     let spec = ExperimentSpec::at_scale(SCALE);
@@ -33,7 +41,7 @@ fn bench_workloads(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::from_parameter(config.code()),
                 &config,
-                |b, &config| b.iter(|| run_workload(app, &graph, config, &spec)),
+                |b, &config| b.iter(|| run(app, &graph, config, &spec)),
             );
         }
         group.finish();
@@ -54,7 +62,7 @@ fn bench_imbalanced_input(c: &mut Criterion) {
     for code in ["SG1", "SGR"] {
         let config = code.parse().expect("valid config");
         group.bench_with_input(BenchmarkId::from_parameter(code), &config, |b, &config| {
-            b.iter(|| run_workload(AppKind::Pr, &graph, config, &spec))
+            b.iter(|| run(AppKind::Pr, &graph, config, &spec))
         });
     }
     group.finish();

@@ -34,8 +34,7 @@ use std::time::{Duration, Instant};
 use criterion::Bencher;
 use ggs_apps::AppKind;
 use ggs_core::experiment::{
-    produce_trace_stream, run_stream_budgeted, run_workload_budgeted, run_workload_traced,
-    ExperimentSpec,
+    produce_trace_stream, run_stream_budgeted, run_workload, ExperimentSpec,
 };
 use ggs_core::json::{self, Value};
 use ggs_core::{graph_fingerprint, StreamKey, TraceCache};
@@ -402,7 +401,7 @@ pub fn run_slice(iters: u32, progress: &mut dyn FnMut(&str)) -> BenchReport {
             let mut b = Bencher::default();
             b.iter_custom(|_| {
                 let start = Instant::now();
-                let s = run_workload_traced(app, &graph, config, &spec, Tracer::off())
+                let s = run_workload(app, &graph, config, &spec, Tracer::off(), None)
                     .expect("slice cells are supported app/config pairs");
                 let wall = start.elapsed();
                 stats = Some(s);
@@ -546,7 +545,7 @@ pub fn run_tier(tier: &str, progress: &mut dyn FnMut(&str)) -> Result<TierTiming
         .map_err(|e| e.to_string())?;
     let config: SystemConfig = "SGR".parse().expect("tier config code is valid");
     let start = Instant::now();
-    let stats = run_workload_budgeted(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)
+    let stats = run_workload(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)
         .map_err(|e| format!("tier {tier} breached its simulation budget: {e}"))?;
     let wall = start.elapsed();
     let timing = TierTiming {

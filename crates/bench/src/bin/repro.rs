@@ -542,7 +542,7 @@ fn trace_cmd(
     trace_out: Option<&str>,
     stride: u64,
 ) {
-    use ggs_core::experiment::{run_workload_traced, ExperimentSpec};
+    use ggs_core::experiment::{run_workload, ExperimentSpec};
     use ggs_trace::Tracer;
 
     let app: AppKind = match app.parse() {
@@ -567,7 +567,7 @@ fn trace_cmd(
     );
     let sink = open_sink(path);
     let tracer = Tracer::new(sink.as_ref(), stride);
-    let stats = match run_workload_traced(app, &graph, config, &spec, tracer) {
+    let stats = match run_workload(app, &graph, config, &spec, tracer, None) {
         Ok(stats) => stats,
         Err(e) => die(&format!("{e}")),
     };
@@ -1320,6 +1320,7 @@ fn fig6(study: &Study) {
 fn traffic(scale: f64) {
     use ggs_apps::AppKind;
     use ggs_core::experiment::{run_workload, ExperimentSpec};
+    use ggs_trace::Tracer;
 
     println!("== NoC traffic per configuration (PR on OLS and EML) ==");
     let spec = ExperimentSpec::at_scale(scale);
@@ -1334,7 +1335,8 @@ fn traffic(scale: f64) {
         let graph = SynthConfig::preset(preset).scale(scale).generate();
         for code in ["TG0", "SGR", "SDR"] {
             let cfg = code.parse().expect("valid config");
-            let stats = run_workload(AppKind::Pr, &graph, cfg, &spec);
+            let stats = run_workload(AppKind::Pr, &graph, cfg, &spec, Tracer::off(), None)
+                .unwrap_or_else(|e| die(&e.to_string()));
             let kb =
                 (stats.mem.noc_line_transfers * 64 + stats.mem.noc_control_messages * 8) / 1024;
             t.row([
@@ -1355,6 +1357,7 @@ fn traffic(scale: f64) {
 fn gsi(scale: f64) {
     use ggs_apps::AppKind;
     use ggs_core::experiment::{run_workload_profiled, ExperimentSpec};
+    use ggs_trace::Tracer;
 
     println!("== Per-data-structure attribution (GSI-style) ==");
     let spec = ExperimentSpec::at_scale(scale);
@@ -1364,7 +1367,8 @@ fn gsi(scale: f64) {
     ] {
         let graph = SynthConfig::preset(preset).scale(scale).generate();
         let cfg = code.parse().expect("valid config");
-        let (stats, regions) = run_workload_profiled(app, &graph, cfg, &spec);
+        let (stats, regions) = run_workload_profiled(app, &graph, cfg, &spec, Tracer::off(), None)
+            .unwrap_or_else(|e| die(&e.to_string()));
         println!(
             "{app}-{preset} under {code}: {} cycles",
             stats.total_cycles()

@@ -28,18 +28,18 @@
 
 use std::time::Instant;
 
-use ggs_apps::{AppKind, Workload};
+use ggs_apps::AppKind;
 use ggs_graph::Csr;
 use ggs_model::decision::push_hardware;
 use ggs_model::metrics::kmeans2;
 use ggs_model::taxonomy::Traversal;
 use ggs_model::{predict_full, GraphProfile, Level, MetricParams};
 use ggs_sim::trace::KernelTrace;
-use ggs_sim::{ExecStats, HwConfig, Simulation};
+use ggs_sim::{ExecStats, HwConfig};
 use ggs_trace::Tracer;
 
 use crate::error::GgsError;
-use crate::experiment::ExperimentSpec;
+use crate::experiment::{simulate, ExperimentSpec, Kernels};
 
 /// Result of an adaptive run.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,25 +111,18 @@ pub fn kernel_classes(
 /// The propagation variant comes from the static full-design-space
 /// prediction; before each kernel launch the hardware half is
 /// re-derived from the kernel's runtime profile (see module docs) and
-/// applied via [`Simulation::reconfigure`]. Pull workloads keep `G0`
-/// (no atomics to optimize); dynamic (CC) workloads keep `D1`
-/// (§IV-A4).
+/// applied via [`ggs_sim::Simulation::reconfigure`]. Pull workloads
+/// keep `G0` (no atomics to optimize); dynamic (CC) workloads keep
+/// `D1` (§IV-A4).
 ///
-/// Convenience wrapper over [`run_adaptive_budgeted`] without
-/// instrumentation or an extra deadline; panics if the spec's budget
-/// is breached (the default spec budget is unlimited).
-pub fn run_adaptive(app: AppKind, graph: &Csr, spec: &ExperimentSpec) -> AdaptiveOutcome {
-    run_adaptive_budgeted(app, graph, spec, Tracer::off(), None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible adaptive run with the same budget/deadline/tracer
-/// semantics as [`crate::run_workload_budgeted`]: the spec's
-/// [`ggs_sim::SimBudget`] is enforced, an explicit `deadline`
-/// overrides the budget's own, and a breach is reported as
-/// [`GgsError::Budget`] / [`GgsError::Deadline`] instead of running
-/// unbounded. Every simulated event is emitted through `tracer`
-/// ([`Tracer::off`] disables instrumentation at zero cost).
-pub fn run_adaptive_budgeted(
+/// Tracing, budget and deadline work as in
+/// [`crate::experiment::run_workload`].
+///
+/// # Errors
+///
+/// [`GgsError::Budget`] / [`GgsError::Deadline`] if the spec's budget
+/// or `deadline` is breached.
+pub fn run_adaptive(
     app: AppKind,
     graph: &Csr,
     spec: &ExperimentSpec,
@@ -140,34 +133,23 @@ pub fn run_adaptive_budgeted(
     let static_profile = GraphProfile::measure(graph, &params);
     let algo = app.algo_profile();
     let static_config = predict_full(&algo, &static_profile);
-
-    let weighted;
-    let graph = if app.needs_weights() && !graph.is_weighted() {
-        weighted = graph.clone().with_hashed_weights(64);
-        &weighted
-    } else {
-        graph
-    };
-
-    let mut budget = spec.budget;
-    budget.deadline = deadline.or(budget.deadline);
-    let mut sim = Simulation::builder(spec.params.clone(), static_config.hw())
-        .tracer(tracer)
-        .budget(budget)
-        .build();
-    let started = Instant::now();
-    let mut schedule = Vec::new();
     let line_bytes = spec.params.line_bytes;
     let adapt = algo.traversal == Traversal::Static
         && static_config.propagation == ggs_model::Propagation::Push;
 
-    Workload::new(app, graph).generate(
-        static_config.propagation,
-        spec.params.tb_size,
-        &mut |kernel| {
-            if sim.budget_exhausted() {
-                return;
-            }
+    let mut schedule = Vec::new();
+    let kernels = Kernels::Generate {
+        graph,
+        regions: false,
+    };
+    let (stats, _) = simulate(
+        app,
+        static_config,
+        kernels,
+        spec,
+        tracer,
+        deadline,
+        |sim, kernel| {
             let hw = if adapt {
                 let (volume, imbalance) = kernel_classes(kernel, &params, line_bytes);
                 let dynamic_profile =
@@ -178,32 +160,26 @@ pub fn run_adaptive_budgeted(
             };
             sim.reconfigure(hw);
             schedule.push(hw);
-            sim.run_kernel(kernel);
         },
-    );
-
-    match sim.budget_breach() {
-        Some(ggs_sim::BudgetBreach::Deadline { .. }) => {
-            let limit_ms = deadline
-                .map(|d| d.saturating_duration_since(started).as_millis() as u64)
-                .unwrap_or(0);
-            Err(GgsError::Deadline { limit_ms })
-        }
-        Some(breach) => Err(GgsError::Budget(breach)),
-        None => Ok(AdaptiveOutcome {
-            stats: sim.finish(),
-            schedule,
-            static_config,
-        }),
-    }
+    )?;
+    Ok(AdaptiveOutcome {
+        stats,
+        schedule,
+        static_config,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ggs_apps::Workload;
     use ggs_graph::synth::{GraphPreset, SynthConfig};
     use ggs_graph::GraphBuilder;
     use ggs_sim::trace::MicroOp;
+
+    fn adaptive(app: AppKind, graph: &Csr, spec: &ExperimentSpec) -> AdaptiveOutcome {
+        run_adaptive(app, graph, spec, Tracer::off(), None).expect("adaptive run succeeds")
+    }
 
     #[test]
     fn kernel_classes_detect_imbalance() {
@@ -237,7 +213,7 @@ mod tests {
         let spec = ExperimentSpec::at_scale(0.02);
         let g = SynthConfig::preset(GraphPreset::Dct).scale(0.02).generate();
         for app in AppKind::ALL {
-            let out = run_adaptive(app, &g, &spec);
+            let out = adaptive(app, &g, &spec);
             assert!(out.stats.total_cycles() > 0, "{app}");
             assert!(!out.schedule.is_empty(), "{app}");
         }
@@ -255,7 +231,7 @@ mod tests {
             .with_hashed_weights(64);
         let params = spec.metric_params();
         let static_profile = GraphProfile::measure(&g, &params);
-        let out = run_adaptive(AppKind::Sssp, &g, &spec);
+        let out = adaptive(AppKind::Sssp, &g, &spec);
         assert_eq!(out.static_config.propagation, ggs_model::Propagation::Push);
 
         let mut expected = Vec::new();
@@ -301,7 +277,7 @@ mod tests {
             .edges((0..4095).map(|i| (i, i + 1)))
             .symmetric(true)
             .build();
-        let out = run_adaptive(AppKind::Mis, &g, &spec);
+        let out = adaptive(AppKind::Mis, &g, &spec);
         assert_eq!(out.static_config.propagation, ggs_model::Propagation::Pull);
         assert!(!out.schedule.is_empty());
         assert!(out.schedule.iter().all(|hw| *hw == out.static_config.hw()));
@@ -318,7 +294,7 @@ mod tests {
             .build()
             .unwrap();
         let g = SynthConfig::preset(GraphPreset::Dct).scale(0.02).generate();
-        let err = run_adaptive_budgeted(AppKind::Pr, &g, &spec, Tracer::off(), None).unwrap_err();
+        let err = run_adaptive(AppKind::Pr, &g, &spec, Tracer::off(), None).unwrap_err();
         assert!(matches!(err, GgsError::Budget(_)), "{err}");
         assert!(err.to_string().contains("cycle budget"), "{err}");
     }
@@ -328,8 +304,7 @@ mod tests {
         let spec = ExperimentSpec::at_scale(0.02);
         let g = SynthConfig::preset(GraphPreset::Dct).scale(0.02).generate();
         let deadline = Instant::now() - std::time::Duration::from_millis(1);
-        let err = run_adaptive_budgeted(AppKind::Pr, &g, &spec, Tracer::off(), Some(deadline))
-            .unwrap_err();
+        let err = run_adaptive(AppKind::Pr, &g, &spec, Tracer::off(), Some(deadline)).unwrap_err();
         assert!(matches!(err, GgsError::Deadline { .. }), "{err}");
     }
 }

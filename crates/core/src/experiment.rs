@@ -1,11 +1,15 @@
 //! Running one (application, graph, configuration) experiment point.
 
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ggs_apps::{AppKind, Workload};
 use ggs_graph::Csr;
-use ggs_model::SystemConfig;
-use ggs_sim::{ExecStats, SimBudget, Simulation, SystemParams};
+use ggs_model::{Propagation, SystemConfig};
+use ggs_sim::stats::RegionStats;
+use ggs_sim::trace::KernelTrace;
+use ggs_sim::{BudgetBreach, ExecStats, SimBudget, Simulation, SystemParams};
 use ggs_trace::Tracer;
 
 use crate::error::GgsError;
@@ -19,9 +23,9 @@ pub struct ExperimentSpec {
     /// Simulated hardware parameters (Table IV, possibly cache-scaled).
     pub params: SystemParams,
     /// Watchdog budget applied to every simulation run under this spec
-    /// (kernel/iteration and simulated-cycle limits). Unlimited by
-    /// default; a breached run is reported as [`GgsError::Budget`] by
-    /// [`run_workload_budgeted`].
+    /// (kernel/iteration and simulated-cycle limits, and an optional
+    /// wall-clock deadline). Unlimited by default; a breached run is
+    /// reported as [`GgsError::Budget`] / [`GgsError::Deadline`].
     pub budget: SimBudget,
 }
 
@@ -169,68 +173,26 @@ impl ExperimentSpecBuilder {
 /// Simulates `app` on `graph` under `config`, returning the final
 /// execution statistics.
 ///
-/// The application's kernel sequence is generated (streamed) and fed to
-/// a fresh [`Simulation`] configured with the hardware half of
-/// `config`; cache and ownership state persist across the workload's
-/// kernels, as on the simulated machine.
+/// The application's kernel sequence is generated lazily and fed to a
+/// fresh [`Simulation`] configured with the hardware half of `config`;
+/// cache and ownership state persist across the workload's kernels, as
+/// on the simulated machine. Every simulator event is emitted through
+/// `tracer` ([`Tracer::off`] runs without instrumentation at zero
+/// cost). SSSP requires a weighted graph; deterministic weights are
+/// attached on the fly when missing.
 ///
-/// SSSP requires a weighted graph; deterministic weights are attached
-/// on the fly when missing.
+/// The spec's [`SimBudget`] and the wall-clock `deadline` (which
+/// overrides the budget's own) are enforced inside the engine — cycle
+/// limits at the exact breach cycle and the deadline mid-kernel, so
+/// even a single hung kernel is abandoned. Once either trips, the
+/// remaining kernels are skipped.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `config.propagation` is not supported by `app` (e.g. push
-/// for CC). Prefer [`run_workload_traced`] on paths that must not
-/// panic.
+/// [`GgsError::Unsupported`] if `app` does not support
+/// `config.propagation` (e.g. push for CC); [`GgsError::Budget`] /
+/// [`GgsError::Deadline`] if the budget or deadline is breached.
 pub fn run_workload(
-    app: AppKind,
-    graph: &Csr,
-    config: SystemConfig,
-    spec: &ExperimentSpec,
-) -> ExecStats {
-    run_workload_traced(app, graph, config, spec, Tracer::off()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible, instrumented variant of [`run_workload`]: every simulator
-/// event (kernel boundaries, stall samples, cache/NoC counters,
-/// synchronization) is emitted through `tracer`, and an unsupported
-/// (application, propagation) pairing is reported as
-/// [`GgsError::Unsupported`] instead of panicking.
-///
-/// Pass [`Tracer::off`] to run without instrumentation at zero cost.
-pub fn run_workload_traced(
-    app: AppKind,
-    graph: &Csr,
-    config: SystemConfig,
-    spec: &ExperimentSpec,
-    tracer: Tracer<'_>,
-) -> Result<ExecStats, GgsError> {
-    check_supported(app, config)?;
-    let weighted;
-    let graph = if app.needs_weights() && !graph.is_weighted() {
-        weighted = graph.clone().with_hashed_weights(64);
-        &weighted
-    } else {
-        graph
-    };
-    let mut sim = Simulation::builder(spec.params.clone(), config.hw())
-        .tracer(tracer)
-        .build();
-    let tb = spec.params.tb_size;
-    Workload::new(app, graph).generate(config.propagation, tb, &mut |kernel| {
-        sim.run_kernel(kernel);
-    });
-    Ok(sim.finish())
-}
-
-/// Watchdog-guarded variant of [`run_workload_traced`]: the spec's
-/// [`SimBudget`] and an optional wall-clock `deadline` are enforced
-/// inside the engine — cycle limits at the exact breach cycle and the
-/// deadline mid-kernel, so even a single hung kernel is abandoned.
-/// Once either trips, remaining kernels are skipped and the run is
-/// reported as [`GgsError::Budget`] / [`GgsError::Deadline`] instead
-/// of returning partial statistics.
-pub fn run_workload_budgeted(
     app: AppKind,
     graph: &Csr,
     config: SystemConfig,
@@ -238,38 +200,34 @@ pub fn run_workload_budgeted(
     tracer: Tracer<'_>,
     deadline: Option<Instant>,
 ) -> Result<ExecStats, GgsError> {
-    check_supported(app, config)?;
-    let weighted;
-    let graph = if app.needs_weights() && !graph.is_weighted() {
-        weighted = graph.clone().with_hashed_weights(64);
-        &weighted
-    } else {
-        graph
+    let kernels = Kernels::Generate {
+        graph,
+        regions: false,
     };
-    let mut budget = spec.budget;
-    budget.deadline = deadline.or(budget.deadline);
-    let mut sim = Simulation::builder(spec.params.clone(), config.hw())
-        .tracer(tracer)
-        .budget(budget)
-        .build();
-    let started = Instant::now();
-    let tb = spec.params.tb_size;
-    Workload::new(app, graph).generate(config.propagation, tb, &mut |kernel| {
-        if sim.budget_exhausted() {
-            return;
-        }
-        sim.run_kernel(kernel);
-    });
-    match sim.budget_breach() {
-        Some(ggs_sim::BudgetBreach::Deadline { .. }) => {
-            let limit_ms = deadline
-                .map(|d| d.saturating_duration_since(started).as_millis() as u64)
-                .unwrap_or(0);
-            Err(GgsError::Deadline { limit_ms })
-        }
-        Some(breach) => Err(GgsError::Budget(breach)),
-        None => Ok(sim.finish()),
-    }
+    let (stats, _) = simulate(app, config, kernels, spec, tracer, deadline, |_, _| {})?;
+    Ok(stats)
+}
+
+/// Like [`run_workload`], additionally registering the application's
+/// address map so the result carries GSI-style per-data-structure
+/// attribution (`(array name, stats)` in address order).
+///
+/// # Errors
+///
+/// As [`run_workload`].
+pub fn run_workload_profiled(
+    app: AppKind,
+    graph: &Csr,
+    config: SystemConfig,
+    spec: &ExperimentSpec,
+    tracer: Tracer<'_>,
+    deadline: Option<Instant>,
+) -> Result<(ExecStats, Vec<(String, RegionStats)>), GgsError> {
+    let kernels = Kernels::Generate {
+        graph,
+        regions: true,
+    };
+    simulate(app, config, kernels, spec, tracer, deadline, |_, _| {})
 }
 
 /// Materializes the kernel stream of `(app, graph, prop, tb_size)` —
@@ -277,67 +235,131 @@ pub fn run_workload_budgeted(
 /// configuration cell of a direction (the stream never depends on
 /// coherence, consistency, or timing; see [`Workload::produce`]).
 ///
-/// SSSP's deterministic weight attachment is replicated here, so the
-/// stream for an unweighted graph matches what [`run_workload_traced`]
-/// would simulate.
-///
-/// # Panics
-///
-/// Panics if `prop` is not supported by `app` (see
-/// [`AppKind::supported_propagations`]).
+/// SSSP's deterministic weight attachment is the same as
+/// [`run_workload`]'s, so the stream for an unweighted graph matches
+/// what the fused run simulates. A `prop` that `app` does not support
+/// (see [`AppKind::supported_propagations`]) yields an empty stream;
+/// [`run_stream_budgeted`] rejects such a pairing with
+/// [`GgsError::Unsupported`].
 pub fn produce_trace_stream(
     app: AppKind,
     graph: &Csr,
-    prop: ggs_model::Propagation,
+    prop: Propagation,
     tb_size: u32,
-) -> Vec<std::sync::Arc<ggs_sim::trace::KernelTrace>> {
-    let weighted;
-    let graph = if app.needs_weights() && !graph.is_weighted() {
-        weighted = graph.clone().with_hashed_weights(64);
-        &weighted
-    } else {
-        graph
-    };
-    Workload::new(app, graph).stream(prop, tb_size)
+) -> Vec<Arc<KernelTrace>> {
+    if !app.supported_propagations().contains(&prop) {
+        return Vec::new();
+    }
+    Workload::new(app, &weighted(app, graph)).stream(prop, tb_size)
 }
 
 /// Timing half of the split workload run: simulates a pre-built kernel
 /// `stream` (from [`produce_trace_stream`], possibly via a
-/// `TraceCache`) under `config`, with the same budget/deadline
-/// semantics as [`run_workload_budgeted`]. Feeding the same kernels in
+/// `TraceCache`) under `config`, with the same tracing, budget and
+/// deadline semantics as [`run_workload`]. Feeding the same kernels in
 /// the same order through the same engine makes the statistics
-/// bit-identical to the streamed path.
+/// bit-identical to the fused run.
+///
+/// # Errors
+///
+/// As [`run_workload`].
 pub fn run_stream_budgeted(
-    stream: &[std::sync::Arc<ggs_sim::trace::KernelTrace>],
+    stream: &[Arc<KernelTrace>],
     app: AppKind,
     config: SystemConfig,
     spec: &ExperimentSpec,
     tracer: Tracer<'_>,
     deadline: Option<Instant>,
 ) -> Result<ExecStats, GgsError> {
+    let kernels = Kernels::Cached(stream);
+    let (stats, _) = simulate(app, config, kernels, spec, tracer, deadline, |_, _| {})?;
+    Ok(stats)
+}
+
+/// Where [`simulate`] takes its kernels from.
+pub(crate) enum Kernels<'a> {
+    /// Generated lazily from `(app, graph)` — the fused functional and
+    /// timing run. `regions` registers the workload's address map for
+    /// per-array attribution.
+    Generate { graph: &'a Csr, regions: bool },
+    /// A pre-built stream, replayed in order.
+    Cached(&'a [Arc<KernelTrace>]),
+}
+
+/// The consumer loop behind every run function: builds the
+/// [`Simulation`] for `config` under the spec's budget merged with
+/// `deadline`, feeds it `kernels` until the budget trips, and maps a
+/// breach to [`GgsError`]. `on_kernel` runs before each kernel that is
+/// launched (the adaptive runner reconfigures the hardware there).
+pub(crate) fn simulate<'t>(
+    app: AppKind,
+    config: SystemConfig,
+    kernels: Kernels<'_>,
+    spec: &ExperimentSpec,
+    tracer: Tracer<'t>,
+    deadline: Option<Instant>,
+    mut on_kernel: impl FnMut(&mut Simulation<'t>, &KernelTrace),
+) -> Result<(ExecStats, Vec<(String, RegionStats)>), GgsError> {
     check_supported(app, config)?;
     let mut budget = spec.budget;
     budget.deadline = deadline.or(budget.deadline);
-    let mut sim = Simulation::builder(spec.params.clone(), config.hw())
+    let mut builder = Simulation::builder(spec.params.clone(), config.hw())
         .tracer(tracer)
-        .budget(budget)
-        .build();
+        .budget(budget);
     let started = Instant::now();
-    for kernel in stream {
-        if sim.budget_exhausted() {
-            break;
+    let mut feed = |sim: &mut Simulation<'t>, kernel: &KernelTrace| {
+        if !sim.budget_exhausted() {
+            on_kernel(sim, kernel);
+            sim.run_kernel(kernel);
         }
-        sim.run_kernel(kernel);
-    }
+    };
+    let sim = match kernels {
+        Kernels::Generate { graph, regions } => {
+            let graph = weighted(app, graph);
+            let workload = Workload::new(app, &graph);
+            if regions {
+                for (name, base, bytes) in workload.memory_map() {
+                    builder = builder.region(name, base, bytes);
+                }
+            }
+            let mut sim = builder.build();
+            workload.generate(config.propagation, spec.params.tb_size, &mut |kernel| {
+                feed(&mut sim, kernel)
+            });
+            sim
+        }
+        Kernels::Cached(stream) => {
+            let mut sim = builder.build();
+            for kernel in stream {
+                if sim.budget_exhausted() {
+                    break;
+                }
+                feed(&mut sim, kernel);
+            }
+            sim
+        }
+    };
     match sim.budget_breach() {
-        Some(ggs_sim::BudgetBreach::Deadline { .. }) => {
-            let limit_ms = deadline
-                .map(|d| d.saturating_duration_since(started).as_millis() as u64)
-                .unwrap_or(0);
-            Err(GgsError::Deadline { limit_ms })
-        }
+        Some(BudgetBreach::Deadline { .. }) => Err(GgsError::Deadline {
+            limit_ms: budget.deadline.map_or(0, |d| {
+                d.saturating_duration_since(started).as_millis() as u64
+            }),
+        }),
         Some(breach) => Err(GgsError::Budget(breach)),
-        None => Ok(sim.finish()),
+        None => {
+            let regions = sim.region_stats();
+            Ok((sim.finish(), regions))
+        }
+    }
+}
+
+/// `graph` with SSSP's deterministic weights attached if `app` needs
+/// them and the graph has none.
+fn weighted(app: AppKind, graph: &Csr) -> Cow<'_, Csr> {
+    if app.needs_weights() && !graph.is_weighted() {
+        Cow::Owned(graph.clone().with_hashed_weights(64))
+    } else {
+        Cow::Borrowed(graph)
     }
 }
 
@@ -352,58 +374,12 @@ fn check_supported(app: AppKind, config: SystemConfig) -> Result<(), GgsError> {
     }
 }
 
-/// Like [`run_workload`], additionally registering the application's
-/// address map so the result carries GSI-style per-data-structure
-/// attribution (`(array name, stats)` in address order).
-///
-/// # Panics
-///
-/// Panics if `config.propagation` is not supported by `app`. Prefer
-/// [`run_workload_profiled_traced`] on paths that must not panic.
-pub fn run_workload_profiled(
-    app: AppKind,
-    graph: &Csr,
-    config: SystemConfig,
-    spec: &ExperimentSpec,
-) -> (ExecStats, Vec<(String, ggs_sim::stats::RegionStats)>) {
-    run_workload_profiled_traced(app, graph, config, spec, Tracer::off())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible, instrumented variant of [`run_workload_profiled`] (see
-/// [`run_workload_traced`] for the tracing contract).
-pub fn run_workload_profiled_traced(
-    app: AppKind,
-    graph: &Csr,
-    config: SystemConfig,
-    spec: &ExperimentSpec,
-    tracer: Tracer<'_>,
-) -> Result<(ExecStats, Vec<(String, ggs_sim::stats::RegionStats)>), GgsError> {
-    check_supported(app, config)?;
-    let weighted;
-    let graph = if app.needs_weights() && !graph.is_weighted() {
-        weighted = graph.clone().with_hashed_weights(64);
-        &weighted
-    } else {
-        graph
-    };
-    let workload = Workload::new(app, graph);
-    let mut builder = Simulation::builder(spec.params.clone(), config.hw()).tracer(tracer);
-    for (name, base, bytes) in workload.memory_map() {
-        builder = builder.region(name, base, bytes);
-    }
-    let mut sim = builder.build();
-    workload.generate(config.propagation, spec.params.tb_size, &mut |kernel| {
-        sim.run_kernel(kernel);
-    });
-    let regions = sim.region_stats();
-    Ok((sim.finish(), regions))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::run_adaptive;
     use ggs_graph::GraphBuilder;
+    use ggs_sim::MicroOp;
 
     fn graph() -> Csr {
         GraphBuilder::new(1024)
@@ -417,40 +393,27 @@ mod tests {
             .build()
     }
 
-    #[test]
-    fn every_app_runs_on_every_supported_config() {
-        let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
-        for app in AppKind::ALL {
-            for cfg in ggs_model::SystemConfig::all_for(app.algo_profile().traversal) {
-                let stats = run_workload(app, &g, cfg, &spec);
-                assert!(stats.total_cycles() > 0, "{app}/{cfg} produced no cycles");
-            }
-        }
+    fn run(app: AppKind, g: &Csr, config: &str, spec: &ExperimentSpec) -> ExecStats {
+        let config = config.parse().expect("valid config");
+        run_workload(app, g, config, spec, Tracer::off(), None).expect("run succeeds")
     }
 
     #[test]
-    #[should_panic(expected = "does not support")]
     fn rejects_unsupported_propagation() {
         let g = graph();
         let spec = ExperimentSpec::default();
-        let _ = run_workload(AppKind::Cc, &g, "SGR".parse().unwrap(), &spec);
-    }
-
-    #[test]
-    fn traced_run_reports_unsupported_propagation_as_error() {
-        let g = graph();
-        let spec = ExperimentSpec::default();
-        let err = run_workload_traced(
-            AppKind::Cc,
-            &g,
-            "SGR".parse().unwrap(),
-            &spec,
-            ggs_trace::Tracer::off(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, GgsError::Unsupported { .. }));
-        assert!(err.to_string().contains("does not support"));
+        let cfg: SystemConfig = "SGR".parse().unwrap();
+        let stream = produce_trace_stream(AppKind::Cc, &g, cfg.propagation, 256);
+        assert!(stream.is_empty());
+        let errs = [
+            run_workload(AppKind::Cc, &g, cfg, &spec, Tracer::off(), None).unwrap_err(),
+            run_workload_profiled(AppKind::Cc, &g, cfg, &spec, Tracer::off(), None).unwrap_err(),
+            run_stream_budgeted(&stream, AppKind::Cc, cfg, &spec, Tracer::off(), None).unwrap_err(),
+        ];
+        for err in errs {
+            assert!(matches!(err, GgsError::Unsupported { .. }), "{err}");
+            assert!(err.to_string().contains("does not support"));
+        }
     }
 
     #[test]
@@ -478,24 +441,44 @@ mod tests {
 
     #[test]
     fn budgeted_run_reports_kernel_budget_breach_as_timeout() {
+        // Every public run path honors the spec's budget, not only the
+        // ones that also take a deadline.
         let g = graph();
         let spec = ExperimentSpec::builder()
             .scale(0.05)
             .max_kernels(1)
             .build()
             .unwrap();
-        let err = run_workload_budgeted(
-            AppKind::Pr,
-            &g,
-            "SGR".parse().unwrap(),
-            &spec,
-            Tracer::off(),
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GgsError::Budget(_)), "{err}");
-        assert!(err.is_timeout() && !err.is_retryable());
-        assert!(err.to_string().contains("kernel budget exhausted"));
+        let cfg: SystemConfig = "SGR".parse().unwrap();
+        let stream = produce_trace_stream(AppKind::Pr, &g, cfg.propagation, spec.params.tb_size);
+        let off = Tracer::off;
+        let paths = [
+            (
+                "fused",
+                run_workload(AppKind::Pr, &g, cfg, &spec, off(), None).err(),
+            ),
+            (
+                "profiled",
+                run_workload_profiled(AppKind::Pr, &g, cfg, &spec, off(), None).err(),
+            ),
+            (
+                "stream",
+                run_stream_budgeted(&stream, AppKind::Pr, cfg, &spec, off(), None).err(),
+            ),
+            (
+                "adaptive",
+                run_adaptive(AppKind::Pr, &g, &spec, off(), None).err(),
+            ),
+        ];
+        for (path, err) in paths {
+            let err = err.unwrap_or_else(|| panic!("{path} run ignored the kernel budget"));
+            assert!(matches!(err, GgsError::Budget(_)), "{path}: {err}");
+            assert!(err.is_timeout() && !err.is_retryable(), "{path}");
+            assert!(
+                err.to_string().contains("kernel budget exhausted"),
+                "{path}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -503,61 +486,89 @@ mod tests {
         let g = graph();
         let spec = ExperimentSpec::at_scale(0.05);
         let deadline = Instant::now() - std::time::Duration::from_millis(1);
-        let err = run_workload_budgeted(
-            AppKind::Pr,
-            &g,
-            "SGR".parse().unwrap(),
-            &spec,
-            Tracer::off(),
-            Some(deadline),
-        )
-        .unwrap_err();
+        let cfg = "SGR".parse().unwrap();
+        let err =
+            run_workload(AppKind::Pr, &g, cfg, &spec, Tracer::off(), Some(deadline)).unwrap_err();
         assert!(matches!(err, GgsError::Deadline { .. }), "{err}");
         assert!(err.is_timeout());
     }
 
     #[test]
-    fn unlimited_budget_matches_untracked_run() {
-        let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
+    fn deadline_on_the_spec_reports_its_limit() {
+        // A deadline carried by the spec's budget (not passed as an
+        // argument) must still report how long the run was allowed.
+        let limit = std::time::Duration::from_millis(100);
+        let spec = ExperimentSpec::builder()
+            .scale(0.05)
+            .budget(SimBudget {
+                deadline: Some(Instant::now() + limit),
+                ..SimBudget::UNLIMITED
+            })
+            .build()
+            .unwrap();
+        let threads = (0..256).map(|_| vec![MicroOp::compute(64)]).collect();
+        let kernel = Arc::new(KernelTrace::new(threads, spec.params.tb_size));
+        let endless = vec![kernel; 200_000];
         let cfg = "SGR".parse().unwrap();
-        let budgeted =
-            run_workload_budgeted(AppKind::Pr, &g, cfg, &spec, Tracer::off(), None).unwrap();
-        let plain = run_workload(AppKind::Pr, &g, cfg, &spec);
-        assert_eq!(budgeted.total_cycles(), plain.total_cycles());
-    }
-
-    #[test]
-    fn stream_path_is_bit_identical_to_generate_path() {
-        let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
-        for (app, cfg) in [
-            (AppKind::Pr, "TG0"),
-            (AppKind::Sssp, "SD1"), // exercises the weighted clone
-            (AppKind::Cc, "DDR"),
-        ] {
-            let cfg: ggs_model::SystemConfig = cfg.parse().unwrap();
-            let stream = produce_trace_stream(app, &g, cfg.propagation, spec.params.tb_size);
-            let cached =
-                run_stream_budgeted(&stream, app, cfg, &spec, Tracer::off(), None).unwrap();
-            let direct = run_workload_budgeted(app, &g, cfg, &spec, Tracer::off(), None).unwrap();
-            assert_eq!(cached, direct, "{app}/{cfg}");
+        let err = run_stream_budgeted(&endless, AppKind::Pr, cfg, &spec, Tracer::off(), None)
+            .unwrap_err();
+        match err {
+            GgsError::Deadline { limit_ms } => {
+                assert!(limit_ms > 0 && limit_ms <= 100, "limit_ms = {limit_ms}")
+            }
+            other => panic!("expected a deadline breach, got {other}"),
         }
     }
 
     #[test]
-    fn stream_path_reports_budget_breach() {
+    fn unlimited_budget_matches_untracked_run() {
+        // Generous limits never trip and never perturb the statistics.
         let g = graph();
-        let spec = ExperimentSpec::builder()
+        let spec = ExperimentSpec::at_scale(0.05);
+        let generous = ExperimentSpec::builder()
             .scale(0.05)
-            .max_kernels(1)
+            .max_kernels(1 << 20)
+            .max_sim_cycles(u64::MAX)
             .build()
             .unwrap();
-        let cfg: ggs_model::SystemConfig = "SGR".parse().unwrap();
-        let stream = produce_trace_stream(AppKind::Pr, &g, cfg.propagation, spec.params.tb_size);
-        let err =
-            run_stream_budgeted(&stream, AppKind::Pr, cfg, &spec, Tracer::off(), None).unwrap_err();
-        assert!(matches!(err, GgsError::Budget(_)), "{err}");
+        let deadline = Instant::now() + std::time::Duration::from_secs(3600);
+        let cfg = "SGR".parse().unwrap();
+        let budgeted = run_workload(
+            AppKind::Pr,
+            &g,
+            cfg,
+            &generous,
+            Tracer::off(),
+            Some(deadline),
+        )
+        .unwrap();
+        assert_eq!(budgeted, run(AppKind::Pr, &g, "SGR", &spec));
+    }
+
+    #[test]
+    fn stream_path_is_bit_identical_to_generate_path() {
+        // Differential check over every (app, supported config) cell,
+        // the hybrid direction-policy cells included: the fused,
+        // cached-stream and profiled runs feed the same kernels to the
+        // same engine, so their statistics must match exactly.
+        let g = graph();
+        let spec = ExperimentSpec::at_scale(0.05);
+        let tb = spec.params.tb_size;
+        for app in AppKind::ALL {
+            let mut configs = SystemConfig::all_for(app.algo_profile().traversal);
+            configs.extend(crate::sweep::hybrid_configs(app));
+            for cfg in configs {
+                let off = Tracer::off;
+                let fused = run_workload(app, &g, cfg, &spec, off(), None).unwrap();
+                let stream = produce_trace_stream(app, &g, cfg.propagation, tb);
+                let cached = run_stream_budgeted(&stream, app, cfg, &spec, off(), None).unwrap();
+                let (profiled, _) =
+                    run_workload_profiled(app, &g, cfg, &spec, off(), None).unwrap();
+                assert!(fused.total_cycles() > 0, "{app}/{cfg} produced no cycles");
+                assert_eq!(cached, fused, "{app}/{cfg}: cached stream");
+                assert_eq!(profiled, fused, "{app}/{cfg}: profiled");
+            }
+        }
     }
 
     #[test]
@@ -565,16 +576,16 @@ mod tests {
         let g = graph();
         assert!(!g.is_weighted());
         let spec = ExperimentSpec::at_scale(0.05);
-        let stats = run_workload(AppKind::Sssp, &g, "SG1".parse().unwrap(), &spec);
-        assert!(stats.total_cycles() > 0);
+        assert!(run(AppKind::Sssp, &g, "SG1", &spec).total_cycles() > 0);
     }
 
     #[test]
     fn profiled_run_attributes_every_graph_walk() {
         let g = graph();
         let spec = ExperimentSpec::at_scale(0.05);
+        let cfg = "SGR".parse().unwrap();
         let (stats, regions) =
-            run_workload_profiled(AppKind::Pr, &g, "SGR".parse().unwrap(), &spec);
+            run_workload_profiled(AppKind::Pr, &g, cfg, &spec, Tracer::off(), None).unwrap();
         assert!(stats.total_cycles() > 0);
         let by_name = |n: &str| {
             regions
@@ -602,9 +613,9 @@ mod tests {
         // (§VI): heavy atomics + full invalidate/flush per atomic.
         let g = graph();
         let spec = ExperimentSpec::at_scale(0.05);
-        let t0 = run_workload(AppKind::Pr, &g, "SG0".parse().unwrap(), &spec).total_cycles();
-        let t1 = run_workload(AppKind::Pr, &g, "SG1".parse().unwrap(), &spec).total_cycles();
-        let tr = run_workload(AppKind::Pr, &g, "SGR".parse().unwrap(), &spec).total_cycles();
+        let t0 = run(AppKind::Pr, &g, "SG0", &spec).total_cycles();
+        let t1 = run(AppKind::Pr, &g, "SG1", &spec).total_cycles();
+        let tr = run(AppKind::Pr, &g, "SGR", &spec).total_cycles();
         assert!(t0 > t1, "DRF0 ({t0}) must be slower than DRF1 ({t1})");
         assert!(t1 >= tr, "DRF1 ({t1}) must not beat DRFrlx ({tr})");
     }

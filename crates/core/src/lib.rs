@@ -24,6 +24,7 @@
 //!
 //! ```
 //! use ggs_core::experiment::{run_workload, ExperimentSpec};
+//! use ggs_core::Tracer;
 //! use ggs_apps::AppKind;
 //! use ggs_graph::GraphBuilder;
 //!
@@ -32,9 +33,10 @@
 //!     .symmetric(true)
 //!     .build();
 //! let spec = ExperimentSpec::default();
-//! let stats = run_workload(AppKind::Pr, &graph, "SGR".parse()?, &spec);
+//! let config = "SGR".parse()?;
+//! let stats = run_workload(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)?;
 //! assert!(stats.total_cycles() > 0);
-//! # Ok::<(), ggs_model::decision::ParseConfigError>(())
+//! # Ok::<(), ggs_core::GgsError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,9 +54,7 @@ pub mod sweep;
 pub mod trace_cache;
 
 pub use error::GgsError;
-pub use experiment::{
-    run_workload, run_workload_budgeted, run_workload_traced, ExperimentSpec, ExperimentSpecBuilder,
-};
+pub use experiment::{run_workload, ExperimentSpec, ExperimentSpecBuilder};
 pub use ggs_trace::{MetricsRegistry, Tracer};
 pub use runner::{
     run_study, CellFailure, CellReport, CellStatus, Fault, FaultPlan, Journal, RetryPolicy,

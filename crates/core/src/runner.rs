@@ -39,13 +39,11 @@ use ggs_apps::AppKind;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::{predict_full, predict_partial, GraphProfile, SystemConfig};
 use ggs_sim::trace::{KernelTrace, MicroOp};
-use ggs_sim::{Simulation, StallClass};
+use ggs_sim::StallClass;
 use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
 
 use crate::error::GgsError;
-use crate::experiment::{
-    produce_trace_stream, run_stream_budgeted, run_workload_budgeted, ExperimentSpec,
-};
+use crate::experiment::{produce_trace_stream, run_stream_budgeted, run_workload, ExperimentSpec};
 use crate::json::{self, Value};
 use crate::store::{versioned_spec_hash, Claim, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
@@ -1128,46 +1126,35 @@ fn execute_cell(
                 deadline,
             )
         }
-        None => run_workload_budgeted(cell.app, graph, cell.config, spec, Tracer::off(), deadline),
+        None => run_workload(cell.app, graph, cell.config, spec, Tracer::off(), deadline),
     }
 }
 
 /// The `Hang` fault: feed small compute kernels forever, exactly like a
 /// non-converging workload would, so only the watchdogs stop it. A
 /// failsafe kernel cap keeps tests honest when neither watchdog is
-/// configured.
+/// configured; it trips as a kernel-budget breach.
 fn run_hang(
     cell: Cell,
     spec: &ExperimentSpec,
     deadline: Option<Instant>,
 ) -> Result<ggs_sim::ExecStats, GgsError> {
     const FAILSAFE_KERNELS: u64 = 4096;
-    let mut sim = Simulation::builder(spec.params.clone(), cell.config.hw())
-        .budget(spec.budget)
-        .build();
-    let started = Instant::now();
+    let mut spec = spec.clone();
+    let cap = spec.budget.max_kernels.unwrap_or(FAILSAFE_KERNELS);
+    spec.budget.max_kernels = Some(cap.min(FAILSAFE_KERNELS));
     let threads: Vec<Vec<MicroOp>> = (0..32).map(|_| vec![MicroOp::compute(64)]).collect();
-    let kernel = KernelTrace::new(threads, spec.params.tb_size);
-    let mut launched = 0u64;
-    loop {
-        if let Some(breach) = sim.budget_breach() {
-            return Err(GgsError::Budget(breach));
-        }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Err(GgsError::Deadline {
-                    limit_ms: started.elapsed().as_millis() as u64,
-                });
-            }
-        }
-        if launched >= FAILSAFE_KERNELS {
-            return Err(GgsError::Deadline {
-                limit_ms: started.elapsed().as_millis() as u64,
-            });
-        }
-        sim.run_kernel(&kernel);
-        launched += 1;
-    }
+    let kernel = Arc::new(KernelTrace::new(threads, spec.params.tb_size));
+    // One kernel past the cap, so the cap always trips.
+    let forever = vec![kernel; FAILSAFE_KERNELS as usize + 1];
+    run_stream_budgeted(
+        &forever,
+        cell.app,
+        cell.config,
+        &spec,
+        Tracer::off(),
+        deadline,
+    )
 }
 
 /// Builds the (possibly partial) study from per-cell outcomes: rows

@@ -10,7 +10,7 @@ use ggs_sim::{CoherenceKind, ConsistencyModel, ExecStats};
 use ggs_trace::Tracer;
 
 use crate::error::GgsError;
-use crate::experiment::{run_workload_traced, ExperimentSpec};
+use crate::experiment::{run_workload, ExperimentSpec};
 
 /// The result of one configuration point within a sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,8 +199,8 @@ impl WorkloadSweep {
     }
 
     /// Fallible, instrumented variant of [`WorkloadSweep::run`]: every
-    /// configuration's simulation emits through `tracer` (see
-    /// [`run_workload_traced`]).
+    /// configuration's simulation emits through `tracer` under the
+    /// spec's budget (see [`run_workload`]).
     pub fn run_traced(
         app: AppKind,
         graph_name: impl Into<String>,
@@ -212,7 +212,7 @@ impl WorkloadSweep {
         let results = configs
             .iter()
             .map(|&config| {
-                run_workload_traced(app, graph, config, spec, tracer)
+                run_workload(app, graph, config, spec, tracer, None)
                     .map(|stats| ConfigResult { config, stats })
             })
             .collect::<Result<Vec<_>, _>>()?;

@@ -254,27 +254,6 @@ impl<'t> Simulation<'t> {
         }
     }
 
-    /// Creates a simulation with an injected trace sink handle.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Simulation::builder(params, hw).tracer(tracer).build()`"
-    )]
-    pub fn with_tracer(params: SystemParams, hw: HwConfig, tracer: Tracer<'t>) -> Self {
-        Self::builder(params, hw).tracer(tracer).build()
-    }
-
-    /// Installs a watchdog budget. Limits apply to the simulation's
-    /// cumulative kernel count and clock (not per kernel), take effect
-    /// from the next [`Simulation::run_kernel`] call, and replace any
-    /// previously-set budget (a previously-latched breach is kept).
-    #[deprecated(
-        since = "0.1.0",
-        note = "set the budget at construction: `Simulation::builder(params, hw).budget(b).build()`"
-    )]
-    pub fn set_budget(&mut self, budget: SimBudget) {
-        self.budget = budget;
-    }
-
     /// The configured watchdog budget (unlimited by default).
     pub fn budget(&self) -> SimBudget {
         self.budget
@@ -336,16 +315,6 @@ impl<'t> Simulation<'t> {
     /// The hardware configuration under simulation.
     pub fn hw(&self) -> HwConfig {
         self.hw
-    }
-
-    /// Registers a named address region for per-data-structure
-    /// attribution (GSI-style; see [`crate::stats::RegionStats`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "register regions at construction: `Simulation::builder(params, hw).region(..).build()`"
-    )]
-    pub fn register_region(&mut self, name: impl Into<String>, base: u64, bytes: u64) {
-        self.mem.register_region(name, base, bytes);
     }
 
     /// Per-region attribution collected so far, as `(name, stats)`
@@ -762,42 +731,6 @@ mod tests {
         ] {
             assert!(text.contains(kind), "missing event kind {kind}:\n{text}");
         }
-    }
-
-    #[test]
-    fn deprecated_constructor_shims_still_work() {
-        // The pre-builder API is kept as thin shims; behavior must be
-        // identical to the builder path.
-        #![allow(deprecated)]
-        let mut old = Simulation::with_tracer(
-            SystemParams::default(),
-            hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-            Tracer::off(),
-        );
-        old.set_budget(SimBudget {
-            max_kernels: Some(2),
-            ..SimBudget::UNLIMITED
-        });
-        old.register_region("a", 0, 4096);
-
-        let mut new = Simulation::builder(
-            SystemParams::default(),
-            hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        )
-        .budget(SimBudget {
-            max_kernels: Some(2),
-            ..SimBudget::UNLIMITED
-        })
-        .region("a", 0, 4096)
-        .build();
-
-        for _ in 0..3 {
-            old.run_kernel(&compute_kernel(256, 4));
-            new.run_kernel(&compute_kernel(256, 4));
-        }
-        assert_eq!(old.budget_breach(), new.budget_breach());
-        assert_eq!(old.region_stats(), new.region_stats());
-        assert_eq!(old.finish().total_cycles(), new.finish().total_cycles());
     }
 
     #[test]

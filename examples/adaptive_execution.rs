@@ -22,9 +22,15 @@ fn main() -> Result<(), GgsError> {
     let graph = SynthConfig::preset(preset).scale(scale).generate();
     let spec = ExperimentSpec::builder().scale(scale).build()?;
 
-    let adaptive = run_adaptive(app, &graph, &spec);
-    let static_stats =
-        run_workload_traced(app, &graph, adaptive.static_config, &spec, Tracer::off())?;
+    let adaptive = run_adaptive(app, &graph, &spec, Tracer::off(), None)?;
+    let static_stats = run_workload(
+        app,
+        &graph,
+        adaptive.static_config,
+        &spec,
+        Tracer::off(),
+        None,
+    )?;
 
     println!("{app} on {preset} (scale {scale})");
     println!(

@@ -47,7 +47,7 @@ fn main() -> Result<(), GgsError> {
     println!("model recommends {config} for {app}");
 
     // 3. Simulate the workload under that configuration.
-    let stats = run_workload_traced(app, &graph, config, &spec, Tracer::off())?;
+    let stats = run_workload(app, &graph, config, &spec, Tracer::off(), None)?;
     println!(
         "simulated {} kernels in {} GPU cycles",
         stats.kernels,

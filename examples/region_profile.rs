@@ -18,7 +18,7 @@ fn main() -> Result<(), GgsError> {
 
     let graph = SynthConfig::preset(preset).scale(scale).generate();
     let spec = ExperimentSpec::builder().scale(scale).build()?;
-    let (stats, regions) = run_workload_profiled_traced(app, &graph, config, &spec, Tracer::off())?;
+    let (stats, regions) = run_workload_profiled(app, &graph, config, &spec, Tracer::off(), None)?;
 
     println!(
         "{app} on {preset} under {config}: {} cycles total",

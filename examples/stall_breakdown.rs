@@ -23,7 +23,7 @@ fn main() -> Result<(), GgsError> {
         "config", "cycles", "busy%", "comp%", "data%", "sync%", "idle%"
     );
     for config in figure5_configs(app) {
-        let stats = run_workload_traced(app, &graph, config, &spec, Tracer::off())?;
+        let stats = run_workload(app, &graph, config, &spec, Tracer::off(), None)?;
         let f = stats.stall_fractions();
         println!(
             "{:>6} {:>10} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",

@@ -23,7 +23,7 @@ fn main() -> Result<(), GgsError> {
 
     let sink = ChromeTraceSink::new(BufWriter::new(std::fs::File::create(&path)?));
     // Stride 500: at most one stall sample per SM per 500 cycles.
-    let stats = run_workload_traced(app, &graph, config, &spec, Tracer::new(&sink, 500))?;
+    let stats = run_workload(app, &graph, config, &spec, Tracer::new(&sink, 500), None)?;
     sink.finish()?;
 
     println!(

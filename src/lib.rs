@@ -26,7 +26,7 @@ pub use ggs_trace as trace;
 ///     .try_build()?;
 /// let spec = ExperimentSpec::builder().scale(0.05).build()?;
 /// let config: SystemConfig = "SGR".parse()?;
-/// let stats = run_workload_traced(AppKind::Pr, &graph, config, &spec, Tracer::off())?;
+/// let stats = run_workload(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)?;
 /// assert!(stats.total_cycles() > 0);
 /// # Ok::<(), GgsError>(())
 /// ```
@@ -34,8 +34,7 @@ pub mod prelude {
     pub use ggs_apps::{AppKind, Workload};
     pub use ggs_core::error::GgsError;
     pub use ggs_core::experiment::{
-        run_workload, run_workload_profiled, run_workload_profiled_traced, run_workload_traced,
-        ExperimentSpec, ExperimentSpecBuilder,
+        run_workload, run_workload_profiled, ExperimentSpec, ExperimentSpecBuilder,
     };
     pub use ggs_core::study::{ConfigSet, Study, WorkloadReport};
     pub use ggs_core::sweep::{baseline_config, figure5_configs, WorkloadSweep};

@@ -69,7 +69,7 @@ fn prelude_covers_the_experiment_workflow() {
         let spec = ExperimentSpec::builder().scale(0.02).build()?;
         let profile = GraphProfile::measure(&graph, &spec.metric_params());
         let config = predict_full(&AppKind::Pr.algo_profile(), &profile);
-        let stats = run_workload_traced(AppKind::Pr, &graph, config, &spec, Tracer::off())?;
+        let stats = run_workload(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)?;
         Ok(stats.total_cycles())
     }
     assert!(workflow().unwrap() > 0);

@@ -8,8 +8,19 @@ use ggs_core::sweep::{baseline_config, figure5_configs, WorkloadSweep};
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_graph::GraphBuilder;
 use ggs_model::{predict_full, GraphProfile, SystemConfig};
+use ggs_sim::ExecStats;
+use ggs_trace::Tracer;
 
 const SCALE: f64 = 0.02;
+
+fn run(
+    app: AppKind,
+    graph: &ggs_graph::Csr,
+    cfg: SystemConfig,
+    spec: &ExperimentSpec,
+) -> ExecStats {
+    run_workload(app, graph, cfg, spec, Tracer::off(), None).expect("supported cell runs")
+}
 
 fn preset_graph(p: GraphPreset) -> ggs_graph::Csr {
     SynthConfig::preset(p).scale(SCALE).generate()
@@ -23,7 +34,7 @@ fn full_pipeline_on_one_workload() {
     let algo = AppKind::Sssp.algo_profile();
     let predicted = predict_full(&algo, &profile);
     // The prediction must be runnable directly.
-    let stats = run_workload(AppKind::Sssp, &graph, predicted, &spec);
+    let stats = run(AppKind::Sssp, &graph, predicted, &spec);
     assert!(stats.total_cycles() > 0);
     assert!(stats.kernels > 0);
 }
@@ -56,8 +67,8 @@ fn runs_are_deterministic_end_to_end() {
     let graph = preset_graph(GraphPreset::Wng);
     let spec = ExperimentSpec::at_scale(SCALE);
     let cfg: SystemConfig = "SGR".parse().expect("valid config");
-    let a = run_workload(AppKind::Pr, &graph, cfg, &spec);
-    let b = run_workload(AppKind::Pr, &graph, cfg, &spec);
+    let a = run(AppKind::Pr, &graph, cfg, &spec);
+    let b = run(AppKind::Pr, &graph, cfg, &spec);
     assert_eq!(a, b);
 }
 
@@ -79,7 +90,7 @@ fn custom_graphs_work_through_the_same_api() {
     for app in AppKind::ALL {
         let cfg = predict_full(&app.algo_profile(), &profile);
         // CC's dynamic prediction is D*, static apps get T*/S*.
-        let stats = run_workload(app, &graph, cfg, &spec);
+        let stats = run(app, &graph, cfg, &spec);
         assert!(stats.total_cycles() > 0, "{app} failed");
     }
 }
@@ -90,7 +101,7 @@ fn stall_classes_cover_all_cycles() {
     let spec = ExperimentSpec::at_scale(SCALE);
     for code in ["TG0", "SG1", "SGR", "SD1", "SDR"] {
         let cfg: SystemConfig = code.parse().expect("valid");
-        let stats = run_workload(AppKind::Pr, &graph, cfg, &spec);
+        let stats = run(AppKind::Pr, &graph, cfg, &spec);
         assert_eq!(
             stats.breakdown.total(),
             stats.total_cycles() * spec.params.num_sms as u64,

@@ -116,7 +116,7 @@ fn render_all() -> String {
         String::from("# Golden ExecStats (OLS preset, scale 0.05) — ggs-sim behavior pin\n");
     for (app, code) in CELLS {
         let config: SystemConfig = code.parse().unwrap();
-        let stats = run_workload_traced(app, &graph, config, &spec, Tracer::off()).unwrap();
+        let stats = run_workload(app, &graph, config, &spec, Tracer::off(), None).unwrap();
         out.push_str(&render_cell(app, code, &stats));
     }
     out

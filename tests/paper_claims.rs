@@ -7,6 +7,7 @@ use ggs_apps::AppKind;
 use ggs_core::experiment::{run_workload, ExperimentSpec};
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::SystemConfig;
+use ggs_trace::Tracer;
 
 const SCALE: f64 = 0.05;
 
@@ -18,7 +19,9 @@ fn cycles_at(scale: f64, app: AppKind, preset: GraphPreset, code: &str) -> u64 {
     let graph = SynthConfig::preset(preset).scale(scale).generate();
     let spec = ExperimentSpec::at_scale(scale);
     let cfg: SystemConfig = code.parse().expect("valid config");
-    run_workload(app, &graph, cfg, &spec).total_cycles()
+    run_workload(app, &graph, cfg, &spec, Tracer::off(), None)
+        .expect("paper cells run")
+        .total_cycles()
 }
 
 /// §IV-A4 / Figure 5: Connected Components (dynamic traversal, racy

@@ -27,7 +27,7 @@ fn emit_all_events(sink: &dyn TraceSink) {
     let tracer = Tracer::new(sink, 50);
     for code in ["SG0", "SDR"] {
         let config: SystemConfig = code.parse().unwrap();
-        run_workload_traced(AppKind::Pr, &graph, config, &spec, tracer).unwrap();
+        run_workload(AppKind::Pr, &graph, config, &spec, tracer, None).unwrap();
     }
     let metrics = MetricsRegistry::new();
     drop(metrics.phase("golden_phase"));
