@@ -2,21 +2,26 @@
 //! Coherence, Consistency, and Push/Pull for GPU Graph Analytics*
 //! (ISPASS 2020).
 //!
-//! Usage:
+//! Usage (each subcommand accepts only the flags in its own table,
+//! before or after the subcommand word; `repro <subcommand> --help`
+//! prints that table):
 //!
 //! ```text
-//! repro [--scale S] [--threads N] [--json PATH] [--svg PATH] [--all]
-//!       [--trace-out PATH] [--trace-stride N]
-//!       [table1|table2|table3|table4|table5|fig5|fig6|partial|flexible|traffic|gsi|summary|check|hybrid|all]
-//! repro trace <app> <graph> <config> [--scale S] [--trace-out PATH] [--trace-stride N]
-//! repro study [--scale S] [--threads N] [--json PATH]
-//!             [--journal PATH] [--resume PATH] [--deadline-ms N]
-//!             [--max-kernels N] [--max-sim-cycles N] [--retries N]
+//! repro [--scale S] [--threads N] [--json PATH] [--svg PATH] [--trace-out PATH] [--all]
+//!       [table1|table2|table3|table4|table5|fig5|fig6|partial|flexible|traffic|gsi|summary|check|hybrid|all]...
+//! repro trace [--scale S] [--trace-out PATH] [--trace-stride N] <app> <graph> <config>
+//! repro study [--scale S] [--threads N] [--json PATH] [--trace-out PATH]
+//!             [--deadline-ms N] [--max-kernels N] [--max-sim-cycles N] [--retries N]
 //!             [--inject-fault APP/GRAPH/CFG[=panic|hang|io]]...
+//!             [--store PATH] [--store-compact] [--lease-ttl-ms N]
+//!             [--inject-store-fault torn[:BYTES]|short|crc|lock]...
 //! repro bench [--iters N] [--smoke] [--out PATH]
 //!             [--baseline PATH] [--threshold PCT] [--tier NAME]...
 //! repro verify [--cell CODE]... [--smoke] [--mutations]
 //! ```
+//!
+//! A flag outside the chosen subcommand's table, a missing or
+//! non-positive numeric value, or a stray operand exits 2.
 //!
 //! `repro bench` times the fixed ten-cell benchmark slice, the
 //! twelve-configuration grid sweep through a shared trace cache, and
@@ -34,12 +39,12 @@
 //! runner (see docs/robustness.md): per-cell panic isolation, watchdog
 //! budgets (`--max-kernels`, `--max-sim-cycles`, `--deadline-ms`),
 //! bounded retries for transient I/O errors, and checkpoint/resume via
-//! an append-only JSONL journal (`--journal` to write, `--resume` to
-//! skip already-completed cells). Failed or timed-out cells are
-//! reported individually and the partial Figure 5/6 output is rendered
-//! from the surviving cells; the exit status is 0 as long as the study
-//! itself completes. `--inject-fault` sabotages named cells for testing
-//! the machinery.
+//! the crash-safe result store (`--store PATH`: re-running the same
+//! command after a kill simulates only the cells the store lacks).
+//! Failed or timed-out cells are reported individually and the partial
+//! Figure 5/6 output is rendered from the surviving cells; the exit
+//! status is 0 as long as the study itself completes. `--inject-fault`
+//! sabotages named cells for testing the machinery.
 //!
 //! `repro trace` simulates one (application, graph, configuration)
 //! point with full instrumentation and writes the event stream to
@@ -82,6 +87,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 use ggs_apps::AppKind;
 use ggs_bench::render::TextTable;
@@ -91,333 +97,427 @@ use ggs_model::taxonomy::Traversal;
 use ggs_model::{predict_full, GraphProfile};
 use ggs_sim::SystemParams;
 
-fn main() {
-    let mut scale = 0.125f64;
-    let mut threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut json_path: Option<String> = None;
-    let mut svg_path: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut trace_stride = 1000u64;
-    let mut check_extended = false;
-    let mut journal_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut max_kernels: Option<u64> = None;
-    let mut max_sim_cycles: Option<u64> = None;
-    let mut retries: Option<u32> = None;
-    let mut inject_faults: Vec<String> = Vec::new();
-    let mut store_path: Option<String> = None;
-    let mut store_compact = false;
-    let mut lease_ttl_ms: Option<u64> = None;
-    let mut inject_store_faults: Vec<String> = Vec::new();
-    let mut bench_iters = 3u32;
-    let mut bench_smoke = false;
-    let mut bench_out: Option<String> = None;
-    let mut bench_baseline: Option<String> = None;
-    let mut bench_threshold = 25.0f64;
-    let mut bench_tiers: Vec<String> = Vec::new();
-    let mut verify_cells: Vec<String> = Vec::new();
-    let mut verify_mutations = false;
-    let mut sections: Vec<String> = Vec::new();
+/// How a flag consumes command-line arguments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arity {
+    /// A boolean switch; takes no value.
+    Switch,
+    /// Takes one value; the last occurrence wins.
+    Value,
+    /// Takes one value per occurrence and may repeat.
+    Repeated,
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|v: &f64| v.is_finite() && *v > 0.0)
-                    .unwrap_or_else(|| die("--scale needs a positive number"));
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs a positive integer"));
-            }
-            "--json" => {
-                json_path = Some(args.next().unwrap_or_else(|| die("--json needs a path")));
-            }
-            "--svg" => {
-                svg_path = Some(args.next().unwrap_or_else(|| die("--svg needs a path")));
-            }
-            "--trace-out" => {
-                trace_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--trace-out needs a path")),
-                );
-            }
-            "--trace-stride" => {
-                trace_stride = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v: &u64| v > 0)
-                    .unwrap_or_else(|| die("--trace-stride needs a positive integer"));
-            }
-            "--all" => {
-                check_extended = true;
-            }
-            "--journal" => {
-                journal_path = Some(args.next().unwrap_or_else(|| die("--journal needs a path")));
-            }
-            "--resume" => {
-                resume_path = Some(args.next().unwrap_or_else(|| die("--resume needs a path")));
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&v: &u64| v > 0)
-                        .unwrap_or_else(|| die("--deadline-ms needs a positive integer")),
-                );
-            }
-            "--max-kernels" => {
-                max_kernels = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&v: &u64| v > 0)
-                        .unwrap_or_else(|| die("--max-kernels needs a positive integer")),
-                );
-            }
-            "--max-sim-cycles" => {
-                max_sim_cycles = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&v: &u64| v > 0)
-                        .unwrap_or_else(|| die("--max-sim-cycles needs a positive integer")),
-                );
-            }
-            "--retries" => {
-                retries = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&v: &u32| v > 0)
-                        .unwrap_or_else(|| die("--retries needs a positive integer")),
-                );
-            }
-            "--iters" => {
-                bench_iters = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v: &u32| v > 0)
-                    .unwrap_or_else(|| die("--iters needs a positive integer"));
-            }
-            "--smoke" => {
-                bench_smoke = true;
-            }
-            "--out" => {
-                bench_out = Some(args.next().unwrap_or_else(|| die("--out needs a path")));
-            }
-            "--baseline" => {
-                bench_baseline = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--baseline needs a path")),
-                );
-            }
-            "--threshold" => {
-                bench_threshold = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|v: &f64| v.is_finite() && *v > 0.0)
-                    .unwrap_or_else(|| die("--threshold needs a positive percentage"));
-            }
-            "--tier" => {
-                bench_tiers.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--tier needs a tier name like rmat16")),
-                );
-            }
-            "--cell" => {
-                verify_cells.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--cell needs a config code like G0 or DR")),
-                );
-            }
-            "--mutations" => {
-                verify_mutations = true;
-            }
-            "--inject-fault" => {
-                inject_faults.push(
-                    args.next().unwrap_or_else(|| {
-                        die("--inject-fault needs APP/GRAPH/CFG[=panic|hang|io]")
+/// One entry of a subcommand's flag table.
+struct Flag {
+    name: &'static str,
+    arity: Arity,
+    /// Value placeholder in the usage line (empty for switches). `N`
+    /// marks a positive integer, `S` and `PCT` a positive number.
+    metavar: &'static str,
+}
+
+const fn switch(name: &'static str) -> Flag {
+    Flag {
+        name,
+        arity: Arity::Switch,
+        metavar: "",
+    }
+}
+
+const fn value(name: &'static str, metavar: &'static str) -> Flag {
+    Flag {
+        name,
+        arity: Arity::Value,
+        metavar,
+    }
+}
+
+const fn repeated(name: &'static str, metavar: &'static str) -> Flag {
+    Flag {
+        name,
+        arity: Arity::Repeated,
+        metavar,
+    }
+}
+
+/// A `repro` subcommand: its flag table, operand grammar, and help.
+struct Command {
+    /// Subcommand word; empty for the section runner.
+    name: &'static str,
+    /// Operand grammar for the usage line (the section runner's is
+    /// generated from [`SECTIONS`]).
+    operands: &'static str,
+    flags: &'static [Flag],
+    about: &'static str,
+}
+
+/// Section names the section runner accepts as operands.
+const SECTIONS: [&str; 15] = [
+    "table1", "table2", "table3", "table4", "table5", "fig5", "fig6", "partial", "flexible",
+    "traffic", "gsi", "summary", "check", "hybrid", "all",
+];
+
+/// Every subcommand; the section runner (first) is the default.
+const COMMANDS: [Command; 5] = [
+    Command {
+        name: "",
+        operands: "",
+        flags: &[
+            value("--scale", "S"),
+            value("--threads", "N"),
+            value("--json", "PATH"),
+            value("--svg", "PATH"),
+            value("--trace-out", "PATH"),
+            switch("--all"),
+        ],
+        about: "regenerate the paper's tables and figures (default: all); \
+                --trace-out writes the study's per-phase profile. check \
+                certifies Table I contracts (static DRF) and protocol invariants \
+                (dynamic), --all includes the extended app set; hybrid sweeps the \
+                frontier-adaptive hybrid push/pull cells (H*) against the 12 \
+                static configurations. Neither is part of all.",
+    },
+    Command {
+        name: "trace",
+        operands: "<app> <graph> <config>",
+        flags: &[
+            value("--scale", "S"),
+            value("--trace-out", "PATH"),
+            value("--trace-stride", "N"),
+        ],
+        about: "simulate one workload with instrumentation; <graph> is a preset \
+                mnemonic or rmat<N> (2^N vertices, scaled by --scale); the trace is \
+                Chrome trace-event JSON (.jsonl for JSON lines)",
+    },
+    Command {
+        name: "study",
+        operands: "",
+        flags: &[
+            value("--scale", "S"),
+            value("--threads", "N"),
+            value("--json", "PATH"),
+            value("--trace-out", "PATH"),
+            value("--deadline-ms", "N"),
+            value("--max-kernels", "N"),
+            value("--max-sim-cycles", "N"),
+            value("--retries", "N"),
+            repeated("--inject-fault", "APP/GRAPH/CFG[=panic|hang|io]"),
+            value("--store", "PATH"),
+            switch("--store-compact"),
+            value("--lease-ttl-ms", "N"),
+            repeated("--inject-store-fault", "torn[:BYTES]|short|crc|lock"),
+        ],
+        about: "run the 36-workload study fault-tolerantly: failed cells are \
+                isolated and reported, budgets bound runaway cells; --store shares \
+                a crash-safe content-addressed result store across runs and \
+                processes (re-running the same command resumes a killed study, \
+                cells already solved are never re-simulated, leases partition \
+                concurrent sweeps, --store-compact rewrites the store after the \
+                run) (docs/robustness.md)",
+    },
+    Command {
+        name: "bench",
+        operands: "",
+        flags: &[
+            value("--iters", "N"),
+            switch("--smoke"),
+            value("--out", "PATH"),
+            value("--baseline", "PATH"),
+            value("--threshold", "PCT"),
+            repeated("--tier", "NAME"),
+        ],
+        about: "time the ten-cell slice, the 12-config shared-trace-cache grid, \
+                and the rmat14/16/18 scale tiers, then write the BENCH_sim.json \
+                perf baseline; --tier restricts the tier arm, --smoke (CI) runs \
+                best-of-5 per cell, and --baseline gates throughput, RSS, and \
+                behavior regressions beyond --threshold percent \
+                (docs/performance.md)",
+    },
+    Command {
+        name: "verify",
+        operands: "",
+        flags: &[
+            repeated("--cell", "CODE"),
+            switch("--smoke"),
+            switch("--mutations"),
+        ],
+        about: "exhaustively model-check the coherence x consistency grid \
+                (ggs-verify): per-cell reachability with protocol invariants plus \
+                the all-interleavings litmus suite; --cell restricts to named \
+                cells (G0, D1, GR, ...), --smoke uses the CI bounds, --mutations \
+                runs the seeded-bug self-test with bridge-replayed \
+                counterexamples (docs/checking.md)",
+    },
+];
+
+impl Command {
+    /// The usage line, generated from the flag table.
+    fn usage(&self) -> String {
+        let mut line = String::from("repro");
+        if !self.name.is_empty() {
+            line.push(' ');
+            line.push_str(self.name);
+        }
+        for flag in self.flags {
+            line.push_str(&match flag.arity {
+                Arity::Switch => format!(" [{}]", flag.name),
+                Arity::Value => format!(" [{} {}]", flag.name, flag.metavar),
+                Arity::Repeated => format!(" [{} {}]...", flag.name, flag.metavar),
+            });
+        }
+        if self.name.is_empty() {
+            line.push_str(&format!(" [{}]...", SECTIONS.join("|")));
+        } else if !self.operands.is_empty() {
+            line.push(' ');
+            line.push_str(self.operands);
+        }
+        line
+    }
+
+    fn print_help(&self) {
+        println!("usage: {}", self.usage());
+        println!("  {}", self.about);
+    }
+}
+
+/// The command line split by the flag tables: the chosen subcommand,
+/// its flags in order (with values), and its operands.
+struct Args {
+    command: &'static Command,
+    flags: Vec<(&'static str, String)>,
+    operands: Vec<String>,
+}
+
+impl Args {
+    /// Splits `raw` into flags and operands (flags may precede or
+    /// follow the subcommand word), picks the subcommand from the first
+    /// operand, and rejects any flag outside that subcommand's table.
+    /// `--help` prints the chosen subcommand's usage (every usage for
+    /// the section runner) and exits 0.
+    fn parse(mut raw: impl Iterator<Item = String>) -> Self {
+        let mut flags = Vec::new();
+        let mut operands = Vec::new();
+        let mut help = false;
+        while let Some(arg) = raw.next() {
+            if arg == "--help" || arg == "-h" {
+                help = true;
+            } else if arg.len() > 1 && arg.starts_with('-') {
+                // Flag arity is the same in every table that lists a
+                // flag, so the union decides what consumes a value.
+                let flag = COMMANDS
+                    .iter()
+                    .flat_map(|c| c.flags)
+                    .find(|f| f.name == arg)
+                    .unwrap_or_else(|| die(&format!("unknown flag {arg} (see repro --help)")));
+                let value = match flag.arity {
+                    Arity::Switch => String::new(),
+                    Arity::Value | Arity::Repeated => raw.next().unwrap_or_else(|| {
+                        die(&format!("{arg} needs a value ({arg} {})", flag.metavar))
                     }),
-                );
+                };
+                flags.push((flag.name, value));
+            } else {
+                operands.push(arg);
             }
-            "--store" => {
-                store_path = Some(args.next().unwrap_or_else(|| die("--store needs a path")));
+        }
+        let command = COMMANDS[1..]
+            .iter()
+            .find(|c| operands.first().is_some_and(|w| w == c.name))
+            .unwrap_or(&COMMANDS[0]);
+        if !command.name.is_empty() {
+            operands.remove(0);
+        }
+        if help {
+            if command.name.is_empty() {
+                COMMANDS.iter().for_each(Command::print_help);
+            } else {
+                command.print_help();
             }
-            "--store-compact" => {
-                store_compact = true;
+            std::process::exit(0);
+        }
+        for (name, _) in &flags {
+            if !command.flags.iter().any(|f| f.name == *name) {
+                let scope = if command.name.is_empty() {
+                    "the table/figure sections".to_owned()
+                } else {
+                    format!("`repro {}`", command.name)
+                };
+                die(&format!(
+                    "{name} is not a flag of {scope}; usage: {}",
+                    command.usage()
+                ));
             }
-            "--lease-ttl-ms" => {
-                lease_ttl_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&v: &u64| v > 0)
-                        .unwrap_or_else(|| die("--lease-ttl-ms needs a positive integer")),
-                );
-            }
-            "--inject-store-fault" => {
-                inject_store_faults.push(args.next().unwrap_or_else(|| {
-                    die("--inject-store-fault needs torn[:BYTES], short, crc, or lock")
-                }));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [--scale S] [--threads N] [--json PATH] [--svg PATH] [--all] \
-                     [--trace-out PATH] [--trace-stride N] \
-                     [table1|table2|table3|table4|table5|fig5|fig6|partial|flexible|traffic|gsi|summary|check|hybrid|all]..."
-                );
-                println!(
-                    "       repro trace <app> <graph> <config> [--scale S] [--trace-out PATH] \
-                     [--trace-stride N]"
-                );
-                println!(
-                    "  check    certify Table I contracts (static DRF) and protocol \
-                     invariants (dynamic); --all includes the extended app set"
-                );
-                println!(
-                    "  hybrid   sweep the frontier-adaptive hybrid push/pull cells \
-                     (H*) against the 12 static configurations and report where \
-                     dynamic direction switching beats the best static choice"
-                );
-                println!(
-                    "  trace    simulate one workload with instrumentation; <graph> is a \
-                     preset mnemonic or rmat<N> (2^N vertices, scaled by --scale); the \
-                     trace is Chrome trace-event JSON (.jsonl for JSON lines)"
-                );
-                println!(
-                    "       repro study [--scale S] [--threads N] [--json PATH] \
-                     [--journal PATH] [--resume PATH] [--deadline-ms N] [--max-kernels N] \
-                     [--max-sim-cycles N] [--retries N] \
-                     [--inject-fault APP/GRAPH/CFG[=panic|hang|io]]... \
-                     [--store PATH] [--store-compact] [--lease-ttl-ms N] \
-                     [--inject-store-fault torn[:BYTES]|short|crc|lock]..."
-                );
-                println!(
-                    "  study    run the 36-workload study fault-tolerantly: failed cells \
-                     are isolated and reported, budgets bound runaway cells, completed \
-                     cells checkpoint to --journal and --resume skips them; --store \
-                     shares a crash-safe content-addressed result store across runs and \
-                     processes (cells already solved are never re-simulated, leases \
-                     partition concurrent sweeps, --store-compact rewrites the store \
-                     after the run) (docs/robustness.md)"
-                );
-                println!(
-                    "       repro bench [--iters N] [--smoke] [--out PATH] \
-                     [--baseline PATH] [--threshold PCT] [--tier NAME]..."
-                );
-                println!(
-                    "  bench    time the ten-cell slice, the 12-config shared-trace-cache \
-                     grid, and the rmat14/16/18 scale tiers, then write the \
-                     BENCH_sim.json perf baseline; --tier restricts the tier arm, \
-                     --smoke (CI) runs best-of-5 per cell, and --baseline gates \
-                     throughput, RSS, and behavior regressions beyond --threshold \
-                     percent (docs/performance.md)"
-                );
-                println!("       repro verify [--cell CODE]... [--smoke] [--mutations]");
-                println!(
-                    "  verify   exhaustively model-check the coherence x consistency \
-                     grid (ggs-verify): per-cell reachability with protocol \
-                     invariants plus the all-interleavings litmus suite; --cell \
-                     restricts to named cells (G0, D1, GR, ...), --smoke uses the CI \
-                     bounds, --mutations runs the seeded-bug self-test with \
-                     bridge-replayed counterexamples (docs/checking.md)"
-                );
-                return;
-            }
-            s => sections.push(s.to_owned()),
+        }
+        Self {
+            command,
+            flags,
+            operands,
         }
     }
-    if sections.first().map(String::as_str) == Some("trace") {
-        let [_, app, graph, config] = sections.as_slice() else {
-            die("trace needs exactly three operands: repro trace <app> <graph> <config>");
-        };
-        trace_cmd(
-            app,
-            graph,
-            config,
-            scale,
-            trace_out.as_deref(),
-            trace_stride,
-        );
-        return;
+
+    /// Every value given for `name`, in command-line order.
+    fn values(&self, name: &str) -> Vec<String> {
+        self.flags
+            .iter()
+            .filter(|(n, _)| *n == name)
+            .map(|(_, v)| v.clone())
+            .collect()
     }
-    if sections.first().map(String::as_str) == Some("bench") {
-        if sections.len() > 1 {
-            die("bench takes no operands, only flags");
+
+    /// The last value given for `name`.
+    fn value(&self, name: &str) -> Option<String> {
+        self.values(name).pop()
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The last value of numeric flag `name`, which must parse as `T`
+    /// and be finite and positive; anything else exits 2.
+    fn positive<T: FromStr>(&self, name: &str) -> Option<T> {
+        let v = self.value(name)?;
+        let is_positive = v.parse::<f64>().is_ok_and(|x| x.is_finite() && x > 0.0);
+        match v.parse::<T>() {
+            Ok(parsed) if is_positive => Some(parsed),
+            _ => {
+                let integer = self
+                    .command
+                    .flags
+                    .iter()
+                    .any(|f| f.name == name && f.metavar == "N");
+                let what = if integer { "integer" } else { "number" };
+                die(&format!("{name} needs a positive {what}"))
+            }
         }
-        bench_cmd(
-            bench_iters,
-            bench_smoke,
-            bench_out.as_deref(),
-            bench_baseline.as_deref(),
-            bench_threshold,
-            &bench_tiers,
-        );
-        return;
     }
-    if sections.first().map(String::as_str) == Some("verify") {
-        if sections.len() > 1 {
-            die("verify takes no operands, only flags");
-        }
-        verify_cmd(&verify_cells, bench_smoke, verify_mutations);
-        return;
+
+    fn scale(&self) -> f64 {
+        self.positive("--scale").unwrap_or(0.125)
     }
-    if sections.first().map(String::as_str) == Some("study") {
-        if sections.len() > 1 {
-            die("study takes no operands, only flags");
-        }
-        let opts = StudyCmd {
-            scale,
-            threads,
-            json_path,
-            trace_out,
-            journal_path,
-            resume_path,
-            deadline_ms,
-            max_kernels,
-            max_sim_cycles,
-            retries,
-            inject_faults,
-            store_path,
-            store_compact,
-            lease_ttl_ms,
-            inject_store_faults,
-        };
-        study_cmd(&opts);
-        return;
+
+    fn threads(&self) -> usize {
+        self.positive("--threads")
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
     }
-    if sections.is_empty() {
-        sections.push("all".to_owned());
-    }
-    const KNOWN: [&str; 15] = [
-        "table1", "table2", "table3", "table4", "table5", "fig5", "fig6", "partial", "flexible",
-        "traffic", "gsi", "summary", "check", "hybrid", "all",
-    ];
-    for s in &sections {
-        if !KNOWN.contains(&s.as_str()) {
+
+    fn no_operands(&self) {
+        if !self.operands.is_empty() {
             die(&format!(
-                "unknown section {s:?} (expected one of {})",
-                KNOWN.join("|")
+                "{} takes no operands, only flags",
+                self.command.name
             ));
         }
     }
-    let want = |name: &str| -> bool { sections.iter().any(|s| s == name || s == "all") };
+}
+
+fn main() {
+    let args = Args::parse(std::env::args().skip(1));
+    match args.command.name {
+        "trace" => {
+            let [app, graph, config] = args.operands.as_slice() else {
+                die("trace needs exactly three operands: repro trace <app> <graph> <config>");
+            };
+            trace_cmd(&TraceCmd {
+                app,
+                graph,
+                config,
+                scale: args.scale(),
+                trace_out: args.value("--trace-out"),
+                stride: args.positive("--trace-stride").unwrap_or(1000),
+            });
+        }
+        "study" => {
+            args.no_operands();
+            study_cmd(&StudyCmd {
+                scale: args.scale(),
+                threads: args.threads(),
+                json_path: args.value("--json"),
+                trace_out: args.value("--trace-out"),
+                deadline_ms: args.positive("--deadline-ms"),
+                max_kernels: args.positive("--max-kernels"),
+                max_sim_cycles: args.positive("--max-sim-cycles"),
+                retries: args.positive("--retries"),
+                inject_faults: args.values("--inject-fault"),
+                store_path: args.value("--store"),
+                store_compact: args.switch("--store-compact"),
+                lease_ttl_ms: args.positive("--lease-ttl-ms"),
+                inject_store_faults: args.values("--inject-store-fault"),
+            });
+        }
+        "bench" => {
+            args.no_operands();
+            bench_cmd(&BenchCmd {
+                iters: args.positive("--iters").unwrap_or(3),
+                smoke: args.switch("--smoke"),
+                out: args.value("--out"),
+                baseline: args.value("--baseline"),
+                threshold_pct: args.positive("--threshold").unwrap_or(25.0),
+                tiers: args.values("--tier"),
+            });
+        }
+        "verify" => {
+            args.no_operands();
+            verify_cmd(&VerifyCmd {
+                cells: args.values("--cell"),
+                smoke: args.switch("--smoke"),
+                mutations: args.switch("--mutations"),
+            });
+        }
+        _ => {
+            let mut sections = args.operands.clone();
+            if sections.is_empty() {
+                sections.push("all".to_owned());
+            }
+            if let Some(s) = sections.iter().find(|s| !SECTIONS.contains(&s.as_str())) {
+                die(&format!(
+                    "unknown section {s:?} (expected one of {})",
+                    SECTIONS.join("|")
+                ));
+            }
+            sections_cmd(&SectionsCmd {
+                sections,
+                scale: args.scale(),
+                threads: args.threads(),
+                json_path: args.value("--json"),
+                svg_path: args.value("--svg"),
+                trace_out: args.value("--trace-out"),
+                check_extended: args.switch("--all"),
+            });
+        }
+    }
+}
+
+/// Flags and operands of the section runner.
+struct SectionsCmd {
+    sections: Vec<String>,
+    scale: f64,
+    threads: usize,
+    json_path: Option<String>,
+    svg_path: Option<String>,
+    trace_out: Option<String>,
+    check_extended: bool,
+}
+
+/// `repro [SECTION]...`: the paper's tables and figures, plus the
+/// `check` and `hybrid` sections when named.
+fn sections_cmd(cmd: &SectionsCmd) {
+    let scale = cmd.scale;
+    let want = |name: &str| -> bool { cmd.sections.iter().any(|s| s == name || s == "all") };
     let needs_study = ["fig5", "fig6", "summary", "partial", "flexible"]
         .iter()
         .any(|s| want(s))
-        || svg_path.is_some();
+        || cmd.svg_path.is_some();
 
     // `check` is a gate, not a paper artifact: it runs only when named
     // explicitly, never as part of `all`.
-    if sections.iter().any(|s| s == "check") {
-        check(scale, check_extended);
+    if cmd.sections.iter().any(|s| s == "check") {
+        check(scale, cmd.check_extended);
     }
     // `hybrid` is this repo's extension beyond the paper's 12-point
     // grid; like `check`, it runs only when named explicitly.
-    if sections.iter().any(|s| s == "hybrid") {
+    if cmd.sections.iter().any(|s| s == "hybrid") {
         hybrid(scale);
     }
 
@@ -444,11 +544,14 @@ fn main() {
         table5(scale);
     }
 
-    if needs_study || json_path.is_some() {
-        eprintln!("[repro] running the 36-workload study at scale {scale} on {threads} threads…");
+    if needs_study || cmd.json_path.is_some() {
+        eprintln!(
+            "[repro] running the 36-workload study at scale {scale} on {} threads…",
+            cmd.threads
+        );
         let start = std::time::Instant::now();
         let metrics = ggs_trace::MetricsRegistry::new();
-        let study = Study::run_with_metrics(scale, ConfigSet::Figure5, threads, &metrics);
+        let study = Study::run_with_metrics(scale, ConfigSet::Figure5, cmd.threads, &metrics);
         eprintln!(
             "[repro] study finished in {:.1}s",
             start.elapsed().as_secs_f64()
@@ -463,10 +566,10 @@ fn main() {
                 eprintln!("[repro]   {} {}: {}", cell.status, cell.key(), cell.detail);
             }
         }
-        if let Some(path) = &trace_out {
+        if let Some(path) = &cmd.trace_out {
             write_phase_profile(path, &metrics);
         }
-        if let Some(path) = &json_path {
+        if let Some(path) = &cmd.json_path {
             if let Err(e) = std::fs::write(path, study.to_json_pretty()) {
                 die(&format!("cannot write {path}: {e}"));
             }
@@ -475,7 +578,7 @@ fn main() {
         if want("fig5") {
             fig5(&study);
         }
-        if let Some(path) = &svg_path {
+        if let Some(path) = &cmd.svg_path {
             let svg = fig5_svg(&study);
             if let Err(e) = std::fs::write(path, svg) {
                 die(&format!("cannot write {path}: {e}"));
@@ -532,33 +635,37 @@ fn write_phase_profile(path: &str, metrics: &ggs_trace::MetricsRegistry) {
     close_sink(path, sink);
 }
 
+/// Flags and operands of `repro trace`.
+struct TraceCmd<'a> {
+    app: &'a str,
+    graph: &'a str,
+    config: &'a str,
+    scale: f64,
+    trace_out: Option<String>,
+    stride: u64,
+}
+
 /// `repro trace <app> <graph> <config>`: one fully-instrumented
 /// simulation, streamed to a trace file.
-fn trace_cmd(
-    app: &str,
-    graph_name: &str,
-    config: &str,
-    scale: f64,
-    trace_out: Option<&str>,
-    stride: u64,
-) {
+fn trace_cmd(cmd: &TraceCmd<'_>) {
     use ggs_core::experiment::{run_workload, ExperimentSpec};
     use ggs_trace::Tracer;
 
-    let app: AppKind = match app.parse() {
+    let (graph_name, stride) = (cmd.graph, cmd.stride);
+    let app: AppKind = match cmd.app.parse() {
         Ok(a) => a,
         Err(e) => die(&format!("{e}")),
     };
-    let config: ggs_model::SystemConfig = match config.parse() {
+    let config: ggs_model::SystemConfig = match cmd.config.parse() {
         Ok(c) => c,
         Err(e) => die(&format!("{e}")),
     };
-    let graph = trace_graph(graph_name, scale);
-    let spec = match ExperimentSpec::builder().scale(scale).build() {
+    let graph = trace_graph(graph_name, cmd.scale);
+    let spec = match ExperimentSpec::builder().scale(cmd.scale).build() {
         Ok(s) => s,
         Err(e) => die(&format!("{e}")),
     };
-    let path = trace_out.unwrap_or("trace.json");
+    let path = cmd.trace_out.as_deref().unwrap_or("trace.json");
     eprintln!(
         "[repro] tracing {app} on {graph_name} ({} vertices, {} edges) under {config}, \
          stride {stride}…",
@@ -585,8 +692,6 @@ struct StudyCmd {
     threads: usize,
     json_path: Option<String>,
     trace_out: Option<String>,
-    journal_path: Option<String>,
-    resume_path: Option<String>,
     deadline_ms: Option<u64>,
     max_kernels: Option<u64>,
     max_sim_cycles: Option<u64>,
@@ -631,8 +736,6 @@ fn study_cmd(cmd: &StudyCmd) {
         };
     }
     options.faults = faults;
-    options.journal_path = cmd.journal_path.as_ref().map(std::path::PathBuf::from);
-    options.resume_from = cmd.resume_path.as_ref().map(std::path::PathBuf::from);
 
     if cmd.store_path.is_none() && (cmd.store_compact || !cmd.inject_store_faults.is_empty()) {
         die("--store-compact and --inject-store-fault require --store");
@@ -691,9 +794,6 @@ fn study_cmd(cmd: &StudyCmd) {
         "[repro] study finished in {:.1}s",
         start.elapsed().as_secs_f64()
     );
-    if let Some(e) = &outcome.journal_error {
-        eprintln!("[repro] warning: journal degraded, checkpoints incomplete: {e}");
-    }
 
     for cell in &outcome.study.failures {
         println!(
@@ -713,9 +813,6 @@ fn study_cmd(cmd: &StudyCmd) {
         timeout,
         skipped
     );
-    if let Some((entries, skipped_lines)) = outcome.journal_loaded {
-        println!("journal: {entries} entries, {skipped_lines} skipped");
-    }
     if let Some(report) = &outcome.store_report {
         println!(
             "store: {} records, {} corrupt span(s) ({} bytes skipped)",
@@ -744,18 +841,21 @@ fn study_cmd(cmd: &StudyCmd) {
     fig6(&outcome.study);
 }
 
+/// Flags of `repro bench`.
+struct BenchCmd {
+    iters: u32,
+    smoke: bool,
+    out: Option<String>,
+    baseline: Option<String>,
+    threshold_pct: f64,
+    tiers: Vec<String>,
+}
+
 /// `repro bench`: times the fixed benchmark slice, the shared-cache
 /// grid sweep, and the scale tiers; writes/prints the
 /// `BENCH_sim.json` report, and optionally gates against a committed
 /// baseline (exit 1 on regression). See docs/performance.md.
-fn bench_cmd(
-    iters: u32,
-    smoke: bool,
-    out: Option<&str>,
-    baseline: Option<&str>,
-    threshold_pct: f64,
-    tiers: &[String],
-) {
+fn bench_cmd(cmd: &BenchCmd) {
     use ggs_bench::bench::{
         peak_rss_kb, run_grid, run_slice, run_tier, BenchReport, BENCH_GRAPH, BENCH_SCALE, SLICE,
         TIERS,
@@ -765,7 +865,7 @@ fn bench_cmd(
     // CI runner for the throughput arm of the gate, and five keep the
     // per-cell minima stable enough for a 20% backstop while holding
     // the slice under a second of wall clock.
-    let iters = if smoke { 5 } else { iters };
+    let iters = if cmd.smoke { 5 } else { cmd.iters };
     eprintln!(
         "[repro] benchmarking the {}-cell slice ({BENCH_GRAPH}, scale {BENCH_SCALE}), \
          best of {iters} iteration(s) per cell…",
@@ -775,10 +875,10 @@ fn bench_cmd(
     let mut report = run_slice(iters, &mut progress);
     eprintln!("[repro] sweeping the 12-configuration grid with a shared trace cache…");
     report.grid = Some(run_grid(&mut progress));
-    let tier_names: Vec<&str> = if tiers.is_empty() {
+    let tier_names: Vec<&str> = if cmd.tiers.is_empty() {
         TIERS.to_vec()
     } else {
-        tiers.iter().map(String::as_str).collect()
+        cmd.tiers.iter().map(String::as_str).collect()
     };
     eprintln!(
         "[repro] running {} scale tier(s): {}…",
@@ -811,13 +911,13 @@ fn bench_cmd(
             None => String::new(),
         }
     );
-    if let Some(path) = out {
+    if let Some(path) = &cmd.out {
         if let Err(e) = std::fs::write(path, report.to_json_pretty()) {
             die(&format!("cannot write {path}: {e}"));
         }
         eprintln!("[repro] wrote {path}");
     }
-    if let Some(path) = baseline {
+    if let Some(path) = &cmd.baseline {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => die(&format!("cannot read baseline {path}: {e}")),
@@ -826,6 +926,7 @@ fn bench_cmd(
             Ok(b) => b,
             Err(e) => die(&format!("cannot parse baseline {path}: {e}")),
         };
+        let threshold_pct = cmd.threshold_pct;
         let failures = ggs_bench::bench::regression_failures(&report, &base, threshold_pct);
         if failures.is_empty() {
             println!(
@@ -841,15 +942,24 @@ fn bench_cmd(
     }
 }
 
+/// Flags of `repro verify`.
+struct VerifyCmd {
+    cells: Vec<String>,
+    smoke: bool,
+    mutations: bool,
+}
+
 /// `repro verify`: exhaustive explicit-state model checking of the
 /// coherence × consistency grid (see `ggs-verify` and the "Model
 /// checking" section of docs/checking.md). Exits 1 on any invariant
 /// violation, forbidden litmus outcome, missing required outcome,
 /// truncated run, or missed mutation.
-fn verify_cmd(cells: &[String], smoke: bool, mutations: bool) {
+fn verify_cmd(cmd: &VerifyCmd) {
     use ggs_sim::config::HwConfig;
 
-    let cells: Vec<HwConfig> = cells
+    let (smoke, mutations) = (cmd.smoke, cmd.mutations);
+    let cells: Vec<HwConfig> = cmd
+        .cells
         .iter()
         .map(|c| {
             c.parse()
@@ -1535,4 +1645,26 @@ fn summary(study: &Study) {
         "workloads preferring push with DRFrlx but pull without it: {} (paper: 7)",
         flips
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The parser splits arguments by the union of every table, so a
+    /// flag must take a value (with the same metavar) in every table
+    /// that lists it or in none.
+    #[test]
+    fn each_flag_has_one_arity_across_tables() {
+        let all: Vec<&Flag> = COMMANDS.iter().flat_map(|c| c.flags).collect();
+        for a in &all {
+            for b in all.iter().filter(|b| b.name == a.name) {
+                assert_eq!((a.arity, a.metavar), (b.arity, b.metavar), "{}", a.name);
+            }
+        }
+        let mut names: Vec<&str> = all.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 24, "{names:?}");
+    }
 }

@@ -80,33 +80,97 @@ fn table5_matches_the_paper_cell_for_cell() {
     }
 }
 
+/// Runs `repro` expecting the usage-error exit (2) without a panic.
+fn repro_rejects(args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "repro {args:?}: {stderr}");
+}
+
 #[test]
 fn help_and_bad_flags() {
     let out = repro(&["--help"]);
     assert!(out.contains("usage"));
-    let bad = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--scale"])
-        .output()
-        .expect("runs");
-    assert!(!bad.status.success(), "missing --scale value must fail");
+    let out = repro(&["study", "--help"]);
+    assert!(out.contains("usage: repro study") && out.contains("--store PATH"));
+    assert!(!out.contains("repro bench"), "{out}");
+    repro_rejects(&["--scale"]);
+    // A flag outside the chosen subcommand's table is a usage error,
+    // not silently ignored.
+    for args in [
+        &["study", "--iters", "3"][..],
+        &["bench", "--store", "x"],
+        &["verify", "--threads", "2"],
+        &["trace", "bfs", "rmat10", "SDR", "--store", "x"],
+        &["study", "--journal", "x"],
+        &["--trace-stride", "5", "table1"],
+        // Zero workers is rejected at parse time, not by a panic in
+        // the study runner.
+        &["--threads", "0", "fig5"],
+        &["study", "--threads", "0"],
+    ] {
+        repro_rejects(args);
+    }
+
+    // Exhaustively: every flag is rejected by each subcommand whose
+    // table (as `--help` prints it) lacks it.
+    let help = repro(&["--help"]);
+    let tables: Vec<(Option<&str>, Vec<&str>)> = help
+        .lines()
+        .filter_map(|line| line.strip_prefix("usage: repro"))
+        .map(|usage| {
+            let words: Vec<&str> = usage.split_whitespace().collect();
+            let command = words.first().copied().filter(|w| !w.starts_with('['));
+            let flags = words
+                .iter()
+                .filter_map(|w| w.strip_prefix('['))
+                .filter(|w| w.starts_with("--"))
+                .map(|w| w.trim_end_matches("]...").trim_end_matches(']'))
+                .collect();
+            (command, flags)
+        })
+        .collect();
+    assert_eq!(tables.len(), 5, "{help}");
+    let every: std::collections::BTreeSet<&str> =
+        tables.iter().flat_map(|(_, f)| f.iter().copied()).collect();
+    assert_eq!(every.len(), 24, "{every:?}");
+    for (command, flags) in &tables {
+        for flag in every.iter().filter(|f| !flags.contains(f)) {
+            let args: Vec<&str> = command.iter().copied().chain([*flag, "x"]).collect();
+            let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+                .args(&args)
+                .output()
+                .expect("repro binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+            assert!(
+                stderr.contains("is not a flag of"),
+                "repro {args:?}: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]
-fn study_isolates_injected_faults_and_resumes_from_its_journal() {
-    let journal = std::env::temp_dir().join(format!("ggs-cli-study-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&journal);
-    let journal = journal.to_str().expect("utf8 temp path");
+fn study_isolates_injected_faults_and_resumes_from_its_store() {
+    let store = std::env::temp_dir().join(format!("ggs-cli-study-{}.store", std::process::id()));
+    let _ = std::fs::remove_file(&store);
+    let store = store.to_str().expect("utf8 temp path");
 
     // An injected panic must not take the study down: exit 0, the cell
-    // reported, everything else completed and checkpointed.
+    // reported, everything else completed and published to the store.
     let out = repro(&[
         "study",
         "--scale",
         "0.004",
         "--threads",
         "8",
-        "--journal",
-        journal,
+        "--store",
+        store,
         "--inject-fault",
         "PR/AMZ/SGR",
     ]);
@@ -118,21 +182,22 @@ fn study_isolates_injected_faults_and_resumes_from_its_journal() {
     // The degraded Figure 5 still renders, minus the failed bar.
     assert!(out.contains("Figure 5"), "{out}");
 
-    // Resuming re-runs only the missing cell.
+    // Re-running the same command without the fault simulates only
+    // the missing cell.
     let out = repro(&[
         "study",
         "--scale",
         "0.004",
         "--threads",
         "8",
-        "--resume",
-        journal,
+        "--store",
+        store,
     ]);
     assert!(
         out.contains("1 ok, 0 failed, 0 timeout, 173 skipped"),
         "{out}"
     );
-    let _ = std::fs::remove_file(journal);
+    let _ = std::fs::remove_file(store);
 }
 
 #[test]

@@ -57,8 +57,8 @@ pub use error::GgsError;
 pub use experiment::{run_workload, ExperimentSpec, ExperimentSpecBuilder};
 pub use ggs_trace::{MetricsRegistry, Tracer};
 pub use runner::{
-    run_study, CellFailure, CellReport, CellStatus, Fault, FaultPlan, Journal, RetryPolicy,
-    StudyOptions, StudyOutcome,
+    run_study, CellFailure, CellReport, CellStatus, Fault, FaultPlan, RetryPolicy, StudyOptions,
+    StudyOutcome,
 };
 pub use store::{Claim, CompactReport, Store, StoreFaults, StoreLoadReport, StoreSnapshot};
 pub use study::{Study, WorkloadReport};

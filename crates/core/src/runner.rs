@@ -1,4 +1,4 @@
-//! Fault-isolated, checkpointed execution of the full study.
+//! Fault-isolated, resumable execution of the full study.
 //!
 //! [`crate::study::Study::run_with_metrics`] fans the 36-workload ×
 //! configuration grid across worker threads; without protection a
@@ -18,19 +18,18 @@
 //! * **Retry** — cells failing with a retryable error (I/O) are retried
 //!   with bounded exponential backoff; deterministic failures (panics,
 //!   budget breaches, bad specs) fail fast.
-//! * **Checkpoint/resume** — completed cells are appended to a JSONL
-//!   [`Journal`] as they finish; a later run pointed at the journal
-//!   skips them ([`CellStatus::Skipped`]) and re-runs only what is
-//!   missing, reproducing the uninterrupted results byte for byte.
+//! * **Checkpoint/resume** — with a [`Store`] attached, completed cells
+//!   are published as they finish; re-running the same study against
+//!   the same store answers them from it ([`CellStatus::Skipped`]) and
+//!   simulates only what is missing, reproducing the uninterrupted
+//!   results byte for byte.
 //!
-//! The failure taxonomy, journal format, and resume workflow are
-//! documented in `docs/robustness.md`.
+//! The failure taxonomy and the store resume workflow are documented
+//! in `docs/robustness.md`.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -44,7 +43,6 @@ use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
 
 use crate::error::GgsError;
 use crate::experiment::{produce_trace_stream, run_stream_budgeted, run_workload, ExperimentSpec};
-use crate::json::{self, Value};
 use crate::store::{versioned_spec_hash, Claim, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
 use crate::sweep::{baseline_config, figure5_configs};
@@ -59,7 +57,7 @@ pub enum CellStatus {
     Failed,
     /// The cell tripped a watchdog (budget or wall-clock deadline).
     Timeout,
-    /// The cell was restored from a resume journal without re-running.
+    /// The cell was answered from the result store without re-running.
     Skipped,
 }
 
@@ -105,9 +103,9 @@ pub struct CellReport {
     /// Terminal state.
     pub status: CellStatus,
     /// Human-readable detail: the error/panic message, the breached
-    /// budget, or the resume provenance. Empty for clean `Ok` cells.
+    /// budget, or the store provenance. Empty for clean `Ok` cells.
     pub detail: String,
-    /// Execution attempts made (0 for cells restored from a journal).
+    /// Execution attempts made (0 for cells answered from the store).
     pub attempts: u32,
 }
 
@@ -301,114 +299,9 @@ impl RetryPolicy {
     }
 }
 
-/// One completed-cell record of a resume [`Journal`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalEntry {
-    /// Hash of the spec + config set the cell was run under.
-    pub spec_hash: String,
-    /// Application mnemonic.
-    pub app: String,
-    /// Graph mnemonic.
-    pub graph: String,
-    /// Configuration code.
-    pub config: String,
-    /// The cell's result row (cycles + stall fractions).
-    pub row: ResultRow,
-}
-
-/// An append-only JSONL checkpoint of completed cells.
-///
-/// Each line is one object:
-/// `{"app":"PR","config":"SGR","fractions":[..5 floats..],"graph":"RMAT",`
-/// `"spec_hash":"<16 hex>","total_cycles":N}`. Lines are written (and
-/// flushed) as cells finish, so a killed run leaves at worst one
-/// truncated final line — which [`Journal::load`] tolerates by skipping
-/// anything that does not parse.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Journal {
-    /// Entries in file order.
-    pub entries: Vec<JournalEntry>,
-    /// Malformed or truncated lines skipped during [`Journal::load`] —
-    /// surfaced (rather than silently dropped) so corruption is
-    /// visible in the `repro study` summary (`N entries, M skipped`).
-    pub skipped: usize,
-}
-
-impl Journal {
-    /// Loads a journal, skipping malformed or truncated lines (a study
-    /// killed mid-write is the expected producer). Skipped lines are
-    /// counted on [`Journal::skipped`]. Only a failure to read the
-    /// file at all is an error.
-    pub fn load(path: &Path) -> Result<Self, GgsError> {
-        let file = std::fs::File::open(path)?;
-        let mut entries = Vec::new();
-        let mut skipped = 0usize;
-        for line in BufReader::new(file).lines() {
-            let line = line?;
-            match parse_journal_line(&line) {
-                Some(entry) => entries.push(entry),
-                // Blank separator lines are not corruption.
-                None if line.trim().is_empty() => {}
-                None => skipped += 1,
-            }
-        }
-        Ok(Self { entries, skipped })
-    }
-
-    /// The completed cells recorded under `spec_hash`, keyed by
-    /// `APP/GRAPH/CONFIG`. Later duplicates win (a cell re-run by a
-    /// resumed study overwrites its older record).
-    pub fn completed_for(&self, spec_hash: &str) -> BTreeMap<String, ResultRow> {
-        self.entries
-            .iter()
-            .filter(|e| e.spec_hash == spec_hash)
-            .map(|e| (cell_key(&e.app, &e.graph, &e.config), e.row.clone()))
-            .collect()
-    }
-}
-
-fn parse_journal_line(line: &str) -> Option<JournalEntry> {
-    let v = json::parse(line).ok()?;
-    let s = |key: &str| v.get(key).and_then(Value::as_str).map(str::to_owned);
-    let fracs = v.get("fractions").and_then(Value::as_array)?;
-    if fracs.len() != 5 {
-        return None;
-    }
-    let mut fractions = [0.0f64; 5];
-    for (slot, f) in fractions.iter_mut().zip(fracs) {
-        *slot = f.as_f64()?;
-    }
-    Some(JournalEntry {
-        spec_hash: s("spec_hash")?,
-        app: s("app")?,
-        graph: s("graph")?,
-        config: s("config")?.clone(),
-        row: ResultRow {
-            config: s("config")?,
-            total_cycles: v.get("total_cycles").and_then(Value::as_u64)?,
-            fractions,
-        },
-    })
-}
-
-fn journal_line(spec_hash: &str, app: &str, graph: &str, row: &ResultRow) -> String {
-    let fractions = row.fractions.iter().map(|&f| Value::Number(f)).collect();
-    Value::Object(BTreeMap::from([
-        ("spec_hash".to_owned(), Value::String(spec_hash.to_owned())),
-        ("app".to_owned(), Value::String(app.to_owned())),
-        ("graph".to_owned(), Value::String(graph.to_owned())),
-        ("config".to_owned(), Value::String(row.config.clone())),
-        (
-            "total_cycles".to_owned(),
-            Value::Number(row.total_cycles as f64),
-        ),
-        ("fractions".to_owned(), Value::Array(fractions)),
-    ]))
-    .to_string_compact()
-}
-
 /// Stable 64-bit FNV-1a hash of the experiment spec and config set,
-/// identifying which run a journal entry belongs to. (The std hasher is
+/// identifying which run a store result belongs to (mixed with the
+/// code version by [`versioned_spec_hash`]). (The std hasher is
 /// not guaranteed stable across releases; FNV-1a is.)
 pub fn spec_hash(spec: &ExperimentSpec, configs: ConfigSet) -> String {
     let text = format!("{spec:?}|{configs:?}");
@@ -433,11 +326,6 @@ pub struct StudyOptions {
     pub cell_deadline: Option<Duration>,
     /// Deliberate faults to inject (tests, smoke jobs).
     pub faults: FaultPlan,
-    /// Where to append the checkpoint journal, if anywhere.
-    pub journal_path: Option<PathBuf>,
-    /// A journal from a previous (possibly killed) run; cells recorded
-    /// there under the same spec hash are skipped.
-    pub resume_from: Option<PathBuf>,
     /// A shared crash-safe result store (see `crate::store`): each cell
     /// is looked up (and leased) before simulating and published after,
     /// so concurrent runners sharing the store partition the sweep
@@ -465,8 +353,6 @@ impl Default for StudyOptions {
             retry: RetryPolicy::default(),
             cell_deadline: None,
             faults: FaultPlan::new(),
-            journal_path: None,
-            resume_from: None,
             store: None,
             lease_ttl: Duration::from_secs(30),
             trace_cache_bytes: 256 << 20,
@@ -476,7 +362,7 @@ impl Default for StudyOptions {
 
 impl StudyOptions {
     /// Options matching the legacy `Study::run_with_metrics` behavior:
-    /// `configs` over `threads` workers, no watchdogs, no journal.
+    /// `configs` over `threads` workers, no watchdogs, no store.
     pub fn new(configs: ConfigSet, threads: usize) -> Self {
         Self {
             configs,
@@ -496,13 +382,6 @@ pub struct StudyOutcome {
     /// Every cell's terminal record, in job order (graph-major, then
     /// app, then configuration) — the structured per-cell report.
     pub cells: Vec<CellReport>,
-    /// The first journal write error, if checkpointing degraded. The
-    /// study itself still completes (graceful degradation).
-    pub journal_error: Option<GgsError>,
-    /// Resume-journal load summary `(entries, skipped_lines)`, if a
-    /// resume journal was read — skipped lines are corruption made
-    /// visible (`N entries, M skipped` in the study summary).
-    pub journal_loaded: Option<(usize, usize)>,
     /// What the store scan observed at study start (record count,
     /// corrupt spans), if a store was attached.
     pub store_report: Option<StoreLoadReport>,
@@ -542,58 +421,17 @@ struct CellOutcome {
     row: Option<ResultRow>,
 }
 
-struct JournalWriter {
-    state: Mutex<(std::fs::File, Option<std::io::Error>)>,
-}
-
-impl JournalWriter {
-    fn open(path: &Path) -> Result<Self, GgsError> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Self {
-            state: Mutex::new((file, None)),
-        })
-    }
-
-    /// Appends and flushes one line; the first error is latched and
-    /// later appends become no-ops (the run continues unjournaled).
-    fn append(&self, line: &str) {
-        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let (file, error) = &mut *guard;
-        if error.is_some() {
-            return;
-        }
-        let result = file
-            .write_all(line.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.flush());
-        if let Err(e) = result {
-            *error = Some(e);
-        }
-    }
-
-    fn take_error(&self) -> Option<std::io::Error> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .1
-            .take()
-    }
-}
-
 fn cell_key(app: &str, graph: &str, config: &str) -> String {
     format!("{app}/{graph}/{config}")
 }
 
 /// Runs the study under `spec` with full fault tolerance: panics are
 /// isolated per cell, watchdogs convert runaways into timeouts, retryable
-/// errors are retried with bounded backoff, and completed cells are
-/// checkpointed to (and resumed from) a JSONL journal.
+/// errors are retried with bounded backoff, and, with a store attached,
+/// completed cells are published to (and answered from) the store.
 ///
 /// Returns `Err` only for setup failures (zero threads, an unreadable
-/// resume journal); individual cell failures never abort the run — they
+/// or foreign store); individual cell failures never abort the run — they
 /// are reported in [`StudyOutcome::cells`] and `study.failures`.
 pub fn run_study(
     spec: &ExperimentSpec,
@@ -607,21 +445,7 @@ pub fn run_study(
         ));
     }
     let epoch = Instant::now();
-    let hash = spec_hash(spec, options.configs);
-    let store_hash = versioned_spec_hash(&hash);
-    let mut journal_loaded = None;
-    let resumed: BTreeMap<String, ResultRow> = match &options.resume_from {
-        Some(path) => {
-            let loaded = Journal::load(path)?;
-            journal_loaded = Some((loaded.entries.len(), loaded.skipped));
-            loaded.completed_for(&hash)
-        }
-        None => BTreeMap::new(),
-    };
-    let journal = match &options.journal_path {
-        Some(path) => Some(JournalWriter::open(path)?),
-        None => None,
-    };
+    let store_hash = versioned_spec_hash(&spec_hash(spec, options.configs));
     let store_report = match &options.store {
         Some(store) => {
             // One up-front scan: surface pre-existing corruption (the
@@ -719,7 +543,6 @@ pub fn run_study(
                             graph.as_ref(),
                             spec,
                             options,
-                            &resumed,
                             &store_hash,
                             ctx,
                         );
@@ -727,14 +550,6 @@ pub fn run_study(
                             local.add("configs_simulated", 1);
                             if let Some(row) = &outcome.row {
                                 local.observe("config_total_cycles", row.total_cycles);
-                                if let Some(j) = &journal {
-                                    j.append(&journal_line(
-                                        &hash,
-                                        &outcome.report.app,
-                                        &outcome.report.graph,
-                                        row,
-                                    ));
-                                }
                             }
                         }
                         let mut slots = results.lock().unwrap_or_else(|e| e.into_inner());
@@ -777,15 +592,9 @@ pub fn run_study(
     metrics.add("workloads_simulated", study.reports.len() as u64);
     metrics.add("study_workloads", study.reports.len() as u64);
 
-    let journal_error = journal
-        .as_ref()
-        .and_then(JournalWriter::take_error)
-        .map(GgsError::Io);
     Ok(StudyOutcome {
         study,
         cells: reports_out,
-        journal_error,
-        journal_loaded,
         store_report,
         trace_cache: trace_cache.as_ref().map(|c| c.stats()),
     })
@@ -802,20 +611,17 @@ struct ReuseCtx<'a> {
     sink: &'a dyn TraceSink,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_cell(
     cell: Cell,
     graph_name: &str,
     graph: &ggs_graph::Csr,
     spec: &ExperimentSpec,
     options: &StudyOptions,
-    resumed: &BTreeMap<String, ResultRow>,
     store_hash: &str,
     ctx: ReuseCtx<'_>,
 ) -> CellOutcome {
     let app = cell.app.mnemonic().to_owned();
     let config = cell.config.code();
-    let key = cell_key(&app, graph_name, &config);
     let start_us = ctx.epoch.elapsed().as_micros() as u64;
     let traced = ctx.sink.enabled();
     if traced {
@@ -827,19 +633,7 @@ fn run_cell(
         });
     }
 
-    let outcome = if let Some(row) = resumed.get(&key) {
-        CellOutcome {
-            report: CellReport {
-                app: app.clone(),
-                graph: graph_name.to_owned(),
-                config: config.clone(),
-                status: CellStatus::Skipped,
-                detail: "resumed from journal".to_owned(),
-                attempts: 0,
-            },
-            row: Some(row.clone()),
-        }
-    } else if let Some(store) = &options.store {
+    let outcome = if let Some(store) = &options.store {
         claim_and_execute(
             store, store_hash, cell, &app, graph_name, &config, graph, spec, options, ctx,
         )
@@ -1158,7 +952,7 @@ fn run_hang(
 }
 
 /// Builds the (possibly partial) study from per-cell outcomes: rows
-/// come from `Ok` cells and journal-restored `Skipped` cells; workloads
+/// come from `Ok` cells and store-answered `Skipped` cells; workloads
 /// with no surviving row are dropped from `reports` (their cells remain
 /// in the failure report).
 fn aggregate(
@@ -1173,7 +967,7 @@ fn aggregate(
         let gi = cells[i].graph_index;
         let app = cells[i].app;
         // Consume this workload's contiguous run of cells, keeping the
-        // rows of cells that survived (Ok or journal-restored) in
+        // rows of cells that survived (Ok or answered from the store) in
         // configuration order.
         let mut rows: Vec<ResultRow> = Vec::new();
         while i < cells.len() && cells[i].graph_index == gi && cells[i].app == app {
@@ -1273,25 +1067,6 @@ mod tests {
         let err: GgsError = f.into();
         assert!(matches!(err, GgsError::CellPanic { .. }));
         assert!(!err.is_retryable() && !err.is_timeout());
-    }
-
-    #[test]
-    fn journal_lines_round_trip_and_tolerate_garbage() {
-        let row = ResultRow {
-            config: "SGR".to_owned(),
-            total_cycles: 123_456,
-            fractions: [0.25, 0.1, 0.3, 0.15, 0.2],
-        };
-        let line = journal_line("deadbeefdeadbeef", "PR", "AMZ", &row);
-        let entry = parse_journal_line(&line).expect("own lines parse");
-        assert_eq!(entry.spec_hash, "deadbeefdeadbeef");
-        assert_eq!(entry.app, "PR");
-        assert_eq!(entry.graph, "AMZ");
-        assert_eq!(entry.row, row);
-        // Truncated / malformed lines are skipped, not fatal.
-        assert!(parse_journal_line(&line[..line.len() / 2]).is_none());
-        assert!(parse_journal_line("not json at all").is_none());
-        assert!(parse_journal_line("{\"app\":\"PR\"}").is_none());
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Durable, crash-safe, content-addressed result store shared across
 //! studies and processes.
 //!
-//! The PR 3 journal (`crate::runner::Journal`) checkpoints one study
-//! into one JSONL file. The ROADMAP's sweep-as-a-service item needs
-//! more: repeated cells must be *simulated once, ever*, across many
-//! `repro study` / `repro bench` invocations, possibly running
-//! concurrently, and the file they share must survive being killed
-//! mid-write, truncated, or bit-flipped. [`Store`] is that shared
-//! substrate:
+//! The store is the study runner's one persistence format: it is both
+//! the checkpoint a killed study resumes from and the cache that lets
+//! repeated cells be *simulated once, ever*, across many `repro study`
+//! invocations, possibly running concurrently. The file they share
+//! must survive being killed mid-write, truncated, or bit-flipped.
+//! [`Store`] is that shared substrate:
 //!
 //! * **Content addressing** — records are keyed by the
 //!   [`crate::runner::spec_hash`] of the experiment (app set, graph

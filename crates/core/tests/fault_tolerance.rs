@@ -1,9 +1,8 @@
-//! Fault-injection and checkpoint/resume integration tests for the
-//! study runner: a panicking cell and a hung cell must leave the other
-//! workloads' results intact, and a study killed mid-run must resume
-//! from its journal to byte-identical aggregate results.
-
-use std::path::PathBuf;
+//! Fault-injection integration tests for the study runner: a panicking
+//! cell and a hung cell must leave the other workloads' results intact,
+//! and transient I/O failures are retried within a bounded budget.
+//! Resuming a killed study from the result store is covered in
+//! `store_crash.rs`.
 
 use ggs_core::runner::{run_study, CellStatus, Fault, FaultPlan, StudyOptions};
 use ggs_core::study::ConfigSet;
@@ -26,12 +25,6 @@ fn budgeted_spec() -> ExperimentSpec {
 
 fn options() -> StudyOptions {
     StudyOptions::new(ConfigSet::Figure5, THREADS)
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ggs-fault-tests-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(name)
 }
 
 #[test]
@@ -143,51 +136,4 @@ fn exhausted_retries_report_the_transient_error() {
         .report("EML", "MIS")
         .expect("workload present");
     assert_eq!(report.rows.len(), 4);
-}
-
-#[test]
-fn journal_resume_reproduces_uninterrupted_results_byte_for_byte() {
-    let spec = budgeted_spec();
-    let journal = temp_path("study.jsonl");
-    let _ = std::fs::remove_file(&journal);
-
-    // Uninterrupted reference run.
-    let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
-
-    // "Killed" run: one cell panics partway; completed cells are
-    // checkpointed as they finish.
-    let mut opts = options();
-    opts.journal_path = Some(journal.clone());
-    opts.faults = FaultPlan::new().inject("BC", "OLS", "SG1", Fault::Panic);
-    let interrupted =
-        run_study(&spec, &opts, &MetricsRegistry::new(), &NOOP).expect("interrupted run");
-    assert!(interrupted.journal_error.is_none());
-    assert_eq!(interrupted.study.failures.len(), 1);
-
-    // Simulate dying mid-write: drop the last 3 complete lines and
-    // leave half of another as a truncated tail.
-    let text = std::fs::read_to_string(&journal).expect("journal readable");
-    let lines: Vec<&str> = text.lines().collect();
-    let complete = lines.len() - 3;
-    let mut truncated = lines[..complete].join("\n");
-    truncated.push('\n');
-    truncated.push_str(&lines[complete][..lines[complete].len() / 2]);
-    std::fs::write(&journal, truncated).expect("truncate journal");
-
-    // Resume (fault gone — the panicking cell gets re-run too).
-    let mut opts = options();
-    opts.resume_from = Some(journal.clone());
-    let resumed = run_study(&spec, &opts, &MetricsRegistry::new(), &NOOP).expect("resumed run");
-
-    let (ok, failed, timeout, skipped) = resumed.counts();
-    assert_eq!((failed, timeout), (0, 0));
-    assert_eq!(
-        skipped, complete,
-        "every parseable journal line skips a cell"
-    );
-    assert_eq!(ok + skipped, clean.cells.len(), "only missing cells re-ran");
-
-    // The aggregate is byte-identical to the uninterrupted run.
-    assert_eq!(resumed.study, clean.study);
-    assert_eq!(resumed.study.to_json(), clean.study.to_json());
 }

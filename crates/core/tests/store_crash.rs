@@ -9,6 +9,8 @@
 //!   re-run from the store reproduces the uninterrupted results byte
 //!   for byte, as does a re-run from a store truncated at adversarial
 //!   offsets;
+//! * a bit flip in one stored result surfaces as exactly one corrupt
+//!   span on the study outcome and re-simulates only that cell;
 //! * two concurrent runners sharing one store complete the sweep with
 //!   **no cell simulated twice**.
 
@@ -319,33 +321,42 @@ fn retry_backoff_jitter_is_deterministic_and_bounded() {
     assert!(diverged, "different seeds must produce different schedules");
 }
 
-/// Journal corruption is counted, not silent (satellite): malformed
-/// lines surface in the load result and the study outcome.
+/// Store corruption is counted, not silent: a bit flip inside one
+/// result record's payload surfaces as exactly one corrupt span on the
+/// study outcome, and only the damaged cell re-simulates.
 #[test]
-fn journal_skipped_lines_are_counted_and_surfaced() {
-    use ggs_core::runner::Journal;
-
+fn corrupt_result_record_is_surfaced_and_resimulated() {
     let spec = budgeted_spec();
-    let journal_path = temp_path("skip-count.journal");
-    let mut first = options();
-    first.journal_path = Some(journal_path.clone());
-    let first = run_study(&spec, &first, &MetricsRegistry::new(), &NOOP).expect("journaled run");
-    assert!(first.study.failures.is_empty());
+    let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
 
-    // Corrupt the journal: one garbage line, one truncated JSON line.
-    let mut text = std::fs::read_to_string(&journal_path).expect("read journal");
-    let keep = text.lines().count();
-    text.push_str("definitely-not-json\n");
-    text.push_str("{\"app\":\"PR\",\"graph\":\"AMZ\"\n");
-    std::fs::write(&journal_path, &text).expect("rewrite journal");
+    let path = temp_path("corrupt-result.store");
+    let warm = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &NOOP)
+        .expect("warm-up run");
+    assert!(warm.study.failures.is_empty());
 
-    let journal = Journal::load(&journal_path).expect("tolerant load");
-    assert_eq!(journal.entries.len(), keep);
-    assert_eq!(journal.skipped, 2, "both corrupt lines counted");
+    // Walk the frames (16-byte header; magic, len, crc, payload) to
+    // the first result record and flip one byte in its payload.
+    let mut bytes = std::fs::read(&path).expect("read store");
+    let mut pos = 16;
+    let marker: &[u8] = b"\"kind\":\"result\"";
+    let payload = loop {
+        let len = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+        let start = pos + 12;
+        let end = start + len as usize;
+        if bytes[start..end].windows(marker.len()).any(|w| w == marker) {
+            break start..end;
+        }
+        pos = end;
+    };
+    bytes[(payload.start + payload.end) / 2] ^= 0xff;
+    std::fs::write(&path, &bytes).expect("write flipped store");
 
-    let mut resumed = options();
-    resumed.resume_from = Some(journal_path);
-    let resumed = run_study(&spec, &resumed, &MetricsRegistry::new(), &NOOP).expect("resumed run");
-    assert_eq!(resumed.journal_loaded, Some((keep, 2)));
-    assert_eq!(resumed.study, first.study);
+    let rerun = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &NOOP)
+        .expect("re-run on the damaged store");
+    let report = rerun.store_report.as_ref().expect("store attached");
+    assert_eq!(report.corrupt.len(), 1, "{report:?}");
+    let (ok, failed, timeout, skipped) = rerun.counts();
+    assert_eq!((ok, failed, timeout), (1, 0, 0));
+    assert_eq!(skipped, rerun.cells.len() - 1);
+    assert_eq!(rerun.study, clean.study);
 }
