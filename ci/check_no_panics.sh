@@ -10,10 +10,12 @@
 # each file, so unit tests may panic freely. Lines that are pure `//`
 # comments are ignored, as is anything matching a substring in
 # ci/panic-allowlist.txt (internal invariants with descriptive messages
-# and the documented panicking wrappers — see docs/api.md).
+# and the one documented panicking wrapper — see docs/api.md). An
+# allowlist entry that matches no scanned site is stale and fails the
+# gate too, so removed sites cannot leave cover for new ones.
 #
-# The vendored shim crates (shim-criterion, shim-proptest, shim-rand)
-# are test infrastructure by definition and are not scanned.
+# The vendored shim crates (shim-proptest, shim-rand) are test
+# infrastructure by definition and are not scanned.
 #
 # Bare `assert!`/`assert_eq!` are deliberately allowed: they express
 # internal invariants, and converting them would hide bugs, not report
@@ -25,6 +27,7 @@ allowlist=ci/panic-allowlist.txt
 crates="graph sim model core trace check apps verify bench"
 
 fail=0
+all_hits=""
 for crate in $crates; do
     for file in $(find "crates/$crate/src" -name '*.rs' | sort); do
         hits=$(awk '
@@ -35,6 +38,7 @@ for crate in $crates; do
             }
         ' "$file")
         [ -z "$hits" ] && continue
+        all_hits+="$hits"$'\n'
         while IFS= read -r hit; do
             allowed=0
             while IFS= read -r pat; do
@@ -49,6 +53,15 @@ for crate in $crates; do
     done
 done
 
+stale=0
+while IFS= read -r pat; do
+    case "$pat" in ''|'#'*) continue ;; esac
+    case "$all_hits" in
+        *"$pat"*) ;;
+        *) echo "STALE ALLOWLIST ENTRY: $pat"; stale=1 ;;
+    esac
+done < "$allowlist"
+
 if [ "$fail" -ne 0 ]; then
     echo
     echo "Panic sites found outside ci/panic-allowlist.txt." >&2
@@ -56,6 +69,12 @@ if [ "$fail" -ne 0 ]; then
     echo "internal invariants, add the line's distinctive substring to" >&2
     echo "the allowlist with a justification comment. todo!() and" >&2
     echo "unimplemented!() are never allowed outside tests." >&2
+fi
+if [ "$stale" -ne 0 ]; then
+    echo
+    echo "Allowlist entries above match no scanned site; remove them." >&2
+fi
+if [ "$fail" -ne 0 ] || [ "$stale" -ne 0 ]; then
     exit 1
 fi
 echo "panic check: clean (crates: $crates)"

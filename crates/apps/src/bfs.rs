@@ -37,8 +37,9 @@ pub const UNREACHED: u32 = u32::MAX;
 /// let g = GraphBuilder::new(4)
 ///     .edges([(0, 1), (1, 2), (2, 3)])
 ///     .symmetric(true)
-///     .build();
+///     .build()?;
 /// assert_eq!(bfs::reference(&g), vec![0, 1, 2, 3]);
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr) -> Vec<u32> {
     let n = graph.num_vertices() as usize;
@@ -216,6 +217,7 @@ mod tests {
             .edges((0..n - 1).map(|i| (i, i + 1)))
             .symmetric(true)
             .build()
+            .unwrap()
     }
 
     #[test]
@@ -225,7 +227,11 @@ mod tests {
 
     #[test]
     fn reference_unreachable() {
-        let g = GraphBuilder::new(3).edge(0, 1).symmetric(true).build();
+        let g = GraphBuilder::new(3)
+            .edge(0, 1)
+            .symmetric(true)
+            .build()
+            .unwrap();
         assert_eq!(reference(&g), vec![0, 1, UNREACHED]);
     }
 
@@ -238,7 +244,8 @@ mod tests {
                     .filter(|&(a, b)| a != b),
             )
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let bfs = reference(&g);
         let sssp = crate::sssp::reference(&g);
         for v in 0..64 {
@@ -300,6 +307,7 @@ mod tests {
             .edges((mid_end..n).map(|v| (hubs + 1 + (v % (mid_end - hubs - 1)), v)))
             .symmetric(true)
             .build()
+            .unwrap()
     }
 
     #[test]

@@ -88,6 +88,7 @@ mod tests {
             .edges((0..9).map(|i| (i, i + 1)))
             .symmetric(true)
             .build()
+            .unwrap()
             .with_hashed_weights(8);
         let mut space = AddressSpace::new(64);
         let arrays = GraphArrays::new(&mut space, &g);

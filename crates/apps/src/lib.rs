@@ -34,13 +34,14 @@
 //! let graph = GraphBuilder::new(64)
 //!     .edges((0..63).map(|i| (i, i + 1)))
 //!     .symmetric(true)
-//!     .build();
+//!     .build()?;
 //!
 //! // Count the kernels a push PageRank run launches.
 //! let workload = Workload::new(AppKind::Pr, &graph);
 //! let mut kernels = 0;
 //! workload.generate(Propagation::Push, 256, &mut |_k| kernels += 1);
 //! assert_eq!(kernels, ggs_apps::pr::ITERATIONS as usize);
+//! # Ok::<(), ggs_graph::GraphError>(())
 //! ```
 //!
 //! [`Propagation`]: ggs_model::Propagation

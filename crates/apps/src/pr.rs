@@ -39,10 +39,11 @@ const DIV_CYCLES: u16 = 6;
 /// let g = GraphBuilder::new(3)
 ///     .edges([(0, 1), (1, 2), (2, 0)])
 ///     .symmetric(true)
-///     .build();
+///     .build()?;
 /// let ranks = pr::reference(&g, 20);
 /// // The symmetric triangle is regular: ranks converge to uniform.
 /// assert!((ranks[0] - ranks[2]).abs() < 1e-9);
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr, iterations: u32) -> Vec<f64> {
     let n = graph.num_vertices() as usize;
@@ -159,6 +160,7 @@ mod tests {
             .edges((0..n - 1).map(|i| (i, i + 1)))
             .symmetric(true)
             .build()
+            .unwrap()
     }
 
     #[test]
@@ -174,7 +176,8 @@ mod tests {
         let g = GraphBuilder::new(10)
             .edges((1..10).map(|i| (0, i)))
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let ranks = reference(&g, 30);
         assert!(ranks[0] > ranks[1] * 3.0);
     }

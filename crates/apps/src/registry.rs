@@ -149,11 +149,12 @@ impl FromStr for AppKind {
 /// let g = GraphBuilder::new(8)
 ///     .edges((0..7).map(|i| (i, i + 1)))
 ///     .symmetric(true)
-///     .build();
+///     .build()?;
 /// let w = Workload::new(AppKind::Cc, &g);
 /// let mut kernels = 0;
 /// w.generate(Propagation::PushPull, 256, &mut |_| kernels += 1);
 /// assert!(kernels > 0);
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Workload<'g> {
@@ -340,6 +341,7 @@ mod tests {
             .edges((1..63).map(|v| (0, v)))
             .symmetric(true)
             .build()
+            .unwrap()
             .with_hashed_weights(4);
         for app in [AppKind::Bfs, AppKind::Sssp] {
             let w = Workload::new(app, &g);
@@ -362,7 +364,8 @@ mod tests {
         let g = GraphBuilder::new(8)
             .edges((0..7).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let _ = Workload::new(AppKind::Pr, &g).direction_schedule(Propagation::Hybrid);
     }
 
@@ -391,6 +394,7 @@ mod tests {
             .edges((0..31).map(|i| (i, i + 1)))
             .symmetric(true)
             .build()
+            .unwrap()
             .with_hashed_weights(4);
         for app in AppKind::ALL.into_iter().chain(AppKind::EXTENDED) {
             for &prop in app.supported_propagations() {

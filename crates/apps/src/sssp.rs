@@ -42,8 +42,9 @@ pub const INF: u32 = u32::MAX;
 /// let g = GraphBuilder::new(4)
 ///     .edges([(0, 1), (1, 2), (2, 3)])
 ///     .symmetric(true)
-///     .build();
+///     .build()?;
 /// assert_eq!(sssp::reference(&g), vec![0, 1, 2, 3]);
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr) -> Vec<u32> {
     let n = graph.num_vertices() as usize;
@@ -243,6 +244,7 @@ mod tests {
             .edges((0..n - 1).map(|i| (i, i + 1)))
             .symmetric(true)
             .build()
+            .unwrap()
             .with_hashed_weights(4)
     }
 
@@ -251,7 +253,8 @@ mod tests {
         let g = GraphBuilder::new(5)
             .edges([(0, 1), (0, 2), (1, 3), (3, 4)])
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         assert_eq!(reference(&g), vec![0, 1, 1, 2, 3]);
     }
 
@@ -268,7 +271,10 @@ mod tests {
 
     #[test]
     fn reference_unreachable_is_inf() {
-        let g = GraphBuilder::new(4).edges([(0, 1), (1, 0)]).build();
+        let g = GraphBuilder::new(4)
+            .edges([(0, 1), (1, 0)])
+            .build()
+            .unwrap();
         let d = reference(&g);
         assert_eq!(d[2], INF);
         assert_eq!(d[3], INF);
@@ -279,7 +285,8 @@ mod tests {
         let g = GraphBuilder::new(64)
             .edges((0..63).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let f = frontiers(&g);
         assert_eq!(f[0], vec![0]);
         assert_eq!(f[1], vec![1]);
@@ -291,7 +298,8 @@ mod tests {
         let g = GraphBuilder::new(40)
             .edges((0..39).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let mut first = true;
         generate(&g, Propagation::Push, 256, &mut |k| {
             if !first {
@@ -309,7 +317,8 @@ mod tests {
         let g = GraphBuilder::new(40)
             .edges((0..39).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let mut first = true;
         generate(&g, Propagation::Pull, 256, &mut |k| {
             if !first {
@@ -339,6 +348,7 @@ mod tests {
             .edges((1..n - 1).map(|v| (v, v + 1)))
             .symmetric(true)
             .build()
+            .unwrap()
     }
 
     #[test]

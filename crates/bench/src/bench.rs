@@ -7,8 +7,7 @@
 //!   synthetic rmat14 graph at scale 0.125, chosen to exercise both
 //!   coherence protocols, all three consistency models, and all three
 //!   traversal directions. Each cell is timed cold (best of `--iters`
-//!   runs through the shim-criterion `Bencher`): this is the
-//!   per-cell simulation canary.
+//!   runs): this is the per-cell simulation canary.
 //! * **Grid** — the twelve static configurations of one application
 //!   (PR) on the same graph, sharing one [`TraceCache`]: the
 //!   sweep-path canary. Traces are built once per traversal direction
@@ -31,7 +30,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use criterion::Bencher;
 use ggs_apps::AppKind;
 use ggs_core::experiment::{
     produce_trace_stream, run_stream_budgeted, run_workload, ExperimentSpec,
@@ -384,8 +382,8 @@ impl BenchReport {
     }
 }
 
-/// Runs the benchmark slice: each cell is timed `iters` times through
-/// the shim-criterion [`Bencher`] and the best iteration is kept.
+/// Runs the benchmark slice: each cell is timed `iters` times and the
+/// best iteration is kept.
 /// `progress` receives one human-readable line per cell. The grid and
 /// tier arms are separate ([`run_grid`], [`run_tier`]); the returned
 /// report carries none until the caller fills them in.
@@ -398,16 +396,11 @@ pub fn run_slice(iters: u32, progress: &mut dyn FnMut(&str)) -> BenchReport {
         let mut best = Duration::MAX;
         let mut stats = None;
         for _ in 0..iters.max(1) {
-            let mut b = Bencher::default();
-            b.iter_custom(|_| {
-                let start = Instant::now();
-                let s = run_workload(app, &graph, config, &spec, Tracer::off(), None)
-                    .expect("slice cells are supported app/config pairs");
-                let wall = start.elapsed();
-                stats = Some(s);
-                wall
-            });
-            best = best.min(b.mean().expect("iter_custom always measures"));
+            let start = Instant::now();
+            let s = run_workload(app, &graph, config, &spec, Tracer::off(), None)
+                .expect("slice cells are supported app/config pairs");
+            best = best.min(start.elapsed());
+            stats = Some(s);
         }
         let stats = stats.expect("at least one iteration ran");
         progress(&format!(

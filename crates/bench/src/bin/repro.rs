@@ -91,7 +91,9 @@ use std::str::FromStr;
 
 use ggs_apps::AppKind;
 use ggs_bench::render::TextTable;
+use ggs_core::runner::{run_study, StudyOptions};
 use ggs_core::study::{ConfigSet, Study};
+use ggs_core::ExperimentSpec;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::taxonomy::Traversal;
 use ggs_model::{predict_full, GraphProfile};
@@ -551,7 +553,15 @@ fn sections_cmd(cmd: &SectionsCmd) {
         );
         let start = std::time::Instant::now();
         let metrics = ggs_trace::MetricsRegistry::new();
-        let study = Study::run_with_metrics(scale, ConfigSet::Figure5, cmd.threads, &metrics);
+        let spec = match ExperimentSpec::builder().scale(scale).build() {
+            Ok(s) => s,
+            Err(e) => die(&format!("{e}")),
+        };
+        let options = StudyOptions::new(ConfigSet::Figure5, cmd.threads);
+        let study = match run_study(&spec, &options, &metrics, &ggs_trace::NOOP) {
+            Ok(outcome) => outcome.study,
+            Err(e) => die(&format!("{e}")),
+        };
         eprintln!(
             "[repro] study finished in {:.1}s",
             start.elapsed().as_secs_f64()
@@ -648,7 +658,7 @@ struct TraceCmd<'a> {
 /// `repro trace <app> <graph> <config>`: one fully-instrumented
 /// simulation, streamed to a trace file.
 fn trace_cmd(cmd: &TraceCmd<'_>) {
-    use ggs_core::experiment::{run_workload, ExperimentSpec};
+    use ggs_core::experiment::run_workload;
     use ggs_trace::Tracer;
 
     let (graph_name, stride) = (cmd.graph, cmd.stride);
@@ -708,8 +718,7 @@ struct StudyCmd {
 /// output. Exits 0 as long as the study itself completes, even when
 /// individual cells fail — graceful degradation is the point.
 fn study_cmd(cmd: &StudyCmd) {
-    use ggs_core::runner::{run_study, FaultPlan, StudyOptions};
-    use ggs_core::ExperimentSpec;
+    use ggs_core::runner::FaultPlan;
 
     let mut builder = ExperimentSpec::builder().scale(cmd.scale);
     if let Some(n) = cmd.max_kernels {
@@ -1052,7 +1061,9 @@ fn check(scale: f64, extended: bool) {
 
     println!();
     println!("== Check: dynamic protocol invariants (coherence x consistency grid) ==");
-    let params = SystemParams::default().scaled_caches(scale);
+    let params = SystemParams::default()
+        .scaled_caches(scale)
+        .unwrap_or_else(|e| die(&format!("{e}")));
     let apps = AppKind::ALL
         .into_iter()
         .chain(extended.then_some(AppKind::EXTENDED).into_iter().flatten());
@@ -1089,9 +1100,8 @@ fn check(scale: f64, extended: bool) {
 /// beats the best static configuration (EXPERIMENTS.md, "Dynamic vs.
 /// best-static direction").
 fn hybrid(scale: f64) {
-    use ggs_core::experiment::ExperimentSpec;
     use ggs_core::sweep::hybrid_configs;
-    use ggs_core::WorkloadSweep;
+    use ggs_core::{Tracer, WorkloadSweep};
     use ggs_model::SystemConfig;
 
     println!("== Hybrid: frontier-adaptive push/pull vs best static (scale {scale}) ==");
@@ -1112,28 +1122,23 @@ fn hybrid(scale: f64) {
         let static_cells = SystemConfig::all_for(app.algo_profile().traversal);
         for preset in GraphPreset::ALL {
             let graph = SynthConfig::preset(preset).scale(scale).generate();
-            let best = |sweep: &WorkloadSweep| {
-                sweep
-                    .results
-                    .iter()
-                    .map(|r| (r.config, r.stats.total_cycles()))
-                    .min_by_key(|&(_, cycles)| cycles)
-                    .expect("sweep is non-empty")
+            let best = |configs: &[SystemConfig]| {
+                let sweep = WorkloadSweep::run(
+                    app,
+                    preset.mnemonic(),
+                    &graph,
+                    configs,
+                    &spec,
+                    Tracer::off(),
+                )
+                .unwrap_or_else(|e| die(&format!("{e}")));
+                match sweep.best() {
+                    Some(r) => (r.config, r.stats.total_cycles()),
+                    None => die("hybrid sweep is empty"),
+                }
             };
-            let (s_cfg, s_cycles) = best(&WorkloadSweep::run(
-                app,
-                preset.mnemonic(),
-                &graph,
-                &static_cells,
-                &spec,
-            ));
-            let (h_cfg, h_cycles) = best(&WorkloadSweep::run(
-                app,
-                preset.mnemonic(),
-                &graph,
-                &hybrid_cells,
-                &spec,
-            ));
+            let (s_cfg, s_cycles) = best(&static_cells);
+            let (h_cfg, h_cycles) = best(&hybrid_cells);
             total += 1;
             let won = h_cycles < s_cycles;
             if won {
@@ -1269,7 +1274,9 @@ fn table3() {
 /// Table IV: simulated system parameters.
 fn table4(scale: f64) {
     println!("== Table IV: simulated system parameters (scale {scale}) ==");
-    let p = SystemParams::default().scaled_caches(scale);
+    let p = SystemParams::default()
+        .scaled_caches(scale)
+        .unwrap_or_else(|e| die(&format!("{e}")));
     let mut t = TextTable::new(["Parameter", "Value"]);
     t.row(["GPU CUs (SMs)", &p.num_sms.to_string()]);
     t.row([
@@ -1324,7 +1331,7 @@ fn fig5(study: &Study) {
         for row in &report.rows {
             // A degraded study can lose the baseline row; fall back to
             // raw cycles rather than panicking (docs/robustness.md).
-            match report.try_normalized(&row.config) {
+            match report.normalized(&row.config) {
                 Some(norm) => line.push_str(&format!(" {}={:.2}", row.config, norm)),
                 None => line.push_str(&format!(" {}={}cyc", row.config, row.total_cycles)),
             }
@@ -1347,8 +1354,8 @@ fn fig5(study: &Study) {
             let norms: Vec<f64> = reports.iter().filter_map(|r| f(r)).collect();
             (norms.iter().map(|v| v.ln()).sum::<f64>() / norms.len() as f64).exp()
         };
-        let best = geo(&|r| r.try_normalized(&r.best));
-        let pred = geo(&|r| r.try_normalized(&r.predicted));
+        let best = geo(&|r| r.normalized(&r.best));
+        let pred = geo(&|r| r.normalized(&r.predicted));
         t.row([
             app.mnemonic().to_owned(),
             format!("{best:.3}"),
@@ -1372,7 +1379,7 @@ fn fig5_svg(study: &Study) -> String {
                 .rows
                 .iter()
                 .filter_map(|row| {
-                    let norm = r.try_normalized(&row.config)?;
+                    let norm = r.normalized(&row.config)?;
                     Some(Bar {
                         label: row.config.clone(),
                         segments: row.fractions.iter().map(|f| f * norm).collect(),
@@ -1407,7 +1414,7 @@ fn fig6(study: &Study) {
         "PRED within",
     ]);
     for (r, reduction) in study.figure6_rows() {
-        let pred_within = match r.try_prediction_slowdown() {
+        let pred_within = match r.prediction_slowdown() {
             Some(s) => format!("{:.1}%", s * 100.0),
             None => "n/a".to_owned(),
         };
@@ -1429,7 +1436,7 @@ fn fig6(study: &Study) {
 /// ownership transfers).
 fn traffic(scale: f64) {
     use ggs_apps::AppKind;
-    use ggs_core::experiment::{run_workload, ExperimentSpec};
+    use ggs_core::experiment::run_workload;
     use ggs_trace::Tracer;
 
     println!("== NoC traffic per configuration (PR on OLS and EML) ==");
@@ -1466,7 +1473,7 @@ fn traffic(scale: f64) {
 /// under the model-predicted configuration.
 fn gsi(scale: f64) {
     use ggs_apps::AppKind;
-    use ggs_core::experiment::{run_workload_profiled, ExperimentSpec};
+    use ggs_core::experiment::run_workload_profiled;
     use ggs_trace::Tracer;
 
     println!("== Per-data-structure attribution (GSI-style) ==");

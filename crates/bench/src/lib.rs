@@ -1,9 +1,8 @@
 //! Benchmark and reproduction harness for the GGS workspace.
 //!
 //! The library surface is minimal: shared helpers for the `repro`
-//! binary (which regenerates every table and figure of the paper) and
-//! the Criterion benches. See the `repro` binary (`src/bin/repro.rs`)
-//! and `benches/` for the entry points.
+//! binary (`src/bin/repro.rs`), which regenerates every table and
+//! figure of the paper and runs the `repro bench` throughput baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

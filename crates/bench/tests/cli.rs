@@ -1,6 +1,7 @@
-//! End-to-end tests of the `repro` binary's CLI (the cheap, static
-//! sections; the simulation-study sections are covered by the library
-//! tests and the paper-claims integration suite).
+//! End-to-end tests of the `repro` binary's CLI: the cheap, static
+//! sections, flag handling, and small-scale study runs. The study's
+//! numbers are covered by the library tests and the paper-claims
+//! integration suite.
 
 use std::process::Command;
 
@@ -198,6 +199,19 @@ fn study_isolates_injected_faults_and_resumes_from_its_store() {
         "{out}"
     );
     let _ = std::fs::remove_file(store);
+}
+
+#[test]
+fn section_runner_and_study_print_the_same_figures() {
+    // The section runner and `repro study` both run the study through
+    // `run_study`; from the Figure 5 header on, their stdout must agree.
+    let figures = |out: &str| -> String {
+        let at = out.find("== Figure 5").expect("Figure 5 header");
+        out[at..].to_owned()
+    };
+    let sections = repro(&["--scale", "0.02", "fig5", "fig6"]);
+    let study = repro(&["--scale", "0.02", "study"]);
+    assert_eq!(figures(&sections), figures(&study));
 }
 
 #[test]

@@ -309,6 +309,7 @@ mod tests {
             .edges((0..n).map(|i| (i, (i + 1) % n)))
             .symmetric(true)
             .build()
+            .unwrap()
     }
 
     #[test]
@@ -347,7 +348,8 @@ mod tests {
         let kernel = KernelTrace::new(
             vec![vec![MicroOp::store(64)], vec![MicroOp::atomic(64)]],
             256,
-        );
+        )
+        .unwrap();
         let analysis = analyze_kernel(&kernel, ConsistencyModel::Drf1);
         let v = check_kernel_contract(&analysis, Propagation::Push, 0, &[]);
         assert!(
@@ -365,7 +367,8 @@ mod tests {
                 vec![MicroOp::atomic(0), MicroOp::load(64)],
             ],
             256,
-        );
+        )
+        .unwrap();
         let analysis = analyze_kernel(&kernel, ConsistencyModel::Drf1);
         let v = check_kernel_contract(&analysis, Propagation::Pull, 3, &[("lv".into(), 0, 128)]);
         assert!(
@@ -386,7 +389,8 @@ mod tests {
                 vec![MicroOp::atomic(64), MicroOp::load(0)],
             ],
             256,
-        );
+        )
+        .unwrap();
         let analysis = analyze_kernel(&kernel, ConsistencyModel::DrfRlx);
         let v = check_kernel_contract(&analysis, Propagation::PushPull, 0, &[]);
         // store(0)/load(0) race is reported; the atomics are fine.
@@ -409,7 +413,11 @@ mod tests {
         for v in mid_end..n {
             edges.push((hubs + 1 + (v % (mid_end - hubs - 1)), v));
         }
-        GraphBuilder::new(n).edges(edges).symmetric(true).build()
+        GraphBuilder::new(n)
+            .edges(edges)
+            .symmetric(true)
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -440,7 +448,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "realized direction")]
     fn contract_check_rejects_raw_hybrid() {
-        let kernel = KernelTrace::new(vec![vec![MicroOp::load(0)]], 256);
+        let kernel = KernelTrace::new(vec![vec![MicroOp::load(0)]], 256).unwrap();
         let analysis = analyze_kernel(&kernel, ConsistencyModel::Drf1);
         let _ = check_kernel_contract(&analysis, Propagation::Hybrid, 0, &[]);
     }

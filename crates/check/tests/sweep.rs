@@ -97,7 +97,7 @@ fn touch_kernel(threads: u64) -> KernelTrace {
             ]
         })
         .collect();
-    KernelTrace::new(trace, 32)
+    KernelTrace::new(trace, 32).unwrap()
 }
 
 /// Negative test: planting ownership in an L1 behind the registry's

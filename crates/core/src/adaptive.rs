@@ -187,11 +187,11 @@ mod tests {
         // 8 warps; one warp has a 200-op lane, the rest 4 ops.
         let mut threads = vec![vec![MicroOp::compute(1); 4]; 256];
         threads[0] = vec![MicroOp::compute(1); 200];
-        let k = KernelTrace::new(threads, 256);
+        let k = KernelTrace::new(threads, 256).unwrap();
         let (_, imb) = kernel_classes(&k, &params, 64);
         assert_eq!(imb, Level::High);
 
-        let uniform = KernelTrace::new(vec![vec![MicroOp::compute(1); 4]; 256], 256);
+        let uniform = KernelTrace::new(vec![vec![MicroOp::compute(1); 4]; 256], 256).unwrap();
         let (_, imb) = kernel_classes(&uniform, &params, 64);
         assert_eq!(imb, Level::Low);
     }
@@ -203,7 +203,8 @@ mod tests {
         let k = KernelTrace::new(
             (0..16u64).map(|t| vec![MicroOp::load(t * 64)]).collect(),
             256,
-        );
+        )
+        .unwrap();
         let (vol, _) = kernel_classes(&k, &params, 64);
         assert_eq!(vol, Level::Low);
     }
@@ -257,7 +258,8 @@ mod tests {
                 .map(|t| vec![MicroOp::atomic((t % 64) * 4)])
                 .collect(),
             256,
-        );
+        )
+        .unwrap();
         let (vol, imb) = kernel_classes(&k, &params, 64);
         assert_eq!((vol, imb), (Level::Low, Level::Low));
         let profile = GraphProfile::from_classes(vol, Level::High, imb);
@@ -276,7 +278,8 @@ mod tests {
         let g = GraphBuilder::new(4096)
             .edges((0..4095).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let out = adaptive(AppKind::Mis, &g, &spec);
         assert_eq!(out.static_config.propagation, ggs_model::Propagation::Pull);
         assert!(!out.schedule.is_empty());

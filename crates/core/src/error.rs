@@ -224,7 +224,7 @@ mod tests {
         assert!(matches!(params, GgsError::Params(_)));
         let graph: GgsError = ggs_graph::GraphBuilder::new(1)
             .edge(0, 9)
-            .try_build()
+            .build()
             .unwrap_err()
             .into();
         assert!(matches!(graph, GgsError::Graph(_)));

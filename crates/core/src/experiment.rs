@@ -43,44 +43,15 @@ impl ExperimentSpec {
     /// # Panics
     ///
     /// Panics if `scale` is not positive and finite. Prefer
-    /// [`ExperimentSpec::try_at_scale`] or [`ExperimentSpec::builder`]
-    /// on paths that must not panic.
+    /// [`ExperimentSpec::builder`] on paths that must not panic.
     pub fn at_scale(scale: f64) -> Self {
-        Self::try_at_scale(scale).unwrap_or_else(|e| panic!("{e}"))
+        let spec = Self::builder().scale(scale).build();
+        spec.unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`ExperimentSpec::at_scale`]: rejects a
-    /// non-positive or non-finite `scale` instead of panicking.
-    pub fn try_at_scale(scale: f64) -> Result<Self, GgsError> {
-        let mut params = SystemParams::default().try_scaled_caches(scale)?;
-        // Scale the fixed kernel-launch overhead with the input size so
-        // the overhead-to-work ratio matches the full-scale system
-        // (otherwise launches dominate small inputs and bias against
-        // multi-kernel variants).
-        params.kernel_launch_cycles =
-            ((params.kernel_launch_cycles as f64 * scale) as u64).max(100);
-        // Scale resident thread blocks with the caches so each thread's
-        // share of the L1 matches the full-scale machine (otherwise the
-        // shrunken L1 is thrashed by an unshrunken warp population and
-        // the dense-read caching that push relies on disappears).
-        params.max_blocks_per_sm =
-            ((params.max_blocks_per_sm as f64 * scale).round() as u32).max(1);
-        // Floor the simulated L1 at one thread block's working window
-        // (~8 KB): a thread block's CSR slice does not shrink with the
-        // scale factor, so an exactly-scaled L1 below this floor loses
-        // the intra-block locality both pull and DeNovo rely on. The
-        // *classifier* keeps nominal scaling (see `metric_params`) so
-        // every Table II volume class is preserved.
-        params.l1_bytes = params.l1_bytes.max(8 * 1024);
-        Ok(Self {
-            scale,
-            params,
-            budget: SimBudget::UNLIMITED,
-        })
-    }
-
-    /// A fluent builder over [`ExperimentSpec::try_at_scale`] that also
-    /// allows overriding the derived [`SystemParams`].
+    /// A fluent builder over [`ExperimentSpec::at_scale`]'s derivation
+    /// that validates the scale and also allows overriding the derived
+    /// [`SystemParams`].
     ///
     /// # Example
     ///
@@ -161,12 +132,32 @@ impl ExperimentSpecBuilder {
     /// Returns [`GgsError::Params`] if `scale` is not positive and
     /// finite.
     pub fn build(self) -> Result<ExperimentSpec, GgsError> {
-        let mut spec = ExperimentSpec::try_at_scale(self.scale)?;
-        if let Some(params) = self.params {
-            spec.params = params;
-        }
-        spec.budget = self.budget;
-        Ok(spec)
+        let scale = self.scale;
+        let mut params = SystemParams::default().scaled_caches(scale)?;
+        // Scale the fixed kernel-launch overhead with the input size so
+        // the overhead-to-work ratio matches the full-scale system
+        // (otherwise launches dominate small inputs and bias against
+        // multi-kernel variants).
+        params.kernel_launch_cycles =
+            ((params.kernel_launch_cycles as f64 * scale) as u64).max(100);
+        // Scale resident thread blocks with the caches so each thread's
+        // share of the L1 matches the full-scale machine (otherwise the
+        // shrunken L1 is thrashed by an unshrunken warp population and
+        // the dense-read caching that push relies on disappears).
+        params.max_blocks_per_sm =
+            ((params.max_blocks_per_sm as f64 * scale).round() as u32).max(1);
+        // Floor the simulated L1 at one thread block's working window
+        // (~8 KB): a thread block's CSR slice does not shrink with the
+        // scale factor, so an exactly-scaled L1 below this floor loses
+        // the intra-block locality both pull and DeNovo rely on. The
+        // *classifier* keeps nominal scaling (see `metric_params`) so
+        // every Table II volume class is preserved.
+        params.l1_bytes = params.l1_bytes.max(8 * 1024);
+        Ok(ExperimentSpec {
+            scale,
+            params: self.params.unwrap_or(params),
+            budget: self.budget,
+        })
     }
 }
 
@@ -391,6 +382,7 @@ mod tests {
             )
             .symmetric(true)
             .build()
+            .unwrap()
     }
 
     fn run(app: AppKind, g: &Csr, config: &str, spec: &ExperimentSpec) -> ExecStats {
@@ -423,7 +415,7 @@ mod tests {
         assert_eq!(spec, ExperimentSpec::at_scale(0.05));
         assert!(ExperimentSpec::builder().scale(0.0).build().is_err());
         assert!(ExperimentSpec::builder().scale(f64::NAN).build().is_err());
-        assert!(ExperimentSpec::try_at_scale(-2.0).is_err());
+        assert!(ExperimentSpec::builder().scale(-2.0).build().is_err());
     }
 
     #[test]
@@ -507,7 +499,7 @@ mod tests {
             .build()
             .unwrap();
         let threads = (0..256).map(|_| vec![MicroOp::compute(64)]).collect();
-        let kernel = Arc::new(KernelTrace::new(threads, spec.params.tb_size));
+        let kernel = Arc::new(KernelTrace::new(threads, spec.params.tb_size).unwrap());
         let endless = vec![kernel; 200_000];
         let cfg = "SGR".parse().unwrap();
         let err = run_stream_budgeted(&endless, AppKind::Pr, cfg, &spec, Tracer::off(), None)

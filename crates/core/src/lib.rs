@@ -31,7 +31,7 @@
 //! let graph = GraphBuilder::new(512)
 //!     .edges((0..511).map(|i| (i, i + 1)))
 //!     .symmetric(true)
-//!     .build();
+//!     .build()?;
 //! let spec = ExperimentSpec::default();
 //! let config = "SGR".parse()?;
 //! let stats = run_workload(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)?;

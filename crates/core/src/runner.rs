@@ -1,11 +1,11 @@
 //! Fault-isolated, resumable execution of the full study.
 //!
-//! [`crate::study::Study::run_with_metrics`] fans the 36-workload ×
-//! configuration grid across worker threads; without protection a
-//! single panicking cell, a non-converging configuration, or a hung
-//! simulation kills the whole study and discards hours of completed
-//! results. This module wraps every *cell* (one application × graph ×
-//! configuration point) in the standard long-job robustness kit:
+//! [`run_study`] fans the 36-workload × configuration grid across
+//! worker threads; without protection a single panicking cell, a
+//! non-converging configuration, or a hung simulation kills the whole
+//! study and discards hours of completed results. This module wraps
+//! every *cell* (one application × graph × configuration point) in the
+//! standard long-job robustness kit:
 //!
 //! * **Isolation** — each cell runs behind
 //!   [`std::panic::catch_unwind`]; a panic becomes a typed
@@ -43,7 +43,7 @@ use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
 
 use crate::error::GgsError;
 use crate::experiment::{produce_trace_stream, run_stream_budgeted, run_workload, ExperimentSpec};
-use crate::store::{versioned_spec_hash, Claim, Store, StoreLoadReport};
+use crate::store::{fnv1a64, versioned_spec_hash, Claim, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
 use crate::sweep::{baseline_config, figure5_configs};
 use crate::trace_cache::{graph_fingerprint, StreamKey, TraceCache, TraceCacheStats};
@@ -305,12 +305,7 @@ impl RetryPolicy {
 /// not guaranteed stable across releases; FNV-1a is.)
 pub fn spec_hash(spec: &ExperimentSpec, configs: ConfigSet) -> String {
     let text = format!("{spec:?}|{configs:?}");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", fnv1a64(text.as_bytes()))
 }
 
 /// Options controlling a fault-tolerant study run.
@@ -361,8 +356,8 @@ impl Default for StudyOptions {
 }
 
 impl StudyOptions {
-    /// Options matching the legacy `Study::run_with_metrics` behavior:
-    /// `configs` over `threads` workers, no watchdogs, no store.
+    /// Plain study options: `configs` over `threads` workers, no
+    /// watchdogs, no store.
     pub fn new(configs: ConfigSet, threads: usize) -> Self {
         Self {
             configs,
@@ -938,7 +933,7 @@ fn run_hang(
     let cap = spec.budget.max_kernels.unwrap_or(FAILSAFE_KERNELS);
     spec.budget.max_kernels = Some(cap.min(FAILSAFE_KERNELS));
     let threads: Vec<Vec<MicroOp>> = (0..32).map(|_| vec![MicroOp::compute(64)]).collect();
-    let kernel = Arc::new(KernelTrace::new(threads, spec.params.tb_size));
+    let kernel = Arc::new(KernelTrace::new(threads, spec.params.tb_size)?);
     // One kernel past the cap, so the cap always trips.
     let forever = vec![kernel; FAILSAFE_KERNELS as usize + 1];
     run_stream_budgeted(

@@ -105,7 +105,9 @@ fn fnv1a32(bytes: &[u8]) -> u32 {
     h
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a, the stable hash behind store keys and
+/// [`crate::runner::spec_hash`].
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -1405,5 +1407,8 @@ mod tests {
         assert_eq!(a, versioned_spec_hash("deadbeef"));
         assert_ne!(a, versioned_spec_hash("deadbeee"));
         assert_eq!(a.len(), 16);
+        // FNV-1a-64 reference vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

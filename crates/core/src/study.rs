@@ -3,12 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use ggs_trace::MetricsRegistry;
-
 use crate::error::GgsError;
-use crate::experiment::ExperimentSpec;
 use crate::json::{self, Value};
-use crate::runner::{run_study, CellReport, CellStatus, StudyOptions};
+use crate::runner::{CellReport, CellStatus};
 
 /// Which configuration set a study sweeps per workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,42 +62,18 @@ impl WorkloadReport {
     /// Execution time of `code` normalized to the baseline, or `None`
     /// when either row is missing — which happens in degraded studies
     /// where a cell failed or timed out (see `docs/robustness.md`).
-    pub fn try_normalized(&self, code: &str) -> Option<f64> {
+    pub fn normalized(&self, code: &str) -> Option<f64> {
         let base = self.cycles_of(&self.baseline)? as f64;
         Some(self.cycles_of(code)? as f64 / base)
-    }
-
-    /// Execution time of `code` normalized to the baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code` or the baseline is missing from the rows; use
-    /// [`WorkloadReport::try_normalized`] on possibly-degraded studies.
-    pub fn normalized(&self, code: &str) -> f64 {
-        self.try_normalized(code)
-            .expect("baseline and config swept")
     }
 
     /// Relative slowdown of the model's prediction versus the empirical
     /// best (0.0 when the model picked the best), or `None` when either
     /// row is missing from a degraded study.
-    pub fn try_prediction_slowdown(&self) -> Option<f64> {
+    pub fn prediction_slowdown(&self) -> Option<f64> {
         let best = self.cycles_of(&self.best)? as f64;
         let pred = self.cycles_of(&self.predicted)? as f64;
         Some(pred / best - 1.0)
-    }
-
-    /// Relative slowdown of the model's prediction versus the empirical
-    /// best (0.0 when the model picked the best).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the best or predicted row is missing; use
-    /// [`WorkloadReport::try_prediction_slowdown`] on possibly-degraded
-    /// studies.
-    pub fn prediction_slowdown(&self) -> f64 {
-        self.try_prediction_slowdown()
-            .expect("best and prediction swept")
     }
 
     /// The default configuration Figure 6 compares against: `SGR` for
@@ -117,24 +90,10 @@ impl WorkloadReport {
     /// configuration (Figure 6's headline metric); 0 when the default
     /// is already best, `None` when either row is missing from a
     /// degraded study.
-    pub fn try_best_reduction_vs_default(&self) -> Option<f64> {
+    pub fn best_reduction_vs_default(&self) -> Option<f64> {
         let def = self.cycles_of(self.default_config())? as f64;
         let best = self.cycles_of(&self.best)? as f64;
         Some((1.0 - best / def).max(0.0))
-    }
-
-    /// Fractional execution-time reduction of BEST versus the default
-    /// configuration (Figure 6's headline metric); 0 when the default
-    /// is already best.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the default or best row is missing; use
-    /// [`WorkloadReport::try_best_reduction_vs_default`] on
-    /// possibly-degraded studies.
-    pub fn best_reduction_vs_default(&self) -> f64 {
-        self.try_best_reduction_vs_default()
-            .expect("default and best swept")
     }
 }
 
@@ -147,46 +106,12 @@ pub struct Study {
     /// every cell failed are absent (see `failures`).
     pub reports: Vec<WorkloadReport>,
     /// Cells that failed or timed out; empty for a clean run (see
-    /// [`crate::runner`]).
+    /// [`crate::runner`]). Studies are produced by
+    /// [`run_study`](crate::runner::run_study).
     pub failures: Vec<CellReport>,
 }
 
 impl Study {
-    /// Runs the study at `scale` over `configs` using `threads` worker
-    /// threads (pass 1 for deterministic sequential execution; results
-    /// are identical either way since workloads are independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or `scale` is not positive.
-    pub fn run(scale: f64, configs: ConfigSet, threads: usize) -> Self {
-        Self::run_with_metrics(scale, configs, threads, &MetricsRegistry::new())
-    }
-
-    /// Like [`Study::run`], additionally recording wall-clock phase
-    /// spans (`generate_inputs`, `simulate`, `aggregate`) and
-    /// per-worker counters into `metrics`. Workers accumulate into
-    /// thread-local registries that are merged into `metrics` as each
-    /// worker finishes, so the shared registry is touched once per
-    /// worker, not once per event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or `scale` is not positive.
-    pub fn run_with_metrics(
-        scale: f64,
-        configs: ConfigSet,
-        threads: usize,
-        metrics: &MetricsRegistry,
-    ) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        let spec = ExperimentSpec::at_scale(scale);
-        let options = StudyOptions::new(configs, threads);
-        run_study(&spec, &options, metrics, &ggs_trace::NOOP)
-            .map(|outcome| outcome.study)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The report for one workload.
     pub fn report(&self, graph: &str, app: &str) -> Option<&WorkloadReport> {
         self.reports
@@ -209,7 +134,7 @@ impl Study {
     pub fn worst_prediction_slowdown(&self) -> f64 {
         self.reports
             .iter()
-            .filter_map(|r| r.try_prediction_slowdown())
+            .filter_map(WorkloadReport::prediction_slowdown)
             .fold(0.0, f64::max)
     }
 
@@ -221,7 +146,7 @@ impl Study {
         self.reports
             .iter()
             .filter(|r| r.best != r.default_config())
-            .filter_map(|r| r.try_best_reduction_vs_default().map(|red| (r, red)))
+            .filter_map(|r| r.best_reduction_vs_default().map(|red| (r, red)))
             .collect()
     }
 
@@ -392,12 +317,23 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentSpec;
+    use crate::runner::{run_study, StudyOptions};
+    use ggs_trace::MetricsRegistry;
+
+    fn tiny_study(threads: usize, metrics: &MetricsRegistry) -> Study {
+        let spec = ExperimentSpec::builder().scale(0.004).build().unwrap();
+        let options = StudyOptions::new(ConfigSet::Figure5, threads);
+        run_study(&spec, &options, metrics, &ggs_trace::NOOP)
+            .unwrap()
+            .study
+    }
 
     /// A tiny smoke study; the full-scale study is exercised by the
     /// repro harness and integration tests.
     #[test]
     fn tiny_study_runs_and_serializes() {
-        let study = Study::run(0.004, ConfigSet::Figure5, 8);
+        let study = tiny_study(8, &MetricsRegistry::new());
         assert_eq!(study.reports.len(), 36);
         for r in &study.reports {
             assert!(!r.rows.is_empty());
@@ -416,7 +352,7 @@ mod tests {
     #[test]
     fn run_with_metrics_records_phases_and_counters() {
         let metrics = MetricsRegistry::new();
-        let study = Study::run_with_metrics(0.004, ConfigSet::Figure5, 4, &metrics);
+        let study = tiny_study(4, &metrics);
         assert_eq!(study.reports.len(), 36);
         assert_eq!(metrics.counter("workloads_simulated"), 36);
         assert_eq!(metrics.counter("study_workloads"), 36);
@@ -444,10 +380,10 @@ mod tests {
 
     #[test]
     fn report_lookup_and_metrics() {
-        let study = Study::run(0.004, ConfigSet::Figure5, 8);
+        let study = tiny_study(8, &MetricsRegistry::new());
         let r = study.report("RAJ", "PR").expect("workload present");
-        assert_eq!(r.normalized(&r.baseline), 1.0);
-        assert!(r.prediction_slowdown() >= 0.0);
+        assert_eq!(r.normalized(&r.baseline), Some(1.0));
+        assert!(r.prediction_slowdown().unwrap() >= 0.0);
         assert!(study.exact_predictions() <= 36);
     }
 }

@@ -169,39 +169,15 @@ pub fn hybrid_configs(app: AppKind) -> Vec<SystemConfig> {
 }
 
 impl WorkloadSweep {
-    /// Runs `app` on `graph` across `configs`.
+    /// Runs `app` on `graph` across `configs`; every configuration's
+    /// simulation emits through `tracer` under the spec's budget (see
+    /// [`run_workload`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any configuration's propagation is unsupported by
-    /// `app`. Prefer [`WorkloadSweep::try_run`] on paths that must not
-    /// panic.
+    /// The first configuration's error, e.g. [`GgsError::Unsupported`]
+    /// if its propagation is unsupported by `app`.
     pub fn run(
-        app: AppKind,
-        graph_name: impl Into<String>,
-        graph: &Csr,
-        configs: &[SystemConfig],
-        spec: &ExperimentSpec,
-    ) -> Self {
-        Self::run_traced(app, graph_name, graph, configs, spec, Tracer::off())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`WorkloadSweep::run`].
-    pub fn try_run(
-        app: AppKind,
-        graph_name: impl Into<String>,
-        graph: &Csr,
-        configs: &[SystemConfig],
-        spec: &ExperimentSpec,
-    ) -> Result<Self, GgsError> {
-        Self::run_traced(app, graph_name, graph, configs, spec, Tracer::off())
-    }
-
-    /// Fallible, instrumented variant of [`WorkloadSweep::run`]: every
-    /// configuration's simulation emits through `tracer` under the
-    /// spec's budget (see [`run_workload`]).
-    pub fn run_traced(
         app: AppKind,
         graph_name: impl Into<String>,
         graph: &Csr,
@@ -223,19 +199,9 @@ impl WorkloadSweep {
         })
     }
 
-    /// The fastest configuration (the paper's per-workload BEST).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep is empty. Prefer [`WorkloadSweep::try_best`]
-    /// on paths that must not panic.
-    pub fn best(&self) -> &ConfigResult {
-        self.try_best()
-            .unwrap_or_else(|| panic!("sweep has at least one configuration"))
-    }
-
-    /// The fastest configuration, or `None` for an empty sweep.
-    pub fn try_best(&self) -> Option<&ConfigResult> {
+    /// The fastest configuration (the paper's per-workload BEST), or
+    /// `None` for an empty sweep.
+    pub fn best(&self) -> Option<&ConfigResult> {
         self.results.iter().min_by_key(|r| r.stats.total_cycles())
     }
 
@@ -247,19 +213,11 @@ impl WorkloadSweep {
     /// Execution times normalized to `baseline` (the paper's Figure 5
     /// y-axis). Configurations map to `time / baseline_time`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `baseline` was not part of the sweep. Prefer
-    /// [`WorkloadSweep::try_normalized_to`] on paths that must not
-    /// panic.
-    pub fn normalized_to(&self, baseline: SystemConfig) -> Vec<(SystemConfig, f64)> {
-        self.try_normalized_to(baseline)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`WorkloadSweep::normalized_to`]: a missing
-    /// baseline is reported as [`GgsError::MissingConfig`].
-    pub fn try_normalized_to(
+    /// [`GgsError::MissingConfig`] if `baseline` was not part of the
+    /// sweep.
+    pub fn normalized_to(
         &self,
         baseline: SystemConfig,
     ) -> Result<Vec<(SystemConfig, f64)>, GgsError> {
@@ -282,22 +240,13 @@ impl WorkloadSweep {
     /// Relative slowdown of configuration `cfg` versus the best
     /// (0.0 = it *is* the best; 0.10 = 10% slower).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cfg` was not part of the sweep. Prefer
-    /// [`WorkloadSweep::try_slowdown_vs_best`] on paths that must not
-    /// panic.
-    pub fn slowdown_vs_best(&self, cfg: SystemConfig) -> f64 {
-        self.try_slowdown_vs_best(cfg)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`WorkloadSweep::slowdown_vs_best`]: an
-    /// empty sweep or a configuration outside it is reported as
-    /// [`GgsError::MissingConfig`].
-    pub fn try_slowdown_vs_best(&self, cfg: SystemConfig) -> Result<f64, GgsError> {
+    /// [`GgsError::MissingConfig`] if the sweep is empty or `cfg` was
+    /// not part of it.
+    pub fn slowdown_vs_best(&self, cfg: SystemConfig) -> Result<f64, GgsError> {
         let best = self
-            .try_best()
+            .best()
             .ok_or_else(|| GgsError::MissingConfig("sweep is empty".to_owned()))?
             .stats
             .total_cycles() as f64;
@@ -322,6 +271,7 @@ mod tests {
             .edges((0..767).map(|i| (i, i + 1)))
             .symmetric(true)
             .build()
+            .unwrap()
     }
 
     #[test]
@@ -369,7 +319,8 @@ mod tests {
             .edges((1..256).map(|v| (0, v)))
             .edges((1..255).map(|v| (v, v + 1)))
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let spec = ExperimentSpec::at_scale(0.02);
         let sweep = WorkloadSweep::run(
             AppKind::Sssp,
@@ -377,7 +328,9 @@ mod tests {
             &g,
             &hybrid_configs(AppKind::Sssp),
             &spec,
-        );
+            Tracer::off(),
+        )
+        .unwrap();
         assert_eq!(sweep.results.len(), 4);
         assert!(sweep.results.iter().all(|r| r.stats.total_cycles() > 0));
     }
@@ -409,12 +362,15 @@ mod tests {
             &g,
             &figure5_configs(AppKind::Pr),
             &spec,
-        );
-        let norm = sweep.normalized_to(baseline_config(AppKind::Pr));
+            Tracer::off(),
+        )
+        .unwrap();
+        let norm = sweep.normalized_to(baseline_config(AppKind::Pr)).unwrap();
         assert_eq!(norm.len(), 5);
         let (_, base_val) = norm.iter().find(|(c, _)| c.code() == "TG0").unwrap();
         assert!((base_val - 1.0).abs() < 1e-12);
-        assert!(sweep.slowdown_vs_best(sweep.best().config).abs() < 1e-12);
+        let best = sweep.best().unwrap().config;
+        assert!(sweep.slowdown_vs_best(best).unwrap().abs() < 1e-12);
     }
 }
 
@@ -428,6 +384,7 @@ mod more_tests {
             .edges((0..511).map(|i| (i, i + 1)))
             .symmetric(true)
             .build()
+            .unwrap()
     }
 
     #[test]
@@ -439,7 +396,9 @@ mod more_tests {
             &graph(),
             &["TG0".parse().unwrap()],
             &spec,
-        );
+            Tracer::off(),
+        )
+        .unwrap();
         assert!(sweep.result_for("SGR".parse().unwrap()).is_none());
         assert!(sweep.result_for("TG0".parse().unwrap()).is_some());
     }
@@ -453,14 +412,15 @@ mod more_tests {
             &graph(),
             &figure5_configs(AppKind::Sssp),
             &spec,
-        );
+            Tracer::off(),
+        )
+        .unwrap();
         for r in &sweep.results {
-            assert!(sweep.slowdown_vs_best(r.config) >= 0.0);
+            assert!(sweep.slowdown_vs_best(r.config).unwrap() >= 0.0);
         }
     }
 
     #[test]
-    #[should_panic(expected = "baseline configuration")]
     fn normalization_requires_baseline_in_sweep() {
         let spec = ExperimentSpec::at_scale(0.02);
         let sweep = WorkloadSweep::run(
@@ -469,44 +429,57 @@ mod more_tests {
             &graph(),
             &["SGR".parse().unwrap()],
             &spec,
-        );
-        let _ = sweep.normalized_to("TG0".parse().unwrap());
+            Tracer::off(),
+        )
+        .unwrap();
+        assert!(sweep.normalized_to("TG0".parse().unwrap()).is_err());
     }
 
     #[test]
     fn try_variants_report_errors_instead_of_panicking() {
         let spec = ExperimentSpec::at_scale(0.02);
-        let sweep = WorkloadSweep::try_run(
+        let sweep = WorkloadSweep::run(
             AppKind::Pr,
             "chain",
             &graph(),
             &["SGR".parse().unwrap()],
             &spec,
+            Tracer::off(),
         )
         .unwrap();
-        let err = sweep.try_normalized_to("TG0".parse().unwrap()).unwrap_err();
+        let err = sweep.normalized_to("TG0".parse().unwrap()).unwrap_err();
         assert!(err.to_string().contains("baseline configuration"));
-        assert!(sweep.try_slowdown_vs_best("TG0".parse().unwrap()).is_err());
-        assert!(sweep.try_slowdown_vs_best("SGR".parse().unwrap()).is_ok());
+        assert!(sweep.slowdown_vs_best("TG0".parse().unwrap()).is_err());
+        assert!(sweep.slowdown_vs_best("SGR".parse().unwrap()).is_ok());
         // Unsupported pairing surfaces as Err, not panic.
-        assert!(WorkloadSweep::try_run(
+        assert!(WorkloadSweep::run(
             AppKind::Cc,
             "chain",
             &graph(),
             &["SGR".parse().unwrap()],
             &spec,
+            Tracer::off()
         )
         .is_err());
         // Empty sweep has no best.
-        let empty = WorkloadSweep::try_run(AppKind::Pr, "chain", &graph(), &[], &spec).unwrap();
-        assert!(empty.try_best().is_none());
+        let empty =
+            WorkloadSweep::run(AppKind::Pr, "chain", &graph(), &[], &spec, Tracer::off()).unwrap();
+        assert!(empty.best().is_none());
     }
 
     #[test]
     fn full_config_set_sweep_runs() {
         let spec = ExperimentSpec::at_scale(0.02);
         let configs = ggs_model::SystemConfig::all_for(ggs_model::taxonomy::Traversal::Static);
-        let sweep = WorkloadSweep::run(AppKind::Mis, "chain", &graph(), &configs, &spec);
+        let sweep = WorkloadSweep::run(
+            AppKind::Mis,
+            "chain",
+            &graph(),
+            &configs,
+            &spec,
+            Tracer::off(),
+        )
+        .unwrap();
         assert_eq!(sweep.results.len(), 12);
         // Pull bars are hardware-insensitive on the consistency axis.
         let t = |code: &str| {

@@ -178,7 +178,7 @@ pub struct TraceCacheStats {
 /// let g = GraphBuilder::new(64)
 ///     .edges((0..63).map(|i| (i, i + 1)))
 ///     .symmetric(true)
-///     .build();
+///     .build()?;
 /// let cache = TraceCache::new(64 << 20);
 /// let key = StreamKey::for_workload(&Workload::new(AppKind::Pr, &g), Propagation::Push, 256);
 /// assert_eq!(key.graph_fp, graph_fingerprint(&g));
@@ -188,6 +188,7 @@ pub struct TraceCacheStats {
 /// assert!(Arc::ptr_eq(&first, &again));
 /// assert_eq!(cache.stats().misses, 1);
 /// assert_eq!(cache.stats().hits, 1);
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 #[derive(Debug)]
 pub struct TraceCache {
@@ -390,6 +391,7 @@ mod tests {
             .edges((0..n).map(|i| (i, (i + 1) % n)))
             .symmetric(true)
             .build()
+            .unwrap()
     }
 
     fn key(app: AppKind, g: &Csr, prop: Propagation) -> StreamKey {

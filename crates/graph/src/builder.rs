@@ -49,10 +49,11 @@ impl std::error::Error for GraphError {}
 ///     .edge(1, 1) // self-loop: dropped
 ///     .edge(0, 1) // duplicate: dropped
 ///     .symmetric(true)
-///     .build();
+///     .build()?;
 /// assert_eq!(g.num_edges(), 2);
 /// assert!(g.is_symmetric());
 /// assert!(!g.has_self_loops());
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
@@ -76,7 +77,7 @@ impl GraphBuilder {
     /// Adds a directed edge.
     ///
     /// Endpoints are validated when the graph is built (see
-    /// [`GraphBuilder::try_build`]), so adding is infallible.
+    /// [`GraphBuilder::build`]), so adding is infallible.
     pub fn edge(mut self, source: VertexId, target: VertexId) -> Self {
         self.edges.push((source, target));
         self
@@ -85,7 +86,7 @@ impl GraphBuilder {
     /// Adds every edge from an iterator.
     ///
     /// Endpoints are validated when the graph is built (see
-    /// [`GraphBuilder::try_build`]), so adding is infallible.
+    /// [`GraphBuilder::build`]), so adding is infallible.
     pub fn edges<I>(mut self, iter: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
@@ -115,18 +116,11 @@ impl GraphBuilder {
 
     /// Normalizes and builds the [`Csr`] graph.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any added edge has an endpoint `>= num_vertices`.
-    /// Prefer [`GraphBuilder::try_build`] on paths that must not panic.
-    pub fn build(self) -> Csr {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`GraphBuilder::build`]: returns an error if
-    /// any added edge has an endpoint `>= num_vertices` instead of
-    /// panicking.
-    pub fn try_build(self) -> Result<Csr, GraphError> {
+    /// Returns [`GraphError::EndpointOutOfRange`] if any added edge has
+    /// an endpoint `>= num_vertices`.
+    pub fn build(self) -> Result<Csr, GraphError> {
         let Self {
             num_vertices,
             mut edges,
@@ -162,13 +156,14 @@ mod tests {
             .edge(0, 1)
             .edge(0, 1)
             .edge(0, 1)
-            .build();
+            .build()
+            .unwrap();
         assert_eq!(g.num_edges(), 1);
     }
 
     #[test]
     fn self_loops_removed_by_default() {
-        let g = GraphBuilder::new(2).edge(0, 0).edge(0, 1).build();
+        let g = GraphBuilder::new(2).edge(0, 0).edge(0, 1).build().unwrap();
         assert_eq!(g.num_edges(), 1);
         assert!(!g.has_self_loops());
     }
@@ -178,7 +173,8 @@ mod tests {
         let g = GraphBuilder::new(2)
             .edge(0, 0)
             .keep_self_loops(true)
-            .build();
+            .build()
+            .unwrap();
         assert!(g.has_self_loops());
     }
 
@@ -189,7 +185,8 @@ mod tests {
             .edge(1, 0) // reverse already present
             .edge(1, 2)
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         assert_eq!(g.num_edges(), 4);
         assert!(g.is_symmetric());
     }
@@ -198,19 +195,19 @@ mod tests {
     fn edges_from_iterator() {
         let g = GraphBuilder::new(4)
             .edges((0..3).map(|i| (i, i + 1)))
-            .build();
+            .build()
+            .unwrap();
         assert_eq!(g.num_edges(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_edges() {
-        let _ = GraphBuilder::new(1).edge(0, 1).build();
+        assert!(GraphBuilder::new(1).edge(0, 1).build().is_err());
     }
 
     #[test]
     fn try_build_reports_out_of_range_edges() {
-        let err = GraphBuilder::new(1).edge(0, 7).try_build().unwrap_err();
+        let err = GraphBuilder::new(1).edge(0, 7).build().unwrap_err();
         assert_eq!(
             err,
             GraphError::EndpointOutOfRange {
@@ -219,6 +216,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("out of range"));
-        assert!(GraphBuilder::new(2).edge(0, 1).try_build().is_ok());
+        assert!(GraphBuilder::new(2).edge(0, 1).build().is_ok());
     }
 }

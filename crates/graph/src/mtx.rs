@@ -242,7 +242,7 @@ pub fn read_mtx<R: BufRead>(reader: R) -> Result<Csr, ParseMtxError> {
             found: seen,
         });
     }
-    Ok(builder.build())
+    builder.build().map_err(|e| malformed(e.to_string()))
 }
 
 /// A stream is a duplicate flood once most of its entries are repeats
@@ -316,7 +316,8 @@ mod tests {
         let g = crate::GraphBuilder::new(5)
             .edges([(0, 1), (1, 2), (2, 3), (3, 4)])
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let mut buf = Vec::new();
         write_mtx(&g, &mut buf).unwrap();
         let g2 = read_mtx(&buf[..]).unwrap();

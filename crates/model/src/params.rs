@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn from_system_copies_geometry() {
-        let sys = SystemParams::default().scaled_caches(0.5);
+        let sys = SystemParams::default().scaled_caches(0.5).unwrap();
         let p = MetricParams::from_system(&sys);
         assert_eq!(p.l1_kb, 16.0);
         assert_eq!(p.l2_kb, 2048.0);

@@ -107,7 +107,8 @@ mod tests {
         let g = GraphBuilder::new(512)
             .edges((0..511u32).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build();
+            .build()
+            .unwrap();
         let p = GraphProfile::measure(&g, &MetricParams::default());
         assert_eq!(p.vertices, 512);
         assert_eq!(p.edges, 1022);

@@ -41,7 +41,7 @@ proptest! {
     /// average degree.
     #[test]
     fn reuse_is_bounded((n, edges) in edge_lists(1024)) {
-        let g = GraphBuilder::new(n).edges(edges).symmetric(true).build();
+        let g = GraphBuilder::new(n).edges(edges).symmetric(true).build().unwrap();
         let r = reuse(&g, &MetricParams::default());
         prop_assert!((0.0..=1.0).contains(&r.reuse), "reuse = {}", r.reuse);
         if g.num_edges() > 0 {
@@ -53,7 +53,7 @@ proptest! {
     /// The Imbalance metric is a fraction of thread blocks.
     #[test]
     fn imbalance_is_a_fraction((n, edges) in edge_lists(1024)) {
-        let g = GraphBuilder::new(n).edges(edges).build();
+        let g = GraphBuilder::new(n).edges(edges).build().unwrap();
         let i = imbalance(&g, &MetricParams::default());
         prop_assert!((0.0..=1.0).contains(&i));
     }
@@ -135,7 +135,7 @@ proptest! {
     /// thresholds (internal consistency of GraphProfile).
     #[test]
     fn profile_classes_match_thresholds((n, edges) in edge_lists(512)) {
-        let g = GraphBuilder::new(n).edges(edges).symmetric(true).build();
+        let g = GraphBuilder::new(n).edges(edges).symmetric(true).build().unwrap();
         let params = MetricParams::default();
         let p = GraphProfile::measure(&g, &params);
         prop_assert_eq!(

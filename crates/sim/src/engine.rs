@@ -699,7 +699,7 @@ mod tests {
     }
 
     fn compute_kernel(threads: usize, ops: usize) -> KernelTrace {
-        KernelTrace::new(vec![vec![MicroOp::compute(2); ops]; threads], 256)
+        KernelTrace::new(vec![vec![MicroOp::compute(2); ops]; threads], 256).unwrap()
     }
 
     #[test]
@@ -718,7 +718,7 @@ mod tests {
             let threads = (0..256u64)
                 .map(|t| vec![MicroOp::load(t * 4), MicroOp::compute(4)])
                 .collect();
-            sim.run_kernel(&KernelTrace::new(threads, 256));
+            sim.run_kernel(&KernelTrace::new(threads, 256).unwrap());
             sim.finish();
         }
         let text = String::from_utf8(sink.into_inner()).expect("jsonl is utf-8");
@@ -739,7 +739,7 @@ mod tests {
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
         );
-        sim.run_kernel(&KernelTrace::new(Vec::new(), 256));
+        sim.run_kernel(&KernelTrace::new(Vec::new(), 256).unwrap());
         assert_eq!(sim.finish().total_cycles(), 0);
     }
 
@@ -856,7 +856,8 @@ mod tests {
                 .map(|t| (0..8).map(|k| MicroOp::load((t * 8 + k) * 4096)).collect())
                 .collect(),
             256,
-        );
+        )
+        .unwrap();
         let mut sim = Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0))
             .budget(SimBudget {
                 max_cycles: Some(limit),
@@ -987,7 +988,8 @@ mod tests {
         let kernel = KernelTrace::new(
             vec![vec![MicroOp::load(0x10_000), MicroOp::compute(2)]; 32],
             32,
-        );
+        )
+        .unwrap();
         let mut sim =
             Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0)).build();
         sim.run_kernel(&kernel);
@@ -1020,7 +1022,7 @@ mod tests {
             vec![MicroOp::compute(60_000), MicroOp::compute(2)];
             32
         ]);
-        let kernel = KernelTrace::new(threads, 32);
+        let kernel = KernelTrace::new(threads, 32).unwrap();
         let mut sim =
             Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0)).build();
         sim.run_kernel(&kernel);
@@ -1052,7 +1054,8 @@ mod tests {
         let atomic_kernel = KernelTrace::new(
             (0..256u64).map(|t| vec![MicroOp::atomic(t * 4)]).collect(),
             256,
-        );
+        )
+        .unwrap();
         let mut sim = Simulation::new(
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf1),
@@ -1078,11 +1081,13 @@ mod tests {
         let store_kernel = KernelTrace::new(
             (0..256u64).map(|t| vec![MicroOp::store(t * 4)]).collect(),
             256,
-        );
+        )
+        .unwrap();
         let atomic_kernel = KernelTrace::new(
             (0..256u64).map(|t| vec![MicroOp::atomic(t * 4)]).collect(),
             256,
-        );
+        )
+        .unwrap();
         let run = |c: CoherenceKind| {
             let mut sim = Simulation::new(SystemParams::default(), hw(c, ConsistencyModel::Drf1));
             sim.run_kernel(&store_kernel);
@@ -1112,7 +1117,7 @@ mod scheduler_tests {
         let threads: Vec<Vec<MicroOp>> = (0..512u64)
             .map(|t| (0..16).map(|k| MicroOp::store((t * 16 + k) * 4)).collect())
             .collect();
-        let kernel = KernelTrace::new(threads, 256);
+        let kernel = KernelTrace::new(threads, 256).unwrap();
         let params = SystemParams {
             scheduler: policy,
             l1_bytes: 4096,

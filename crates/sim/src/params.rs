@@ -174,18 +174,11 @@ impl SystemParams {
     /// classification compares working-set size against cache capacity,
     /// so scaling both by the same factor preserves every class.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `factor` is not positive and finite. Prefer
-    /// [`SystemParams::try_scaled_caches`] on paths that must not panic.
-    pub fn scaled_caches(self, factor: f64) -> Self {
-        self.try_scaled_caches(factor)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`SystemParams::scaled_caches`]: rejects
-    /// non-finite or non-positive factors instead of panicking.
-    pub fn try_scaled_caches(mut self, factor: f64) -> Result<Self, ParamsError> {
+    /// Returns [`ParamsError::BadScale`] if `factor` is not positive and
+    /// finite.
+    pub fn scaled_caches(mut self, factor: f64) -> Result<Self, ParamsError> {
         if !(factor.is_finite() && factor > 0.0) {
             return Err(ParamsError::BadScale(factor));
         }
@@ -329,7 +322,7 @@ impl SystemParamsBuilder {
     pub fn build(self) -> Result<SystemParams, ParamsError> {
         self.params.validate()?;
         match self.scale {
-            Some(factor) => self.params.try_scaled_caches(factor),
+            Some(factor) => self.params.scaled_caches(factor),
             None => Ok(self.params),
         }
     }
@@ -364,14 +357,14 @@ mod tests {
 
     #[test]
     fn scaling_shrinks_caches_proportionally() {
-        let p = SystemParams::default().scaled_caches(0.125);
+        let p = SystemParams::default().scaled_caches(0.125).unwrap();
         assert_eq!(p.l1_bytes, 4 * 1024);
         assert_eq!(p.l2_bytes, 512 * 1024);
     }
 
     #[test]
     fn scaling_never_drops_below_one_set() {
-        let p = SystemParams::default().scaled_caches(1e-9);
+        let p = SystemParams::default().scaled_caches(1e-9).unwrap();
         assert!(p.l1_bytes >= (p.line_bytes * p.l1_assoc) as u64);
         assert!(p.l2_bytes >= (p.line_bytes * p.l2_assoc * p.l2_banks) as u64);
     }
@@ -382,19 +375,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
     fn scaling_rejects_zero() {
-        let _ = SystemParams::default().scaled_caches(0.0);
+        assert!(SystemParams::default().scaled_caches(0.0).is_err());
     }
 
     #[test]
     fn try_scaled_caches_reports_bad_factors() {
         assert_eq!(
-            SystemParams::default().try_scaled_caches(0.0),
+            SystemParams::default().scaled_caches(0.0),
             Err(ParamsError::BadScale(0.0))
         );
-        assert!(SystemParams::default().try_scaled_caches(f64::NAN).is_err());
-        assert!(SystemParams::default().try_scaled_caches(0.5).is_ok());
+        assert!(SystemParams::default().scaled_caches(f64::NAN).is_err());
+        assert!(SystemParams::default().scaled_caches(0.5).is_ok());
     }
 
     #[test]

@@ -101,9 +101,10 @@ impl MicroOp {
 /// use ggs_sim::trace::{KernelTrace, MicroOp};
 ///
 /// let threads = vec![vec![MicroOp::load(0)], vec![MicroOp::compute(4)]];
-/// let k = KernelTrace::new(threads, 256);
+/// let k = KernelTrace::new(threads, 256)?;
 /// assert_eq!(k.num_threads(), 2);
 /// assert_eq!(k.num_blocks(), 1);
+/// # Ok::<(), ggs_sim::params::ParamsError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
@@ -117,17 +118,11 @@ pub struct KernelTrace {
 impl KernelTrace {
     /// Creates a kernel trace.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `tb_size` is zero. Prefer [`KernelTrace::try_new`] on
-    /// paths that must not panic.
-    pub fn new(threads: Vec<Vec<MicroOp>>, tb_size: u32) -> Self {
-        Self::try_new(threads, tb_size).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`KernelTrace::new`]: rejects a zero
-    /// `tb_size` instead of panicking.
-    pub fn try_new(
+    /// Returns [`ParamsError::NonPositive`](crate::params::ParamsError)
+    /// if `tb_size` is zero.
+    pub fn new(
         threads: Vec<Vec<MicroOp>>,
         tb_size: u32,
     ) -> Result<Self, crate::params::ParamsError> {
@@ -285,7 +280,7 @@ mod tests {
 
     #[test]
     fn block_count_rounds_up() {
-        let k = KernelTrace::new(vec![Vec::new(); 257], 256);
+        let k = KernelTrace::new(vec![Vec::new(); 257], 256).unwrap();
         assert_eq!(k.num_blocks(), 2);
     }
 
@@ -320,19 +315,19 @@ mod tests {
         let k = KernelTrace::new(
             vec![vec![MicroOp::compute(1); 3], vec![MicroOp::compute(1); 2]],
             128,
-        );
+        )
+        .unwrap();
         assert_eq!(k.total_ops(), 5);
     }
 
     #[test]
-    #[should_panic(expected = "tb_size")]
     fn zero_tb_size_rejected() {
-        let _ = KernelTrace::new(Vec::new(), 0);
+        assert!(KernelTrace::new(Vec::new(), 0).is_err());
     }
 
     #[test]
     fn try_new_reports_zero_tb_size() {
-        assert!(KernelTrace::try_new(Vec::new(), 0).is_err());
-        assert!(KernelTrace::try_new(Vec::new(), 1).is_ok());
+        assert!(KernelTrace::new(Vec::new(), 0).is_err());
+        assert!(KernelTrace::new(Vec::new(), 1).is_ok());
     }
 }

@@ -11,7 +11,7 @@ use ggs_sim::stats::{StallBreakdown, StallClass};
 use ggs_sim::trace::{KernelTrace, MicroOp};
 
 fn small_params() -> SystemParams {
-    SystemParams::default().scaled_caches(0.125)
+    SystemParams::default().scaled_caches(0.125).unwrap()
 }
 
 /// Strategy: a small kernel of arbitrary mixed micro-ops.
@@ -24,7 +24,7 @@ fn kernels() -> impl Strategy<Value = KernelTrace> {
         (1u16..8).prop_map(MicroOp::compute),
     ];
     let thread = prop::collection::vec(op, 0..12);
-    prop::collection::vec(thread, 1..200).prop_map(|threads| KernelTrace::new(threads, 64))
+    prop::collection::vec(thread, 1..200).prop_map(|threads| KernelTrace::new(threads, 64).unwrap())
 }
 
 proptest! {

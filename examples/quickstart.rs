@@ -21,7 +21,7 @@ fn main() -> Result<(), GgsError> {
                 .filter(|&(a, b)| a != b),
         )
         .symmetric(true)
-        .try_build()?;
+        .build()?;
     println!(
         "graph: {} vertices, {} directed edges",
         graph.num_vertices(),

@@ -27,15 +27,19 @@ fn main() -> Result<(), GgsError> {
         profile.class_code()
     );
     let configs = SystemConfig::all_for(app.algo_profile().traversal);
-    let sweep = WorkloadSweep::try_run(app, preset.mnemonic(), &graph, &configs, &spec)?;
+    let sweep = WorkloadSweep::run(
+        app,
+        preset.mnemonic(),
+        &graph,
+        &configs,
+        &spec,
+        Tracer::off(),
+    )?;
 
     let baseline = baseline_config(app);
-    let best = sweep
-        .try_best()
-        .unwrap_or_else(|| die("sweep is empty"))
-        .config;
+    let best = sweep.best().unwrap_or_else(|| die("sweep is empty")).config;
     println!("{:>6} {:>12} {:>10}  ", "config", "cycles", "vs base");
-    for (config, norm) in sweep.try_normalized_to(baseline)? {
+    for (config, norm) in sweep.normalized_to(baseline)? {
         let cycles = sweep
             .result_for(config)
             .map(|r| r.stats.total_cycles())
@@ -51,7 +55,7 @@ fn main() -> Result<(), GgsError> {
     println!(
         "\nmodel prediction {} runs within {:.1}% of the empirical best",
         predicted.code(),
-        sweep.try_slowdown_vs_best(predicted)? * 100.0
+        sweep.slowdown_vs_best(predicted)? * 100.0
     );
     Ok(())
 }

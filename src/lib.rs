@@ -23,7 +23,7 @@ pub use ggs_trace as trace;
 /// let graph = GraphBuilder::new(512)
 ///     .edges((0..511).map(|i| (i, i + 1)))
 ///     .symmetric(true)
-///     .try_build()?;
+///     .build()?;
 /// let spec = ExperimentSpec::builder().scale(0.05).build()?;
 /// let config: SystemConfig = "SGR".parse()?;
 /// let stats = run_workload(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)?;
@@ -36,6 +36,7 @@ pub mod prelude {
     pub use ggs_core::experiment::{
         run_workload, run_workload_profiled, ExperimentSpec, ExperimentSpecBuilder,
     };
+    pub use ggs_core::runner::{run_study, StudyOptions};
     pub use ggs_core::study::{ConfigSet, Study, WorkloadReport};
     pub use ggs_core::sweep::{baseline_config, figure5_configs, WorkloadSweep};
     pub use ggs_graph::synth::{GraphPreset, SynthConfig};

@@ -49,12 +49,15 @@ fn bad_inputs_surface_as_typed_errors_across_the_api() {
     assert!("XYZ".parse::<GraphPreset>().is_err());
     // Experiment specs.
     assert!(ExperimentSpec::builder().scale(-1.0).build().is_err());
-    assert!(ExperimentSpec::try_at_scale(f64::INFINITY).is_err());
+    assert!(ExperimentSpec::builder()
+        .scale(f64::INFINITY)
+        .build()
+        .is_err());
     // System parameters.
     assert!(SystemParams::builder().line_bytes(48).build().is_err());
     assert!(SystemParams::builder().build().is_ok());
     // Graph construction.
-    assert!(GraphBuilder::new(4).edge(0, 9).try_build().is_err());
+    assert!(GraphBuilder::new(4).edge(0, 9).build().is_err());
 }
 
 #[test]
@@ -65,7 +68,7 @@ fn prelude_covers_the_experiment_workflow() {
         let graph = GraphBuilder::new(256)
             .edges((0..255).map(|i| (i, i + 1)))
             .symmetric(true)
-            .try_build()?;
+            .build()?;
         let spec = ExperimentSpec::builder().scale(0.02).build()?;
         let profile = GraphProfile::measure(&graph, &spec.metric_params());
         let config = predict_full(&AppKind::Pr.algo_profile(), &profile);

@@ -45,17 +45,18 @@ fn sweep_covers_every_figure5_config() {
     let spec = ExperimentSpec::at_scale(SCALE);
     for app in AppKind::ALL {
         let configs = figure5_configs(app);
-        let sweep = WorkloadSweep::run(app, "DCT", &graph, &configs, &spec);
+        let sweep = WorkloadSweep::run(app, "DCT", &graph, &configs, &spec, Tracer::off())
+            .expect("Figure 5 configs are supported");
         assert_eq!(sweep.results.len(), configs.len());
         let baseline = baseline_config(app);
-        let norm = sweep.normalized_to(baseline);
+        let norm = sweep.normalized_to(baseline).expect("baseline swept");
         let base = norm
             .iter()
             .find(|(c, _)| *c == baseline)
             .expect("baseline present");
         assert!((base.1 - 1.0).abs() < 1e-12);
         // Best is no slower than any swept configuration.
-        let best = sweep.best().stats.total_cycles();
+        let best = sweep.best().expect("non-empty sweep").stats.total_cycles();
         for r in &sweep.results {
             assert!(r.stats.total_cycles() >= best);
         }
@@ -84,7 +85,8 @@ fn custom_graphs_work_through_the_same_api() {
                 .filter(|&(a, b)| a != b),
         )
         .symmetric(true)
-        .build();
+        .build()
+        .unwrap();
     let spec = ExperimentSpec::at_scale(SCALE);
     let profile = GraphProfile::measure(&graph, &spec.metric_params());
     for app in AppKind::ALL {
