@@ -195,7 +195,7 @@ pub fn run_workload(
         graph,
         regions: false,
     };
-    let (stats, _) = simulate(app, config, kernels, spec, tracer, deadline, |_, _| {})?;
+    let (stats, _) = simulate(app, config, kernels, spec, tracer, deadline)?;
     Ok(stats)
 }
 
@@ -218,7 +218,7 @@ pub fn run_workload_profiled(
         graph,
         regions: true,
     };
-    simulate(app, config, kernels, spec, tracer, deadline, |_, _| {})
+    simulate(app, config, kernels, spec, tracer, deadline)
 }
 
 /// Materializes the kernel stream of `(app, graph, prop, tb_size)` —
@@ -263,12 +263,12 @@ pub fn run_stream_budgeted(
     deadline: Option<Instant>,
 ) -> Result<ExecStats, GgsError> {
     let kernels = Kernels::Cached(stream);
-    let (stats, _) = simulate(app, config, kernels, spec, tracer, deadline, |_, _| {})?;
+    let (stats, _) = simulate(app, config, kernels, spec, tracer, deadline)?;
     Ok(stats)
 }
 
 /// Where [`simulate`] takes its kernels from.
-pub(crate) enum Kernels<'a> {
+enum Kernels<'a> {
     /// Generated lazily from `(app, graph)` — the fused functional and
     /// timing run. `regions` registers the workload's address map for
     /// per-array attribution.
@@ -280,16 +280,14 @@ pub(crate) enum Kernels<'a> {
 /// The consumer loop behind every run function: builds the
 /// [`Simulation`] for `config` under the spec's budget merged with
 /// `deadline`, feeds it `kernels` until the budget trips, and maps a
-/// breach to [`GgsError`]. `on_kernel` runs before each kernel that is
-/// launched (the adaptive runner reconfigures the hardware there).
-pub(crate) fn simulate<'t>(
+/// breach to [`GgsError`].
+fn simulate(
     app: AppKind,
     config: SystemConfig,
     kernels: Kernels<'_>,
     spec: &ExperimentSpec,
-    tracer: Tracer<'t>,
+    tracer: Tracer<'_>,
     deadline: Option<Instant>,
-    mut on_kernel: impl FnMut(&mut Simulation<'t>, &KernelTrace),
 ) -> Result<(ExecStats, Vec<(String, RegionStats)>), GgsError> {
     check_supported(app, config)?;
     let mut budget = spec.budget;
@@ -298,12 +296,6 @@ pub(crate) fn simulate<'t>(
         .tracer(tracer)
         .budget(budget);
     let started = Instant::now();
-    let mut feed = |sim: &mut Simulation<'t>, kernel: &KernelTrace| {
-        if !sim.budget_exhausted() {
-            on_kernel(sim, kernel);
-            sim.run_kernel(kernel);
-        }
-    };
     let sim = match kernels {
         Kernels::Generate { graph, regions } => {
             let graph = weighted(app, graph);
@@ -315,7 +307,7 @@ pub(crate) fn simulate<'t>(
             }
             let mut sim = builder.build();
             workload.generate(config.propagation, spec.params.tb_size, &mut |kernel| {
-                feed(&mut sim, kernel)
+                sim.run_kernel(kernel)
             });
             sim
         }
@@ -325,7 +317,7 @@ pub(crate) fn simulate<'t>(
                 if sim.budget_exhausted() {
                     break;
                 }
-                feed(&mut sim, kernel);
+                sim.run_kernel(kernel);
             }
             sim
         }
@@ -368,7 +360,6 @@ fn check_supported(app: AppKind, config: SystemConfig) -> Result<(), GgsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::run_adaptive;
     use ggs_graph::GraphBuilder;
     use ggs_sim::MicroOp;
 
@@ -431,39 +422,51 @@ mod tests {
         assert_eq!(spec.params, params);
     }
 
+    /// Runs PR/SGR on [`graph`] through every public run path and
+    /// returns each path's error; a path that succeeds ignored the
+    /// limit under test.
+    fn errors_on_every_path(
+        spec: &ExperimentSpec,
+        deadline: Option<Instant>,
+    ) -> Vec<(&'static str, GgsError)> {
+        let g = graph();
+        let cfg: SystemConfig = "SGR".parse().unwrap();
+        let stream = produce_trace_stream(AppKind::Pr, &g, cfg.propagation, spec.params.tb_size);
+        let off = Tracer::off;
+        [
+            (
+                "fused",
+                run_workload(AppKind::Pr, &g, cfg, spec, off(), deadline).err(),
+            ),
+            (
+                "profiled",
+                run_workload_profiled(AppKind::Pr, &g, cfg, spec, off(), deadline).err(),
+            ),
+            (
+                "stream",
+                run_stream_budgeted(&stream, AppKind::Pr, cfg, spec, off(), deadline).err(),
+            ),
+        ]
+        .into_iter()
+        .map(|(path, err)| {
+            (
+                path,
+                err.unwrap_or_else(|| panic!("{path} run ignored the limit")),
+            )
+        })
+        .collect()
+    }
+
     #[test]
     fn budgeted_run_reports_kernel_budget_breach_as_timeout() {
         // Every public run path honors the spec's budget, not only the
         // ones that also take a deadline.
-        let g = graph();
         let spec = ExperimentSpec::builder()
             .scale(0.05)
             .max_kernels(1)
             .build()
             .unwrap();
-        let cfg: SystemConfig = "SGR".parse().unwrap();
-        let stream = produce_trace_stream(AppKind::Pr, &g, cfg.propagation, spec.params.tb_size);
-        let off = Tracer::off;
-        let paths = [
-            (
-                "fused",
-                run_workload(AppKind::Pr, &g, cfg, &spec, off(), None).err(),
-            ),
-            (
-                "profiled",
-                run_workload_profiled(AppKind::Pr, &g, cfg, &spec, off(), None).err(),
-            ),
-            (
-                "stream",
-                run_stream_budgeted(&stream, AppKind::Pr, cfg, &spec, off(), None).err(),
-            ),
-            (
-                "adaptive",
-                run_adaptive(AppKind::Pr, &g, &spec, off(), None).err(),
-            ),
-        ];
-        for (path, err) in paths {
-            let err = err.unwrap_or_else(|| panic!("{path} run ignored the kernel budget"));
+        for (path, err) in errors_on_every_path(&spec, None) {
             assert!(matches!(err, GgsError::Budget(_)), "{path}: {err}");
             assert!(err.is_timeout() && !err.is_retryable(), "{path}");
             assert!(
@@ -474,15 +477,31 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_run_reports_cycle_budget_breach_as_timeout() {
+        // The spec's simulated-cycle cap reaches the engine on every
+        // public run path and surfaces as a typed budget error.
+        let spec = ExperimentSpec::builder()
+            .scale(0.05)
+            .max_sim_cycles(1)
+            .build()
+            .unwrap();
+        for (path, err) in errors_on_every_path(&spec, None) {
+            assert!(matches!(err, GgsError::Budget(_)), "{path}: {err}");
+            assert!(err.is_timeout() && !err.is_retryable(), "{path}");
+            assert!(err.to_string().contains("cycle budget"), "{path}: {err}");
+        }
+    }
+
+    #[test]
     fn budgeted_run_honors_wall_clock_deadline() {
-        let g = graph();
+        // A deadline passed as an argument (not carried by the spec)
+        // stops every public run path.
         let spec = ExperimentSpec::at_scale(0.05);
         let deadline = Instant::now() - std::time::Duration::from_millis(1);
-        let cfg = "SGR".parse().unwrap();
-        let err =
-            run_workload(AppKind::Pr, &g, cfg, &spec, Tracer::off(), Some(deadline)).unwrap_err();
-        assert!(matches!(err, GgsError::Deadline { .. }), "{err}");
-        assert!(err.is_timeout());
+        for (path, err) in errors_on_every_path(&spec, Some(deadline)) {
+            assert!(matches!(err, GgsError::Deadline { .. }), "{path}: {err}");
+            assert!(err.is_timeout(), "{path}");
+        }
     }
 
     #[test]

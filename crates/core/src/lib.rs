@@ -16,9 +16,6 @@
 //! * [`study::Study`] — the full 36-workload × configurations study
 //!   behind Figures 5–6 and the Table V accuracy evaluation, runnable
 //!   in parallel.
-//! * [`adaptive::run_adaptive`] — the paper's §VIII outlook: per-kernel
-//!   hardware reconfiguration driven by runtime metrics on flexible
-//!   (Spandex-style) hardware.
 //!
 //! # Example
 //!
@@ -43,7 +40,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod error;
 pub mod experiment;
 pub mod json;

@@ -163,15 +163,6 @@ pub fn predict_full(algo: &AlgoProfile, graph: &GraphProfile) -> SystemConfig {
 }
 
 /// The secondary (coherence + consistency) decision for a push
-/// implementation (Figure 4, right half), exposed separately so
-/// adaptive systems can re-evaluate the *hardware* half per kernel with
-/// runtime-updated volume/imbalance classes while the propagation
-/// choice stays fixed (the paper's §VI outlook).
-pub fn push_hardware(graph: &GraphProfile) -> ggs_sim::HwConfig {
-    push_config(graph).hw()
-}
-
-/// The secondary (coherence + consistency) decision for a push
 /// implementation (Figure 4, right half).
 fn push_config(graph: &GraphProfile) -> SystemConfig {
     let coherence = if graph.reuse_class.at_most_medium() || graph.volume == Level::High {
@@ -418,7 +409,7 @@ mod tests {
             // point, with the push sub-tree's hardware half.
             let h = predict_hybrid(&sssp(), &g).expect("SSSP is frontier-driven");
             assert_eq!(h.propagation, Propagation::Hybrid);
-            assert_eq!(h.hw(), push_hardware(&g));
+            assert_eq!(h.hw(), push_config(&g).hw());
             // Symmetric control and dynamic traversal have no frontier.
             assert_eq!(predict_hybrid(&pr(), &g), None);
             assert_eq!(predict_hybrid(&mis(), &g), None);
@@ -490,21 +481,6 @@ mod exhaustive_tests {
                     if b.propagation == Propagation::Push {
                         assert_eq!(a.hw(), b.hw(), "classes {v:?}/{r:?}/{i:?}");
                     }
-                }
-            }
-        }
-    }
-
-    /// `push_hardware` agrees with the full tree's hardware half on
-    /// every class combination (the adaptive path cannot diverge).
-    #[test]
-    fn push_hardware_matches_full_tree() {
-        let src = AlgoProfile::new_static(AlgoBias::Source, AlgoBias::Source);
-        for v in all_levels() {
-            for r in all_levels() {
-                for i in all_levels() {
-                    let g = GraphProfile::from_classes(v, r, i);
-                    assert_eq!(push_hardware(&g), predict_full(&src, &g).hw());
                 }
             }
         }

@@ -323,16 +323,6 @@ impl<'t> Simulation<'t> {
         self.mem.region_stats()
     }
 
-    /// Reconfigures the hardware point between kernels (flexible
-    /// coherence/consistency hardware, as the paper's Spandex-based
-    /// outlook envisions). Takes effect from the next
-    /// [`Simulation::run_kernel`] call; switching coherence protocols
-    /// relinquishes DeNovo ownership state.
-    pub fn reconfigure(&mut self, hw: HwConfig) {
-        self.hw = hw;
-        self.mem.reconfigure(hw);
-    }
-
     /// The system parameters under simulation.
     pub fn params(&self) -> &SystemParams {
         &self.params
@@ -1047,33 +1037,6 @@ mod tests {
         // Busy cycles equal the total number of issued warp instructions:
         // 64 blocks x 8 warps x 2 slots.
         assert_eq!(stats.breakdown.get(StallClass::Busy), 64 * 8 * 2);
-    }
-
-    #[test]
-    fn reconfigure_between_kernels_changes_behavior() {
-        let atomic_kernel = KernelTrace::new(
-            (0..256u64).map(|t| vec![MicroOp::atomic(t * 4)]).collect(),
-            256,
-        )
-        .unwrap();
-        let mut sim = Simulation::new(
-            SystemParams::default(),
-            hw(CoherenceKind::Gpu, ConsistencyModel::Drf1),
-        );
-        sim.run_kernel(&atomic_kernel);
-        let gpu_atomics_first = sim.stats().mem.l2_atomics;
-        assert!(gpu_atomics_first > 0);
-        sim.reconfigure(hw(CoherenceKind::DeNovo, ConsistencyModel::Drf1));
-        sim.run_kernel(&atomic_kernel);
-        let stats = sim.finish();
-        assert!(
-            stats.mem.l1_atomics > 0,
-            "DeNovo kernel executed L1 atomics"
-        );
-        assert_eq!(
-            stats.mem.l2_atomics, gpu_atomics_first,
-            "no further L2 atomics after switching to DeNovo"
-        );
     }
 
     #[test]

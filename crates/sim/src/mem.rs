@@ -258,23 +258,6 @@ pub struct MemorySystem<'t> {
     /// unowned). Invariant: a line is registered here iff it is resident
     /// `Owned` in that SM's L1.
     owner: Vec<u32>,
-    /// Line ids each SM currently owns, maintained incrementally so
-    /// relinquishing all ownership (reconfigure, audits) never scans the
-    /// whole registry. Removal is swap-remove via `owned_pos`.
-    ///
-    /// Because registration is tied to L1 residency (evicting or
-    /// invalidating an `Owned` line unregisters it synchronously), each
-    /// list is bounded by the SM's L1 line capacity — it never grows
-    /// with the graph, only with the cache ([`owned_list_add`]
-    /// debug-asserts the bound).
-    ///
-    /// [`owned_list_add`]: MemorySystem::owned_list_add
-    owned_by_sm: Vec<Vec<u32>>,
-    /// L1 line capacity per SM, bounding each `owned_by_sm` list.
-    l1_capacity_lines: usize,
-    /// Position of each owned line id within its owner's
-    /// `owned_by_sm` list (meaningless while unowned).
-    owned_pos: Vec<u32>,
     /// Per-bank next-free time (service occupancy / contention).
     bank_free: Vec<u64>,
     /// Dense ids for atomically-accessed word addresses.
@@ -346,7 +329,6 @@ impl<'t> MemorySystem<'t> {
                 )
             })
             .collect();
-        let l1_capacity_lines = l1.first().map_or(1, Cache::capacity_lines);
         Self {
             hw,
             mesh: Mesh::new(params),
@@ -365,9 +347,6 @@ impl<'t> MemorySystem<'t> {
             ),
             lines: IdTable::default(),
             owner: Vec::new(),
-            owned_by_sm: vec![Vec::new(); n],
-            l1_capacity_lines,
-            owned_pos: Vec::new(),
             bank_free: vec![0; params.l2_banks as usize],
             words: IdTable::default(),
             atomic_chain: Vec::new(),
@@ -487,43 +466,6 @@ impl<'t> MemorySystem<'t> {
         self.hw
     }
 
-    /// Reconfigures the hardware point (flexible hardware in the spirit
-    /// of Spandex, which the paper points to as the mechanism an
-    /// adaptive system would use). Switching away from DeNovo coherence
-    /// relinquishes all L1 ownership: owned lines are written back to
-    /// the L2 and the ownership registry is cleared.
-    pub fn reconfigure(&mut self, hw: HwConfig) {
-        if hw.coherence != self.hw.coherence {
-            let mut owned: Vec<(u64, u32)> = self
-                .owned_by_sm
-                .iter()
-                .enumerate()
-                .flat_map(|(sm, ids)| ids.iter().map(move |&id| (id, sm as u32)))
-                .map(|(id, sm)| (self.lines.key(id), sm))
-                .collect();
-            // Deterministic writeback order regardless of registry
-            // iteration order.
-            owned.sort_unstable();
-            for (line, sm) in owned {
-                self.l1[sm as usize].invalidate(line);
-                // The relinquished line moves L1 -> L2; if the fill
-                // displaces an L2 victim, that victim is written back to
-                // memory. Both are line-sized NoC payloads.
-                self.counters.noc_line_transfers += 1;
-                if let Some(ev) = self.l2.insert(line, LineState::Valid) {
-                    debug_assert_eq!(ev.state, LineState::Valid, "the L2 never holds Owned lines");
-                    self.counters.noc_line_transfers += 1;
-                }
-            }
-            self.owner.fill(NO_OWNER);
-            for list in &mut self.owned_by_sm {
-                list.clear();
-            }
-            self.owner_epoch += 1;
-        }
-        self.hw = hw;
-    }
-
     #[inline]
     fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
@@ -545,7 +487,6 @@ impl<'t> MemorySystem<'t> {
         let id = self.lines.intern(line);
         if self.owner.len() <= id as usize {
             self.owner.resize(id as usize + 1, NO_OWNER);
-            self.owned_pos.resize(id as usize + 1, 0);
             self.owner_chain.resize(id as usize + 1, (0, 0));
         }
         id
@@ -571,45 +512,13 @@ impl<'t> MemorySystem<'t> {
 
     /// The registered owner of `line` on the access hot path. Under GPU
     /// coherence the registry is provably empty (registrations only
-    /// happen under DeNovo, and switching away relinquishes them), so
-    /// the lookup is skipped entirely.
+    /// happen under DeNovo, and the hardware point is fixed at
+    /// construction), so the lookup is skipped entirely.
     #[inline]
     fn owner_of(&self, line: u64) -> Option<u32> {
         match self.hw.coherence {
             CoherenceKind::Gpu => None,
             CoherenceKind::DeNovo => self.registered_owner(line),
-        }
-    }
-
-    fn owned_list_add(&mut self, sm: u32, id: u32) {
-        self.owned_pos[id as usize] = self.owned_by_sm[sm as usize].len() as u32;
-        self.owned_by_sm[sm as usize].push(id);
-        // Registration implies L1 residency, so the list can never
-        // outgrow the cache (see the `owned_by_sm` field docs). The +1
-        // covers the just-registered line: its L1 fill (which evicts
-        // and unregisters any displaced owned line) happens right after
-        // this call.
-        debug_assert!(
-            self.owned_by_sm[sm as usize].len() <= self.l1_capacity_lines + 1,
-            "SM {sm} owned-line list exceeded its L1 capacity"
-        );
-    }
-
-    fn owned_list_remove(&mut self, sm: u32, id: u32) {
-        let pos = self.owned_pos[id as usize] as usize;
-        let list = &mut self.owned_by_sm[sm as usize];
-        list.swap_remove(pos);
-        if let Some(&moved) = list.get(pos) {
-            self.owned_pos[moved as usize] = pos as u32;
-        }
-    }
-
-    /// Drops `id`'s registry entry (if any) without touching any L1.
-    fn unregister(&mut self, id: u32) {
-        let prev = self.owner[id as usize];
-        if prev != NO_OWNER {
-            self.owner[id as usize] = NO_OWNER;
-            self.owned_list_remove(prev, id);
         }
     }
 
@@ -661,7 +570,7 @@ impl<'t> MemorySystem<'t> {
         if let Some(ev) = ev {
             if ev.state == LineState::Owned {
                 if let Some(id) = self.lines.get(ev.line) {
-                    self.unregister(id);
+                    self.owner[id as usize] = NO_OWNER;
                 }
                 self.l2.insert(ev.line, LineState::Valid);
                 let bank = self.bank_of(ev.line);
@@ -677,7 +586,6 @@ impl<'t> MemorySystem<'t> {
         let prev = self.owner[id as usize];
         if prev != NO_OWNER {
             self.owner[id as usize] = NO_OWNER;
-            self.owned_list_remove(prev, id);
             self.l1[prev as usize].invalidate(self.lines.key(id));
         }
     }
@@ -837,7 +745,6 @@ impl<'t> MemorySystem<'t> {
         self.counters.noc_control_messages += 2; // request + ack
         self.revoke_owner(id);
         self.owner[id as usize] = sm;
-        self.owned_list_add(sm, id);
         self.l1_fill(sm, line, LineState::Owned, at);
         self.store_buf[sm as usize].push(complete_at);
         complete_at
@@ -990,11 +897,9 @@ impl MemorySystem<'_> {
         if self.checker.is_none() {
             return;
         }
-        let mut lines: Vec<u64> = self
-            .owned_by_sm
-            .iter()
-            .flatten()
-            .map(|&id| self.lines.key(id))
+        let mut lines: Vec<u64> = (0..self.owner.len() as u32)
+            .filter(|&id| self.owner[id as usize] != NO_OWNER)
+            .map(|id| self.lines.key(id))
             .collect();
         for l1 in &self.l1 {
             lines.extend(l1.resident_lines().map(|(line, _)| line));
@@ -1506,6 +1411,25 @@ mod check_tests {
     }
 
     #[test]
+    fn audit_flags_registry_entry_without_owned_l1_copy() {
+        // The registry still names SM 0 after its L1 copy vanished
+        // behind the protocol's back: only a registry-driven audit can
+        // find the line, since no L1 holds it any more.
+        let mut m = mem(CoherenceKind::DeNovo);
+        let s = m.store(0, 0x100, 0);
+        let line = 0x100 >> 6;
+        m.l1[0].invalidate(line);
+        m.audit(s.complete_at);
+        let violations = m.take_protocol_violations();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.kind == InvariantKind::OwnerMapMismatch && v.sm == 0 && v.line == line),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
     fn double_ownership_breaks_swmr() {
         let mut m = mem(CoherenceKind::DeNovo);
         let a = m.store(0, 0x100, 0); // SM 0 legitimately owns the line
@@ -1616,51 +1540,5 @@ mod traffic_tests {
         let mut m = mem(CoherenceKind::Gpu);
         m.store(0, 0x200, 0);
         assert_eq!(m.counters.noc_line_transfers, 1);
-    }
-
-    #[test]
-    fn reconfigure_away_from_denovo_drops_ownership() {
-        let mut m = mem(CoherenceKind::DeNovo);
-        m.store(0, 0x300, 0); // owns the line
-        m.reconfigure(HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::Drf0));
-        // Under GPU coherence the same address must now behave like an
-        // unowned line: an atomic goes to the L2 (control traffic).
-        let before = m.counters.noc_control_messages;
-        m.atomic(1, 0x300, 100);
-        assert_eq!(m.counters.noc_control_messages, before + 2);
-        assert_eq!(m.counters.l1_atomics, 0);
-    }
-
-    #[test]
-    fn reconfigure_counts_owned_writebacks_and_l2_victims() {
-        // 1-line L2 so every reconfigure writeback displaces a victim.
-        let params = SystemParams {
-            l2_bytes: 64,
-            l2_assoc: 1,
-            ..SystemParams::default()
-        };
-        let mut m = MemorySystem::new(
-            &params,
-            HwConfig::new(CoherenceKind::DeNovo, ConsistencyModel::Drf1),
-        );
-        let s1 = m.store(0, 0x0, 0); // own line 0
-        m.store(0, 0x40, s1.complete_at + 1); // own line 1
-        let before = m.counters.noc_line_transfers;
-        m.reconfigure(HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::Drf0));
-        // Two owned lines written back to the L2, and each fill evicts
-        // the other line from the 1-line L2 (victim writeback).
-        assert_eq!(m.counters.noc_line_transfers, before + 4);
-    }
-
-    #[test]
-    fn reconfigure_within_same_coherence_keeps_ownership() {
-        let mut m = mem(CoherenceKind::DeNovo);
-        m.store(0, 0x300, 0);
-        m.reconfigure(HwConfig::new(
-            CoherenceKind::DeNovo,
-            ConsistencyModel::DrfRlx,
-        ));
-        let a = m.atomic(0, 0x300, 100);
-        assert_eq!(a.complete_at, 102, "still an owned local atomic");
     }
 }
