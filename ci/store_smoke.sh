@@ -8,7 +8,10 @@
 #      damaged cell re-simulates;
 #   4. injected lock-acquire failures are retried to success;
 #   5. two concurrent processes sharing one store complete the sweep
-#      with NO cell simulated twice.
+#      with NO cell simulated twice;
+#   6. the same, with one process compacting the store while its peer
+#      may still be claiming: still no duplicates, and a final re-run
+#      finds every cell and no corruption.
 #
 # Asserts on the repro CLI's stable summary lines and on the golden
 # JSONL trace schema (tests/golden/trace_schema.txt), not on timing.
@@ -91,5 +94,29 @@ total=$(grep -c '"type":"cell_start"' "$WORK/proc-a.jsonl")
 simulated=$(sort -u "$WORK/keys-a" "$WORK/keys-b" | wc -l)
 test "$simulated" -eq "$total"
 echo "ok: $total cells split across two processes, zero duplicates"
+
+echo "=== 6. compaction racing a peer: no duplicates, nothing lost ==="
+# Process A compacts (renames a new file into place) when its sweep
+# ends; process B's index must notice the replacement and carry on.
+"${REPRO[@]}" study --scale "$SCALE" --store "$WORK/compact.store" \
+    --lease-ttl-ms 2000 --store-compact --trace-out "$WORK/comp-a.jsonl" &
+pid_a=$!
+"${REPRO[@]}" study --scale "$SCALE" --store "$WORK/compact.store" \
+    --lease-ttl-ms 2000 --trace-out "$WORK/comp-b.jsonl" &
+pid_b=$!
+wait "$pid_a"
+wait "$pid_b"
+ok_keys "$WORK/comp-a.jsonl" > "$WORK/comp-keys-a"
+ok_keys "$WORK/comp-b.jsonl" > "$WORK/comp-keys-b"
+dups=$(sort "$WORK/comp-keys-a" "$WORK/comp-keys-b" | uniq -d)
+if [ -n "$dups" ]; then
+    echo "cells simulated twice:"
+    echo "$dups"
+    exit 1
+fi
+out=$("${REPRO[@]}" study --scale "$SCALE" --store "$WORK/compact.store")
+echo "$out" | grep -E "study: ([0-9]+) cells — 0 ok, 0 failed, 0 timeout, \1 skipped"
+echo "$out" | grep -E "store: [0-9]+ records, 0 corrupt span\(s\) \(0 bytes skipped\)"
+echo "ok: compaction raced a peer, zero duplicates, nothing lost"
 
 echo "store smoke: all checks passed"

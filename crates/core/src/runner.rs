@@ -443,8 +443,10 @@ pub fn run_study(
     let store_hash = versioned_spec_hash(&spec_hash(spec, options.configs));
     let store_report = match &options.store {
         Some(store) => {
-            // One up-front scan: surface pre-existing corruption (the
-            // per-cell claims re-read under the lock as they go).
+            // Surface pre-existing corruption up front. Opening the
+            // store already replayed it into the handle's index, so this
+            // re-reads the file without re-parsing it; per-cell claims
+            // then read only what peers append.
             let snapshot = store.load()?;
             if sink.enabled() {
                 for span in &snapshot.report.corrupt {

@@ -26,10 +26,15 @@
 //!   [`crate::runner::RetryPolicy`]); per-cell *lease* records let N
 //!   concurrent processes partition a sweep without simulating any
 //!   cell twice ([`Store::try_claim`]).
+//! * **Incremental index** — each handle keeps the file replayed into
+//!   one in-memory snapshot plus the offset it has read up to, and
+//!   catches up by reading only the bytes appended since
+//!   ([index](#the-per-handle-index)). A claim on a cell whose result
+//!   is already indexed takes no lock and does no I/O.
 //! * **Compaction** — [`Store::compact`] rewrites the store to only
-//!   the newest result per cell via write-to-temp + atomic rename, so
-//!   a crash during compaction leaves either the old or the new file,
-//!   never a hybrid.
+//!   the newest result per cell via write-to-temp (`PATH.tmp`) +
+//!   atomic rename + directory fsync, so a crash during compaction
+//!   leaves either the old or the new file, never a hybrid.
 //!
 //! # On-disk format
 //!
@@ -47,17 +52,50 @@
 //! and reports the skipped span, so one corrupt record never takes
 //! down the rest of the file.
 //!
+//! # The per-handle index
+//!
+//! Between compactions the file only grows, so a claim never needs to
+//! read a byte twice. Each handle holds, behind the same mutex that
+//! serializes its threads' lock-file critical sections:
+//!
+//! * the snapshot replayed from the file's *settled* prefix, which ends
+//!   just past the last intact frame that no later append can make scan
+//!   differently. A frame running past the end of the file, or a
+//!   corrupt span with no record magic after it, may still be
+//!   completed, so the prefix stops at the last intact frame before it
+//!   and the next catch-up reads from there again. The bytes past the
+//!   settled prefix are replayed into a separate view, so every read
+//!   reports exactly what a full scan of the file would;
+//! * the file itself, held open, with its device and inode numbers.
+//!
+//! Catching up stats the path. If it names another file (a peer's
+//! compaction renamed a new one into place) or the file is shorter than
+//! the settled prefix (a torn-tail repair or an external truncation),
+//! the index resets and rescans from the header. Otherwise only the
+//! bytes past the offset are read. Holding the old file open keeps its
+//! inode number from being reused by a replacement. [`Store::load`] and
+//! [`Store::compact`] also re-read the settled prefix and compare its
+//! FNV-1a-64 digest, so an in-place rewrite is rescanned rather than
+//! trusted. A record this handle appends is replayed straight into the
+//! index as it is written.
+//!
+//! [`Store::try_claim`] answers a cell whose result is indexed under the
+//! mutex alone: a published result is final, since the simulator is
+//! deterministic and compaction keeps the newest row. A miss takes the
+//! lock file, catches up, and then claims or reports the live lease, so
+//! lease arbitration across processes still happens under the lock.
+//!
 //! Fault injection for all of the above lives in [`StoreFaults`]; the
 //! crash-recovery guarantees are held by `crates/core/tests/store_crash.rs`
 //! and documented in `docs/robustness.md`.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::fs::{File, Metadata, OpenOptions};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::error::GgsError;
@@ -108,7 +146,13 @@ fn fnv1a32(bytes: &[u8]) -> u32 {
 /// 64-bit FNV-1a, the stable hash behind store keys and
 /// [`crate::runner::spec_hash`].
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV64_BASIS, bytes)
+}
+
+const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues a 64-bit FNV-1a hash `h` over `bytes`.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -566,8 +610,9 @@ impl fmt::Display for CompactReport {
 ///
 /// The handle is `Sync`: study worker threads share one `Store`, and
 /// independent processes open their own handles on the same path. All
-/// mutation serializes through the advisory lock file; the in-process
-/// mutex merely keeps sibling threads from thrashing the lock.
+/// mutation serializes through the advisory lock file. Sibling threads
+/// queue on the handle's index mutex, which a thread holds for as long
+/// as it holds the lock file, so they never contend for the file.
 #[derive(Debug)]
 pub struct Store {
     path: PathBuf,
@@ -575,8 +620,9 @@ pub struct Store {
     owner: u32,
     lock_retry: RetryPolicy,
     faults: StoreFaults,
-    /// Serializes lock-file acquisition among this process's threads.
-    local: Mutex<()>,
+    /// This handle's replayed view of the file; its mutex also
+    /// serializes lock-file critical sections among sibling threads.
+    index: Mutex<Index>,
 }
 
 impl Store {
@@ -610,12 +656,12 @@ impl Store {
                 jitter_seed: Some(u64::from(owner) ^ 0x9e37_79b9_7f4a_7c15),
             },
             faults,
-            local: Mutex::new(()),
+            index: Mutex::new(Index::new()),
         };
         {
-            let _lock = store.acquire_lock()?;
+            let mut lock = store.acquire_lock()?;
             store.ensure_header_locked()?;
-            store.repair_tail_locked()?;
+            store.repair_tail_locked(&mut lock)?;
         }
         Ok(store)
     }
@@ -637,15 +683,14 @@ impl Store {
     /// into a [`StoreSnapshot`]; torn/truncated/bit-flipped records
     /// are skipped and reported on `snapshot.report`. Never panics;
     /// errors only on unreadable files or a foreign/newer header.
+    ///
+    /// The result equals a full scan of the file, but only the bytes
+    /// appended since this handle last read are replayed
+    /// ([index](#the-per-handle-index)).
     pub fn load(&self) -> Result<StoreSnapshot, GgsError> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(StoreSnapshot::default())
-            }
-            Err(e) => return Err(GgsError::Io(e)),
-        };
-        scan(&bytes)
+        let mut index = self.lock_index();
+        index.catch_up(&self.path, true)?;
+        Ok(index.view().clone())
     }
 
     /// Publishes a completed cell result (append + flush under the
@@ -663,17 +708,24 @@ impl Store {
             graph: graph.to_owned(),
             row: row.clone(),
         };
-        let _lock = self.acquire_lock_durable()?;
-        self.append_locked(&record, true)
+        let mut lock = self.acquire_lock_durable()?;
+        self.append(&mut lock, &record, true)
     }
 
-    /// Attempts to claim cell `key` for this process: re-reads the
-    /// store under the lock, and returns the existing result, a fresh
-    /// lease, or the live competing lease. Expired leases are
-    /// reclaimed (expiry-based recovery from crashed owners).
+    /// Attempts to claim cell `key` for this process, and returns the
+    /// existing result, a fresh lease, or the live competing lease.
+    /// Expired leases are reclaimed (expiry-based recovery from crashed
+    /// owners). A result already in this handle's index is returned
+    /// without touching the file; otherwise the handle catches up with
+    /// the store under the lock and decides there.
     pub fn try_claim(&self, spec_hash: &str, key: &str, ttl: Duration) -> Result<Claim, GgsError> {
-        let _lock = self.acquire_lock()?;
-        let snapshot = self.load()?;
+        let index = self.lock_index();
+        if let Some(row) = index.view().lookup(spec_hash, key) {
+            return Ok(Claim::Done(row.clone()));
+        }
+        let mut lock = self.lock_file(index, None)?;
+        lock.index.catch_up(&self.path, false)?;
+        let snapshot = lock.index.view();
         if let Some(row) = snapshot.lookup(spec_hash, key) {
             return Ok(Claim::Done(row.clone()));
         }
@@ -690,7 +742,8 @@ impl Store {
             acquired_ms: now,
             ttl_ms: ttl.as_millis() as u64,
         };
-        self.append_locked(&record, false)?;
+        let frame = self.append_locked(&record, false)?;
+        lock.index.appended(&self.path, &frame)?;
         Ok(Claim::Claimed)
     }
 
@@ -703,20 +756,21 @@ impl Store {
             key: key.to_owned(),
             owner: self.owner,
         };
-        let _lock = self.acquire_lock()?;
-        self.append_locked(&record, false)
+        let mut lock = self.acquire_lock()?;
+        self.append(&mut lock, &record, false)
     }
 
     /// Rewrites the store to only the newest result record per cell
     /// plus any unexpired leases, dropping superseded duplicates,
     /// releases, expired leases, and corrupt spans. The rewrite goes
-    /// to a temporary sibling file, is flushed to disk, and replaces
-    /// the store by atomic rename: a crash mid-compaction leaves the
-    /// old file intact.
+    /// to the sibling file `PATH.tmp`, is flushed to disk, and replaces
+    /// the store by atomic rename, whose directory entry is flushed in
+    /// turn: a crash mid-compaction leaves the old file intact.
     pub fn compact(&self) -> Result<CompactReport, GgsError> {
-        let _lock = self.acquire_lock()?;
+        let mut lock = self.acquire_lock()?;
         let old_len = std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0);
-        let snapshot = self.load()?;
+        lock.index.catch_up(&self.path, true)?;
+        let snapshot = lock.index.view();
         let now = now_ms();
 
         let mut out = Vec::with_capacity(HEADER_LEN + snapshot.results.len() * 128);
@@ -760,21 +814,28 @@ impl Store {
             );
             live_leases += 1;
         }
-
-        let tmp = self.path.with_extension("tmp");
-        let mut file = File::create(&tmp)?;
-        file.write_all(&out)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, &self.path)?;
-
-        let total_replayed = snapshot.report.records;
-        Ok(CompactReport {
+        let report = CompactReport {
             kept_records: kept,
-            dropped_records: total_replayed - kept - live_leases,
+            dropped_records: snapshot.report.records - kept - live_leases,
             dropped_corrupt: snapshot.report.corrupt.len(),
             reclaimed_bytes: old_len.saturating_sub(out.len() as u64),
-        })
+        };
+
+        let tmp = sibling_path(&self.path, ".tmp");
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        file.write_all(&out)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, &self.path)?;
+        // The index now describes the file just written.
+        *lock.index = Index::on(file)?;
+        lock.index.ingest(&out)?;
+        sync_parent_dir(&self.path)?;
+        Ok(report)
     }
 
     // ---- internals ----------------------------------------------------
@@ -791,7 +852,7 @@ impl Store {
             file.sync_all()?;
             return Ok(());
         }
-        // Validate an existing header (scan() re-validates on load;
+        // Validate an existing header (every scan re-validates it;
         // this catches foreign files before we ever append to them).
         let mut head = [0u8; HEADER_LEN];
         let mut file = File::open(&self.path)?;
@@ -815,24 +876,26 @@ impl Store {
     /// Truncates trailing garbage (a torn final write) back to the
     /// last intact frame, so appends after a crash remain parseable.
     /// Mid-file corruption is left in place — readers skip it — but a
-    /// corrupt *tail* would corrupt every subsequent append. Must hold
-    /// the lock.
-    fn repair_tail_locked(&self) -> Result<(), GgsError> {
-        let bytes = std::fs::read(&self.path)?;
-        let snapshot = scan(&bytes)?;
-        let valid_end = snapshot.report.valid_end;
-        if valid_end < bytes.len() as u64 {
-            let file = OpenOptions::new().write(true).open(&self.path)?;
+    /// corrupt *tail* would corrupt every subsequent append. Seeds the
+    /// index from the scan it does. Must hold the lock.
+    fn repair_tail_locked(&self, lock: &mut LockGuard<'_>) -> Result<(), GgsError> {
+        lock.index.catch_up(&self.path, false)?;
+        let valid_end = lock.index.view().report.valid_end;
+        let file = OpenOptions::new().write(true).open(&self.path)?;
+        if valid_end < file.metadata()?.len() {
             file.set_len(valid_end)?;
             file.sync_all()?;
+            // The cut only removes bytes past the settled prefix.
+            lock.index.catch_up(&self.path, false)?;
         }
         Ok(())
     }
 
-    /// Appends one framed record and flushes it. Must hold the lock.
-    /// `durable` additionally fsyncs (used for results; leases and
-    /// releases are advisory and survive on best effort).
-    fn append_locked(&self, record: &Record, durable: bool) -> Result<(), GgsError> {
+    /// Appends one framed record and flushes it, returning the bytes
+    /// written. Must hold the lock. `durable` additionally fsyncs (used
+    /// for results; leases and releases are advisory and survive on
+    /// best effort).
+    fn append_locked(&self, record: &Record, durable: bool) -> Result<Vec<u8>, GgsError> {
         let mut frame = record.frame();
         let is_result = matches!(record, Record::Result { .. });
         if is_result && self.faults.take_crc_flip() {
@@ -861,13 +924,37 @@ impl Store {
         if durable {
             file.sync_all()?;
         }
-        Ok(())
+        Ok(frame)
+    }
+
+    /// Catches the index up, appends `record`, and replays it into the
+    /// index. Must hold the lock.
+    fn append(
+        &self,
+        lock: &mut LockGuard<'_>,
+        record: &Record,
+        durable: bool,
+    ) -> Result<(), GgsError> {
+        lock.index.catch_up(&self.path, false)?;
+        let frame = self.append_locked(record, durable)?;
+        lock.index.appended(&self.path, &frame)
+    }
+
+    /// Locks this handle's index, resetting an index left poisoned by a
+    /// panicking thread: the next catch-up rescans the file.
+    fn lock_index(&self) -> MutexGuard<'_, Index> {
+        self.index.lock().unwrap_or_else(|poisoned| {
+            self.index.clear_poison();
+            let mut index = poisoned.into_inner();
+            *index = Index::new();
+            index
+        })
     }
 
     /// Acquires the advisory lock file with bounded, jittered backoff;
     /// stale locks (older than [`LOCK_STALE_MS`]) are reclaimed.
     fn acquire_lock(&self) -> Result<LockGuard<'_>, GgsError> {
-        self.acquire_lock_impl(None)
+        self.lock_file(self.lock_index(), None)
     }
 
     /// Like [`Self::acquire_lock`], but retries until a wall-clock
@@ -880,11 +967,16 @@ impl Store {
     /// the deadline only fires on a genuinely wedged filesystem.
     fn acquire_lock_durable(&self) -> Result<LockGuard<'_>, GgsError> {
         let deadline = Instant::now() + Duration::from_millis(LOCK_STALE_MS.saturating_mul(5) / 2);
-        self.acquire_lock_impl(Some(deadline))
+        self.lock_file(self.lock_index(), Some(deadline))
     }
 
-    fn acquire_lock_impl(&self, deadline: Option<Instant>) -> Result<LockGuard<'_>, GgsError> {
-        let _local = self.local.lock().unwrap_or_else(|e| e.into_inner());
+    /// Takes the lock file on behalf of the thread holding `index`;
+    /// the returned guard keeps both until it drops.
+    fn lock_file<'a>(
+        &'a self,
+        index: MutexGuard<'a, Index>,
+        deadline: Option<Instant>,
+    ) -> Result<LockGuard<'a>, GgsError> {
         if self.faults.take_lock_failure() {
             return Err(GgsError::StoreLock {
                 detail: format!(
@@ -908,7 +1000,7 @@ impl Store {
                         self.owner,
                         now_ms()
                     );
-                    return Ok(LockGuard { store: self });
+                    return Ok(LockGuard { store: self, index });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                     if self.lock_is_stale() {
@@ -966,19 +1058,192 @@ impl Store {
 
 /// Derives the lock-file path: `store.bin` → `store.bin.lock`.
 fn lock_path_for(path: &Path) -> PathBuf {
+    sibling_path(path, ".lock")
+}
+
+/// Suffixes the whole file name, so distinct stores never share a
+/// sibling: `x.store` → `x.store.tmp`, and `foo.tmp` → `foo.tmp.tmp`.
+fn sibling_path(path: &Path, suffix: &str) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
-    os.push(".lock");
+    os.push(suffix);
     PathBuf::from(os)
 }
 
-/// RAII advisory-lock guard; removes the lock file on drop.
+/// Flushes the directory entry of `path`, so a rename into it survives
+/// a crash. (Only Unix lets a directory be opened and synced.)
+fn sync_parent_dir(path: &Path) -> Result<(), GgsError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// RAII advisory-lock guard: holds the handle's index mutex and the
+/// lock file, and removes the lock file on drop before the mutex is
+/// released, so a sibling thread never finds this thread's lock file.
 struct LockGuard<'a> {
     store: &'a Store,
+    index: MutexGuard<'a, Index>,
 }
 
 impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.store.lock_path);
+    }
+}
+
+/// Device and inode numbers: which file a path named when it was read.
+#[cfg(unix)]
+fn file_id(meta: &Metadata) -> (u64, u64) {
+    use std::os::unix::fs::MetadataExt as _;
+    (meta.dev(), meta.ino())
+}
+
+/// Without inode numbers, a replacement is only caught when it is
+/// shorter than the indexed prefix or, on a verified read, by digest.
+#[cfg(not(unix))]
+fn file_id(_meta: &Metadata) -> (u64, u64) {
+    (0, 0)
+}
+
+/// One handle's replayed view of the store file (module doc, "The
+/// per-handle index").
+#[derive(Debug)]
+struct Index {
+    /// Everything replayed from the settled prefix of the file: the
+    /// bytes up to the end of the last intact frame, which no later
+    /// append can make scan differently. `snapshot.report.valid_end`
+    /// is where it ends.
+    snapshot: StoreSnapshot,
+    /// FNV-1a-64 of the settled prefix.
+    digest: u64,
+    /// `snapshot` plus whatever follows the settled prefix, when
+    /// anything does.
+    tail: Option<StoreSnapshot>,
+    /// The file read, held open so a replacement cannot reuse its inode
+    /// number, and its [`file_id`].
+    file: Option<(File, (u64, u64))>,
+}
+
+impl Index {
+    fn new() -> Self {
+        Self {
+            snapshot: StoreSnapshot::default(),
+            digest: FNV64_BASIS,
+            tail: None,
+            file: None,
+        }
+    }
+
+    /// An empty index that reads from `file`.
+    fn on(file: File) -> Result<Self, GgsError> {
+        let id = file_id(&file.metadata()?);
+        Ok(Self {
+            file: Some((file, id)),
+            ..Self::new()
+        })
+    }
+
+    /// Where the settled prefix ends.
+    fn offset(&self) -> u64 {
+        self.snapshot.report.valid_end
+    }
+
+    /// What a full scan of the file as last read would report.
+    fn view(&self) -> &StoreSnapshot {
+        self.tail.as_ref().unwrap_or(&self.snapshot)
+    }
+
+    /// Brings the index up to date with the file at `path`: rescans
+    /// from the header if the path names another file or one shorter
+    /// than the settled prefix, and otherwise replays only the bytes
+    /// past it. `verify` also re-reads the settled prefix and rescans
+    /// if its digest changed (an in-place rewrite).
+    fn catch_up(&mut self, path: &Path, verify: bool) -> Result<(), GgsError> {
+        let meta = match std::fs::metadata(path) {
+            Ok(meta) => meta,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                *self = Self::new();
+                return Ok(());
+            }
+            Err(e) => return Err(GgsError::Io(e)),
+        };
+        let same_file = self
+            .file
+            .as_ref()
+            .is_some_and(|(_, id)| *id == file_id(&meta));
+        if !same_file || meta.len() < self.offset() {
+            *self = Self::on(File::open(path)?)?;
+        }
+        let Some((file, _)) = &self.file else {
+            return Ok(());
+        };
+        let mut file: &File = file;
+        let offset = self.offset() as usize;
+        let mut bytes = Vec::new();
+        file.seek(SeekFrom::Start(if verify { 0 } else { offset as u64 }))?;
+        file.read_to_end(&mut bytes)?;
+        if !verify {
+            return self.ingest(&bytes);
+        }
+        let unchanged = bytes
+            .get(..offset)
+            .is_some_and(|prefix| fnv1a64(prefix) == self.digest);
+        if !unchanged {
+            *self = Self {
+                file: self.file.take(),
+                ..Self::new()
+            };
+        }
+        let offset = self.offset() as usize;
+        self.ingest(&bytes[offset..])
+    }
+
+    /// Replays `bytes`, the file's contents from the end of the settled
+    /// prefix on: what settles into `snapshot`, the rest into `tail`.
+    fn ingest(&mut self, mut bytes: &[u8]) -> Result<(), GgsError> {
+        self.tail = None;
+        if self.offset() == 0 {
+            if bytes.is_empty() {
+                return Ok(());
+            }
+            let consumed = check_header(bytes)?;
+            if consumed < HEADER_LEN {
+                // A torn header: the file reads as empty until the next
+                // open rewrites it.
+                let mut tail = self.snapshot.clone();
+                tail.report.valid_end = consumed as u64;
+                self.tail = Some(tail);
+                return Ok(());
+            }
+            self.digest = fnv1a64_extend(self.digest, &bytes[..HEADER_LEN]);
+            self.snapshot.report.valid_end = HEADER_LEN as u64;
+            bytes = &bytes[HEADER_LEN..];
+        }
+        let settled = scan_from(bytes, self.offset(), &mut self.snapshot, true);
+        self.digest = fnv1a64_extend(self.digest, &bytes[..settled]);
+        if settled < bytes.len() {
+            let mut tail = self.snapshot.clone();
+            scan_from(&bytes[settled..], self.offset(), &mut tail, false);
+            self.tail = Some(tail);
+        }
+        Ok(())
+    }
+
+    /// Replays a frame this handle just appended to the file at `path`,
+    /// having caught up under the same hold of the lock file. Then an
+    /// index with nothing past its settled prefix ends where the frame
+    /// starts; otherwise it catches up again, rereading the unsettled
+    /// bytes that the frame now follows.
+    fn appended(&mut self, path: &Path, frame: &[u8]) -> Result<(), GgsError> {
+        if self.offset() < HEADER_LEN as u64 || self.tail.is_some() {
+            return self.catch_up(path, false);
+        }
+        self.ingest(frame)
     }
 }
 
@@ -1006,81 +1271,107 @@ fn check_header(head: &[u8]) -> Result<usize, GgsError> {
     Ok(HEADER_LEN)
 }
 
-/// Tolerant scan of a whole store image: frames and replays every
-/// intact record, resynchronizing on corruption. Never panics.
-fn scan(bytes: &[u8]) -> Result<StoreSnapshot, GgsError> {
-    let mut snapshot = StoreSnapshot::default();
-    if bytes.is_empty() {
-        return Ok(snapshot);
-    }
-    let consumed = check_header(bytes)?;
-    let mut pos = consumed;
-    snapshot.report.valid_end = pos as u64;
-    if consumed < HEADER_LEN {
-        // Truncated header: nothing else can follow.
-        return Ok(snapshot);
-    }
-
+/// Frames and replays the records in `bytes`, the store image from
+/// absolute offset `base`, resynchronizing on corruption; corrupt spans
+/// are reported at absolute offsets. Never panics. Returns how many
+/// leading bytes were replayed: all of them, unless `settle` is set and
+/// the scan meets a span that bytes appended later could read
+/// differently — a frame running past the end, or corruption with no
+/// record magic after it. Then it stops at the end of the last intact
+/// frame before that span, dropping the corrupt spans it reported past
+/// that frame.
+fn scan_from(bytes: &[u8], base: u64, snapshot: &mut StoreSnapshot, settle: bool) -> usize {
+    let mut pos = 0;
+    // End of the last intact frame, and the corrupt spans before it.
+    let mut settled = (0, snapshot.report.corrupt.len());
     while pos < bytes.len() {
+        let at = base + pos as u64;
         match frame_at(bytes, pos) {
             Ok((payload, next)) => {
                 match Record::parse(payload) {
-                    Some(record) => snapshot.replay(record),
+                    Some(record) => {
+                        snapshot.replay(record);
+                        snapshot.report.records += 1;
+                    }
                     None => snapshot.report.corrupt.push(CorruptSpan {
-                        offset: pos as u64,
+                        offset: at,
                         bytes: (next - pos) as u64,
                         detail: "framed record with unparseable payload",
                     }),
                 }
                 // Framing was intact either way, so it is safe to
                 // append after this point.
-                snapshot.report.records += usize::from(
-                    snapshot
-                        .report
-                        .corrupt
-                        .last()
-                        .is_none_or(|c| c.offset != pos as u64),
-                );
-                snapshot.report.valid_end = next as u64;
+                snapshot.report.valid_end = base + next as u64;
                 pos = next;
+                settled = (pos, snapshot.report.corrupt.len());
             }
-            Err(detail) => {
+            Err(bad) => {
                 // Resynchronize: hunt for the next record magic.
                 let resume = resync(bytes, pos + 1);
+                if settle && (bad.short || resume == bytes.len()) {
+                    snapshot.report.corrupt.truncate(settled.1);
+                    return settled.0;
+                }
                 snapshot.report.corrupt.push(CorruptSpan {
-                    offset: pos as u64,
+                    offset: at,
                     bytes: (resume - pos) as u64,
-                    detail,
+                    detail: bad.detail,
                 });
                 pos = resume;
             }
         }
     }
-    Ok(snapshot)
+    pos
+}
+
+/// A frame that failed to decode.
+#[derive(Debug)]
+struct BadFrame {
+    detail: &'static str,
+    /// The frame runs past the end of the bytes, so appended bytes may
+    /// still complete it.
+    short: bool,
+}
+
+impl BadFrame {
+    fn corrupt(detail: &'static str) -> Self {
+        Self {
+            detail,
+            short: false,
+        }
+    }
+
+    fn short(detail: &'static str) -> Self {
+        Self {
+            detail,
+            short: true,
+        }
+    }
 }
 
 /// Attempts to decode one frame at `pos`; returns the payload and the
 /// offset one past the frame.
-fn frame_at(bytes: &[u8], pos: usize) -> Result<(&str, usize), &'static str> {
+fn frame_at(bytes: &[u8], pos: usize) -> Result<(&str, usize), BadFrame> {
     let header = bytes
         .get(pos..pos + FRAME_LEN)
-        .ok_or("truncated frame header")?;
+        .ok_or(BadFrame::short("truncated frame header"))?;
     let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     if magic != RECORD_MAGIC {
-        return Err("bad record magic");
+        return Err(BadFrame::corrupt("bad record magic"));
     }
     let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
     if len > MAX_RECORD_LEN {
-        return Err("implausible record length");
+        return Err(BadFrame::corrupt("implausible record length"));
     }
     let crc = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
     let payload = bytes
         .get(pos + FRAME_LEN..pos + FRAME_LEN + len as usize)
-        .ok_or("truncated record payload")?;
+        .ok_or(BadFrame::short("truncated record payload"))?;
     if fnv1a32(payload) != crc {
-        return Err("checksum mismatch");
+        return Err(BadFrame::corrupt("checksum mismatch"));
     }
-    let payload = std::str::from_utf8(payload).map_err(|_| "non-UTF-8 payload")?;
+    let payload =
+        std::str::from_utf8(payload).map_err(|_| BadFrame::corrupt("non-UTF-8 payload"))?;
     Ok((payload, pos + FRAME_LEN + len as usize))
 }
 
@@ -1100,6 +1391,7 @@ fn resync(bytes: &[u8], from: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_store(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ggs-store-unit-{}", std::process::id()));
@@ -1410,5 +1702,228 @@ mod tests {
         // FNV-1a-64 reference vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// Satellite: sibling threads on one handle queue on the index
+    /// mutex for the whole lock-file critical section, so a thread never
+    /// finds a sibling's lock file — even with no lock retries at all.
+    #[test]
+    fn sibling_threads_never_contend_for_the_lock_file() {
+        let path = temp_store("siblings.store");
+        let mut store = Store::open(&path).expect("open");
+        store.lock_retry.max_attempts = 1;
+        let ttl = Duration::from_secs(60);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..200 {
+                        let key = format!("PR/T{t}/C{i}");
+                        let claim = store.try_claim("h", &key, ttl);
+                        assert!(matches!(claim, Ok(Claim::Claimed)), "{key}: {claim:?}");
+                        if let Err(e) = store.release("h", &key) {
+                            panic!("{key}: release failed: {e}");
+                        }
+                    }
+                });
+            }
+        });
+        let snap = store.load().unwrap();
+        assert_eq!(snap.report.records, 800, "{:?}", snap.report);
+        assert!(snap.leases.is_empty());
+    }
+
+    /// Satellite: compaction replaces the store by renaming `PATH.tmp`
+    /// over it, even when the store's own name ends in `.tmp` (it used
+    /// to rewrite such a store in place, losing it to a crash before
+    /// the rename).
+    #[cfg(unix)]
+    #[test]
+    fn compacting_a_store_named_tmp_replaces_it_by_rename() {
+        use std::os::unix::fs::MetadataExt as _;
+        let path = temp_store("foo.tmp");
+        let store = Store::open(&path).expect("open");
+        for i in 0..4 {
+            store.publish("h", "PR", "AMZ", &row("SGR", i)).unwrap();
+            store
+                .publish("h", "CC", "RAJ", &row(&format!("C{i}"), i))
+                .unwrap();
+        }
+        let inode = std::fs::metadata(&path).unwrap().ino();
+        let report = store.compact().unwrap();
+        assert_eq!(report.kept_records, 5);
+        assert_ne!(
+            std::fs::metadata(&path).unwrap().ino(),
+            inode,
+            "rewritten in place"
+        );
+        assert!(!lock_path_for(&path).exists());
+        assert!(!sibling_path(&path, ".tmp").exists());
+        let snap = Store::open(&path).unwrap().load().unwrap();
+        assert_eq!(snap.lookup("h", "PR/AMZ/SGR"), Some(&row("SGR", 3)));
+        assert_eq!(snap.completed_for("h").len(), 5);
+    }
+
+    /// Satellite: two stores differing only in extension no longer share
+    /// a temp file, so compacting `x.store` leaves `x.tmp` alone.
+    #[test]
+    fn compaction_leaves_an_unrelated_dot_tmp_file_alone() {
+        let path = temp_store("x.store");
+        let bystander = path.with_extension("tmp");
+        std::fs::write(&bystander, b"someone else's data").unwrap();
+        let store = Store::open(&path).expect("open");
+        store.publish("h", "PR", "AMZ", &row("SGR", 1)).unwrap();
+        store.publish("h", "PR", "AMZ", &row("SGR", 2)).unwrap();
+        store.compact().unwrap();
+        assert_eq!(std::fs::read(&bystander).unwrap(), b"someone else's data");
+        assert_eq!(store.load().unwrap().completed_for("h").len(), 1);
+    }
+
+    /// Satellite: a handle whose file a peer compacted and then grew past
+    /// the handle's old offset rescans the new file instead of reading
+    /// on from that offset (which a length check alone would allow).
+    #[test]
+    fn claims_follow_a_peer_that_replaced_the_file() {
+        let path = temp_store("replaced.store");
+        let a = Store::open(&path).expect("open A").with_owner(1);
+        for i in 0..12 {
+            a.publish("h", "PR", "AMZ", &row("SGR", i)).unwrap();
+        }
+        let old_offset = a.load().unwrap().report.valid_end;
+
+        let b = Store::open(&path).expect("open B").with_owner(2);
+        b.compact().unwrap();
+        let mut published = 0;
+        while std::fs::metadata(&path).unwrap().len() <= old_offset {
+            b.publish("h", "CC", "RAJ", &row(&format!("C{published}"), published))
+                .unwrap();
+            published += 1;
+        }
+
+        let claim = a.try_claim("h", "CC/RAJ/C0", Duration::from_secs(60));
+        assert_eq!(claim.unwrap(), Claim::Done(row("C0", 0)));
+        // The claim's catch-up alone (no verifying load) sees the file
+        // as a fresh scan does.
+        let bytes = std::fs::read(&path).unwrap();
+        let index = a.lock_index();
+        assert!(
+            index.view().report.corrupt.is_empty(),
+            "{:?}",
+            index.view().report
+        );
+        assert_eq!(
+            index.view().completed_for("h").len(),
+            1 + published as usize
+        );
+        same_as_scan(index.view(), &bytes).unwrap();
+    }
+
+    /// A handle whose file was cut under it (an external truncation,
+    /// then a repairing open) rescans on its next claim rather than
+    /// replaying its own append at the old offset.
+    #[test]
+    fn claims_rescan_a_file_truncated_under_them() {
+        let path = temp_store("truncated-under.store");
+        let a = Store::open(&path).expect("open");
+        for i in 0..4 {
+            a.publish("h", "PR", "AMZ", &row(&format!("C{i}"), i))
+                .unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let first_end = frame_at(&bytes, HEADER_LEN).unwrap().1;
+        std::fs::write(&path, &bytes[..first_end + 20]).unwrap();
+        Store::open(&path).expect("reopen repairs the cut tail");
+
+        let claim = a.try_claim("h", "PR/AMZ/C9", Duration::from_secs(60));
+        assert_eq!(claim.unwrap(), Claim::Claimed);
+        let bytes = std::fs::read(&path).unwrap();
+        same_as_scan(a.lock_index().view(), &bytes).unwrap();
+        assert_eq!(a.lock_index().view().completed_for("h").len(), 1);
+    }
+
+    /// A full scan of a store image in one pass: the reference every
+    /// index must match.
+    fn full_scan(bytes: &[u8]) -> StoreSnapshot {
+        let mut snapshot = StoreSnapshot::default();
+        let consumed = check_header(bytes).expect("a store image");
+        snapshot.report.valid_end = consumed as u64;
+        if consumed == HEADER_LEN {
+            scan_from(
+                &bytes[HEADER_LEN..],
+                HEADER_LEN as u64,
+                &mut snapshot,
+                false,
+            );
+        }
+        snapshot
+    }
+
+    fn same_as_scan(got: &StoreSnapshot, bytes: &[u8]) -> Result<(), String> {
+        let want = full_scan(bytes);
+        prop_assert_eq!(&got.results, &want.results);
+        prop_assert_eq!(&got.leases, &want.leases);
+        prop_assert_eq!(&got.report, &want.report);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Satellite: two handles driven through random publishes,
+        /// claims, releases and compactions, with injected checksum
+        /// flips and torn writes and external truncations, always
+        /// report what a fresh scan of the file reports.
+        #[test]
+        fn index_matches_a_fresh_scan(
+            ops in prop::collection::vec((0u8..8, 0usize..2, 0u8..4, 0u64..1_000_000), 1..32)
+        ) {
+            let path = temp_store("differential.store");
+            let faults = [StoreFaults::none(), StoreFaults::none()];
+            let handles = [
+                Store::open_with(&path, faults[0].clone()).map_err(|e| e.to_string())?.with_owner(1),
+                Store::open_with(&path, faults[1].clone()).map_err(|e| e.to_string())?.with_owner(2),
+            ];
+            for (step, &(op, who, cell, n)) in ops.iter().enumerate() {
+                let store = &handles[who];
+                let key = format!("PR/AMZ/C{cell}");
+                // Whether the op went through the lock file and left
+                // this handle's index caught up with the file.
+                let locked = match op {
+                    0 | 1 => store.publish("h", "PR", "AMZ", &row(&format!("C{cell}"), n)).is_ok(),
+                    2 | 3 => {
+                        let ttl = Duration::from_millis(if n % 2 == 0 { 0 } else { 60_000 });
+                        matches!(store.try_claim("h", &key, ttl), Ok(Claim::Claimed | Claim::Busy(_)))
+                    }
+                    4 => store.release("h", &key).is_ok(),
+                    5 => store.compact().is_ok(),
+                    6 => {
+                        if n % 2 == 0 {
+                            let _ = faults[who].clone().crc_flips(1);
+                        } else {
+                            let _ = faults[who].clone().torn_write(n % 300);
+                        }
+                        false
+                    }
+                    _ => {
+                        let len = std::fs::metadata(&path).map_err(|e| e.to_string())?.len();
+                        let file = OpenOptions::new().write(true).open(&path).map_err(|e| e.to_string())?;
+                        file.set_len(n % (len + 1)).map_err(|e| e.to_string())?;
+                        drop(file);
+                        Store::open(&path).map_err(|e| e.to_string())?;
+                        false
+                    }
+                };
+                let bytes = std::fs::read(&path).map_err(|e| e.to_string())?;
+                if locked {
+                    same_as_scan(store.lock_index().view(), &bytes)
+                        .map_err(|e| format!("step {step} op {op}: index of handle {who}: {e}"))?;
+                }
+                for (h, handle) in handles.iter().enumerate() {
+                    let loaded = handle.load().map_err(|e| e.to_string())?;
+                    same_as_scan(&loaded, &bytes)
+                        .map_err(|e| format!("step {step} op {op}: load of handle {h}: {e}"))?;
+                }
+            }
+        }
     }
 }
