@@ -217,7 +217,7 @@ mod tests {
         generate(&g, Propagation::PushPull, 256, &mut |k| {
             kernels += 1;
             for t in 0..k.num_threads() {
-                for op in k.thread(t) {
+                for op in k.thread(t).iter().map(|o| o.get()) {
                     match op {
                         MicroOp::Atomic {
                             returns_value: true,

@@ -264,7 +264,7 @@ mod tests {
                 .map(|t| {
                     k.thread(t)
                         .iter()
-                        .filter(|o| matches!(o, MicroOp::Atomic { .. }))
+                        .filter(|o| matches!(o.get(), MicroOp::Atomic { .. }))
                         .count()
                 })
                 .sum();

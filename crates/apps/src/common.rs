@@ -2,7 +2,7 @@
 
 use ggs_graph::Csr;
 use ggs_sim::layout::{AddressSpace, ArrayHandle};
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelTrace, MicroOp, Op};
 
 /// Address handles for the CSR arrays every kernel walks.
 #[derive(Debug, Clone, Copy)]
@@ -60,18 +60,26 @@ impl GraphArrays {
 /// Builds a vertex-centric kernel: one thread per vertex, traces
 /// produced by `emit(vertex, ops)`.
 ///
-/// Each thread's ops are appended to one flat arena (the emit closures
-/// only push), so building a kernel costs two allocations total instead
-/// of one per vertex.
+/// Each vertex's ops go into one reused scratch buffer and are then
+/// packed onto one flat [`Op`] arena, so building a kernel costs a
+/// fixed handful of allocations instead of one per vertex.
+/// [`KernelTrace::from_flat`] shrinks the arena to its length.
 pub(crate) fn vertex_kernel<F>(num_vertices: u32, tb_size: u32, mut emit: F) -> KernelTrace
 where
     F: FnMut(u32, &mut Vec<MicroOp>),
 {
     let mut ops = Vec::new();
+    let mut scratch = Vec::new();
     let mut offsets = Vec::with_capacity(num_vertices as usize + 1);
     offsets.push(0);
     for v in 0..num_vertices {
-        emit(v, &mut ops);
+        scratch.clear();
+        emit(v, &mut scratch);
+        ops.extend(scratch.iter().map(|&op| {
+            // `AddressSpace` lays arrays out far below the packing limit.
+            debug_assert!(op.address().is_none_or(|a| a <= Op::MAX_ADDR));
+            Op::from(op)
+        }));
         offsets.push(u32::try_from(ops.len()).expect("trace exceeds u32 op capacity"));
     }
     KernelTrace::from_flat(ops, offsets, tb_size)
@@ -108,5 +116,18 @@ mod tests {
         assert_eq!(k.thread(0).len(), 1);
         assert_eq!(k.thread(1).len(), 0);
         assert_eq!(k.tb_size(), 4);
+    }
+
+    #[test]
+    fn vertex_kernel_arena_holds_no_slack() {
+        // 1000 vertices of 0..7 ops each: the arena grows by doubling
+        // while it is built, so any unshrunk capacity shows here.
+        let k = vertex_kernel(1000, 32, |v, ops| {
+            ops.extend((0..v % 7).map(|i| MicroOp::load(u64::from(v * 8 + i) * 4)));
+        });
+        assert_eq!(
+            k.heap_bytes(),
+            k.total_ops() * 8 + (k.num_threads() + 1) * 4
+        );
     }
 }

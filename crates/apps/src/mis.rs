@@ -295,7 +295,7 @@ mod tests {
                     atomics += k
                         .thread(t)
                         .iter()
-                        .filter(|o| matches!(o, MicroOp::Atomic { .. }))
+                        .filter(|o| matches!(o.get(), MicroOp::Atomic { .. }))
                         .count() as u64;
                 }
             });

@@ -198,7 +198,7 @@ mod tests {
                 atomics += k
                     .thread(t)
                     .iter()
-                    .filter(|o| matches!(o, MicroOp::Atomic { .. }))
+                    .filter(|o| matches!(o.get(), MicroOp::Atomic { .. }))
                     .count() as u64;
             }
         });
@@ -215,11 +215,11 @@ mod tests {
                 assert!(k
                     .thread(t)
                     .iter()
-                    .all(|o| !matches!(o, MicroOp::Atomic { .. })));
+                    .all(|o| !matches!(o.get(), MicroOp::Atomic { .. })));
                 stores += k
                     .thread(t)
                     .iter()
-                    .filter(|o| matches!(o, MicroOp::Store { .. }))
+                    .filter(|o| matches!(o.get(), MicroOp::Store { .. }))
                     .count();
             }
             assert_eq!(stores, 20);

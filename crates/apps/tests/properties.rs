@@ -160,7 +160,7 @@ proptest! {
             for &prop in app.supported_propagations() {
                 Workload::new(app, &g).generate(prop, 256, &mut |k| {
                     for t in 0..k.num_threads() {
-                        for op in k.thread(t) {
+                        for op in k.thread(t).iter().map(|o| o.get()) {
                             if let Some(addr) = op.address() {
                                 assert_eq!(addr % 4, 0, "{app}/{prop}: unaligned");
                             }
@@ -190,7 +190,7 @@ proptest! {
             for &prop in app.supported_propagations() {
                 Workload::new(app, &g).generate(prop, 256, &mut |k| {
                     for t in 0..k.num_threads() {
-                        for op in k.thread(t) {
+                        for op in k.thread(t).iter().map(|o| o.get()) {
                             if let Some(addr) = op.address() {
                                 assert!(
                                     covered(addr),

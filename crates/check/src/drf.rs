@@ -218,7 +218,7 @@ fn first_conflicting_pair(kernel: &KernelTrace, addr: u64) -> Option<(AccessSite
     let mut writer: Option<u64> = None;
     'outer: for t in 0..kernel.num_threads() {
         for op in kernel.thread(t) {
-            if matches!(*op, MicroOp::Store { addr: a } if a == addr) {
+            if matches!(op.get(), MicroOp::Store { addr: a } if a == addr) {
                 writer = Some(t);
                 break 'outer;
             }
@@ -230,7 +230,7 @@ fn first_conflicting_pair(kernel: &KernelTrace, addr: u64) -> Option<(AccessSite
             continue;
         }
         for op in kernel.thread(t) {
-            let other = match *op {
+            let other = match op.get() {
                 MicroOp::Load { addr: a } if a == addr => AccessSite::thread(t, "load", addr),
                 MicroOp::Store { addr: a } if a == addr => AccessSite::thread(t, "store", addr),
                 _ => continue,
@@ -351,7 +351,7 @@ pub fn analyze_kernel(kernel: &KernelTrace, consistency: ConsistencyModel) -> Ke
 
     for t in 0..kernel.num_threads() {
         for op in kernel.thread(t) {
-            match *op {
+            match op.get() {
                 MicroOp::Load { addr } => {
                     let s = map.entry(addr).or_default();
                     s.plain_reads += 1;

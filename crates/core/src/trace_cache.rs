@@ -202,8 +202,10 @@ pub struct TraceCache {
 
 impl TraceCache {
     /// Creates a cache bounded to `capacity_bytes` of trace heap (as
-    /// accounted by [`KernelTrace::heap_bytes`]). A stream larger than
-    /// the whole budget is returned to its builder but never cached.
+    /// accounted by [`KernelTrace::heap_bytes`]: 8 bytes per op plus 4
+    /// per offset, since trace arenas are shrunk to their length). A
+    /// stream larger than the whole budget is returned to its builder
+    /// but never cached.
     pub fn new(capacity_bytes: u64) -> Arc<Self> {
         Arc::new(Self {
             inner: Mutex::new(Inner::default()),

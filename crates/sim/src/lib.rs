@@ -77,4 +77,4 @@ pub use engine::{BudgetBreach, SimBudget, Simulation, SimulationBuilder};
 pub use ggs_trace::{TraceEvent, TraceSink, Tracer};
 pub use params::{ParamsError, SystemParams, SystemParamsBuilder};
 pub use stats::{ExecStats, StallBreakdown, StallClass};
-pub use trace::{KernelTrace, MicroOp};
+pub use trace::{KernelTrace, MicroOp, Op};

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// Validation failure from [`SystemParamsBuilder::build`] or one of the
+/// Validation failure from [`SystemParamsBuilder::build`],
+/// [`KernelTrace::new`](crate::trace::KernelTrace::new), or one of the
 /// fallible `try_*` constructors in this crate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamsError {
@@ -12,6 +13,11 @@ pub enum ParamsError {
     NotPowerOfTwo(&'static str),
     /// A cache scale factor was zero, negative, or non-finite.
     BadScale(f64),
+    /// A kernel trace held more ops than its `u32` offset table indexes.
+    TooManyOps(u64),
+    /// A trace op's byte address exceeds what a packed
+    /// [`Op`](crate::trace::Op) holds ([`Op::MAX_ADDR`](crate::trace::Op::MAX_ADDR)).
+    AddressOutOfRange(u64),
 }
 
 impl fmt::Display for ParamsError {
@@ -24,6 +30,17 @@ impl fmt::Display for ParamsError {
             ParamsError::BadScale(factor) => {
                 write!(f, "scale factor must be positive and finite, got {factor}")
             }
+            ParamsError::TooManyOps(n) => {
+                write!(
+                    f,
+                    "trace holds {n} ops, more than a u32 offset table indexes"
+                )
+            }
+            ParamsError::AddressOutOfRange(addr) => write!(
+                f,
+                "trace address {addr:#x} exceeds the packed-op limit {:#x}",
+                crate::trace::Op::MAX_ADDR
+            ),
         }
     }
 }

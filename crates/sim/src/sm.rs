@@ -326,7 +326,7 @@ impl<'k> Sm<'k> {
         let mut comp_cycles: u64 = 0;
         for lane in self.warps[idx].lanes.iter() {
             if let Some(op) = lane.get(slot) {
-                match *op {
+                match op.get() {
                     MicroOp::Load { addr } => load_lines.push(addr & self.line_mask),
                     MicroOp::Store { addr } => store_lines.push(addr & self.line_mask),
                     MicroOp::Atomic {

@@ -6,6 +6,8 @@
 //! (shorter lanes simply become inactive — this models loop-trip-count
 //! divergence, the dominant divergence in vertex-centric graph kernels).
 
+use crate::params::ParamsError;
+
 /// One micro-operation of a GPU thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroOp {
@@ -85,15 +87,94 @@ impl MicroOp {
     }
 }
 
+/// One [`MicroOp`] packed into 8 bytes: the form a [`KernelTrace`]
+/// stores its ops in. Decode with [`Op::get`].
+///
+/// Layout of the `u64`:
+///
+/// | bits | holds |
+/// |---|---|
+/// | 62–63 | kind: 0 load, 1 store, 2 atomic, 3 compute |
+/// | 61 | `returns_value` (atomics only, else 0) |
+/// | 0–60 | byte address, or the compute cycles |
+///
+/// The kind lives in the top bits, so addresses need no alignment;
+/// any byte address up to [`Op::MAX_ADDR`] packs losslessly.
+///
+/// ```
+/// use ggs_sim::trace::{MicroOp, Op};
+///
+/// let m = MicroOp::atomic_returning(0x1234);
+/// assert_eq!(Op::from(m).get(), m);
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct Op(u64);
+
+const _: () = assert!(std::mem::size_of::<Op>() == 8);
+
+impl Op {
+    /// Largest byte address an `Op` holds (2^61 − 1).
+    pub const MAX_ADDR: u64 = (1 << 61) - 1;
+    const KIND_SHIFT: u32 = 62;
+    const RETURNS_VALUE_SHIFT: u32 = 61;
+
+    /// The decoded micro-op.
+    #[inline]
+    pub fn get(self) -> MicroOp {
+        let payload = self.0 & Self::MAX_ADDR;
+        match self.0 >> Self::KIND_SHIFT {
+            0 => MicroOp::Load { addr: payload },
+            1 => MicroOp::Store { addr: payload },
+            2 => MicroOp::Atomic {
+                addr: payload,
+                returns_value: (self.0 >> Self::RETURNS_VALUE_SHIFT) & 1 != 0,
+            },
+            _ => MicroOp::Compute {
+                cycles: payload as u16,
+            },
+        }
+    }
+}
+
+impl From<MicroOp> for Op {
+    /// Packs `op`. An address above [`Op::MAX_ADDR`] keeps only its low
+    /// 61 bits; [`KernelTrace::new`] rejects such addresses instead.
+    #[inline]
+    fn from(op: MicroOp) -> Self {
+        let kind = |k: u64| k << Self::KIND_SHIFT;
+        Op(match op {
+            MicroOp::Load { addr } => kind(0) | (addr & Self::MAX_ADDR),
+            MicroOp::Store { addr } => kind(1) | (addr & Self::MAX_ADDR),
+            MicroOp::Atomic {
+                addr,
+                returns_value,
+            } => {
+                kind(2)
+                    | u64::from(returns_value) << Self::RETURNS_VALUE_SHIFT
+                    | (addr & Self::MAX_ADDR)
+            }
+            MicroOp::Compute { cycles } => kind(3) | cycles as u64,
+        })
+    }
+}
+
+impl std::fmt::Debug for Op {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// The per-thread micro-op streams of one kernel launch.
 ///
 /// Thread `i` belongs to thread block `i / tb_size`; blocks are
 /// dispatched to SMs in order as resources free up.
 ///
-/// Internally the streams live in one flat op arena plus a cumulative
-/// offset table (thread `i` is `ops[offsets[i]..offsets[i + 1]]`), so a
-/// trace costs two allocations regardless of thread count and the
-/// simulator walks contiguous memory.
+/// Internally the streams live in one flat arena of packed [`Op`]s plus
+/// a cumulative offset table (thread `i` is
+/// `ops[offsets[i]..offsets[i + 1]]`), so a trace costs two allocations
+/// regardless of thread count and the simulator walks contiguous
+/// memory. Both are shrunk to their length on construction.
 ///
 /// # Example
 ///
@@ -104,12 +185,13 @@ impl MicroOp {
 /// let k = KernelTrace::new(threads, 256)?;
 /// assert_eq!(k.num_threads(), 2);
 /// assert_eq!(k.num_blocks(), 1);
+/// assert_eq!(k.thread(1)[0].get(), MicroOp::compute(4));
 /// # Ok::<(), ggs_sim::params::ParamsError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
     /// Every thread's ops, concatenated in thread order.
-    ops: Vec<MicroOp>,
+    ops: Vec<Op>,
     /// `num_threads + 1` cumulative offsets into `ops`.
     offsets: Vec<u32>,
     tb_size: u32,
@@ -120,39 +202,46 @@ impl KernelTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`ParamsError::NonPositive`](crate::params::ParamsError)
-    /// if `tb_size` is zero.
-    pub fn new(
-        threads: Vec<Vec<MicroOp>>,
-        tb_size: u32,
-    ) -> Result<Self, crate::params::ParamsError> {
+    /// Returns a [`ParamsError`]:
+    /// - [`NonPositive`](ParamsError::NonPositive) if `tb_size` is zero;
+    /// - [`TooManyOps`](ParamsError::TooManyOps) if the threads hold more
+    ///   ops than the `u32` offset table can index;
+    /// - [`AddressOutOfRange`](ParamsError::AddressOutOfRange) for an
+    ///   address above [`Op::MAX_ADDR`].
+    pub fn new(threads: Vec<Vec<MicroOp>>, tb_size: u32) -> Result<Self, ParamsError> {
         if tb_size == 0 {
-            return Err(crate::params::ParamsError::NonPositive("tb_size"));
+            return Err(ParamsError::NonPositive("tb_size"));
         }
-        let total: usize = threads.iter().map(|t| t.len()).sum();
+        let total = threads.iter().map(Vec::len).sum();
+        check_op_count(total)?;
         let mut ops = Vec::with_capacity(total);
         let mut offsets = Vec::with_capacity(threads.len() + 1);
         offsets.push(0);
         for t in &threads {
-            ops.extend_from_slice(t);
-            offsets.push(u32::try_from(ops.len()).expect("trace exceeds u32 op capacity"));
+            for &op in t {
+                match op.address() {
+                    Some(addr) if addr > Op::MAX_ADDR => {
+                        return Err(ParamsError::AddressOutOfRange(addr))
+                    }
+                    _ => ops.push(Op::from(op)),
+                }
+            }
+            offsets.push(ops.len() as u32);
         }
-        Ok(Self {
-            ops,
-            offsets,
-            tb_size,
-        })
+        Ok(Self::from_flat(ops, offsets, tb_size))
     }
 
     /// Creates a kernel trace directly from a flat op arena and its
     /// cumulative offset table (`num_threads + 1` entries starting at 0
     /// and ending at `ops.len()`). This is the allocation-free path for
-    /// trace generators that append thread streams in order.
+    /// trace generators that append thread streams in order. Both
+    /// vectors are shrunk to their length, so [`Self::heap_bytes`]
+    /// counts no growth slack.
     ///
     /// # Panics
     ///
     /// Panics if `tb_size` is zero or the offset table is malformed.
-    pub fn from_flat(ops: Vec<MicroOp>, offsets: Vec<u32>, tb_size: u32) -> Self {
+    pub fn from_flat(mut ops: Vec<Op>, mut offsets: Vec<u32>, tb_size: u32) -> Self {
         assert!(tb_size > 0, "tb_size must be positive");
         assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
         assert_eq!(
@@ -161,6 +250,8 @@ impl KernelTrace {
             "offsets must end at ops.len()"
         );
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        ops.shrink_to_fit();
+        offsets.shrink_to_fit();
         Self {
             ops,
             offsets,
@@ -189,7 +280,7 @@ impl KernelTrace {
     /// # Panics
     ///
     /// Panics if `thread` is out of range.
-    pub fn thread(&self, thread: u64) -> &[MicroOp] {
+    pub fn thread(&self, thread: u64) -> &[Op] {
         let t = thread as usize;
         &self.ops[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
@@ -212,13 +303,21 @@ impl KernelTrace {
         self.ops.len() as u64
     }
 
-    /// Heap bytes held by the trace's op arena and offset table
-    /// (capacity, not length — what the allocator actually committed).
-    /// Capacity-bounded trace caches use this for their memory
-    /// accounting.
+    /// Heap bytes held by the trace's op arena and offset table: 8 bytes
+    /// per op plus 4 per offset. Counted from capacity, which equals
+    /// length because construction shrinks both. Capacity-bounded trace
+    /// caches use this for their memory accounting.
     pub fn heap_bytes(&self) -> u64 {
-        (self.ops.capacity() * std::mem::size_of::<MicroOp>()
+        (self.ops.capacity() * std::mem::size_of::<Op>()
             + self.offsets.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+}
+
+/// Checks that `total` ops fit a trace's `u32` offset table.
+fn check_op_count(total: usize) -> Result<(), ParamsError> {
+    match u32::try_from(total) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ParamsError::TooManyOps(total as u64)),
     }
 }
 
@@ -227,7 +326,7 @@ impl KernelTrace {
 /// into the kernel's shared flat op arena, so slicing never allocates.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadsSlice<'k> {
-    ops: &'k [MicroOp],
+    ops: &'k [Op],
     /// `len() + 1` cumulative offsets into `ops` for this view's
     /// threads.
     offsets: &'k [u32],
@@ -249,7 +348,7 @@ impl<'k> ThreadsSlice<'k> {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn thread(&self, i: usize) -> &'k [MicroOp] {
+    pub fn thread(&self, i: usize) -> &'k [Op] {
         &self.ops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
@@ -266,7 +365,7 @@ impl<'k> ThreadsSlice<'k> {
     }
 
     /// Iterates over the view's thread streams in order.
-    pub fn iter(&self) -> impl Iterator<Item = &'k [MicroOp]> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &'k [Op]> + '_ {
         let ops = self.ops;
         self.offsets
             .windows(2)
@@ -277,6 +376,60 @@ impl<'k> ThreadsSlice<'k> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Any micro-op, with the packing's boundary values drawn as often
+    /// as a uniform pick from the full range.
+    fn micro_ops() -> impl Strategy<Value = MicroOp> {
+        let addr = || prop_oneof![Just(0), Just(Op::MAX_ADDR), 0u64..Op::MAX_ADDR];
+        prop_oneof![
+            addr().prop_map(MicroOp::load),
+            addr().prop_map(MicroOp::store),
+            (addr(), prop_oneof![Just(false), Just(true)]).prop_map(|(addr, returns_value)| {
+                MicroOp::Atomic {
+                    addr,
+                    returns_value,
+                }
+            }),
+            prop_oneof![Just(0), Just(u16::MAX), 0u16..=u16::MAX].prop_map(MicroOp::compute),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn op_round_trips(m in micro_ops()) {
+            prop_assert_eq!(Op::from(m).get(), m);
+        }
+    }
+
+    #[test]
+    fn unpackable_address_rejected() {
+        let too_far = Op::MAX_ADDR + 1;
+        for m in [
+            MicroOp::load(too_far),
+            MicroOp::store(too_far),
+            MicroOp::atomic_returning(u64::MAX),
+        ] {
+            let addr = m.address().unwrap();
+            assert_eq!(
+                KernelTrace::new(vec![vec![m]], 32),
+                Err(ParamsError::AddressOutOfRange(addr))
+            );
+        }
+        assert!(KernelTrace::new(vec![vec![MicroOp::load(Op::MAX_ADDR)]], 32).is_ok());
+    }
+
+    #[test]
+    fn op_count_beyond_u32_rejected() {
+        assert!(check_op_count(u32::MAX as usize).is_ok());
+        let over = u32::MAX as usize + 1;
+        assert_eq!(
+            check_op_count(over),
+            Err(ParamsError::TooManyOps(over as u64))
+        );
+    }
 
     #[test]
     fn block_count_rounds_up() {

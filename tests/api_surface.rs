@@ -4,6 +4,8 @@
 //! a panic.
 
 use gpu_graph_spec::prelude::*;
+use gpu_graph_spec::sim::params::ParamsError;
+use gpu_graph_spec::sim::trace::{KernelTrace, MicroOp, Op};
 
 /// The nine configuration codes shown in Figure 5 (five static bars,
 /// four dynamic bars for CC).
@@ -58,6 +60,12 @@ fn bad_inputs_surface_as_typed_errors_across_the_api() {
     assert!(SystemParams::builder().build().is_ok());
     // Graph construction.
     assert!(GraphBuilder::new(4).edge(0, 9).build().is_err());
+    // Kernel traces: an address the packed op cannot hold.
+    let far = vec![vec![MicroOp::load(Op::MAX_ADDR + 1)]];
+    assert!(matches!(
+        KernelTrace::new(far, 256),
+        Err(ParamsError::AddressOutOfRange(_))
+    ));
 }
 
 #[test]
