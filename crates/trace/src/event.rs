@@ -849,6 +849,127 @@ mod tests {
         ]
     }
 
+    /// The exact JSONL line and Chrome object of each `all_variants()`
+    /// entry, in the same order.
+    const PINNED: [(&str, &str); 19] = [
+        (
+            r#"{"type":"kernel_begin","cat":"kernel","cycle":2000,"kernel":1,"blocks":4,"threads":1024}"#,
+            r#"{"name":"kernel-1","cat":"kernel","ph":"B","ts":2000,"pid":0,"tid":0,"args":{"blocks":4,"threads":1024}}"#,
+        ),
+        (
+            r#"{"type":"kernel_end","cat":"kernel","cycle":9000,"kernel":1}"#,
+            r#"{"name":"kernel-1","cat":"kernel","ph":"E","ts":9000,"pid":0,"tid":0}"#,
+        ),
+        (
+            r#"{"type":"iteration","cat":"iter","cycle":1999,"round":1}"#,
+            r#"{"name":"round-1","cat":"iter","ph":"i","ts":1999,"pid":0,"tid":0,"s":"g"}"#,
+        ),
+        (
+            r#"{"type":"stall_sample","cat":"stall","cycle":2500,"sm":3,"class":"Data","cycles":88}"#,
+            r#"{"name":"Data","cat":"stall","ph":"X","ts":2500,"dur":88,"pid":0,"tid":4}"#,
+        ),
+        (
+            r#"{"type":"cache_counters","cat":"cache","cycle":9000,"kernel":1,"l1_hits":10,"l1_misses":5,"l2_hits":4,"l2_misses":1,"l1_atomics":2,"l2_atomics":3,"registrations":6,"remote_transfers":1,"invalidations":0}"#,
+            r#"{"name":"cache","cat":"cache","ph":"C","ts":9000,"pid":0,"tid":0,"args":{"l1_hits":10,"l1_misses":5,"l2_hits":4,"l2_misses":1,"l1_atomics":2,"l2_atomics":3,"registrations":6,"remote_transfers":1,"invalidations":0}}"#,
+        ),
+        (
+            r#"{"type":"noc_totals","cat":"noc","cycle":9000,"kernel":1,"line_transfers":7,"control_messages":12,"flits":47}"#,
+            r#"{"name":"noc","cat":"noc","ph":"C","ts":9000,"pid":0,"tid":0,"args":{"line_transfers":7,"control_messages":12,"flits":47}}"#,
+        ),
+        (
+            r#"{"type":"acquire_release","cat":"sync","cycle":3000,"sm":0,"drain_to":3100}"#,
+            r#"{"name":"acq-rel","cat":"sync","ph":"i","ts":3000,"pid":0,"tid":1,"s":"t","args":{"drain_to":3100}}"#,
+        ),
+        (
+            r#"{"type":"ownership_transfer","cat":"cache","cycle":2750,"sm":2,"line":42,"remote":true}"#,
+            r#"{"name":"ownership","cat":"cache","ph":"i","ts":2750,"pid":0,"tid":3,"s":"t","args":{"line":42,"remote":true}}"#,
+        ),
+        (
+            r#"{"type":"phase","cat":"phase","start_us":10,"dur_us":900,"name":"simulate"}"#,
+            r#"{"name":"simulate","cat":"phase","ph":"X","ts":10,"dur":900,"pid":0,"tid":0}"#,
+        ),
+        (
+            r#"{"type":"cell_start","cat":"cell","start_us":15,"app":"PR","graph":"RMAT","config":"SGR"}"#,
+            r#"{"name":"PR/RMAT/SGR","cat":"cell","ph":"i","ts":15,"pid":0,"tid":0,"s":"g"}"#,
+        ),
+        (
+            r#"{"type":"cell_finish","cat":"cell","start_us":15,"dur_us":420,"app":"PR","graph":"RMAT","config":"SGR","status":"ok","attempts":1}"#,
+            r#"{"name":"PR/RMAT/SGR","cat":"cell","ph":"X","ts":15,"dur":420,"pid":0,"tid":0,"args":{"status":"ok","attempts":1}}"#,
+        ),
+        (
+            r#"{"type":"store_hit","cat":"store","at_us":18,"key":"PR/RMAT/SGR"}"#,
+            r#"{"name":"hit PR/RMAT/SGR","cat":"store","ph":"i","ts":18,"pid":0,"tid":0,"s":"g"}"#,
+        ),
+        (
+            r#"{"type":"store_miss","cat":"store","at_us":19,"key":"PR/RMAT/TG0"}"#,
+            r#"{"name":"miss PR/RMAT/TG0","cat":"store","ph":"i","ts":19,"pid":0,"tid":0,"s":"g"}"#,
+        ),
+        (
+            r#"{"type":"store_evict","cat":"store","at_us":950,"records":12,"bytes":1536}"#,
+            r#"{"name":"store-evict","cat":"store","ph":"i","ts":950,"pid":0,"tid":0,"s":"g","args":{"records":12,"bytes":1536}}"#,
+        ),
+        (
+            r#"{"type":"store_corruption","cat":"store","at_us":5,"offset":16,"bytes":44}"#,
+            r#"{"name":"store-corruption","cat":"store","ph":"i","ts":5,"pid":0,"tid":0,"s":"g","args":{"offset":16,"bytes":44}}"#,
+        ),
+        (
+            r#"{"type":"graph_build","cat":"reuse","at_us":7,"graph":"RMAT","vertices":16384,"edges":262144}"#,
+            r#"{"name":"build RMAT","cat":"reuse","ph":"i","ts":7,"pid":0,"tid":0,"s":"g","args":{"vertices":16384,"edges":262144}}"#,
+        ),
+        (
+            r#"{"type":"trace_cache_hit","cat":"reuse","at_us":21,"key":"PR/RMAT/push/256"}"#,
+            r#"{"name":"trace-hit PR/RMAT/push/256","cat":"reuse","ph":"i","ts":21,"pid":0,"tid":0,"s":"g"}"#,
+        ),
+        (
+            r#"{"type":"trace_cache_miss","cat":"reuse","at_us":22,"key":"PR/RMAT/pull/256"}"#,
+            r#"{"name":"trace-miss PR/RMAT/pull/256","cat":"reuse","ph":"i","ts":22,"pid":0,"tid":0,"s":"g"}"#,
+        ),
+        (
+            r#"{"type":"trace_cache_evict","cat":"reuse","at_us":940,"streams":2,"bytes":4096}"#,
+            r#"{"name":"trace-evict","cat":"reuse","ph":"i","ts":940,"pid":0,"tid":0,"s":"g","args":{"streams":2,"bytes":4096}}"#,
+        ),
+    ];
+
+    #[test]
+    fn every_variant_encodes_to_its_pinned_bytes() {
+        let events = all_variants();
+        assert_eq!(events.len(), PINNED.len());
+        for (ev, (jsonl, chrome)) in events.iter().zip(PINNED) {
+            assert_eq!(ev.jsonl(), jsonl, "{}", ev.kind());
+            assert_eq!(ev.chrome(), chrome, "{}", ev.kind());
+        }
+    }
+
+    #[test]
+    fn quotes_backslashes_and_control_characters_are_escaped() {
+        let nasty = "q\"b\\s\nc\u{1}e";
+        let phase = TraceEvent::Phase {
+            name: nasty.into(),
+            start_us: 3,
+            dur_us: 4,
+        };
+        assert_eq!(
+            phase.jsonl(),
+            r#"{"type":"phase","cat":"phase","start_us":3,"dur_us":4,"name":"q\"b\\s\nc\u0001e"}"#
+        );
+        assert_eq!(
+            phase.chrome(),
+            r#"{"name":"q\"b\\s\nc\u0001e","cat":"phase","ph":"X","ts":3,"dur":4,"pid":0,"tid":0}"#
+        );
+        let hit = TraceEvent::StoreHit {
+            key: nasty.into(),
+            at_us: 5,
+        };
+        assert_eq!(
+            hit.jsonl(),
+            r#"{"type":"store_hit","cat":"store","at_us":5,"key":"q\"b\\s\nc\u0001e"}"#
+        );
+        assert_eq!(
+            hit.chrome(),
+            r#"{"name":"hit q\"b\\s\nc\u0001e","cat":"store","ph":"i","ts":5,"pid":0,"tid":0,"s":"g"}"#
+        );
+    }
+
     #[test]
     fn jsonl_lines_are_self_describing() {
         for ev in all_variants() {
