@@ -624,11 +624,11 @@ fn open_sink(path: &str) -> BoxedSink {
         Ok(f) => std::io::BufWriter::new(f),
         Err(e) => die(&format!("cannot create {path}: {e}")),
     };
-    if path.ends_with(".jsonl") {
-        Box::new(ggs_trace::JsonlSink::new(file))
+    Box::new(if path.ends_with(".jsonl") {
+        ggs_trace::WriterSink::jsonl(file)
     } else {
-        Box::new(ggs_trace::ChromeTraceSink::new(file))
-    }
+        ggs_trace::WriterSink::chrome(file)
+    })
 }
 
 fn close_sink(path: &str, sink: BoxedSink) {

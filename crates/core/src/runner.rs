@@ -587,7 +587,6 @@ pub fn run_study(
     let reports_out: Vec<CellReport> = outcomes.into_iter().map(|o| o.report).collect();
 
     metrics.add("workloads_simulated", study.reports.len() as u64);
-    metrics.add("study_workloads", study.reports.len() as u64);
 
     Ok(StudyOutcome {
         study,

@@ -355,7 +355,6 @@ mod tests {
         let study = tiny_study(4, &metrics);
         assert_eq!(study.reports.len(), 36);
         assert_eq!(metrics.counter("workloads_simulated"), 36);
-        assert_eq!(metrics.counter("study_workloads"), 36);
         assert!(metrics.counter("configs_simulated") > 36);
         let phases: Vec<String> = metrics.spans().iter().map(|s| s.name.clone()).collect();
         for phase in ["generate_inputs", "simulate", "aggregate"] {

@@ -541,7 +541,7 @@ mod tests {
     fn hit_and_miss_events_are_emitted() {
         let g = ring(64);
         let cache = TraceCache::new(64 << 20);
-        let sink = ggs_trace::JsonlSink::new(Vec::new());
+        let sink = ggs_trace::WriterSink::jsonl(Vec::new());
         let k = key(AppKind::Pr, &g, Propagation::Pull);
         for _ in 0..2 {
             cache.get_or_build(

@@ -21,7 +21,7 @@ use ggs_core::runner::{run_study, CellStatus, Fault, FaultPlan, StudyOptions, St
 use ggs_core::store::{Store, StoreFaults};
 use ggs_core::study::{ConfigSet, ResultRow};
 use ggs_core::{ExperimentSpec, MetricsRegistry};
-use ggs_trace::{JsonlSink, NOOP};
+use ggs_trace::{WriterSink, NOOP};
 
 const SCALE: f64 = 0.004;
 const THREADS: usize = 8;
@@ -121,7 +121,7 @@ fn warm_store_rerun_simulates_nothing_and_is_byte_identical() {
     assert_eq!(cold.study, clean.study);
 
     // Warm re-run, traced: all hits, zero simulations.
-    let sink = JsonlSink::new(Vec::new());
+    let sink = WriterSink::jsonl(Vec::new());
     let warm = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &sink)
         .expect("warm store run");
     let trace = String::from_utf8(sink.into_inner()).expect("utf8 trace");

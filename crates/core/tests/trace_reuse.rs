@@ -21,7 +21,7 @@ use ggs_core::study::ConfigSet;
 use ggs_core::MetricsRegistry;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::{Propagation, SystemConfig};
-use ggs_trace::{JsonlSink, Tracer, NOOP};
+use ggs_trace::{Tracer, WriterSink, NOOP};
 
 const SCALE: f64 = 0.004;
 const THREADS: usize = 8;
@@ -98,7 +98,7 @@ fn streams_are_identical_across_cells_sharing_a_direction() {
 /// from the `graph_build` trace events the runner emits.
 #[test]
 fn a_full_study_builds_each_graph_exactly_once() {
-    let sink = JsonlSink::new(Vec::new());
+    let sink = WriterSink::jsonl(Vec::new());
     let outcome = run_study(
         &budgeted_spec(),
         &StudyOptions::new(ConfigSet::Full, THREADS),

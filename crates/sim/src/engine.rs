@@ -694,9 +694,9 @@ mod tests {
 
     #[test]
     fn tracer_emits_kernel_lifecycle_events() {
-        use ggs_trace::{JsonlSink, Tracer};
+        use ggs_trace::{Tracer, WriterSink};
 
-        let sink = JsonlSink::new(Vec::new());
+        let sink = WriterSink::jsonl(Vec::new());
         {
             let mut sim = Simulation::builder(
                 SystemParams::default(),

@@ -4,10 +4,13 @@ use std::fmt::Write as _;
 
 /// A structured event emitted by an instrumented component.
 ///
-/// Cycle fields are *simulated* GPU cycles (the engine clock), except for
-/// [`TraceEvent::Phase`], whose timestamps are host wall-clock
-/// microseconds relative to the owning [`crate::MetricsRegistry`]'s
-/// creation.
+/// The simulator's events (kernel, iteration, stall, cache, NoC, sync and
+/// ownership) are timed in *simulated* GPU cycles (the engine clock). The
+/// host-side events are timed in host wall-clock microseconds instead
+/// (`*_us` fields): [`TraceEvent::Phase`] relative to the owning
+/// [`crate::MetricsRegistry`]'s creation, and the cell, store,
+/// graph-build and trace-cache events relative to the start of the run
+/// that emits them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A kernel launch reached the SMs (after launch overhead).
@@ -229,122 +232,72 @@ pub enum TraceEvent {
     },
 }
 
+/// One field value, rendered as a JSON number, boolean or string.
+enum Field<'a> {
+    Uint(u64),
+    Bool(bool),
+    Str(&'a str),
+}
+
+/// What every encoding of an event is derived from.
+struct Schema<'a> {
+    /// JSONL `type`.
+    kind: &'static str,
+    category: &'static str,
+    /// Timestamp key (`cycle`, `start_us` or `at_us`) and value.
+    ts: (&'static str, u64),
+    /// The event's own fields, in JSONL order.
+    fields: Vec<(&'static str, Field<'a>)>,
+}
+
 impl TraceEvent {
-    /// Machine-readable event kind, used as the `type` field in JSONL.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::KernelBegin { .. } => "kernel_begin",
-            TraceEvent::KernelEnd { .. } => "kernel_end",
-            TraceEvent::Iteration { .. } => "iteration",
-            TraceEvent::StallSample { .. } => "stall_sample",
-            TraceEvent::CacheCounters { .. } => "cache_counters",
-            TraceEvent::NocTotals { .. } => "noc_totals",
-            TraceEvent::AcquireRelease { .. } => "acquire_release",
-            TraceEvent::OwnershipTransfer { .. } => "ownership_transfer",
-            TraceEvent::Phase { .. } => "phase",
-            TraceEvent::CellStart { .. } => "cell_start",
-            TraceEvent::CellFinish { .. } => "cell_finish",
-            TraceEvent::StoreHit { .. } => "store_hit",
-            TraceEvent::StoreMiss { .. } => "store_miss",
-            TraceEvent::StoreEvict { .. } => "store_evict",
-            TraceEvent::StoreCorruption { .. } => "store_corruption",
-            TraceEvent::GraphBuild { .. } => "graph_build",
-            TraceEvent::TraceCacheHit { .. } => "trace_cache_hit",
-            TraceEvent::TraceCacheMiss { .. } => "trace_cache_miss",
-            TraceEvent::TraceCacheEvict { .. } => "trace_cache_evict",
-        }
-    }
-
-    /// Event category, used as the Chrome-trace `cat` field.
-    pub fn category(&self) -> &'static str {
-        match self {
-            TraceEvent::KernelBegin { .. } | TraceEvent::KernelEnd { .. } => "kernel",
-            TraceEvent::Iteration { .. } => "iter",
-            TraceEvent::StallSample { .. } => "stall",
-            TraceEvent::CacheCounters { .. } | TraceEvent::OwnershipTransfer { .. } => "cache",
-            TraceEvent::NocTotals { .. } => "noc",
-            TraceEvent::AcquireRelease { .. } => "sync",
-            TraceEvent::Phase { .. } => "phase",
-            TraceEvent::CellStart { .. } | TraceEvent::CellFinish { .. } => "cell",
-            TraceEvent::StoreHit { .. }
-            | TraceEvent::StoreMiss { .. }
-            | TraceEvent::StoreEvict { .. }
-            | TraceEvent::StoreCorruption { .. } => "store",
-            TraceEvent::GraphBuild { .. }
-            | TraceEvent::TraceCacheHit { .. }
-            | TraceEvent::TraceCacheMiss { .. }
-            | TraceEvent::TraceCacheEvict { .. } => "reuse",
-        }
-    }
-
-    /// Timestamp of the event: simulated cycle, or microseconds for
-    /// the host wall-clock events ([`TraceEvent::Phase`], the cell
-    /// events, and the store events).
-    pub fn timestamp(&self) -> u64 {
-        match *self {
-            TraceEvent::KernelBegin { cycle, .. }
-            | TraceEvent::KernelEnd { cycle, .. }
-            | TraceEvent::Iteration { cycle, .. }
-            | TraceEvent::StallSample { cycle, .. }
-            | TraceEvent::CacheCounters { cycle, .. }
-            | TraceEvent::NocTotals { cycle, .. }
-            | TraceEvent::AcquireRelease { cycle, .. }
-            | TraceEvent::OwnershipTransfer { cycle, .. } => cycle,
-            TraceEvent::Phase { start_us, .. }
-            | TraceEvent::CellStart { start_us, .. }
-            | TraceEvent::CellFinish { start_us, .. } => start_us,
-            TraceEvent::StoreHit { at_us, .. }
-            | TraceEvent::StoreMiss { at_us, .. }
-            | TraceEvent::StoreEvict { at_us, .. }
-            | TraceEvent::StoreCorruption { at_us, .. }
-            | TraceEvent::GraphBuild { at_us, .. }
-            | TraceEvent::TraceCacheHit { at_us, .. }
-            | TraceEvent::TraceCacheMiss { at_us, .. }
-            | TraceEvent::TraceCacheEvict { at_us, .. } => at_us,
-        }
-    }
-
-    /// Serialize as one JSONL line (no trailing newline).
-    ///
-    /// Every line carries `type`, `cat`, and `cycle` (or `start_us` for
-    /// phases) plus the event's own fields.
-    pub fn jsonl(&self) -> String {
-        let mut s = String::with_capacity(128);
-        let _ = write!(
-            s,
-            "{{\"type\":\"{}\",\"cat\":\"{}\"",
-            self.kind(),
-            self.category()
-        );
+    /// The one description of each variant that `kind`, `category`,
+    /// `timestamp`, `jsonl` and `chrome` read.
+    fn schema(&self) -> Schema<'_> {
+        use Field::{Bool, Str, Uint};
         match self {
             TraceEvent::KernelBegin {
                 kernel,
                 cycle,
                 blocks,
                 threads,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"cycle\":{cycle},\"kernel\":{kernel},\"blocks\":{blocks},\"threads\":{threads}"
-                );
-            }
-            TraceEvent::KernelEnd { kernel, cycle } => {
-                let _ = write!(s, ",\"cycle\":{cycle},\"kernel\":{kernel}");
-            }
-            TraceEvent::Iteration { round, cycle } => {
-                let _ = write!(s, ",\"cycle\":{cycle},\"round\":{round}");
-            }
+            } => Schema {
+                kind: "kernel_begin",
+                category: "kernel",
+                ts: ("cycle", *cycle),
+                fields: vec![
+                    ("kernel", Uint(*kernel)),
+                    ("blocks", Uint(*blocks)),
+                    ("threads", Uint(*threads)),
+                ],
+            },
+            TraceEvent::KernelEnd { kernel, cycle } => Schema {
+                kind: "kernel_end",
+                category: "kernel",
+                ts: ("cycle", *cycle),
+                fields: vec![("kernel", Uint(*kernel))],
+            },
+            TraceEvent::Iteration { round, cycle } => Schema {
+                kind: "iteration",
+                category: "iter",
+                ts: ("cycle", *cycle),
+                fields: vec![("round", Uint(*round))],
+            },
             TraceEvent::StallSample {
                 sm,
                 cycle,
                 class,
                 cycles,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"cycle\":{cycle},\"sm\":{sm},\"class\":\"{class}\",\"cycles\":{cycles}"
-                );
-            }
+            } => Schema {
+                kind: "stall_sample",
+                category: "stall",
+                ts: ("cycle", *cycle),
+                fields: vec![
+                    ("sm", Uint((*sm).into())),
+                    ("class", Str(class)),
+                    ("cycles", Uint(*cycles)),
+                ],
+            },
             TraceEvent::CacheCounters {
                 kernel,
                 cycle,
@@ -357,72 +310,90 @@ impl TraceEvent {
                 registrations,
                 remote_transfers,
                 invalidations,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"cycle\":{cycle},\"kernel\":{kernel},\"l1_hits\":{l1_hits},\
-                     \"l1_misses\":{l1_misses},\"l2_hits\":{l2_hits},\"l2_misses\":{l2_misses},\
-                     \"l1_atomics\":{l1_atomics},\"l2_atomics\":{l2_atomics},\
-                     \"registrations\":{registrations},\"remote_transfers\":{remote_transfers},\
-                     \"invalidations\":{invalidations}"
-                );
-            }
+            } => Schema {
+                kind: "cache_counters",
+                category: "cache",
+                ts: ("cycle", *cycle),
+                fields: vec![
+                    ("kernel", Uint(*kernel)),
+                    ("l1_hits", Uint(*l1_hits)),
+                    ("l1_misses", Uint(*l1_misses)),
+                    ("l2_hits", Uint(*l2_hits)),
+                    ("l2_misses", Uint(*l2_misses)),
+                    ("l1_atomics", Uint(*l1_atomics)),
+                    ("l2_atomics", Uint(*l2_atomics)),
+                    ("registrations", Uint(*registrations)),
+                    ("remote_transfers", Uint(*remote_transfers)),
+                    ("invalidations", Uint(*invalidations)),
+                ],
+            },
             TraceEvent::NocTotals {
                 kernel,
                 cycle,
                 line_transfers,
                 control_messages,
                 flits,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"cycle\":{cycle},\"kernel\":{kernel},\"line_transfers\":{line_transfers},\
-                     \"control_messages\":{control_messages},\"flits\":{flits}"
-                );
-            }
+            } => Schema {
+                kind: "noc_totals",
+                category: "noc",
+                ts: ("cycle", *cycle),
+                fields: vec![
+                    ("kernel", Uint(*kernel)),
+                    ("line_transfers", Uint(*line_transfers)),
+                    ("control_messages", Uint(*control_messages)),
+                    ("flits", Uint(*flits)),
+                ],
+            },
             TraceEvent::AcquireRelease {
                 sm,
                 cycle,
                 drain_to,
-            } => {
-                let _ = write!(s, ",\"cycle\":{cycle},\"sm\":{sm},\"drain_to\":{drain_to}");
-            }
+            } => Schema {
+                kind: "acquire_release",
+                category: "sync",
+                ts: ("cycle", *cycle),
+                fields: vec![("sm", Uint((*sm).into())), ("drain_to", Uint(*drain_to))],
+            },
             TraceEvent::OwnershipTransfer {
                 sm,
                 cycle,
                 line,
                 remote,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"cycle\":{cycle},\"sm\":{sm},\"line\":{line},\"remote\":{remote}"
-                );
-            }
+            } => Schema {
+                kind: "ownership_transfer",
+                category: "cache",
+                ts: ("cycle", *cycle),
+                fields: vec![
+                    ("sm", Uint((*sm).into())),
+                    ("line", Uint(*line)),
+                    ("remote", Bool(*remote)),
+                ],
+            },
             TraceEvent::Phase {
                 name,
                 start_us,
                 dur_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"start_us\":{start_us},\"dur_us\":{dur_us},\"name\":\"{}\"",
-                    escape(name)
-                );
-            }
+            } => Schema {
+                kind: "phase",
+                category: "phase",
+                ts: ("start_us", *start_us),
+                fields: vec![("dur_us", Uint(*dur_us)), ("name", Str(name))],
+            },
             TraceEvent::CellStart {
                 app,
                 graph,
                 config,
                 start_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"start_us\":{start_us},\"app\":\"{}\",\"graph\":\"{}\",\"config\":\"{}\"",
-                    escape(app),
-                    escape(graph),
-                    escape(config)
-                );
-            }
+            } => Schema {
+                kind: "cell_start",
+                category: "cell",
+                ts: ("start_us", *start_us),
+                fields: vec![
+                    ("app", Str(app)),
+                    ("graph", Str(graph)),
+                    ("config", Str(config)),
+                ],
+            },
             TraceEvent::CellFinish {
                 app,
                 graph,
@@ -431,68 +402,170 @@ impl TraceEvent {
                 attempts,
                 start_us,
                 dur_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"start_us\":{start_us},\"dur_us\":{dur_us},\"app\":\"{}\",\
-                     \"graph\":\"{}\",\"config\":\"{}\",\"status\":\"{status}\",\
-                     \"attempts\":{attempts}",
-                    escape(app),
-                    escape(graph),
-                    escape(config)
-                );
-            }
-            TraceEvent::StoreHit { key, at_us } | TraceEvent::StoreMiss { key, at_us } => {
-                let _ = write!(s, ",\"at_us\":{at_us},\"key\":\"{}\"", escape(key));
-            }
+            } => Schema {
+                kind: "cell_finish",
+                category: "cell",
+                ts: ("start_us", *start_us),
+                fields: vec![
+                    ("dur_us", Uint(*dur_us)),
+                    ("app", Str(app)),
+                    ("graph", Str(graph)),
+                    ("config", Str(config)),
+                    ("status", Str(status)),
+                    ("attempts", Uint((*attempts).into())),
+                ],
+            },
+            TraceEvent::StoreHit { key, at_us } => Schema {
+                kind: "store_hit",
+                category: "store",
+                ts: ("at_us", *at_us),
+                fields: vec![("key", Str(key))],
+            },
+            TraceEvent::StoreMiss { key, at_us } => Schema {
+                kind: "store_miss",
+                category: "store",
+                ts: ("at_us", *at_us),
+                fields: vec![("key", Str(key))],
+            },
             TraceEvent::StoreEvict {
                 records,
                 bytes,
                 at_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"at_us\":{at_us},\"records\":{records},\"bytes\":{bytes}"
-                );
-            }
+            } => Schema {
+                kind: "store_evict",
+                category: "store",
+                ts: ("at_us", *at_us),
+                fields: vec![("records", Uint(*records)), ("bytes", Uint(*bytes))],
+            },
             TraceEvent::StoreCorruption {
                 offset,
                 bytes,
                 at_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"at_us\":{at_us},\"offset\":{offset},\"bytes\":{bytes}"
-                );
-            }
+            } => Schema {
+                kind: "store_corruption",
+                category: "store",
+                ts: ("at_us", *at_us),
+                fields: vec![("offset", Uint(*offset)), ("bytes", Uint(*bytes))],
+            },
             TraceEvent::GraphBuild {
                 graph,
                 vertices,
                 edges,
                 at_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"at_us\":{at_us},\"graph\":\"{}\",\"vertices\":{vertices},\
-                     \"edges\":{edges}",
-                    escape(graph)
-                );
-            }
-            TraceEvent::TraceCacheHit { key, at_us }
-            | TraceEvent::TraceCacheMiss { key, at_us } => {
-                let _ = write!(s, ",\"at_us\":{at_us},\"key\":\"{}\"", escape(key));
-            }
+            } => Schema {
+                kind: "graph_build",
+                category: "reuse",
+                ts: ("at_us", *at_us),
+                fields: vec![
+                    ("graph", Str(graph)),
+                    ("vertices", Uint(*vertices)),
+                    ("edges", Uint(*edges)),
+                ],
+            },
+            TraceEvent::TraceCacheHit { key, at_us } => Schema {
+                kind: "trace_cache_hit",
+                category: "reuse",
+                ts: ("at_us", *at_us),
+                fields: vec![("key", Str(key))],
+            },
+            TraceEvent::TraceCacheMiss { key, at_us } => Schema {
+                kind: "trace_cache_miss",
+                category: "reuse",
+                ts: ("at_us", *at_us),
+                fields: vec![("key", Str(key))],
+            },
             TraceEvent::TraceCacheEvict {
                 streams,
                 bytes,
                 at_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"at_us\":{at_us},\"streams\":{streams},\"bytes\":{bytes}"
-                );
-            }
+            } => Schema {
+                kind: "trace_cache_evict",
+                category: "reuse",
+                ts: ("at_us", *at_us),
+                fields: vec![("streams", Uint(*streams)), ("bytes", Uint(*bytes))],
+            },
         }
+    }
+
+    /// How the variant appears in a Chrome trace besides its category
+    /// and timestamp: name, phase, tid, optional `dur`, and how many of
+    /// its last schema fields go to `args`.
+    fn chrome_shape(&self) -> (String, &'static str, u64, Option<u64>, usize) {
+        match self {
+            TraceEvent::KernelBegin { kernel, .. } => (format!("kernel-{kernel}"), "B", 0, None, 2),
+            TraceEvent::KernelEnd { kernel, .. } => (format!("kernel-{kernel}"), "E", 0, None, 0),
+            TraceEvent::Iteration { round, .. } => (format!("round-{round}"), "i", 0, None, 0),
+            TraceEvent::StallSample {
+                sm, class, cycles, ..
+            } => ((*class).into(), "X", u64::from(*sm) + 1, Some(*cycles), 0),
+            TraceEvent::CacheCounters { .. } => ("cache".into(), "C", 0, None, 9),
+            TraceEvent::NocTotals { .. } => ("noc".into(), "C", 0, None, 3),
+            TraceEvent::AcquireRelease { sm, .. } => {
+                ("acq-rel".into(), "i", u64::from(*sm) + 1, None, 1)
+            }
+            TraceEvent::OwnershipTransfer { sm, .. } => {
+                ("ownership".into(), "i", u64::from(*sm) + 1, None, 2)
+            }
+            TraceEvent::Phase { name, dur_us, .. } => (name.clone(), "X", 0, Some(*dur_us), 0),
+            TraceEvent::CellStart {
+                app, graph, config, ..
+            } => (format!("{app}/{graph}/{config}"), "i", 0, None, 0),
+            TraceEvent::CellFinish {
+                app,
+                graph,
+                config,
+                dur_us,
+                ..
+            } => (format!("{app}/{graph}/{config}"), "X", 0, Some(*dur_us), 2),
+            TraceEvent::StoreHit { key, .. } => (format!("hit {key}"), "i", 0, None, 0),
+            TraceEvent::StoreMiss { key, .. } => (format!("miss {key}"), "i", 0, None, 0),
+            TraceEvent::StoreEvict { .. } => ("store-evict".into(), "i", 0, None, 2),
+            TraceEvent::StoreCorruption { .. } => ("store-corruption".into(), "i", 0, None, 2),
+            TraceEvent::GraphBuild { graph, .. } => (format!("build {graph}"), "i", 0, None, 2),
+            TraceEvent::TraceCacheHit { key, .. } => (format!("trace-hit {key}"), "i", 0, None, 0),
+            TraceEvent::TraceCacheMiss { key, .. } => {
+                (format!("trace-miss {key}"), "i", 0, None, 0)
+            }
+            TraceEvent::TraceCacheEvict { .. } => ("trace-evict".into(), "i", 0, None, 2),
+        }
+    }
+
+    /// Machine-readable event kind, used as the `type` field in JSONL.
+    pub fn kind(&self) -> &'static str {
+        self.schema().kind
+    }
+
+    /// Event category, used as the `cat` field in both encodings.
+    pub fn category(&self) -> &'static str {
+        self.schema().category
+    }
+
+    /// Timestamp of the event: simulated cycle, or microseconds for
+    /// the host wall-clock events (phase, cell, store, graph-build and
+    /// trace-cache events).
+    pub fn timestamp(&self) -> u64 {
+        self.schema().ts.1
+    }
+
+    /// Serialize as one JSONL line (no trailing newline).
+    ///
+    /// Every line carries `type`, `cat`, and its timestamp (`cycle`,
+    /// `start_us` or `at_us`) plus the event's own fields.
+    pub fn jsonl(&self) -> String {
+        let Schema {
+            kind,
+            category,
+            ts: (ts_key, ts),
+            fields,
+        } = self.schema();
+        let mut s = String::with_capacity(128);
+        s.push('{');
+        let head = [
+            ("type", Field::Str(kind)),
+            ("cat", Field::Str(category)),
+            (ts_key, Field::Uint(ts)),
+        ];
+        push_fields(&mut s, head.into_iter().chain(fields));
         s.push('}');
         s
     }
@@ -503,219 +576,65 @@ impl TraceEvent {
     /// kernels are `B`/`E` duration pairs on tid 0, stall samples are
     /// complete (`X`) events on per-SM tracks (tid = SM id + 1), counter
     /// snapshots are `C` events, and point occurrences are instants
-    /// (`i`). Timestamps (`ts`) are simulated cycles interpreted as
-    /// microseconds by the viewer.
+    /// (`i`), scoped globally (`"s":"g"`) on tid 0 and to their thread
+    /// (`"s":"t"`) on an SM track. Timestamps (`ts`) are simulated
+    /// cycles interpreted as microseconds by the viewer.
     pub fn chrome(&self) -> String {
-        let ts = self.timestamp();
-        let cat = self.category();
-        let mut s = String::with_capacity(160);
-        match self {
-            TraceEvent::KernelBegin {
-                kernel,
-                blocks,
-                threads,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"kernel-{kernel}\",\"cat\":\"{cat}\",\"ph\":\"B\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"args\":{{\"blocks\":{blocks},\"threads\":{threads}}}}}"
-                );
-            }
-            TraceEvent::KernelEnd { kernel, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"kernel-{kernel}\",\"cat\":\"{cat}\",\"ph\":\"E\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0}}"
-                );
-            }
-            TraceEvent::Iteration { round, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"round-{round}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\"}}"
-                );
-            }
-            TraceEvent::StallSample {
-                sm, class, cycles, ..
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"{class}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\
-                     \"dur\":{cycles},\"pid\":0,\"tid\":{}}}",
-                    sm + 1
-                );
-            }
-            TraceEvent::CacheCounters {
-                l1_hits,
-                l1_misses,
-                l2_hits,
-                l2_misses,
-                l1_atomics,
-                l2_atomics,
-                registrations,
-                remote_transfers,
-                invalidations,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"cache\",\"cat\":\"{cat}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\
-                     \"tid\":0,\"args\":{{\"l1_hits\":{l1_hits},\"l1_misses\":{l1_misses},\
-                     \"l2_hits\":{l2_hits},\"l2_misses\":{l2_misses},\"l1_atomics\":{l1_atomics},\
-                     \"l2_atomics\":{l2_atomics},\"registrations\":{registrations},\
-                     \"remote_transfers\":{remote_transfers},\"invalidations\":{invalidations}}}}}"
-                );
-            }
-            TraceEvent::NocTotals {
-                line_transfers,
-                control_messages,
-                flits,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"noc\",\"cat\":\"{cat}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\
-                     \"tid\":0,\"args\":{{\"line_transfers\":{line_transfers},\
-                     \"control_messages\":{control_messages},\"flits\":{flits}}}}}"
-                );
-            }
-            TraceEvent::AcquireRelease { sm, drain_to, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"acq-rel\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\"pid\":0,\
-                     \"tid\":{},\"s\":\"t\",\"args\":{{\"drain_to\":{drain_to}}}}}",
-                    sm + 1
-                );
-            }
-            TraceEvent::OwnershipTransfer {
-                sm, line, remote, ..
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"ownership\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":{},\"s\":\"t\",\"args\":{{\"line\":{line},\
-                     \"remote\":{remote}}}}}",
-                    sm + 1
-                );
-            }
-            TraceEvent::Phase { name, dur_us, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\
-                     \"dur\":{dur_us},\"pid\":0,\"tid\":0}}",
-                    escape(name)
-                );
-            }
-            TraceEvent::CellStart {
-                app, graph, config, ..
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"{}/{}/{}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\"}}",
-                    escape(app),
-                    escape(graph),
-                    escape(config)
-                );
-            }
-            TraceEvent::CellFinish {
-                app,
-                graph,
-                config,
-                status,
-                attempts,
-                dur_us,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"{}/{}/{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\
-                     \"dur\":{dur_us},\"pid\":0,\"tid\":0,\
-                     \"args\":{{\"status\":\"{status}\",\"attempts\":{attempts}}}}}",
-                    escape(app),
-                    escape(graph),
-                    escape(config)
-                );
-            }
-            TraceEvent::StoreHit { key, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"hit {}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\"}}",
-                    escape(key)
-                );
-            }
-            TraceEvent::StoreMiss { key, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"miss {}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\"}}",
-                    escape(key)
-                );
-            }
-            TraceEvent::StoreEvict { records, bytes, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"store-evict\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\",\
-                     \"args\":{{\"records\":{records},\"bytes\":{bytes}}}}}"
-                );
-            }
-            TraceEvent::StoreCorruption { offset, bytes, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"store-corruption\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\",\
-                     \"args\":{{\"offset\":{offset},\"bytes\":{bytes}}}}}"
-                );
-            }
-            TraceEvent::GraphBuild {
-                graph,
-                vertices,
-                edges,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"build {}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\",\
-                     \"args\":{{\"vertices\":{vertices},\"edges\":{edges}}}}}",
-                    escape(graph)
-                );
-            }
-            TraceEvent::TraceCacheHit { key, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"trace-hit {}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\"}}",
-                    escape(key)
-                );
-            }
-            TraceEvent::TraceCacheMiss { key, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"trace-miss {}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\"}}",
-                    escape(key)
-                );
-            }
-            TraceEvent::TraceCacheEvict { streams, bytes, .. } => {
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"trace-evict\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":0,\"s\":\"g\",\
-                     \"args\":{{\"streams\":{streams},\"bytes\":{bytes}}}}}"
-                );
-            }
+        let Schema {
+            category,
+            ts: (_, ts),
+            fields,
+            ..
+        } = self.schema();
+        let (name, ph, tid, dur, args) = self.chrome_shape();
+        let mut head = vec![
+            ("name", Field::Str(&name)),
+            ("cat", Field::Str(category)),
+            ("ph", Field::Str(ph)),
+            ("ts", Field::Uint(ts)),
+        ];
+        head.extend(dur.map(|dur| ("dur", Field::Uint(dur))));
+        head.extend([("pid", Field::Uint(0)), ("tid", Field::Uint(tid))]);
+        if ph == "i" {
+            head.push(("s", Field::Str(if tid == 0 { "g" } else { "t" })));
         }
+        let mut s = String::with_capacity(160);
+        s.push('{');
+        push_fields(&mut s, head);
+        if args > 0 {
+            let first = fields.len().saturating_sub(args);
+            s.push_str(",\"args\":{");
+            push_fields(&mut s, fields.into_iter().skip(first));
+            s.push('}');
+        }
+        s.push('}');
         s
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `"key":value` pairs to a JSON object opened in `out`, with a
+/// comma before each pair unless it is the object's first.
+fn push_fields<'a>(out: &mut String, fields: impl IntoIterator<Item = (&'a str, Field<'a>)>) {
+    for (key, value) in fields {
+        if !out.ends_with('{') {
+            out.push(',');
+        }
+        escape(out, key);
+        out.push(':');
+        let _ = match value {
+            Field::Uint(n) => write!(out, "{n}"),
+            Field::Bool(b) => write!(out, "{b}"),
+            Field::Str(s) => {
+                escape(out, s);
+                Ok(())
+            }
+        };
+    }
+}
+
+/// Append `s` to `out` as a JSON string literal, quotes included.
+fn escape(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -729,7 +648,7 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -1003,16 +922,5 @@ mod tests {
         for needed in ["kernel", "stall", "cache", "noc"] {
             assert!(cats.contains(needed), "missing category {needed}");
         }
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let ev = TraceEvent::Phase {
-            name: "a\"b\\c".into(),
-            start_us: 0,
-            dur_us: 1,
-        };
-        assert!(ev.jsonl().contains("a\\\"b\\\\c"));
-        assert!(ev.chrome().contains("a\\\"b\\\\c"));
     }
 }

@@ -8,12 +8,16 @@
 //!
 //! * [`TraceEvent`] — typed events covering kernel begin/end, per-round
 //!   iteration boundaries, sampled per-SM stall-class transitions, L1/L2
-//!   hit–miss–ownership counter deltas, NoC flit totals, and atomic
-//!   acquire/release occurrences.
+//!   hit–miss–ownership counter deltas, NoC flit totals, atomic
+//!   acquire/release occurrences and DeNovo ownership transfers, plus the
+//!   host-side phase spans, study-cell lifecycle, result-store
+//!   hits/misses/evictions/corruption, graph builds and trace-cache
+//!   hits/misses/evictions. Each event renders as one JSON line or one
+//!   Chrome trace-event object.
 //! * [`TraceSink`] — where events go. [`NoopSink`] is the zero-cost
-//!   default; [`JsonlSink`] writes one JSON object per line, and
-//!   [`ChromeTraceSink`] writes a `chrome://tracing` / Perfetto-loadable
-//!   trace-event file.
+//!   default; [`WriterSink`] streams events to any writer, as JSON Lines
+//!   ([`WriterSink::jsonl`]) or as a `chrome://tracing` /
+//!   Perfetto-loadable trace-event file ([`WriterSink::chrome`]).
 //! * [`Tracer`] — a `Copy` handle (`&dyn TraceSink` + sampling stride)
 //!   that instrumented code threads through the stack. There is no global
 //!   sink: injection is explicit, and a disabled tracer costs one boolean
@@ -25,9 +29,9 @@
 //! # Example
 //!
 //! ```
-//! use ggs_trace::{ChromeTraceSink, TraceEvent, TraceSink, Tracer};
+//! use ggs_trace::{TraceEvent, TraceSink, Tracer, WriterSink};
 //!
-//! let sink = ChromeTraceSink::new(Vec::new());
+//! let sink = WriterSink::chrome(Vec::new());
 //! let tracer = Tracer::new(&sink, 1000);
 //! tracer.emit(&TraceEvent::KernelBegin { kernel: 0, cycle: 2000, blocks: 4, threads: 1024 });
 //! tracer.emit(&TraceEvent::KernelEnd { kernel: 0, cycle: 9000 });
@@ -46,5 +50,5 @@ mod tracer;
 
 pub use event::TraceEvent;
 pub use metrics::{Histogram, MetricsRegistry, PhaseGuard, PhaseSpan};
-pub use sink::{ChromeTraceSink, JsonlSink, NoopSink, TraceSink, NOOP};
+pub use sink::{NoopSink, TraceSink, WriterSink, NOOP};
 pub use tracer::Tracer;

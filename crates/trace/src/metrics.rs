@@ -240,7 +240,7 @@ impl Drop for PhaseGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::JsonlSink;
+    use crate::sink::WriterSink;
 
     #[test]
     fn counters_accumulate() {
@@ -308,7 +308,7 @@ mod tests {
         {
             let _g = reg.phase("generate-inputs");
         }
-        let sink = JsonlSink::new(Vec::new());
+        let sink = WriterSink::jsonl(Vec::new());
         reg.emit_phases(&sink);
         assert_eq!(sink.len(), 1);
         let text = String::from_utf8(sink.into_inner()).expect("utf8");

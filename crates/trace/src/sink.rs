@@ -45,7 +45,7 @@ impl TraceSink for NoopSink {
 /// A shared no-op sink; [`crate::Tracer::off`] borrows this.
 pub static NOOP: NoopSink = NoopSink;
 
-/// Writer state shared by the file-backed sinks.
+/// Writer state of a [`WriterSink`].
 struct WriterState<W> {
     writer: W,
     /// First I/O error observed, reported by `finish`.
@@ -64,124 +64,72 @@ impl<W: Write> WriterState<W> {
             self.error = Some(e);
         }
     }
-
-    fn take_result(&mut self) -> io::Result<()> {
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => self.writer.flush(),
-        }
-    }
 }
 
-/// The writer state is `Option` so `into_inner` can take it while the
-/// sink still has a `Drop` impl; a `None` means the writer was moved out.
-fn lock<W>(m: &Mutex<Option<WriterState<W>>>) -> std::sync::MutexGuard<'_, Option<WriterState<W>>> {
-    // A panic while holding the lock can only leave behind a partially
-    // written event; the stream stays usable, so ignore poisoning.
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// The encoding a [`WriterSink`] writes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Format {
+    /// One JSON object per line.
+    Jsonl,
+    /// A `{"traceEvents":[ ... ]}` document.
+    Chrome,
 }
 
-/// Writes each event as one JSON object per line (JSON Lines).
+/// Writes events to an [`io::Write`] as JSON Lines ([`WriterSink::jsonl`])
+/// or as a Chrome trace-event file ([`WriterSink::chrome`]).
 ///
-/// The schema is documented in `docs/observability.md`; every line has
-/// `type` and `cat` discriminators plus the event's own fields.
-pub struct JsonlSink<W: Write + Send> {
+/// Events are streamed as they arrive; consider a `BufWriter` for file
+/// targets. Call [`TraceSink::finish`] to close the document (the
+/// Chrome footer), flush, and observe the first I/O error; drop also
+/// finishes, but swallows the error. Events emitted after `finish` are
+/// dropped, as are events after a failed write.
+pub struct WriterSink<W: Write + Send> {
+    format: Format,
+    /// `Option` so `into_inner` can take the writer while the sink still
+    /// has a `Drop` impl; `None` means the writer was moved out.
     state: Mutex<Option<WriterState<W>>>,
 }
 
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wrap a writer. Consider a `BufWriter` for file targets.
-    pub fn new(writer: W) -> Self {
-        Self {
-            state: Mutex::new(Some(WriterState {
-                writer,
-                error: None,
-                count: 0,
-                finished: false,
-            })),
-        }
+impl<W: Write + Send> WriterSink<W> {
+    /// A sink writing one JSON object per line (JSON Lines). The schema
+    /// is documented in `docs/observability.md`; every line has `type`
+    /// and `cat` discriminators plus the event's own fields.
+    pub fn jsonl(writer: W) -> Self {
+        Self::new(Format::Jsonl, writer)
     }
 
-    /// Number of events written so far.
-    pub fn len(&self) -> u64 {
-        lock(&self.state).as_ref().map_or(0, |st| st.count)
+    /// A sink writing a Chrome trace-event file, loadable in
+    /// `chrome://tracing` or <https://ui.perfetto.dev>. The header is
+    /// written here; [`TraceSink::finish`] writes the closing bracket.
+    pub fn chrome(writer: W) -> Self {
+        Self::new(Format::Chrome, writer)
     }
 
-    /// Whether no events have been written.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Consume the sink and return the inner writer.
-    pub fn into_inner(self) -> W {
-        lock(&self.state)
-            .take()
-            .expect("writer present until into_inner")
-            .writer
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn emit(&self, event: &TraceEvent) {
-        if let Some(st) = lock(&self.state).as_mut() {
-            // Once the writer has failed, stop paying for serialization:
-            // the stream is dead and `finish` will report the error.
-            if st.error.is_some() {
-                return;
-            }
-            let mut line = event.jsonl();
-            line.push('\n');
-            st.write(line.as_bytes());
-            st.count += 1;
-        }
-    }
-
-    fn finish(&self) -> io::Result<()> {
-        match lock(&self.state).as_mut() {
-            Some(st) => {
-                st.finished = true;
-                st.take_result()
-            }
-            None => Ok(()),
-        }
-    }
-}
-
-impl<W: Write + Send> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        let _ = self.finish();
-    }
-}
-
-/// Writes a Chrome trace-event file: `{"traceEvents":[ ... ]}`.
-///
-/// Load the result in `chrome://tracing` or <https://ui.perfetto.dev>.
-/// The header is written on construction and events are streamed
-/// incrementally; call [`TraceSink::finish`] to write the closing
-/// bracket and observe any I/O error (drop also closes the file, but
-/// swallows errors).
-pub struct ChromeTraceSink<W: Write + Send> {
-    state: Mutex<Option<WriterState<W>>>,
-}
-
-impl<W: Write + Send> ChromeTraceSink<W> {
-    /// Wrap a writer and emit the trace-file header.
-    pub fn new(writer: W) -> Self {
+    fn new(format: Format, writer: W) -> Self {
         let mut st = WriterState {
             writer,
             error: None,
             count: 0,
             finished: false,
         };
-        st.write(b"{\"traceEvents\":[");
+        if format == Format::Chrome {
+            st.write(b"{\"traceEvents\":[");
+        }
         Self {
+            format,
             state: Mutex::new(Some(st)),
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<WriterState<W>>> {
+        // A panic while holding the lock can only leave behind a partially
+        // written event; the stream stays usable, so ignore poisoning.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Number of events written so far.
     pub fn len(&self) -> u64 {
-        lock(&self.state).as_ref().map_or(0, |st| st.count)
+        self.lock().as_ref().map_or(0, |st| st.count)
     }
 
     /// Whether no events have been written.
@@ -190,45 +138,59 @@ impl<W: Write + Send> ChromeTraceSink<W> {
     }
 
     /// Consume the sink and return the inner writer. Call
-    /// [`TraceSink::finish`] first if the footer must be present.
+    /// [`TraceSink::finish`] first if a Chrome footer must be present.
     pub fn into_inner(self) -> W {
-        lock(&self.state)
+        self.lock()
             .take()
             .expect("writer present until into_inner")
             .writer
     }
 }
 
-impl<W: Write + Send> TraceSink for ChromeTraceSink<W> {
+impl<W: Write + Send> TraceSink for WriterSink<W> {
     fn emit(&self, event: &TraceEvent) {
-        if let Some(st) = lock(&self.state).as_mut() {
-            if st.finished || st.error.is_some() {
-                return;
-            }
-            let obj = event.chrome();
-            if st.count > 0 {
-                st.write(b",\n");
-            }
-            st.write(obj.as_bytes());
+        let mut guard = self.lock();
+        // After `finish`, or once the writer has failed (the stream is
+        // dead and `finish` reports the error), drop the event without
+        // paying for its serialization.
+        let Some(st) = guard
+            .as_mut()
+            .filter(|st| !st.finished && st.error.is_none())
+        else {
+            return;
+        };
+        let encoded = match self.format {
+            Format::Jsonl => event.jsonl() + "\n",
+            Format::Chrome => event.chrome(),
+        };
+        if self.format == Format::Chrome && st.count > 0 {
+            st.write(b",\n");
+        }
+        st.write(encoded.as_bytes());
+        if st.error.is_none() {
             st.count += 1;
         }
     }
 
     fn finish(&self) -> io::Result<()> {
-        match lock(&self.state).as_mut() {
-            Some(st) => {
-                if !st.finished {
-                    st.finished = true;
-                    st.write(b"]}\n");
-                }
-                st.take_result()
+        let mut guard = self.lock();
+        let Some(st) = guard.as_mut() else {
+            return Ok(());
+        };
+        if !st.finished {
+            st.finished = true;
+            if self.format == Format::Chrome {
+                st.write(b"]}\n");
             }
-            None => Ok(()),
+        }
+        match st.error.take() {
+            Some(e) => Err(e),
+            None => st.writer.flush(),
         }
     }
 }
 
-impl<W: Write + Send> Drop for ChromeTraceSink<W> {
+impl<W: Write + Send> Drop for WriterSink<W> {
     fn drop(&mut self) {
         let _ = self.finish();
     }
@@ -237,11 +199,53 @@ impl<W: Write + Send> Drop for ChromeTraceSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn sample() -> TraceEvent {
         TraceEvent::KernelEnd {
             kernel: 0,
             cycle: 10,
+        }
+    }
+
+    type Make<W> = fn(W) -> WriterSink<W>;
+
+    /// Each format's constructor and the exact bytes it writes for zero,
+    /// one and two `sample()` events; every case below runs over both.
+    fn formats<W: Write + Send>() -> [(Make<W>, [String; 3]); 2] {
+        let (line, obj) = (sample().jsonl(), sample().chrome());
+        [
+            (
+                WriterSink::jsonl,
+                [
+                    String::new(),
+                    format!("{line}\n"),
+                    format!("{line}\n{line}\n"),
+                ],
+            ),
+            (
+                WriterSink::chrome,
+                [
+                    "{\"traceEvents\":[]}\n".to_owned(),
+                    format!("{{\"traceEvents\":[{obj}]}}\n"),
+                    format!("{{\"traceEvents\":[{obj},\n{obj}]}}\n"),
+                ],
+            ),
+        ]
+    }
+
+    /// A writer that fails every write once `broken` is set.
+    struct Breakable(Arc<AtomicBool>);
+    impl Write for Breakable {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.0.load(Ordering::Relaxed) {
+                return Err(io::Error::other("disk full"));
+            }
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
     }
 
@@ -253,83 +257,49 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let sink = JsonlSink::new(Vec::new());
-        sink.emit(&sample());
-        sink.emit(&sample());
-        assert_eq!(sink.len(), 2);
-        sink.finish().expect("vec write");
-        let text = String::from_utf8(sink.into_inner()).expect("utf8");
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
+    fn writes_each_event_in_its_format_and_an_empty_trace_is_valid() {
+        for (make, expected) in formats() {
+            for (n, want) in expected.iter().enumerate() {
+                let sink = make(Vec::new());
+                for _ in 0..n {
+                    sink.emit(&sample());
+                }
+                assert_eq!(sink.len(), n as u64);
+                sink.finish().expect("vec write");
+                let text = String::from_utf8(sink.into_inner()).expect("utf8");
+                assert_eq!(&text, want);
+            }
         }
     }
 
     #[test]
-    fn chrome_sink_brackets_and_commas() {
-        let sink = ChromeTraceSink::new(Vec::new());
-        sink.emit(&sample());
-        sink.emit(&sample());
-        sink.finish().expect("vec write");
-        let text = String::from_utf8(sink.into_inner()).expect("utf8");
-        assert!(text.starts_with("{\"traceEvents\":["));
-        assert!(text.trim_end().ends_with("]}"));
-        assert_eq!(text.matches("\"ph\":\"E\"").count(), 2);
-        // Exactly one separating comma between the two events.
-        assert_eq!(text.matches(",\n").count(), 1);
-    }
-
-    #[test]
-    fn empty_chrome_trace_is_still_valid() {
-        let sink = ChromeTraceSink::new(Vec::new());
-        sink.finish().expect("vec write");
-        let text = String::from_utf8(sink.into_inner()).expect("utf8");
-        assert_eq!(text.trim_end(), "{\"traceEvents\":[]}");
-    }
-
-    #[test]
-    fn finish_is_idempotent_and_emit_after_finish_is_ignored() {
-        let sink = ChromeTraceSink::new(Vec::new());
-        sink.emit(&sample());
-        sink.finish().expect("vec write");
-        sink.emit(&sample());
-        sink.finish().expect("vec write");
-        let text = String::from_utf8(sink.into_inner()).expect("utf8");
-        assert_eq!(text.matches("\"ph\"").count(), 1);
-        assert_eq!(text.matches("]}").count(), 1);
-    }
-
-    struct FailingWriter;
-    impl Write for FailingWriter {
-        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-            Err(io::Error::other("disk full"))
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
+    fn events_after_finish_are_dropped_and_finish_is_idempotent() {
+        for (make, [_, one, _]) in formats() {
+            let sink = make(Vec::new());
+            sink.emit(&sample());
+            sink.finish().expect("vec write");
+            sink.emit(&sample());
+            sink.finish().expect("vec write");
+            assert_eq!(sink.len(), 1);
+            assert_eq!(String::from_utf8(sink.into_inner()).expect("utf8"), one);
         }
     }
 
     #[test]
-    fn io_errors_are_latched_not_panicked() {
-        let sink = ChromeTraceSink::new(FailingWriter);
-        sink.emit(&sample());
-        let err = sink.finish().expect_err("writer always fails");
-        assert_eq!(err.to_string(), "disk full");
-        // Idempotent finish after the error was taken flushes cleanly.
-        assert!(sink.finish().is_ok());
-    }
-
-    #[test]
-    fn jsonl_sink_latches_io_errors_and_stops_counting() {
-        let sink = JsonlSink::new(FailingWriter);
-        // Neither emit panics; the first failure is latched and later
-        // events are dropped without being serialized.
-        sink.emit(&sample());
-        sink.emit(&sample());
-        assert_eq!(sink.len(), 1, "events after the failure are dropped");
-        let err = sink.finish().expect_err("writer always fails");
-        assert_eq!(err.to_string(), "disk full");
-        assert!(sink.finish().is_ok(), "error reported exactly once");
+    fn first_io_error_is_reported_once_and_stops_the_count() {
+        for (make, _) in formats() {
+            let broken = Arc::new(AtomicBool::new(false));
+            let sink = make(Breakable(Arc::clone(&broken)));
+            sink.emit(&sample());
+            broken.store(true, Ordering::Relaxed);
+            // Neither emit panics; the first failure is latched and later
+            // events are dropped without being serialized or counted.
+            sink.emit(&sample());
+            sink.emit(&sample());
+            assert_eq!(sink.len(), 1, "events from the failure on are not counted");
+            let err = sink.finish().expect_err("writer fails");
+            assert_eq!(err.to_string(), "disk full");
+            assert!(sink.finish().is_ok(), "error reported exactly once");
+        }
     }
 }

@@ -73,7 +73,7 @@ impl std::fmt::Debug for Tracer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::JsonlSink;
+    use crate::sink::WriterSink;
 
     #[test]
     fn off_tracer_is_disabled_and_emits_nothing() {
@@ -87,7 +87,7 @@ mod tests {
 
     #[test]
     fn tracer_forwards_to_sink() {
-        let sink = JsonlSink::new(Vec::new());
+        let sink = WriterSink::jsonl(Vec::new());
         let t = Tracer::new(&sink, 0);
         assert!(t.enabled());
         assert_eq!(t.stride(), 1, "stride 0 clamps to 1");
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn tracer_is_copy_and_coerces_lifetimes() {
-        let sink = JsonlSink::new(Vec::new());
+        let sink = WriterSink::jsonl(Vec::new());
         let t = Tracer::new(&sink, 500);
         let t2 = t; // Copy
         t.emit(&TraceEvent::Iteration { round: 0, cycle: 0 });

@@ -21,7 +21,7 @@ fn main() -> Result<(), GgsError> {
     let graph = SynthConfig::preset(preset).scale(scale).generate();
     let spec = ExperimentSpec::builder().scale(scale).build()?;
 
-    let sink = ChromeTraceSink::new(BufWriter::new(std::fs::File::create(&path)?));
+    let sink = WriterSink::chrome(BufWriter::new(std::fs::File::create(&path)?));
     // Stride 500: at most one stall sample per SM per 500 cycles.
     let stats = run_workload(app, &graph, config, &spec, Tracer::new(&sink, 500), None)?;
     sink.finish()?;

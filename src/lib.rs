@@ -45,7 +45,5 @@ pub mod prelude {
     pub use ggs_sim::{
         ExecStats, HwConfig, SimBudget, Simulation, SimulationBuilder, StallClass, SystemParams,
     };
-    pub use ggs_trace::{
-        ChromeTraceSink, JsonlSink, MetricsRegistry, NoopSink, TraceEvent, TraceSink, Tracer,
-    };
+    pub use ggs_trace::{MetricsRegistry, NoopSink, TraceEvent, TraceSink, Tracer, WriterSink};
 }

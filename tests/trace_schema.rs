@@ -104,7 +104,7 @@ fn sorted_keys(v: &Value) -> Vec<String> {
 
 #[test]
 fn jsonl_schema_matches_golden_file() {
-    let sink = JsonlSink::new(Vec::new());
+    let sink = WriterSink::jsonl(Vec::new());
     emit_all_events(&sink);
     let text = String::from_utf8(sink.into_inner()).unwrap();
 
@@ -152,8 +152,36 @@ fn jsonl_schema_matches_golden_file() {
 }
 
 #[test]
+fn every_golden_event_type_is_documented() {
+    // The schema table in docs/observability.md has one row per event
+    // type: `| `type` | `cat` | fields | emitted from |`.
+    let docs = include_str!("../docs/observability.md");
+    let golden = include_str!("golden/trace_schema.txt");
+    for line in golden.lines().filter(|l| !l.starts_with("categories:")) {
+        let (head, keys) = line
+            .split_once(": ")
+            .expect("golden line is `type [cat]: keys`");
+        let (ty, cat) = head
+            .split_once(' ')
+            .expect("golden line is `type [cat]: keys`");
+        let cat = cat.trim_matches(['[', ']']);
+        let prefix = format!("| `{ty}` | `{cat}` |");
+        let row = docs
+            .lines()
+            .find(|row| row.starts_with(&prefix))
+            .unwrap_or_else(|| panic!("docs/observability.md has no schema row `{prefix}`"));
+        for key in keys.split(',').filter(|k| !matches!(*k, "type" | "cat")) {
+            assert!(
+                row.contains(&format!("`{key}`")),
+                "docs/observability.md row for {ty} does not list field {key}"
+            );
+        }
+    }
+}
+
+#[test]
 fn chrome_trace_is_valid_json_with_all_categories() {
-    let sink = ChromeTraceSink::new(Vec::new());
+    let sink = WriterSink::chrome(Vec::new());
     emit_all_events(&sink);
     sink.finish().unwrap();
     let text = String::from_utf8(sink.into_inner()).unwrap();
@@ -186,7 +214,7 @@ fn chrome_trace_is_valid_json_with_all_categories() {
 
 #[test]
 fn kernel_begin_end_events_are_balanced() {
-    let sink = JsonlSink::new(Vec::new());
+    let sink = WriterSink::jsonl(Vec::new());
     emit_all_events(&sink);
     let text = String::from_utf8(sink.into_inner()).unwrap();
     let begins = text.lines().filter(|l| l.contains("kernel_begin")).count();
