@@ -415,6 +415,17 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_values_are_pinned() {
+        // Fingerprints key trace-cache entries, so the hash must not
+        // drift when its implementation is refactored.
+        assert_eq!(graph_fingerprint(&ring(64)), 3_718_702_934_302_300_069);
+        assert_eq!(
+            graph_fingerprint(&ring(64).with_hashed_weights(8)),
+            75_461_223_524_790_084
+        );
+    }
+
+    #[test]
     fn hybrid_keys_never_collide_with_static_keys() {
         let g = ring(64);
         let push = key(AppKind::Bfs, &g, Propagation::Push);
