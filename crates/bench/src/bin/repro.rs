@@ -1100,8 +1100,9 @@ fn check(scale: f64, extended: bool) {
 /// beats the best static configuration (EXPERIMENTS.md, "Dynamic vs.
 /// best-static direction").
 fn hybrid(scale: f64) {
+    use ggs_core::experiment::run_workload;
     use ggs_core::sweep::hybrid_configs;
-    use ggs_core::{Tracer, WorkloadSweep};
+    use ggs_core::Tracer;
     use ggs_model::SystemConfig;
 
     println!("== Hybrid: frontier-adaptive push/pull vs best static (scale {scale}) ==");
@@ -1123,19 +1124,16 @@ fn hybrid(scale: f64) {
         for preset in GraphPreset::ALL {
             let graph = SynthConfig::preset(preset).scale(scale).generate();
             let best = |configs: &[SystemConfig]| {
-                let sweep = WorkloadSweep::run(
-                    app,
-                    preset.mnemonic(),
-                    &graph,
-                    configs,
-                    &spec,
-                    Tracer::off(),
-                )
-                .unwrap_or_else(|e| die(&format!("{e}")));
-                match sweep.best() {
-                    Some(r) => (r.config, r.stats.total_cycles()),
-                    None => die("hybrid sweep is empty"),
-                }
+                configs
+                    .iter()
+                    .map(|&config| {
+                        match run_workload(app, &graph, config, &spec, Tracer::off(), None) {
+                            Ok(stats) => (config, stats.total_cycles()),
+                            Err(e) => die(&format!("{e}")),
+                        }
+                    })
+                    .min_by_key(|&(_, cycles)| cycles)
+                    .unwrap_or_else(|| die("hybrid sweep is empty"))
             };
             let (s_cfg, s_cycles) = best(&static_cells);
             let (h_cfg, h_cycles) = best(&hybrid_cells);
@@ -1529,7 +1527,6 @@ fn partial(study: &Study) {
         "flip?",
         "pred ok?",
     ]);
-    let mut flips = 0;
     let mut flips_predicted = 0;
     let mut exact = 0;
     let mut total = 0;
@@ -1539,22 +1536,13 @@ fn partial(study: &Study) {
         }
         // A degraded study can lose every non-rlx row of a workload;
         // skip it rather than panicking.
-        let Some(best_norlx) = r
-            .rows
-            .iter()
-            .filter(|row| !row.config.ends_with('R'))
-            .min_by_key(|row| row.total_cycles)
-            .map(|row| row.config.clone())
-        else {
+        let Some(best_norlx) = r.best_without_drfrlx() else {
             continue;
         };
         total += 1;
-        let flip = r.best.starts_with('S') && best_norlx.starts_with('T');
-        if flip {
-            flips += 1;
-            if r.predicted_partial.starts_with('T') {
-                flips_predicted += 1;
-            }
+        let flip = r.flips_to_pull_without_drfrlx();
+        if flip && r.predicted_partial.starts_with('T') {
+            flips_predicted += 1;
         }
         let ok = r.predicted_partial == best_norlx;
         if ok {
@@ -1563,13 +1551,14 @@ fn partial(study: &Study) {
         t.row([
             format!("{}-{}", r.app, r.graph),
             r.best.clone(),
-            best_norlx,
+            best_norlx.to_owned(),
             r.predicted_partial.clone(),
             if flip { "PULL".into() } else { String::new() },
             if ok { "yes".into() } else { "no".into() },
         ]);
     }
     println!("{}", t.render());
+    let flips = study.pull_flips_without_drfrlx();
     println!(
         "workloads flipping to pull without DRFrlx: {flips} (paper: 7);          partial model predicts the flip for {flips_predicted} of them (paper: 4 of 7)"
     );
@@ -1634,23 +1623,9 @@ fn summary(study: &Study) {
         study.worst_prediction_slowdown() * 100.0
     );
     // Interdependence: workloads whose best flips to pull without DRFrlx.
-    let flips = study
-        .reports
-        .iter()
-        .filter(|r| {
-            r.app != "CC" && {
-                let best_no_rlx = r
-                    .rows
-                    .iter()
-                    .filter(|row| !row.config.ends_with('R'))
-                    .min_by_key(|row| row.total_cycles);
-                best_no_rlx.is_some_and(|b| b.config == "TG0") && r.best.starts_with('S')
-            }
-        })
-        .count();
     println!(
         "workloads preferring push with DRFrlx but pull without it: {} (paper: 7)",
-        flips
+        study.pull_flips_without_drfrlx()
     );
 }
 

@@ -105,11 +105,12 @@ fn touch_kernel(threads: u64) -> KernelTrace {
 /// double ownership trips SWMR).
 #[test]
 fn injected_broken_ownership_is_caught() {
-    let mut sim = Simulation::new(
+    let mut sim = Simulation::builder(
         SystemParams::default(),
         HwConfig::new(CoherenceKind::DeNovo, ConsistencyModel::Drf1),
-    );
-    sim.enable_protocol_checker();
+    )
+    .checker()
+    .build();
     sim.run_kernel(&touch_kernel(32));
     assert_eq!(sim.take_protocol_violations(), Vec::new());
 
@@ -135,11 +136,12 @@ fn injected_broken_ownership_is_caught() {
 /// one-shot, so the following kernel is clean again).
 #[test]
 fn injected_skipped_invalidation_is_caught() {
-    let mut sim = Simulation::new(
+    let mut sim = Simulation::builder(
         SystemParams::default(),
         HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-    );
-    sim.enable_protocol_checker();
+    )
+    .checker()
+    .build();
     sim.run_kernel(&touch_kernel(8));
     assert_eq!(sim.take_protocol_violations(), Vec::new());
 
@@ -161,11 +163,12 @@ fn injected_skipped_invalidation_is_caught() {
 /// proves the checker would see one.
 #[test]
 fn injected_gpu_ownership_is_caught() {
-    let mut sim = Simulation::new(
+    let mut sim = Simulation::builder(
         SystemParams::default(),
         HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::DrfRlx),
-    );
-    sim.enable_protocol_checker();
+    )
+    .checker()
+    .build();
     sim.debug_hooks().force_owned(3, 0x77);
     sim.audit_protocol();
     let violations = sim.take_protocol_violations();

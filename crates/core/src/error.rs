@@ -55,9 +55,6 @@ pub enum GgsError {
         /// The unsupported propagation direction.
         propagation: String,
     },
-    /// A sweep or report was asked about a configuration it does not
-    /// contain.
-    MissingConfig(String),
     /// A serialized study could not be parsed.
     Json(String),
     /// An I/O failure (trace output, study files).
@@ -125,7 +122,6 @@ impl fmt::Display for GgsError {
             GgsError::Unsupported { app, propagation } => {
                 write!(f, "{app} does not support {propagation} propagation")
             }
-            GgsError::MissingConfig(msg) => f.write_str(msg),
             GgsError::Json(msg) => write!(f, "malformed study JSON: {msg}"),
             GgsError::Io(e) => e.fmt(f),
             GgsError::Budget(b) => b.fmt(f),
@@ -216,11 +212,13 @@ mod tests {
         assert!(matches!(cfg, GgsError::Config(_)));
         let app: GgsError = "bogus".parse::<ggs_apps::AppKind>().unwrap_err().into();
         assert!(matches!(app, GgsError::App(_)));
-        let params: GgsError = ggs_sim::SystemParams::builder()
-            .num_sms(0)
-            .build()
-            .unwrap_err()
-            .into();
+        let params: GgsError = ggs_sim::SystemParams {
+            num_sms: 0,
+            ..Default::default()
+        }
+        .validate()
+        .unwrap_err()
+        .into();
         assert!(matches!(params, GgsError::Params(_)));
         let graph: GgsError = ggs_graph::GraphBuilder::new(1)
             .edge(0, 9)
@@ -237,7 +235,5 @@ mod tests {
             propagation: "push".into(),
         };
         assert!(e.to_string().contains("does not support"));
-        let e = GgsError::MissingConfig("baseline configuration must be part of the sweep".into());
-        assert!(e.to_string().contains("baseline configuration"));
     }
 }

@@ -119,7 +119,8 @@ impl ExperimentSpecBuilder {
 
     /// Replaces the derived [`SystemParams`] wholesale. The params are
     /// used as given — no cache scaling or launch-overhead adjustment
-    /// is applied on top.
+    /// is applied on top — and checked by [`SystemParams::validate`]
+    /// in [`ExperimentSpecBuilder::build`].
     pub fn params(mut self, params: SystemParams) -> Self {
         self.params = Some(params);
         self
@@ -130,7 +131,7 @@ impl ExperimentSpecBuilder {
     /// # Errors
     ///
     /// Returns [`GgsError::Params`] if `scale` is not positive and
-    /// finite.
+    /// finite, or if overriding params fail [`SystemParams::validate`].
     pub fn build(self) -> Result<ExperimentSpec, GgsError> {
         let scale = self.scale;
         let mut params = SystemParams::default().scaled_caches(scale)?;
@@ -153,9 +154,13 @@ impl ExperimentSpecBuilder {
         // *classifier* keeps nominal scaling (see `metric_params`) so
         // every Table II volume class is preserved.
         params.l1_bytes = params.l1_bytes.max(8 * 1024);
+        if let Some(given) = self.params {
+            given.validate()?;
+            params = given;
+        }
         Ok(ExperimentSpec {
             scale,
-            params: self.params.unwrap_or(params),
+            params,
             budget: self.budget,
         })
     }
@@ -410,11 +415,41 @@ mod tests {
     }
 
     #[test]
+    fn spec_builder_rejects_invalid_params() {
+        // Each of these panics or hangs in a run, so `build` must refuse it.
+        let bad = [
+            SystemParams {
+                l2_banks: 0,
+                ..SystemParams::default()
+            },
+            SystemParams {
+                mshr_entries: 0,
+                ..SystemParams::default()
+            },
+            SystemParams {
+                line_bytes: 48,
+                ..SystemParams::default()
+            },
+            SystemParams {
+                warp_size: 0,
+                ..SystemParams::default()
+            },
+        ];
+        for params in bad {
+            let err = ExperimentSpec::builder()
+                .params(params)
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, GgsError::Params(_)), "{err}");
+        }
+    }
+
+    #[test]
     fn spec_builder_accepts_explicit_params() {
-        let params = ggs_sim::SystemParams::builder()
-            .tb_size(128)
-            .build()
-            .unwrap();
+        let params = SystemParams {
+            tb_size: 128,
+            ..SystemParams::default()
+        };
         let spec = ExperimentSpec::builder()
             .params(params.clone())
             .build()

@@ -9,10 +9,9 @@
 //! * [`experiment::run_workload`] — one (application, graph, system
 //!   configuration) point: generates the kernel sequence and simulates
 //!   it end to end, returning the execution-time breakdown.
-//! * [`sweep::WorkloadSweep`] — one workload across a set of
-//!   configurations (the bars of one Figure 5 group), with
-//!   normalization against the paper's baselines and best-config
-//!   selection.
+//! * [`sweep`] — the configuration sets one workload is swept across
+//!   (the bars of one Figure 5 group, their baseline, and the hybrid
+//!   extension cells); each is run with `run_workload`.
 //! * [`study::Study`] — the full 36-workload × configurations study
 //!   behind Figures 5–6 and the Table V accuracy evaluation, runnable
 //!   in parallel.
@@ -58,5 +57,4 @@ pub use runner::{
 };
 pub use store::{Claim, CompactReport, Store, StoreFaults, StoreLoadReport, StoreSnapshot};
 pub use study::{Study, WorkloadReport};
-pub use sweep::WorkloadSweep;
 pub use trace_cache::{graph_fingerprint, StreamKey, TraceCache, TraceCacheStats, TraceStream};

@@ -42,7 +42,7 @@ use ggs_sim::StallClass;
 use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
 
 use crate::error::GgsError;
-use crate::experiment::{produce_trace_stream, run_stream_budgeted, run_workload, ExperimentSpec};
+use crate::experiment::{produce_trace_stream, run_stream_budgeted, ExperimentSpec};
 use crate::store::{fnv1a64, versioned_spec_hash, Claim, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
 use crate::sweep::{baseline_config, figure5_configs};
@@ -333,10 +333,11 @@ pub struct StudyOptions {
     /// Byte budget of the study-wide kernel-trace cache
     /// ([`TraceCache`]): cells sharing `(app, graph, direction,
     /// tb_size)` build their kernel stream once and the rest replay it,
-    /// so a 12-configuration grid runs ~6 cells per stream build. `0`
-    /// disables the cache (every cell regenerates its own stream).
-    /// Timing results are bit-identical either way — the stream is a
-    /// pure function of the key.
+    /// so a 12-configuration grid runs ~6 cells per stream build. A
+    /// stream larger than the budget is built and run but not kept, so
+    /// a budget of `0` caches nothing (every cell builds its own
+    /// stream). Timing results are bit-identical either way — the
+    /// stream is a pure function of the key.
     pub trace_cache_bytes: u64,
 }
 
@@ -380,9 +381,9 @@ pub struct StudyOutcome {
     /// What the store scan observed at study start (record count,
     /// corrupt spans), if a store was attached.
     pub store_report: Option<StoreLoadReport>,
-    /// Trace-cache traffic totals, when the cache was enabled (see
+    /// Trace-cache traffic totals (see
     /// [`StudyOptions::trace_cache_bytes`]).
-    pub trace_cache: Option<TraceCacheStats>,
+    pub trace_cache: TraceCacheStats,
 }
 
 impl StudyOutcome {
@@ -490,8 +491,7 @@ pub fn run_study(
             })
             .collect()
     };
-    let trace_cache =
-        (options.trace_cache_bytes > 0).then(|| TraceCache::new(options.trace_cache_bytes));
+    let trace_cache = TraceCache::new(options.trace_cache_bytes);
 
     // Cell list: graph-major, then app, then configuration — the same
     // order the aggregate reports are emitted in.
@@ -529,7 +529,7 @@ pub fn run_study(
                         let cell = cells[i];
                         let (preset, graph, _, graph_fp) = &graphs[cell.graph_index];
                         let ctx = ReuseCtx {
-                            cache: trace_cache.as_deref(),
+                            cache: &trace_cache,
                             graph_fp: *graph_fp,
                             epoch,
                             sink,
@@ -592,7 +592,7 @@ pub fn run_study(
         study,
         cells: reports_out,
         store_report,
-        trace_cache: trace_cache.as_ref().map(|c| c.stats()),
+        trace_cache: trace_cache.stats(),
     })
 }
 
@@ -601,7 +601,7 @@ pub fn run_study(
 /// timestamp reuse events.
 #[derive(Clone, Copy)]
 struct ReuseCtx<'a> {
-    cache: Option<&'a TraceCache>,
+    cache: &'a TraceCache,
     graph_fp: u64,
     epoch: Instant,
     sink: &'a dyn TraceSink,
@@ -878,46 +878,41 @@ fn execute_cell(
         }
         None => {}
     }
-    match ctx.cache {
-        Some(cache) => {
-            // Split run: functional half through the shared cache (one
-            // build per app × graph × direction group), timing half on
-            // a fresh engine. The same kernels flow through the same
-            // simulator in the same order, so the statistics are
-            // bit-identical to the streamed path below.
-            let stream_key = StreamKey {
-                app: cell.app,
-                graph_fp: ctx.graph_fp,
-                prop: cell.config.propagation,
-                tb_size: spec.params.tb_size,
-                policy_fp: ggs_apps::Workload::new(cell.app, graph)
-                    .policy_fingerprint(cell.config.propagation),
-            };
-            let stream = cache.get_or_build(
-                stream_key,
-                graph_name,
-                ctx.sink,
-                || ctx.epoch.elapsed().as_micros() as u64,
-                || {
-                    Arc::new(produce_trace_stream(
-                        cell.app,
-                        graph,
-                        cell.config.propagation,
-                        spec.params.tb_size,
-                    ))
-                },
-            );
-            run_stream_budgeted(
-                &stream,
+    // Split run: functional half through the shared cache (one build
+    // per app × graph × direction group), timing half on a fresh
+    // engine. The same kernels flow through the same simulator in the
+    // same order, so the statistics are bit-identical to the fused
+    // run that generates kernels as it simulates.
+    let stream_key = StreamKey {
+        app: cell.app,
+        graph_fp: ctx.graph_fp,
+        prop: cell.config.propagation,
+        tb_size: spec.params.tb_size,
+        policy_fp: ggs_apps::Workload::new(cell.app, graph)
+            .policy_fingerprint(cell.config.propagation),
+    };
+    let stream = ctx.cache.get_or_build(
+        stream_key,
+        graph_name,
+        ctx.sink,
+        || ctx.epoch.elapsed().as_micros() as u64,
+        || {
+            Arc::new(produce_trace_stream(
                 cell.app,
-                cell.config,
-                spec,
-                Tracer::off(),
-                deadline,
-            )
-        }
-        None => run_workload(cell.app, graph, cell.config, spec, Tracer::off(), deadline),
-    }
+                graph,
+                cell.config.propagation,
+                spec.params.tb_size,
+            ))
+        },
+    );
+    run_stream_budgeted(
+        &stream,
+        cell.app,
+        cell.config,
+        spec,
+        Tracer::off(),
+        deadline,
+    )
 }
 
 /// The `Hang` fault: feed small compute kernels forever, exactly like a

@@ -149,10 +149,10 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(FNV64_BASIS, bytes)
 }
 
-const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Continues a 64-bit FNV-1a hash `h` over `bytes`.
-fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -95,6 +95,26 @@ impl WorkloadReport {
         let best = self.cycles_of(&self.best)? as f64;
         Some((1.0 - best / def).max(0.0))
     }
+
+    /// The fastest configuration without DRFrlx hardware (a code not
+    /// ending in `R`), or `None` when a degraded study lost every such
+    /// row.
+    pub fn best_without_drfrlx(&self) -> Option<&str> {
+        self.rows
+            .iter()
+            .filter(|r| !r.config.ends_with('R'))
+            .min_by_key(|r| r.total_cycles)
+            .map(|r| r.config.as_str())
+    }
+
+    /// Whether the best configuration is push (`S*`) with DRFrlx but
+    /// pull (`T*`) without it: the push/pull flip of §IV-B.
+    pub fn flips_to_pull_without_drfrlx(&self) -> bool {
+        self.best.starts_with('S')
+            && self
+                .best_without_drfrlx()
+                .is_some_and(|c| c.starts_with('T'))
+    }
 }
 
 /// The complete study: every preset × application.
@@ -136,6 +156,16 @@ impl Study {
             .iter()
             .filter_map(WorkloadReport::prediction_slowdown)
             .fold(0.0, f64::max)
+    }
+
+    /// Number of workloads whose best configuration flips from push to
+    /// pull when DRFrlx is unavailable (the paper reports 7; see
+    /// [`WorkloadReport::flips_to_pull_without_drfrlx`]).
+    pub fn pull_flips_without_drfrlx(&self) -> usize {
+        self.reports
+            .iter()
+            .filter(|r| r.flips_to_pull_without_drfrlx())
+            .count()
     }
 
     /// The Figure 6 rows: workloads where the default configuration
@@ -375,6 +405,43 @@ mod tests {
         assert!(matches!(err, crate::error::GgsError::Json(_)));
         let err = Study::from_json("{\"scale\": 1.0}").unwrap_err();
         assert!(err.to_string().contains("reports"));
+    }
+
+    #[test]
+    fn pull_flip_counts_any_pull_config_as_the_restricted_best() {
+        let report = |best: &str, rows: &[(&str, u64)]| WorkloadReport {
+            app: "PR".into(),
+            graph: "RAJ".into(),
+            classes: String::new(),
+            predicted: best.into(),
+            predicted_partial: best.into(),
+            best: best.into(),
+            baseline: "TG0".into(),
+            rows: rows
+                .iter()
+                .map(|&(config, total_cycles)| ResultRow {
+                    config: config.into(),
+                    total_cycles,
+                    fractions: [0.0; 5],
+                })
+                .collect(),
+        };
+        // Figure 5 set: TG0 is the fastest non-DRFrlx bar.
+        let fig5 = report("SGR", &[("TG0", 20), ("SG1", 30), ("SGR", 10)]);
+        // Full set: a pull config other than TG0 wins without DRFrlx.
+        let full = report("SDR", &[("TG1", 20), ("TG0", 25), ("SD1", 30), ("SDR", 10)]);
+        // Push stays best without DRFrlx: no flip.
+        let stay = report("SGR", &[("TG0", 40), ("SG1", 30), ("SGR", 10)]);
+        assert_eq!(full.best_without_drfrlx(), Some("TG1"));
+        assert!(fig5.flips_to_pull_without_drfrlx());
+        assert!(full.flips_to_pull_without_drfrlx());
+        assert!(!stay.flips_to_pull_without_drfrlx());
+        let study = Study {
+            scale: 1.0,
+            reports: vec![fig5, full, stay],
+            failures: Vec::new(),
+        };
+        assert_eq!(study.pull_flips_without_drfrlx(), 2);
     }
 
     #[test]

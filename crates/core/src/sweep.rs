@@ -1,36 +1,11 @@
-//! Sweeping one workload across system configurations (one group of
-//! bars in the paper's Figure 5).
+//! The system configurations one workload is swept across (one group
+//! of bars in the paper's Figure 5). Each configuration is simulated
+//! with [`run_workload`](crate::experiment::run_workload).
 
 use ggs_apps::AppKind;
-use ggs_graph::Csr;
 use ggs_model::taxonomy::{Propagation, Traversal};
 use ggs_model::SystemConfig;
-use ggs_sim::{CoherenceKind, ConsistencyModel, ExecStats};
-
-use ggs_trace::Tracer;
-
-use crate::error::GgsError;
-use crate::experiment::{run_workload, ExperimentSpec};
-
-/// The result of one configuration point within a sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigResult {
-    /// The configuration simulated.
-    pub config: SystemConfig,
-    /// Its execution statistics.
-    pub stats: ExecStats,
-}
-
-/// One workload (application + graph) swept across configurations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadSweep {
-    /// The application.
-    pub app: AppKind,
-    /// Name of the input graph (preset mnemonic or custom name).
-    pub graph_name: String,
-    /// Per-configuration results, in the order simulated.
-    pub results: Vec<ConfigResult>,
-}
+use ggs_sim::{CoherenceKind, ConsistencyModel};
 
 /// Builds a configuration point in const context (the struct fields are
 /// public, so the tables below are verified at compile time — no
@@ -168,110 +143,25 @@ pub fn hybrid_configs(app: AppKind) -> Vec<SystemConfig> {
     }
 }
 
-impl WorkloadSweep {
-    /// Runs `app` on `graph` across `configs`; every configuration's
-    /// simulation emits through `tracer` under the spec's budget (see
-    /// [`run_workload`]).
-    ///
-    /// # Errors
-    ///
-    /// The first configuration's error, e.g. [`GgsError::Unsupported`]
-    /// if its propagation is unsupported by `app`.
-    pub fn run(
-        app: AppKind,
-        graph_name: impl Into<String>,
-        graph: &Csr,
-        configs: &[SystemConfig],
-        spec: &ExperimentSpec,
-        tracer: Tracer<'_>,
-    ) -> Result<Self, GgsError> {
-        let results = configs
-            .iter()
-            .map(|&config| {
-                run_workload(app, graph, config, spec, tracer, None)
-                    .map(|stats| ConfigResult { config, stats })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            app,
-            graph_name: graph_name.into(),
-            results,
-        })
-    }
-
-    /// The fastest configuration (the paper's per-workload BEST), or
-    /// `None` for an empty sweep.
-    pub fn best(&self) -> Option<&ConfigResult> {
-        self.results.iter().min_by_key(|r| r.stats.total_cycles())
-    }
-
-    /// The result for a specific configuration, if it was swept.
-    pub fn result_for(&self, config: SystemConfig) -> Option<&ConfigResult> {
-        self.results.iter().find(|r| r.config == config)
-    }
-
-    /// Execution times normalized to `baseline` (the paper's Figure 5
-    /// y-axis). Configurations map to `time / baseline_time`.
-    ///
-    /// # Errors
-    ///
-    /// [`GgsError::MissingConfig`] if `baseline` was not part of the
-    /// sweep.
-    pub fn normalized_to(
-        &self,
-        baseline: SystemConfig,
-    ) -> Result<Vec<(SystemConfig, f64)>, GgsError> {
-        let base = self
-            .result_for(baseline)
-            .ok_or_else(|| {
-                GgsError::MissingConfig(format!(
-                    "baseline configuration {baseline} must be part of the sweep"
-                ))
-            })?
-            .stats
-            .total_cycles() as f64;
-        Ok(self
-            .results
-            .iter()
-            .map(|r| (r.config, r.stats.total_cycles() as f64 / base))
-            .collect())
-    }
-
-    /// Relative slowdown of configuration `cfg` versus the best
-    /// (0.0 = it *is* the best; 0.10 = 10% slower).
-    ///
-    /// # Errors
-    ///
-    /// [`GgsError::MissingConfig`] if the sweep is empty or `cfg` was
-    /// not part of it.
-    pub fn slowdown_vs_best(&self, cfg: SystemConfig) -> Result<f64, GgsError> {
-        let best = self
-            .best()
-            .ok_or_else(|| GgsError::MissingConfig("sweep is empty".to_owned()))?
-            .stats
-            .total_cycles() as f64;
-        let t = self
-            .result_for(cfg)
-            .ok_or_else(|| {
-                GgsError::MissingConfig(format!("configuration {cfg} must be part of the sweep"))
-            })?
-            .stats
-            .total_cycles() as f64;
-        Ok(t / best - 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ggs_graph::GraphBuilder;
+    use crate::experiment::{run_workload, ExperimentSpec};
+    use ggs_graph::{Csr, GraphBuilder};
+    use ggs_trace::Tracer;
 
     fn graph() -> Csr {
-        GraphBuilder::new(768)
-            .edges((0..767).map(|i| (i, i + 1)))
+        GraphBuilder::new(512)
+            .edges((0..511).map(|i| (i, i + 1)))
             .symmetric(true)
             .build()
             .unwrap()
+    }
+
+    fn cycles(app: AppKind, g: &Csr, config: SystemConfig, spec: &ExperimentSpec) -> u64 {
+        run_workload(app, g, config, spec, Tracer::off(), None)
+            .unwrap()
+            .total_cycles()
     }
 
     #[test]
@@ -322,17 +212,9 @@ mod tests {
             .build()
             .unwrap();
         let spec = ExperimentSpec::at_scale(0.02);
-        let sweep = WorkloadSweep::run(
-            AppKind::Sssp,
-            "star",
-            &g,
-            &hybrid_configs(AppKind::Sssp),
-            &spec,
-            Tracer::off(),
-        )
-        .unwrap();
-        assert_eq!(sweep.results.len(), 4);
-        assert!(sweep.results.iter().all(|r| r.stats.total_cycles() > 0));
+        for config in hybrid_configs(AppKind::Sssp) {
+            assert!(cycles(AppKind::Sssp, &g, config, &spec) > 0, "{config}");
+        }
     }
 
     #[test]
@@ -353,143 +235,19 @@ mod tests {
     }
 
     #[test]
-    fn sweep_normalization_and_best() {
-        let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
-        let sweep = WorkloadSweep::run(
-            AppKind::Pr,
-            "chain",
-            &g,
-            &figure5_configs(AppKind::Pr),
-            &spec,
-            Tracer::off(),
-        )
-        .unwrap();
-        let norm = sweep.normalized_to(baseline_config(AppKind::Pr)).unwrap();
-        assert_eq!(norm.len(), 5);
-        let (_, base_val) = norm.iter().find(|(c, _)| c.code() == "TG0").unwrap();
-        assert!((base_val - 1.0).abs() < 1e-12);
-        let best = sweep.best().unwrap().config;
-        assert!(sweep.slowdown_vs_best(best).unwrap().abs() < 1e-12);
-    }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-    use ggs_graph::GraphBuilder;
-
-    fn graph() -> Csr {
-        GraphBuilder::new(512)
-            .edges((0..511).map(|i| (i, i + 1)))
-            .symmetric(true)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn result_for_absent_config_is_none() {
-        let spec = ExperimentSpec::at_scale(0.02);
-        let sweep = WorkloadSweep::run(
-            AppKind::Pr,
-            "chain",
-            &graph(),
-            &["TG0".parse().unwrap()],
-            &spec,
-            Tracer::off(),
-        )
-        .unwrap();
-        assert!(sweep.result_for("SGR".parse().unwrap()).is_none());
-        assert!(sweep.result_for("TG0".parse().unwrap()).is_some());
-    }
-
-    #[test]
-    fn slowdown_vs_best_is_nonnegative_everywhere() {
-        let spec = ExperimentSpec::at_scale(0.02);
-        let sweep = WorkloadSweep::run(
-            AppKind::Sssp,
-            "chain",
-            &graph(),
-            &figure5_configs(AppKind::Sssp),
-            &spec,
-            Tracer::off(),
-        )
-        .unwrap();
-        for r in &sweep.results {
-            assert!(sweep.slowdown_vs_best(r.config).unwrap() >= 0.0);
-        }
-    }
-
-    #[test]
-    fn normalization_requires_baseline_in_sweep() {
-        let spec = ExperimentSpec::at_scale(0.02);
-        let sweep = WorkloadSweep::run(
-            AppKind::Pr,
-            "chain",
-            &graph(),
-            &["SGR".parse().unwrap()],
-            &spec,
-            Tracer::off(),
-        )
-        .unwrap();
-        assert!(sweep.normalized_to("TG0".parse().unwrap()).is_err());
-    }
-
-    #[test]
-    fn try_variants_report_errors_instead_of_panicking() {
-        let spec = ExperimentSpec::at_scale(0.02);
-        let sweep = WorkloadSweep::run(
-            AppKind::Pr,
-            "chain",
-            &graph(),
-            &["SGR".parse().unwrap()],
-            &spec,
-            Tracer::off(),
-        )
-        .unwrap();
-        let err = sweep.normalized_to("TG0".parse().unwrap()).unwrap_err();
-        assert!(err.to_string().contains("baseline configuration"));
-        assert!(sweep.slowdown_vs_best("TG0".parse().unwrap()).is_err());
-        assert!(sweep.slowdown_vs_best("SGR".parse().unwrap()).is_ok());
-        // Unsupported pairing surfaces as Err, not panic.
-        assert!(WorkloadSweep::run(
-            AppKind::Cc,
-            "chain",
-            &graph(),
-            &["SGR".parse().unwrap()],
-            &spec,
-            Tracer::off()
-        )
-        .is_err());
-        // Empty sweep has no best.
-        let empty =
-            WorkloadSweep::run(AppKind::Pr, "chain", &graph(), &[], &spec, Tracer::off()).unwrap();
-        assert!(empty.best().is_none());
-    }
-
-    #[test]
     fn full_config_set_sweep_runs() {
         let spec = ExperimentSpec::at_scale(0.02);
-        let configs = ggs_model::SystemConfig::all_for(ggs_model::taxonomy::Traversal::Static);
-        let sweep = WorkloadSweep::run(
-            AppKind::Mis,
-            "chain",
-            &graph(),
-            &configs,
-            &spec,
-            Tracer::off(),
-        )
-        .unwrap();
-        assert_eq!(sweep.results.len(), 12);
+        let g = graph();
+        let configs = SystemConfig::all_for(Traversal::Static);
+        assert_eq!(configs.len(), 12);
+        let t: Vec<(String, u64)> = configs
+            .into_iter()
+            .map(|c| (c.code(), cycles(AppKind::Mis, &g, c, &spec)))
+            .collect();
+        assert!(t.iter().all(|(_, cycles)| *cycles > 0));
         // Pull bars are hardware-insensitive on the consistency axis.
-        let t = |code: &str| {
-            sweep
-                .result_for(code.parse().unwrap())
-                .unwrap()
-                .stats
-                .total_cycles()
-        };
-        assert_eq!(t("TG0"), t("TG1"));
-        assert_eq!(t("TG0"), t("TGR"));
+        let of = |code: &str| t.iter().find(|(c, _)| c == code).unwrap().1;
+        assert_eq!(of("TG0"), of("TG1"));
+        assert_eq!(of("TG0"), of("TGR"));
     }
 }

@@ -29,6 +29,8 @@ use ggs_model::Propagation;
 use ggs_sim::trace::KernelTrace;
 use ggs_trace::{TraceEvent, TraceSink};
 
+use crate::store::{fnv1a64_extend, FNV64_BASIS};
+
 /// A materialized kernel stream: every trace of one workload run, in
 /// launch order, individually [`Arc`]'d so consumers never copy ops.
 pub type TraceStream = Arc<Vec<Arc<KernelTrace>>>;
@@ -101,13 +103,8 @@ impl StreamKey {
 /// shape, topology arrays, and weights). Computed once per graph per
 /// study; two structurally identical graphs collide on purpose.
 pub fn graph_fingerprint(graph: &Csr) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV64_BASIS;
+    let mut mix = |word: u64| h = fnv1a64_extend(h, &word.to_le_bytes());
     mix(graph.num_vertices() as u64);
     mix(graph.num_edges());
     for &r in graph.row_ptr() {

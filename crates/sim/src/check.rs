@@ -18,7 +18,7 @@
 //!   only `Owned` lines remain in the acquiring L1.
 //!
 //! The checker is compiled in only under the `check` feature and
-//! enabled at runtime ([`crate::Simulation::enable_protocol_checker`]),
+//! enabled at runtime ([`crate::SimulationBuilder::checker`]),
 //! so ordinary timing runs pay nothing. Fault injectors on the
 //! [`crate::DebugHooks`] handle ([`crate::DebugHooks::force_owned`],
 //! [`crate::DebugHooks::skip_next_invalidation`], obtained via

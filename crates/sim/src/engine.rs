@@ -407,7 +407,6 @@ impl<'t> Simulation<'t> {
                     self.params.warp_size,
                     self.params.line_bytes,
                     self.params.max_blocks_per_sm,
-                    self.params.scheduler,
                 )
                 .with_tracer(self.tracer)
                 .with_hard_stop(hard_stop)
@@ -630,12 +629,6 @@ impl<'t> Simulation<'t> {
 /// directly. See [`crate::check`].
 #[cfg(feature = "check")]
 impl<'t> Simulation<'t> {
-    /// Enables the protocol invariant checker for all subsequent
-    /// kernels (equivalent to [`SimulationBuilder::checker`]).
-    pub fn enable_protocol_checker(&mut self) {
-        self.mem.enable_protocol_checker();
-    }
-
     /// Drains the protocol violations recorded so far.
     pub fn take_protocol_violations(&mut self) -> Vec<crate::check::ProtocolViolation> {
         self.mem.take_protocol_violations()
@@ -1061,54 +1054,5 @@ mod tests {
         let gp = run(CoherenceKind::Gpu);
         assert!(dn.mem.l1_atomics > 0, "DeNovo should hit owned lines");
         assert_eq!(gp.mem.l1_atomics, 0, "GPU coherence never does L1 atomics");
-    }
-}
-
-#[cfg(test)]
-mod scheduler_tests {
-    use super::*;
-    use crate::config::{CoherenceKind, ConsistencyModel};
-    use crate::params::SchedulerPolicy;
-    use crate::trace::MicroOp;
-
-    fn run_with(policy: SchedulerPolicy) -> crate::stats::ExecStats {
-        // Store-heavy DeNovo kernel on a tiny L1: stores are
-        // fire-and-forget, so a warp stays ready cycle after cycle — GTO
-        // streams one warp's sequential stores (the owned line stays
-        // resident), while round robin interleaves all warps and thrashes
-        // ownership out of the small L1.
-        let threads: Vec<Vec<MicroOp>> = (0..512u64)
-            .map(|t| (0..16).map(|k| MicroOp::store((t * 16 + k) * 4)).collect())
-            .collect();
-        let kernel = KernelTrace::new(threads, 256).unwrap();
-        let params = SystemParams {
-            scheduler: policy,
-            l1_bytes: 4096,
-            l1_assoc: 4,
-            ..SystemParams::default()
-        };
-        let mut sim = Simulation::new(
-            params,
-            HwConfig::new(CoherenceKind::DeNovo, ConsistencyModel::Drf1),
-        );
-        sim.run_kernel(&kernel);
-        sim.finish()
-    }
-
-    #[test]
-    fn gto_preserves_store_locality_better_than_round_robin() {
-        let gto = run_with(SchedulerPolicy::GreedyThenOldest);
-        let rr = run_with(SchedulerPolicy::RoundRobin);
-        // Same work is issued either way; only the interleaving differs.
-        assert_eq!(
-            gto.breakdown.get(crate::stats::StallClass::Busy),
-            rr.breakdown.get(crate::stats::StallClass::Busy)
-        );
-        assert!(
-            gto.mem.registrations < rr.mem.registrations,
-            "GTO ({}) should re-register less than RR ({})",
-            gto.mem.registrations,
-            rr.mem.registrations
-        );
     }
 }

@@ -135,8 +135,7 @@ impl CalendarWheel {
                     break;
                 }
             }
-            if let Some(b) = self.first_occupied() {
-                let t = self.time_of(b);
+            if let Some((b, t)) = first_occupied(&self.occupancy, self.mask, self.cursor) {
                 // Lowest-id tie-break within the bucket (buckets are
                 // small: one entry per parked SM at most).
                 let (pos, &id) = self.buckets[b]
@@ -157,36 +156,6 @@ impl CalendarWheel {
             let &Reverse((t, _)) = self.overflow.peek().expect("len > 0");
             self.cursor = t;
         }
-    }
-
-    /// First occupied bucket in window order (nearest future cycle).
-    fn first_occupied(&self) -> Option<usize> {
-        let start = (self.cursor & self.mask) as usize;
-        // The window wraps at `start`: scan `[start, W)` then
-        // `[0, start)`, adjusting the first word for the offset.
-        let words = self.occupancy.len();
-        let (w0, bit0) = (start / 64, start % 64);
-        let first = self.occupancy[w0] & (!0u64 << bit0);
-        if first != 0 {
-            return Some(w0 * 64 + first.trailing_zeros() as usize);
-        }
-        for i in 1..words {
-            let w = (w0 + i) % words;
-            if self.occupancy[w] != 0 {
-                return Some(w * 64 + self.occupancy[w].trailing_zeros() as usize);
-            }
-        }
-        let tail = self.occupancy[w0] & !(!0u64 << bit0);
-        if tail != 0 {
-            return Some(w0 * 64 + tail.trailing_zeros() as usize);
-        }
-        None
-    }
-
-    /// Absolute cycle of bucket `b` under the current cursor.
-    fn time_of(&self, b: usize) -> u64 {
-        let offset = (b as u64).wrapping_sub(self.cursor) & self.mask;
-        self.cursor + offset
     }
 }
 
@@ -302,8 +271,7 @@ impl CompletionRing {
             return;
         }
         // Clear occupied buckets in `[cursor, now]`, window-ordered.
-        while let Some(b) = self.first_occupied() {
-            let t = self.time_of(b);
+        while let Some((b, t)) = first_occupied(&self.occupancy, self.mask, self.cursor) {
             if t > now {
                 break;
             }
@@ -335,7 +303,7 @@ impl CompletionRing {
         if self.outstanding == 0 {
             return None;
         }
-        let wheel_min = self.first_occupied().map(|b| self.time_of(b));
+        let wheel_min = first_occupied(&self.occupancy, self.mask, self.cursor).map(|(_, t)| t);
         let early_min = self.early.peek().map(|&Reverse(t)| t);
         let over_min = self.overflow.peek().map(|&Reverse(t)| t);
         // `early` sits below the cursor and the migration in `retire`
@@ -360,32 +328,35 @@ impl CompletionRing {
         }
         Some(min)
     }
+}
 
-    fn first_occupied(&self) -> Option<usize> {
-        let start = (self.cursor & self.mask) as usize;
-        let words = self.occupancy.len();
-        let (w0, bit0) = (start / 64, start % 64);
-        let first = self.occupancy[w0] & (!0u64 << bit0);
-        if first != 0 {
-            return Some(w0 * 64 + first.trailing_zeros() as usize);
-        }
-        for i in 1..words {
-            let w = (w0 + i) % words;
-            if self.occupancy[w] != 0 {
-                return Some(w * 64 + self.occupancy[w].trailing_zeros() as usize);
-            }
-        }
-        let tail = self.occupancy[w0] & !(!0u64 << bit0);
-        if tail != 0 {
-            return Some(w0 * 64 + tail.trailing_zeros() as usize);
-        }
-        None
+/// First occupied bucket of a window-ordered `occupancy` bitmap (one
+/// bit per bucket of a `mask + 1`-bucket queue whose window starts at
+/// `cursor`) and its absolute cycle: the nearest future event. Shared
+/// by [`CalendarWheel`] and [`CompletionRing`].
+#[inline]
+fn first_occupied(occupancy: &[u64], mask: u64, cursor: u64) -> Option<(usize, u64)> {
+    let at = |b: usize| Some((b, cursor + ((b as u64).wrapping_sub(cursor) & mask)));
+    let start = (cursor & mask) as usize;
+    // The window wraps at `start`: scan `[start, W)` then `[0, start)`,
+    // adjusting the first word for the offset.
+    let words = occupancy.len();
+    let (w0, bit0) = (start / 64, start % 64);
+    let first = occupancy[w0] & (!0u64 << bit0);
+    if first != 0 {
+        return at(w0 * 64 + first.trailing_zeros() as usize);
     }
-
-    fn time_of(&self, b: usize) -> u64 {
-        let offset = (b as u64).wrapping_sub(self.cursor) & self.mask;
-        self.cursor + offset
+    for i in 1..words {
+        let w = (w0 + i) % words;
+        if occupancy[w] != 0 {
+            return at(w * 64 + occupancy[w].trailing_zeros() as usize);
+        }
     }
+    let tail = occupancy[w0] & !(!0u64 << bit0);
+    if tail != 0 {
+        return at(w0 * 64 + tail.trailing_zeros() as usize);
+    }
+    None
 }
 
 #[cfg(test)]

@@ -28,6 +28,11 @@
 //! produced by the `ggs-apps` crate; the address layout helper
 //! ([`layout`]) keeps the two crates agreeing on where each array lives.
 //!
+//! The machine is one plain struct, [`SystemParams`], whose `Default`
+//! is Table IV; a variant is a struct literal with `..Default::default()`,
+//! checked by [`SystemParams::validate`]. The protocol checker (`check`
+//! feature) is armed with [`SimulationBuilder`]'s `checker()`.
+//!
 //! # Example
 //!
 //! ```
@@ -75,6 +80,6 @@ pub use config::{CoherenceKind, ConsistencyModel, HwConfig};
 pub use engine::DebugHooks;
 pub use engine::{BudgetBreach, SimBudget, Simulation, SimulationBuilder};
 pub use ggs_trace::{TraceEvent, TraceSink, Tracer};
-pub use params::{ParamsError, SystemParams, SystemParamsBuilder};
+pub use params::{ParamsError, SystemParams};
 pub use stats::{ExecStats, StallBreakdown, StallClass};
 pub use trace::{KernelTrace, MicroOp, Op};

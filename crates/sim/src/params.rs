@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Validation failure from [`SystemParamsBuilder::build`],
+/// Validation failure from [`SystemParams::validate`],
 /// [`KernelTrace::new`](crate::trace::KernelTrace::new), or one of the
 /// fallible `try_*` constructors in this crate.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,19 +46,6 @@ impl fmt::Display for ParamsError {
 }
 
 impl std::error::Error for ParamsError {}
-
-/// Warp scheduling policy of each SM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerPolicy {
-    /// Greedy-then-oldest (GPGPU-Sim's GTO, the default): keep issuing
-    /// from the current warp until it stalls, then move on. Maximizes
-    /// intra-warp locality.
-    #[default]
-    GreedyThenOldest,
-    /// Loose round-robin: rotate to the next ready warp after every
-    /// issue. Maximizes latency overlap at the cost of locality.
-    RoundRobin,
-}
 
 /// Parameters of the simulated heterogeneous system.
 ///
@@ -141,9 +128,6 @@ pub struct SystemParams {
     /// Fixed cost charged between kernel launches (CPU-side launch and
     /// synchronization overhead), accounted as Idle time.
     pub kernel_launch_cycles: u64,
-
-    /// Warp scheduling policy.
-    pub scheduler: SchedulerPolicy,
 }
 
 impl Default for SystemParams {
@@ -178,7 +162,6 @@ impl Default for SystemParams {
             atomic_rmw_cycles: 6,
 
             kernel_launch_cycles: 2_000,
-            scheduler: SchedulerPolicy::default(),
         }
     }
 }
@@ -206,31 +189,31 @@ impl SystemParams {
         Ok(self)
     }
 
-    /// Start a fluent, validated builder seeded with the Table IV
-    /// defaults.
+    /// Check the structural invariants the simulator relies on.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamsError::NonPositive`] for a zero count or size, and
+    /// [`ParamsError::NotPowerOfTwo`] for a line size that is not a
+    /// power of two.
     ///
     /// # Example
     ///
     /// ```
     /// use ggs_sim::SystemParams;
     ///
-    /// let params = SystemParams::builder()
-    ///     .num_sms(8)
-    ///     .tb_size(128)
-    ///     .scaled_caches(0.25)
-    ///     .build()
-    ///     .expect("valid parameters");
-    /// assert_eq!(params.num_sms, 8);
-    /// assert!(SystemParams::builder().line_bytes(48).build().is_err());
+    /// let params = SystemParams {
+    ///     num_sms: 8,
+    ///     tb_size: 128,
+    ///     ..SystemParams::default()
+    /// };
+    /// assert!(params.validate().is_ok());
+    /// let bad = SystemParams {
+    ///     line_bytes: 48,
+    ///     ..SystemParams::default()
+    /// };
+    /// assert!(bad.validate().is_err());
     /// ```
-    pub fn builder() -> SystemParamsBuilder {
-        SystemParamsBuilder {
-            params: SystemParams::default(),
-            scale: None,
-        }
-    }
-
-    /// Check the structural invariants the simulator relies on.
     pub fn validate(&self) -> Result<(), ParamsError> {
         for (value, what) in [
             (self.num_sms, "num_sms"),
@@ -273,75 +256,6 @@ impl SystemParams {
     /// L2 capacity in kilobytes (used by the volume classifier).
     pub fn l2_kb(&self) -> f64 {
         self.l2_bytes as f64 / 1024.0
-    }
-}
-
-/// Fluent, validated constructor for [`SystemParams`], created by
-/// [`SystemParams::builder`]. Unset fields keep their Table IV default.
-#[derive(Debug, Clone)]
-pub struct SystemParamsBuilder {
-    params: SystemParams,
-    scale: Option<f64>,
-}
-
-macro_rules! builder_setter {
-    ($(#[$doc:meta] $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            #[$doc]
-            pub fn $name(mut self, value: $ty) -> Self {
-                self.params.$name = value;
-                self
-            }
-        )*
-    };
-}
-
-impl SystemParamsBuilder {
-    builder_setter! {
-        /// Number of GPU cores (CUs/SMs).
-        num_sms: u32,
-        /// Threads per warp.
-        warp_size: u32,
-        /// Threads per thread block.
-        tb_size: u32,
-        /// Maximum thread blocks resident on one SM.
-        max_blocks_per_sm: u32,
-        /// Cache line size in bytes (must be a power of two).
-        line_bytes: u32,
-        /// Per-SM L1 data cache capacity in bytes.
-        l1_bytes: u64,
-        /// L1 associativity.
-        l1_assoc: u32,
-        /// Shared L2 capacity in bytes.
-        l2_bytes: u64,
-        /// L2 associativity.
-        l2_assoc: u32,
-        /// Number of L2 banks.
-        l2_banks: u32,
-        /// L1 MSHR entries per SM.
-        mshr_entries: u32,
-        /// Store buffer entries per SM.
-        store_buffer_entries: u32,
-        /// Fixed cost charged between kernel launches.
-        kernel_launch_cycles: u64,
-        /// Warp scheduling policy.
-        scheduler: SchedulerPolicy,
-    }
-
-    /// Scale L1/L2 capacities by `factor` (applied after the explicit
-    /// sizes, validated in [`SystemParamsBuilder::build`]).
-    pub fn scaled_caches(mut self, factor: f64) -> Self {
-        self.scale = Some(factor);
-        self
-    }
-
-    /// Validate and produce the parameters.
-    pub fn build(self) -> Result<SystemParams, ParamsError> {
-        self.params.validate()?;
-        match self.scale {
-            Some(factor) => self.params.scaled_caches(factor),
-            None => Ok(self.params),
-        }
     }
 }
 
@@ -407,40 +321,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_struct_defaults() {
-        let built = SystemParams::builder().build().expect("defaults are valid");
-        assert_eq!(built, SystemParams::default());
-    }
-
-    #[test]
-    fn builder_applies_setters_and_scaling() {
-        let p = SystemParams::builder()
-            .num_sms(4)
-            .tb_size(64)
-            .scheduler(SchedulerPolicy::RoundRobin)
-            .scaled_caches(0.125)
-            .build()
-            .expect("valid");
-        assert_eq!(p.num_sms, 4);
-        assert_eq!(p.tb_size, 64);
-        assert_eq!(p.scheduler, SchedulerPolicy::RoundRobin);
-        assert_eq!(p.l1_bytes, 4 * 1024);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_parameters() {
-        assert_eq!(
-            SystemParams::builder().warp_size(0).build(),
-            Err(ParamsError::NonPositive("warp_size"))
-        );
-        assert_eq!(
-            SystemParams::builder().line_bytes(48).build(),
-            Err(ParamsError::NotPowerOfTwo("line_bytes"))
-        );
-        assert_eq!(
-            SystemParams::builder().scaled_caches(-1.0).build(),
-            Err(ParamsError::BadScale(-1.0))
-        );
+    fn validate_rejects_invalid_parameters() {
+        assert_eq!(SystemParams::default().validate(), Ok(()));
+        let p = SystemParams {
+            warp_size: 0,
+            ..SystemParams::default()
+        };
+        assert_eq!(p.validate(), Err(ParamsError::NonPositive("warp_size")));
+        let p = SystemParams {
+            line_bytes: 48,
+            ..SystemParams::default()
+        };
+        assert_eq!(p.validate(), Err(ParamsError::NotPowerOfTwo("line_bytes")));
         let err = ParamsError::NonPositive("tb_size");
         assert!(err.to_string().contains("tb_size must be positive"));
     }

@@ -4,7 +4,6 @@
 
 use crate::config::ConsistencyModel;
 use crate::mem::MemorySystem;
-use crate::params::SchedulerPolicy;
 use crate::stats::{StallBreakdown, StallClass};
 use crate::trace::{MicroOp, ThreadsSlice};
 use ggs_trace::{TraceEvent, Tracer};
@@ -71,8 +70,9 @@ pub struct Sm<'k> {
     warp_size: u32,
     line_mask: u64,
     consistency: ConsistencyModel,
-    scheduler: SchedulerPolicy,
-    rr: usize,
+    /// Greedy-then-oldest cursor: the warp that issued last, where the
+    /// next issue scan starts.
+    greedy: usize,
     /// Cycle classification accumulated so far.
     pub stats: StallBreakdown,
     /// Latest completion time of any transaction this SM issued
@@ -115,7 +115,6 @@ pub enum Step {
 
 impl<'k> Sm<'k> {
     /// Creates an SM with its clock at `start`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: u32,
         start: u64,
@@ -123,7 +122,6 @@ impl<'k> Sm<'k> {
         warp_size: u32,
         line_bytes: u32,
         max_blocks: u32,
-        scheduler: SchedulerPolicy,
     ) -> Self {
         Self {
             id,
@@ -138,8 +136,7 @@ impl<'k> Sm<'k> {
             warp_size,
             line_mask: !(line_bytes as u64 - 1),
             consistency,
-            scheduler,
-            rr: 0,
+            greedy: 0,
             stats: StallBreakdown::default(),
             last_completion: 0,
             tail: 0,
@@ -232,7 +229,7 @@ impl<'k> Sm<'k> {
         // the lexicographic `(ready_at, idx)` minimum, so each half
         // also tracks its min as it fails — fused here to keep this to
         // two passes total instead of three.
-        let start = self.rr % n;
+        let start = self.greedy % n;
         let mut hit = None;
         let (mut min_hi, mut argmin_hi) = (u64::MAX, 0usize);
         for (w, &r) in self.ready[start..].iter().enumerate() {
@@ -259,13 +256,9 @@ impl<'k> Sm<'k> {
             }
         }
         if let Some(idx) = hit {
-            // Greedy-then-oldest keeps the cursor on the issuing warp
-            // (issue again next cycle while it stays ready); round robin
-            // rotates past it.
-            self.rr = match self.scheduler {
-                SchedulerPolicy::GreedyThenOldest => idx,
-                SchedulerPolicy::RoundRobin => (idx + 1) % n,
-            };
+            // Greedy-then-oldest keeps the cursor on the issuing warp:
+            // it issues again next cycle while it stays ready.
+            self.greedy = idx;
             self.issue(idx, mem);
             self.stats.record(StallClass::Busy, 1);
             self.now += 1;
@@ -519,15 +512,7 @@ mod tests {
     fn setup(consistency: ConsistencyModel) -> (MemorySystem<'static>, Sm<'static>) {
         let params = SystemParams::default();
         let mem = MemorySystem::new(&params, HwConfig::new(CoherenceKind::Gpu, consistency));
-        let sm = Sm::new(
-            0,
-            0,
-            consistency,
-            32,
-            64,
-            8,
-            SchedulerPolicy::GreedyThenOldest,
-        );
+        let sm = Sm::new(0, 0, consistency, 32, 64, 8);
         (mem, sm)
     }
 

@@ -27,23 +27,28 @@ fn main() -> Result<(), GgsError> {
         profile.class_code()
     );
     let configs = SystemConfig::all_for(app.algo_profile().traversal);
-    let sweep = WorkloadSweep::run(
-        app,
-        preset.mnemonic(),
-        &graph,
-        &configs,
-        &spec,
-        Tracer::off(),
-    )?;
+    let mut results = Vec::with_capacity(configs.len());
+    for config in configs {
+        let stats = run_workload(app, &graph, config, &spec, Tracer::off(), None)?;
+        results.push((config, stats.total_cycles()));
+    }
+    let cycles_of = |config: SystemConfig| {
+        results
+            .iter()
+            .find(|&&(c, _)| c == config)
+            .map(|&(_, cycles)| cycles as f64)
+            .unwrap_or_else(|| die(&format!("{config} was not swept")))
+    };
 
-    let baseline = baseline_config(app);
-    let best = sweep.best().unwrap_or_else(|| die("sweep is empty")).config;
+    let base = cycles_of(baseline_config(app));
+    let (best, best_cycles) = results
+        .iter()
+        .copied()
+        .min_by_key(|&(_, cycles)| cycles)
+        .unwrap_or_else(|| die("sweep is empty"));
     println!("{:>6} {:>12} {:>10}  ", "config", "cycles", "vs base");
-    for (config, norm) in sweep.normalized_to(baseline)? {
-        let cycles = sweep
-            .result_for(config)
-            .map(|r| r.stats.total_cycles())
-            .unwrap_or(0);
+    for &(config, cycles) in &results {
+        let norm = cycles as f64 / base;
         let mark = match config {
             c if c == best && c == predicted => "<= BEST, predicted",
             c if c == best => "<= BEST",
@@ -55,7 +60,7 @@ fn main() -> Result<(), GgsError> {
     println!(
         "\nmodel prediction {} runs within {:.1}% of the empirical best",
         predicted.code(),
-        sweep.slowdown_vs_best(predicted)? * 100.0
+        (cycles_of(predicted) / best_cycles as f64 - 1.0) * 100.0
     );
     Ok(())
 }

@@ -38,7 +38,7 @@ pub mod prelude {
     };
     pub use ggs_core::runner::{run_study, StudyOptions};
     pub use ggs_core::study::{ConfigSet, Study, WorkloadReport};
-    pub use ggs_core::sweep::{baseline_config, figure5_configs, WorkloadSweep};
+    pub use ggs_core::sweep::{baseline_config, figure5_configs};
     pub use ggs_graph::synth::{GraphPreset, SynthConfig};
     pub use ggs_graph::{Csr, GraphBuilder, GraphError};
     pub use ggs_model::{predict_full, predict_partial, GraphProfile, SystemConfig};

@@ -55,9 +55,17 @@ fn bad_inputs_surface_as_typed_errors_across_the_api() {
         .scale(f64::INFINITY)
         .build()
         .is_err());
-    // System parameters.
-    assert!(SystemParams::builder().line_bytes(48).build().is_err());
-    assert!(SystemParams::builder().build().is_ok());
+    // System parameters, checked again when a spec takes them.
+    let bad = SystemParams {
+        line_bytes: 48,
+        ..SystemParams::default()
+    };
+    assert!(bad.validate().is_err());
+    assert!(matches!(
+        ExperimentSpec::builder().params(bad).build(),
+        Err(GgsError::Params(_))
+    ));
+    assert!(SystemParams::default().validate().is_ok());
     // Graph construction.
     assert!(GraphBuilder::new(4).edge(0, 9).build().is_err());
     // Kernel traces: an address the packed op cannot hold.
