@@ -786,14 +786,24 @@ fn study_cmd(cmd: &StudyCmd) {
     );
     let start = std::time::Instant::now();
     let metrics = ggs_trace::MetricsRegistry::new();
-    let outcome = if let Some(path) = &cmd.trace_out {
+    // The study, then any compaction, both into the trace if one is
+    // written (compaction emits `store_evict`).
+    let run = |sink: &dyn ggs_trace::TraceSink| {
+        let outcome = run_study(&spec, &options, &metrics, sink);
+        let compaction = match (&options.store, &outcome) {
+            (Some(store), Ok(_)) if cmd.store_compact => Some(store.compact(sink, start)),
+            _ => None,
+        };
+        (outcome, compaction)
+    };
+    let (outcome, compaction) = if let Some(path) = &cmd.trace_out {
         let sink = open_sink(path);
-        let outcome = run_study(&spec, &options, &metrics, sink.as_ref());
+        let ran = run(sink.as_ref());
         metrics.emit_phases(sink.as_ref());
         close_sink(path, sink);
-        outcome
+        ran
     } else {
-        run_study(&spec, &options, &metrics, &ggs_trace::NOOP)
+        run(&ggs_trace::NOOP)
     };
     let outcome = match outcome {
         Ok(o) => o,
@@ -830,13 +840,10 @@ fn study_cmd(cmd: &StudyCmd) {
             report.corrupt_bytes()
         );
     }
-    if cmd.store_compact {
-        if let Some(store) = options.store.as_ref() {
-            match store.compact() {
-                Ok(report) => println!("store compacted: {report}"),
-                Err(e) => eprintln!("[repro] warning: store compaction failed: {e}"),
-            }
-        }
+    match compaction {
+        Some(Ok(report)) => println!("store compacted: {report}"),
+        Some(Err(e)) => eprintln!("[repro] warning: store compaction failed: {e}"),
+        None => {}
     }
     println!();
 

@@ -24,10 +24,18 @@
 //!   simulates only what is missing, reproducing the uninterrupted
 //!   results byte for byte.
 //!
-//! The failure taxonomy and the store resume workflow are documented
-//! in `docs/robustness.md`.
+//! It also simulates each *consistency class* once: cells that differ
+//! only in a consistency model their kernel stream cannot observe (see
+//! [`ConsistencyModel::class_representative`](ggs_sim::ConsistencyModel::class_representative))
+//! take the row of whichever of them simulated first. A worker never
+//! waits for that row; it parks the cell and moves on, and the worker
+//! that finishes the simulation answers the parked cells.
+//!
+//! The failure taxonomy, the store resume workflow and how answered
+//! cells go through the store are documented in `docs/robustness.md`;
+//! the class rule and its measured effect in `docs/performance.md`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -38,7 +46,7 @@ use ggs_apps::AppKind;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::{predict_full, predict_partial, GraphProfile, SystemConfig};
 use ggs_sim::trace::{KernelTrace, MicroOp};
-use ggs_sim::StallClass;
+use ggs_sim::{AtomicMix, StallClass};
 use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
 
 use crate::error::GgsError;
@@ -51,7 +59,8 @@ use crate::trace_cache::{graph_fingerprint, StreamKey, TraceCache, TraceCacheSta
 /// Terminal state of one study cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellStatus {
-    /// The cell simulated successfully (possibly after retries).
+    /// The cell simulated successfully (possibly after retries), or was
+    /// answered from another cell of its consistency class that did.
     Ok,
     /// The cell panicked or failed with a non-retryable error.
     Failed,
@@ -103,9 +112,12 @@ pub struct CellReport {
     /// Terminal state.
     pub status: CellStatus,
     /// Human-readable detail: the error/panic message, the breached
-    /// budget, or the store provenance. Empty for clean `Ok` cells.
+    /// budget, the store provenance, or `answered from <CONFIG>` for a
+    /// cell answered from the cell of its consistency class that
+    /// simulated. Empty for cleanly simulated `Ok` cells.
     pub detail: String,
-    /// Execution attempts made (0 for cells answered from the store).
+    /// Execution attempts made (0 for cells answered from the store or
+    /// from their consistency class).
     pub attempts: u32,
 }
 
@@ -421,10 +433,116 @@ fn cell_key(app: &str, graph: &str, config: &str) -> String {
     format!("{app}/{graph}/{config}")
 }
 
+/// A cell's names, as reports, store keys and trace events spell them.
+struct Names {
+    app: &'static str,
+    graph: &'static str,
+    config: String,
+    key: String,
+}
+
+impl Names {
+    fn outcome(
+        &self,
+        status: CellStatus,
+        detail: String,
+        attempts: u32,
+        row: Option<ResultRow>,
+    ) -> CellOutcome {
+        CellOutcome {
+            report: CellReport {
+                app: self.app.to_owned(),
+                graph: self.graph.to_owned(),
+                config: self.config.clone(),
+                status,
+                detail,
+                attempts,
+            },
+            row,
+        }
+    }
+}
+
+/// A cell's *consistency class* within one study: its graph,
+/// application, propagation and coherence, with its consistency model
+/// replaced by the class representative on its stream's atomic mix
+/// ([`ConsistencyModel::class_representative`](ggs_sim::ConsistencyModel::class_representative)).
+/// The cells of one class time identically.
+type ClassKey = (usize, AppKind, SystemConfig);
+
+/// How far a consistency class has got in this study.
+#[derive(Debug)]
+enum Class {
+    /// Its lead cell is simulating; the `waiting` cells take its row.
+    Running { waiting: Vec<usize> },
+    /// Its row, and the configuration code of the cell that simulated it.
+    Done { row: ResultRow, by: String },
+    /// Its lead failed or timed out, so it answers nobody: each member
+    /// runs on its own.
+    Failed,
+}
+
+/// A running cell's part in answering other cells of its class.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// No part: an injected fault, a member of a failed class, or a
+    /// scout whose class already had a lead.
+    Alone,
+    /// The first cell of a stream whose atomic mix is not known yet. It
+    /// learns the mix by building the stream, and becomes its class's
+    /// lead; the stream's other cells wait until then.
+    Scout(StreamKey),
+    /// The cell its class's other members wait on.
+    Lead(ClassKey),
+}
+
+/// What a worker does with a cell it takes.
+enum Route {
+    /// Run it: claim it from the store, simulate it, publish it.
+    Run(Role),
+    /// Its class is done: answer it with the class's row.
+    Answer { row: ResultRow, by: String },
+    /// It waits on a scout or a lead, which re-queues or answers it.
+    Wait,
+}
+
+/// The shared state that simulates one cell per consistency class.
+#[derive(Debug, Default)]
+struct Classes {
+    /// Cells handed back by a scout or lead that could not answer them,
+    /// taken before new cells: each with the role it runs in, or `None`
+    /// to be routed again.
+    requeued: VecDeque<(usize, Option<Role>)>,
+    /// Streams with a scout out, and the cells waiting on each.
+    scouting: HashMap<StreamKey, Vec<usize>>,
+    classes: HashMap<ClassKey, Class>,
+}
+
+/// Everything the workers of one study share.
+struct Sweep<'a> {
+    spec: &'a ExperimentSpec,
+    options: &'a StudyOptions,
+    store_hash: String,
+    graphs: &'a [(GraphPreset, ggs_graph::Csr, GraphProfile, u64)],
+    cells: &'a [Cell],
+    cache: Arc<TraceCache>,
+    epoch: Instant,
+    sink: &'a dyn TraceSink,
+    next: AtomicUsize,
+    classes: Mutex<Classes>,
+    results: Mutex<Vec<Option<CellOutcome>>>,
+}
+
 /// Runs the study under `spec` with full fault tolerance: panics are
 /// isolated per cell, watchdogs convert runaways into timeouts, retryable
 /// errors are retried with bounded backoff, and, with a store attached,
 /// completed cells are published to (and answered from) the store.
+///
+/// Each consistency class is simulated once: cells whose configurations
+/// differ only in a consistency model their stream cannot observe
+/// ([`ConsistencyModel::class_representative`](ggs_sim::ConsistencyModel::class_representative))
+/// are answered, as [`CellStatus::Ok`], from the first of them to
+/// simulate. Cells with an injected fault never take part.
 ///
 /// Returns `Err` only for setup failures (zero threads, an unreadable
 /// or foreign store); individual cell failures never abort the run — they
@@ -441,7 +559,6 @@ pub fn run_study(
         ));
     }
     let epoch = Instant::now();
-    let store_hash = versioned_spec_hash(&spec_hash(spec, options.configs));
     let store_report = match &options.store {
         Some(store) => {
             // Surface pre-existing corruption up front. Opening the
@@ -464,11 +581,11 @@ pub fn run_study(
     };
 
     let metric_params = spec.metric_params();
-    // Every graph is built exactly once per study and shared by handle:
-    // workers borrow the `Arc<Csr>`, and the content fingerprint keys
-    // the trace cache. The `graph_build` events make the once-per-study
-    // invariant testable (one event per preset, never per cell).
-    let graphs: Vec<(GraphPreset, Arc<ggs_graph::Csr>, GraphProfile, u64)> = {
+    // Every graph is built exactly once per study and shared by
+    // reference; the content fingerprint keys the trace cache. The
+    // `graph_build` events make the once-per-study invariant testable
+    // (one event per preset, never per cell).
+    let graphs: Vec<(GraphPreset, ggs_graph::Csr, GraphProfile, u64)> = {
         let _phase = metrics.phase("generate_inputs");
         GraphPreset::ALL
             .into_iter()
@@ -487,11 +604,10 @@ pub fn run_study(
                         at_us: epoch.elapsed().as_micros() as u64,
                     });
                 }
-                (p, Arc::new(g), profile, fp)
+                (p, g, profile, fp)
             })
             .collect()
     };
-    let trace_cache = TraceCache::new(options.trace_cache_bytes);
 
     // Cell list: graph-major, then app, then configuration — the same
     // order the aggregate reports are emitted in.
@@ -511,55 +627,34 @@ pub fn run_study(
         })
         .collect();
 
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<CellOutcome>>> =
-        Mutex::new((0..cells.len()).map(|_| None).collect());
-
+    let sweep = Sweep {
+        spec,
+        options,
+        store_hash: versioned_spec_hash(&spec_hash(spec, options.configs)),
+        graphs: &graphs,
+        cells: &cells,
+        cache: TraceCache::new(options.trace_cache_bytes),
+        epoch,
+        sink,
+        next: AtomicUsize::new(0),
+        classes: Mutex::new(Classes::default()),
+        results: Mutex::new((0..cells.len()).map(|_| None).collect()),
+    };
     {
         let _phase = metrics.phase("simulate");
         std::thread::scope(|scope| {
             for _ in 0..options.threads.min(cells.len()).max(1) {
                 scope.spawn(|| {
                     let local = MetricsRegistry::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells.len() {
-                            break;
-                        }
-                        let cell = cells[i];
-                        let (preset, graph, _, graph_fp) = &graphs[cell.graph_index];
-                        let ctx = ReuseCtx {
-                            cache: &trace_cache,
-                            graph_fp: *graph_fp,
-                            epoch,
-                            sink,
-                        };
-                        let outcome = run_cell(
-                            cell,
-                            preset.mnemonic(),
-                            graph.as_ref(),
-                            spec,
-                            options,
-                            &store_hash,
-                            ctx,
-                        );
-                        if outcome.report.status == CellStatus::Ok {
-                            local.add("configs_simulated", 1);
-                            if let Some(row) = &outcome.row {
-                                local.observe("config_total_cycles", row.total_cycles);
-                            }
-                        }
-                        let mut slots = results.lock().unwrap_or_else(|e| e.into_inner());
-                        slots[i] = Some(outcome);
-                    }
+                    sweep.work(&local);
                     metrics.merge(&local);
                 });
             }
         });
     }
+    let slots = std::mem::take(&mut *sweep.results.lock().unwrap_or_else(|e| e.into_inner()));
 
     let _phase = metrics.phase("aggregate");
-    let slots = results.into_inner().unwrap_or_else(|e| e.into_inner());
     let outcomes: Vec<CellOutcome> = slots
         .into_iter()
         .enumerate()
@@ -568,18 +663,8 @@ pub fn run_study(
                 // A worker died without recording this cell (should be
                 // unreachable given per-cell catch_unwind, but degrade
                 // to a report rather than poisoning the aggregate).
-                let cell = cells[i];
-                CellOutcome {
-                    report: CellReport {
-                        app: cell.app.mnemonic().to_owned(),
-                        graph: graphs[cell.graph_index].0.mnemonic().to_owned(),
-                        config: cell.config.code(),
-                        status: CellStatus::Failed,
-                        detail: "worker terminated before completing this cell".to_owned(),
-                        attempts: 0,
-                    },
-                    row: None,
-                }
+                let detail = "worker terminated before completing this cell".to_owned();
+                sweep.names(i).outcome(CellStatus::Failed, detail, 0, None)
             })
         })
         .collect();
@@ -592,327 +677,509 @@ pub fn run_study(
         study,
         cells: reports_out,
         store_report,
-        trace_cache: trace_cache.stats(),
+        trace_cache: sweep.cache.stats(),
     })
 }
 
-/// Shared per-cell context of the sweep-level reuse layer: the
-/// study-wide trace cache plus what a cell needs to key lookups and
-/// timestamp reuse events.
-#[derive(Clone, Copy)]
-struct ReuseCtx<'a> {
-    cache: &'a TraceCache,
-    graph_fp: u64,
-    epoch: Instant,
-    sink: &'a dyn TraceSink,
-}
-
-fn run_cell(
-    cell: Cell,
-    graph_name: &str,
-    graph: &ggs_graph::Csr,
-    spec: &ExperimentSpec,
-    options: &StudyOptions,
-    store_hash: &str,
-    ctx: ReuseCtx<'_>,
-) -> CellOutcome {
-    let app = cell.app.mnemonic().to_owned();
-    let config = cell.config.code();
-    let start_us = ctx.epoch.elapsed().as_micros() as u64;
-    let traced = ctx.sink.enabled();
-    if traced {
-        ctx.sink.emit(&TraceEvent::CellStart {
-            app: app.clone(),
-            graph: graph_name.to_owned(),
-            config: config.clone(),
-            start_us,
-        });
-    }
-
-    let outcome = if let Some(store) = &options.store {
-        claim_and_execute(
-            store, store_hash, cell, &app, graph_name, &config, graph, spec, options, ctx,
-        )
-    } else {
-        execute_with_retries(cell, &app, graph_name, &config, graph, spec, options, ctx)
-    };
-
-    if traced {
-        ctx.sink.emit(&TraceEvent::CellFinish {
-            app,
-            graph: graph_name.to_owned(),
-            config,
-            status: outcome.report.status.name(),
-            attempts: outcome.report.attempts,
-            start_us,
-            dur_us: ctx.epoch.elapsed().as_micros() as u64 - start_us,
-        });
-    }
-    outcome
-}
-
-/// Store-mediated cell execution: resolve the cell through
-/// [`Store::try_claim`] — an existing result short-circuits to
-/// [`CellStatus::Skipped`] (a *store hit*: zero simulation), a live
-/// foreign lease is polled until its owner publishes or it expires,
-/// and a successful claim falls through to normal execution followed
-/// by [`Store::publish`] (or a lease release on failure, so peers need
-/// not wait out the TTL).
-#[allow(clippy::too_many_arguments)]
-fn claim_and_execute(
-    store: &Store,
-    store_hash: &str,
-    cell: Cell,
-    app: &str,
-    graph_name: &str,
-    config: &str,
-    graph: &ggs_graph::Csr,
-    spec: &ExperimentSpec,
-    options: &StudyOptions,
-    ctx: ReuseCtx<'_>,
-) -> CellOutcome {
-    let key = cell_key(app, graph_name, config);
-    let wait_started = Instant::now();
-    // A live foreign lease resolves itself: its owner either publishes
-    // a result (Done) or the lease expires and becomes reclaimable.
-    // Twice the TTL is the failsafe against pathological clocks.
-    let wait_limit = options
-        .lease_ttl
-        .saturating_mul(2)
-        .max(Duration::from_millis(100));
-    let mut claim_attempts = 0u32;
-    loop {
-        match store.try_claim(store_hash, &key, options.lease_ttl) {
-            Ok(Claim::Done(row)) => {
-                if ctx.sink.enabled() {
-                    ctx.sink.emit(&TraceEvent::StoreHit {
-                        key: key.clone(),
-                        at_us: ctx.epoch.elapsed().as_micros() as u64,
-                    });
+impl Sweep<'_> {
+    /// One worker: takes cells until none is left, running each, or
+    /// parking it on its class, or answering it from its class. Parked
+    /// cells never block the worker; whoever finishes the cell they
+    /// wait on answers or re-queues them.
+    fn work(&self, local: &MetricsRegistry) {
+        while let Some((i, role)) = self.take() {
+            let route = match role {
+                Some(role) => Route::Run(role),
+                None => self.route(i),
+            };
+            match route {
+                Route::Wait => {}
+                Route::Answer { row, by } => self.record(i, self.answer(i, &row, &by), true, local),
+                Route::Run(role) => {
+                    let (outcome, role) = self.run(i, role);
+                    let waiting = self.settle(role, &outcome);
+                    let row = outcome.row.clone();
+                    self.record(i, outcome, false, local);
+                    if let Some(row) = row {
+                        let by = self.cells[i].config.code();
+                        for w in waiting {
+                            self.record(w, self.answer(w, &row, &by), true, local);
+                        }
+                    }
                 }
-                return CellOutcome {
-                    report: CellReport {
-                        app: app.to_owned(),
-                        graph: graph_name.to_owned(),
-                        config: config.to_owned(),
-                        status: CellStatus::Skipped,
-                        detail: "store hit".to_owned(),
-                        attempts: 0,
-                    },
-                    row: Some(row),
-                };
             }
-            Ok(Claim::Claimed) => break,
-            Ok(Claim::Busy(lease)) => {
-                if wait_started.elapsed() >= wait_limit {
-                    return failed_cell(
-                        app,
-                        graph_name,
-                        config,
-                        format!(
-                            "store lease on {key} held by pid {} beyond the {} ms failsafe",
-                            lease.owner,
-                            wait_limit.as_millis()
-                        ),
-                        claim_attempts,
-                    );
+        }
+    }
+
+    /// The next cell to work on: a re-queued one first, with the role
+    /// it was handed, else a new one, still to be routed.
+    fn take(&self) -> Option<(usize, Option<Role>)> {
+        if let Some(requeued) = self.lock_classes().requeued.pop_front() {
+            return Some(requeued);
+        }
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.cells.len()).then_some((i, None))
+    }
+
+    fn record(&self, i: usize, outcome: CellOutcome, answered: bool, local: &MetricsRegistry) {
+        if outcome.report.status == CellStatus::Ok {
+            let counter = if answered {
+                "configs_answered"
+            } else {
+                "configs_simulated"
+            };
+            local.add(counter, 1);
+            if let Some(row) = &outcome.row {
+                local.observe("config_total_cycles", row.total_cycles);
+            }
+        }
+        let mut slots = self.results.lock().unwrap_or_else(|e| e.into_inner());
+        slots[i] = Some(outcome);
+    }
+
+    fn lock_classes(&self) -> std::sync::MutexGuard<'_, Classes> {
+        self.classes.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn names(&self, i: usize) -> Names {
+        let cell = self.cells[i];
+        let app = cell.app.mnemonic();
+        let graph = self.graphs[cell.graph_index].0.mnemonic();
+        let config = cell.config.code();
+        Names {
+            key: cell_key(app, graph, &config),
+            app,
+            graph,
+            config,
+        }
+    }
+
+    fn stream_key(&self, cell: Cell) -> StreamKey {
+        let (_, graph, _, graph_fp) = &self.graphs[cell.graph_index];
+        StreamKey {
+            app: cell.app,
+            graph_fp: *graph_fp,
+            prop: cell.config.propagation,
+            tb_size: self.spec.params.tb_size,
+            policy_fp: ggs_apps::Workload::new(cell.app, graph)
+                .policy_fingerprint(cell.config.propagation),
+        }
+    }
+
+    fn class_key(&self, cell: Cell, mix: AtomicMix) -> ClassKey {
+        let mut config = cell.config;
+        config.consistency = config.consistency.class_representative(mix);
+        (cell.graph_index, cell.app, config)
+    }
+
+    /// Decides what to do with cell `i`, from its stream's atomic mix
+    /// and its class's state. Never blocks.
+    fn route(&self, i: usize) -> Route {
+        let cell = self.cells[i];
+        let faults = &self.options.faults;
+        if !faults.is_empty() && faults.get(&self.names(i).key).is_some() {
+            return Route::Run(Role::Alone);
+        }
+        let stream = self.stream_key(cell);
+        let mut state = self.lock_classes();
+        // A scout announces its mix and leaves `scouting` in one step,
+        // so no cell can route on the mix before the scout leads.
+        if let Some(waiting) = state.scouting.get_mut(&stream) {
+            waiting.push(i);
+            return Route::Wait;
+        }
+        let Some(mix) = self.cache.atomic_mix(stream) else {
+            state.scouting.insert(stream, Vec::new());
+            return Route::Run(Role::Scout(stream));
+        };
+        let class = self.class_key(cell, mix);
+        match state.classes.get_mut(&class) {
+            None => {
+                state.classes.insert(
+                    class,
+                    Class::Running {
+                        waiting: Vec::new(),
+                    },
+                );
+                Route::Run(Role::Lead(class))
+            }
+            Some(Class::Running { waiting }) => {
+                waiting.push(i);
+                Route::Wait
+            }
+            Some(Class::Done { row, by }) => Route::Answer {
+                row: row.clone(),
+                by: by.clone(),
+            },
+            Some(Class::Failed) => Route::Run(Role::Alone),
+        }
+    }
+
+    /// A scout learned its stream's mix: the cells waiting on the scout
+    /// go back to the queue, and the scout leads its class (or, if a
+    /// cell that never scouted got there first, runs alone).
+    fn announce(&self, i: usize, stream: StreamKey, mix: AtomicMix) -> Role {
+        let class = self.class_key(self.cells[i], mix);
+        let mut state = self.lock_classes();
+        let waiting = state.scouting.remove(&stream).unwrap_or_default();
+        state
+            .requeued
+            .extend(waiting.into_iter().map(|w| (w, None)));
+        if state.classes.contains_key(&class) {
+            return Role::Alone;
+        }
+        state.classes.insert(
+            class,
+            Class::Running {
+                waiting: Vec::new(),
+            },
+        );
+        Role::Lead(class)
+    }
+
+    /// Closes a run cell's part in its class, returning the cells to
+    /// answer with its row: those waiting on it, if it led its class and
+    /// simulated. A lead that failed or timed out fails its class and
+    /// sends its waiting cells back to run on their own. A scout that
+    /// never learned its mix, or a lead answered by the store, hands its
+    /// role to the first cell waiting on it, and the rest wait on that
+    /// one.
+    fn settle(&self, role: Role, outcome: &CellOutcome) -> Vec<usize> {
+        let mut guard = self.lock_classes();
+        let state = &mut *guard;
+        let waiting = match role {
+            Role::Alone => return Vec::new(),
+            Role::Scout(stream) => match state.scouting.get_mut(&stream) {
+                Some(waiting) => waiting,
+                None => return Vec::new(),
+            },
+            Role::Lead(class) => {
+                let Some(Class::Running { waiting }) = state.classes.get_mut(&class) else {
+                    return Vec::new();
+                };
+                match (outcome.report.status, &outcome.row) {
+                    (CellStatus::Ok, Some(row)) => {
+                        let waiting = std::mem::take(waiting);
+                        let done = Class::Done {
+                            row: row.clone(),
+                            by: outcome.report.config.clone(),
+                        };
+                        state.classes.insert(class, done);
+                        return waiting;
+                    }
+                    (CellStatus::Failed | CellStatus::Timeout, _) => {
+                        let alone = std::mem::take(waiting).into_iter();
+                        state.requeued.extend(alone.map(|w| (w, Some(Role::Alone))));
+                        state.classes.insert(class, Class::Failed);
+                        return Vec::new();
+                    }
+                    _ => waiting,
                 }
-                std::thread::sleep(Duration::from_millis(20).min(wait_limit));
+            }
+        };
+        if waiting.is_empty() {
+            match role {
+                Role::Scout(stream) => {
+                    state.scouting.remove(&stream);
+                }
+                Role::Lead(class) => {
+                    state.classes.remove(&class);
+                }
+                Role::Alone => {}
+            }
+        } else {
+            let next = waiting.remove(0);
+            state.requeued.push_back((next, Some(role)));
+        }
+        Vec::new()
+    }
+
+    /// Emits `cell_start`, runs `body`, then emits `cell_finish`.
+    fn traced(&self, names: &Names, body: impl FnOnce() -> CellOutcome) -> CellOutcome {
+        let start_us = self.epoch.elapsed().as_micros() as u64;
+        let traced = self.sink.enabled();
+        if traced {
+            self.sink.emit(&TraceEvent::CellStart {
+                app: names.app.to_owned(),
+                graph: names.graph.to_owned(),
+                config: names.config.clone(),
+                start_us,
+            });
+        }
+        let outcome = body();
+        if traced {
+            self.sink.emit(&TraceEvent::CellFinish {
+                app: names.app.to_owned(),
+                graph: names.graph.to_owned(),
+                config: names.config.clone(),
+                status: outcome.report.status.name(),
+                attempts: outcome.report.attempts,
+                start_us,
+                dur_us: self.epoch.elapsed().as_micros() as u64 - start_us,
+            });
+        }
+        outcome
+    }
+
+    /// Runs cell `i` in `role`: claimed from the store if one is
+    /// attached (a store hit ends it as [`CellStatus::Skipped`]), then
+    /// simulated and published. Returns the role it ended in, since a
+    /// scout becomes a lead once it learns its mix.
+    fn run(&self, i: usize, mut role: Role) -> (CellOutcome, Role) {
+        let names = self.names(i);
+        let outcome = self.traced(&names, || match &self.options.store {
+            Some(store) => match self.claim(store, &names) {
+                Some(outcome) => outcome,
+                None => {
+                    let outcome = self.execute_with_retries(i, &names, &mut role);
+                    self.publish(store, &names, outcome)
+                }
+            },
+            None => self.execute_with_retries(i, &names, &mut role),
+        });
+        (outcome, role)
+    }
+
+    /// Answers cell `i` with its class's `row`, simulated by config
+    /// `by`: claimed from the store first, so a store hit still wins,
+    /// then published under the cell's own key.
+    fn answer(&self, i: usize, row: &ResultRow, by: &str) -> CellOutcome {
+        let names = self.names(i);
+        self.traced(&names, || {
+            let row = ResultRow {
+                config: names.config.clone(),
+                ..row.clone()
+            };
+            let outcome =
+                names.outcome(CellStatus::Ok, format!("answered from {by}"), 0, Some(row));
+            match &self.options.store {
+                Some(store) => match self.claim(store, &names) {
+                    Some(outcome) => outcome,
+                    None => self.publish(store, &names, outcome),
+                },
+                None => outcome,
+            }
+        })
+    }
+
+    /// Resolves a cell through [`Store::try_claim`], returning `None`
+    /// once it is leased to this process (a *store miss*), else the
+    /// cell's final outcome: an existing result ends it as
+    /// [`CellStatus::Skipped`] (a *store hit*: zero simulation), and a
+    /// claim that keeps failing ends it as [`CellStatus::Failed`]. A live
+    /// foreign lease is polled until its owner publishes or it expires.
+    fn claim(&self, store: &Store, names: &Names) -> Option<CellOutcome> {
+        let key = &names.key;
+        let wait_started = Instant::now();
+        // A live foreign lease resolves itself: its owner either publishes
+        // a result (Done) or the lease expires and becomes reclaimable.
+        // Twice the TTL is the failsafe against pathological clocks.
+        let wait_limit = self
+            .options
+            .lease_ttl
+            .saturating_mul(2)
+            .max(Duration::from_millis(100));
+        let mut claim_attempts = 0u32;
+        loop {
+            match store.try_claim(&self.store_hash, key, self.options.lease_ttl) {
+                Ok(Claim::Done(row)) => {
+                    if self.sink.enabled() {
+                        self.sink.emit(&TraceEvent::StoreHit {
+                            key: key.clone(),
+                            at_us: self.epoch.elapsed().as_micros() as u64,
+                        });
+                    }
+                    return Some(names.outcome(
+                        CellStatus::Skipped,
+                        "store hit".to_owned(),
+                        0,
+                        Some(row),
+                    ));
+                }
+                Ok(Claim::Claimed) => break,
+                Ok(Claim::Busy(lease)) => {
+                    if wait_started.elapsed() >= wait_limit {
+                        return Some(names.outcome(
+                            CellStatus::Failed,
+                            format!(
+                                "store lease on {key} held by pid {} beyond the {} ms failsafe",
+                                lease.owner,
+                                wait_limit.as_millis()
+                            ),
+                            claim_attempts,
+                            None,
+                        ));
+                    }
+                    std::thread::sleep(Duration::from_millis(20).min(wait_limit));
+                }
+                Err(e) => {
+                    claim_attempts += 1;
+                    let retry = &self.options.retry;
+                    if e.is_retryable() && claim_attempts < retry.max_attempts.max(1) {
+                        std::thread::sleep(retry.backoff(claim_attempts));
+                        continue;
+                    }
+                    return Some(names.outcome(
+                        CellStatus::Failed,
+                        e.to_string(),
+                        claim_attempts,
+                        None,
+                    ));
+                }
+            }
+        }
+        if self.sink.enabled() {
+            self.sink.emit(&TraceEvent::StoreMiss {
+                key: key.clone(),
+                at_us: self.epoch.elapsed().as_micros() as u64,
+            });
+        }
+        None
+    }
+
+    /// Publishes a claimed cell's row, or releases its lease if it has
+    /// none, so peers need not wait out the TTL.
+    fn publish(&self, store: &Store, names: &Names, mut outcome: CellOutcome) -> CellOutcome {
+        match (&outcome.report.status, &outcome.row) {
+            (CellStatus::Ok, Some(row)) => {
+                if let Err(e) = store.publish(&self.store_hash, names.app, names.graph, row) {
+                    // The cell succeeded; only durability degraded. The
+                    // lease stays until its TTL, keeping peers from
+                    // double-publishing a possibly-torn record.
+                    let detail = &mut outcome.report.detail;
+                    if !detail.is_empty() {
+                        detail.push_str("; ");
+                    }
+                    detail.push_str(&format!("result not persisted to store: {e}"));
+                }
+            }
+            _ => {
+                // Best effort: an unreleased lease merely delays peers.
+                let _ = store.release(&self.store_hash, &names.key);
+            }
+        }
+        outcome
+    }
+
+    fn execute_with_retries(&self, i: usize, names: &Names, role: &mut Role) -> CellOutcome {
+        let fault = self.options.faults.get(&names.key);
+        let max_attempts = self.options.retry.max_attempts.max(1);
+        let mut attempts = 0u32;
+        let result = loop {
+            attempts += 1;
+            let deadline = self.options.cell_deadline.map(|d| Instant::now() + d);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                self.execute_cell(i, names, fault, deadline, role)
+            }));
+            match caught {
+                Ok(Ok(stats)) => break Ok(stats),
+                Ok(Err(e)) => {
+                    if e.is_retryable() && attempts < max_attempts {
+                        std::thread::sleep(self.options.retry.backoff(attempts));
+                        continue;
+                    }
+                    break Err(e);
+                }
+                // Panics are deterministic: fail fast, no retry.
+                Err(payload) => {
+                    break Err(CellFailure::from_payload(
+                        names.app,
+                        names.graph,
+                        &names.config,
+                        payload,
+                    )
+                    .into())
+                }
+            }
+        };
+        match result {
+            Ok(stats) => {
+                let row = ResultRow {
+                    config: names.config.clone(),
+                    total_cycles: stats.total_cycles(),
+                    fractions: [
+                        stats.breakdown.fraction(StallClass::Busy),
+                        stats.breakdown.fraction(StallClass::Comp),
+                        stats.breakdown.fraction(StallClass::Data),
+                        stats.breakdown.fraction(StallClass::Sync),
+                        stats.breakdown.fraction(StallClass::Idle),
+                    ],
+                };
+                names.outcome(CellStatus::Ok, String::new(), attempts, Some(row))
             }
             Err(e) => {
-                claim_attempts += 1;
-                if e.is_retryable() && claim_attempts < options.retry.max_attempts.max(1) {
-                    std::thread::sleep(options.retry.backoff(claim_attempts));
-                    continue;
-                }
-                return failed_cell(app, graph_name, config, e.to_string(), claim_attempts);
-            }
-        }
-    }
-    if ctx.sink.enabled() {
-        ctx.sink.emit(&TraceEvent::StoreMiss {
-            key: key.clone(),
-            at_us: ctx.epoch.elapsed().as_micros() as u64,
-        });
-    }
-    let mut outcome =
-        execute_with_retries(cell, app, graph_name, config, graph, spec, options, ctx);
-    match (&outcome.report.status, &outcome.row) {
-        (CellStatus::Ok, Some(row)) => {
-            if let Err(e) = store.publish(store_hash, app, graph_name, row) {
-                // The simulation succeeded; only durability degraded.
-                // The lease stays until its TTL, keeping peers from
-                // double-publishing a possibly-torn record.
-                outcome.report.detail = format!("result not persisted to store: {e}");
-            }
-        }
-        _ => {
-            // Best effort: an unreleased lease merely delays peers.
-            let _ = store.release(store_hash, &key);
-        }
-    }
-    outcome
-}
-
-/// A `Failed` cell outcome for store-level errors that occur outside
-/// `execute_with_retries` (claim, lease, lock).
-fn failed_cell(
-    app: &str,
-    graph_name: &str,
-    config: &str,
-    detail: String,
-    attempts: u32,
-) -> CellOutcome {
-    CellOutcome {
-        report: CellReport {
-            app: app.to_owned(),
-            graph: graph_name.to_owned(),
-            config: config.to_owned(),
-            status: CellStatus::Failed,
-            detail,
-            attempts,
-        },
-        row: None,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_with_retries(
-    cell: Cell,
-    app: &str,
-    graph_name: &str,
-    config: &str,
-    graph: &ggs_graph::Csr,
-    spec: &ExperimentSpec,
-    options: &StudyOptions,
-    ctx: ReuseCtx<'_>,
-) -> CellOutcome {
-    let key = cell_key(app, graph_name, config);
-    let fault = options.faults.get(&key);
-    let max_attempts = options.retry.max_attempts.max(1);
-    let mut attempts = 0u32;
-    let result = loop {
-        attempts += 1;
-        let deadline = options.cell_deadline.map(|d| Instant::now() + d);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            execute_cell(cell, &key, graph_name, graph, spec, fault, deadline, ctx)
-        }));
-        match caught {
-            Ok(Ok(stats)) => break Ok(stats),
-            Ok(Err(e)) => {
-                if e.is_retryable() && attempts < max_attempts {
-                    std::thread::sleep(options.retry.backoff(attempts));
-                    continue;
-                }
-                break Err(e);
-            }
-            // Panics are deterministic: fail fast, no retry.
-            Err(payload) => {
-                break Err(CellFailure::from_payload(app, graph_name, config, payload).into())
-            }
-        }
-    };
-    match result {
-        Ok(stats) => CellOutcome {
-            report: CellReport {
-                app: app.to_owned(),
-                graph: graph_name.to_owned(),
-                config: config.to_owned(),
-                status: CellStatus::Ok,
-                detail: String::new(),
-                attempts,
-            },
-            row: Some(ResultRow {
-                config: config.to_owned(),
-                total_cycles: stats.total_cycles(),
-                fractions: [
-                    stats.breakdown.fraction(StallClass::Busy),
-                    stats.breakdown.fraction(StallClass::Comp),
-                    stats.breakdown.fraction(StallClass::Data),
-                    stats.breakdown.fraction(StallClass::Sync),
-                    stats.breakdown.fraction(StallClass::Idle),
-                ],
-            }),
-        },
-        Err(e) => CellOutcome {
-            report: CellReport {
-                app: app.to_owned(),
-                graph: graph_name.to_owned(),
-                config: config.to_owned(),
-                status: if e.is_timeout() {
+                let status = if e.is_timeout() {
                     CellStatus::Timeout
                 } else {
                     CellStatus::Failed
-                },
-                detail: e.to_string(),
-                attempts,
-            },
-            row: None,
-        },
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_cell(
-    cell: Cell,
-    key: &str,
-    graph_name: &str,
-    graph: &ggs_graph::Csr,
-    spec: &ExperimentSpec,
-    fault: Option<&Fault>,
-    deadline: Option<Instant>,
-    ctx: ReuseCtx<'_>,
-) -> Result<ggs_sim::ExecStats, GgsError> {
-    match fault {
-        Some(Fault::Panic) => panic!("injected fault: deliberate panic in {key}"),
-        Some(Fault::Hang) => return run_hang(cell, spec, deadline),
-        Some(Fault::TransientIo { remaining }) => {
-            let took = remaining
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok();
-            if took {
-                return Err(GgsError::Io(std::io::Error::other(
-                    "injected transient I/O failure",
-                )));
+                };
+                names.outcome(status, e.to_string(), attempts, None)
             }
         }
-        None => {}
     }
-    // Split run: functional half through the shared cache (one build
-    // per app × graph × direction group), timing half on a fresh
-    // engine. The same kernels flow through the same simulator in the
-    // same order, so the statistics are bit-identical to the fused
-    // run that generates kernels as it simulates.
-    let stream_key = StreamKey {
-        app: cell.app,
-        graph_fp: ctx.graph_fp,
-        prop: cell.config.propagation,
-        tb_size: spec.params.tb_size,
-        policy_fp: ggs_apps::Workload::new(cell.app, graph)
-            .policy_fingerprint(cell.config.propagation),
-    };
-    let stream = ctx.cache.get_or_build(
-        stream_key,
-        graph_name,
-        ctx.sink,
-        || ctx.epoch.elapsed().as_micros() as u64,
-        || {
-            Arc::new(produce_trace_stream(
-                cell.app,
-                graph,
-                cell.config.propagation,
-                spec.params.tb_size,
-            ))
-        },
-    );
-    run_stream_budgeted(
-        &stream,
-        cell.app,
-        cell.config,
-        spec,
-        Tracer::off(),
-        deadline,
-    )
+
+    fn execute_cell(
+        &self,
+        i: usize,
+        names: &Names,
+        fault: Option<&Fault>,
+        deadline: Option<Instant>,
+        role: &mut Role,
+    ) -> Result<ggs_sim::ExecStats, GgsError> {
+        let cell = self.cells[i];
+        match fault {
+            Some(Fault::Panic) => {
+                let key = &names.key;
+                panic!("injected fault: deliberate panic in {key}")
+            }
+            Some(Fault::Hang) => return run_hang(cell, self.spec, deadline),
+            Some(Fault::TransientIo { remaining }) => {
+                let took = remaining
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                    .is_ok();
+                if took {
+                    return Err(GgsError::Io(std::io::Error::other(
+                        "injected transient I/O failure",
+                    )));
+                }
+            }
+            None => {}
+        }
+        // Split run: functional half through the shared cache (one build
+        // per app × graph × direction group), timing half on a fresh
+        // engine. The same kernels flow through the same simulator in the
+        // same order, so the statistics are bit-identical to the fused
+        // run that generates kernels as it simulates.
+        let graph = &self.graphs[cell.graph_index].1;
+        let stream_key = self.stream_key(cell);
+        let stream = self.cache.get_or_build(
+            stream_key,
+            names.graph,
+            self.sink,
+            || self.epoch.elapsed().as_micros() as u64,
+            || {
+                Arc::new(produce_trace_stream(
+                    cell.app,
+                    graph,
+                    cell.config.propagation,
+                    self.spec.params.tb_size,
+                ))
+            },
+        );
+        if let Role::Scout(scouted) = *role {
+            if let Some(mix) = self.cache.atomic_mix(scouted) {
+                *role = self.announce(i, scouted, mix);
+            }
+        }
+        run_stream_budgeted(
+            &stream,
+            cell.app,
+            cell.config,
+            self.spec,
+            Tracer::off(),
+            deadline,
+        )
+    }
 }
 
 /// The `Hang` fault: feed small compute kernels forever, exactly like a
@@ -948,7 +1215,7 @@ fn run_hang(
 /// in the failure report).
 fn aggregate(
     spec: &ExperimentSpec,
-    graphs: &[(GraphPreset, Arc<ggs_graph::Csr>, GraphProfile, u64)],
+    graphs: &[(GraphPreset, ggs_graph::Csr, GraphProfile, u64)],
     cells: &[Cell],
     outcomes: &[CellOutcome],
 ) -> Study {

@@ -98,6 +98,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use ggs_trace::{TraceEvent, TraceSink};
+
 use crate::error::GgsError;
 use crate::json::{self, Value};
 use crate::runner::RetryPolicy;
@@ -766,7 +768,12 @@ impl Store {
     /// to the sibling file `PATH.tmp`, is flushed to disk, and replaces
     /// the store by atomic rename, whose directory entry is flushed in
     /// turn: a crash mid-compaction leaves the old file intact.
-    pub fn compact(&self) -> Result<CompactReport, GgsError> {
+    ///
+    /// Once the new file is in place, emits a
+    /// [`TraceEvent::StoreEvict`] through `sink` with the report's
+    /// dropped records and reclaimed bytes, timestamped relative to
+    /// `epoch` (the start of the run that compacts).
+    pub fn compact(&self, sink: &dyn TraceSink, epoch: Instant) -> Result<CompactReport, GgsError> {
         let mut lock = self.acquire_lock()?;
         let old_len = std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0);
         lock.index.catch_up(&self.path, true)?;
@@ -835,6 +842,13 @@ impl Store {
         *lock.index = Index::on(file)?;
         lock.index.ingest(&out)?;
         sync_parent_dir(&self.path)?;
+        if sink.enabled() {
+            sink.emit(&TraceEvent::StoreEvict {
+                records: report.dropped_records as u64,
+                bytes: report.reclaimed_bytes,
+                at_us: epoch.elapsed().as_micros() as u64,
+            });
+        }
         Ok(report)
     }
 
@@ -1638,7 +1652,7 @@ mod tests {
             .unwrap();
         std::thread::sleep(Duration::from_millis(5)); // let the lease expire
         let before = std::fs::metadata(&path).unwrap().len();
-        let report = store.compact().unwrap();
+        let report = store.compact(&ggs_trace::NOOP, Instant::now()).unwrap();
         assert_eq!(report.kept_records, 1);
         assert_eq!(report.dropped_records, 10); // 9 superseded + 1 expired lease
         assert!(report.reclaimed_bytes > 0);
@@ -1750,7 +1764,7 @@ mod tests {
                 .unwrap();
         }
         let inode = std::fs::metadata(&path).unwrap().ino();
-        let report = store.compact().unwrap();
+        let report = store.compact(&ggs_trace::NOOP, Instant::now()).unwrap();
         assert_eq!(report.kept_records, 5);
         assert_ne!(
             std::fs::metadata(&path).unwrap().ino(),
@@ -1774,7 +1788,7 @@ mod tests {
         let store = Store::open(&path).expect("open");
         store.publish("h", "PR", "AMZ", &row("SGR", 1)).unwrap();
         store.publish("h", "PR", "AMZ", &row("SGR", 2)).unwrap();
-        store.compact().unwrap();
+        store.compact(&ggs_trace::NOOP, Instant::now()).unwrap();
         assert_eq!(std::fs::read(&bystander).unwrap(), b"someone else's data");
         assert_eq!(store.load().unwrap().completed_for("h").len(), 1);
     }
@@ -1792,7 +1806,7 @@ mod tests {
         let old_offset = a.load().unwrap().report.valid_end;
 
         let b = Store::open(&path).expect("open B").with_owner(2);
-        b.compact().unwrap();
+        b.compact(&ggs_trace::NOOP, Instant::now()).unwrap();
         let mut published = 0;
         while std::fs::metadata(&path).unwrap().len() <= old_offset {
             b.publish("h", "CC", "RAJ", &row(&format!("C{published}"), published))
@@ -1895,7 +1909,7 @@ mod tests {
                         matches!(store.try_claim("h", &key, ttl), Ok(Claim::Claimed | Claim::Busy(_)))
                     }
                     4 => store.release("h", &key).is_ok(),
-                    5 => store.compact().is_ok(),
+                    5 => store.compact(&ggs_trace::NOOP, Instant::now()).is_ok(),
                     6 => {
                         if n % 2 == 0 {
                             let _ = faults[who].clone().crc_flips(1);

@@ -18,6 +18,11 @@
 //! keeps the cache from growing with the sweep. Hits, misses, and
 //! evictions are emitted as [`TraceEvent`]s so the reuse is observable
 //! in study traces, exactly like the result store's.
+//!
+//! The cache also remembers the [`AtomicMix`] of every stream it has
+//! built, for its whole lifetime: evicting or never keeping a stream
+//! forgets its ops, not its mix. The study runner reads the mix to put
+//! cells into consistency classes without fetching the stream.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,6 +32,7 @@ use ggs_apps::AppKind;
 use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::trace::KernelTrace;
+use ggs_sim::AtomicMix;
 use ggs_trace::{TraceEvent, TraceSink};
 
 use crate::store::{fnv1a64_extend, FNV64_BASIS};
@@ -138,6 +144,8 @@ struct Inner {
     /// while other keys proceed; the global lock is never held across
     /// a build.
     building: HashMap<StreamKey, Arc<Mutex<()>>>,
+    /// The atomic mix of every stream ever built, evicted or not.
+    mixes: HashMap<StreamKey, AtomicMix>,
     bytes: u64,
     tick: u64,
 }
@@ -234,6 +242,13 @@ impl TraceCache {
         self.len() == 0
     }
 
+    /// The [`AtomicMix`] of `key`'s stream (the most exposed mix of its
+    /// kernels), if this cache has ever built it. Known from the moment
+    /// the building call returns, and kept after the stream is evicted.
+    pub fn atomic_mix(&self, key: StreamKey) -> Option<AtomicMix> {
+        self.lock().mixes.get(&key).copied()
+    }
+
     /// Traffic totals since construction.
     pub fn stats(&self) -> TraceCacheStats {
         TraceCacheStats {
@@ -291,9 +306,11 @@ impl TraceCache {
         }
         let stream = build();
         let bytes: u64 = stream.iter().map(|k| k.heap_bytes()).sum();
+        let mix = stream.iter().map(|k| k.atomic_mix()).max();
         let mut evicted = (0u64, 0u64);
         {
             let mut inner = self.lock();
+            inner.mixes.insert(key, mix.unwrap_or_default());
             if bytes <= self.capacity_bytes {
                 inner.tick += 1;
                 let tick = inner.tick;
@@ -512,6 +529,38 @@ mod tests {
         assert!(!s.is_empty());
         assert!(cache.is_empty());
         assert_eq!(cache.resident_bytes(), 0);
+        // The stream was not kept, but its mix was.
+        assert_eq!(cache.atomic_mix(k), Some(AtomicMix::SomeFireAndForget));
+    }
+
+    #[test]
+    fn atomic_mixes_outlive_eviction() {
+        let g = ring(256);
+        let pull = key(AppKind::Pr, &g, Propagation::Pull);
+        let one = stream(AppKind::Pr, &g, Propagation::Pull);
+        // Room for one stream: the second build evicts the first.
+        let cache = TraceCache::new(one.iter().map(|k| k.heap_bytes()).sum());
+        assert_eq!(cache.atomic_mix(pull), None, "unknown before a build");
+        for (app, prop) in [
+            (AppKind::Pr, Propagation::Pull),
+            (AppKind::Mis, Propagation::Push),
+        ] {
+            cache.get_or_build(
+                key(app, &g, prop),
+                "RING",
+                &ggs_trace::NOOP,
+                || 0,
+                || stream(app, &g, prop),
+            );
+        }
+        assert_eq!(cache.stats().evicted_streams, 1);
+        // Pull PageRank issues no atomics; push MIS claims with
+        // fire-and-forget ones.
+        assert_eq!(cache.atomic_mix(pull), Some(AtomicMix::None));
+        assert_eq!(
+            cache.atomic_mix(key(AppKind::Mis, &g, Propagation::Push)),
+            Some(AtomicMix::SomeFireAndForget)
+        );
     }
 
     #[test]

@@ -33,6 +33,16 @@ fn panicking_and_hanging_cells_leave_the_rest_intact() {
     let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
     assert!(clean.study.failures.is_empty());
     assert_eq!(clean.study.reports.len(), 36);
+    let answered = |key: &str| {
+        clean
+            .cells
+            .iter()
+            .any(|c| c.key() == key && c.detail.starts_with("answered from"))
+    };
+    assert!(
+        answered("CC/RAJ/DG1") != answered("CC/RAJ/DGR"),
+        "a clean run answers one of DG1 and DGR from the other"
+    );
 
     let mut faulted_options = options();
     faulted_options.faults = FaultPlan::new()
@@ -57,6 +67,19 @@ fn panicking_and_hanging_cells_leave_the_rest_intact() {
         .expect("hung cell reported");
     assert_eq!(hang_cell.status, CellStatus::Timeout);
     assert!(hang_cell.detail.contains("kernel budget exhausted"));
+
+    // Faults never alias. CC's atomics all return values, so DGR is in
+    // DG1's consistency class and a clean run answers one from the
+    // other; with a hang injected into DGR, DG1 still simulates on its
+    // own and DGR still runs (and times out) instead of taking DG1's row.
+    let sibling = faulted
+        .cells
+        .iter()
+        .find(|c| c.key() == "CC/RAJ/DG1")
+        .expect("sibling cell reported");
+    assert_eq!(sibling.status, CellStatus::Ok);
+    assert_eq!(sibling.attempts, 1, "DG1 simulated, not answered");
+    assert!(hang_cell.attempts >= 1, "the hung cell ran");
 
     // All 36 workloads still report; only the sabotaged ones lose a row.
     assert_eq!(faulted.study.reports.len(), 36);
@@ -136,4 +159,27 @@ fn exhausted_retries_report_the_transient_error() {
         .report("EML", "MIS")
         .expect("workload present");
     assert_eq!(report.rows.len(), 4);
+}
+
+/// A consistency class whose simulating cell times out answers nobody:
+/// under a cycle budget no cell can meet, every cell, CC's DGR and DDR
+/// included, runs on its own and times out.
+#[test]
+fn a_timed_out_class_answers_nobody() {
+    let mut spec = budgeted_spec();
+    spec.budget.max_cycles = Some(10);
+    let outcome =
+        run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("run completes");
+    let (ok, failed, timeout, skipped) = outcome.counts();
+    assert_eq!((ok, failed, skipped), (0, 0, 0));
+    assert_eq!(timeout, outcome.cells.len());
+    for cell in &outcome.cells {
+        assert_eq!(cell.attempts, 1, "{} ran itself", cell.key());
+        assert!(
+            cell.detail.contains("budget"),
+            "{}: {}",
+            cell.key(),
+            cell.detail
+        );
+    }
 }

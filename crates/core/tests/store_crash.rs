@@ -136,6 +136,34 @@ fn warm_store_rerun_simulates_nothing_and_is_byte_identical() {
     assert_eq!(count("\"type\":\"store_miss\""), 0);
     assert_eq!(count("\"status\":\"ok\""), 0, "no cell actually simulated");
     assert_eq!(count("\"type\":\"cell_start\""), warm.cells.len());
+
+    // Compaction drops the cold run's leases and reports what it freed
+    // as one `store_evict` event; the compacted store still answers
+    // every cell.
+    let sink = WriterSink::jsonl(Vec::new());
+    let store = Store::open(&path).expect("reopen store");
+    let report = store
+        .compact(&sink, std::time::Instant::now())
+        .expect("compact");
+    assert_eq!(report.kept_records, warm.cells.len());
+    assert!(report.dropped_records > 0 && report.reclaimed_bytes > 0);
+    let trace = String::from_utf8(sink.into_inner()).expect("utf8 trace");
+    let evicts: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains("\"type\":\"store_evict\""))
+        .collect();
+    assert_eq!(evicts.len(), 1, "{trace}");
+    assert!(
+        evicts[0].contains(&format!(
+            "\"records\":{},\"bytes\":{}",
+            report.dropped_records, report.reclaimed_bytes
+        )),
+        "{}",
+        evicts[0]
+    );
+    let compacted = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &NOOP)
+        .expect("run on the compacted store");
+    assert_eq!(compacted.counts().3, compacted.cells.len());
 }
 
 /// Acceptance: a study sabotaged by an injected cell panic *and* an

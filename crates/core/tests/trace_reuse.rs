@@ -117,9 +117,16 @@ fn a_full_study_builds_each_graph_exactly_once() {
         GraphPreset::ALL.len(),
         "expected one graph build per preset"
     );
+    // Answered cells look like simulated ones in the trace: exactly one
+    // `cell_start` and one `cell_finish` per cell, every one `ok`.
+    let cells = outcome.cells.len();
+    let count = |needle: &str| text.lines().filter(|l| l.contains(needle)).count();
+    assert_eq!(count("\"type\":\"cell_start\""), cells);
+    assert_eq!(count("\"type\":\"cell_finish\""), cells);
+    assert_eq!(count("\"status\":\"ok\""), cells);
     // The full grid runs 12 static (6 dynamic) cells per workload over
     // two (one) traversal directions, so the trace cache misses once
-    // per direction and hits on every sibling cell.
+    // per direction and hits on every sibling cell that simulates.
     let cache = outcome.trace_cache;
     assert!(cache.hits > 0, "full grid must reuse cached streams");
     let hit_events = text
@@ -193,11 +200,19 @@ fn cached_study_is_bit_identical_to_uncached_study() {
 
     let cached =
         run_study(&spec, &cached_opts, &MetricsRegistry::new(), &NOOP).expect("cached study runs");
-    let uncached = run_study(&spec, &uncached_opts, &MetricsRegistry::new(), &NOOP)
-        .expect("uncached study runs");
+    let metrics = MetricsRegistry::new();
+    let uncached = run_study(&spec, &uncached_opts, &metrics, &NOOP).expect("uncached study runs");
     assert_eq!(cached.study, uncached.study);
     assert!(cached.trace_cache.hits > 0);
     assert_eq!(uncached.trace_cache.hits, 0);
-    assert_eq!(uncached.trace_cache.misses, uncached.cells.len() as u64);
+    // Every cell that simulated built its own stream; a cell answered
+    // from its consistency class built and fetched none.
+    let simulated = metrics.counter("configs_simulated");
+    let answered = metrics.counter("configs_answered");
+    assert_eq!(uncached.trace_cache.misses, simulated);
+    assert_eq!(simulated + answered, uncached.cells.len() as u64);
+    // The Figure 5 set aliases only CC's DGR (to DG1) and DDR (to DD1):
+    // CC's compare-and-swap atomics all return values.
+    assert_eq!(answered, 2 * GraphPreset::ALL.len() as u64);
     assert_eq!(uncached.trace_cache.evicted_streams, 0);
 }

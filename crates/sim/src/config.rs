@@ -120,6 +120,86 @@ impl ConsistencyModel {
     pub fn atomic_blocks_warp(self, returns_value: bool) -> bool {
         self.atomics_are_paired() || returns_value
     }
+
+    /// The model that stands for `self`'s *consistency class* on a
+    /// kernel stream whose atomics are `mix`: the first model of
+    /// [`ConsistencyModel::ALL`] under which the three predicates above
+    /// treat every atomic of such a stream exactly as `self` does. The
+    /// timing model consults the consistency model only through those
+    /// predicates, so two models of one class time the stream
+    /// identically, and a study simulates one of them and answers the
+    /// others from it. The rule that falls out:
+    ///
+    /// - no atomics: nothing consults the model, so all three models
+    ///   form one class, represented by DRF0;
+    /// - only value-returning atomics: every atomic blocks its warp
+    ///   until it is done, so program order between atomics never
+    ///   delays one, and DRFrlx joins DRF1's class;
+    /// - some fire-and-forget atomics: all three models differ.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ggs_sim::config::{AtomicMix, ConsistencyModel};
+    ///
+    /// let rlx = ConsistencyModel::DrfRlx;
+    /// assert_eq!(rlx.class_representative(AtomicMix::None), ConsistencyModel::Drf0);
+    /// assert_eq!(rlx.class_representative(AtomicMix::AllReturning), ConsistencyModel::Drf1);
+    /// assert_eq!(rlx.class_representative(AtomicMix::SomeFireAndForget), rlx);
+    /// ```
+    pub fn class_representative(self, mix: AtomicMix) -> ConsistencyModel {
+        let behaviour = self.atomic_behaviour(mix);
+        ConsistencyModel::ALL
+            .into_iter()
+            .find(|m| m.atomic_behaviour(mix) == behaviour)
+            .unwrap_or(self)
+    }
+
+    /// Everything the SM's atomic issue path can observe of `self` on a
+    /// stream whose atomics are `mix`: whether atomics fence, whether
+    /// value-returning and fire-and-forget atomics block their warp, and
+    /// whether program order can delay an atomic (only one issued after
+    /// an atomic that did not block).
+    fn atomic_behaviour(self, mix: AtomicMix) -> [bool; 4] {
+        let returning = mix != AtomicMix::None;
+        let fire_and_forget = mix == AtomicMix::SomeFireAndForget;
+        let blocks_returning = returning && self.atomic_blocks_warp(true);
+        let blocks_fire_and_forget = fire_and_forget && self.atomic_blocks_warp(false);
+        let may_overlap =
+            (returning && !blocks_returning) || (fire_and_forget && !blocks_fire_and_forget);
+        [
+            returning && self.atomic_is_fence(),
+            blocks_returning,
+            blocks_fire_and_forget,
+            may_overlap && self.atomics_program_ordered(),
+        ]
+    }
+}
+
+/// Which atomics a kernel stream issues: all a consistency model can
+/// observe of it (see [`ConsistencyModel::class_representative`]).
+/// Ordered from least to most exposed, so a stream's mix is the
+/// maximum over its kernels'.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum AtomicMix {
+    /// No atomic op at all.
+    #[default]
+    None,
+    /// Atomics, every one value-returning.
+    AllReturning,
+    /// At least one fire-and-forget (non-value-returning) atomic.
+    SomeFireAndForget,
+}
+
+impl AtomicMix {
+    /// The mix of a stream holding just one atomic.
+    pub fn of_atomic(returns_value: bool) -> Self {
+        if returns_value {
+            AtomicMix::AllReturning
+        } else {
+            AtomicMix::SomeFireAndForget
+        }
+    }
 }
 
 impl fmt::Display for ConsistencyModel {
@@ -254,6 +334,40 @@ mod tests {
         assert!(!ConsistencyModel::Drf1.atomics_are_paired());
         assert!(ConsistencyModel::DrfRlx.atomics_overlap());
         assert!(!ConsistencyModel::Drf1.atomics_overlap());
+    }
+
+    #[test]
+    fn consistency_classes_follow_the_atomic_mix() {
+        use AtomicMix::{AllReturning, None as NoAtomics, SomeFireAndForget};
+        use ConsistencyModel::{Drf0, Drf1, DrfRlx};
+        // (stream's atomics, model) -> the model that represents its class.
+        let table = [
+            // Pull and other atomic-free streams: consistency-insensitive.
+            (NoAtomics, Drf0, Drf0),
+            (NoAtomics, Drf1, Drf0),
+            (NoAtomics, DrfRlx, Drf0),
+            // CC: every atomic is a value-returning CAS.
+            (AllReturning, Drf0, Drf0),
+            (AllReturning, Drf1, Drf1),
+            (AllReturning, DrfRlx, Drf1),
+            // SSSP push (fire-and-forget atomicMin): three classes, even
+            // where SG1 and SGR happen to take equal cycles.
+            (SomeFireAndForget, Drf0, Drf0),
+            (SomeFireAndForget, Drf1, Drf1),
+            (SomeFireAndForget, DrfRlx, DrfRlx),
+        ];
+        for (mix, model, class) in table {
+            assert_eq!(model.class_representative(mix), class, "{model} on {mix:?}");
+        }
+    }
+
+    #[test]
+    fn a_stream_mix_is_the_most_exposed_kernel_mix() {
+        assert_eq!(AtomicMix::default(), AtomicMix::None);
+        assert_eq!(AtomicMix::of_atomic(true), AtomicMix::AllReturning);
+        assert_eq!(AtomicMix::of_atomic(false), AtomicMix::SomeFireAndForget);
+        assert!(AtomicMix::None < AtomicMix::AllReturning);
+        assert!(AtomicMix::AllReturning < AtomicMix::SomeFireAndForget);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub mod trace;
 
 #[cfg(feature = "check")]
 pub use check::{InvariantKind, ProtocolViolation};
-pub use config::{CoherenceKind, ConsistencyModel, HwConfig};
+pub use config::{AtomicMix, CoherenceKind, ConsistencyModel, HwConfig};
 #[cfg(feature = "check")]
 pub use engine::DebugHooks;
 pub use engine::{BudgetBreach, SimBudget, Simulation, SimulationBuilder};

@@ -6,6 +6,7 @@
 //! (shorter lanes simply become inactive — this models loop-trip-count
 //! divergence, the dominant divergence in vertex-centric graph kernels).
 
+use crate::config::AtomicMix;
 use crate::params::ParamsError;
 
 /// One micro-operation of a GPU thread.
@@ -195,6 +196,8 @@ pub struct KernelTrace {
     /// `num_threads + 1` cumulative offsets into `ops`.
     offsets: Vec<u32>,
     tb_size: u32,
+    /// Which atomics `ops` holds, found once at construction.
+    atomic_mix: AtomicMix,
 }
 
 impl KernelTrace {
@@ -252,10 +255,19 @@ impl KernelTrace {
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         ops.shrink_to_fit();
         offsets.shrink_to_fit();
+        let atomic_mix = ops
+            .iter()
+            .filter_map(|op| match op.get() {
+                MicroOp::Atomic { returns_value, .. } => Some(AtomicMix::of_atomic(returns_value)),
+                _ => None,
+            })
+            .max()
+            .unwrap_or_default();
         Self {
             ops,
             offsets,
             tb_size,
+            atomic_mix,
         }
     }
 
@@ -296,6 +308,14 @@ impl KernelTrace {
             ops: &self.ops,
             offsets: &self.offsets[lo..=hi],
         }
+    }
+
+    /// Which atomics the kernel issues: none, only value-returning ones,
+    /// or some fire-and-forget ones. This is all the consistency model
+    /// can observe of the kernel (see
+    /// [`ConsistencyModel::class_representative`](crate::config::ConsistencyModel::class_representative)).
+    pub fn atomic_mix(&self) -> AtomicMix {
+        self.atomic_mix
     }
 
     /// Total number of micro-ops across all threads.
@@ -428,6 +448,29 @@ mod tests {
         assert_eq!(
             check_op_count(over),
             Err(ParamsError::TooManyOps(over as u64))
+        );
+    }
+
+    #[test]
+    fn atomic_mix_is_recorded_at_construction() {
+        let mix = |threads: Vec<Vec<MicroOp>>| KernelTrace::new(threads, 32).unwrap().atomic_mix();
+        assert_eq!(
+            mix(vec![vec![MicroOp::load(0), MicroOp::store(4)]]),
+            AtomicMix::None
+        );
+        assert_eq!(
+            mix(vec![
+                vec![MicroOp::atomic_returning(0)],
+                vec![MicroOp::compute(1)]
+            ]),
+            AtomicMix::AllReturning
+        );
+        assert_eq!(
+            mix(vec![
+                vec![MicroOp::atomic_returning(0)],
+                vec![MicroOp::load(8), MicroOp::atomic(4)],
+            ]),
+            AtomicMix::SomeFireAndForget
         );
     }
 
