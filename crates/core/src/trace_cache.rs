@@ -245,7 +245,7 @@ impl TraceCache {
     /// The [`AtomicMix`] of `key`'s stream (the most exposed mix of its
     /// kernels), if this cache has ever built it. Known from the moment
     /// the building call returns, and kept after the stream is evicted.
-    pub fn atomic_mix(&self, key: StreamKey) -> Option<AtomicMix> {
+    pub(crate) fn atomic_mix(&self, key: StreamKey) -> Option<AtomicMix> {
         self.lock().mixes.get(&key).copied()
     }
 

@@ -193,7 +193,7 @@ pub enum AtomicMix {
 
 impl AtomicMix {
     /// The mix of a stream holding just one atomic.
-    pub fn of_atomic(returns_value: bool) -> Self {
+    pub(crate) fn of_atomic(returns_value: bool) -> Self {
         if returns_value {
             AtomicMix::AllReturning
         } else {
