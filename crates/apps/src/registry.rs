@@ -230,20 +230,6 @@ impl<'g> Workload<'g> {
         }
     }
 
-    /// Materializes the whole kernel stream in emission order, each
-    /// kernel behind an [`Arc`](std::sync::Arc) so a cache and several
-    /// timing consumers can share it without copies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prop` is not supported by the application (see
-    /// [`AppKind::supported_propagations`]).
-    pub fn stream(&self, prop: Propagation, tb_size: u32) -> Vec<std::sync::Arc<KernelTrace>> {
-        let mut kernels = Vec::new();
-        self.produce(prop, tb_size, &mut |k| kernels.push(std::sync::Arc::new(k)));
-        kernels
-    }
-
     /// The realized per-kernel direction schedule of this workload
     /// under `prop`: `None` for the static propagations (every kernel
     /// runs `prop` itself), `Some(schedule)` for

@@ -441,7 +441,7 @@ pub fn run_grid(progress: &mut dyn FnMut(&str)) -> GridTiming {
         .iter()
         .map(|code| code.parse().expect("grid config codes are valid"))
         .collect();
-    let run_cell = |stream: &[Arc<ggs_sim::trace::KernelTrace>], config: SystemConfig| {
+    let run_cell = |stream: &[Arc<ggs_sim::trace::WarpTrace>], config: SystemConfig| {
         run_stream_budgeted(stream, GRID_APP, config, &spec, Tracer::off(), None)
             .expect("grid cells are supported app/config pairs")
     };

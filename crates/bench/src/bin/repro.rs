@@ -1078,7 +1078,8 @@ fn check(scale: f64, extended: bool) {
         for &prop in app.supported_propagations() {
             let mut line = format!("{:4} {:9}:", app.mnemonic(), prop.to_string());
             for hw in HwConfig::all() {
-                let violations = run_protocol_checked(app, &graph, prop, hw, &params);
+                let violations = run_protocol_checked(app, &graph, prop, hw, &params)
+                    .unwrap_or_else(|e| die(&format!("{e}")));
                 if violations.is_empty() {
                     line.push_str(&format!(" {}=ok", hw.code()));
                 } else {

@@ -21,7 +21,8 @@ use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::check::ProtocolViolation;
 use ggs_sim::config::{ConsistencyModel, HwConfig};
-use ggs_sim::params::SystemParams;
+use ggs_sim::params::{ParamsError, SystemParams};
+use ggs_sim::trace::WarpTrace;
 use ggs_sim::Simulation;
 
 use crate::drf::{analyze_kernel, AccessClass, KernelAnalysis, Violation, ViolationKind};
@@ -278,13 +279,18 @@ pub fn certify_matrix(
 /// Runs one workload through the simulator with the dynamic protocol
 /// checker enabled, auditing the final cache/ownership state, and
 /// returns every invariant violation observed (empty = protocol held).
+///
+/// # Errors
+///
+/// A [`ParamsError`] if a kernel cannot be packed for `params` (see
+/// [`WarpTrace::pack`]).
 pub fn run_protocol_checked(
     app: AppKind,
     graph: &Csr,
     prop: Propagation,
     hw: HwConfig,
     params: &SystemParams,
-) -> Vec<ProtocolViolation> {
+) -> Result<Vec<ProtocolViolation>, ParamsError> {
     let graph = with_weights(app, graph);
     let workload = Workload::new(app, &graph);
     let mut builder = Simulation::builder(params.clone(), hw).checker();
@@ -292,9 +298,19 @@ pub fn run_protocol_checked(
         builder = builder.region(name, base, bytes);
     }
     let mut sim = builder.build();
-    workload.generate(prop, TB_SIZE, &mut |kernel| sim.run_kernel(kernel));
+    let mut failed = None;
+    workload.generate(prop, TB_SIZE, &mut |kernel| {
+        if failed.is_none() {
+            failed = WarpTrace::pack(kernel, params)
+                .and_then(|k| sim.run_kernel(&k))
+                .err();
+        }
+    });
+    if let Some(e) = failed {
+        return Err(e);
+    }
     sim.audit_protocol();
-    sim.take_protocol_violations()
+    Ok(sim.take_protocol_violations())
 }
 
 #[cfg(test)]
@@ -459,7 +475,7 @@ mod tests {
         let params = SystemParams::default();
         for hw in HwConfig::all() {
             let violations =
-                run_protocol_checked(AppKind::Cc, &g, Propagation::PushPull, hw, &params);
+                run_protocol_checked(AppKind::Cc, &g, Propagation::PushPull, hw, &params).unwrap();
             assert_eq!(violations, Vec::new(), "under {hw}");
         }
     }

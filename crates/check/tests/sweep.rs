@@ -12,7 +12,7 @@ use ggs_model::Propagation;
 use ggs_sim::check::InvariantKind;
 use ggs_sim::config::{CoherenceKind, ConsistencyModel, HwConfig};
 use ggs_sim::params::SystemParams;
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
 use ggs_sim::Simulation;
 
 /// A small but structurally realistic graph: the e-mail-network preset
@@ -76,7 +76,7 @@ fn protocol_checker_is_silent_across_the_grid() {
     let params = SystemParams::default();
     for hw in HwConfig::all() {
         for prop in [Propagation::Push, Propagation::Pull] {
-            let violations = run_protocol_checked(AppKind::Bfs, &graph, prop, hw, &params);
+            let violations = run_protocol_checked(AppKind::Bfs, &graph, prop, hw, &params).unwrap();
             assert!(
                 violations.is_empty(),
                 "BFS {prop} under {}: {violations:?}",
@@ -87,8 +87,8 @@ fn protocol_checker_is_silent_across_the_grid() {
 }
 
 /// One thread per word: a trivially clean kernel used to seed cache
-/// state for the injection tests below.
-fn touch_kernel(threads: u64) -> KernelTrace {
+/// state for the injection tests below, packed for the default params.
+fn touch_kernel(threads: u64) -> WarpTrace {
     let trace: Vec<Vec<MicroOp>> = (0..threads)
         .map(|t| {
             vec![
@@ -97,7 +97,8 @@ fn touch_kernel(threads: u64) -> KernelTrace {
             ]
         })
         .collect();
-    KernelTrace::new(trace, 32).unwrap()
+    let kernel = KernelTrace::new(trace, 32).unwrap();
+    WarpTrace::pack(&kernel, &SystemParams::default()).unwrap()
 }
 
 /// Negative test: planting ownership in an L1 behind the registry's
@@ -111,7 +112,7 @@ fn injected_broken_ownership_is_caught() {
     )
     .checker()
     .build();
-    sim.run_kernel(&touch_kernel(32));
+    sim.run_kernel(&touch_kernel(32)).unwrap();
     assert_eq!(sim.take_protocol_violations(), Vec::new());
 
     // Thread 0's store registered line 0x1000>>6 to SM 0; plant the
@@ -142,11 +143,11 @@ fn injected_skipped_invalidation_is_caught() {
     )
     .checker()
     .build();
-    sim.run_kernel(&touch_kernel(8));
+    sim.run_kernel(&touch_kernel(8)).unwrap();
     assert_eq!(sim.take_protocol_violations(), Vec::new());
 
     sim.debug_hooks().skip_next_invalidation();
-    sim.run_kernel(&touch_kernel(8));
+    sim.run_kernel(&touch_kernel(8)).unwrap();
     let violations = sim.take_protocol_violations();
     assert!(
         violations
@@ -155,7 +156,7 @@ fn injected_skipped_invalidation_is_caught() {
         "{violations:?}"
     );
 
-    sim.run_kernel(&touch_kernel(8));
+    sim.run_kernel(&touch_kernel(8)).unwrap();
     assert_eq!(sim.take_protocol_violations(), Vec::new());
 }
 

@@ -8,7 +8,7 @@ use ggs_apps::{AppKind, Workload};
 use ggs_graph::Csr;
 use ggs_model::{Propagation, SystemConfig};
 use ggs_sim::stats::RegionStats;
-use ggs_sim::trace::KernelTrace;
+use ggs_sim::trace::WarpTrace;
 use ggs_sim::{BudgetBreach, ExecStats, SimBudget, Simulation, SystemParams};
 use ggs_trace::Tracer;
 
@@ -226,41 +226,83 @@ pub fn run_workload_profiled(
     simulate(app, config, kernels, spec, tracer, deadline)
 }
 
-/// Materializes the kernel stream of `(app, graph, prop, tb_size)` —
-/// the *functional* half of a workload run, shared by every
-/// configuration cell of a direction (the stream never depends on
-/// coherence, consistency, or timing; see [`Workload::produce`]).
+/// Materializes the kernel stream of `(app, graph, prop)` for the
+/// `tb_size`, warp size and line size of `params` — the *functional*
+/// half of a workload run, shared by every configuration cell of a
+/// direction (the stream never depends on coherence, consistency, or
+/// timing; see [`Workload::produce`]).
 ///
-/// SSSP's deterministic weight attachment is the same as
+/// Each kernel is packed into warp slots ([`WarpTrace::pack`]) as the
+/// application emits it, so only one kernel's per-thread trace is ever
+/// live. SSSP's deterministic weight attachment is the same as
 /// [`run_workload`]'s, so the stream for an unweighted graph matches
 /// what the fused run simulates. A `prop` that `app` does not support
 /// (see [`AppKind::supported_propagations`]) yields an empty stream;
 /// [`run_stream_budgeted`] rejects such a pairing with
 /// [`GgsError::Unsupported`].
+///
+/// # Errors
+///
+/// [`GgsError::Params`] if a kernel cannot be packed for `params` (see
+/// [`WarpTrace::pack`]).
+pub fn produce_stream(
+    app: AppKind,
+    graph: &Csr,
+    prop: Propagation,
+    params: &SystemParams,
+) -> Result<Vec<Arc<WarpTrace>>, GgsError> {
+    let mut stream = Vec::new();
+    if !app.supported_propagations().contains(&prop) {
+        return Ok(stream);
+    }
+    let mut failed = None;
+    Workload::new(app, &weighted(app, graph)).produce(prop, params.tb_size, &mut |kernel| {
+        if failed.is_none() {
+            match WarpTrace::pack(&kernel, params) {
+                Ok(packed) => stream.push(Arc::new(packed)),
+                Err(e) => failed = Some(e),
+            }
+        }
+    });
+    match failed {
+        Some(e) => Err(e.into()),
+        None => Ok(stream),
+    }
+}
+
+/// [`produce_stream`] for the warp and line size of
+/// [`SystemParams::default`] and the given `tb_size`: the stream every
+/// spec built by [`ExperimentSpec::builder`] without a params override
+/// simulates. A stream that cannot be packed comes back empty, like an
+/// unsupported `prop`; call [`produce_stream`] to learn why.
 pub fn produce_trace_stream(
     app: AppKind,
     graph: &Csr,
     prop: Propagation,
     tb_size: u32,
-) -> Vec<Arc<KernelTrace>> {
-    if !app.supported_propagations().contains(&prop) {
-        return Vec::new();
-    }
-    Workload::new(app, &weighted(app, graph)).stream(prop, tb_size)
+) -> Vec<Arc<WarpTrace>> {
+    let params = SystemParams {
+        tb_size,
+        ..SystemParams::default()
+    };
+    produce_stream(app, graph, prop, &params).unwrap_or_default()
 }
 
 /// Timing half of the split workload run: simulates a pre-built kernel
-/// `stream` (from [`produce_trace_stream`], possibly via a
-/// `TraceCache`) under `config`, with the same tracing, budget and
-/// deadline semantics as [`run_workload`]. Feeding the same kernels in
-/// the same order through the same engine makes the statistics
-/// bit-identical to the fused run.
+/// `stream` (from [`produce_stream`], possibly via a `TraceCache`)
+/// under `config`, with the same tracing, budget and deadline semantics
+/// as [`run_workload`]. Feeding the same kernels in the same order
+/// through the same engine makes the statistics bit-identical to the
+/// fused run.
 ///
 /// # Errors
 ///
-/// As [`run_workload`].
+/// As [`run_workload`], plus [`GgsError::Params`] (a
+/// [`ParamsError::GeometryMismatch`](ggs_sim::ParamsError::GeometryMismatch))
+/// if the stream was packed for another warp or line size than
+/// `spec.params`; the mismatched kernel is not simulated.
 pub fn run_stream_budgeted(
-    stream: &[Arc<KernelTrace>],
+    stream: &[Arc<WarpTrace>],
     app: AppKind,
     config: SystemConfig,
     spec: &ExperimentSpec,
@@ -279,7 +321,7 @@ enum Kernels<'a> {
     /// per-array attribution.
     Generate { graph: &'a Csr, regions: bool },
     /// A pre-built stream, replayed in order.
-    Cached(&'a [Arc<KernelTrace>]),
+    Cached(&'a [Arc<WarpTrace>]),
 }
 
 /// The consumer loop behind every run function: builds the
@@ -311,9 +353,16 @@ fn simulate(
                 }
             }
             let mut sim = builder.build();
+            let mut failed = None;
             workload.generate(config.propagation, spec.params.tb_size, &mut |kernel| {
-                sim.run_kernel(kernel)
+                if failed.is_none() && !sim.budget_exhausted() {
+                    let packed = WarpTrace::pack(kernel, &spec.params);
+                    failed = packed.and_then(|k| sim.run_kernel(&k)).err();
+                }
             });
+            if let Some(e) = failed {
+                return Err(e.into());
+            }
             sim
         }
         Kernels::Cached(stream) => {
@@ -322,7 +371,7 @@ fn simulate(
                 if sim.budget_exhausted() {
                     break;
                 }
-                sim.run_kernel(kernel);
+                sim.run_kernel(kernel)?;
             }
             sim
         }
@@ -366,7 +415,7 @@ fn check_supported(app: AppKind, config: SystemConfig) -> Result<(), GgsError> {
 mod tests {
     use super::*;
     use ggs_graph::GraphBuilder;
-    use ggs_sim::MicroOp;
+    use ggs_sim::{KernelTrace, MicroOp, ParamsError};
 
     fn graph() -> Csr {
         GraphBuilder::new(1024)
@@ -553,7 +602,8 @@ mod tests {
             .build()
             .unwrap();
         let threads = (0..256).map(|_| vec![MicroOp::compute(64)]).collect();
-        let kernel = Arc::new(KernelTrace::new(threads, spec.params.tb_size).unwrap());
+        let kernel = KernelTrace::new(threads, spec.params.tb_size).unwrap();
+        let kernel = Arc::new(WarpTrace::pack(&kernel, &spec.params).unwrap());
         let endless = vec![kernel; 200_000];
         let cfg = "SGR".parse().unwrap();
         let err = run_stream_budgeted(&endless, AppKind::Pr, cfg, &spec, Tracer::off(), None)
@@ -615,6 +665,74 @@ mod tests {
                 assert_eq!(profiled, fused, "{app}/{cfg}: profiled");
             }
         }
+    }
+
+    #[test]
+    fn streams_run_only_on_the_geometry_they_were_packed_for() {
+        // A `StreamKey` carries no geometry, so a stream packed for the
+        // default warp and line size must be refused, not mis-simulated,
+        // by a spec with another.
+        let g = graph();
+        let cfg: SystemConfig = "SGR".parse().unwrap();
+        let stream = produce_trace_stream(AppKind::Pr, &g, cfg.propagation, 256);
+        let default = SystemParams::default();
+        for (what, params) in [
+            (
+                "warp_size",
+                SystemParams {
+                    warp_size: 16,
+                    ..default.clone()
+                },
+            ),
+            (
+                "line_bytes",
+                SystemParams {
+                    line_bytes: 128,
+                    ..default.clone()
+                },
+            ),
+        ] {
+            let spec = ExperimentSpec::builder().params(params).build().unwrap();
+            let err = run_stream_budgeted(&stream, AppKind::Pr, cfg, &spec, Tracer::off(), None)
+                .unwrap_err();
+            match err {
+                GgsError::Params(ParamsError::GeometryMismatch { what: w, .. }) => {
+                    assert_eq!(w, what)
+                }
+                other => panic!("{what}: expected a geometry mismatch, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn streams_packed_for_a_spec_match_its_fused_run() {
+        // Packing follows the spec's geometry, so a narrower warp and a
+        // longer line give the same statistics on both run paths.
+        let g = graph();
+        let params = SystemParams {
+            warp_size: 16,
+            line_bytes: 128,
+            ..ExperimentSpec::at_scale(0.05).params
+        };
+        let spec = ExperimentSpec::builder().params(params).build().unwrap();
+        for code in ["SGR", "TD1"] {
+            let cfg: SystemConfig = code.parse().unwrap();
+            let stream = produce_stream(AppKind::Sssp, &g, cfg.propagation, &spec.params).unwrap();
+            assert!(stream
+                .iter()
+                .all(|k| k.warp_size() == 16 && k.line_bytes() == 128));
+            let off = Tracer::off;
+            let cached =
+                run_stream_budgeted(&stream, AppKind::Sssp, cfg, &spec, off(), None).unwrap();
+            let fused = run_workload(AppKind::Sssp, &g, cfg, &spec, off(), None).unwrap();
+            assert_eq!(cached, fused, "{code}");
+        }
+        // The default-geometry wrapper packs what `produce_stream` does.
+        let tb = ExperimentSpec::default().params.tb_size;
+        let by_default = produce_trace_stream(AppKind::Pr, &g, Propagation::Push, tb);
+        let by_params =
+            produce_stream(AppKind::Pr, &g, Propagation::Push, &SystemParams::default()).unwrap();
+        assert_eq!(by_default, by_params);
     }
 
     #[test]

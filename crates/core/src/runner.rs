@@ -45,12 +45,12 @@ use std::time::{Duration, Instant};
 use ggs_apps::AppKind;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::{predict_full, predict_partial, GraphProfile, SystemConfig};
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
 use ggs_sim::{AtomicMix, StallClass};
 use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
 
 use crate::error::GgsError;
-use crate::experiment::{produce_trace_stream, run_stream_budgeted, ExperimentSpec};
+use crate::experiment::{produce_stream, run_stream_budgeted, ExperimentSpec};
 use crate::store::{fnv1a64, versioned_spec_hash, Claim, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
 use crate::sweep::{baseline_config, figure5_configs};
@@ -1152,20 +1152,16 @@ impl Sweep<'_> {
         // run that generates kernels as it simulates.
         let graph = &self.graphs[cell.graph_index].1;
         let stream_key = self.stream_key(cell);
-        let stream = self.cache.get_or_build(
+        let stream = self.cache.try_get_or_build(
             stream_key,
             names.graph,
             self.sink,
             || self.epoch.elapsed().as_micros() as u64,
             || {
-                Arc::new(produce_trace_stream(
-                    cell.app,
-                    graph,
-                    cell.config.propagation,
-                    self.spec.params.tb_size,
-                ))
+                let prop = cell.config.propagation;
+                produce_stream(cell.app, graph, prop, &self.spec.params).map(Arc::new)
             },
-        );
+        )?;
         if let Role::Scout(scouted) = *role {
             if let Some(mix) = self.cache.atomic_mix(scouted) {
                 *role = self.announce(i, scouted, mix);
@@ -1196,7 +1192,8 @@ fn run_hang(
     let cap = spec.budget.max_kernels.unwrap_or(FAILSAFE_KERNELS);
     spec.budget.max_kernels = Some(cap.min(FAILSAFE_KERNELS));
     let threads: Vec<Vec<MicroOp>> = (0..32).map(|_| vec![MicroOp::compute(64)]).collect();
-    let kernel = Arc::new(KernelTrace::new(threads, spec.params.tb_size)?);
+    let kernel = KernelTrace::new(threads, spec.params.tb_size)?;
+    let kernel = Arc::new(WarpTrace::pack(&kernel, &spec.params)?);
     // One kernel past the cap, so the cap always trips.
     let forever = vec![kernel; FAILSAFE_KERNELS as usize + 1];
     run_stream_budgeted(

@@ -1,10 +1,11 @@
 //! Sweep-level kernel-trace memoization.
 //!
 //! A study cell's work splits into a *functional producer* — replaying
-//! the app's frontier evolution and emitting one [`KernelTrace`] per
-//! kernel launch — and a *timing consumer* that feeds those traces to
+//! the app's frontier evolution and packing each kernel launch into a
+//! [`WarpTrace`] — and a *timing consumer* that feeds those traces to
 //! the simulator. The producer half is a pure function of
-//! `(app, graph, propagation, tb_size)`: coherence and consistency
+//! `(app, graph, propagation, tb_size)` and the warp and line size the
+//! kernels are packed for: coherence and consistency
 //! affect *when* micro-ops complete, never *which* micro-ops exist
 //! (the property test in `crates/core/tests/trace_reuse.rs` pins
 //! this). The 12-cell coherence × consistency × direction grid
@@ -19,6 +20,14 @@
 //! evictions are emitted as [`TraceEvent`]s so the reuse is observable
 //! in study traces, exactly like the result store's.
 //!
+//! One cache serves one warp and line geometry. A [`StreamKey`] names
+//! no geometry (`tb_size` is its only machine axis), so every stream in
+//! a cache must be packed for the same `warp_size` and `line_bytes`;
+//! each [`WarpTrace`] records the geometry it was packed for, and
+//! `run_stream_budgeted` refuses a stream whose geometry differs from
+//! its spec's with a typed error instead of mis-simulating it. The study
+//! runner builds one cache per study, whose spec fixes the geometry.
+//!
 //! The cache also remembers the [`AtomicMix`] of every stream it has
 //! built, for its whole lifetime: evicting or never keeping a stream
 //! forgets its ops, not its mix. The study runner reads the mix to put
@@ -31,15 +40,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use ggs_apps::AppKind;
 use ggs_graph::Csr;
 use ggs_model::Propagation;
-use ggs_sim::trace::KernelTrace;
+use ggs_sim::trace::WarpTrace;
 use ggs_sim::AtomicMix;
 use ggs_trace::{TraceEvent, TraceSink};
 
 use crate::store::{fnv1a64_extend, FNV64_BASIS};
 
-/// A materialized kernel stream: every trace of one workload run, in
-/// launch order, individually [`Arc`]'d so consumers never copy ops.
-pub type TraceStream = Arc<Vec<Arc<KernelTrace>>>;
+/// A materialized kernel stream: every packed trace of one workload
+/// run, in launch order, individually [`Arc`]'d so consumers never copy
+/// records.
+pub type TraceStream = Arc<Vec<Arc<WarpTrace>>>;
 
 /// Identity of one cached stream. Graphs are identified by a content
 /// fingerprint (see [`graph_fingerprint`]) rather than an address, so
@@ -175,6 +185,7 @@ pub struct TraceCacheStats {
 ///
 /// ```
 /// use std::sync::Arc;
+/// use ggs_core::experiment::produce_trace_stream;
 /// use ggs_core::trace_cache::{graph_fingerprint, StreamKey, TraceCache};
 /// use ggs_apps::{AppKind, Workload};
 /// use ggs_graph::GraphBuilder;
@@ -187,7 +198,7 @@ pub struct TraceCacheStats {
 /// let cache = TraceCache::new(64 << 20);
 /// let key = StreamKey::for_workload(&Workload::new(AppKind::Pr, &g), Propagation::Push, 256);
 /// assert_eq!(key.graph_fp, graph_fingerprint(&g));
-/// let build = || Arc::new(Workload::new(AppKind::Pr, &g).stream(Propagation::Push, 256));
+/// let build = || Arc::new(produce_trace_stream(AppKind::Pr, &g, Propagation::Push, 256));
 /// let first = cache.get_or_build(key, "RING", &ggs_trace::NOOP, || 0, build);
 /// let again = cache.get_or_build(key, "RING", &ggs_trace::NOOP, || 0, build);
 /// assert!(Arc::ptr_eq(&first, &again));
@@ -207,10 +218,10 @@ pub struct TraceCache {
 
 impl TraceCache {
     /// Creates a cache bounded to `capacity_bytes` of trace heap (as
-    /// accounted by [`KernelTrace::heap_bytes`]: 8 bytes per op plus 4
-    /// per offset, since trace arenas are shrunk to their length). A
-    /// stream larger than the whole budget is returned to its builder
-    /// but never cached.
+    /// accounted by [`WarpTrace::heap_bytes`]: 4 bytes per record word
+    /// and per warp offset, since packed arenas are shrunk to their
+    /// length). A stream larger than the whole budget is returned to its
+    /// builder but never cached.
     pub fn new(capacity_bytes: u64) -> Arc<Self> {
         Arc::new(Self {
             inner: Mutex::new(Inner::default()),
@@ -273,6 +284,30 @@ impl TraceCache {
         now_us: impl Fn() -> u64,
         build: impl FnOnce() -> TraceStream,
     ) -> TraceStream {
+        let built = self.try_get_or_build(key, graph_name, sink, now_us, || {
+            Ok::<_, std::convert::Infallible>(build())
+        });
+        match built {
+            Ok(stream) => stream,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`TraceCache::get_or_build`] for a `build` that can fail. A failed
+    /// build caches nothing and records no mix; its error is returned,
+    /// and the next caller of `key` builds again.
+    ///
+    /// # Errors
+    ///
+    /// The error `build` returned.
+    pub fn try_get_or_build<E>(
+        &self,
+        key: StreamKey,
+        graph_name: &str,
+        sink: &dyn TraceSink,
+        now_us: impl Fn() -> u64,
+        build: impl FnOnce() -> Result<TraceStream, E>,
+    ) -> Result<TraceStream, E> {
         // Fast path + build-slot acquisition. The slot is cloned out so
         // the global lock is never held while waiting on (or running) a
         // build — only same-key callers serialize.
@@ -281,7 +316,7 @@ impl TraceCache {
             if let Some(stream) = Self::lookup(&mut inner, key) {
                 drop(inner);
                 self.note_hit(key, graph_name, sink, &now_us);
-                return stream;
+                return Ok(stream);
             }
             inner
                 .building
@@ -295,7 +330,7 @@ impl TraceCache {
         // was shared either way.
         if let Some(stream) = Self::lookup(&mut self.lock(), key) {
             self.note_hit(key, graph_name, sink, &now_us);
-            return stream;
+            return Ok(stream);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         if sink.enabled() {
@@ -304,7 +339,13 @@ impl TraceCache {
                 at_us: now_us(),
             });
         }
-        let stream = build();
+        let stream = match build() {
+            Ok(stream) => stream,
+            Err(e) => {
+                self.lock().building.remove(&key);
+                return Err(e);
+            }
+        };
         let bytes: u64 = stream.iter().map(|k| k.heap_bytes()).sum();
         let mix = stream.iter().map(|k| k.atomic_mix()).max();
         let mut evicted = (0u64, 0u64);
@@ -334,7 +375,7 @@ impl TraceCache {
                 at_us: now_us(),
             });
         }
-        stream
+        Ok(stream)
     }
 
     fn lookup(inner: &mut MutexGuard<'_, Inner>, key: StreamKey) -> Option<TraceStream> {
@@ -415,7 +456,7 @@ mod tests {
     }
 
     fn stream(app: AppKind, g: &Csr, prop: Propagation) -> TraceStream {
-        Arc::new(Workload::new(app, g).stream(prop, 256))
+        Arc::new(crate::experiment::produce_trace_stream(app, g, prop, 256))
     }
 
     #[test]
@@ -482,17 +523,42 @@ mod tests {
     }
 
     #[test]
+    fn failed_builds_cache_nothing() {
+        let g = ring(64);
+        let cache = TraceCache::new(64 << 20);
+        let k = key(AppKind::Pr, &g, Propagation::Push);
+        let failed =
+            cache.try_get_or_build(k, "RING", &ggs_trace::NOOP, || 0, || Err("unpackable"));
+        assert_eq!(failed.err(), Some("unpackable"));
+        assert!(cache.is_empty());
+        assert_eq!(cache.atomic_mix(k), None);
+        // The next caller builds again.
+        let s = cache.get_or_build(
+            k,
+            "RING",
+            &ggs_trace::NOOP,
+            || 0,
+            || stream(AppKind::Pr, &g, Propagation::Push),
+        );
+        assert!(!s.is_empty());
+        assert_eq!((cache.stats().misses, cache.len()), (2, 1));
+    }
+
+    #[test]
     fn lru_eviction_respects_the_byte_budget() {
         let g = ring(256);
-        let probe = stream(AppKind::Pr, &g, Propagation::Push);
-        let one = probe.iter().map(|k| k.heap_bytes()).sum::<u64>();
-        // Room for two streams, not three.
-        let cache = TraceCache::new(one * 2 + one / 2);
-        for (app, prop) in [
+        let groups = [
             (AppKind::Pr, Propagation::Push),
             (AppKind::Pr, Propagation::Pull),
             (AppKind::Mis, Propagation::Push),
-        ] {
+        ];
+        let sizes: Vec<u64> = groups
+            .iter()
+            .map(|&(app, prop)| stream(app, &g, prop).iter().map(|k| k.heap_bytes()).sum())
+            .collect();
+        // Room for any two streams, not all three.
+        let cache = TraceCache::new(sizes.iter().sum::<u64>() - 1);
+        for (app, prop) in groups {
             cache.get_or_build(
                 key(app, &g, prop),
                 "RING",
@@ -537,9 +603,13 @@ mod tests {
     fn atomic_mixes_outlive_eviction() {
         let g = ring(256);
         let pull = key(AppKind::Pr, &g, Propagation::Pull);
-        let one = stream(AppKind::Pr, &g, Propagation::Pull);
-        // Room for one stream: the second build evicts the first.
-        let cache = TraceCache::new(one.iter().map(|k| k.heap_bytes()).sum());
+        let bytes =
+            |app, prop| -> u64 { stream(app, &g, prop).iter().map(|k| k.heap_bytes()).sum() };
+        // Room for either stream, not both: the second build evicts the
+        // first.
+        let cache = TraceCache::new(
+            bytes(AppKind::Pr, Propagation::Pull).max(bytes(AppKind::Mis, Propagation::Push)),
+        );
         assert_eq!(cache.atomic_mix(pull), None, "unknown before a build");
         for (app, prop) in [
             (AppKind::Pr, Propagation::Pull),

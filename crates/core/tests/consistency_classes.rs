@@ -15,7 +15,7 @@ use ggs_core::MetricsRegistry;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_graph::Csr;
 use ggs_model::{Propagation, SystemConfig};
-use ggs_sim::trace::KernelTrace;
+use ggs_sim::trace::WarpTrace;
 use ggs_sim::{AtomicMix, ConsistencyModel};
 use ggs_trace::{Tracer, NOOP};
 
@@ -30,7 +30,7 @@ fn graph(preset: GraphPreset) -> Csr {
         .with_hashed_weights(64)
 }
 
-fn mix_of(stream: &[Arc<KernelTrace>]) -> AtomicMix {
+fn mix_of(stream: &[Arc<WarpTrace>]) -> AtomicMix {
     stream
         .iter()
         .map(|k| k.atomic_mix())
@@ -112,7 +112,7 @@ fn every_answered_cell_matches_its_class_representative() {
     for preset in GraphPreset::ALL {
         let g = graph(preset);
         for app in AppKind::ALL {
-            let mut streams: BTreeMap<Propagation, Vec<Arc<KernelTrace>>> = BTreeMap::new();
+            let mut streams: BTreeMap<Propagation, Vec<Arc<WarpTrace>>> = BTreeMap::new();
             for config in SystemConfig::all_for(app.algo_profile().traversal) {
                 let key = format!("{}/{}/{}", app.mnemonic(), preset.mnemonic(), config.code());
                 let Some(by) = answered.get(&key) else {

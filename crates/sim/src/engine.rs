@@ -21,10 +21,11 @@
 use crate::config::HwConfig;
 use crate::events::CalendarWheel;
 use crate::mem::MemorySystem;
+use crate::params::ParamsError;
 use crate::params::SystemParams;
 use crate::sm::{Sm, Step};
 use crate::stats::{ExecStats, StallClass};
-use crate::trace::KernelTrace;
+use crate::trace::WarpTrace;
 use ggs_trace::{TraceEvent, Tracer};
 use std::time::Instant;
 
@@ -332,13 +333,20 @@ impl<'t> Simulation<'t> {
     /// boundary, whichever comes first).
     ///
     /// Empty kernels (no threads) are ignored entirely.
-    pub fn run_kernel(&mut self, kernel: &KernelTrace) {
+    ///
+    /// # Errors
+    ///
+    /// [`ParamsError::GeometryMismatch`] if `kernel` was packed for
+    /// another warp size or line size than this simulation's params;
+    /// nothing runs then.
+    pub fn run_kernel(&mut self, kernel: &WarpTrace) -> Result<(), ParamsError> {
+        kernel.check_geometry(&self.params)?;
         if kernel.num_threads() == 0 {
-            return;
+            return Ok(());
         }
         self.check_budget();
         if self.breach.is_some() {
-            return;
+            return Ok(());
         }
         let kernel_seq = self.stats.kernels;
         self.stats.kernels += 1;
@@ -366,7 +374,7 @@ impl<'t> Simulation<'t> {
                     .record(StallClass::Idle, idle * self.params.num_sms as u64);
                 self.stats.total_cycles = self.clock;
                 self.check_budget();
-                return;
+                return Ok(());
             }
         }
         self.clock += launch;
@@ -388,24 +396,13 @@ impl<'t> Simulation<'t> {
                 threads: kernel.num_threads(),
             });
         }
-        let tb = kernel.tb_size() as u64;
-        // Pre-slice blocks to hand to SMs.
-        let threads: Vec<crate::trace::ThreadsSlice<'_>> = (0..num_blocks)
-            .map(|b| {
-                let lo = (b * tb) as usize;
-                let hi = ((b + 1) * tb).min(kernel.num_threads()) as usize;
-                kernel.threads_slice(lo, hi)
-            })
-            .collect();
-
+        let num_blocks = num_blocks as usize;
         let mut sms: Vec<Sm<'_>> = (0..self.params.num_sms)
             .map(|id| {
                 Sm::new(
                     id,
                     start,
                     self.hw.consistency,
-                    self.params.warp_size,
-                    self.params.line_bytes,
                     self.params.max_blocks_per_sm,
                 )
                 .with_tracer(self.tracer)
@@ -419,11 +416,11 @@ impl<'t> Simulation<'t> {
         'fill: loop {
             let mut any = false;
             for sm in sms.iter_mut() {
-                if next_block >= threads.len() {
+                if next_block >= num_blocks {
                     break 'fill;
                 }
                 if sm.has_capacity() {
-                    sm.assign_block(threads[next_block]);
+                    sm.assign_block(kernel.block(next_block));
                     next_block += 1;
                     any = true;
                 }
@@ -468,8 +465,8 @@ impl<'t> Simulation<'t> {
             let horizon = t + QUANTUM_CYCLES;
             loop {
                 // Feed new blocks whenever capacity frees up.
-                while sm.has_capacity() && next_block < threads.len() {
-                    sm.assign_block(threads[next_block]);
+                while sm.has_capacity() && next_block < num_blocks {
+                    sm.assign_block(kernel.block(next_block));
                     next_block += 1;
                 }
                 match sm.step(&mut self.mem) {
@@ -489,7 +486,7 @@ impl<'t> Simulation<'t> {
                         break;
                     }
                     Step::Drained => {
-                        if next_block < threads.len() {
+                        if next_block < num_blocks {
                             continue; // more blocks to fetch
                         }
                         finish_times[idx] = sm.finish_time(&self.mem);
@@ -505,7 +502,7 @@ impl<'t> Simulation<'t> {
             // so far, pin the clock at the abort cycle, and latch.
             self.abort_kernel(&sms, reached, kernel_seq, &counters_before, flits_before);
             self.breach = Some(BudgetBreach::Deadline { reached });
-            return;
+            return Ok(());
         }
 
         let mut kernel_end = finish_times
@@ -553,6 +550,7 @@ impl<'t> Simulation<'t> {
         // budget cycle, thanks to the clamping above) is visible to the
         // caller immediately, not only on the next launch attempt.
         self.check_budget();
+        Ok(())
     }
 
     /// Mid-kernel abort bookkeeping (wall-clock deadline): fold in the
@@ -675,7 +673,13 @@ impl DebugHooks<'_, '_> {
 mod tests {
     use super::*;
     use crate::config::{CoherenceKind, ConsistencyModel};
-    use crate::trace::MicroOp;
+    use crate::trace::{KernelTrace, MicroOp};
+
+    /// Packs `kernel` for `sim`'s geometry and runs it.
+    fn run(sim: &mut Simulation<'_>, kernel: &KernelTrace) {
+        let packed = WarpTrace::pack(kernel, sim.params()).unwrap();
+        sim.run_kernel(&packed).unwrap();
+    }
 
     fn hw(c: CoherenceKind, m: ConsistencyModel) -> HwConfig {
         HwConfig::new(c, m)
@@ -701,7 +705,7 @@ mod tests {
             let threads = (0..256u64)
                 .map(|t| vec![MicroOp::load(t * 4), MicroOp::compute(4)])
                 .collect();
-            sim.run_kernel(&KernelTrace::new(threads, 256).unwrap());
+            run(&mut sim, &KernelTrace::new(threads, 256).unwrap());
             sim.finish();
         }
         let text = String::from_utf8(sink.into_inner()).expect("jsonl is utf-8");
@@ -717,12 +721,35 @@ mod tests {
     }
 
     #[test]
+    fn kernels_packed_for_another_geometry_are_refused() {
+        let narrow = SystemParams {
+            warp_size: 16,
+            ..SystemParams::default()
+        };
+        let packed = WarpTrace::pack(&compute_kernel(64, 2), &narrow).unwrap();
+        let mut sim = Simulation::new(
+            SystemParams::default(),
+            hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
+        );
+        assert_eq!(
+            sim.run_kernel(&packed),
+            Err(ParamsError::GeometryMismatch {
+                what: "warp_size",
+                trace: 16,
+                params: 32
+            })
+        );
+        assert_eq!(sim.stats().kernels, 0);
+        assert_eq!(sim.stats().total_cycles(), 0);
+    }
+
+    #[test]
     fn empty_kernel_is_free() {
         let mut sim = Simulation::new(
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
         );
-        sim.run_kernel(&KernelTrace::new(Vec::new(), 256).unwrap());
+        run(&mut sim, &KernelTrace::new(Vec::new(), 256).unwrap());
         assert_eq!(sim.finish().total_cycles(), 0);
     }
 
@@ -732,7 +759,7 @@ mod tests {
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
         );
-        sim.run_kernel(&compute_kernel(256, 4));
+        run(&mut sim, &compute_kernel(256, 4));
         let stats = sim.finish();
         assert!(stats.total_cycles() > 0);
         assert!(stats.breakdown.get(StallClass::Busy) > 0);
@@ -747,7 +774,7 @@ mod tests {
                 SystemParams::default(),
                 hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
             );
-            sim.run_kernel(&compute_kernel(256 * blocks, 16));
+            run(&mut sim, &compute_kernel(256 * blocks, 16));
             sim.finish().total_cycles()
         };
         // Compare past the fixed kernel-launch overhead.
@@ -765,7 +792,7 @@ mod tests {
                 SystemParams::default(),
                 hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
             );
-            sim.run_kernel(&compute_kernel(256 * blocks, 64));
+            run(&mut sim, &compute_kernel(256 * blocks, 64));
             sim.finish().total_cycles()
         };
         let t1 = run(1);
@@ -788,7 +815,7 @@ mod tests {
         })
         .build();
         for _ in 0..10 {
-            sim.run_kernel(&compute_kernel(256, 4));
+            run(&mut sim, &compute_kernel(256, 4));
         }
         assert!(sim.budget_exhausted());
         assert!(matches!(
@@ -811,7 +838,7 @@ mod tests {
             ..SimBudget::UNLIMITED
         })
         .build();
-        sim.run_kernel(&compute_kernel(256, 4));
+        run(&mut sim, &compute_kernel(256, 4));
         assert_eq!(sim.stats().kernels, 1);
         assert_eq!(
             sim.budget_breach(),
@@ -822,7 +849,7 @@ mod tests {
         );
         let clock_after = sim.stats().total_cycles();
         assert_eq!(clock_after, 1, "the clock stops exactly at the limit");
-        sim.run_kernel(&compute_kernel(256, 4));
+        run(&mut sim, &compute_kernel(256, 4));
         assert_eq!(sim.stats().kernels, 1);
         assert_eq!(sim.stats().total_cycles(), clock_after);
     }
@@ -847,7 +874,7 @@ mod tests {
                 ..SimBudget::UNLIMITED
             })
             .build();
-        sim.run_kernel(&scattered_loads);
+        run(&mut sim, &scattered_loads);
         assert_eq!(
             sim.budget_breach(),
             Some(BudgetBreach::Cycles {
@@ -871,7 +898,7 @@ mod tests {
             ..SimBudget::UNLIMITED
         })
         .build();
-        sim.run_kernel(&compute_kernel(256, 4));
+        run(&mut sim, &compute_kernel(256, 4));
         assert_eq!(sim.stats().kernels, 0, "deadline already expired");
         assert!(matches!(
             sim.budget_breach(),
@@ -887,7 +914,9 @@ mod tests {
         // wall-clock-sensitive, so retry with doubling margins: too
         // tight and the launch itself is refused (kernels == 0), too
         // loose and the kernel completes (no breach).
-        let kernel = compute_kernel(256 * 256, 64);
+        // Packed before the clock starts, so the margins time the run.
+        let kernel =
+            WarpTrace::pack(&compute_kernel(256 * 256, 64), &SystemParams::default()).unwrap();
         let mut outcomes = Vec::new();
         for micros in [50u64, 200, 800, 3200, 12800] {
             let mut sim = Simulation::builder(
@@ -899,7 +928,7 @@ mod tests {
                 ..SimBudget::UNLIMITED
             })
             .build();
-            sim.run_kernel(&kernel);
+            sim.run_kernel(&kernel).unwrap();
             let aborted_mid_kernel = sim.stats().kernels == 1
                 && matches!(sim.budget_breach(), Some(BudgetBreach::Deadline { .. }));
             if aborted_mid_kernel {
@@ -918,7 +947,7 @@ mod tests {
         );
         assert!(!SimBudget::UNLIMITED.is_limited());
         for _ in 0..4 {
-            sim.run_kernel(&compute_kernel(256, 2));
+            run(&mut sim, &compute_kernel(256, 2));
         }
         assert!(!sim.budget_exhausted());
         assert!(sim.budget_breach().is_none());
@@ -947,9 +976,9 @@ mod tests {
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
         );
-        sim.run_kernel(&compute_kernel(256, 4));
+        run(&mut sim, &compute_kernel(256, 4));
         let t1 = sim.stats().total_cycles();
-        sim.run_kernel(&compute_kernel(256, 4));
+        run(&mut sim, &compute_kernel(256, 4));
         let t2 = sim.stats().total_cycles();
         assert!(t2 > t1);
         assert_eq!(sim.stats().kernels, 2);
@@ -975,7 +1004,7 @@ mod tests {
         .unwrap();
         let mut sim =
             Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0)).build();
-        sim.run_kernel(&kernel);
+        run(&mut sim, &kernel);
         let stats = sim.finish();
         let b = &stats.breakdown;
         assert_eq!(b.get(StallClass::Busy), 2, "both slots issued");
@@ -1008,7 +1037,7 @@ mod tests {
         let kernel = KernelTrace::new(threads, 32).unwrap();
         let mut sim =
             Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0)).build();
-        sim.run_kernel(&kernel);
+        run(&mut sim, &kernel);
         let stats = sim.finish();
         // Per SM: issue (1) + comp stall + issue (1) + 2-cycle tail;
         // the kernel ends at the slower SM's tail.
@@ -1025,7 +1054,7 @@ mod tests {
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
         );
-        sim.run_kernel(&kernel);
+        run(&mut sim, &kernel);
         let stats = sim.finish();
         // Busy cycles equal the total number of issued warp instructions:
         // 64 blocks x 8 warps x 2 slots.
@@ -1046,8 +1075,8 @@ mod tests {
         .unwrap();
         let run = |c: CoherenceKind| {
             let mut sim = Simulation::new(SystemParams::default(), hw(c, ConsistencyModel::Drf1));
-            sim.run_kernel(&store_kernel);
-            sim.run_kernel(&atomic_kernel);
+            run(&mut sim, &store_kernel);
+            run(&mut sim, &atomic_kernel);
             sim.finish()
         };
         let dn = run(CoherenceKind::DeNovo);

@@ -39,7 +39,7 @@
 //! use ggs_sim::config::{CoherenceKind, ConsistencyModel, HwConfig};
 //! use ggs_sim::engine::Simulation;
 //! use ggs_sim::params::SystemParams;
-//! use ggs_sim::trace::{KernelTrace, MicroOp};
+//! use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
 //!
 //! // One thread block; every thread loads one word then computes.
 //! let threads = (0..256u64)
@@ -47,9 +47,13 @@
 //!     .collect();
 //! let kernel = KernelTrace::new(threads, 256)?;
 //!
+//! // Coalesce it into warp slots once, for the simulated geometry.
+//! let params = SystemParams::default();
+//! let packed = WarpTrace::pack(&kernel, &params)?;
+//!
 //! let hw = HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::Drf0);
-//! let mut sim = Simulation::new(SystemParams::default(), hw);
-//! sim.run_kernel(&kernel);
+//! let mut sim = Simulation::new(params, hw);
+//! sim.run_kernel(&packed)?;
 //! let stats = sim.finish();
 //! assert!(stats.total_cycles() > 0);
 //! # Ok::<(), ggs_sim::params::ParamsError>(())
@@ -82,4 +86,4 @@ pub use engine::{BudgetBreach, SimBudget, Simulation, SimulationBuilder};
 pub use ggs_trace::{TraceEvent, TraceSink, Tracer};
 pub use params::{ParamsError, SystemParams};
 pub use stats::{ExecStats, StallBreakdown, StallClass};
-pub use trace::{KernelTrace, MicroOp, Op};
+pub use trace::{KernelTrace, MicroOp, Op, WarpTrace};

@@ -15,9 +15,29 @@ pub enum ParamsError {
     BadScale(f64),
     /// A kernel trace held more ops than its `u32` offset table indexes.
     TooManyOps(u64),
-    /// A trace op's byte address exceeds what a packed
-    /// [`Op`](crate::trace::Op) holds ([`Op::MAX_ADDR`](crate::trace::Op::MAX_ADDR)).
+    /// A trace op's byte address exceeds what a packed trace holds:
+    /// above [`Op::MAX_ADDR`](crate::trace::Op::MAX_ADDR) in a
+    /// [`KernelTrace`](crate::trace::KernelTrace), or a line (word, for
+    /// atomics) number beyond `u32` in a
+    /// [`WarpTrace`](crate::trace::WarpTrace).
     AddressOutOfRange(u64),
+    /// A parameter exceeded the largest value the simulator supports.
+    TooLarge {
+        /// The parameter's name.
+        what: &'static str,
+        /// Its largest supported value.
+        max: u64,
+    },
+    /// A [`WarpTrace`](crate::trace::WarpTrace) packed for one warp or
+    /// line geometry was handed to a simulation of another.
+    GeometryMismatch {
+        /// The mismatched parameter (`warp_size` or `line_bytes`).
+        what: &'static str,
+        /// The value the trace was packed for.
+        trace: u32,
+        /// The value the simulation runs with.
+        params: u32,
+    },
 }
 
 impl fmt::Display for ParamsError {
@@ -36,10 +56,20 @@ impl fmt::Display for ParamsError {
                     "trace holds {n} ops, more than a u32 offset table indexes"
                 )
             }
-            ParamsError::AddressOutOfRange(addr) => write!(
+            ParamsError::AddressOutOfRange(addr) => {
+                write!(
+                    f,
+                    "trace address {addr:#x} is beyond what a packed trace holds"
+                )
+            }
+            ParamsError::TooLarge { what, max } => write!(f, "{what} must be at most {max}"),
+            ParamsError::GeometryMismatch {
+                what,
+                trace,
+                params,
+            } => write!(
                 f,
-                "trace address {addr:#x} exceeds the packed-op limit {:#x}",
-                crate::trace::Op::MAX_ADDR
+                "trace was packed for {what} {trace}, but the simulation uses {params}"
             ),
         }
     }
@@ -193,9 +223,10 @@ impl SystemParams {
     ///
     /// # Errors
     ///
-    /// [`ParamsError::NonPositive`] for a zero count or size, and
+    /// [`ParamsError::NonPositive`] for a zero count or size,
     /// [`ParamsError::NotPowerOfTwo`] for a line size that is not a
-    /// power of two.
+    /// power of two, and [`ParamsError::TooLarge`] for a warp wider than
+    /// [`WarpTrace::MAX_WARP_SIZE`](crate::trace::WarpTrace::MAX_WARP_SIZE).
     ///
     /// # Example
     ///
@@ -237,10 +268,7 @@ impl SystemParams {
         if self.l2_bytes == 0 {
             return Err(ParamsError::NonPositive("l2_bytes"));
         }
-        if !self.line_bytes.is_power_of_two() {
-            return Err(ParamsError::NotPowerOfTwo("line_bytes"));
-        }
-        Ok(())
+        crate::trace::check_packable(self.warp_size, self.line_bytes)
     }
 
     /// Number of warps per thread block.
@@ -318,6 +346,23 @@ mod tests {
         );
         assert!(SystemParams::default().scaled_caches(f64::NAN).is_err());
         assert!(SystemParams::default().scaled_caches(0.5).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_warps_too_wide_to_pack() {
+        let max = crate::trace::WarpTrace::MAX_WARP_SIZE;
+        let p = SystemParams {
+            warp_size: max + 1,
+            ..SystemParams::default()
+        };
+        assert_eq!(
+            p.validate(),
+            Err(ParamsError::TooLarge {
+                what: "warp_size",
+                max: max.into()
+            })
+        );
+        assert!(p.validate().unwrap_err().to_string().contains("32767"));
     }
 
     #[test]

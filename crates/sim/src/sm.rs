@@ -1,21 +1,20 @@
-//! The SM (GPU core) model: warps, lockstep slot execution with
-//! coalescing, consistency-model ordering, and greedy-then-oldest
+//! The SM (GPU core) model: warps, lockstep execution of pre-coalesced
+//! warp slots, consistency-model ordering, and greedy-then-oldest
 //! scheduling with stall classification.
 
 use crate::config::ConsistencyModel;
 use crate::mem::MemorySystem;
 use crate::stats::{StallBreakdown, StallClass};
-use crate::trace::{MicroOp, ThreadsSlice};
+use crate::trace::{Slot, Slots};
 use ggs_trace::{TraceEvent, Tracer};
 
-/// One 32-lane warp executing its lanes' micro-op streams in lockstep
-/// slots.
+/// One warp walking its packed slot records (see
+/// [`WarpTrace`](crate::trace::WarpTrace)).
 #[derive(Debug)]
 struct Warp<'k> {
-    lanes: ThreadsSlice<'k>,
+    /// The slots not yet issued.
+    slots: Slots<'k>,
     block: usize,
-    slot: usize,
-    max_len: usize,
     ready_at: u64,
     /// Why `ready_at` is in the future (classification of a wait on this
     /// warp).
@@ -23,23 +22,6 @@ struct Warp<'k> {
     /// Completion time of this warp's most recent atomic (DRF1 program
     /// order between atomics).
     last_atomic_done: u64,
-    finished: bool,
-}
-
-impl<'k> Warp<'k> {
-    fn new(lanes: ThreadsSlice<'k>, block: usize, at: u64) -> Self {
-        let max_len = lanes.iter().map(|l| l.len()).max().unwrap_or(0);
-        Self {
-            finished: max_len == 0,
-            lanes,
-            block,
-            slot: 0,
-            max_len,
-            ready_at: at,
-            blocked: StallClass::Idle,
-            last_atomic_done: 0,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -67,8 +49,6 @@ pub struct Sm<'k> {
     blocks: Vec<BlockState>,
     resident_blocks: u32,
     max_blocks: u32,
-    warp_size: u32,
-    line_mask: u64,
     consistency: ConsistencyModel,
     /// Greedy-then-oldest cursor: the warp that issued last, where the
     /// next issue scan starts.
@@ -89,12 +69,6 @@ pub struct Sm<'k> {
     tracer: Tracer<'k>,
     /// Start cycle of the last stall sample emitted (stride sampling).
     last_sample: u64,
-    /// Reusable per-issue gather buffers (taken out for the duration of
-    /// each [`Sm::issue`] call so no allocation happens per
-    /// instruction).
-    scratch_loads: Vec<u64>,
-    scratch_stores: Vec<u64>,
-    scratch_atomics: Vec<(u64, bool)>,
 }
 
 /// Result of one scheduler step.
@@ -115,14 +89,7 @@ pub enum Step {
 
 impl<'k> Sm<'k> {
     /// Creates an SM with its clock at `start`.
-    pub fn new(
-        id: u32,
-        start: u64,
-        consistency: ConsistencyModel,
-        warp_size: u32,
-        line_bytes: u32,
-        max_blocks: u32,
-    ) -> Self {
+    pub fn new(id: u32, start: u64, consistency: ConsistencyModel, max_blocks: u32) -> Self {
         Self {
             id,
             now: start,
@@ -133,8 +100,6 @@ impl<'k> Sm<'k> {
             blocks: Vec::new(),
             resident_blocks: 0,
             max_blocks,
-            warp_size,
-            line_mask: !(line_bytes as u64 - 1),
             consistency,
             greedy: 0,
             stats: StallBreakdown::default(),
@@ -143,9 +108,6 @@ impl<'k> Sm<'k> {
             hard_stop: u64::MAX,
             tracer: Tracer::off(),
             last_sample: 0,
-            scratch_loads: Vec::new(),
-            scratch_stores: Vec::new(),
-            scratch_atomics: Vec::new(),
         }
     }
 
@@ -179,30 +141,33 @@ impl<'k> Sm<'k> {
         self.live
     }
 
-    /// Makes a thread block resident, splitting its threads into warps.
+    /// Makes a thread block resident: `warps` are its warps in order
+    /// ([`WarpTrace::block`](crate::trace::WarpTrace::block)).
     ///
     /// # Panics
     ///
     /// Panics if the SM has no block capacity left.
-    pub fn assign_block(&mut self, threads: ThreadsSlice<'k>) {
+    pub fn assign_block(&mut self, warps: impl Iterator<Item = Slots<'k>>) {
         assert!(self.has_capacity(), "SM {} has no block capacity", self.id);
         let block_idx = self.blocks.len();
         let mut warps_in_block = 0;
-        let n = threads.len();
-        let ws = self.warp_size as usize;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + ws).min(n);
-            let w = Warp::new(threads.slice(lo, hi), block_idx, self.now);
-            lo = hi;
-            if w.finished {
+        for slots in warps {
+            // An empty warp keeps its index: the issue scan's rotation
+            // runs over every warp ever assigned.
+            if slots.is_empty() {
                 self.ready.push(u64::MAX);
             } else {
                 warps_in_block += 1;
                 self.live += 1;
-                self.ready.push(w.ready_at);
+                self.ready.push(self.now);
             }
-            self.warps.push(w);
+            self.warps.push(Warp {
+                slots,
+                block: block_idx,
+                ready_at: self.now,
+                blocked: StallClass::Idle,
+                last_atomic_done: 0,
+            });
         }
         self.blocks.push(BlockState {
             warps_left: warps_in_block,
@@ -305,42 +270,12 @@ impl<'k> Sm<'k> {
 
     /// Executes the next slot of warp `idx`.
     fn issue(&mut self, idx: usize, mem: &mut MemorySystem) {
-        let slot = self.warps[idx].slot;
+        // Live warps always have a slot left: a warp leaves the ready
+        // mirror when it issues its last one.
+        let Some(slot) = self.warps[idx].slots.next() else {
+            return;
+        };
         let now = self.now;
-
-        // Gather this slot's per-lane ops into the reusable scratch
-        // buffers (taken out so the warp borrow below stays legal).
-        let mut load_lines = std::mem::take(&mut self.scratch_loads);
-        let mut store_lines = std::mem::take(&mut self.scratch_stores);
-        let mut atomics = std::mem::take(&mut self.scratch_atomics);
-        load_lines.clear();
-        store_lines.clear();
-        atomics.clear();
-        let mut comp_cycles: u64 = 0;
-        for lane in self.warps[idx].lanes.iter() {
-            if let Some(op) = lane.get(slot) {
-                match op.get() {
-                    MicroOp::Load { addr } => load_lines.push(addr & self.line_mask),
-                    MicroOp::Store { addr } => store_lines.push(addr & self.line_mask),
-                    MicroOp::Atomic {
-                        addr,
-                        returns_value,
-                    } => atomics.push((addr, returns_value)),
-                    MicroOp::Compute { cycles } => comp_cycles = comp_cycles.max(cycles as u64),
-                }
-            }
-        }
-        // Coalesce data accesses: one transaction per unique line.
-        // Lanes walk mostly-ascending addresses, so the gathered lines
-        // are usually already sorted — check before paying for a sort.
-        if !load_lines.is_sorted() {
-            load_lines.sort_unstable();
-        }
-        load_lines.dedup();
-        if !store_lines.is_sorted() {
-            store_lines.sort_unstable();
-        }
-        store_lines.dedup();
         let mut ready = now + 1;
         let mut blocked = StallClass::Comp;
         let raise = |r: u64, c: StallClass, ready: &mut u64, blocked: &mut StallClass| {
@@ -350,20 +285,20 @@ impl<'k> Sm<'k> {
             }
         };
 
-        if comp_cycles > 0 {
+        if slot.compute > 0 {
             raise(
-                now + 1 + comp_cycles,
+                now + 1 + u64::from(slot.compute),
                 StallClass::Comp,
                 &mut ready,
                 &mut blocked,
             );
         }
 
-        if !load_lines.is_empty() {
+        if !slot.loads.is_empty() {
             let start = now.max(self.lsu_free);
-            self.lsu_free = start + load_lines.len() as u64;
+            self.lsu_free = start + slot.loads.len() as u64;
             let mut done = 0;
-            for &line in &load_lines {
+            for line in slot.load_addrs() {
                 let acc = mem.load(self.id, line, start);
                 done = done.max(acc.complete_at);
             }
@@ -372,11 +307,11 @@ impl<'k> Sm<'k> {
             raise(done, StallClass::Data, &mut ready, &mut blocked);
         }
 
-        if !store_lines.is_empty() {
+        if !slot.stores.is_empty() {
             let start = now.max(self.lsu_free);
-            self.lsu_free = start + store_lines.len() as u64;
+            self.lsu_free = start + slot.stores.len() as u64;
             let mut proceed = 0;
-            for &line in &store_lines {
+            for line in slot.store_addrs() {
                 let acc = mem.store(self.id, line, start);
                 proceed = proceed.max(acc.proceed_at);
                 self.last_completion = self.last_completion.max(acc.complete_at);
@@ -385,20 +320,14 @@ impl<'k> Sm<'k> {
             raise(proceed, StallClass::Data, &mut ready, &mut blocked);
         }
 
-        if !atomics.is_empty() {
-            self.issue_atomics(idx, &atomics, &mut ready, &mut blocked, mem);
+        if !slot.atomics.is_empty() {
+            self.issue_atomics(idx, slot, &mut ready, &mut blocked, mem);
         }
-
-        self.scratch_loads = load_lines;
-        self.scratch_stores = store_lines;
-        self.scratch_atomics = atomics;
 
         let w = &mut self.warps[idx];
         w.ready_at = ready;
         w.blocked = blocked;
-        w.slot += 1;
-        if w.slot >= w.max_len {
-            w.finished = true;
+        if w.slots.is_empty() {
             let tail = w.ready_at;
             let b = w.block;
             self.ready[idx] = u64::MAX;
@@ -416,13 +345,12 @@ impl<'k> Sm<'k> {
     fn issue_atomics(
         &mut self,
         idx: usize,
-        atomics: &[(u64, bool)],
+        slot: Slot<'_>,
         ready: &mut u64,
         blocked: &mut StallClass,
         mem: &mut MemorySystem,
     ) {
         let now = self.now;
-        let any_returns = atomics.iter().any(|&(_, r)| r);
         let raise = |r: u64, c: StallClass, ready: &mut u64, blocked: &mut StallClass| {
             if r > *ready {
                 *ready = r;
@@ -462,11 +390,11 @@ impl<'k> Sm<'k> {
         // LSU occupancy: one transaction per lane (atomics to the same
         // word are distinct RMWs and serialize downstream).
         let start = admitted.max(self.lsu_free);
-        self.lsu_free = start + atomics.len() as u64;
+        self.lsu_free = start + slot.atomics.len() as u64;
 
         let mut done = 0;
         let mut proceed = start + 1;
-        for &(addr, _) in atomics {
+        for addr in slot.atomic_addrs() {
             let acc = mem.atomic(self.id, addr, start);
             done = done.max(acc.complete_at);
             proceed = proceed.max(acc.proceed_at);
@@ -478,7 +406,7 @@ impl<'k> Sm<'k> {
         // Paired or value-returning atomics block the warp until the
         // value is back; fire-and-forget unpaired atomics only wait for
         // issue back-pressure.
-        if self.consistency.atomic_blocks_warp(any_returns) {
+        if self.consistency.atomic_blocks_warp(slot.any_returns) {
             raise(done, StallClass::Sync, ready, blocked);
         } else {
             raise(proceed, StallClass::Sync, ready, blocked);
@@ -500,19 +428,22 @@ mod tests {
     use super::*;
     use crate::config::{CoherenceKind, HwConfig};
     use crate::params::SystemParams;
-    use crate::trace::KernelTrace;
+    use crate::trace::{KernelTrace, MicroOp, WarpTrace};
 
-    /// Leaks `threads` as a block view with a `'static` lifetime (test
-    /// convenience standing in for the engine's borrow of a kernel).
-    fn leak_block(threads: Vec<Vec<MicroOp>>) -> ThreadsSlice<'static> {
-        let kt: &'static KernelTrace = Box::leak(Box::new(KernelTrace::new(threads, 256).unwrap()));
-        kt.threads_slice(0, kt.num_threads() as usize)
+    /// Packs `threads` as one block and leaks it with a `'static`
+    /// lifetime (test convenience standing in for the engine's borrow of
+    /// a kernel).
+    fn leak_block(threads: Vec<Vec<MicroOp>>) -> &'static WarpTrace {
+        let kernel = KernelTrace::new(threads, 256).unwrap();
+        Box::leak(Box::new(
+            WarpTrace::pack(&kernel, &SystemParams::default()).unwrap(),
+        ))
     }
 
     fn setup(consistency: ConsistencyModel) -> (MemorySystem<'static>, Sm<'static>) {
         let params = SystemParams::default();
         let mem = MemorySystem::new(&params, HwConfig::new(CoherenceKind::Gpu, consistency));
-        let sm = Sm::new(0, 0, consistency, 32, 64, 8);
+        let sm = Sm::new(0, 0, consistency, 8);
         (mem, sm)
     }
 
@@ -536,7 +467,7 @@ mod tests {
         let threads: Vec<Vec<MicroOp>> = vec![vec![MicroOp::compute(10); 4]; 32];
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
         let threads_static = leak_block(threads);
-        sm.assign_block(threads_static);
+        sm.assign_block(threads_static.block(0));
         let t = run_to_completion(&mut sm, &mut mem);
         assert!(t >= 40, "4 slots x 10 cycles");
         assert!(sm.stats.get(StallClass::Comp) > 0);
@@ -549,7 +480,7 @@ mod tests {
         let threads: Vec<Vec<MicroOp>> = (0..32).map(|i| vec![MicroOp::load(i * 4)]).collect();
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
         let threads_static = leak_block(threads);
-        sm.assign_block(threads_static);
+        sm.assign_block(threads_static.block(0));
         run_to_completion(&mut sm, &mut mem);
         assert_eq!(
             mem.counters.l1_misses, 2,
@@ -563,7 +494,7 @@ mod tests {
             (0..32u64).map(|i| vec![MicroOp::load(i * 4096)]).collect();
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
         let threads_static = leak_block(threads);
-        sm.assign_block(threads_static);
+        sm.assign_block(threads_static.block(0));
         run_to_completion(&mut sm, &mut mem);
         assert_eq!(mem.counters.l1_misses, 32);
     }
@@ -571,17 +502,17 @@ mod tests {
     #[test]
     fn drf1_serializes_atomics_drfrlx_overlaps() {
         // One lane issuing 8 atomics to different lines.
-        let mk = || -> ThreadsSlice<'static> {
+        let mk = || -> &'static WarpTrace {
             let threads: Vec<Vec<MicroOp>> =
                 vec![(0..8u64).map(|i| MicroOp::atomic(i * 4096)).collect()];
             leak_block(threads)
         };
         let (mut mem1, mut sm1) = setup(ConsistencyModel::Drf1);
-        sm1.assign_block(mk());
+        sm1.assign_block(mk().block(0));
         let t1 = run_to_completion(&mut sm1, &mut mem1);
 
         let (mut memr, mut smr) = setup(ConsistencyModel::DrfRlx);
-        smr.assign_block(mk());
+        smr.assign_block(mk().block(0));
         let tr = run_to_completion(&mut smr, &mut memr);
 
         assert!(
@@ -593,18 +524,18 @@ mod tests {
 
     #[test]
     fn drf0_is_slower_than_drf1_for_atomics() {
-        let mk = || -> ThreadsSlice<'static> {
+        let mk = || -> &'static WarpTrace {
             let threads: Vec<Vec<MicroOp>> = vec![(0..8u64)
                 .flat_map(|i| [MicroOp::load(0x100000), MicroOp::atomic(i * 4096)])
                 .collect()];
             leak_block(threads)
         };
         let (mut mem0, mut sm0) = setup(ConsistencyModel::Drf0);
-        sm0.assign_block(mk());
+        sm0.assign_block(mk().block(0));
         let t0 = run_to_completion(&mut sm0, &mut mem0);
 
         let (mut mem1, mut sm1) = setup(ConsistencyModel::Drf1);
-        sm1.assign_block(mk());
+        sm1.assign_block(mk().block(0));
         let t1 = run_to_completion(&mut sm1, &mut mem1);
 
         assert!(t0 > t1, "DRF0 ({t0}) should be slower than DRF1 ({t1})");
@@ -614,7 +545,7 @@ mod tests {
 
     #[test]
     fn returning_atomics_block_even_under_drfrlx() {
-        let mk = |returns: bool| -> ThreadsSlice<'static> {
+        let mk = |returns: bool| -> &'static WarpTrace {
             let op = |i: u64| {
                 if returns {
                     MicroOp::atomic_returning(i * 4096)
@@ -626,11 +557,11 @@ mod tests {
             leak_block(threads)
         };
         let (mut mem_a, mut sm_a) = setup(ConsistencyModel::DrfRlx);
-        sm_a.assign_block(mk(true));
+        sm_a.assign_block(mk(true).block(0));
         let t_ret = run_to_completion(&mut sm_a, &mut mem_a);
 
         let (mut mem_b, mut sm_b) = setup(ConsistencyModel::DrfRlx);
-        sm_b.assign_block(mk(false));
+        sm_b.assign_block(mk(false).block(0));
         let t_fire = run_to_completion(&mut sm_b, &mut mem_b);
 
         assert!(
@@ -646,7 +577,7 @@ mod tests {
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
         for _ in 0..8 {
             assert!(sm.has_capacity());
-            sm.assign_block(threads_static);
+            sm.assign_block(threads_static.block(0));
         }
         assert!(!sm.has_capacity());
         run_to_completion(&mut sm, &mut mem);
@@ -660,7 +591,7 @@ mod tests {
         threads[0] = vec![MicroOp::compute(1); 100];
         let threads_static = leak_block(threads);
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
-        sm.assign_block(threads_static);
+        sm.assign_block(threads_static.block(0));
         let t = run_to_completion(&mut sm, &mut mem);
         assert!(t >= 100, "warp runs as long as its longest lane");
     }

@@ -1,13 +1,16 @@
-//! The micro-op trace format kernels are expressed in.
+//! The micro-op trace formats kernels are expressed in.
 //!
 //! Applications compile each GPU kernel into one micro-op stream per
-//! thread. The simulator executes threads in 32-lane warps: at *slot*
-//! `k`, a warp executes op `k` of every lane that still has ops left
-//! (shorter lanes simply become inactive — this models loop-trip-count
-//! divergence, the dominant divergence in vertex-centric graph kernels).
+//! thread, a [`KernelTrace`]. The simulator executes threads in 32-lane
+//! warps: at *slot* `k`, a warp executes op `k` of every lane that still
+//! has ops left (shorter lanes simply become inactive — this models
+//! loop-trip-count divergence, the dominant divergence in vertex-centric
+//! graph kernels). [`WarpTrace::pack`] turns a kernel into those warp
+//! slots once, coalesced for one warp and line size; that packed form is
+//! what the simulator runs.
 
 use crate::config::AtomicMix;
-use crate::params::ParamsError;
+use crate::params::{ParamsError, SystemParams};
 
 /// One micro-operation of a GPU thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,8 +177,9 @@ impl std::fmt::Debug for Op {
 /// Internally the streams live in one flat arena of packed [`Op`]s plus
 /// a cumulative offset table (thread `i` is
 /// `ops[offsets[i]..offsets[i + 1]]`), so a trace costs two allocations
-/// regardless of thread count and the simulator walks contiguous
-/// memory. Both are shrunk to their length on construction.
+/// regardless of thread count. Both are shrunk to their length on
+/// construction. The simulator runs the kernel packed into warp slots
+/// ([`WarpTrace::pack`]).
 ///
 /// # Example
 ///
@@ -297,19 +301,6 @@ impl KernelTrace {
         &self.ops[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
 
-    /// A contiguous view of thread streams `lo..hi` (used by the engine
-    /// to hand a thread block's threads to an SM).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn threads_slice(&self, lo: usize, hi: usize) -> ThreadsSlice<'_> {
-        ThreadsSlice {
-            ops: &self.ops,
-            offsets: &self.offsets[lo..=hi],
-        }
-    }
-
     /// Which atomics the kernel issues: none, only value-returning ones,
     /// or some fire-and-forget ones. This is all the consistency model
     /// can observe of the kernel (see
@@ -341,55 +332,390 @@ fn check_op_count(total: usize) -> Result<(), ParamsError> {
     }
 }
 
-/// A borrowed, copyable view of a contiguous range of a kernel's thread
-/// streams (a thread block, or a warp's lanes within one). Threads index
-/// into the kernel's shared flat op arena, so slicing never allocates.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadsSlice<'k> {
-    ops: &'k [Op],
-    /// `len() + 1` cumulative offsets into `ops` for this view's
-    /// threads.
-    offsets: &'k [u32],
+/// Checks that a warp and line geometry can be packed: a warp of
+/// 1..=[`WarpTrace::MAX_WARP_SIZE`] lanes and a power-of-two line.
+pub(crate) fn check_packable(warp_size: u32, line_bytes: u32) -> Result<(), ParamsError> {
+    if warp_size == 0 {
+        return Err(ParamsError::NonPositive("warp_size"));
+    }
+    if warp_size > WarpTrace::MAX_WARP_SIZE {
+        return Err(ParamsError::TooLarge {
+            what: "warp_size",
+            max: WarpTrace::MAX_WARP_SIZE.into(),
+        });
+    }
+    if !line_bytes.is_power_of_two() {
+        return Err(ParamsError::NotPowerOfTwo("line_bytes"));
+    }
+    Ok(())
 }
 
-impl<'k> ThreadsSlice<'k> {
-    /// Number of threads in the view.
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+/// One kernel launch packed into warp slots: the form the simulator
+/// executes.
+///
+/// At slot `k` a warp executes op `k` of every lane that still has ops
+/// left. What the SM issues for that slot depends only on the lanes'
+/// ops, the warp size and the line size, so [`WarpTrace::pack`] gathers
+/// and coalesces every slot once, and each configuration that simulates
+/// the kernel walks the records.
+///
+/// # Layout
+///
+/// The slot records of all warps live in one flat `u32` arena, warp
+/// after warp, found through a `num_warps + 1` cumulative offset table.
+/// One record is:
+///
+/// | words | hold |
+/// |---|---|
+/// | 1 | load-line count (bits 0–15), store-line count (bits 16–31) |
+/// | 1 | atomic count (bits 0–14), any-atomic-returns-a-value flag (bit 15), longest compute burst in cycles (bits 16–31) |
+/// | one per load line | the distinct line numbers the lanes load, ascending |
+/// | one per store line | the distinct line numbers the lanes store, ascending |
+/// | one per atomic | each atomic's word number (`addr / 4`), in lane order |
+///
+/// Warps split each thread block from its first thread, as the engine
+/// hands blocks to SMs, so a block's last warp may be partial. A warp
+/// whose lanes hold no ops keeps its index and has no records.
+///
+/// # Example
+///
+/// ```
+/// use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
+/// use ggs_sim::SystemParams;
+///
+/// // Two lanes load words of one 64-byte line; one also computes.
+/// let threads = vec![
+///     vec![MicroOp::load(0), MicroOp::compute(4)],
+///     vec![MicroOp::load(8)],
+/// ];
+/// let kernel = KernelTrace::new(threads, 256)?;
+/// let packed = WarpTrace::pack(&kernel, &SystemParams::default())?;
+/// let slots: Vec<_> = packed.warp(0).collect();
+/// assert_eq!(slots.len(), 2);
+/// assert_eq!(slots[0].loads, [0]);
+/// assert_eq!(slots[1].compute, 4);
+/// assert_eq!(packed.total_ops(), 3);
+/// # Ok::<(), ggs_sim::params::ParamsError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarpTrace {
+    /// Every warp's slot records, concatenated in warp order.
+    words: Vec<u32>,
+    /// `num_warps + 1` cumulative offsets into `words`.
+    warps: Vec<u32>,
+    num_threads: u64,
+    total_ops: u64,
+    tb_size: u32,
+    warp_size: u32,
+    line_bytes: u32,
+    atomic_mix: AtomicMix,
+}
+
+impl WarpTrace {
+    /// The widest warp a record's 15-bit atomic count holds.
+    pub const MAX_WARP_SIZE: u32 = (1 << 15) - 1;
+    const COUNT_BITS: u32 = 16;
+    const COUNT_MASK: u32 = (1 << Self::COUNT_BITS) - 1;
+    const RETURNS_BIT: u32 = 1 << 15;
+
+    /// Packs `kernel` for the warp size and line size of `params`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParamsError`]:
+    /// - [`NonPositive`](ParamsError::NonPositive),
+    ///   [`TooLarge`](ParamsError::TooLarge) or
+    ///   [`NotPowerOfTwo`](ParamsError::NotPowerOfTwo) for a warp size or
+    ///   line size that cannot be packed;
+    /// - [`AddressOutOfRange`](ParamsError::AddressOutOfRange) for a load
+    ///   or store whose line number, or an atomic whose word number, does
+    ///   not fit 32 bits;
+    /// - [`TooManyOps`](ParamsError::TooManyOps) if the records outgrow
+    ///   the `u32` offset table.
+    pub fn pack(kernel: &KernelTrace, params: &SystemParams) -> Result<Self, ParamsError> {
+        let (warp_size, line_bytes) = (params.warp_size, params.line_bytes);
+        check_packable(warp_size, line_bytes)?;
+        let line_shift = line_bytes.trailing_zeros();
+        let threads = kernel.num_threads() as usize;
+        let (tb, ws) = (kernel.tb_size() as usize, warp_size as usize);
+        let mut words = Vec::new();
+        let mut warps = vec![0];
+        let mut lanes: Vec<&[Op]> = Vec::with_capacity(ws);
+        let mut scratch = SlotScratch::default();
+        for block in (0..threads).step_by(tb) {
+            let block_end = (block + tb).min(threads);
+            for lo in (block..block_end).step_by(ws) {
+                // Each lane's ops not yet packed, in lane order; a lane
+                // leaves once it runs out, so a slot visits active lanes
+                // only.
+                lanes.clear();
+                lanes.extend(
+                    (lo..(lo + ws).min(block_end))
+                        .map(|t| kernel.thread(t as u64))
+                        .filter(|lane| !lane.is_empty()),
+                );
+                while !lanes.is_empty() {
+                    let ops = lanes.iter_mut().filter_map(|lane| {
+                        let (op, rest) = (*lane).split_first()?;
+                        *lane = rest;
+                        Some(op)
+                    });
+                    scratch.pack(ops, line_shift, &mut words)?;
+                    lanes.retain(|lane| !lane.is_empty());
+                }
+                check_op_count(words.len())?;
+                warps.push(words.len() as u32);
+            }
+        }
+        words.shrink_to_fit();
+        warps.shrink_to_fit();
+        Ok(Self {
+            words,
+            warps,
+            num_threads: kernel.num_threads(),
+            total_ops: kernel.total_ops(),
+            tb_size: kernel.tb_size(),
+            warp_size,
+            line_bytes,
+            atomic_mix: kernel.atomic_mix(),
+        })
     }
 
-    /// `true` if the view holds no threads.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Checks that this trace was packed for the warp size and line size
+    /// of `params`.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamsError::GeometryMismatch`] naming the first parameter that
+    /// differs.
+    pub fn check_geometry(&self, params: &SystemParams) -> Result<(), ParamsError> {
+        for (what, trace, params) in [
+            ("warp_size", self.warp_size, params.warp_size),
+            ("line_bytes", self.line_bytes, params.line_bytes),
+        ] {
+            if trace != params {
+                return Err(ParamsError::GeometryMismatch {
+                    what,
+                    trace,
+                    params,
+                });
+            }
+        }
+        Ok(())
     }
 
-    /// The micro-op stream of thread `i` of the view.
+    /// Number of threads packed (may be less than
+    /// `num_blocks * tb_size` in the final block).
+    pub fn num_threads(&self) -> u64 {
+        self.num_threads
+    }
+
+    /// Thread block size the kernel was generated for.
+    pub fn tb_size(&self) -> u32 {
+        self.tb_size
+    }
+
+    /// Number of thread blocks.
+    pub fn num_blocks(&self) -> u64 {
+        self.num_threads.div_ceil(self.tb_size as u64)
+    }
+
+    /// Warp size the trace was packed for.
+    pub fn warp_size(&self) -> u32 {
+        self.warp_size
+    }
+
+    /// Line size in bytes the trace was packed for.
+    pub fn line_bytes(&self) -> u32 {
+        self.line_bytes
+    }
+
+    /// Number of warps, empty ones included.
+    pub fn num_warps(&self) -> usize {
+        self.warps.len() - 1
+    }
+
+    /// The slot records of warp `w`, in slot order.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
-    pub fn thread(&self, i: usize) -> &'k [Op] {
-        &self.ops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Sub-view of threads `lo..hi` (e.g. one warp's lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, lo: usize, hi: usize) -> ThreadsSlice<'k> {
-        ThreadsSlice {
-            ops: self.ops,
-            offsets: &self.offsets[lo..=hi],
+    /// Panics if `w` is out of range.
+    pub fn warp(&self, w: usize) -> Slots<'_> {
+        Slots {
+            rest: &self.words[self.warps[w] as usize..self.warps[w + 1] as usize],
+            line_shift: self.line_bytes.trailing_zeros(),
         }
     }
 
-    /// Iterates over the view's thread streams in order.
-    pub fn iter(&self) -> impl Iterator<Item = &'k [Op]> + '_ {
-        let ops = self.ops;
-        self.offsets
-            .windows(2)
-            .map(move |w| &ops[w[0] as usize..w[1] as usize])
+    /// The warps of thread block `b`, in order (none past the last
+    /// block).
+    pub fn block(&self, b: usize) -> impl Iterator<Item = Slots<'_>> {
+        let per_block = self.tb_size.div_ceil(self.warp_size) as usize;
+        let lo = b.saturating_mul(per_block).min(self.num_warps());
+        let hi = lo.saturating_add(per_block).min(self.num_warps());
+        (lo..hi).map(|w| self.warp(w))
+    }
+
+    /// Which atomics the kernel issues (see [`KernelTrace::atomic_mix`]).
+    pub fn atomic_mix(&self) -> AtomicMix {
+        self.atomic_mix
+    }
+
+    /// Number of thread micro-ops packed into the records.
+    pub fn total_ops(&self) -> u64 {
+        self.total_ops
+    }
+
+    /// Heap bytes held by the record arena and the warp offset table: 4
+    /// bytes per word, counted from capacity, which equals length because
+    /// packing shrinks both. Capacity-bounded trace caches use this for
+    /// their memory accounting.
+    pub fn heap_bytes(&self) -> u64 {
+        ((self.words.capacity() + self.warps.capacity()) * std::mem::size_of::<u32>()) as u64
+    }
+}
+
+/// Reusable gather buffers for [`WarpTrace::pack`].
+#[derive(Debug, Default)]
+struct SlotScratch {
+    loads: Vec<u32>,
+    stores: Vec<u32>,
+    atomics: Vec<u32>,
+}
+
+impl SlotScratch {
+    /// Coalesces one slot's lane ops and appends its record to `words`.
+    fn pack<'a>(
+        &mut self,
+        ops: impl Iterator<Item = &'a Op>,
+        line_shift: u32,
+        words: &mut Vec<u32>,
+    ) -> Result<(), ParamsError> {
+        let Self {
+            loads,
+            stores,
+            atomics,
+        } = self;
+        loads.clear();
+        stores.clear();
+        atomics.clear();
+        let mut returns = false;
+        let mut compute = 0u16;
+        for op in ops {
+            match op.get() {
+                MicroOp::Load { addr } => loads.push(number(addr, line_shift)?),
+                MicroOp::Store { addr } => stores.push(number(addr, line_shift)?),
+                MicroOp::Atomic {
+                    addr,
+                    returns_value,
+                } => {
+                    atomics.push(number(addr, WORD_SHIFT)?);
+                    returns |= returns_value;
+                }
+                MicroOp::Compute { cycles } => compute = compute.max(cycles),
+            }
+        }
+        // One transaction per distinct line. Lanes walk mostly-ascending
+        // addresses, so the lines are usually sorted already.
+        for lines in [&mut *loads, &mut *stores] {
+            if !lines.is_sorted() {
+                lines.sort_unstable();
+            }
+            lines.dedup();
+        }
+        let count = |v: &[u32]| v.len() as u32;
+        words.push(count(loads) | count(stores) << WarpTrace::COUNT_BITS);
+        words.push(
+            count(atomics)
+                | if returns { WarpTrace::RETURNS_BIT } else { 0 }
+                | u32::from(compute) << WarpTrace::COUNT_BITS,
+        );
+        words.extend_from_slice(loads);
+        words.extend_from_slice(stores);
+        words.extend_from_slice(atomics);
+        Ok(())
+    }
+}
+
+/// Atomics address 32-bit words.
+const WORD_SHIFT: u32 = 2;
+
+/// `addr >> shift` as a `u32` record entry.
+fn number(addr: u64, shift: u32) -> Result<u32, ParamsError> {
+    u32::try_from(addr >> shift).map_err(|_| ParamsError::AddressOutOfRange(addr))
+}
+
+/// One decoded warp slot of a [`WarpTrace`]: what the warp issues when
+/// it executes that slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot<'k> {
+    /// The distinct line numbers the lanes load, ascending.
+    pub loads: &'k [u32],
+    /// The distinct line numbers the lanes store, ascending.
+    pub stores: &'k [u32],
+    /// Each lane's atomic as a word number (`addr / 4`), in lane order.
+    pub atomics: &'k [u32],
+    /// `true` if any of the atomics consumes its returned value.
+    pub any_returns: bool,
+    /// The longest compute burst among the lanes, in cycles.
+    pub compute: u16,
+    line_shift: u32,
+}
+
+impl Slot<'_> {
+    /// The base byte address of each load line.
+    pub fn load_addrs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.loads.iter().map(|&l| u64::from(l) << self.line_shift)
+    }
+
+    /// The base byte address of each store line.
+    pub fn store_addrs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.stores.iter().map(|&l| u64::from(l) << self.line_shift)
+    }
+
+    /// The byte address of each atomic's word.
+    pub fn atomic_addrs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.atomics.iter().map(|&w| u64::from(w) << WORD_SHIFT)
+    }
+}
+
+/// A cursor over one warp's slot records ([`WarpTrace::warp`]). It is
+/// `Copy` and borrows the trace's arena, so handing a warp to an SM
+/// never allocates.
+#[derive(Debug, Clone, Copy)]
+pub struct Slots<'k> {
+    /// The records not yet visited.
+    rest: &'k [u32],
+    line_shift: u32,
+}
+
+impl Slots<'_> {
+    /// `true` once every slot has been visited.
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+}
+
+impl<'k> Iterator for Slots<'k> {
+    type Item = Slot<'k>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Slot<'k>> {
+        let (&[counts, rest_of_header], body) = self.rest.split_first_chunk::<2>()?;
+        let mask = WarpTrace::COUNT_MASK;
+        let (loads, body) = body.split_at_checked((counts & mask) as usize)?;
+        let (stores, body) = body.split_at_checked((counts >> WarpTrace::COUNT_BITS) as usize)?;
+        let atomic_count = rest_of_header & (WarpTrace::RETURNS_BIT - 1);
+        let (atomics, rest) = body.split_at_checked(atomic_count as usize)?;
+        self.rest = rest;
+        Some(Slot {
+            loads,
+            stores,
+            atomics,
+            any_returns: rest_of_header & WarpTrace::RETURNS_BIT != 0,
+            compute: (rest_of_header >> WarpTrace::COUNT_BITS) as u16,
+            line_shift: self.line_shift,
+        })
     }
 }
 
@@ -439,6 +765,155 @@ mod tests {
             );
         }
         assert!(KernelTrace::new(vec![vec![MicroOp::load(Op::MAX_ADDR)]], 32).is_ok());
+    }
+
+    #[test]
+    fn addresses_the_records_cannot_hold_are_rejected_by_packing() {
+        // The cache tags hold 40 bits of line number; a line number past
+        // u32 used to reach them and panic mid-simulation.
+        let params = SystemParams::default();
+        let pack = |op: MicroOp| WarpTrace::pack(&KernelTrace::new(vec![vec![op]], 32)?, &params);
+        let last_line = u64::from(u32::MAX) << 6;
+        let last_word = u64::from(u32::MAX) << 2;
+        for op in [
+            MicroOp::load(1 << 50),
+            MicroOp::store(last_line + 64),
+            MicroOp::atomic_returning(last_word + 4),
+            MicroOp::atomic(Op::MAX_ADDR),
+        ] {
+            let addr = op.address().unwrap();
+            assert_eq!(pack(op), Err(ParamsError::AddressOutOfRange(addr)));
+        }
+        for op in [
+            MicroOp::load(last_line + 63),
+            MicroOp::store(last_line),
+            MicroOp::atomic(last_word + 3),
+            MicroOp::compute(u16::MAX),
+        ] {
+            assert!(pack(op).is_ok(), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn packing_rejects_geometries_it_cannot_encode() {
+        let k = KernelTrace::new(vec![vec![MicroOp::load(0)]], 32).unwrap();
+        let pack = |warp_size, line_bytes| {
+            let params = SystemParams {
+                warp_size,
+                line_bytes,
+                ..SystemParams::default()
+            };
+            WarpTrace::pack(&k, &params)
+        };
+        assert_eq!(pack(0, 64), Err(ParamsError::NonPositive("warp_size")));
+        assert_eq!(
+            pack(WarpTrace::MAX_WARP_SIZE + 1, 64),
+            Err(ParamsError::TooLarge {
+                what: "warp_size",
+                max: WarpTrace::MAX_WARP_SIZE.into()
+            })
+        );
+        assert_eq!(pack(32, 48), Err(ParamsError::NotPowerOfTwo("line_bytes")));
+        assert_eq!(pack(32, 0), Err(ParamsError::NotPowerOfTwo("line_bytes")));
+        assert!(pack(WarpTrace::MAX_WARP_SIZE, 1).is_ok());
+    }
+
+    #[test]
+    fn warps_split_blocks_from_their_first_thread() {
+        // 100 threads in blocks of 48, warps of 32: blocks 0 and 1 hold
+        // a full and a 16-lane warp each, block 2 one 4-lane warp. Only
+        // threads 40 (block 0, warp 1) and 99 (block 2) have ops.
+        let mut threads = vec![Vec::new(); 100];
+        threads[40] = vec![MicroOp::store(640), MicroOp::compute(3)];
+        threads[99] = vec![MicroOp::atomic_returning(12)];
+        let k = KernelTrace::new(threads, 48).unwrap();
+        let w = WarpTrace::pack(&k, &SystemParams::default()).unwrap();
+        assert_eq!(
+            (w.num_threads(), w.num_blocks(), w.num_warps()),
+            (100, 3, 5)
+        );
+        let lens: Vec<usize> = (0..5).map(|i| w.warp(i).count()).collect();
+        assert_eq!(lens, [0, 2, 0, 0, 1], "empty warps keep their index");
+        let blocks: Vec<usize> = (0..4).map(|b| w.block(b).count()).collect();
+        assert_eq!(blocks, [2, 2, 1, 0]);
+        let slot = w.warp(1).next().unwrap();
+        assert_eq!((slot.stores, slot.compute), (&[10][..], 0));
+        assert_eq!(slot.store_addrs().collect::<Vec<_>>(), [640]);
+        let atomic = w.warp(4).next().unwrap();
+        assert_eq!((atomic.atomics, atomic.any_returns), (&[3][..], true));
+        assert_eq!(atomic.atomic_addrs().collect::<Vec<_>>(), [12]);
+        assert_eq!(w.total_ops(), 3);
+        assert_eq!(w.atomic_mix(), AtomicMix::AllReturning);
+        assert_eq!((w.tb_size(), w.warp_size(), w.line_bytes()), (48, 32, 64));
+    }
+
+    #[test]
+    fn slots_coalesce_lines_and_keep_every_atomic() {
+        // Four lanes: loads of two lines out of order with repeats,
+        // stores to one line, and two atomics to the same word.
+        let threads = vec![
+            vec![MicroOp::load(200), MicroOp::atomic(8)],
+            vec![MicroOp::load(4), MicroOp::atomic(8)],
+            vec![MicroOp::load(196), MicroOp::compute(7)],
+            vec![MicroOp::store(64), MicroOp::store(68)],
+        ];
+        let k = KernelTrace::new(threads, 256).unwrap();
+        let w = WarpTrace::pack(&k, &SystemParams::default()).unwrap();
+        let slots: Vec<Slot<'_>> = w.warp(0).collect();
+        assert_eq!(slots.len(), 2);
+        assert_eq!(slots[0].loads, [0, 3]);
+        assert_eq!(slots[0].stores, [1]);
+        assert_eq!(slots[0].load_addrs().collect::<Vec<_>>(), [0, 192]);
+        assert_eq!(slots[1].stores, [1]);
+        assert_eq!(slots[1].atomics, [2, 2]);
+        assert!(!slots[1].any_returns);
+        assert_eq!(slots[1].compute, 7);
+    }
+
+    #[test]
+    fn packed_heap_bytes_are_exact() {
+        let threads: Vec<Vec<MicroOp>> = (0..1000u64)
+            .map(|t| (0..t % 7).map(|i| MicroOp::load((t * 8 + i) * 4)).collect())
+            .collect();
+        let k = KernelTrace::new(threads, 128).unwrap();
+        let w = WarpTrace::pack(&k, &SystemParams::default()).unwrap();
+        let words: usize = (0..w.num_warps())
+            .flat_map(|i| w.warp(i))
+            .map(|s| 2 + s.loads.len() + s.stores.len() + s.atomics.len())
+            .sum();
+        assert_eq!(w.heap_bytes(), 4 * (words + w.num_warps() + 1) as u64);
+        assert_eq!(w.total_ops(), k.total_ops());
+    }
+
+    #[test]
+    fn geometry_is_checked_against_params() {
+        let k = KernelTrace::new(vec![vec![MicroOp::load(0)]], 32).unwrap();
+        let params = SystemParams::default();
+        let w = WarpTrace::pack(&k, &params).unwrap();
+        assert_eq!(w.check_geometry(&params), Ok(()));
+        let narrow = SystemParams {
+            warp_size: 16,
+            ..params.clone()
+        };
+        assert_eq!(
+            w.check_geometry(&narrow),
+            Err(ParamsError::GeometryMismatch {
+                what: "warp_size",
+                trace: 32,
+                params: 16
+            })
+        );
+        let wide_lines = SystemParams {
+            line_bytes: 128,
+            ..params
+        };
+        assert!(matches!(
+            w.check_geometry(&wide_lines),
+            Err(ParamsError::GeometryMismatch {
+                what: "line_bytes",
+                ..
+            })
+        ));
     }
 
     #[test]
