@@ -199,19 +199,25 @@ impl Cache {
     /// Scans a subslice of packed words so the compiler drops per-way
     /// bounds checks and the whole probe is two compares per way
     /// against one loaded word (this is the innermost loop of the whole
-    /// simulator).
+    /// simulator). The scan visits every way and keeps the last match
+    /// instead of exiting at an unpredictable way: at most one way
+    /// holds a live copy of a line, because fills happen only after a
+    /// miss.
     #[inline]
     fn find_way(&self, range: &std::ops::Range<usize>, line: u64) -> Option<usize> {
         Self::check_line(line);
         let live = valid_word(line, self.epoch);
         let owned = owned_word(line);
         let words = &self.words[range.clone()];
+        let mut hit = None;
         for (w, &word) in words.iter().enumerate() {
-            if word == live || word == owned {
-                return Some(range.start + w);
-            }
+            hit = if (word == live) | (word == owned) {
+                Some(range.start + w)
+            } else {
+                hit
+            };
         }
-        None
+        hit
     }
 
     /// Looks up a line, refreshing its LRU position on hit.
@@ -253,10 +259,13 @@ impl Cache {
     /// The probe is two passes: a pure hit scan touching only the packed
     /// words (the common case — the L2 hits ~95% of the time — pays for
     /// no LRU stamps at all), then a victim scan over words + stamps
-    /// only when the hit scan came up empty. The victim chosen is
-    /// identical to a single fused pass: the hit check cannot match
-    /// during the second pass, so the victim fold sees the same
-    /// sequence either way.
+    /// only when the hit scan came up empty.
+    ///
+    /// The victim scan ranks a dead way 0 and a resident way by its
+    /// stamp, and keeps the first way of least rank: the first dead way
+    /// if there is one, else the LRU way. Ranking by a mask instead of
+    /// branching on each way's state keeps the loop free of
+    /// data-dependent branches.
     #[inline]
     fn find_way_or_victim(
         &self,
@@ -266,23 +275,18 @@ impl Cache {
         if let Some(i) = self.find_way(range, line) {
             return (Some(i), 0, u64::MAX);
         }
-        let epoch_bits = self.epoch << STATE_BITS;
+        let live_valid = (self.epoch << STATE_BITS) | VALID;
         let words = &self.words[range.clone()];
         let stamps = &self.stamps[range.clone()];
         let mut victim = 0usize;
         let mut victim_stamp = u64::MAX;
         for (w, (&word, &st)) in words.iter().zip(stamps).enumerate() {
-            let resident = word & 0b11 == OWNED
-                || (word & 0b11 == VALID
-                    && word & ((EPOCH_MAX << STATE_BITS) | 0b11) == epoch_bits | VALID);
-            if !resident {
-                if victim_stamp != 0 {
-                    victim = w;
-                    victim_stamp = 0;
-                }
-            } else if st < victim_stamp {
+            let resident =
+                (word & 0b11 == OWNED) | (word & ((EPOCH_MAX << STATE_BITS) | 0b11) == live_valid);
+            let rank = st & u64::from(resident).wrapping_neg();
+            if rank < victim_stamp {
                 victim = w;
-                victim_stamp = st;
+                victim_stamp = rank;
             }
         }
         (None, range.start + victim, victim_stamp)

@@ -15,6 +15,7 @@ use crate::events::CompletionRing;
 use crate::noc::Mesh;
 use crate::params::SystemParams;
 use crate::stats::{MemCounters, RegionStats};
+use crate::trace::WORD_SHIFT;
 use ggs_trace::{TraceEvent, Tracer};
 
 /// Keys below this bound use the direct-indexed fast path of
@@ -260,7 +261,8 @@ pub struct MemorySystem<'t> {
     owner: Vec<u32>,
     /// Per-bank next-free time (service occupancy / contention).
     bank_free: Vec<u64>,
-    /// Dense ids for atomically-accessed word addresses.
+    /// Dense ids for atomically-accessed words, keyed by word number
+    /// (byte address / 4), so the direct tier spans only the words.
     words: IdTable,
     /// Per-word atomic serialization chain, indexed by word id: epoch
     /// tag + completion of the latest atomic to the word. Entries from
@@ -492,9 +494,9 @@ impl<'t> MemorySystem<'t> {
         id
     }
 
-    /// Interns an atomic word address, growing its chain table.
-    fn intern_word(&mut self, addr: u64) -> u32 {
-        let id = self.words.intern(addr);
+    /// Interns an atomic word number, growing its chain table.
+    fn intern_word(&mut self, word: u64) -> u32 {
+        let id = self.words.intern(word);
         if self.atomic_chain.len() <= id as usize {
             self.atomic_chain.resize(id as usize + 1, (0, 0));
         }
@@ -762,7 +764,7 @@ impl<'t> MemorySystem<'t> {
                 self.counters.l2_atomics += 1;
                 let bank = self.bank_of(line);
                 let net = self.mesh.l2_latency(sm, bank);
-                let wid = self.intern_word(addr) as usize;
+                let wid = self.intern_word(addr >> WORD_SHIFT) as usize;
                 let chain = Self::chain_get(self.atomic_chain[wid], self.atomic_epoch);
                 let svc_start =
                     self.bank_service(bank, (at + net / 2).max(chain), self.l2_atomic_occupancy);
@@ -789,7 +791,7 @@ impl<'t> MemorySystem<'t> {
                     (reg_done, at + 1)
                 };
                 self.counters.l1_atomics += 1;
-                let wid = self.intern_word(addr) as usize;
+                let wid = self.intern_word(addr >> WORD_SHIFT) as usize;
                 let chain = Self::chain_get(self.atomic_chain[wid], self.atomic_epoch);
                 let complete_at = base.max(chain) + self.l1_atomic_occupancy;
                 self.atomic_chain[wid] = (self.atomic_epoch, complete_at);
@@ -1193,6 +1195,38 @@ mod tests {
             a.complete_at,
             b.complete_at
         );
+    }
+
+    #[test]
+    fn atomics_serialize_per_word_not_per_byte_address() {
+        // The chain a second atomic waits on: the L2 read-modify-write
+        // under GPU coherence, the L1 atomic unit under DeNovo.
+        let params = SystemParams::default();
+        for (coh, gap) in [
+            (CoherenceKind::Gpu, params.atomic_rmw_cycles),
+            (CoherenceKind::DeNovo, params.l1_atomic_occupancy),
+        ] {
+            // Two byte offsets of the word at 0x1000 share one chain.
+            let mut m = mem(coh);
+            let a = m.atomic(0, 0x1000, 0);
+            let b = m.atomic(0, 0x1002, 0);
+            assert!(
+                b.complete_at >= a.complete_at + gap,
+                "{coh:?}: 0x1002 must wait for 0x1000: {} then {}",
+                a.complete_at,
+                b.complete_at
+            );
+            // The adjacent word (same line, same bank) does not.
+            let mut m = mem(coh);
+            let a = m.atomic(0, 0x1000, 0);
+            let c = m.atomic(0, 0x1004, 0);
+            assert!(
+                c.complete_at < a.complete_at + gap,
+                "{coh:?}: 0x1004 must not wait for 0x1000: {} then {}",
+                a.complete_at,
+                c.complete_at
+            );
+        }
     }
 
     #[test]

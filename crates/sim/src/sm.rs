@@ -15,9 +15,8 @@ struct Warp<'k> {
     /// The slots not yet issued.
     slots: Slots<'k>,
     block: usize,
-    ready_at: u64,
-    /// Why `ready_at` is in the future (classification of a wait on this
-    /// warp).
+    /// Why the warp's ready time (its [`Sm`] `ready` entry) is in the
+    /// future (classification of a wait on this warp).
     blocked: StallClass,
     /// Completion time of this warp's most recent atomic (DRF1 program
     /// order between atomics).
@@ -37,34 +36,34 @@ pub struct Sm<'k> {
     /// Local clock in cycles.
     pub now: u64,
     lsu_free: u64,
+    /// The unfinished resident warps, in assignment order: a warp
+    /// leaves when it issues its last slot, and an empty warp never
+    /// enters.
     warps: Vec<Warp<'k>>,
-    /// Flat mirror of each warp's `ready_at`, with finished warps pinned
-    /// to `u64::MAX`. The scheduler scan in [`Sm::step`] runs every
+    /// Each warp's ready time (the cycle it can issue next), index for
+    /// index with `warps`. The scheduler scan in [`Sm::step`] runs every
     /// simulated cycle and only needs (ready, index); keeping those in a
     /// dense array avoids striding over the full `Warp` structs.
     ready: Vec<u64>,
-    /// Count of unfinished resident warps (`ready` entries below
-    /// `u64::MAX`).
-    live: usize,
     blocks: Vec<BlockState>,
     resident_blocks: u32,
     max_blocks: u32,
     consistency: ConsistencyModel,
-    /// Greedy-then-oldest cursor: the warp that issued last, where the
-    /// next issue scan starts.
+    /// Greedy-then-oldest cursor: the warp that issued last (or, if it
+    /// retired, the index it vacated), where the next issue scan starts.
     greedy: usize,
     /// Cycle classification accumulated so far.
     pub stats: StallBreakdown,
     /// Latest completion time of any transaction this SM issued
     /// (outstanding stores/atomics at kernel end).
     pub last_completion: u64,
-    /// Latest `ready_at` of a warp that retired its final slot (tail
+    /// Latest ready time of a warp that retired its final slot (tail
     /// pipeline latency still in flight when the warp finished).
     tail: u64,
-    /// Hard simulated-cycle boundary (`u64::MAX` = none): the SM never
-    /// advances `now` past it, so a cycle budget is breached at the
-    /// exact budget cycle even when the stall jump would skip over it.
-    hard_stop: u64,
+    /// Hard simulated-cycle boundary, if any: the SM never advances
+    /// `now` past it, so a cycle budget is breached at the exact budget
+    /// cycle even when the stall jump would skip over it.
+    hard_stop: Option<u64>,
     /// Injected trace sink handle; off by default.
     tracer: Tracer<'k>,
     /// Start cycle of the last stall sample emitted (stride sampling).
@@ -96,7 +95,6 @@ impl<'k> Sm<'k> {
             lsu_free: 0,
             warps: Vec::new(),
             ready: Vec::new(),
-            live: 0,
             blocks: Vec::new(),
             resident_blocks: 0,
             max_blocks,
@@ -105,7 +103,7 @@ impl<'k> Sm<'k> {
             stats: StallBreakdown::default(),
             last_completion: 0,
             tail: 0,
-            hard_stop: u64::MAX,
+            hard_stop: None,
             tracer: Tracer::off(),
             last_sample: 0,
         }
@@ -122,7 +120,7 @@ impl<'k> Sm<'k> {
     /// parks at `stop` instead of issuing or jumping past it, and
     /// [`Sm::step`] reports [`Step::Stopped`] once `now` reaches it.
     pub fn with_hard_stop(mut self, stop: Option<u64>) -> Self {
-        self.hard_stop = stop.unwrap_or(u64::MAX);
+        self.hard_stop = stop;
         self
     }
 
@@ -138,7 +136,7 @@ impl<'k> Sm<'k> {
 
     /// Number of unfinished resident warps.
     pub fn live_warps(&self) -> usize {
-        self.live
+        self.ready.len()
     }
 
     /// Makes a thread block resident: `warps` are its warps in order
@@ -151,20 +149,13 @@ impl<'k> Sm<'k> {
         assert!(self.has_capacity(), "SM {} has no block capacity", self.id);
         let block_idx = self.blocks.len();
         let mut warps_in_block = 0;
-        for slots in warps {
-            // An empty warp keeps its index: the issue scan's rotation
-            // runs over every warp ever assigned.
-            if slots.is_empty() {
-                self.ready.push(u64::MAX);
-            } else {
-                warps_in_block += 1;
-                self.live += 1;
-                self.ready.push(self.now);
-            }
+        // An empty warp never issues, so it never enters the scan.
+        for slots in warps.filter(|s| !s.is_empty()) {
+            warps_in_block += 1;
+            self.ready.push(self.now);
             self.warps.push(Warp {
                 slots,
                 block: block_idx,
-                ready_at: self.now,
                 blocked: StallClass::Idle,
                 last_atomic_done: 0,
             });
@@ -179,45 +170,39 @@ impl<'k> Sm<'k> {
 
     /// Runs one scheduler step against the shared memory system.
     pub fn step(&mut self, mem: &mut MemorySystem) -> Step {
-        if self.live == 0 {
+        if self.ready.is_empty() {
             return Step::Drained;
         }
-        if self.now >= self.hard_stop {
+        if self.hard_stop.is_some_and(|stop| self.now >= stop) {
             return Step::Stopped;
         }
         let n = self.ready.len();
         let now = self.now;
         // Issue scan over the flat ready mirror: the first warp at or
-        // past the scheduler cursor whose `ready_at` has arrived wins.
-        // Finished warps sit at `u64::MAX`, so they skip naturally.
+        // past the scheduler cursor whose ready time has arrived wins.
         // The stall jump (taken only if both scan halves fail) needs
-        // the lexicographic `(ready_at, idx)` minimum, so each half
-        // also tracks its min as it fails — fused here to keep this to
-        // two passes total instead of three.
+        // the lexicographic `(ready, idx)` minimum, so the scan also
+        // tracks it as it fails — fused here to keep this to two passes
+        // total instead of three. `greedy` is at most `n` (one past the
+        // last warp, where a retiring last warp leaves it), and wraps to
+        // the first warp there.
         let start = self.greedy % n;
         let mut hit = None;
-        let (mut min_hi, mut argmin_hi) = (u64::MAX, 0usize);
+        let mut earliest = (self.ready[start], start);
         for (w, &r) in self.ready[start..].iter().enumerate() {
             if r <= now {
                 hit = Some(start + w);
                 break;
             }
-            if r < min_hi {
-                min_hi = r;
-                argmin_hi = start + w;
-            }
+            earliest = earliest.min((r, start + w));
         }
-        let (mut min_lo, mut argmin_lo) = (u64::MAX, 0usize);
         if hit.is_none() {
             for (w, &r) in self.ready[..start].iter().enumerate() {
                 if r <= now {
                     hit = Some(w);
                     break;
                 }
-                if r < min_lo {
-                    min_lo = r;
-                    argmin_lo = w;
-                }
+                earliest = earliest.min((r, w));
             }
         }
         if let Some(idx) = hit {
@@ -229,24 +214,17 @@ impl<'k> Sm<'k> {
             self.now += 1;
             return Step::Issued;
         }
-        // Nothing ready: jump to the earliest unfinished warp. The
-        // tie-break is on *array* index (first index at the minimum
-        // `ready_at`), so the chosen stall class is independent of the
-        // cursor position: the low half's indices precede the high
-        // half's, so on a tie the low half wins.
-        let (t, i) = if min_lo <= min_hi {
-            (min_lo, argmin_lo)
-        } else {
-            (min_hi, argmin_hi)
-        };
+        // Nothing ready: jump to the earliest warp. The tie-break is on
+        // *array* index (first index at the minimum ready time), so the
+        // chosen stall class is independent of the cursor position.
+        let (t, i) = earliest;
         let class = self.warps[i].blocked;
         debug_assert!(t > self.now);
         // A cycle budget clamps the jump: account the stall only up to
         // the boundary and park exactly on it.
-        let (t, stopped) = if t >= self.hard_stop {
-            (self.hard_stop, true)
-        } else {
-            (t, false)
+        let (t, stopped) = match self.hard_stop {
+            Some(stop) if t >= stop => (stop, true),
+            _ => (t, false),
         };
         self.stats.record(class, t - self.now);
         // Sampled stall-transition event: at most one per stride window
@@ -270,8 +248,8 @@ impl<'k> Sm<'k> {
 
     /// Executes the next slot of warp `idx`.
     fn issue(&mut self, idx: usize, mem: &mut MemorySystem) {
-        // Live warps always have a slot left: a warp leaves the ready
-        // mirror when it issues its last one.
+        // Resident warps always have a slot left: a warp leaves the
+        // scan when it issues its last one.
         let Some(slot) = self.warps[idx].slots.next() else {
             return;
         };
@@ -325,14 +303,16 @@ impl<'k> Sm<'k> {
         }
 
         let w = &mut self.warps[idx];
-        w.ready_at = ready;
         w.blocked = blocked;
         if w.slots.is_empty() {
-            let tail = w.ready_at;
+            // Retire the warp. `greedy` stays at `idx`, which now names
+            // the following warp, so the next scan starts where it would
+            // have after skipping this one; `Vec::remove` keeps the
+            // array order the stall tie-break relies on.
             let b = w.block;
-            self.ready[idx] = u64::MAX;
-            self.live -= 1;
-            self.tail = self.tail.max(tail);
+            self.tail = self.tail.max(ready);
+            self.warps.remove(idx);
+            self.ready.remove(idx);
             self.blocks[b].warps_left -= 1;
             if self.blocks[b].warps_left == 0 {
                 self.resident_blocks -= 1;
@@ -594,5 +574,115 @@ mod tests {
         sm.assign_block(threads_static.block(0));
         let t = run_to_completion(&mut sm, &mut mem);
         assert!(t >= 100, "warp runs as long as its longest lane");
+    }
+
+    /// A kernel shaped to stress the issue scan: `tb_size` 96 with an
+    /// empty middle warp in every block, divergent lane lengths, and
+    /// seven blocks for an SM that holds two, so warps retire and new
+    /// blocks are appended while the scheduler cursor sits at the end.
+    fn crafted_kernel() -> &'static WarpTrace {
+        let threads: Vec<Vec<MicroOp>> = (0..7 * 96u64)
+            .map(|t| {
+                let (block, lane) = (t / 96, t % 96);
+                match lane / 32 {
+                    0 => (0..1 + lane % 7 + block)
+                        .map(|k| match k % 3 {
+                            0 => MicroOp::load(block * 4096 + lane * 4 + k * 256),
+                            1 => MicroOp::compute((lane % 5 + 1) as u16),
+                            _ => MicroOp::atomic((k % 4) * 4),
+                        })
+                        .collect(),
+                    1 => Vec::new(),
+                    _ => (0..1 + (lane % 3) * 2)
+                        .map(|k| {
+                            if k % 2 == 0 {
+                                MicroOp::store(block * 8192 + lane * 64)
+                            } else {
+                                MicroOp::load(lane * 4 + k * 64)
+                            }
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        let kernel = KernelTrace::new(threads, 96).unwrap();
+        Box::leak(Box::new(
+            WarpTrace::pack(&kernel, &SystemParams::default()).unwrap(),
+        ))
+    }
+
+    /// Runs the crafted kernel on one SM, feeding blocks as capacity
+    /// frees up, and checks the scheduler's invariants after every
+    /// step. Returns the finish time, the stall breakdown, and how many
+    /// blocks were appended with the cursor past the last warp.
+    fn run_crafted(hw: HwConfig) -> (u64, StallBreakdown, usize) {
+        let trace = crafted_kernel();
+        let blocks = trace.num_blocks() as usize;
+        let mut mem = MemorySystem::new(&SystemParams::default(), hw);
+        let mut sm = Sm::new(0, 0, hw.consistency, 2);
+        let (mut next, mut appended_at_end) = (0, 0);
+        loop {
+            while sm.has_capacity() && next < blocks {
+                if sm.greedy > 0 && sm.greedy == sm.ready.len() {
+                    appended_at_end += 1;
+                }
+                sm.assign_block(trace.block(next));
+                next += 1;
+            }
+            let step = sm.step(&mut mem);
+            // Only live warps are resident: one ready entry per warp,
+            // each with a slot left, matching the blocks' live counts.
+            assert_eq!(sm.ready.len(), sm.live_warps());
+            assert_eq!(sm.warps.len(), sm.ready.len());
+            assert!(sm.warps.iter().all(|w| !w.slots.is_empty()));
+            let left: u32 = sm.blocks.iter().map(|b| b.warps_left).sum();
+            assert_eq!(left as usize, sm.live_warps());
+            if step == Step::Drained && next == blocks {
+                return (sm.finish_time(&mem), sm.stats, appended_at_end);
+            }
+        }
+    }
+
+    #[test]
+    fn scan_order_and_stalls_are_pinned_on_a_crafted_kernel() {
+        // Recorded with the scheduler that parked finished and empty
+        // warps in the scan; dropping them must not move a cycle.
+        let expected: [(u64, [u64; 5]); 6] = [
+            (5254, [105, 93, 2765, 2083, 0]), // GPU, DRF0
+            (3717, [105, 89, 2432, 852, 0]),  // GPU, DRF1
+            (3313, [105, 101, 2844, 24, 0]),  // GPU, DRFrlx
+            (3784, [105, 97, 2881, 493, 0]),  // DeNovo, DRF0
+            (2763, [105, 87, 2208, 148, 0]),  // DeNovo, DRF1
+            (2738, [105, 80, 2241, 97, 0]),   // DeNovo, DRFrlx
+        ];
+        for (hw, (finish, cycles)) in HwConfig::all().zip(expected) {
+            let (t, stats, appended_at_end) = run_crafted(hw);
+            assert_eq!(t, finish, "{hw:?} finish time");
+            let mut want = StallBreakdown::default();
+            for (class, n) in StallClass::ALL.into_iter().zip(cycles) {
+                want.record(class, n);
+            }
+            assert_eq!(stats, want, "{hw:?} stalls");
+            assert!(
+                appended_at_end > 0,
+                "a block must arrive behind a retired last warp"
+            );
+        }
+    }
+
+    #[test]
+    fn stall_tie_breaks_on_array_index_not_cursor() {
+        // Two warps become ready at the same cycle; the stall is charged
+        // to the lower index even though the cursor sits on the other.
+        let threads_static = leak_block(vec![vec![MicroOp::compute(1)]; 64]);
+        let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
+        sm.assign_block(threads_static.block(0));
+        sm.ready = vec![10, 10];
+        sm.warps[0].blocked = StallClass::Data;
+        sm.warps[1].blocked = StallClass::Comp;
+        sm.greedy = 1;
+        assert_eq!(sm.step(&mut mem), Step::Waited);
+        assert_eq!((sm.now, sm.stats.get(StallClass::Data)), (10, 10));
+        assert_eq!(sm.stats.get(StallClass::Comp), 0);
     }
 }

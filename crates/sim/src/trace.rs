@@ -637,8 +637,9 @@ impl SlotScratch {
     }
 }
 
-/// Atomics address 32-bit words.
-const WORD_SHIFT: u32 = 2;
+/// Atomics address 32-bit words (`addr >> WORD_SHIFT` is the word
+/// number).
+pub(crate) const WORD_SHIFT: u32 = 2;
 
 /// `addr >> shift` as a `u32` record entry.
 fn number(addr: u64, shift: u32) -> Result<u32, ParamsError> {

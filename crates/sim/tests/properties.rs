@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use ggs_sim::cache::{Cache, LineState};
+use ggs_sim::cache::{Cache, Eviction, LineState};
 use ggs_sim::config::{CoherenceKind, ConsistencyModel, HwConfig};
 use ggs_sim::engine::Simulation;
 use ggs_sim::noc::Mesh;
@@ -124,6 +124,195 @@ fn kernels() -> impl Strategy<Value = KernelTrace> {
     prop::collection::vec(thread, 1..200).prop_map(|threads| KernelTrace::new(threads, 64).unwrap())
 }
 
+/// One call on a [`Cache`], as driven by the differential test.
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Insert(u64, LineState),
+    Lookup(u64),
+    Peek(u64),
+    /// `lookup_or_victim`, then `fill_victim` on a miss.
+    LookupThenFill(u64, LineState),
+    ProbeFill(u64),
+    Invalidate(u64),
+    InvalidateUnowned,
+    SetState(u64, LineState),
+}
+
+/// What one [`CacheOp`] returned; fills report their eviction.
+#[derive(Debug, PartialEq)]
+enum CacheReply {
+    Evicted(Option<Eviction>),
+    State(Option<LineState>),
+    Hit(bool),
+    Flushed(u64),
+    Done,
+}
+
+fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    let line = || 0u64..24;
+    let state = || prop_oneof![Just(LineState::Valid), Just(LineState::Owned)];
+    // Inserts are listed twice so sets fill up and evict.
+    let op = prop_oneof![
+        (line(), state()).prop_map(|(l, s)| CacheOp::Insert(l, s)),
+        (line(), state()).prop_map(|(l, s)| CacheOp::Insert(l, s)),
+        line().prop_map(CacheOp::Lookup),
+        line().prop_map(CacheOp::Peek),
+        (line(), state()).prop_map(|(l, s)| CacheOp::LookupThenFill(l, s)),
+        line().prop_map(CacheOp::ProbeFill),
+        line().prop_map(CacheOp::Invalidate),
+        Just(CacheOp::InvalidateUnowned),
+        (line(), state()).prop_map(|(l, s)| CacheOp::SetState(l, s)),
+    ];
+    prop::collection::vec(op, 1..200)
+}
+
+/// One occupied way of the reference cache.
+#[derive(Debug, Clone, Copy)]
+struct RefWay {
+    line: u64,
+    state: LineState,
+    last_use: u64,
+}
+
+/// Test-only reference cache: each set is a list of ways, a miss
+/// fills the first empty way or else evicts the least recently used
+/// one, and flash invalidation empties every `Valid` way.
+struct RefCache {
+    sets: Vec<Vec<Option<RefWay>>>,
+    clock: u64,
+}
+
+impl RefCache {
+    fn new(sets: u64, ways: usize) -> Self {
+        Self {
+            sets: vec![vec![None; ways]; sets as usize],
+            clock: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<Option<RefWay>> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    fn way(&mut self, line: u64) -> Option<&mut RefWay> {
+        self.set(line).iter_mut().flatten().find(|w| w.line == line)
+    }
+
+    fn lookup(&mut self, line: u64) -> Option<LineState> {
+        self.clock += 1;
+        let clock = self.clock;
+        let way = self.way(line)?;
+        way.last_use = clock;
+        Some(way.state)
+    }
+
+    fn peek(&mut self, line: u64) -> Option<LineState> {
+        self.way(line).map(|w| w.state)
+    }
+
+    fn insert(&mut self, line: u64, state: LineState) -> Option<Eviction> {
+        self.clock += 1;
+        let clock = self.clock;
+        if let Some(way) = self.way(line) {
+            way.state = state;
+            way.last_use = clock;
+            return None;
+        }
+        let set = self.set(line);
+        let victim = set.iter().position(Option::is_none).unwrap_or_else(|| {
+            (0..set.len())
+                .min_by_key(|&i| set[i].map(|w| w.last_use))
+                .unwrap()
+        });
+        let evicted = set[victim].map(|w| Eviction {
+            line: w.line,
+            state: w.state,
+        });
+        set[victim] = Some(RefWay {
+            line,
+            state,
+            last_use: clock,
+        });
+        evicted
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<LineState> {
+        let set = self.set(line);
+        let i = set.iter().position(|w| w.is_some_and(|w| w.line == line))?;
+        set[i].take().map(|w| w.state)
+    }
+
+    fn invalidate_unowned(&mut self) -> u64 {
+        let mut n = 0;
+        for way in self.sets.iter_mut().flatten() {
+            if way.is_some_and(|w| w.state == LineState::Valid) {
+                *way = None;
+                n += 1;
+            }
+        }
+        n
+    }
+
+    fn apply(&mut self, op: CacheOp) -> CacheReply {
+        match op {
+            CacheOp::Insert(l, s) => CacheReply::Evicted(self.insert(l, s)),
+            CacheOp::Lookup(l) => CacheReply::State(self.lookup(l)),
+            CacheOp::Peek(l) => CacheReply::State(self.peek(l)),
+            CacheOp::LookupThenFill(l, s) => match self.lookup(l) {
+                Some(_) => CacheReply::Evicted(None),
+                None => CacheReply::Evicted(self.insert(l, s)),
+            },
+            CacheOp::ProbeFill(l) => {
+                let hit = self.lookup(l).is_some();
+                if !hit {
+                    self.insert(l, LineState::Valid);
+                }
+                CacheReply::Hit(hit)
+            }
+            CacheOp::Invalidate(l) => CacheReply::State(self.invalidate(l)),
+            CacheOp::InvalidateUnowned => CacheReply::Flushed(self.invalidate_unowned()),
+            CacheOp::SetState(l, s) => {
+                if let Some(way) = self.way(l) {
+                    way.state = s;
+                }
+                CacheReply::Done
+            }
+        }
+    }
+
+    fn resident(&self) -> Vec<(u64, LineState)> {
+        let mut lines: Vec<_> = self
+            .sets
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|w| (w.line, w.state))
+            .collect();
+        lines.sort_unstable_by_key(|&(l, _)| l);
+        lines
+    }
+}
+
+fn apply_to_cache(c: &mut Cache, op: CacheOp) -> CacheReply {
+    match op {
+        CacheOp::Insert(l, s) => CacheReply::Evicted(c.insert(l, s)),
+        CacheOp::Lookup(l) => CacheReply::State(c.lookup(l)),
+        CacheOp::Peek(l) => CacheReply::State(c.peek(l)),
+        CacheOp::LookupThenFill(l, s) => match c.lookup_or_victim(l) {
+            Ok(_) => CacheReply::Evicted(None),
+            Err(v) => CacheReply::Evicted(c.fill_victim(v, l, s)),
+        },
+        CacheOp::ProbeFill(l) => CacheReply::Hit(c.probe_fill(l)),
+        CacheOp::Invalidate(l) => CacheReply::State(c.invalidate(l)),
+        CacheOp::InvalidateUnowned => CacheReply::Flushed(c.invalidate_unowned()),
+        CacheOp::SetState(l, s) => {
+            c.set_state(l, s);
+            CacheReply::Done
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -221,6 +410,28 @@ proptest! {
             if let Some(s) = c.peek(l) {
                 prop_assert_eq!(s, LineState::Owned);
             }
+        }
+    }
+
+    /// Cache matches the reference model call for call: every return
+    /// value and every eviction, under mixed `Owned`/`Valid` lines,
+    /// targeted and flash invalidation, and all three fill paths. This
+    /// pins the victim rule (first dead way, else the LRU way).
+    #[test]
+    fn cache_matches_reference_model(
+        sets in prop_oneof![Just(1u64), Just(2), Just(4)],
+        ways in 1usize..9,
+        ops in cache_ops(),
+    ) {
+        let mut cache = Cache::new(sets, ways);
+        let mut model = RefCache::new(sets, ways);
+        for (n, &op) in ops.iter().enumerate() {
+            let got = apply_to_cache(&mut cache, op);
+            let want = model.apply(op);
+            prop_assert_eq!(got, want, "call #{} {:?}", n, op);
+            let mut resident: Vec<_> = cache.resident_lines().collect();
+            resident.sort_unstable_by_key(|&(l, _)| l);
+            prop_assert_eq!(resident, model.resident(), "contents after call #{}", n);
         }
     }
 
