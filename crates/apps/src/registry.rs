@@ -152,7 +152,7 @@ impl FromStr for AppKind {
 ///     .build()?;
 /// let w = Workload::new(AppKind::Cc, &g);
 /// let mut kernels = 0;
-/// w.generate(Propagation::PushPull, 256, &mut |_| kernels += 1);
+/// w.produce(Propagation::PushPull, 256, &mut |_| kernels += 1);
 /// assert!(kernels > 0);
 /// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
@@ -179,7 +179,7 @@ impl<'g> Workload<'g> {
     }
 
     /// The workload's address map (`(array name, base, bytes)` per
-    /// region), matching the layout `generate` uses; see each app's
+    /// region), matching the layout `produce` uses; see each app's
     /// `memory_map`.
     pub fn memory_map(&self) -> Vec<(String, u64, u64)> {
         match self.app {
@@ -194,25 +194,16 @@ impl<'g> Workload<'g> {
     }
 
     /// Generates the workload's kernel sequence under propagation
-    /// `prop`, feeding each kernel trace to `run` (streamed so only one
-    /// kernel's trace is live at a time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prop` is not supported by the application (see
-    /// [`AppKind::supported_propagations`]).
-    pub fn generate(&self, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(&KernelTrace)) {
-        self.produce(prop, tb_size, &mut |k| run(&k));
-    }
-
-    /// Like [`Workload::generate`], but hands each kernel trace to
-    /// `run` *by value*, letting the consumer keep it without a copy.
+    /// `prop`, handing each kernel trace to `run` *by value* (streamed
+    /// so only one kernel's trace is live at a time, and kept by the
+    /// consumer without a copy).
     ///
     /// The emitted stream is the functional half of the workload: it is
     /// a pure function of `(app, graph, prop, tb_size)` and never
     /// depends on coherence, consistency, or any timing parameter —
-    /// the invariant `ggs-core`'s `TraceCache` relies on to share one
-    /// stream across every configuration cell of a direction.
+    /// the invariant `ggs-core`'s study runner (and its `TraceCache`)
+    /// relies on to share one stream across every configuration cell
+    /// of a direction.
     ///
     /// # Panics
     ///
@@ -385,7 +376,7 @@ mod tests {
         for app in AppKind::ALL.into_iter().chain(AppKind::EXTENDED) {
             for &prop in app.supported_propagations() {
                 let mut kernels = 0;
-                Workload::new(app, &g).generate(prop, 256, &mut |k| {
+                Workload::new(app, &g).produce(prop, 256, &mut |k| {
                     kernels += 1;
                     assert_eq!(k.num_threads(), 32);
                 });

@@ -158,7 +158,7 @@ proptest! {
         let g = g.with_hashed_weights(8);
         for app in AppKind::ALL {
             for &prop in app.supported_propagations() {
-                Workload::new(app, &g).generate(prop, 256, &mut |k| {
+                Workload::new(app, &g).produce(prop, 256, &mut |k| {
                     for t in 0..k.num_threads() {
                         for op in k.thread(t).iter().map(|o| o.get()) {
                             if let Some(addr) = op.address() {
@@ -188,7 +188,7 @@ proptest! {
                 map.iter().any(|(_, base, bytes)| addr >= *base && addr < base + bytes)
             };
             for &prop in app.supported_propagations() {
-                Workload::new(app, &g).generate(prop, 256, &mut |k| {
+                Workload::new(app, &g).produce(prop, 256, &mut |k| {
                     for t in 0..k.num_threads() {
                         for op in k.thread(t).iter().map(|o| o.get()) {
                             if let Some(addr) = op.address() {
@@ -212,7 +212,7 @@ proptest! {
             for &prop in app.supported_propagations() {
                 let collect = || {
                     let mut kernels = Vec::new();
-                    Workload::new(app, &g).generate(prop, 256, &mut |k| {
+                    Workload::new(app, &g).produce(prop, 256, &mut |k| {
                         kernels.push(k.total_ops());
                     });
                     kernels

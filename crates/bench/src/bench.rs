@@ -431,8 +431,9 @@ pub fn run_slice(iters: u32, progress: &mut dyn FnMut(&str)) -> BenchReport {
 /// Sweeps [`GRID_APP`] across the full twelve-configuration static
 /// grid with one shared [`TraceCache`]: the kernel-trace stream is
 /// built once per traversal direction and replayed for every
-/// coherence × consistency cell of that direction, exactly as the
-/// study runner does (docs/performance.md, "Sweep-level reuse").
+/// coherence × consistency cell of that direction, as the study
+/// runner's stream groups do (docs/performance.md, "Sweep-level
+/// reuse").
 pub fn run_grid(progress: &mut dyn FnMut(&str)) -> GridTiming {
     let graph = rmat_graph(14, BENCH_SCALE);
     let spec = ExperimentSpec::at_scale(BENCH_SCALE);

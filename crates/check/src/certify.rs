@@ -227,8 +227,8 @@ pub fn certify_workload(
         plain_writes: 0,
         violations: Vec::new(),
     };
-    workload.generate(prop, TB_SIZE, &mut |kernel| {
-        let analysis = analyze_kernel(kernel, consistency);
+    workload.produce(prop, TB_SIZE, &mut |kernel| {
+        let analysis = analyze_kernel(&kernel, consistency);
         // Hybrid kernels are judged by the direction they actually ran.
         let realized = schedule.as_ref().map_or(prop, |s| s[report.kernels]);
         report.violations.extend(check_kernel_contract(
@@ -297,11 +297,11 @@ pub fn run_protocol_checked(
     for (name, base, bytes) in workload.memory_map() {
         builder = builder.region(name, base, bytes);
     }
-    let mut sim = builder.build();
+    let mut sim = builder.build()?;
     let mut failed = None;
-    workload.generate(prop, TB_SIZE, &mut |kernel| {
+    workload.produce(prop, TB_SIZE, &mut |kernel| {
         if failed.is_none() {
-            failed = WarpTrace::pack(kernel, params)
+            failed = WarpTrace::pack(&kernel, params)
                 .and_then(|k| sim.run_kernel(&k))
                 .err();
         }

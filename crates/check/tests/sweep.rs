@@ -111,7 +111,8 @@ fn injected_broken_ownership_is_caught() {
         HwConfig::new(CoherenceKind::DeNovo, ConsistencyModel::Drf1),
     )
     .checker()
-    .build();
+    .build()
+    .unwrap();
     sim.run_kernel(&touch_kernel(32)).unwrap();
     assert_eq!(sim.take_protocol_violations(), Vec::new());
 
@@ -142,7 +143,8 @@ fn injected_skipped_invalidation_is_caught() {
         HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::Drf0),
     )
     .checker()
-    .build();
+    .build()
+    .unwrap();
     sim.run_kernel(&touch_kernel(8)).unwrap();
     assert_eq!(sim.take_protocol_violations(), Vec::new());
 
@@ -169,7 +171,8 @@ fn injected_gpu_ownership_is_caught() {
         HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::DrfRlx),
     )
     .checker()
-    .build();
+    .build()
+    .unwrap();
     sim.debug_hooks().force_owned(3, 0x77);
     sim.audit_protocol();
     let violations = sim.take_protocol_violations();

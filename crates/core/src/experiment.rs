@@ -352,11 +352,11 @@ fn simulate(
                     builder = builder.region(name, base, bytes);
                 }
             }
-            let mut sim = builder.build();
+            let mut sim = builder.build()?;
             let mut failed = None;
-            workload.generate(config.propagation, spec.params.tb_size, &mut |kernel| {
+            workload.produce(config.propagation, spec.params.tb_size, &mut |kernel| {
                 if failed.is_none() && !sim.budget_exhausted() {
-                    let packed = WarpTrace::pack(kernel, &spec.params);
+                    let packed = WarpTrace::pack(&kernel, &spec.params);
                     failed = packed.and_then(|k| sim.run_kernel(&k)).err();
                 }
             });
@@ -366,7 +366,7 @@ fn simulate(
             sim
         }
         Kernels::Cached(stream) => {
-            let mut sim = builder.build();
+            let mut sim = builder.build()?;
             for kernel in stream {
                 if sim.budget_exhausted() {
                     break;
@@ -539,6 +539,32 @@ mod tests {
             )
         })
         .collect()
+    }
+
+    #[test]
+    fn params_set_after_build_are_validated_on_every_path() {
+        // `params` is a public field, so a spec can skip the builder's
+        // check; every run path still returns a typed error, not a
+        // panic in the cache or memory system.
+        let bad = [
+            SystemParams {
+                line_bytes: 48,
+                ..SystemParams::default()
+            },
+            SystemParams {
+                l1_assoc: 0,
+                ..SystemParams::default()
+            },
+        ];
+        for params in bad {
+            let spec = ExperimentSpec {
+                params,
+                ..ExperimentSpec::default()
+            };
+            for (path, err) in errors_on_every_path(&spec, None) {
+                assert!(matches!(err, GgsError::Params(_)), "{path}: {err}");
+            }
+        }
     }
 
     #[test]

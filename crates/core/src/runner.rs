@@ -24,18 +24,23 @@
 //!   simulates only what is missing, reproducing the uninterrupted
 //!   results byte for byte.
 //!
-//! It also simulates each *consistency class* once: cells that differ
-//! only in a consistency model their kernel stream cannot observe (see
+//! The unit of work is a *stream group*: the cells of one graph ×
+//! application × propagation, which share one kernel stream. A worker
+//! takes the next group and walks its cells in job order, building the
+//! stream at the first cell that simulates and dropping it when the
+//! group ends. It also simulates each *consistency class* once: cells
+//! that differ only in a consistency model their kernel stream cannot
+//! observe (see
 //! [`ConsistencyModel::class_representative`](ggs_sim::ConsistencyModel::class_representative))
-//! take the row of whichever of them simulated first. A worker never
-//! waits for that row; it parks the cell and moves on, and the worker
-//! that finishes the simulation answers the parked cells.
+//! lie in one group, and take the row of the first of them in job order
+//! that simulated. No class spans two groups, so workers never wait on
+//! each other.
 //!
 //! The failure taxonomy, the store resume workflow and how answered
 //! cells go through the store are documented in `docs/robustness.md`;
 //! the class rule and its measured effect in `docs/performance.md`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -54,7 +59,6 @@ use crate::experiment::{produce_stream, run_stream_budgeted, ExperimentSpec};
 use crate::store::{fnv1a64, versioned_spec_hash, Claim, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
 use crate::sweep::{baseline_config, figure5_configs};
-use crate::trace_cache::{graph_fingerprint, StreamKey, TraceCache, TraceCacheStats};
 
 /// Terminal state of one study cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,14 +346,9 @@ pub struct StudyOptions {
     /// stays reserved before other runners may reclaim it (bounds the
     /// damage of a runner that dies holding leases).
     pub lease_ttl: Duration,
-    /// Byte budget of the study-wide kernel-trace cache
-    /// ([`TraceCache`]): cells sharing `(app, graph, direction,
-    /// tb_size)` build their kernel stream once and the rest replay it,
-    /// so a 12-configuration grid runs ~6 cells per stream build. A
-    /// stream larger than the budget is built and run but not kept, so
-    /// a budget of `0` caches nothing (every cell builds its own
-    /// stream). Timing results are bit-identical either way — the
-    /// stream is a pure function of the key.
+    /// Not read by [`run_study`]; delete with the next benchmark
+    /// change. The frozen benchmark harness reads its default to size
+    /// its own [`TraceCache`](crate::TraceCache).
     pub trace_cache_bytes: u64,
 }
 
@@ -393,9 +392,6 @@ pub struct StudyOutcome {
     /// What the store scan observed at study start (record count,
     /// corrupt spans), if a store was attached.
     pub store_report: Option<StoreLoadReport>,
-    /// Trace-cache traffic totals (see
-    /// [`StudyOptions::trace_cache_bytes`]).
-    pub trace_cache: TraceCacheStats,
 }
 
 impl StudyOutcome {
@@ -463,73 +459,24 @@ impl Names {
     }
 }
 
-/// A cell's *consistency class* within one study: its graph,
-/// application, propagation and coherence, with its consistency model
-/// replaced by the class representative on its stream's atomic mix
-/// ([`ConsistencyModel::class_representative`](ggs_sim::ConsistencyModel::class_representative)).
-/// The cells of one class time identically.
-type ClassKey = (usize, AppKind, SystemConfig);
-
-/// How far a consistency class has got in this study.
-#[derive(Debug)]
-enum Class {
-    /// Its lead cell is simulating; the `waiting` cells take its row.
-    Running { waiting: Vec<usize> },
-    /// Its row, and the configuration code of the cell that simulated it.
-    Done { row: ResultRow, by: String },
-    /// Its lead failed or timed out, so it answers nobody: each member
-    /// runs on its own.
-    Failed,
-}
-
-/// A running cell's part in answering other cells of its class.
-#[derive(Debug, Clone, Copy)]
-enum Role {
-    /// No part: an injected fault, a member of a failed class, or a
-    /// scout whose class already had a lead.
-    Alone,
-    /// The first cell of a stream whose atomic mix is not known yet. It
-    /// learns the mix by building the stream, and becomes its class's
-    /// lead; the stream's other cells wait until then.
-    Scout(StreamKey),
-    /// The cell its class's other members wait on.
-    Lead(ClassKey),
-}
-
-/// What a worker does with a cell it takes.
-enum Route {
-    /// Run it: claim it from the store, simulate it, publish it.
-    Run(Role),
-    /// Its class is done: answer it with the class's row.
-    Answer { row: ResultRow, by: String },
-    /// It waits on a scout or a lead, which re-queues or answers it.
-    Wait,
-}
-
-/// The shared state that simulates one cell per consistency class.
-#[derive(Debug, Default)]
-struct Classes {
-    /// Cells handed back by a scout or lead that could not answer them,
-    /// taken before new cells: each with the role it runs in, or `None`
-    /// to be routed again.
-    requeued: VecDeque<(usize, Option<Role>)>,
-    /// Streams with a scout out, and the cells waiting on each.
-    scouting: HashMap<StreamKey, Vec<usize>>,
-    classes: HashMap<ClassKey, Class>,
-}
+/// A kernel stream, built by the first cell of its stream group that
+/// simulates, and the [`AtomicMix`] that puts the group's cells into
+/// consistency classes.
+type GroupStream = (Vec<Arc<WarpTrace>>, AtomicMix);
 
 /// Everything the workers of one study share.
 struct Sweep<'a> {
     spec: &'a ExperimentSpec,
     options: &'a StudyOptions,
     store_hash: String,
-    graphs: &'a [(GraphPreset, ggs_graph::Csr, GraphProfile, u64)],
+    graphs: &'a [(GraphPreset, ggs_graph::Csr, GraphProfile)],
     cells: &'a [Cell],
-    cache: Arc<TraceCache>,
+    /// The cells of each (graph, app, propagation), in job order; the
+    /// groups are ordered by their first cell.
+    groups: Vec<Vec<usize>>,
     epoch: Instant,
     sink: &'a dyn TraceSink,
     next: AtomicUsize,
-    classes: Mutex<Classes>,
     results: Mutex<Vec<Option<CellOutcome>>>,
 }
 
@@ -538,11 +485,16 @@ struct Sweep<'a> {
 /// errors are retried with bounded backoff, and, with a store attached,
 /// completed cells are published to (and answered from) the store.
 ///
-/// Each consistency class is simulated once: cells whose configurations
-/// differ only in a consistency model their stream cannot observe
+/// Each worker takes one *stream group* at a time: the cells of one
+/// graph × application × propagation, which share one kernel stream.
+/// The group's first cell that simulates builds the stream, and the
+/// worker drops it when the group ends. Each consistency class is
+/// simulated once: cells whose configurations differ only in a
+/// consistency model their stream cannot observe
 /// ([`ConsistencyModel::class_representative`](ggs_sim::ConsistencyModel::class_representative))
-/// are answered, as [`CellStatus::Ok`], from the first of them to
-/// simulate. Cells with an injected fault never take part.
+/// are answered, as [`CellStatus::Ok`], from the first of them in job
+/// order that simulated. Store hits and cells with an injected fault
+/// never answer a class.
 ///
 /// Returns `Err` only for setup failures (zero threads, an unreadable
 /// or foreign store); individual cell failures never abort the run — they
@@ -582,10 +534,9 @@ pub fn run_study(
 
     let metric_params = spec.metric_params();
     // Every graph is built exactly once per study and shared by
-    // reference; the content fingerprint keys the trace cache. The
-    // `graph_build` events make the once-per-study invariant testable
-    // (one event per preset, never per cell).
-    let graphs: Vec<(GraphPreset, ggs_graph::Csr, GraphProfile, u64)> = {
+    // reference. The `graph_build` events make the once-per-study
+    // invariant testable (one event per preset, never per cell).
+    let graphs: Vec<(GraphPreset, ggs_graph::Csr, GraphProfile)> = {
         let _phase = metrics.phase("generate_inputs");
         GraphPreset::ALL
             .into_iter()
@@ -595,7 +546,6 @@ pub fn run_study(
                     .generate()
                     .with_hashed_weights(64);
                 let profile = GraphProfile::measure(&g, &metric_params);
-                let fp = graph_fingerprint(&g);
                 if sink.enabled() {
                     sink.emit(&TraceEvent::GraphBuild {
                         graph: p.mnemonic().to_owned(),
@@ -604,7 +554,7 @@ pub fn run_study(
                         at_us: epoch.elapsed().as_micros() as u64,
                     });
                 }
-                (p, g, profile, fp)
+                (p, g, profile)
             })
             .collect()
     };
@@ -626,6 +576,16 @@ pub fn run_study(
             })
         })
         .collect();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of = HashMap::new();
+    for (i, cell) in cells.iter().enumerate() {
+        let stream = (cell.graph_index, cell.app, cell.config.propagation);
+        let g = *group_of.entry(stream).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
 
     let sweep = Sweep {
         spec,
@@ -633,17 +593,16 @@ pub fn run_study(
         store_hash: versioned_spec_hash(&spec_hash(spec, options.configs)),
         graphs: &graphs,
         cells: &cells,
-        cache: TraceCache::new(options.trace_cache_bytes),
+        groups,
         epoch,
         sink,
         next: AtomicUsize::new(0),
-        classes: Mutex::new(Classes::default()),
         results: Mutex::new((0..cells.len()).map(|_| None).collect()),
     };
     {
         let _phase = metrics.phase("simulate");
         std::thread::scope(|scope| {
-            for _ in 0..options.threads.min(cells.len()).max(1) {
+            for _ in 0..options.threads.min(sweep.groups.len()) {
                 scope.spawn(|| {
                     let local = MetricsRegistry::new();
                     sweep.work(&local);
@@ -677,48 +636,49 @@ pub fn run_study(
         study,
         cells: reports_out,
         store_report,
-        trace_cache: sweep.cache.stats(),
     })
 }
 
 impl Sweep<'_> {
-    /// One worker: takes cells until none is left, running each, or
-    /// parking it on its class, or answering it from its class. Parked
-    /// cells never block the worker; whoever finishes the cell they
-    /// wait on answers or re-queues them.
+    /// One worker: takes stream groups until none is left.
     fn work(&self, local: &MetricsRegistry) {
-        while let Some((i, role)) = self.take() {
-            let route = match role {
-                Some(role) => Route::Run(role),
-                None => self.route(i),
-            };
-            match route {
-                Route::Wait => {}
-                Route::Answer { row, by } => self.record(i, self.answer(i, &row, &by), true, local),
-                Route::Run(role) => {
-                    let (outcome, role) = self.run(i, role);
-                    let waiting = self.settle(role, &outcome);
-                    let row = outcome.row.clone();
-                    self.record(i, outcome, false, local);
-                    if let Some(row) = row {
-                        let by = self.cells[i].config.code();
-                        for w in waiting {
-                            self.record(w, self.answer(w, &row, &by), true, local);
-                        }
-                    }
-                }
-            }
+        while let Some(group) = self.groups.get(self.next.fetch_add(1, Ordering::Relaxed)) {
+            self.walk(group, local);
         }
     }
 
-    /// The next cell to work on: a re-queued one first, with the role
-    /// it was handed, else a new one, still to be routed.
-    fn take(&self) -> Option<(usize, Option<Role>)> {
-        if let Some(requeued) = self.lock_classes().requeued.pop_front() {
-            return Some(requeued);
+    /// Walks one stream group's cells in job order. The group's stream
+    /// lives in this call only. `classes` maps each consistency class
+    /// (the configuration with its consistency model replaced by the
+    /// class representative) to the row and configuration code of its
+    /// first `Ok` simulation, or to `None` once that simulation failed
+    /// or timed out, after which each member runs on its own.
+    fn walk(&self, group: &[usize], local: &MetricsRegistry) {
+        let mut stream: Option<GroupStream> = None;
+        let mut classes: HashMap<SystemConfig, Option<(ResultRow, String)>> = HashMap::new();
+        for &i in group {
+            let names = self.names(i);
+            // Cells with an injected fault neither answer nor are answered.
+            let faulted = self.options.faults.get(&names.key).is_some();
+            let class = |stream: &Option<GroupStream>| {
+                let (_, mix) = stream.as_ref().filter(|_| !faulted)?;
+                let mut config = self.cells[i].config;
+                config.consistency = config.consistency.class_representative(*mix);
+                Some(config)
+            };
+            if let Some((row, by)) = class(&stream).and_then(|key| classes.get(&key)?.as_ref()) {
+                self.record(i, self.answer(&names, row, by), true, local);
+                continue;
+            }
+            let outcome = self.run(i, &names, &mut stream, local);
+            // A store hit leaves the class to the next member.
+            let settles = outcome.report.status != CellStatus::Skipped;
+            if let (true, Some(key)) = (settles, class(&stream)) {
+                let settled = || outcome.row.clone().map(|row| (row, names.config.clone()));
+                classes.entry(key).or_insert_with(settled);
+            }
+            self.record(i, outcome, false, local);
         }
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.cells.len()).then_some((i, None))
     }
 
     fn record(&self, i: usize, outcome: CellOutcome, answered: bool, local: &MetricsRegistry) {
@@ -737,10 +697,6 @@ impl Sweep<'_> {
         slots[i] = Some(outcome);
     }
 
-    fn lock_classes(&self) -> std::sync::MutexGuard<'_, Classes> {
-        self.classes.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn names(&self, i: usize) -> Names {
         let cell = self.cells[i];
         let app = cell.app.mnemonic();
@@ -752,146 +708,6 @@ impl Sweep<'_> {
             graph,
             config,
         }
-    }
-
-    fn stream_key(&self, cell: Cell) -> StreamKey {
-        let (_, graph, _, graph_fp) = &self.graphs[cell.graph_index];
-        StreamKey {
-            app: cell.app,
-            graph_fp: *graph_fp,
-            prop: cell.config.propagation,
-            tb_size: self.spec.params.tb_size,
-            policy_fp: ggs_apps::Workload::new(cell.app, graph)
-                .policy_fingerprint(cell.config.propagation),
-        }
-    }
-
-    fn class_key(&self, cell: Cell, mix: AtomicMix) -> ClassKey {
-        let mut config = cell.config;
-        config.consistency = config.consistency.class_representative(mix);
-        (cell.graph_index, cell.app, config)
-    }
-
-    /// Decides what to do with cell `i`, from its stream's atomic mix
-    /// and its class's state. Never blocks.
-    fn route(&self, i: usize) -> Route {
-        let cell = self.cells[i];
-        let faults = &self.options.faults;
-        if !faults.is_empty() && faults.get(&self.names(i).key).is_some() {
-            return Route::Run(Role::Alone);
-        }
-        let stream = self.stream_key(cell);
-        let mut state = self.lock_classes();
-        // A scout announces its mix and leaves `scouting` in one step,
-        // so no cell can route on the mix before the scout leads.
-        if let Some(waiting) = state.scouting.get_mut(&stream) {
-            waiting.push(i);
-            return Route::Wait;
-        }
-        let Some(mix) = self.cache.atomic_mix(stream) else {
-            state.scouting.insert(stream, Vec::new());
-            return Route::Run(Role::Scout(stream));
-        };
-        let class = self.class_key(cell, mix);
-        match state.classes.get_mut(&class) {
-            None => {
-                state.classes.insert(
-                    class,
-                    Class::Running {
-                        waiting: Vec::new(),
-                    },
-                );
-                Route::Run(Role::Lead(class))
-            }
-            Some(Class::Running { waiting }) => {
-                waiting.push(i);
-                Route::Wait
-            }
-            Some(Class::Done { row, by }) => Route::Answer {
-                row: row.clone(),
-                by: by.clone(),
-            },
-            Some(Class::Failed) => Route::Run(Role::Alone),
-        }
-    }
-
-    /// A scout learned its stream's mix: the cells waiting on the scout
-    /// go back to the queue, and the scout leads its class (or, if a
-    /// cell that never scouted got there first, runs alone).
-    fn announce(&self, i: usize, stream: StreamKey, mix: AtomicMix) -> Role {
-        let class = self.class_key(self.cells[i], mix);
-        let mut state = self.lock_classes();
-        let waiting = state.scouting.remove(&stream).unwrap_or_default();
-        state
-            .requeued
-            .extend(waiting.into_iter().map(|w| (w, None)));
-        if state.classes.contains_key(&class) {
-            return Role::Alone;
-        }
-        state.classes.insert(
-            class,
-            Class::Running {
-                waiting: Vec::new(),
-            },
-        );
-        Role::Lead(class)
-    }
-
-    /// Closes a run cell's part in its class, returning the cells to
-    /// answer with its row: those waiting on it, if it led its class and
-    /// simulated. A lead that failed or timed out fails its class and
-    /// sends its waiting cells back to run on their own. A scout that
-    /// never learned its mix, or a lead answered by the store, hands its
-    /// role to the first cell waiting on it, and the rest wait on that
-    /// one.
-    fn settle(&self, role: Role, outcome: &CellOutcome) -> Vec<usize> {
-        let mut guard = self.lock_classes();
-        let state = &mut *guard;
-        let waiting = match role {
-            Role::Alone => return Vec::new(),
-            Role::Scout(stream) => match state.scouting.get_mut(&stream) {
-                Some(waiting) => waiting,
-                None => return Vec::new(),
-            },
-            Role::Lead(class) => {
-                let Some(Class::Running { waiting }) = state.classes.get_mut(&class) else {
-                    return Vec::new();
-                };
-                match (outcome.report.status, &outcome.row) {
-                    (CellStatus::Ok, Some(row)) => {
-                        let waiting = std::mem::take(waiting);
-                        let done = Class::Done {
-                            row: row.clone(),
-                            by: outcome.report.config.clone(),
-                        };
-                        state.classes.insert(class, done);
-                        return waiting;
-                    }
-                    (CellStatus::Failed | CellStatus::Timeout, _) => {
-                        let alone = std::mem::take(waiting).into_iter();
-                        state.requeued.extend(alone.map(|w| (w, Some(Role::Alone))));
-                        state.classes.insert(class, Class::Failed);
-                        return Vec::new();
-                    }
-                    _ => waiting,
-                }
-            }
-        };
-        if waiting.is_empty() {
-            match role {
-                Role::Scout(stream) => {
-                    state.scouting.remove(&stream);
-                }
-                Role::Lead(class) => {
-                    state.classes.remove(&class);
-                }
-                Role::Alone => {}
-            }
-        } else {
-            let next = waiting.remove(0);
-            state.requeued.push_back((next, Some(role)));
-        }
-        Vec::new()
     }
 
     /// Emits `cell_start`, runs `body`, then emits `cell_finish`.
@@ -921,31 +737,33 @@ impl Sweep<'_> {
         outcome
     }
 
-    /// Runs cell `i` in `role`: claimed from the store if one is
-    /// attached (a store hit ends it as [`CellStatus::Skipped`]), then
-    /// simulated and published. Returns the role it ended in, since a
-    /// scout becomes a lead once it learns its mix.
-    fn run(&self, i: usize, mut role: Role) -> (CellOutcome, Role) {
-        let names = self.names(i);
-        let outcome = self.traced(&names, || match &self.options.store {
-            Some(store) => match self.claim(store, &names) {
+    /// Runs cell `i`: claimed from the store if one is attached (a store
+    /// hit ends it as [`CellStatus::Skipped`]), then simulated on its
+    /// group's `stream`, building it if no cell has yet, and published.
+    fn run(
+        &self,
+        i: usize,
+        names: &Names,
+        stream: &mut Option<GroupStream>,
+        local: &MetricsRegistry,
+    ) -> CellOutcome {
+        self.traced(names, || match &self.options.store {
+            Some(store) => match self.claim(store, names) {
                 Some(outcome) => outcome,
                 None => {
-                    let outcome = self.execute_with_retries(i, &names, &mut role);
-                    self.publish(store, &names, outcome)
+                    let outcome = self.execute_with_retries(i, names, stream, local);
+                    self.publish(store, names, outcome)
                 }
             },
-            None => self.execute_with_retries(i, &names, &mut role),
-        });
-        (outcome, role)
+            None => self.execute_with_retries(i, names, stream, local),
+        })
     }
 
-    /// Answers cell `i` with its class's `row`, simulated by config
-    /// `by`: claimed from the store first, so a store hit still wins,
-    /// then published under the cell's own key.
-    fn answer(&self, i: usize, row: &ResultRow, by: &str) -> CellOutcome {
-        let names = self.names(i);
-        self.traced(&names, || {
+    /// Answers a cell with its class's `row`, simulated by config `by`:
+    /// claimed from the store first, so a store hit still wins, then
+    /// published under the cell's own key.
+    fn answer(&self, names: &Names, row: &ResultRow, by: &str) -> CellOutcome {
+        self.traced(names, || {
             let row = ResultRow {
                 config: names.config.clone(),
                 ..row.clone()
@@ -953,9 +771,9 @@ impl Sweep<'_> {
             let outcome =
                 names.outcome(CellStatus::Ok, format!("answered from {by}"), 0, Some(row));
             match &self.options.store {
-                Some(store) => match self.claim(store, &names) {
+                Some(store) => match self.claim(store, names) {
                     Some(outcome) => outcome,
-                    None => self.publish(store, &names, outcome),
+                    None => self.publish(store, names, outcome),
                 },
                 None => outcome,
             }
@@ -1061,7 +879,13 @@ impl Sweep<'_> {
         outcome
     }
 
-    fn execute_with_retries(&self, i: usize, names: &Names, role: &mut Role) -> CellOutcome {
+    fn execute_with_retries(
+        &self,
+        i: usize,
+        names: &Names,
+        stream: &mut Option<GroupStream>,
+        local: &MetricsRegistry,
+    ) -> CellOutcome {
         let fault = self.options.faults.get(&names.key);
         let max_attempts = self.options.retry.max_attempts.max(1);
         let mut attempts = 0u32;
@@ -1069,7 +893,7 @@ impl Sweep<'_> {
             attempts += 1;
             let deadline = self.options.cell_deadline.map(|d| Instant::now() + d);
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                self.execute_cell(i, names, fault, deadline, role)
+                self.execute_cell(i, names, fault, deadline, stream, local)
             }));
             match caught {
                 Ok(Ok(stats)) => break Ok(stats),
@@ -1124,7 +948,8 @@ impl Sweep<'_> {
         names: &Names,
         fault: Option<&Fault>,
         deadline: Option<Instant>,
-        role: &mut Role,
+        stream: &mut Option<GroupStream>,
+        local: &MetricsRegistry,
     ) -> Result<ggs_sim::ExecStats, GgsError> {
         let cell = self.cells[i];
         match fault {
@@ -1145,30 +970,24 @@ impl Sweep<'_> {
             }
             None => {}
         }
-        // Split run: functional half through the shared cache (one build
-        // per app × graph × direction group), timing half on a fresh
-        // engine. The same kernels flow through the same simulator in the
-        // same order, so the statistics are bit-identical to the fused
-        // run that generates kernels as it simulates.
-        let graph = &self.graphs[cell.graph_index].1;
-        let stream_key = self.stream_key(cell);
-        let stream = self.cache.try_get_or_build(
-            stream_key,
-            names.graph,
-            self.sink,
-            || self.epoch.elapsed().as_micros() as u64,
-            || {
+        // Split run: the functional half once per stream group, the
+        // timing half on a fresh engine per cell. The same kernels flow
+        // through the same simulator in the same order, so the
+        // statistics are bit-identical to the fused run that generates
+        // kernels as it simulates.
+        let (kernels, _) = match stream {
+            Some(built) => built,
+            None => {
+                let graph = &self.graphs[cell.graph_index].1;
                 let prop = cell.config.propagation;
-                produce_stream(cell.app, graph, prop, &self.spec.params).map(Arc::new)
-            },
-        )?;
-        if let Role::Scout(scouted) = *role {
-            if let Some(mix) = self.cache.atomic_mix(scouted) {
-                *role = self.announce(i, scouted, mix);
+                let kernels = produce_stream(cell.app, graph, prop, &self.spec.params)?;
+                local.add("streams_built", 1);
+                let mix = kernels.iter().map(|k| k.atomic_mix()).max();
+                stream.insert((kernels, mix.unwrap_or_default()))
             }
-        }
+        };
         run_stream_budgeted(
-            &stream,
+            kernels,
             cell.app,
             cell.config,
             self.spec,
@@ -1212,7 +1031,7 @@ fn run_hang(
 /// in the failure report).
 fn aggregate(
     spec: &ExperimentSpec,
-    graphs: &[(GraphPreset, ggs_graph::Csr, GraphProfile, u64)],
+    graphs: &[(GraphPreset, ggs_graph::Csr, GraphProfile)],
     cells: &[Cell],
     outcomes: &[CellOutcome],
 ) -> Study {
@@ -1236,7 +1055,7 @@ fn aggregate(
             // the failure report only.
             continue;
         }
-        let (preset, _, profile, _) = &graphs[gi];
+        let (preset, _, profile) = &graphs[gi];
         let algo = app.algo_profile();
         let best = rows
             .iter()

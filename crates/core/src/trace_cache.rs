@@ -25,13 +25,12 @@
 //! a cache must be packed for the same `warp_size` and `line_bytes`;
 //! each [`WarpTrace`] records the geometry it was packed for, and
 //! `run_stream_budgeted` refuses a stream whose geometry differs from
-//! its spec's with a typed error instead of mis-simulating it. The study
-//! runner builds one cache per study, whose spec fixes the geometry.
+//! its spec's with a typed error instead of mis-simulating it.
 //!
-//! The cache also remembers the [`AtomicMix`] of every stream it has
-//! built, for its whole lifetime: evicting or never keeping a stream
-//! forgets its ops, not its mix. The study runner reads the mix to put
-//! cells into consistency classes without fetching the stream.
+//! `repro bench`'s grid arm and the benchmark harness share streams
+//! through a cache. The study runner needs none: each of its workers
+//! walks all the cells of one stream at a time and holds that stream
+//! itself (see [`crate::runner`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +40,6 @@ use ggs_apps::AppKind;
 use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::trace::WarpTrace;
-use ggs_sim::AtomicMix;
 use ggs_trace::{TraceEvent, TraceSink};
 
 use crate::store::{fnv1a64_extend, FNV64_BASIS};
@@ -154,8 +152,6 @@ struct Inner {
     /// while other keys proceed; the global lock is never held across
     /// a build.
     building: HashMap<StreamKey, Arc<Mutex<()>>>,
-    /// The atomic mix of every stream ever built, evicted or not.
-    mixes: HashMap<StreamKey, AtomicMix>,
     bytes: u64,
     tick: u64,
 }
@@ -253,13 +249,6 @@ impl TraceCache {
         self.len() == 0
     }
 
-    /// The [`AtomicMix`] of `key`'s stream (the most exposed mix of its
-    /// kernels), if this cache has ever built it. Known from the moment
-    /// the building call returns, and kept after the stream is evicted.
-    pub(crate) fn atomic_mix(&self, key: StreamKey) -> Option<AtomicMix> {
-        self.lock().mixes.get(&key).copied()
-    }
-
     /// Traffic totals since construction.
     pub fn stats(&self) -> TraceCacheStats {
         TraceCacheStats {
@@ -284,30 +273,6 @@ impl TraceCache {
         now_us: impl Fn() -> u64,
         build: impl FnOnce() -> TraceStream,
     ) -> TraceStream {
-        let built = self.try_get_or_build(key, graph_name, sink, now_us, || {
-            Ok::<_, std::convert::Infallible>(build())
-        });
-        match built {
-            Ok(stream) => stream,
-            Err(never) => match never {},
-        }
-    }
-
-    /// [`TraceCache::get_or_build`] for a `build` that can fail. A failed
-    /// build caches nothing and records no mix; its error is returned,
-    /// and the next caller of `key` builds again.
-    ///
-    /// # Errors
-    ///
-    /// The error `build` returned.
-    pub fn try_get_or_build<E>(
-        &self,
-        key: StreamKey,
-        graph_name: &str,
-        sink: &dyn TraceSink,
-        now_us: impl Fn() -> u64,
-        build: impl FnOnce() -> Result<TraceStream, E>,
-    ) -> Result<TraceStream, E> {
         // Fast path + build-slot acquisition. The slot is cloned out so
         // the global lock is never held while waiting on (or running) a
         // build — only same-key callers serialize.
@@ -316,7 +281,7 @@ impl TraceCache {
             if let Some(stream) = Self::lookup(&mut inner, key) {
                 drop(inner);
                 self.note_hit(key, graph_name, sink, &now_us);
-                return Ok(stream);
+                return stream;
             }
             inner
                 .building
@@ -330,7 +295,7 @@ impl TraceCache {
         // was shared either way.
         if let Some(stream) = Self::lookup(&mut self.lock(), key) {
             self.note_hit(key, graph_name, sink, &now_us);
-            return Ok(stream);
+            return stream;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         if sink.enabled() {
@@ -339,19 +304,11 @@ impl TraceCache {
                 at_us: now_us(),
             });
         }
-        let stream = match build() {
-            Ok(stream) => stream,
-            Err(e) => {
-                self.lock().building.remove(&key);
-                return Err(e);
-            }
-        };
+        let stream = build();
         let bytes: u64 = stream.iter().map(|k| k.heap_bytes()).sum();
-        let mix = stream.iter().map(|k| k.atomic_mix()).max();
         let mut evicted = (0u64, 0u64);
         {
             let mut inner = self.lock();
-            inner.mixes.insert(key, mix.unwrap_or_default());
             if bytes <= self.capacity_bytes {
                 inner.tick += 1;
                 let tick = inner.tick;
@@ -375,7 +332,7 @@ impl TraceCache {
                 at_us: now_us(),
             });
         }
-        Ok(stream)
+        stream
     }
 
     fn lookup(inner: &mut MutexGuard<'_, Inner>, key: StreamKey) -> Option<TraceStream> {
@@ -523,28 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_builds_cache_nothing() {
-        let g = ring(64);
-        let cache = TraceCache::new(64 << 20);
-        let k = key(AppKind::Pr, &g, Propagation::Push);
-        let failed =
-            cache.try_get_or_build(k, "RING", &ggs_trace::NOOP, || 0, || Err("unpackable"));
-        assert_eq!(failed.err(), Some("unpackable"));
-        assert!(cache.is_empty());
-        assert_eq!(cache.atomic_mix(k), None);
-        // The next caller builds again.
-        let s = cache.get_or_build(
-            k,
-            "RING",
-            &ggs_trace::NOOP,
-            || 0,
-            || stream(AppKind::Pr, &g, Propagation::Push),
-        );
-        assert!(!s.is_empty());
-        assert_eq!((cache.stats().misses, cache.len()), (2, 1));
-    }
-
-    #[test]
     fn lru_eviction_respects_the_byte_budget() {
         let g = ring(256);
         let groups = [
@@ -595,42 +530,6 @@ mod tests {
         assert!(!s.is_empty());
         assert!(cache.is_empty());
         assert_eq!(cache.resident_bytes(), 0);
-        // The stream was not kept, but its mix was.
-        assert_eq!(cache.atomic_mix(k), Some(AtomicMix::SomeFireAndForget));
-    }
-
-    #[test]
-    fn atomic_mixes_outlive_eviction() {
-        let g = ring(256);
-        let pull = key(AppKind::Pr, &g, Propagation::Pull);
-        let bytes =
-            |app, prop| -> u64 { stream(app, &g, prop).iter().map(|k| k.heap_bytes()).sum() };
-        // Room for either stream, not both: the second build evicts the
-        // first.
-        let cache = TraceCache::new(
-            bytes(AppKind::Pr, Propagation::Pull).max(bytes(AppKind::Mis, Propagation::Push)),
-        );
-        assert_eq!(cache.atomic_mix(pull), None, "unknown before a build");
-        for (app, prop) in [
-            (AppKind::Pr, Propagation::Pull),
-            (AppKind::Mis, Propagation::Push),
-        ] {
-            cache.get_or_build(
-                key(app, &g, prop),
-                "RING",
-                &ggs_trace::NOOP,
-                || 0,
-                || stream(app, &g, prop),
-            );
-        }
-        assert_eq!(cache.stats().evicted_streams, 1);
-        // Pull PageRank issues no atomics; push MIS claims with
-        // fire-and-forget ones.
-        assert_eq!(cache.atomic_mix(pull), Some(AtomicMix::None));
-        assert_eq!(
-            cache.atomic_mix(key(AppKind::Mis, &g, Propagation::Push)),
-            Some(AtomicMix::SomeFireAndForget)
-        );
     }
 
     #[test]

@@ -70,8 +70,8 @@ fn every_answered_cell_matches_its_class_representative() {
     // The class rule aliases exactly the paper's equivalences: each
     // static workload's pull cells per coherence (pull has no atomics)
     // and CC's DRF1/DRFrlx cells per coherence (its atomics all return
-    // values). One cell of each class simulates, whichever got there
-    // first, and answers the others; push never aliases.
+    // values). The first cell of each class in job order (TG0, TD0, DG1,
+    // DD1) simulates and answers the others; push never aliases.
     let mut expected = 0;
     for preset in GraphPreset::ALL {
         for app in AppKind::ALL {
@@ -87,9 +87,9 @@ fn every_answered_cell_matches_its_class_representative() {
                     .copied()
                     .filter(|code| !answered.contains_key(&key(code)))
                     .collect();
-                assert_eq!(simulated.len(), 1, "{class:?} of {}", key(""));
-                for code in class.iter().filter(|code| **code != simulated[0]) {
-                    assert_eq!(answered[&key(code)], simulated[0]);
+                assert_eq!(simulated, [class[0]], "{class:?} of {}", key(""));
+                for code in &class[1..] {
+                    assert_eq!(answered[&key(code)], class[0]);
                 }
                 expected += class.len() - 1;
             }
@@ -145,6 +145,28 @@ fn every_answered_cell_matches_its_class_representative() {
                 assert_eq!(row.total_cycles, own.total_cycles, "{key}");
             }
         }
+    }
+}
+
+/// Each worker walks whole stream groups in job order, so which cell of
+/// a class simulates, and every cell's report, does not depend on how
+/// many workers share the grid.
+#[test]
+fn cell_reports_do_not_depend_on_the_worker_count() {
+    let spec = ExperimentSpec::at_scale(SCALE);
+    let cells = |threads| {
+        let options = StudyOptions::new(ConfigSet::Full, threads);
+        run_study(&spec, &options, &MetricsRegistry::new(), &NOOP)
+            .expect("study runs")
+            .cells
+    };
+    let (one, four) = (cells(1), cells(4));
+    assert_eq!(one.len(), four.len());
+    for (a, b) in one.iter().zip(&four) {
+        assert_eq!(
+            (a.key(), a.status, &a.detail, a.attempts),
+            (b.key(), b.status, &b.detail, b.attempts)
+        );
     }
 }
 

@@ -120,10 +120,11 @@ fn warm_store_rerun_simulates_nothing_and_is_byte_identical() {
     assert_eq!(ok, cold.cells.len());
     assert_eq!(cold.study, clean.study);
 
-    // Warm re-run, traced: all hits, zero simulations.
+    // Warm re-run, traced: all hits, zero simulations, no stream built.
     let sink = WriterSink::jsonl(Vec::new());
-    let warm = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &sink)
-        .expect("warm store run");
+    let metrics = MetricsRegistry::new();
+    let warm = run_study(&spec, &store_options(&path), &metrics, &sink).expect("warm store run");
+    assert_eq!(metrics.counter("streams_built"), 0);
     let trace = String::from_utf8(sink.into_inner()).expect("utf8 trace");
     let (ok, failed, timeout, skipped) = warm.counts();
     assert_eq!((ok, failed, timeout), (0, 0, 0), "zero simulations");

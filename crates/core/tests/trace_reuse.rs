@@ -10,9 +10,9 @@
 //! * a study builds each input graph exactly once per preset, however
 //!   many configuration cells consume it (asserted via `graph_build`
 //!   trace events);
-//! * a study with the trace cache enabled is bit-identical to the
-//!   same study with the cache disabled, and reports the expected
-//!   hit/miss split.
+//! * a study builds each kernel stream once per stream group (graph ×
+//!   application × direction), counted by the `streams_built` metric,
+//!   and emits no `trace_cache_*` events.
 
 use ggs_apps::AppKind;
 use ggs_core::experiment::{produce_trace_stream, run_stream_budgeted, ExperimentSpec};
@@ -55,9 +55,9 @@ fn configs_of(prop: Propagation) -> Vec<SystemConfig> {
 
 /// Satellite: per application and direction, the per-iteration kernel
 /// trace stream is identical across every coherence × consistency
-/// cell of that direction — rebuilt per cell (as an uncached sweep
-/// would) or shared (as the `TraceCache` does), the streams and the
-/// resulting stats agree exactly.
+/// cell of that direction — rebuilt per cell or shared (as a stream
+/// group's cells share one), the streams and the resulting stats agree
+/// exactly.
 #[test]
 fn streams_are_identical_across_cells_sharing_a_direction() {
     let graph = SynthConfig::preset(GraphPreset::Ols)
@@ -93,16 +93,22 @@ fn streams_are_identical_across_cells_sharing_a_direction() {
     }
 }
 
+/// The stream groups of the six presets: five static applications over
+/// two directions and CC over one, for the Figure 5 set and the full
+/// grid alike.
+const STREAM_GROUPS: u64 = 11 * GraphPreset::ALL.len() as u64;
+
 /// Satellite: a full-grid study builds each graph preset exactly once;
 /// every configuration cell shares the build via `Arc<Csr>`. Asserted
 /// from the `graph_build` trace events the runner emits.
 #[test]
 fn a_full_study_builds_each_graph_exactly_once() {
     let sink = WriterSink::jsonl(Vec::new());
+    let metrics = MetricsRegistry::new();
     let outcome = run_study(
         &budgeted_spec(),
         &StudyOptions::new(ConfigSet::Full, THREADS),
-        &MetricsRegistry::new(),
+        &metrics,
         &sink,
     )
     .expect("study runs");
@@ -125,20 +131,10 @@ fn a_full_study_builds_each_graph_exactly_once() {
     assert_eq!(count("\"type\":\"cell_finish\""), cells);
     assert_eq!(count("\"status\":\"ok\""), cells);
     // The full grid runs 12 static (6 dynamic) cells per workload over
-    // two (one) traversal directions, so the trace cache misses once
-    // per direction and hits on every sibling cell that simulates.
-    let cache = outcome.trace_cache;
-    assert!(cache.hits > 0, "full grid must reuse cached streams");
-    let hit_events = text
-        .lines()
-        .filter(|l| l.contains("\"type\":\"trace_cache_hit\""))
-        .count() as u64;
-    let miss_events = text
-        .lines()
-        .filter(|l| l.contains("\"type\":\"trace_cache_miss\""))
-        .count() as u64;
-    assert_eq!((cache.hits, cache.misses), (hit_events, miss_events));
-    assert!(cache.misses < hit_events, "most lookups must hit");
+    // two (one) traversal directions, and builds each direction's
+    // stream once.
+    assert_eq!(metrics.counter("streams_built"), STREAM_GROUPS);
+    assert_eq!(count("\"type\":\"trace_cache_"), 0);
 }
 
 /// Tentpole: hybrid streams occupy their own cache entries. A hybrid
@@ -187,32 +183,32 @@ fn hybrid_streams_cache_independently_of_static_directions() {
     assert!(Arc::ptr_eq(&hybrid, &hybrid_again));
 }
 
-/// Acceptance: the trace cache is a pure optimization — a study run
-/// with the default budget is bit-identical to the same study with a
-/// zero budget, which caches nothing and so never hits.
+/// Acceptance: a Figure 5 study builds one stream per stream group and
+/// no more, emits no `trace_cache_*` events, and simulates or answers
+/// every cell exactly once.
 #[test]
-fn cached_study_is_bit_identical_to_uncached_study() {
-    let spec = budgeted_spec();
-    let cached_opts = StudyOptions::new(ConfigSet::Figure5, THREADS);
-    assert!(cached_opts.trace_cache_bytes > 0, "cache is on by default");
-    let mut uncached_opts = StudyOptions::new(ConfigSet::Figure5, THREADS);
-    uncached_opts.trace_cache_bytes = 0;
-
-    let cached =
-        run_study(&spec, &cached_opts, &MetricsRegistry::new(), &NOOP).expect("cached study runs");
+fn a_study_builds_each_stream_once() {
+    let sink = WriterSink::jsonl(Vec::new());
     let metrics = MetricsRegistry::new();
-    let uncached = run_study(&spec, &uncached_opts, &metrics, &NOOP).expect("uncached study runs");
-    assert_eq!(cached.study, uncached.study);
-    assert!(cached.trace_cache.hits > 0);
-    assert_eq!(uncached.trace_cache.hits, 0);
-    // Every cell that simulated built its own stream; a cell answered
-    // from its consistency class built and fetched none.
+    let outcome = run_study(
+        &budgeted_spec(),
+        &StudyOptions::new(ConfigSet::Figure5, THREADS),
+        &metrics,
+        &sink,
+    )
+    .expect("study runs");
+    assert!(outcome.study.failures.is_empty());
+    assert_eq!(metrics.counter("streams_built"), STREAM_GROUPS);
+    let text = String::from_utf8(sink.into_inner()).expect("utf8 trace");
+    let count = |needle: &str| text.lines().filter(|l| l.contains(needle)).count();
+    assert_eq!(count("\"type\":\"trace_cache_"), 0);
+    let cells = outcome.cells.len();
+    assert_eq!(count("\"type\":\"cell_start\""), cells);
+    assert_eq!(count("\"type\":\"cell_finish\""), cells);
     let simulated = metrics.counter("configs_simulated");
     let answered = metrics.counter("configs_answered");
-    assert_eq!(uncached.trace_cache.misses, simulated);
-    assert_eq!(simulated + answered, uncached.cells.len() as u64);
+    assert_eq!(simulated + answered, cells as u64);
     // The Figure 5 set aliases only CC's DGR (to DG1) and DDR (to DD1):
     // CC's compare-and-swap atomics all return values.
     assert_eq!(answered, 2 * GraphPreset::ALL.len() as u64);
-    assert_eq!(uncached.trace_cache.evicted_streams, 0);
 }

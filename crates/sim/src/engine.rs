@@ -137,8 +137,9 @@ impl std::fmt::Display for BudgetBreach {
 ///         ..SimBudget::UNLIMITED
 ///     })
 ///     .region("ranks", 0x1000, 4096)
-///     .build();
+///     .build()?;
 /// assert!(sim.budget().is_limited());
+/// # Ok::<(), ggs_sim::params::ParamsError>(())
 /// ```
 #[derive(Debug)]
 pub struct SimulationBuilder<'t> {
@@ -185,7 +186,14 @@ impl<'t> SimulationBuilder<'t> {
     }
 
     /// Builds the simulation.
-    pub fn build(self) -> Simulation<'t> {
+    ///
+    /// # Errors
+    ///
+    /// Any [`ParamsError`] of [`SystemParams::validate`]: the parameters
+    /// are checked here, because the cache and memory system divide by
+    /// and index with them.
+    pub fn build(self) -> Result<Simulation<'t>, ParamsError> {
+        self.params.validate()?;
         let mut mem = MemorySystem::with_tracer(&self.params, self.hw, self.tracer);
         for (name, base, bytes) in self.regions {
             mem.register_region(name, base, bytes);
@@ -194,7 +202,7 @@ impl<'t> SimulationBuilder<'t> {
         if self.checker {
             mem.enable_protocol_checker();
         }
-        Simulation {
+        Ok(Simulation {
             params: self.params,
             hw: self.hw,
             mem,
@@ -203,7 +211,7 @@ impl<'t> SimulationBuilder<'t> {
             tracer: self.tracer,
             budget: self.budget,
             breach: None,
-        }
+        })
     }
 }
 
@@ -237,7 +245,11 @@ impl<'t> Simulation<'t> {
     /// Creates a simulation of `params` hardware under configuration
     /// `hw`, with tracing off and no budget — the same as
     /// `Simulation::builder(params, hw).build()`.
-    pub fn new(params: SystemParams, hw: HwConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// As [`SimulationBuilder::build`].
+    pub fn new(params: SystemParams, hw: HwConfig) -> Result<Self, ParamsError> {
         Self::builder(params, hw).build()
     }
 
@@ -700,7 +712,8 @@ mod tests {
                 hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
             )
             .tracer(Tracer::new(&sink, 100))
-            .build();
+            .build()
+            .unwrap();
             // Loads so the cache counters are non-trivial.
             let threads = (0..256u64)
                 .map(|t| vec![MicroOp::load(t * 4), MicroOp::compute(4)])
@@ -730,7 +743,8 @@ mod tests {
         let mut sim = Simulation::new(
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        );
+        )
+        .unwrap();
         assert_eq!(
             sim.run_kernel(&packed),
             Err(ParamsError::GeometryMismatch {
@@ -748,7 +762,8 @@ mod tests {
         let mut sim = Simulation::new(
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        );
+        )
+        .unwrap();
         run(&mut sim, &KernelTrace::new(Vec::new(), 256).unwrap());
         assert_eq!(sim.finish().total_cycles(), 0);
     }
@@ -758,7 +773,8 @@ mod tests {
         let mut sim = Simulation::new(
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        );
+        )
+        .unwrap();
         run(&mut sim, &compute_kernel(256, 4));
         let stats = sim.finish();
         assert!(stats.total_cycles() > 0);
@@ -773,7 +789,8 @@ mod tests {
             let mut sim = Simulation::new(
                 SystemParams::default(),
                 hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-            );
+            )
+            .unwrap();
             run(&mut sim, &compute_kernel(256 * blocks, 16));
             sim.finish().total_cycles()
         };
@@ -791,7 +808,8 @@ mod tests {
             let mut sim = Simulation::new(
                 SystemParams::default(),
                 hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-            );
+            )
+            .unwrap();
             run(&mut sim, &compute_kernel(256 * blocks, 64));
             sim.finish().total_cycles()
         };
@@ -813,7 +831,8 @@ mod tests {
             max_kernels: Some(2),
             ..SimBudget::UNLIMITED
         })
-        .build();
+        .build()
+        .unwrap();
         for _ in 0..10 {
             run(&mut sim, &compute_kernel(256, 4));
         }
@@ -837,7 +856,8 @@ mod tests {
             max_cycles: Some(1),
             ..SimBudget::UNLIMITED
         })
-        .build();
+        .build()
+        .unwrap();
         run(&mut sim, &compute_kernel(256, 4));
         assert_eq!(sim.stats().kernels, 1);
         assert_eq!(
@@ -873,7 +893,8 @@ mod tests {
                 max_cycles: Some(limit),
                 ..SimBudget::UNLIMITED
             })
-            .build();
+            .build()
+            .unwrap();
         run(&mut sim, &scattered_loads);
         assert_eq!(
             sim.budget_breach(),
@@ -897,7 +918,8 @@ mod tests {
             deadline: Some(Instant::now()),
             ..SimBudget::UNLIMITED
         })
-        .build();
+        .build()
+        .unwrap();
         run(&mut sim, &compute_kernel(256, 4));
         assert_eq!(sim.stats().kernels, 0, "deadline already expired");
         assert!(matches!(
@@ -927,7 +949,8 @@ mod tests {
                 deadline: Some(Instant::now() + std::time::Duration::from_micros(micros)),
                 ..SimBudget::UNLIMITED
             })
-            .build();
+            .build()
+            .unwrap();
             sim.run_kernel(&kernel).unwrap();
             let aborted_mid_kernel = sim.stats().kernels == 1
                 && matches!(sim.budget_breach(), Some(BudgetBreach::Deadline { .. }));
@@ -944,7 +967,8 @@ mod tests {
         let mut sim = Simulation::new(
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        );
+        )
+        .unwrap();
         assert!(!SimBudget::UNLIMITED.is_limited());
         for _ in 0..4 {
             run(&mut sim, &compute_kernel(256, 2));
@@ -975,7 +999,8 @@ mod tests {
         let mut sim = Simulation::new(
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        );
+        )
+        .unwrap();
         run(&mut sim, &compute_kernel(256, 4));
         let t1 = sim.stats().total_cycles();
         run(&mut sim, &compute_kernel(256, 4));
@@ -1002,8 +1027,9 @@ mod tests {
             32,
         )
         .unwrap();
-        let mut sim =
-            Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0)).build();
+        let mut sim = Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0))
+            .build()
+            .unwrap();
         run(&mut sim, &kernel);
         let stats = sim.finish();
         let b = &stats.breakdown;
@@ -1035,8 +1061,9 @@ mod tests {
             32
         ]);
         let kernel = KernelTrace::new(threads, 32).unwrap();
-        let mut sim =
-            Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0)).build();
+        let mut sim = Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0))
+            .build()
+            .unwrap();
         run(&mut sim, &kernel);
         let stats = sim.finish();
         // Per SM: issue (1) + comp stall + issue (1) + 2-cycle tail;
@@ -1053,7 +1080,8 @@ mod tests {
         let mut sim = Simulation::new(
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        );
+        )
+        .unwrap();
         run(&mut sim, &kernel);
         let stats = sim.finish();
         // Busy cycles equal the total number of issued warp instructions:
@@ -1074,7 +1102,8 @@ mod tests {
         )
         .unwrap();
         let run = |c: CoherenceKind| {
-            let mut sim = Simulation::new(SystemParams::default(), hw(c, ConsistencyModel::Drf1));
+            let mut sim =
+                Simulation::new(SystemParams::default(), hw(c, ConsistencyModel::Drf1)).unwrap();
             run(&mut sim, &store_kernel);
             run(&mut sim, &atomic_kernel);
             sim.finish()

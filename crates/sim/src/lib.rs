@@ -52,7 +52,7 @@
 //! let packed = WarpTrace::pack(&kernel, &params)?;
 //!
 //! let hw = HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::Drf0);
-//! let mut sim = Simulation::new(params, hw);
+//! let mut sim = Simulation::new(params, hw)?;
 //! sim.run_kernel(&packed)?;
 //! let stats = sim.finish();
 //! assert!(stats.total_cycles() > 0);

@@ -17,7 +17,7 @@ fn small_params() -> SystemParams {
 /// Runs `kernel` packed for `params` on a fresh simulation of `hw`.
 fn simulate(kernel: &KernelTrace, params: SystemParams, hw: HwConfig) -> ggs_sim::ExecStats {
     let packed = WarpTrace::pack(kernel, &params).unwrap();
-    let mut sim = Simulation::new(params, hw);
+    let mut sim = Simulation::new(params, hw).unwrap();
     sim.run_kernel(&packed).unwrap();
     sim.finish()
 }

@@ -202,26 +202,26 @@ pub enum TraceEvent {
         /// When the build finished, in microseconds since the run began.
         at_us: u64,
     },
-    /// A workload's kernel-trace stream was served from the sweep-level
-    /// `TraceCache` (another cell of the same app × graph × direction
-    /// already built it).
+    /// A workload's kernel-trace stream was served from a `TraceCache`
+    /// (another cell of the same app × graph × direction already built
+    /// it).
     TraceCacheHit {
         /// `APP/GRAPH/PROP/TB` stream key.
         key: String,
         /// When the lookup resolved, in microseconds since the run began.
         at_us: u64,
     },
-    /// A workload's kernel-trace stream was absent from the sweep-level
-    /// `TraceCache`; this cell runs the functional producer and inserts
-    /// the stream for its siblings.
+    /// A workload's kernel-trace stream was absent from a `TraceCache`;
+    /// this cell runs the functional producer and inserts the stream for
+    /// its siblings.
     TraceCacheMiss {
         /// `APP/GRAPH/PROP/TB` stream key.
         key: String,
         /// When the lookup resolved, in microseconds since the run began.
         at_us: u64,
     },
-    /// The sweep-level `TraceCache` evicted least-recently-used streams
-    /// to stay under its byte budget.
+    /// A `TraceCache` evicted least-recently-used streams to stay under
+    /// its byte budget.
     TraceCacheEvict {
         /// Cached streams dropped.
         streams: u64,
