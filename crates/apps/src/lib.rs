@@ -60,4 +60,4 @@ pub mod pr;
 mod registry;
 pub mod sssp;
 
-pub use registry::{AppKind, ParseAppError, Workload};
+pub use registry::{AppKind, ParseAppError, Workload, SSSP_MAX_WEIGHT};

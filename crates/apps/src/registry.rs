@@ -1,12 +1,17 @@
 //! Application registry: the Table III rows and a uniform dispatch
 //! surface for workload construction.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
 use ggs_graph::Csr;
 use ggs_model::taxonomy::{AlgoBias, AlgoProfile, Propagation};
 use ggs_sim::trace::KernelTrace;
+
+/// Largest edge weight of the hashed weights SSSP runs on when its
+/// graph carries none (see [`AppKind::weighted`]).
+pub const SSSP_MAX_WEIGHT: u32 = 64;
 
 /// One of the paper's six applications (§V-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -94,6 +99,17 @@ impl AppKind {
     /// `true` if the application needs edge weights (SSSP).
     pub fn needs_weights(self) -> bool {
         matches!(self, AppKind::Sssp)
+    }
+
+    /// `graph` with SSSP's deterministic weights
+    /// ([`Csr::with_hashed_weights`] up to [`SSSP_MAX_WEIGHT`]) attached
+    /// if this application needs weights and the graph has none.
+    pub fn weighted(self, graph: &Csr) -> Cow<'_, Csr> {
+        if self.needs_weights() && !graph.is_weighted() {
+            Cow::Owned(graph.clone().with_hashed_weights(SSSP_MAX_WEIGHT))
+        } else {
+            Cow::Borrowed(graph)
+        }
     }
 }
 
@@ -360,9 +376,22 @@ mod tests {
 
     #[test]
     fn only_sssp_needs_weights() {
+        let g = GraphBuilder::new(8)
+            .edges((0..7).map(|i| (i, i + 1)))
+            .symmetric(true)
+            .build()
+            .unwrap();
         for app in AppKind::ALL {
             assert_eq!(app.needs_weights(), app == AppKind::Sssp);
+            let weighted = app.weighted(&g);
+            assert_eq!(weighted.is_weighted(), app == AppKind::Sssp, "{app}");
         }
+        // SSSP's weights are the hashed ones up to SSSP_MAX_WEIGHT, and
+        // a graph that already has weights keeps them.
+        let hashed = g.clone().with_hashed_weights(SSSP_MAX_WEIGHT);
+        assert_eq!(*AppKind::Sssp.weighted(&g), hashed);
+        let own = g.with_hashed_weights(4);
+        assert!(matches!(AppKind::Sssp.weighted(&own), Cow::Borrowed(_)));
     }
 
     #[test]

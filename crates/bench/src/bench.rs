@@ -315,7 +315,7 @@ impl BenchReport {
                 Ok(CellTiming {
                     app: s("app")?,
                     config: s("config")?,
-                    wall: Duration::from_secs_f64(n("wall_ms")? / 1e3),
+                    wall: millis(n("wall_ms")?)?,
                     cycles: n("cycles")? as u64,
                     kernels: n("kernels")? as u64,
                 })
@@ -335,8 +335,8 @@ impl BenchReport {
                         .map(str::to_owned)
                         .ok_or("grid missing \"app\"")?,
                     configs: n("configs")? as u32,
-                    wall: Duration::from_secs_f64(n("wall_ms")? / 1e3),
-                    uncached_wall: Duration::from_secs_f64(n("uncached_wall_ms")? / 1e3),
+                    wall: millis(n("wall_ms")?)?,
+                    uncached_wall: millis(n("uncached_wall_ms")?)?,
                     cache_hits: n("cache_hits")? as u64,
                     cache_misses: n("cache_misses")? as u64,
                 })
@@ -362,7 +362,7 @@ impl BenchReport {
                                 .ok_or("tier missing \"tier\"")?,
                             vertices: n("vertices")? as u64,
                             edges: n("edges")? as u64,
-                            wall: Duration::from_secs_f64(n("wall_ms")? / 1e3),
+                            wall: millis(n("wall_ms")?)?,
                             cycles: n("cycles")? as u64,
                             kernels: n("kernels")? as u64,
                         })
@@ -380,6 +380,12 @@ impl BenchReport {
             peak_rss_kb: v.get("peak_rss_kb").and_then(Value::as_u64),
         })
     }
+}
+
+/// A report's millisecond field as a [`Duration`]: a negative, overflowing
+/// or non-finite value is an error, not a panic.
+fn millis(ms: f64) -> Result<Duration, String> {
+    Duration::try_from_secs_f64(ms / 1e3).map_err(|e| format!("bad duration {ms} ms: {e}"))
 }
 
 /// Runs the benchmark slice: each cell is timed `iters` times and the
@@ -741,6 +747,62 @@ mod tests {
         assert!(BenchReport::from_json("{\"schema\": \"other\"}").is_err());
         assert!(BenchReport::from_json("{\"schema\": \"ggs-bench-v1\"}").is_err());
         assert!(BenchReport::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn rejects_durations_out_of_range_without_panicking() {
+        let text = full_report().to_json_pretty();
+        for bad in ["-5.0", "1e300"] {
+            // Cells, grid and tiers: `wall_ms` #0 is a cell's, #2 the
+            // grid's and #3 a tier's.
+            for (field, nth) in [
+                ("wall_ms", 0),
+                ("wall_ms", 2),
+                ("uncached_wall_ms", 0),
+                ("wall_ms", 3),
+            ] {
+                let needle = format!("\"{field}\": ");
+                let at = text.match_indices(&needle).nth(nth).unwrap().0 + needle.len();
+                let end = at + text[at..].find([',', '}']).unwrap();
+                let mutated = format!("{}{bad}{}", &text[..at], &text[end..]);
+                let err = BenchReport::from_json(&mutated).unwrap_err();
+                assert!(err.contains("bad duration"), "{field}#{nth}={bad}: {err}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Mutating a valid report's numbers or bytes yields `Ok` or
+        /// `Err`, never a panic.
+        #[test]
+        fn from_json_never_panics_on_mutated_reports(
+            number in 0usize..64,
+            replacement in 0usize..8,
+            edits in proptest::collection::vec((0usize..4096, 0u8..=255), 0..4),
+        ) {
+            let text = full_report().to_json_pretty();
+            // Replace one numeric field with an out-of-range value.
+            let numbers: Vec<(usize, usize)> = text
+                .match_indices(": ")
+                .map(|(i, _)| i + 2)
+                .filter(|&at| text[at..].starts_with(|c: char| c.is_ascii_digit()))
+                .map(|at| (at, at + text[at..].find([',', '\n']).unwrap()))
+                .collect();
+            let (at, end) = numbers[number % numbers.len()];
+            let values = [
+                "-5.0", "1e300", "-1e300", "0", "1e-300", "18446744073709551616", "-0.0", "3.5",
+            ];
+            let value = values[replacement];
+            let mut bytes = format!("{}{value}{}", &text[..at], &text[end..]).into_bytes();
+            for (pos, byte) in edits {
+                let len = bytes.len();
+                bytes[pos % len] = byte;
+            }
+            let mutated = String::from_utf8_lossy(&bytes);
+            let _ = BenchReport::from_json(&mutated);
+        }
     }
 
     #[test]

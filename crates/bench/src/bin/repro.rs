@@ -882,6 +882,14 @@ fn bench_cmd(cmd: &BenchCmd) {
     // per-cell minima stable enough for a 20% backstop while holding
     // the slice under a second of wall clock.
     let iters = if cmd.smoke { 5 } else { cmd.iters };
+    // Read the baseline before benchmarking, so a bad one fails at once.
+    let baseline = cmd.baseline.as_ref().map(|path| {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(&format!("cannot read baseline {path}: {e}")));
+        let base = BenchReport::from_json(&text)
+            .unwrap_or_else(|e| die(&format!("cannot parse baseline {path}: {e}")));
+        (path, base)
+    });
     eprintln!(
         "[repro] benchmarking the {}-cell slice ({BENCH_GRAPH}, scale {BENCH_SCALE}), \
          best of {iters} iteration(s) per cell…",
@@ -933,17 +941,9 @@ fn bench_cmd(cmd: &BenchCmd) {
         }
         eprintln!("[repro] wrote {path}");
     }
-    if let Some(path) = &cmd.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => die(&format!("cannot read baseline {path}: {e}")),
-        };
-        let base = match BenchReport::from_json(&text) {
-            Ok(b) => b,
-            Err(e) => die(&format!("cannot parse baseline {path}: {e}")),
-        };
+    if let Some((path, base)) = &baseline {
         let threshold_pct = cmd.threshold_pct;
-        let failures = ggs_bench::bench::regression_failures(&report, &base, threshold_pct);
+        let failures = ggs_bench::bench::regression_failures(&report, base, threshold_pct);
         if failures.is_empty() {
             println!(
                 "bench: within {threshold_pct}% of the {path} baseline ({:.3} cells/sec)",

@@ -239,3 +239,24 @@ fn check_certifies_every_workload_clean() {
         .expect("DRF0 PR push line");
     assert!(!drf0_push.contains("(0 fence"), "{drf0_push}");
 }
+
+#[test]
+fn bench_rejects_a_malformed_baseline_before_benchmarking() {
+    let path =
+        std::env::temp_dir().join(format!("ggs-cli-bad-baseline-{}.json", std::process::id()));
+    let report = "{\"schema\": \"ggs-bench-v2\", \"scale\": 0.02, \"iters\": 1, \"cells\": [\
+        {\"app\": \"PR\", \"config\": \"TG0\", \"wall_ms\": -5.0, \"cycles\": 1, \"kernels\": 1}]}";
+    std::fs::write(&path, report).expect("baseline written");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["bench", "--baseline"])
+        .arg(&path)
+        .output()
+        .expect("repro binary runs");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("cannot parse baseline"), "{stderr}");
+    // Nothing ran: the slice's progress line never printed.
+    assert!(!stderr.contains("benchmarking"), "{stderr}");
+}

@@ -13,7 +13,6 @@
 //! * **Push+Pull** (CC) — racy-but-benign reads with marked updates:
 //!   only the DRF rule itself is enforced (no plain-plain races).
 
-use std::borrow::Cow;
 use std::fmt;
 
 use ggs_apps::{AppKind, Workload};
@@ -184,16 +183,6 @@ pub fn check_kernel_contract(
     out
 }
 
-/// Adds edge weights when `app` needs them and `graph` has none (same
-/// policy as the simulation harness).
-fn with_weights(app: AppKind, graph: &Csr) -> Cow<'_, Csr> {
-    if app.needs_weights() && !graph.is_weighted() {
-        Cow::Owned(graph.clone().with_hashed_weights(64))
-    } else {
-        Cow::Borrowed(graph)
-    }
-}
-
 /// Statically certifies one application in one direction on `graph`:
 /// analyzes every kernel trace and checks the direction's contract.
 ///
@@ -210,7 +199,7 @@ pub fn certify_workload(
     prop: Propagation,
     consistency: ConsistencyModel,
 ) -> AppReport {
-    let graph = with_weights(app, graph);
+    let graph = app.weighted(graph);
     let workload = Workload::new(app, &graph);
     let regions = workload.memory_map();
     let schedule = workload.direction_schedule(prop);
@@ -291,7 +280,7 @@ pub fn run_protocol_checked(
     hw: HwConfig,
     params: &SystemParams,
 ) -> Result<Vec<ProtocolViolation>, ParamsError> {
-    let graph = with_weights(app, graph);
+    let graph = app.weighted(graph);
     let workload = Workload::new(app, &graph);
     let mut builder = Simulation::builder(params.clone(), hw).checker();
     for (name, base, bytes) in workload.memory_map() {

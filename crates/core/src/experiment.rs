@@ -1,6 +1,5 @@
 //! Running one (application, graph, configuration) experiment point.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -256,7 +255,7 @@ pub fn produce_stream(
         return Ok(stream);
     }
     let mut failed = None;
-    Workload::new(app, &weighted(app, graph)).produce(prop, params.tb_size, &mut |kernel| {
+    Workload::new(app, &app.weighted(graph)).produce(prop, params.tb_size, &mut |kernel| {
         if failed.is_none() {
             match WarpTrace::pack(&kernel, params) {
                 Ok(packed) => stream.push(Arc::new(packed)),
@@ -345,7 +344,7 @@ fn simulate(
     let started = Instant::now();
     let sim = match kernels {
         Kernels::Generate { graph, regions } => {
-            let graph = weighted(app, graph);
+            let graph = app.weighted(graph);
             let workload = Workload::new(app, &graph);
             if regions {
                 for (name, base, bytes) in workload.memory_map() {
@@ -387,16 +386,6 @@ fn simulate(
             let regions = sim.region_stats();
             Ok((sim.finish(), regions))
         }
-    }
-}
-
-/// `graph` with SSSP's deterministic weights attached if `app` needs
-/// them and the graph has none.
-fn weighted(app: AppKind, graph: &Csr) -> Cow<'_, Csr> {
-    if app.needs_weights() && !graph.is_weighted() {
-        Cow::Owned(graph.clone().with_hashed_weights(64))
-    } else {
-        Cow::Borrowed(graph)
     }
 }
 

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ggs_apps::AppKind;
+use ggs_apps::{AppKind, SSSP_MAX_WEIGHT};
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::{predict_full, predict_partial, GraphProfile, SystemConfig};
 use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
@@ -425,7 +425,9 @@ struct CellOutcome {
     row: Option<ResultRow>,
 }
 
-fn cell_key(app: &str, graph: &str, config: &str) -> String {
+/// The `APP/GRAPH/CONFIG` key naming a cell in reports, trace events
+/// and the result store.
+pub(crate) fn cell_key(app: &str, graph: &str, config: &str) -> String {
     format!("{app}/{graph}/{config}")
 }
 
@@ -544,7 +546,7 @@ pub fn run_study(
                 let g = SynthConfig::preset(p)
                     .scale(spec.scale)
                     .generate()
-                    .with_hashed_weights(64);
+                    .with_hashed_weights(SSSP_MAX_WEIGHT);
                 let profile = GraphProfile::measure(&g, &metric_params);
                 if sink.enabled() {
                     sink.emit(&TraceEvent::GraphBuild {

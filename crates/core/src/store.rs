@@ -102,7 +102,7 @@ use ggs_trace::{TraceEvent, TraceSink};
 
 use crate::error::GgsError;
 use crate::json::{self, Value};
-use crate::runner::RetryPolicy;
+use crate::runner::{cell_key, RetryPolicy};
 use crate::study::ResultRow;
 
 /// File magic: the first eight bytes of every store file.
@@ -218,10 +218,6 @@ pub enum Record {
 }
 
 impl Record {
-    fn cell_key(app: &str, graph: &str, config: &str) -> String {
-        format!("{app}/{graph}/{config}")
-    }
-
     /// Serializes the record as its compact JSON payload.
     pub fn payload(&self) -> String {
         let obj = match self {
@@ -231,19 +227,14 @@ impl Record {
                 graph,
                 row,
             } => {
-                let fractions = row.fractions.iter().map(|&f| Value::Number(f)).collect();
-                BTreeMap::from([
+                let mut obj = BTreeMap::from([
                     ("kind".to_owned(), Value::String("result".to_owned())),
                     ("spec_hash".to_owned(), Value::String(spec_hash.clone())),
                     ("app".to_owned(), Value::String(app.clone())),
                     ("graph".to_owned(), Value::String(graph.clone())),
-                    ("config".to_owned(), Value::String(row.config.clone())),
-                    (
-                        "total_cycles".to_owned(),
-                        Value::Number(row.total_cycles as f64),
-                    ),
-                    ("fractions".to_owned(), Value::Array(fractions)),
-                ])
+                ]);
+                row.write_fields(&mut obj);
+                obj
             }
             Record::Lease {
                 spec_hash,
@@ -279,26 +270,12 @@ impl Record {
         let v = json::parse(payload).ok()?;
         let s = |key: &str| v.get(key).and_then(Value::as_str).map(str::to_owned);
         match v.get("kind").and_then(Value::as_str)? {
-            "result" => {
-                let fracs = v.get("fractions").and_then(Value::as_array)?;
-                if fracs.len() != 5 {
-                    return None;
-                }
-                let mut fractions = [0.0f64; 5];
-                for (slot, f) in fractions.iter_mut().zip(fracs) {
-                    *slot = f.as_f64()?;
-                }
-                Some(Record::Result {
-                    spec_hash: s("spec_hash")?,
-                    app: s("app")?,
-                    graph: s("graph")?,
-                    row: ResultRow {
-                        config: s("config")?,
-                        total_cycles: v.get("total_cycles").and_then(Value::as_u64)?,
-                        fractions,
-                    },
-                })
-            }
+            "result" => Some(Record::Result {
+                spec_hash: s("spec_hash")?,
+                app: s("app")?,
+                graph: s("graph")?,
+                row: ResultRow::read_fields(&v).ok()?,
+            }),
             "lease" => Some(Record::Lease {
                 spec_hash: s("spec_hash")?,
                 key: s("key")?,
@@ -381,7 +358,7 @@ impl StoreSnapshot {
                 graph,
                 row,
             } => {
-                let key = Record::cell_key(&app, &graph, &row.config);
+                let key = cell_key(&app, &graph, &row.config);
                 self.leases.remove(&(spec_hash.clone(), key.clone()));
                 self.results.insert((spec_hash, key), row);
             }

@@ -29,6 +29,51 @@ pub struct ResultRow {
     pub fractions: [f64; 5],
 }
 
+impl ResultRow {
+    /// Adds the row's `config`, `total_cycles` and `fractions` fields to
+    /// `obj`: the one encoding of a row, shared by the study JSON and
+    /// the result store's records.
+    pub(crate) fn write_fields(&self, obj: &mut BTreeMap<String, Value>) {
+        let fractions = self.fractions.iter().map(|&f| Value::Number(f)).collect();
+        obj.insert("config".to_owned(), Value::String(self.config.clone()));
+        obj.insert(
+            "total_cycles".to_owned(),
+            Value::Number(self.total_cycles as f64),
+        );
+        obj.insert("fractions".to_owned(), Value::Array(fractions));
+    }
+
+    /// Reads the fields [`ResultRow::write_fields`] wrote into `v`.
+    pub(crate) fn read_fields(v: &Value) -> Result<Self, String> {
+        let fracs = v
+            .get("fractions")
+            .and_then(Value::as_array)
+            .ok_or("missing array field \"fractions\"")?;
+        let mut fractions = [0.0f64; 5];
+        if fracs.len() != fractions.len() {
+            return Err(format!("expected 5 fractions, got {}", fracs.len()));
+        }
+        for (slot, frac) in fractions.iter_mut().zip(fracs) {
+            *slot = frac.as_f64().ok_or("non-numeric fraction")?;
+        }
+        Ok(ResultRow {
+            config: str_field(v, "config")?,
+            total_cycles: v
+                .get("total_cycles")
+                .and_then(Value::as_u64)
+                .ok_or("missing integer field \"total_cycles\"")?,
+            fractions,
+        })
+    }
+}
+
+fn str_field(v: &Value, key: &str) -> Result<String, String> {
+    v.get(key)
+        .and_then(Value::as_str)
+        .map(str::to_owned)
+        .ok_or_else(|| format!("missing string field {key:?}"))
+}
+
 /// Serializable report for one workload (one Figure 5 group).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadReport {
@@ -199,15 +244,9 @@ impl Study {
                     .rows
                     .iter()
                     .map(|row| {
-                        let fractions = row.fractions.iter().map(|&f| Value::Number(f)).collect();
-                        Value::Object(BTreeMap::from([
-                            ("config".to_owned(), Value::String(row.config.clone())),
-                            (
-                                "total_cycles".to_owned(),
-                                Value::Number(row.total_cycles as f64),
-                            ),
-                            ("fractions".to_owned(), Value::Array(fractions)),
-                        ]))
+                        let mut obj = BTreeMap::new();
+                        row.write_fields(&mut obj);
+                        Value::Object(obj)
                     })
                     .collect();
                 Value::Object(BTreeMap::from([
@@ -261,12 +300,6 @@ impl Study {
     }
 
     fn from_json_inner(text: &str) -> Result<Self, String> {
-        fn str_field(v: &Value, key: &str) -> Result<String, String> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        }
         let root = json::parse(text)?;
         let scale = root
             .get("scale")
@@ -278,32 +311,13 @@ impl Study {
             .and_then(Value::as_array)
             .ok_or("missing array field \"reports\"")?
         {
-            let mut rows = Vec::new();
-            for row in r
+            let rows = r
                 .get("rows")
                 .and_then(Value::as_array)
                 .ok_or("missing array field \"rows\"")?
-            {
-                let fracs = row
-                    .get("fractions")
-                    .and_then(Value::as_array)
-                    .ok_or("missing array field \"fractions\"")?;
-                let mut fractions = [0.0f64; 5];
-                if fracs.len() != fractions.len() {
-                    return Err(format!("expected 5 fractions, got {}", fracs.len()));
-                }
-                for (slot, frac) in fractions.iter_mut().zip(fracs) {
-                    *slot = frac.as_f64().ok_or("non-numeric fraction")?;
-                }
-                rows.push(ResultRow {
-                    config: str_field(row, "config")?,
-                    total_cycles: row
-                        .get("total_cycles")
-                        .and_then(Value::as_u64)
-                        .ok_or("missing integer field \"total_cycles\"")?,
-                    fractions,
-                });
-            }
+                .iter()
+                .map(ResultRow::read_fields)
+                .collect::<Result<Vec<_>, _>>()?;
             reports.push(WorkloadReport {
                 app: str_field(r, "app")?,
                 graph: str_field(r, "graph")?,

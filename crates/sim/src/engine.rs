@@ -1,25 +1,21 @@
 //! The whole-GPU simulation engine: block dispatch, event-driven SM
-//! scheduling over a calendar wheel, kernel sequencing, and statistics
-//! aggregation.
+//! scheduling, kernel sequencing, and statistics aggregation.
 //!
 //! # Event-driven core
 //!
 //! The engine does not step every SM every cycle. Each SM runs ahead on
-//! its own local clock for up to `QUANTUM_CYCLES`, then *parks*: its
-//! next wake-up — the earliest `ready_at` of its warps, which is a
-//! memory/NoC completion time whenever every warp is memory-stalled —
-//! is scheduled on a [`CalendarWheel`] at an absolute cycle. Popping
-//! the wheel resumes the SM whose wake-up is earliest (ties by SM id),
-//! so when every SM is parked the global clock skips directly to the
-//! next ready event instead of idling through empty cycles. MSHR,
+//! its own local clock for up to `QUANTUM_CYCLES`, then *parks*: it is
+//! queued once, on a binary heap, at its own clock. Popping the heap
+//! resumes the SM whose wake-up is earliest (ties by SM id), so when
+//! every SM is stalled the global clock skips directly to the next
+//! ready event instead of idling through empty cycles. MSHR,
 //! store-buffer, and outstanding-atomic back-pressure is tracked by the
-//! [`crate::events::CompletionRing`]s inside [`MemorySystem`]; their
-//! completion times are what warp `ready_at` values (and therefore SM
-//! wake-ups) are made of. See `docs/performance.md` for why this
-//! reproduces the stepped loop's statistics bit-exactly.
+//! completion rings inside [`MemorySystem`]; their completion times are
+//! what warp `ready_at` values (and therefore SM clocks) are made of.
+//! See `docs/performance.md` for why this reproduces the stepped loop's
+//! statistics bit-exactly.
 
 use crate::config::HwConfig;
-use crate::events::CalendarWheel;
 use crate::mem::MemorySystem;
 use crate::params::ParamsError;
 use crate::params::SystemParams;
@@ -27,6 +23,8 @@ use crate::sm::{Sm, Step};
 use crate::stats::{ExecStats, StallClass};
 use crate::trace::WarpTrace;
 use ggs_trace::{TraceEvent, Tracer};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// How far one SM may run ahead of the globally-earliest SM before
@@ -34,7 +32,7 @@ use std::time::Instant;
 /// amortizing scheduling overhead).
 const QUANTUM_CYCLES: u64 = 256;
 
-/// How many wheel events may elapse between wall-clock deadline checks
+/// How many wake-ups may elapse between wall-clock deadline checks
 /// (`Instant::now` is cheap but not free; a power of two keeps the
 /// check branch-predictable).
 const DEADLINE_CHECK_EVERY: u32 = 64;
@@ -57,7 +55,7 @@ pub struct SimBudget {
     /// cycle itself even though the engine skips idle cycles.
     pub max_cycles: Option<u64>,
     /// Wall-clock deadline. Checked inside the engine's event loop
-    /// (every `DEADLINE_CHECK_EVERY` wheel events) and at kernel
+    /// (every `DEADLINE_CHECK_EVERY` wake-ups) and at kernel
     /// boundaries, so a hung kernel is abandoned mid-flight instead of
     /// running to completion first.
     pub deadline: Option<Instant>,
@@ -442,20 +440,17 @@ impl<'t> Simulation<'t> {
             }
         }
 
-        // Event loop: every SM is parked on the wheel at the absolute
-        // cycle of its next wake-up; popping resumes the earliest one
-        // (ties by id, so the interleaving is deterministic).
-        let mut wheel = CalendarWheel::new(start);
-        for sm in &sms {
-            wheel.schedule(sm.now, sm.id());
-        }
+        // Event loop: each SM is queued at most once, at its own clock;
+        // popping resumes the earliest one (ties by id, so the
+        // interleaving is deterministic).
+        let mut wakeups: BinaryHeap<Reverse<(u64, u32)>> =
+            sms.iter().map(|sm| Reverse((sm.now, sm.id()))).collect();
 
         let deadline = self.budget.deadline;
         let mut events: u32 = 0;
         let mut deadline_hit: Option<u64> = None;
         let mut finish_times = vec![0u64; sms.len()];
-        let mut done = vec![false; sms.len()];
-        while let Some((t, id)) = wheel.pop() {
+        while let Some(Reverse((t, id))) = wakeups.pop() {
             if let Some(d) = deadline {
                 events = events.wrapping_add(1);
                 if events.is_multiple_of(DEADLINE_CHECK_EVERY) && Instant::now() >= d {
@@ -464,16 +459,7 @@ impl<'t> Simulation<'t> {
                 }
             }
             let idx = id as usize;
-            if done[idx] {
-                continue;
-            }
             let sm = &mut sms[idx];
-            if sm.now != t {
-                // Stale wake-up (the SM already ran past it inside an
-                // earlier quantum); park it again at the true time.
-                wheel.schedule(sm.now, id);
-                continue;
-            }
             let horizon = t + QUANTUM_CYCLES;
             loop {
                 // Feed new blocks whenever capacity frees up.
@@ -486,7 +472,7 @@ impl<'t> Simulation<'t> {
                         if sm.now > horizon {
                             // Quantum exhausted: park until the SM's
                             // local clock, letting its peers catch up.
-                            wheel.schedule(sm.now, id);
+                            wakeups.push(Reverse((sm.now, id)));
                             break;
                         }
                     }
@@ -494,7 +480,6 @@ impl<'t> Simulation<'t> {
                         // Cycle budget: the SM sits exactly on the
                         // boundary and never resumes.
                         finish_times[idx] = sm.now;
-                        done[idx] = true;
                         break;
                     }
                     Step::Drained => {
@@ -502,7 +487,6 @@ impl<'t> Simulation<'t> {
                             continue; // more blocks to fetch
                         }
                         finish_times[idx] = sm.finish_time(&self.mem);
-                        done[idx] = true;
                         break;
                     }
                 }
@@ -1013,7 +997,7 @@ mod tests {
     fn fully_stalled_sm_parks_and_is_rearmed_by_completion() {
         // One warp on one SM issues a cold load whose miss latency is
         // pushed far past the scheduling quantum, so the SM goes fully
-        // memory-stalled and must park in the event wheel; only the
+        // memory-stalled and must park on the wake-up heap; only the
         // completion event re-arms it to issue its second slot. If the
         // re-arm were lost the busy count would stop at 1 and the tail
         // accounting below could not close.
@@ -1046,10 +1030,10 @@ mod tests {
     }
 
     #[test]
-    fn drained_sms_skip_clock_to_next_wheel_event() {
+    fn drained_sms_skip_clock_to_next_wake_up() {
         // Two single-warp blocks on two SMs, each stalling far past the
-        // quantum on a compute dependency. Both SMs park, the wheel
-        // holds wakeups at two distinct future cycles, and with every
+        // quantum on a compute dependency. Both SMs park, the heap
+        // holds wake-ups at two distinct future cycles, and with every
         // SM stalled the clock must skip straight to each event: the
         // final cycle count is exact, with no rounding to quantum or
         // sampling boundaries.

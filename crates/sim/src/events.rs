@@ -1,163 +1,36 @@
-//! Event scheduling primitives for the event-driven engine core.
+//! The MSHR completion ring of the memory system.
 //!
-//! Two calendar-queue structures back the simulator's cycle-skipping:
+//! [`CompletionRing`] is a capacity-bounded multiset of absolute
+//! completion times (MSHR entries, store-buffer slots,
+//! outstanding-atomic trackers): admission retires everything that
+//! completed by `now` and, when the structure is full, returns the
+//! earliest outstanding completion as the admission time. It admits on
+//! every L1 load miss, store and atomic, which is why it is a calendar
+//! ring rather than a binary heap: a heap there measurably slows the
+//! simulator (see "The event-driven core" in `docs/performance.md`).
 //!
-//! * [`CalendarWheel`] — the NoC/DRAM event wheel. The engine schedules
-//!   each SM's next wake-up at an absolute cycle (the earliest warp
-//!   `ready_at`, which is a memory/NoC completion time when the SM is
-//!   fully memory-stalled) and pops wake-ups in `(cycle, id)` order.
-//!   Empty buckets are skipped through an occupancy bitmap, so when
-//!   every SM is parked the clock jumps directly to the next ready
-//!   event.
-//! * [`CompletionRing`] — the MSHR completion ring. A capacity-bounded
-//!   multiset of absolute completion times (MSHR entries, store-buffer
-//!   slots, outstanding-atomic trackers): admission retires everything
-//!   that completed by `now` and, when the structure is full, returns
-//!   the earliest outstanding completion as the admission time.
-//!
-//! Both are drop-in replacements for binary heaps and are **required**
-//! to reproduce the heap orderings bit-exactly: the golden 18-cell
-//! statistics (`tests/golden_stats.rs`) pin every counter, so the wheel
-//! must pop ties by lowest id and the ring must retire and admit at
-//! exactly the cycles the heap-based `CapacityQueue` used to.
+//! The ring must reproduce the heap ordering bit-exactly: the golden
+//! statistics (`tests/golden_stats.rs`) pin every counter, so it
+//! retires and admits at exactly the cycles the heap-based capacity
+//! queue it replaced did.
 //!
 //! # Layout
 //!
-//! A wheel holds `W` (a power of two) buckets; an event at absolute
-//! cycle `t` lives in bucket `t & (W - 1)`. All buckets within the
-//! active window `[cursor, cursor + W)` map to distinct slots, so no
-//! per-bucket time tag is needed. Events scheduled at or beyond
-//! `cursor + W` overflow into a binary heap and migrate into the wheel
-//! as the cursor advances (migration happens before every pop, which
-//! keeps every wheel entry at or below every overflow entry — the pop
-//! never has to compare the two). A one-bit-per-bucket occupancy bitmap
-//! lets the pop scan skip empty regions 64 buckets at a time.
+//! The ring holds `W` (a power of two) count buckets; a completion at
+//! absolute cycle `t` lives in bucket `t & (W - 1)`. All buckets within
+//! the active window `[cursor, cursor + W)` map to distinct slots, so
+//! no per-bucket time tag is needed. Completions at or beyond
+//! `cursor + W` overflow into a binary heap and migrate into the ring
+//! as the cursor advances; completions below the cursor go to a second
+//! heap. A one-bit-per-bucket occupancy bitmap lets retirement skip
+//! empty regions 64 buckets at a time.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Number of buckets in a [`CalendarWheel`]; covers the engine's run
-/// quantum and the Table IV memory round-trips without overflowing.
-const WHEEL_BUCKETS: usize = 512;
-
 /// Number of buckets in a [`CompletionRing`]; covers every single-shot
 /// memory latency (chains under contention overflow to the heap).
 const RING_BUCKETS: usize = 1024;
-
-/// A calendar queue of `(absolute cycle, id)` wake-up events that pops
-/// in lexicographic `(cycle, id)` order — the same order as a
-/// `BinaryHeap<Reverse<(u64, u32)>>`, in O(1) amortized time per event.
-#[derive(Debug)]
-pub struct CalendarWheel {
-    /// `WHEEL_BUCKETS` buckets of ids; bucket `t & mask` holds the
-    /// events at cycle `t` for `t` within `[cursor, cursor + W)`.
-    buckets: Vec<Vec<u32>>,
-    mask: u64,
-    /// Lower bound on every live event's cycle (monotone).
-    cursor: u64,
-    /// One bit per non-empty bucket, indexed by bucket number.
-    occupancy: Vec<u64>,
-    /// Events scheduled at `cursor + W` or beyond, migrated into the
-    /// wheel as the cursor advances.
-    overflow: BinaryHeap<Reverse<(u64, u32)>>,
-    len: usize,
-}
-
-impl CalendarWheel {
-    /// Creates an empty wheel with its cursor at cycle `start`.
-    pub fn new(start: u64) -> Self {
-        Self {
-            buckets: vec![Vec::new(); WHEEL_BUCKETS],
-            mask: (WHEEL_BUCKETS - 1) as u64,
-            cursor: start,
-            occupancy: vec![0; WHEEL_BUCKETS / 64],
-            overflow: BinaryHeap::new(),
-            len: 0,
-        }
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Empties the wheel and moves the cursor to `start` (bucket
-    /// allocations are kept for reuse across kernels).
-    pub fn reset(&mut self, start: u64) {
-        if self.len > 0 {
-            for b in &mut self.buckets {
-                b.clear();
-            }
-            self.occupancy.fill(0);
-            self.overflow.clear();
-            self.len = 0;
-        }
-        self.cursor = start;
-    }
-
-    /// Schedules a wake-up for `id` at absolute cycle `at`. Scheduling
-    /// in the past (below the last popped cycle) is clamped to the
-    /// present, which keeps the pop order consistent.
-    pub fn schedule(&mut self, at: u64, id: u32) {
-        let at = at.max(self.cursor);
-        self.len += 1;
-        if at - self.cursor < WHEEL_BUCKETS as u64 {
-            let b = (at & self.mask) as usize;
-            self.buckets[b].push(id);
-            self.occupancy[b / 64] |= 1 << (b % 64);
-        } else {
-            self.overflow.push(Reverse((at, id)));
-        }
-    }
-
-    /// Pops the earliest event; ties at the same cycle resolve to the
-    /// lowest id. Advances the cursor to the popped cycle.
-    pub fn pop(&mut self) -> Option<(u64, u32)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Keep the migration invariant: everything below
-            // `cursor + W` lives in the wheel, so a non-empty wheel
-            // always holds the global minimum.
-            while let Some(&Reverse((t, _))) = self.overflow.peek() {
-                if t - self.cursor < WHEEL_BUCKETS as u64 {
-                    let Reverse((t, id)) = self.overflow.pop().expect("peeked");
-                    let b = (t & self.mask) as usize;
-                    self.buckets[b].push(id);
-                    self.occupancy[b / 64] |= 1 << (b % 64);
-                } else {
-                    break;
-                }
-            }
-            if let Some((b, t)) = first_occupied(&self.occupancy, self.mask, self.cursor) {
-                // Lowest-id tie-break within the bucket (buckets are
-                // small: one entry per parked SM at most).
-                let (pos, &id) = self.buckets[b]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &id)| id)
-                    .expect("occupied bucket is non-empty");
-                self.buckets[b].swap_remove(pos);
-                if self.buckets[b].is_empty() {
-                    self.occupancy[b / 64] &= !(1 << (b % 64));
-                }
-                self.len -= 1;
-                self.cursor = t;
-                return Some((t, id));
-            }
-            // Wheel empty, overflow not: jump the cursor to the
-            // overflow minimum and let migration place it.
-            let &Reverse((t, _)) = self.overflow.peek().expect("len > 0");
-            self.cursor = t;
-        }
-    }
-}
 
 /// A capacity-bounded multiset of absolute completion times: the MSHR
 /// completion ring (also used for store-buffer slots and
@@ -169,7 +42,7 @@ impl CalendarWheel {
 /// removes and returns the earliest outstanding completion (the cycle
 /// at which the next slot frees up).
 #[derive(Debug)]
-pub struct CompletionRing {
+pub(crate) struct CompletionRing {
     /// Completion counts per bucket for cycles in `[cursor, cursor + W)`.
     counts: Vec<u32>,
     mask: u64,
@@ -192,7 +65,7 @@ pub struct CompletionRing {
 impl CompletionRing {
     /// Creates an empty ring admitting at most `capacity` outstanding
     /// completions.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             counts: vec![0; RING_BUCKETS],
             mask: (RING_BUCKETS - 1) as u64,
@@ -204,11 +77,6 @@ impl CompletionRing {
             capacity,
             high_water: 0,
         }
-    }
-
-    /// Live (un-retired) completions.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
     }
 
     /// Returns the time at which a free slot is available (`now` if one
@@ -223,7 +91,7 @@ impl CompletionRing {
     /// only an apparently-full ring pays for `CompletionRing::retire`
     /// and re-checks. The admitted time is identical to eager
     /// retirement in every case.
-    pub fn admit_at(&mut self, now: u64) -> u64 {
+    pub(crate) fn admit_at(&mut self, now: u64) -> u64 {
         if self.outstanding < self.capacity {
             return now;
         }
@@ -237,7 +105,7 @@ impl CompletionRing {
     }
 
     /// Records a transaction completing at `completion`.
-    pub fn push(&mut self, completion: u64) {
+    pub(crate) fn push(&mut self, completion: u64) {
         self.high_water = self.high_water.max(completion);
         self.outstanding += 1;
         if completion < self.cursor {
@@ -252,7 +120,7 @@ impl CompletionRing {
     }
 
     /// Time by which every outstanding entry has completed.
-    pub fn drain_time(&self) -> u64 {
+    pub(crate) fn drain_time(&self) -> u64 {
         self.high_water
     }
 
@@ -303,13 +171,13 @@ impl CompletionRing {
         if self.outstanding == 0 {
             return None;
         }
-        let wheel_min = first_occupied(&self.occupancy, self.mask, self.cursor).map(|(_, t)| t);
+        let ring_min = first_occupied(&self.occupancy, self.mask, self.cursor).map(|(_, t)| t);
         let early_min = self.early.peek().map(|&Reverse(t)| t);
         let over_min = self.overflow.peek().map(|&Reverse(t)| t);
         // `early` sits below the cursor and the migration in `retire`
-        // keeps the wheel minimum below the overflow front, but a push
+        // keeps the bucket minimum below the overflow front, but a push
         // after the last retire can land anywhere — compare all three.
-        let min = [early_min, wheel_min, over_min]
+        let min = [early_min, ring_min, over_min]
             .into_iter()
             .flatten()
             .min()
@@ -317,7 +185,7 @@ impl CompletionRing {
         self.outstanding -= 1;
         if early_min == Some(min) {
             self.early.pop();
-        } else if wheel_min == Some(min) {
+        } else if ring_min == Some(min) {
             let b = (min & self.mask) as usize;
             self.counts[b] -= 1;
             if self.counts[b] == 0 {
@@ -332,8 +200,7 @@ impl CompletionRing {
 
 /// First occupied bucket of a window-ordered `occupancy` bitmap (one
 /// bit per bucket of a `mask + 1`-bucket queue whose window starts at
-/// `cursor`) and its absolute cycle: the nearest future event. Shared
-/// by [`CalendarWheel`] and [`CompletionRing`].
+/// `cursor`) and its absolute cycle: the nearest future completion.
 #[inline]
 fn first_occupied(occupancy: &[u64], mask: u64, cursor: u64) -> Option<(usize, u64)> {
     let at = |b: usize| Some((b, cursor + ((b as u64).wrapping_sub(cursor) & mask)));
@@ -362,19 +229,6 @@ fn first_occupied(occupancy: &[u64], mask: u64, cursor: u64) -> Option<(usize, u
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Reference model for the wheel: a plain binary heap.
-    #[derive(Default)]
-    struct HeapWheel(BinaryHeap<Reverse<(u64, u32)>>);
-
-    impl HeapWheel {
-        fn schedule(&mut self, at: u64, id: u32) {
-            self.0.push(Reverse((at, id)));
-        }
-        fn pop(&mut self) -> Option<(u64, u32)> {
-            self.0.pop().map(|Reverse(e)| e)
-        }
-    }
 
     /// Reference model for the ring: the heap-based capacity queue the
     /// ring replaced (verbatim semantics).
@@ -427,90 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn same_cycle_events_pop_in_id_order() {
-        let mut w = CalendarWheel::new(100);
-        // Insertion order scrambled; same cycle must pop lowest id
-        // first — the engine's SM interleaving depends on it.
-        w.schedule(107, 9);
-        w.schedule(107, 2);
-        w.schedule(107, 14);
-        w.schedule(107, 0);
-        assert_eq!(w.pop(), Some((107, 0)));
-        assert_eq!(w.pop(), Some((107, 2)));
-        assert_eq!(w.pop(), Some((107, 9)));
-        assert_eq!(w.pop(), Some((107, 14)));
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn wheel_wraps_around_bucket_boundary() {
-        // Cycles straddling a multiple of the bucket count land in
-        // wrapped bucket indices; order must still come out by cycle.
-        let near_wrap = 3 * WHEEL_BUCKETS as u64 - 2;
-        let mut w = CalendarWheel::new(near_wrap);
-        for (i, dt) in [0u64, 1, 2, 3, 5, 100].iter().enumerate() {
-            w.schedule(near_wrap + dt, i as u32);
-        }
-        let mut out = Vec::new();
-        while let Some(e) = w.pop() {
-            out.push(e);
-        }
-        let cycles: Vec<u64> = out.iter().map(|&(t, _)| t).collect();
-        let mut sorted = cycles.clone();
-        sorted.sort_unstable();
-        assert_eq!(cycles, sorted, "pops come out in cycle order");
-        assert_eq!(out.len(), 6);
-        assert_eq!(out[0], (near_wrap, 0));
-        assert_eq!(out[5], (near_wrap + 100, 5));
-    }
-
-    #[test]
-    fn far_future_events_overflow_and_migrate() {
-        let mut w = CalendarWheel::new(0);
-        w.schedule(10 * WHEEL_BUCKETS as u64, 1); // overflow
-        w.schedule(3, 2); // wheel
-        assert_eq!(w.pop(), Some((3, 2)));
-        assert_eq!(w.pop(), Some((10 * WHEEL_BUCKETS as u64, 1)));
-        // After the cursor advanced, near events re-use migrated space.
-        w.schedule(10 * WHEEL_BUCKETS as u64 + 7, 3);
-        assert_eq!(w.pop(), Some((10 * WHEEL_BUCKETS as u64 + 7, 3)));
-    }
-
-    #[test]
-    fn wheel_matches_heap_on_random_workload() {
-        let mut w = CalendarWheel::new(0);
-        let mut h = HeapWheel::default();
-        let mut rng = Rng(7);
-        let mut clock = 0u64;
-        for i in 0..10_000u32 {
-            // Mixed schedule/pop traffic with occasional far-future
-            // events (overflow) and same-cycle collisions.
-            if !rng.next().is_multiple_of(3) {
-                let dt = match rng.next() % 10 {
-                    0 => rng.next() % 5_000, // far future
-                    _ => rng.next() % 300,   // typical memory latency
-                };
-                w.schedule(clock + dt, i % 16);
-                h.schedule(clock + dt, i % 16);
-            } else {
-                let a = w.pop();
-                let b = h.pop();
-                assert_eq!(a, b);
-                if let Some((t, _)) = a {
-                    clock = t;
-                }
-            }
-        }
-        loop {
-            let (a, b) = (w.pop(), h.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn ring_admits_immediately_until_full() {
         let mut r = CompletionRing::new(2);
         assert_eq!(r.admit_at(10), 10);
@@ -529,7 +299,7 @@ mod tests {
         r.push(30);
         // At cycle 31 the single slot has retired: admission is free.
         assert_eq!(r.admit_at(31), 31);
-        assert_eq!(r.outstanding(), 0);
+        assert_eq!(r.outstanding, 0);
     }
 
     #[test]
@@ -569,7 +339,7 @@ mod tests {
                 while q.heap.peek().is_some_and(|&Reverse(t)| t <= now) {
                     q.heap.pop();
                 }
-                assert_eq!(r.outstanding(), q.heap.len());
+                assert_eq!(r.outstanding, q.heap.len());
             }
         }
     }

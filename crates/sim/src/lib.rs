@@ -68,7 +68,7 @@ pub mod cache;
 pub mod check;
 pub mod config;
 pub mod engine;
-pub mod events;
+mod events;
 pub mod layout;
 pub mod mem;
 pub mod noc;

@@ -6,6 +6,12 @@
 //! immediately. The engine keeps SM clocks closely interleaved, so shared
 //! structures (L2 tags, ownership, bank queues) are updated in
 //! near-global time order.
+//!
+//! Per-line and per-word side state (the DeNovo ownership registry, the
+//! atomic and ownership-transfer chains) lives in flat vectors indexed
+//! by ids that an `IdTable` hands out in first-touch order. MSHRs,
+//! store buffers and outstanding-atomic trackers are `CompletionRing`s,
+//! admitted on every L1 load miss, store and atomic.
 
 use crate::cache::{Cache, Eviction, LineState};
 #[cfg(feature = "check")]
@@ -17,6 +23,7 @@ use crate::params::SystemParams;
 use crate::stats::{MemCounters, RegionStats};
 use crate::trace::WORD_SHIFT;
 use ggs_trace::{TraceEvent, Tracer};
+use std::collections::HashMap;
 
 /// Keys below this bound use the direct-indexed fast path of
 /// [`IdTable`]: one flat `key -> id + 1` array covering every key from
@@ -39,9 +46,9 @@ const FIRST_PAGE: usize = (DENSE_KEY_LIMIT >> PAGE_BITS) as usize;
 /// [`PAGE_BITS`]. Large-graph address spaces (rmat16/rmat18 and beyond)
 /// blow past the direct table but stay contiguous, so they touch a
 /// short dense run of pages — still one array load per access after the
-/// page-vector index, no hashing. Keys past this bound (pathological,
-/// ~1 TiB of simulated address space) fall to the open-addressed
-/// sparse tier.
+/// page-vector index, no hashing. Keys past this bound fall to a
+/// `HashMap`; packed traces store line and word numbers as `u32`, so
+/// only direct [`MemorySystem`] callers can reach it.
 const PAGED_KEY_LIMIT: u64 = 1 << 40;
 
 /// Dense interner from 64-bit keys (line numbers, word addresses) to
@@ -50,7 +57,7 @@ const PAGED_KEY_LIMIT: u64 = 1 << 40;
 /// per-access `HashMap` probes with array loads on every re-visit.
 ///
 /// Three tiers by key magnitude — direct (`< 2^24`), paged
-/// (`< 2^40`), open-addressed sparse (the rest) — chosen so the id of
+/// (`< 2^40`), hashed (the rest) — chosen so the id of
 /// a key depends only on *first-touch order*, never on which tier
 /// resolved it: golden statistics are invariant to the tier layout.
 #[derive(Debug, Default)]
@@ -64,9 +71,8 @@ struct IdTable {
     /// vector grows to the highest *touched* page, so a contiguous
     /// big-graph address space costs one pointer per 64Ki keys.
     pages: Vec<Option<Box<[u32]>>>,
-    /// Open-addressed fallback for keys at or above
-    /// [`PAGED_KEY_LIMIT`].
-    sparse: SparseIds,
+    /// Keys at or above [`PAGED_KEY_LIMIT`].
+    sparse: HashMap<u64, u32>,
     keys: Vec<u64>,
 }
 
@@ -99,12 +105,11 @@ impl IdTable {
             }
             return *slot - 1;
         }
-        if let Some(id) = self.sparse.get(key) {
-            return id;
+        let next = self.keys.len() as u32;
+        let id = *self.sparse.entry(key).or_insert(next);
+        if id == next {
+            self.keys.push(key);
         }
-        let id = self.keys.len() as u32;
-        self.keys.push(key);
-        self.sparse.insert(key, id);
         id
     }
 
@@ -129,84 +134,12 @@ impl IdTable {
                 None => None,
             };
         }
-        self.sparse.get(key)
+        self.sparse.get(&key).copied()
     }
 
     #[inline]
     fn key(&self, id: u32) -> u64 {
         self.keys[id as usize]
-    }
-}
-
-/// Minimal open-addressed `u64 -> u32` map (linear probing over a
-/// power-of-two table, splitmix64 hash) for the sparse tier of
-/// [`IdTable`]. Compared to the previous `HashMap` fallback this keeps
-/// key and id in one slot (one cache line per probe) and skips the
-/// `Hasher` plumbing entirely.
-#[derive(Debug, Default)]
-struct SparseIds {
-    /// `(key, id)` slots; `id ==` [`SPARSE_EMPTY`] marks an empty slot
-    /// (ids never reach `u32::MAX` — the side tables would exhaust
-    /// memory long before 4 billion distinct keys).
-    slots: Vec<(u64, u32)>,
-    len: usize,
-}
-
-/// Empty-slot marker of [`SparseIds`].
-const SPARSE_EMPTY: u32 = u32::MAX;
-
-impl SparseIds {
-    #[inline]
-    fn hash(key: u64) -> u64 {
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn get(&self, key: u64) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = Self::hash(key) as usize & mask;
-        loop {
-            let (k, id) = self.slots[i];
-            if id == SPARSE_EMPTY {
-                return None;
-            }
-            if k == key {
-                return Some(id);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts a key known to be absent (callers probe with
-    /// [`SparseIds::get`] first).
-    fn insert(&mut self, key: u64, id: u32) {
-        debug_assert_ne!(id, SPARSE_EMPTY);
-        // Grow at 3/4 load so probe chains stay short.
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
-            let cap = (self.slots.len() * 2).max(16);
-            let old = std::mem::replace(&mut self.slots, vec![(0, SPARSE_EMPTY); cap]);
-            for (k, v) in old {
-                if v != SPARSE_EMPTY {
-                    self.place(k, v);
-                }
-            }
-        }
-        self.place(key, id);
-        self.len += 1;
-    }
-
-    fn place(&mut self, key: u64, id: u32) {
-        let mask = self.slots.len() - 1;
-        let mut i = Self::hash(key) as usize & mask;
-        while self.slots[i].1 != SPARSE_EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = (key, id);
     }
 }
 
@@ -290,10 +223,6 @@ pub struct MemorySystem<'t> {
     /// attribution: `(base, end, name)`.
     regions: Vec<(u64, u64, String)>,
     region_stats: Vec<RegionStats>,
-    /// Index of the last region matched by [`MemorySystem::attribute`]
-    /// (one-entry cursor cache; accesses stream with high region
-    /// locality).
-    region_hint: usize,
 
     /// Injected trace sink handle; [`ggs_trace::Tracer::off`] by default.
     tracer: Tracer<'t>,
@@ -367,7 +296,6 @@ impl<'t> MemorySystem<'t> {
             counters: MemCounters::default(),
             regions: Vec::new(),
             region_stats: Vec::new(),
-            region_hint: 0,
             tracer,
             last_ownership_emit: 0,
             #[cfg(feature = "check")]
@@ -414,30 +342,8 @@ impl<'t> MemorySystem<'t> {
         (addr >= *base && addr < *end).then_some(i - 1)
     }
 
-    /// `region_of` with a one-entry cursor cache: accesses stream
-    /// through one data structure at a time, so the last-matched region
-    /// almost always matches again. Regions never overlap (the address
-    /// space separates them with guard lines), so a bounds check against
-    /// the cached region is as authoritative as the binary search.
-    #[inline]
-    fn region_of_cached(&mut self, addr: u64) -> Option<usize> {
-        if let Some((base, end, _)) = self.regions.get(self.region_hint) {
-            if addr >= *base && addr < *end {
-                return Some(self.region_hint);
-            }
-        }
-        let i = self.region_of(addr)?;
-        self.region_hint = i;
-        Some(i)
-    }
-
     fn attribute(&mut self, addr: u64, kind: AccessKind, hit: bool, latency: u64) {
-        if self.regions.is_empty() {
-            // Unprofiled runs (the common case) skip attribution
-            // entirely rather than missing the region-hint probe.
-            return;
-        }
-        if let Some(i) = self.region_of_cached(addr) {
+        if let Some(i) = self.region_of(addr) {
             let s = &mut self.region_stats[i];
             match kind {
                 AccessKind::Load => {
@@ -1098,6 +1004,18 @@ mod tests {
         assert_eq!(t.get(9), None);
         assert_eq!(t.get(DENSE_KEY_LIMIT + 4), None);
         assert_eq!(t.get(PAGED_KEY_LIMIT + 12), None);
+        // Many scattered huge keys keep first-touch ids in the hashed
+        // tier too.
+        let first = keys.len() as u64;
+        let huge = |i: u64| PAGED_KEY_LIMIT + 13 + i * 0x9E37_79B9;
+        for i in 0..10_000u64 {
+            assert_eq!(t.intern(huge(i)), (first + i) as u32);
+        }
+        for i in (0..10_000u64).step_by(271) {
+            assert_eq!(t.get(huge(i)), Some((first + i) as u32));
+            assert_eq!(t.key((first + i) as u32), huge(i));
+        }
+        assert_eq!(t.get(PAGED_KEY_LIMIT + 1), None);
     }
 
     #[test]
@@ -1113,21 +1031,6 @@ mod tests {
             assert_eq!(t.get(base + i), Some(i as u32));
             assert_eq!(t.key(i as u32), base + i);
         }
-    }
-
-    #[test]
-    fn sparse_tier_grows_past_its_initial_capacity() {
-        let mut t = IdTable::default();
-        // Scattered huge keys force many sparse-table growths.
-        for i in 0..10_000u64 {
-            let key = PAGED_KEY_LIMIT + i * 0x9E37_79B9;
-            assert_eq!(t.intern(key), i as u32);
-        }
-        for i in (0..10_000u64).step_by(271) {
-            let key = PAGED_KEY_LIMIT + i * 0x9E37_79B9;
-            assert_eq!(t.get(key), Some(i as u32));
-        }
-        assert_eq!(t.get(PAGED_KEY_LIMIT + 1), None);
     }
 
     #[test]
