@@ -290,11 +290,6 @@ impl BenchReport {
         if schema != "ggs-bench-v2" {
             return Err(format!("unsupported bench schema {schema:?}"));
         }
-        let field_f64 = |k: &str| -> Result<f64, String> {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field {k:?}"))
-        };
         let cells = v
             .get("cells")
             .and_then(Value::as_array)
@@ -307,40 +302,28 @@ impl BenchReport {
                         .map(str::to_owned)
                         .ok_or_else(|| format!("cell missing {k:?}"))
                 };
-                let n = |k: &str| {
-                    c.get(k)
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| format!("cell missing {k:?}"))
-                };
                 Ok(CellTiming {
                     app: s("app")?,
                     config: s("config")?,
-                    wall: millis(n("wall_ms")?)?,
-                    cycles: n("cycles")? as u64,
-                    kernels: n("kernels")? as u64,
+                    wall: millis(c, "cell", "wall_ms")?,
+                    cycles: count(c, "cell", "cycles")?,
+                    kernels: count(c, "cell", "kernels")?,
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
         let grid = match v.get("grid") {
-            Some(g @ Value::Object(_)) => {
-                let n = |k: &str| {
-                    g.get(k)
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| format!("grid missing {k:?}"))
-                };
-                Some(GridTiming {
-                    app: g
-                        .get("app")
-                        .and_then(Value::as_str)
-                        .map(str::to_owned)
-                        .ok_or("grid missing \"app\"")?,
-                    configs: n("configs")? as u32,
-                    wall: millis(n("wall_ms")?)?,
-                    uncached_wall: millis(n("uncached_wall_ms")?)?,
-                    cache_hits: n("cache_hits")? as u64,
-                    cache_misses: n("cache_misses")? as u64,
-                })
-            }
+            Some(g @ Value::Object(_)) => Some(GridTiming {
+                app: g
+                    .get("app")
+                    .and_then(Value::as_str)
+                    .map(str::to_owned)
+                    .ok_or("grid missing \"app\"")?,
+                configs: count32(g, "grid", "configs")?,
+                wall: millis(g, "grid", "wall_ms")?,
+                uncached_wall: millis(g, "grid", "uncached_wall_ms")?,
+                cache_hits: count(g, "grid", "cache_hits")?,
+                cache_misses: count(g, "grid", "cache_misses")?,
+            }),
             _ => None,
         };
         let tiers = v
@@ -349,22 +332,17 @@ impl BenchReport {
             .map(|arr| {
                 arr.iter()
                     .map(|t| -> Result<TierTiming, String> {
-                        let n = |k: &str| {
-                            t.get(k)
-                                .and_then(Value::as_f64)
-                                .ok_or_else(|| format!("tier missing {k:?}"))
-                        };
                         Ok(TierTiming {
                             tier: t
                                 .get("tier")
                                 .and_then(Value::as_str)
                                 .map(str::to_owned)
                                 .ok_or("tier missing \"tier\"")?,
-                            vertices: n("vertices")? as u64,
-                            edges: n("edges")? as u64,
-                            wall: millis(n("wall_ms")?)?,
-                            cycles: n("cycles")? as u64,
-                            kernels: n("kernels")? as u64,
+                            vertices: count(t, "tier", "vertices")?,
+                            edges: count(t, "tier", "edges")?,
+                            wall: millis(t, "tier", "wall_ms")?,
+                            cycles: count(t, "tier", "cycles")?,
+                            kernels: count(t, "tier", "kernels")?,
                         })
                     })
                     .collect::<Result<Vec<_>, _>>()
@@ -372,8 +350,11 @@ impl BenchReport {
             .transpose()?
             .unwrap_or_default();
         Ok(Self {
-            scale: field_f64("scale")?,
-            iters: field_f64("iters")? as u32,
+            scale: v
+                .get("scale")
+                .and_then(Value::as_f64)
+                .ok_or("missing numeric field \"scale\"")?,
+            iters: count32(&v, "report", "iters")?,
             cells,
             grid,
             tiers,
@@ -382,10 +363,28 @@ impl BenchReport {
     }
 }
 
-/// A report's millisecond field as a [`Duration`]: a negative, overflowing
-/// or non-finite value is an error, not a panic.
-fn millis(ms: f64) -> Result<Duration, String> {
+/// A report's millisecond field `k` of its `scope` object (a cell, the
+/// grid, a tier) as a [`Duration`]: a negative, overflowing or non-finite
+/// value is an error, not a panic.
+fn millis(obj: &Value, scope: &str, k: &str) -> Result<Duration, String> {
+    let ms = obj
+        .get(k)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("{scope} missing {k:?}"))?;
     Duration::try_from_secs_f64(ms / 1e3).map_err(|e| format!("bad duration {ms} ms: {e}"))
+}
+
+/// A report's count field: anything but a non-negative integer that
+/// fits a `u64` is an error, never truncated or clamped.
+fn count(obj: &Value, scope: &str, k: &str) -> Result<u64, String> {
+    obj.get(k)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("{scope} field {k:?} is missing or not a non-negative integer"))
+}
+
+/// [`count`] for a field that must also fit a `u32`.
+fn count32(obj: &Value, scope: &str, k: &str) -> Result<u32, String> {
+    u32::try_from(count(obj, scope, k)?).map_err(|_| format!("{scope} field {k:?} exceeds u32"))
 }
 
 /// Runs the benchmark slice: each cell is timed `iters` times and the
@@ -769,6 +768,40 @@ mod tests {
                 assert!(err.contains("bad duration"), "{field}#{nth}={bad}: {err}");
             }
         }
+    }
+
+    #[test]
+    fn rejects_counts_that_are_not_non_negative_integers() {
+        let text = full_report().to_json_pretty();
+        // One site per count field: cells, grid and tiers share
+        // `cycles`/`kernels`, so #0 is a cell's and #2 a tier's.
+        let sites = [
+            ("cycles", 0),
+            ("kernels", 0),
+            ("cycles", 2),
+            ("kernels", 2),
+            ("vertices", 0),
+            ("edges", 0),
+            ("configs", 0),
+            ("cache_hits", 0),
+            ("cache_misses", 0),
+            ("iters", 0),
+        ];
+        for bad in ["-1", "2.7", "1e300"] {
+            for (field, nth) in sites {
+                let needle = format!("\"{field}\": ");
+                let at = text.match_indices(&needle).nth(nth).unwrap().0 + needle.len();
+                let end = at + text[at..].find([',', '}', '\n']).unwrap();
+                let mutated = format!("{}{bad}{}", &text[..at], &text[end..]);
+                let err = BenchReport::from_json(&mutated).unwrap_err();
+                assert!(err.contains(field), "{field}#{nth}={bad}: {err}");
+            }
+        }
+        // `u32` fields reject a valid `u64` past their range.
+        let mutated = text.replacen("\"iters\": 1,", "\"iters\": 4294967296,", 1);
+        assert_ne!(mutated, text);
+        let err = BenchReport::from_json(&mutated).unwrap_err();
+        assert!(err.contains("exceeds u32"), "{err}");
     }
 
     proptest::proptest! {

@@ -1331,7 +1331,7 @@ fn table5(scale: f64) {
 /// Figure 5: normalized execution-time breakdown per workload.
 fn fig5(study: &Study) {
     println!("== Figure 5: normalized execution time (to TG0; DG1 for CC) ==");
-    println!("   columns: config = normalized-total [busy/comp/data/sync/idle %]");
+    println!("   columns: config = normalized execution time; BEST = fastest config, PRED = model's pick");
     for report in &study.reports {
         let mut line = format!("{:4} {:4} |", report.app, report.graph);
         for row in &report.rows {
@@ -1443,10 +1443,15 @@ fn fig6(study: &Study) {
 fn traffic(scale: f64) {
     use ggs_apps::AppKind;
     use ggs_core::experiment::run_workload;
+    use ggs_sim::noc::{Mesh, FLIT_BYTES};
     use ggs_trace::Tracer;
 
     println!("== NoC traffic per configuration (PR on OLS and EML) ==");
     let spec = ExperimentSpec::at_scale(scale);
+    // The flits the mesh moves (and the `noc_totals` trace event
+    // reports): a head flit plus payload flits per line, one flit per
+    // control message.
+    let mesh = Mesh::new(&spec.params);
     let mut t = TextTable::new([
         "Workload",
         "Config",
@@ -1460,8 +1465,9 @@ fn traffic(scale: f64) {
             let cfg = code.parse().expect("valid config");
             let stats = run_workload(AppKind::Pr, &graph, cfg, &spec, Tracer::off(), None)
                 .unwrap_or_else(|e| die(&e.to_string()));
-            let kb =
-                (stats.mem.noc_line_transfers * 64 + stats.mem.noc_control_messages * 8) / 1024;
+            let flits =
+                mesh.flit_total(stats.mem.noc_line_transfers, stats.mem.noc_control_messages);
+            let kb = flits * u64::from(FLIT_BYTES) / 1024;
             t.row([
                 format!("PR-{preset}"),
                 code.to_owned(),

@@ -244,19 +244,26 @@ fn check_certifies_every_workload_clean() {
 fn bench_rejects_a_malformed_baseline_before_benchmarking() {
     let path =
         std::env::temp_dir().join(format!("ggs-cli-bad-baseline-{}.json", std::process::id()));
-    let report = "{\"schema\": \"ggs-bench-v2\", \"scale\": 0.02, \"iters\": 1, \"cells\": [\
-        {\"app\": \"PR\", \"config\": \"TG0\", \"wall_ms\": -5.0, \"cycles\": 1, \"kernels\": 1}]}";
-    std::fs::write(&path, report).expect("baseline written");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["bench", "--baseline"])
-        .arg(&path)
-        .output()
-        .expect("repro binary runs");
+    // A negative duration, a negative count and a fractional count.
+    for (wall_ms, cycles, kernels) in [("-5.0", "1", "1"), ("1.0", "-1", "1"), ("1.0", "1", "2.7")]
+    {
+        let report = format!(
+            "{{\"schema\": \"ggs-bench-v2\", \"scale\": 0.02, \"iters\": 1, \"cells\": [\
+             {{\"app\": \"PR\", \"config\": \"TG0\", \"wall_ms\": {wall_ms}, \
+             \"cycles\": {cycles}, \"kernels\": {kernels}}}]}}"
+        );
+        std::fs::write(&path, report).expect("baseline written");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["bench", "--baseline"])
+            .arg(&path)
+            .output()
+            .expect("repro binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains("cannot parse baseline"), "{stderr}");
+        // Nothing ran: the slice's progress line never printed.
+        assert!(!stderr.contains("benchmarking"), "{stderr}");
+    }
     let _ = std::fs::remove_file(&path);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(stderr.contains("cannot parse baseline"), "{stderr}");
-    // Nothing ran: the slice's progress line never printed.
-    assert!(!stderr.contains("benchmarking"), "{stderr}");
 }

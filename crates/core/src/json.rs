@@ -45,10 +45,15 @@ impl Value {
         }
     }
 
-    /// The value as a non-negative integer, if it is a number.
+    /// The value as an integer, if it is a number in `0..2^64` with no
+    /// fractional part.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Value::Number(n)
+                if *n >= 0.0 && *n < 18_446_744_073_709_551_616.0 && n.fract() == 0.0 =>
+            {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }

@@ -12,7 +12,7 @@
 //! records the epoch it happened in, and [`Cache::invalidate_unowned`]
 //! simply bumps the epoch. A `Valid` way whose recorded epoch predates
 //! the current one is *stale* and treated exactly like an empty way
-//! everywhere (lookup miss, preferred eviction victim, not resident).
+//! everywhere (probe miss, preferred eviction victim, not resident).
 //! `Owned` ways ignore the epoch, which is precisely the DeNovo
 //! exemption from self-invalidation.
 
@@ -28,7 +28,7 @@ pub enum LineState {
     Owned,
 }
 
-/// Result of inserting a line into a full set.
+/// A live line displaced by a [`Cache::fill`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
     /// Line number (address >> line shift) of the victim.
@@ -75,13 +75,21 @@ const fn tag_of(word: u64) -> u64 {
     word >> TAG_SHIFT
 }
 
-/// A victim way reserved by a [`Cache::lookup_or_victim`] miss, to be
-/// redeemed with [`Cache::fill_victim`]. A zero stamp marks a dead way
-/// (no eviction on fill).
+/// What a [`Cache::probe`] found, to be redeemed by [`Cache::fill`]:
+/// the way holding the line and its state on a hit, or on a miss the
+/// victim way a fill would use.
 #[derive(Debug, Clone, Copy)]
-pub struct VictimWay {
+pub struct Probe {
     way: usize,
-    stamp: u64,
+    state: Option<LineState>,
+}
+
+impl Probe {
+    /// The line's state on a hit; `None` on a miss.
+    #[inline]
+    pub fn state(self) -> Option<LineState> {
+        self.state
+    }
 }
 
 /// A set-associative tag array with LRU replacement.
@@ -96,9 +104,13 @@ pub struct VictimWay {
 /// use ggs_sim::cache::{Cache, LineState};
 ///
 /// let mut c = Cache::new(2, 2); // 2 sets, 2 ways
-/// assert!(c.lookup(0).is_none());
-/// c.insert(0, LineState::Valid);
-/// assert_eq!(c.lookup(0), Some(LineState::Valid));
+/// let miss = c.probe(0);
+/// assert_eq!(miss.state(), None);
+/// assert_eq!(c.fill(miss, 0, LineState::Valid), None); // dead way: no eviction
+/// let hit = c.probe(0);
+/// assert_eq!(hit.state(), Some(LineState::Valid));
+/// c.fill(hit, 0, LineState::Owned); // a state change fills in place
+/// assert_eq!(c.peek(0), Some(LineState::Owned));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -201,8 +213,8 @@ impl Cache {
     /// against one loaded word (this is the innermost loop of the whole
     /// simulator). The scan visits every way and keeps the last match
     /// instead of exiting at an unpredictable way: at most one way
-    /// holds a live copy of a line, because fills happen only after a
-    /// miss.
+    /// holds a live copy of a line, because a fill goes to the way its
+    /// probe found: the line's own way on a hit, a victim on a miss.
     #[inline]
     fn find_way(&self, range: &std::ops::Range<usize>, line: u64) -> Option<usize> {
         Self::check_line(line);
@@ -218,15 +230,6 @@ impl Cache {
             };
         }
         hit
-    }
-
-    /// Looks up a line, refreshing its LRU position on hit.
-    #[inline]
-    pub fn lookup(&mut self, line: u64) -> Option<LineState> {
-        self.clock += 1;
-        let i = self.find_way(&self.set_range(line), line)?;
-        self.stamps[i] = self.clock;
-        Some(self.state_of(i))
     }
 
     /// Looks up a line without disturbing LRU state.
@@ -252,29 +255,15 @@ impl Cache {
         }
     }
 
-    /// The hit way for `line` if resident, otherwise the LRU victim
-    /// (first dead way in scan order wins; a resident way always has a
-    /// non-zero stamp, so `victim_stamp == 0` marks a dead victim).
+    /// The LRU victim way within `range`: the first dead way in scan
+    /// order, else the way with the oldest stamp.
     ///
-    /// The probe is two passes: a pure hit scan touching only the packed
-    /// words (the common case — the L2 hits ~95% of the time — pays for
-    /// no LRU stamps at all), then a victim scan over words + stamps
-    /// only when the hit scan came up empty.
-    ///
-    /// The victim scan ranks a dead way 0 and a resident way by its
-    /// stamp, and keeps the first way of least rank: the first dead way
-    /// if there is one, else the LRU way. Ranking by a mask instead of
-    /// branching on each way's state keeps the loop free of
-    /// data-dependent branches.
+    /// The scan ranks a dead way 0 and a resident way by its stamp (a
+    /// resident way's stamp is never 0), and keeps the first way of
+    /// least rank. Ranking by a mask instead of branching on each way's
+    /// state keeps the loop free of data-dependent branches.
     #[inline]
-    fn find_way_or_victim(
-        &self,
-        range: &std::ops::Range<usize>,
-        line: u64,
-    ) -> (Option<usize>, usize, u64) {
-        if let Some(i) = self.find_way(range, line) {
-            return (Some(i), 0, u64::MAX);
-        }
+    fn find_victim(&self, range: &std::ops::Range<usize>) -> usize {
         let live_valid = (self.epoch << STATE_BITS) | VALID;
         let words = &self.words[range.clone()];
         let stamps = &self.stamps[range.clone()];
@@ -289,89 +278,54 @@ impl Cache {
                 victim_stamp = rank;
             }
         }
-        (None, range.start + victim, victim_stamp)
+        range.start + victim
     }
 
-    /// Inserts (or updates) a line, returning the victim if a valid line
-    /// had to be evicted.
+    /// Probes the set of `line`. On a hit, refreshes the line's LRU
+    /// position and reports its state; on a miss, reserves the victim
+    /// way for a [`Cache::fill`].
+    ///
+    /// Two passes: a pure hit scan touching only the packed words (the
+    /// common case, since the L2 hits about 95% of the time, pays for no
+    /// LRU stamps at all), then the victim scan over words and stamps
+    /// only when the hit scan came up empty.
     #[inline]
-    pub fn insert(&mut self, line: u64, state: LineState) -> Option<Eviction> {
+    pub fn probe(&mut self, line: u64) -> Probe {
         self.clock += 1;
-        let (hit, victim, victim_stamp) = self.find_way_or_victim(&self.set_range(line), line);
-        if let Some(i) = hit {
-            self.write_way(i, line, state);
-            self.stamps[i] = self.clock;
-            return None;
+        let range = self.set_range(line);
+        match self.find_way(&range, line) {
+            Some(way) => {
+                self.stamps[way] = self.clock;
+                Probe {
+                    way,
+                    state: Some(self.state_of(way)),
+                }
+            }
+            None => Probe {
+                way: self.find_victim(&range),
+                state: None,
+            },
         }
-        let evicted = (victim_stamp != 0).then(|| Eviction {
-            line: tag_of(self.words[victim]),
-            state: self.state_of(victim),
+    }
+
+    /// Writes `line` in `state` into the way `p` found and makes it the
+    /// most recently used: over the victim after a miss, returning the
+    /// live line it evicts, or in place after a hit (a state change
+    /// such as a `Valid` copy becoming `Owned`). `p` must be this
+    /// cache's probe of `line`, with no other mutation of the cache in
+    /// between; the caller may do unrelated work in the gap.
+    #[inline]
+    pub fn fill(&mut self, p: Probe, line: u64, state: LineState) -> Option<Eviction> {
+        Self::check_line(line);
+        self.clock += 1;
+        let old = tag_of(self.words[p.way]);
+        let evicted = (self.resident(p.way) && old != line).then(|| Eviction {
+            line: old,
+            state: self.state_of(p.way),
         });
-        self.write_way(victim, line, state);
-        self.stamps[victim] = self.clock;
+        self.write_way(p.way, line, state);
+        self.stamps[p.way] = self.clock;
         evicted
-    }
-
-    /// Looks up a line, refreshing its LRU position on hit; on miss,
-    /// returns the victim way an immediate [`Cache::fill_victim`] would
-    /// use. Splitting "probe" from "fill" lets the miss path run
-    /// unrelated work (latency math, queue updates) in between without
-    /// paying a second set scan — but the reservation is only valid as
-    /// long as *this cache* is not otherwise mutated first.
-    #[inline]
-    pub fn lookup_or_victim(&mut self, line: u64) -> Result<LineState, VictimWay> {
-        self.clock += 1;
-        let (hit, victim, victim_stamp) = self.find_way_or_victim(&self.set_range(line), line);
-        if let Some(i) = hit {
-            self.stamps[i] = self.clock;
-            return Ok(self.state_of(i));
-        }
-        Err(VictimWay {
-            way: victim,
-            stamp: victim_stamp,
-        })
-    }
-
-    /// Fills `line` over the victim way reserved by a preceding
-    /// [`Cache::lookup_or_victim`] miss, returning the eviction exactly
-    /// as [`Cache::insert`] would.
-    #[inline]
-    pub fn fill_victim(&mut self, v: VictimWay, line: u64, state: LineState) -> Option<Eviction> {
-        self.clock += 1;
-        let evicted = (v.stamp != 0).then(|| Eviction {
-            line: tag_of(self.words[v.way]),
-            state: self.state_of(v.way),
-        });
-        self.write_way(v.way, line, state);
-        self.stamps[v.way] = self.clock;
-        evicted
-    }
-
-    /// Fused lookup-or-fill: returns `true` and refreshes LRU on hit;
-    /// on miss fills the line `Valid` over the standard LRU victim and
-    /// returns `false`. Behaviorally identical to a [`Cache::lookup`]
-    /// miss followed by [`Cache::insert`] (with the eviction dropped),
-    /// but scans the set once instead of twice — the L2 sits behind
-    /// every L1 miss, so this is one of the hottest loops in the
-    /// simulator.
-    #[inline]
-    pub fn probe_fill(&mut self, line: u64) -> bool {
-        self.clock += 1;
-        let (hit, victim, _) = self.find_way_or_victim(&self.set_range(line), line);
-        if let Some(i) = hit {
-            self.stamps[i] = self.clock;
-            return true;
-        }
-        self.write_way(victim, line, LineState::Valid);
-        self.stamps[victim] = self.clock;
-        false
-    }
-
-    /// Changes the state of a resident line; no-op if absent.
-    pub fn set_state(&mut self, line: u64, state: LineState) {
-        if let Some(i) = self.find_way(&self.set_range(line), line) {
-            self.write_way(i, line, state);
-        }
     }
 
     /// Removes a specific line if present; returns its prior state.
@@ -440,47 +394,55 @@ impl Cache {
 mod tests {
     use super::*;
 
+    /// Probe, then fill whether the probe hit or missed.
+    fn put(c: &mut Cache, line: u64, state: LineState) -> Option<Eviction> {
+        let p = c.probe(line);
+        c.fill(p, line, state)
+    }
+
     #[test]
     fn miss_then_hit() {
         let mut c = Cache::new(4, 2);
-        assert_eq!(c.lookup(12), None);
-        c.insert(12, LineState::Valid);
-        assert_eq!(c.lookup(12), Some(LineState::Valid));
+        assert_eq!(c.probe(12).state(), None);
+        put(&mut c, 12, LineState::Valid);
+        assert_eq!(c.probe(12).state(), Some(LineState::Valid));
     }
 
     #[test]
     fn lru_evicts_oldest() {
         let mut c = Cache::new(1, 2);
-        c.insert(0, LineState::Valid);
-        c.insert(1, LineState::Valid);
-        let _ = c.lookup(0); // refresh 0; 1 is now LRU
-        let ev = c.insert(2, LineState::Valid).expect("eviction");
+        put(&mut c, 0, LineState::Valid);
+        put(&mut c, 1, LineState::Valid);
+        c.probe(0); // refresh 0; 1 is now LRU
+        let ev = put(&mut c, 2, LineState::Valid).expect("eviction");
         assert_eq!(ev.line, 1);
-        assert_eq!(c.lookup(0), Some(LineState::Valid));
-        assert_eq!(c.lookup(1), None);
+        assert_eq!(c.probe(0).state(), Some(LineState::Valid));
+        assert_eq!(c.probe(1).state(), None);
     }
 
     #[test]
-    fn insert_prefers_empty_way() {
+    fn fill_prefers_empty_way() {
         let mut c = Cache::new(1, 2);
-        c.insert(0, LineState::Valid);
-        assert!(c.insert(1, LineState::Valid).is_none());
+        put(&mut c, 0, LineState::Valid);
+        assert!(put(&mut c, 1, LineState::Valid).is_none());
     }
 
     #[test]
-    fn reinsert_updates_state_without_eviction() {
+    fn fill_on_a_hit_changes_state_without_eviction() {
         let mut c = Cache::new(1, 1);
-        c.insert(3, LineState::Valid);
-        assert!(c.insert(3, LineState::Owned).is_none());
+        put(&mut c, 3, LineState::Valid);
+        assert!(put(&mut c, 3, LineState::Owned).is_none());
         assert_eq!(c.peek(3), Some(LineState::Owned));
+        assert_eq!(c.occupancy(), 1);
+        assert_eq!(c.invalidate_unowned(), 0, "the Valid copy became Owned");
     }
 
     #[test]
     fn flash_invalidation_spares_owned() {
         let mut c = Cache::new(2, 2);
-        c.insert(0, LineState::Valid);
-        c.insert(1, LineState::Owned);
-        c.insert(2, LineState::Valid);
+        put(&mut c, 0, LineState::Valid);
+        put(&mut c, 1, LineState::Owned);
+        put(&mut c, 2, LineState::Valid);
         assert_eq!(c.invalidate_unowned(), 2);
         assert_eq!(c.peek(0), None);
         assert_eq!(c.peek(1), Some(LineState::Owned));
@@ -490,19 +452,9 @@ mod tests {
     #[test]
     fn targeted_invalidation() {
         let mut c = Cache::new(2, 1);
-        c.insert(5, LineState::Owned);
+        put(&mut c, 5, LineState::Owned);
         assert_eq!(c.invalidate(5), Some(LineState::Owned));
         assert_eq!(c.invalidate(5), None);
-    }
-
-    #[test]
-    fn set_state_changes_resident_line() {
-        let mut c = Cache::new(2, 1);
-        c.insert(4, LineState::Valid);
-        c.set_state(4, LineState::Owned);
-        assert_eq!(c.peek(4), Some(LineState::Owned));
-        c.set_state(99, LineState::Owned); // absent: no-op
-        assert_eq!(c.peek(99), None);
     }
 
     #[test]
@@ -537,8 +489,8 @@ mod tests {
     #[test]
     fn distinct_sets_do_not_conflict() {
         let mut c = Cache::new(2, 1);
-        c.insert(0, LineState::Valid); // set 0
-        c.insert(1, LineState::Valid); // set 1
+        put(&mut c, 0, LineState::Valid); // set 0
+        put(&mut c, 1, LineState::Valid); // set 1
         assert_eq!(c.peek(0), Some(LineState::Valid));
         assert_eq!(c.peek(1), Some(LineState::Valid));
     }
@@ -552,17 +504,17 @@ mod tests {
     #[test]
     fn stale_ways_behave_exactly_like_empty_ways() {
         let mut c = Cache::new(1, 2);
-        c.insert(0, LineState::Valid);
-        c.insert(2, LineState::Valid);
+        put(&mut c, 0, LineState::Valid);
+        put(&mut c, 2, LineState::Valid);
         c.invalidate_unowned();
-        // Stale tags miss on lookup even though the tag bytes remain.
-        assert_eq!(c.lookup(0), None);
+        // Stale tags miss on a probe even though the tag bytes remain.
+        assert_eq!(c.probe(0).state(), None);
         assert_eq!(c.peek(2), None);
         assert_eq!(c.occupancy(), 0);
         assert_eq!(c.resident_lines().count(), 0);
         // Refilling prefers the first stale way and reports no eviction.
-        assert!(c.insert(4, LineState::Valid).is_none());
-        assert!(c.insert(6, LineState::Valid).is_none());
+        assert!(put(&mut c, 4, LineState::Valid).is_none());
+        assert!(put(&mut c, 6, LineState::Valid).is_none());
         assert_eq!(c.occupancy(), 2);
         // Re-invalidating an already-stale line is a no-op miss.
         assert_eq!(c.invalidate(0), None);
@@ -571,78 +523,27 @@ mod tests {
     #[test]
     fn repeated_flash_invalidations_count_correctly() {
         let mut c = Cache::new(2, 2);
-        c.insert(0, LineState::Valid);
-        c.insert(1, LineState::Valid);
+        put(&mut c, 0, LineState::Valid);
+        put(&mut c, 1, LineState::Valid);
         assert_eq!(c.invalidate_unowned(), 2);
         assert_eq!(c.invalidate_unowned(), 0, "second flash finds nothing");
-        c.insert(2, LineState::Valid);
+        put(&mut c, 2, LineState::Valid);
         c.invalidate(2);
         assert_eq!(
             c.invalidate_unowned(),
             0,
             "targeted invalidation already discounted the line"
         );
-        c.insert(3, LineState::Owned);
+        put(&mut c, 3, LineState::Owned);
         assert_eq!(c.invalidate_unowned(), 0, "owned lines are exempt");
         assert_eq!(c.peek(3), Some(LineState::Owned));
     }
 
     #[test]
-    fn lookup_or_victim_matches_lookup_then_insert() {
-        let mut fused = Cache::new(2, 2);
-        let mut split = Cache::new(2, 2);
-        let stream = [0u64, 2, 4, 0, 6, 2, 8, 0, 4, 10, 6, 0];
-        for (n, &line) in stream.iter().enumerate() {
-            if n == 7 {
-                fused.invalidate_unowned();
-                split.invalidate_unowned();
-            }
-            let fused_ev = match fused.lookup_or_victim(line) {
-                Ok(_) => None,
-                Err(v) => fused.fill_victim(v, line, LineState::Valid),
-            };
-            let split_ev = match split.lookup(line) {
-                Some(_) => None,
-                None => split.insert(line, LineState::Valid),
-            };
-            assert_eq!(fused_ev, split_ev, "access #{n} line {line}");
-            assert_eq!(fused.occupancy(), split.occupancy());
-        }
-    }
-
-    #[test]
-    fn probe_fill_matches_lookup_then_insert() {
-        // Drive both implementations through an address stream that
-        // exercises hits, dead-way fills, LRU evictions, and a flash
-        // invalidation; externally visible behavior must be identical.
-        let mut fused = Cache::new(2, 2);
-        let mut split = Cache::new(2, 2);
-        let stream = [0u64, 2, 4, 0, 6, 2, 8, 0, 4, 10, 6, 0];
-        for (n, &line) in stream.iter().enumerate() {
-            if n == 7 {
-                fused.invalidate_unowned();
-                split.invalidate_unowned();
-            }
-            let hit = fused.probe_fill(line);
-            let split_hit = split.lookup(line).is_some();
-            if !split_hit {
-                split.insert(line, LineState::Valid);
-            }
-            assert_eq!(hit, split_hit, "access #{n} line {line}");
-            assert_eq!(fused.occupancy(), split.occupancy());
-            let mut a: Vec<_> = fused.resident_lines().collect();
-            let mut b: Vec<_> = split.resident_lines().collect();
-            a.sort_unstable_by_key(|&(l, _)| l);
-            b.sort_unstable_by_key(|&(l, _)| l);
-            assert_eq!(a, b, "contents diverged after access #{n}");
-        }
-    }
-
-    #[test]
     fn owned_downgrade_then_flash() {
         let mut c = Cache::new(1, 1);
-        c.insert(7, LineState::Owned);
-        c.set_state(7, LineState::Valid);
+        put(&mut c, 7, LineState::Owned);
+        put(&mut c, 7, LineState::Valid);
         assert_eq!(c.invalidate_unowned(), 1, "downgraded line is flashable");
         assert_eq!(c.peek(7), None);
     }

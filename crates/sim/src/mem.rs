@@ -13,7 +13,7 @@
 //! store buffers and outstanding-atomic trackers are `CompletionRing`s,
 //! admitted on every L1 load miss, store and atomic.
 
-use crate::cache::{Cache, Eviction, LineState};
+use crate::cache::{Cache, LineState, Probe};
 #[cfg(feature = "check")]
 use crate::check::{InvariantKind, ProtocolChecker, ProtocolViolation};
 use crate::config::{CoherenceKind, HwConfig};
@@ -163,6 +163,16 @@ pub struct Access {
     /// Cycle at which the transaction fully completes (data returned /
     /// write globally visible).
     pub complete_at: u64,
+}
+
+impl Access {
+    #[inline]
+    fn at(proceed_at: u64, complete_at: u64) -> Self {
+        Self {
+            proceed_at,
+            complete_at,
+        }
+    }
 }
 
 /// The coherent memory hierarchy shared by all SMs.
@@ -450,42 +460,67 @@ impl<'t> MemorySystem<'t> {
         start
     }
 
-    /// L2 tag access for `line`; returns the latency contribution beyond
-    /// the network (0 extra for a hit, the memory penalty for a miss) and
-    /// fills the L2 on miss.
-    fn l2_data_latency(&mut self, line: u64, bank: u32) -> u64 {
-        if self.l2.probe_fill(line) {
+    /// Probes the L2 for `line`, filling it `Valid` on a miss; returns
+    /// whether it hit.
+    fn l2_hit_or_fill(&mut self, line: u64) -> bool {
+        let p = self.l2.probe(line);
+        let hit = p.state().is_some();
+        if !hit {
+            self.l2.fill(p, line, LineState::Valid);
+        }
+        hit
+    }
+
+    /// One round trip from SM `sm` to `line`'s home L2 bank, leaving at
+    /// `leave`: half the mesh latency out, bank service starting no
+    /// earlier than `earliest` (e.g. the previous atomic to the same
+    /// word) and occupying the bank for `occupancy` cycles, the L2
+    /// probe and fill (plus the memory penalty on a miss), `service`
+    /// cycles of work at the bank, then half the mesh latency back.
+    /// Returns `(done_at_bank, complete_at)`.
+    fn l2_trip(
+        &mut self,
+        sm: u32,
+        line: u64,
+        leave: u64,
+        earliest: u64,
+        occupancy: u64,
+        service: u64,
+    ) -> (u64, u64) {
+        let bank = self.bank_of(line);
+        let half = self.mesh.l2_latency(sm, bank) / 2;
+        let start = self.bank_service(bank, (leave + half).max(earliest), occupancy);
+        let penalty = if self.l2_hit_or_fill(line) {
             self.counters.l2_hits += 1;
             0
         } else {
             self.counters.l2_misses += 1;
             self.mesh.mem_penalty(bank)
-        }
+        };
+        let done_at_bank = start + service + penalty;
+        (done_at_bank, done_at_bank + half)
     }
 
-    /// Inserts `line` into `sm`'s L1, maintaining the ownership
-    /// invariant on eviction. Evicting an owned line costs a writeback
-    /// transaction at the victim's home L2 bank.
-    fn l1_fill(&mut self, sm: u32, line: u64, state: LineState, at: u64) {
-        let ev = self.l1[sm as usize].insert(line, state);
-        self.l1_evict(ev, at);
-    }
-
-    /// Handles the fallout of an L1 fill's eviction: an evicted owned
-    /// line is written back (ownership returns to the L2 directory and
-    /// the home bank absorbs the data).
-    fn l1_evict(&mut self, ev: Option<Eviction>, at: u64) {
-        if let Some(ev) = ev {
+    /// Fills `line` in `state` into `sm`'s L1 over the way `probe`
+    /// found. An evicted owned line is written back.
+    fn l1_fill(&mut self, sm: u32, probe: Probe, line: u64, state: LineState, at: u64) {
+        if let Some(ev) = self.l1[sm as usize].fill(probe, line, state) {
             if ev.state == LineState::Owned {
-                if let Some(id) = self.lines.get(ev.line) {
-                    self.owner[id as usize] = NO_OWNER;
-                }
-                self.l2.insert(ev.line, LineState::Valid);
-                let bank = self.bank_of(ev.line);
-                self.bank_service(bank, at, 2);
-                self.counters.noc_line_transfers += 1;
+                self.write_back(ev.line, at);
             }
         }
+    }
+
+    /// Writes back an owned line leaving an L1: ownership returns to
+    /// the L2 directory and the home bank absorbs the data.
+    fn write_back(&mut self, line: u64, at: u64) {
+        if let Some(id) = self.lines.get(line) {
+            self.owner[id as usize] = NO_OWNER;
+        }
+        self.l2_hit_or_fill(line);
+        let bank = self.bank_of(line);
+        self.bank_service(bank, at, 2);
+        self.counters.noc_line_transfers += 1;
     }
 
     /// Revokes the previous owner's hold on line `id` (downgrade on
@@ -498,26 +533,35 @@ impl<'t> MemorySystem<'t> {
         }
     }
 
+    /// The end of every access: attributes it to its address region,
+    /// runs the `check` feature's per-line invariant check, and returns
+    /// `access`.
+    #[inline]
+    fn finish(
+        &mut self,
+        addr: u64,
+        kind: AccessKind,
+        hit: bool,
+        at: u64,
+        access: Access,
+    ) -> Access {
+        self.attribute(addr, kind, hit, access.complete_at - at);
+        #[cfg(feature = "check")]
+        self.check_line_invariants(self.line_of(addr), at);
+        access
+    }
+
     /// Non-atomic load of one coalesced line by SM `sm` issued at `at`.
     pub fn load(&mut self, sm: u32, addr: u64, at: u64) -> Access {
         let line = self.line_of(addr);
-        // One fused L1 set scan serves both the hit check and (on miss)
-        // the victim choice for the fill below; nothing in between
-        // touches this L1, so the reservation stays valid.
-        let victim = match self.l1[sm as usize].lookup_or_victim(line) {
-            Ok(_) => {
-                self.counters.l1_hits += 1;
-                let done = at + self.l1_hit;
-                self.attribute(addr, AccessKind::Load, true, done - at);
-                #[cfg(feature = "check")]
-                self.check_line_invariants(line, at);
-                return Access {
-                    proceed_at: done,
-                    complete_at: done,
-                };
-            }
-            Err(v) => v,
-        };
+        // The probe's victim stays reserved through the miss path below:
+        // nothing in between touches this L1.
+        let probe = self.l1[sm as usize].probe(line);
+        if probe.state().is_some() {
+            self.counters.l1_hits += 1;
+            let done = at + self.l1_hit;
+            return self.finish(addr, AccessKind::Load, true, at, Access::at(done, done));
+        }
         self.counters.l1_misses += 1;
         let start = self.mshr[sm as usize].admit_at(at);
         if start > at {
@@ -531,26 +575,14 @@ impl<'t> MemorySystem<'t> {
                 self.counters.remote_transfers += 1;
                 start + self.mesh.remote_l1_latency(sm, other)
             }
-            _ => {
-                let bank = self.bank_of(line);
-                let net = self.mesh.l2_latency(sm, bank);
-                // Reads are pipelined: one per bank per cycle.
-                let svc_start = self.bank_service(bank, start + net / 2, 1);
-                let extra = self.l2_data_latency(line, bank);
-                svc_start + net / 2 + 1 + extra
-            }
+            // Reads are pipelined: one per bank per cycle.
+            _ => self.l2_trip(sm, line, start, 0, 1, 1).1,
         };
         self.counters.noc_line_transfers += 1;
         self.mshr[sm as usize].push(complete_at);
-        let ev = self.l1[sm as usize].fill_victim(victim, line, LineState::Valid);
-        self.l1_evict(ev, at);
-        self.attribute(addr, AccessKind::Load, false, complete_at - at);
-        #[cfg(feature = "check")]
-        self.check_line_invariants(line, at);
-        Access {
-            proceed_at: complete_at,
-            complete_at,
-        }
+        self.l1_fill(sm, probe, line, LineState::Valid, at);
+        let access = Access::at(complete_at, complete_at);
+        self.finish(addr, AccessKind::Load, false, at, access)
     }
 
     /// Non-atomic store of one coalesced line by SM `sm` issued at `at`.
@@ -561,60 +593,44 @@ impl<'t> MemorySystem<'t> {
     /// completes, but the warp proceeds immediately.
     pub fn store(&mut self, sm: u32, addr: u64, at: u64) -> Access {
         let line = self.line_of(addr);
-        match self.hw.coherence {
+        let (hit, access) = match self.hw.coherence {
             CoherenceKind::Gpu => {
                 self.counters.write_throughs += 1;
                 let admit = self.store_buf[sm as usize].admit_at(at);
                 if admit > at {
                     self.counters.store_buffer_stalls += 1;
                 }
-                let bank = self.bank_of(line);
-                let net = self.mesh.l2_latency(sm, bank);
-                let svc_start = self.bank_service(bank, admit + net / 2, 1);
-                let extra = self.l2_data_latency(line, bank);
-                let complete_at = svc_start + net / 2 + extra;
+                let (_, complete_at) = self.l2_trip(sm, line, admit, 0, 1, 0);
                 self.counters.noc_line_transfers += 1;
                 self.store_buf[sm as usize].push(complete_at);
-                self.attribute(addr, AccessKind::Store, false, complete_at - at);
-                #[cfg(feature = "check")]
-                self.check_line_invariants(line, at);
                 // Write-through updates a resident L1 copy in place (it
                 // stays Valid); no allocation on miss.
-                Access {
-                    proceed_at: admit + 1,
-                    complete_at,
-                }
+                (false, Access::at(admit + 1, complete_at))
             }
-            CoherenceKind::DeNovo => {
-                if self.owner_of(line) == Some(sm) {
-                    // Already owned: pure local write.
-                    let done = at + self.l1_hit;
-                    self.l1[sm as usize].lookup(line); // refresh LRU
-                    self.attribute(addr, AccessKind::Store, true, done - at);
-                    #[cfg(feature = "check")]
-                    self.check_line_invariants(line, at);
-                    return Access {
-                        proceed_at: done,
-                        complete_at: done,
-                    };
-                }
-                let complete_at = self.register_ownership(sm, line, at);
-                self.attribute(addr, AccessKind::Store, false, complete_at - at);
-                #[cfg(feature = "check")]
-                self.check_line_invariants(line, at);
-                Access {
-                    proceed_at: at + 1,
-                    complete_at,
-                }
-            }
-        }
+            CoherenceKind::DeNovo => match self.own_or_register(sm, line, at) {
+                // Already owned: pure local write.
+                None => (true, Access::at(at + self.l1_hit, at + self.l1_hit)),
+                Some(complete_at) => (false, Access::at(at + 1, complete_at)),
+            },
+        };
+        self.finish(addr, AccessKind::Store, hit, at, access)
+    }
+
+    /// The DeNovo write step shared by stores and atomics: an owner's
+    /// access only refreshes its L1 copy's LRU position and returns
+    /// `None`; any other SM registers ownership and gets the
+    /// registration's completion time.
+    fn own_or_register(&mut self, sm: u32, line: u64, at: u64) -> Option<u64> {
+        let probe = self.l1[sm as usize].probe(line);
+        (self.owner_of(line) != Some(sm)).then(|| self.register_ownership(sm, probe, line, at))
     }
 
     /// Obtains DeNovo ownership of `line` for SM `sm`: a registration
     /// round-trip through the L2 directory (or the previous owner's L1),
-    /// filling the line `Owned` into `sm`'s L1. Returns the completion
-    /// time; the registration occupies a store-buffer slot until then.
-    fn register_ownership(&mut self, sm: u32, line: u64, at: u64) -> u64 {
+    /// filling the line `Owned` into `sm`'s L1 over the way `probe`
+    /// found. Returns the completion time; the registration occupies a
+    /// store-buffer slot until then.
+    fn register_ownership(&mut self, sm: u32, probe: Probe, line: u64, at: u64) -> u64 {
         self.counters.registrations += 1;
         let id = self.intern_line(line);
         let admit = self.store_buf[sm as usize].admit_at(at);
@@ -642,18 +658,15 @@ impl<'t> MemorySystem<'t> {
         } else {
             // Directory registration: same bank service cost as an
             // L2 atomic (lookup + state update + data reply).
-            let bank = self.bank_of(line);
-            let net = self.mesh.l2_latency(sm, bank);
-            let svc_start = self.bank_service(bank, start + net / 2, self.registration_occupancy);
-            let extra = self.l2_data_latency(line, bank);
-            svc_start + net / 2 + extra
+            let occupancy = self.registration_occupancy;
+            self.l2_trip(sm, line, start, 0, occupancy, 0).1
         };
         self.owner_chain[id as usize] = (self.owner_epoch, complete_at);
         self.counters.noc_line_transfers += 1;
         self.counters.noc_control_messages += 2; // request + ack
         self.revoke_owner(id);
         self.owner[id as usize] = sm;
-        self.l1_fill(sm, line, LineState::Owned, at);
+        self.l1_fill(sm, probe, line, LineState::Owned, at);
         self.store_buf[sm as usize].push(complete_at);
         complete_at
     }
@@ -665,51 +678,31 @@ impl<'t> MemorySystem<'t> {
     /// when owned (registering first when not), serialized per word.
     pub fn atomic(&mut self, sm: u32, addr: u64, at: u64) -> Access {
         let line = self.line_of(addr);
-        match self.hw.coherence {
+        let wid = self.intern_word(addr >> WORD_SHIFT) as usize;
+        let chain = Self::chain_get(self.atomic_chain[wid], self.atomic_epoch);
+        let (hit, done, complete_at) = match self.hw.coherence {
             CoherenceKind::Gpu => {
                 self.counters.l2_atomics += 1;
-                let bank = self.bank_of(line);
-                let net = self.mesh.l2_latency(sm, bank);
-                let wid = self.intern_word(addr >> WORD_SHIFT) as usize;
-                let chain = Self::chain_get(self.atomic_chain[wid], self.atomic_epoch);
-                let svc_start =
-                    self.bank_service(bank, (at + net / 2).max(chain), self.l2_atomic_occupancy);
-                let extra = self.l2_data_latency(line, bank);
-                let done_at_bank = svc_start + self.atomic_rmw + extra;
-                self.atomic_chain[wid] = (self.atomic_epoch, done_at_bank);
-                let complete_at = done_at_bank + net / 2;
                 self.counters.noc_control_messages += 2; // request + reply
-                self.attribute(addr, AccessKind::Atomic, false, complete_at - at);
-                #[cfg(feature = "check")]
-                self.check_line_invariants(line, at);
-                Access {
-                    proceed_at: at + 1,
-                    complete_at,
-                }
+                let (occupancy, rmw) = (self.l2_atomic_occupancy, self.atomic_rmw);
+                let (done_at_bank, complete_at) = self.l2_trip(sm, line, at, chain, occupancy, rmw);
+                (false, done_at_bank, complete_at)
             }
             CoherenceKind::DeNovo => {
-                let owned = self.owner_of(line) == Some(sm);
-                let (base, proceed) = if owned {
-                    self.l1[sm as usize].lookup(line); // refresh LRU
-                    (at, at + 1)
-                } else {
-                    let reg_done = self.register_ownership(sm, line, at);
-                    (reg_done, at + 1)
-                };
                 self.counters.l1_atomics += 1;
-                let wid = self.intern_word(addr >> WORD_SHIFT) as usize;
-                let chain = Self::chain_get(self.atomic_chain[wid], self.atomic_epoch);
-                let complete_at = base.max(chain) + self.l1_atomic_occupancy;
-                self.atomic_chain[wid] = (self.atomic_epoch, complete_at);
-                self.attribute(addr, AccessKind::Atomic, owned, complete_at - at);
-                #[cfg(feature = "check")]
-                self.check_line_invariants(line, at);
-                Access {
-                    proceed_at: proceed,
-                    complete_at,
-                }
+                let registered = self.own_or_register(sm, line, at);
+                let done = registered.unwrap_or(at).max(chain) + self.l1_atomic_occupancy;
+                (registered.is_none(), done, done)
             }
-        }
+        };
+        self.atomic_chain[wid] = (self.atomic_epoch, done);
+        self.finish(
+            addr,
+            AccessKind::Atomic,
+            hit,
+            at,
+            Access::at(at + 1, complete_at),
+        )
     }
 
     /// Reserves an outstanding-atomic slot for one warp atomic
@@ -825,7 +818,8 @@ impl MemorySystem<'_> {
     /// mismatch under DeNovo, owned-line-exists under GPU coherence,
     /// and SWMR if another L1 legitimately owns it).
     pub fn debug_force_owned(&mut self, sm: u32, line: u64) {
-        self.l1[sm as usize].insert(line, LineState::Owned);
+        let probe = self.l1[sm as usize].probe(line);
+        self.l1[sm as usize].fill(probe, line, LineState::Owned);
     }
 
     /// Fault injection for negative tests: the next acquire skips its
@@ -860,8 +854,8 @@ impl MemorySystem<'_> {
     /// evictions.
     pub fn debug_evict(&mut self, sm: u32, addr: u64, at: u64) {
         let line = self.line_of(addr);
-        if let Some(state) = self.l1[sm as usize].invalidate(line) {
-            self.l1_evict(Some(Eviction { line, state }), at);
+        if self.l1[sm as usize].invalidate(line) == Some(LineState::Owned) {
+            self.write_back(line, at);
         }
     }
 
@@ -1193,6 +1187,27 @@ mod tests {
             "owned store is local"
         );
         assert_eq!(m.counters.registrations, 1);
+    }
+
+    #[test]
+    fn denovo_store_upgrades_a_loaded_line_in_place() {
+        let mut m = mem(CoherenceKind::DeNovo);
+        let a = m.load(0, 0x1000, 0);
+        m.store(0, 0x1000, a.complete_at);
+        let line = 0x1000 >> 6;
+        assert_eq!(m.counters.registrations, 1);
+        assert_eq!(m.owner_of(line), Some(0));
+        // One copy, now Owned: the fill rewrote the loaded line's way.
+        assert_eq!(m.l1[0].peek(line), Some(LineState::Owned));
+        assert_eq!(m.l1[0].occupancy(), 1);
+        // The load miss and the registration move a line each; an
+        // eviction's write-back would add a third.
+        assert_eq!(m.counters.noc_line_transfers, 2);
+        // The Valid copy left the valid-way count when it became Owned,
+        // so the launch acquire finds nothing to invalidate.
+        m.begin_kernel();
+        assert_eq!(m.counters.invalidations, 0);
+        assert_eq!(m.l1[0].peek(line), Some(LineState::Owned));
     }
 
     #[test]

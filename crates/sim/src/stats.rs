@@ -220,9 +220,10 @@ pub struct MemCounters {
     pub l2_hits: u64,
     /// L2 misses (memory accesses).
     pub l2_misses: u64,
-    /// Atomics executed at the L2 (GPU coherence, or unowned DeNovo).
+    /// Atomics executed at the L2 (every GPU-coherence atomic).
     pub l2_atomics: u64,
-    /// Atomics executed locally at the L1 (DeNovo owned lines).
+    /// Atomics executed at the L1 (every DeNovo atomic: an unowned
+    /// line registers first, then the atomic runs at the L1).
     pub l1_atomics: u64,
     /// DeNovo ownership registrations (L1 obtained ownership).
     pub registrations: u64,
@@ -239,8 +240,9 @@ pub struct MemCounters {
     /// Cache-line-sized payloads moved across the NoC (fills,
     /// write-throughs, ownership transfers, writebacks).
     pub noc_line_transfers: u64,
-    /// Word-sized / control messages across the NoC (atomic
-    /// requests+replies, registration handshakes, invalidations sent).
+    /// Word-sized / control messages across the NoC: a request and a
+    /// reply per GPU-coherence atomic, a request and an ack per DeNovo
+    /// registration. Self-invalidation is local and sends none.
     pub noc_control_messages: u64,
 }
 

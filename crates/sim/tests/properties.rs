@@ -124,44 +124,43 @@ fn kernels() -> impl Strategy<Value = KernelTrace> {
     prop::collection::vec(thread, 1..200).prop_map(|threads| KernelTrace::new(threads, 64).unwrap())
 }
 
-/// One call on a [`Cache`], as driven by the differential test.
+/// One call (or probe-then-fill pair) on a [`Cache`], as driven by
+/// the differential test.
 #[derive(Debug, Clone, Copy)]
 enum CacheOp {
-    Insert(u64, LineState),
-    Lookup(u64),
+    /// `probe` alone: a hit refreshes LRU, a miss changes nothing.
+    Probe(u64),
+    /// `probe`, then `fill` whether it hit or missed: a fill on a hit
+    /// changes the line's state in place.
+    Fill(u64, LineState),
+    /// `probe`, then `fill` only on a miss.
+    FillOnMiss(u64, LineState),
     Peek(u64),
-    /// `lookup_or_victim`, then `fill_victim` on a miss.
-    LookupThenFill(u64, LineState),
-    ProbeFill(u64),
     Invalidate(u64),
     InvalidateUnowned,
-    SetState(u64, LineState),
 }
 
-/// What one [`CacheOp`] returned; fills report their eviction.
+/// What one [`CacheOp`] returned: the probe's state, then the fill's
+/// eviction (`None` when there was no fill).
 #[derive(Debug, PartialEq)]
 enum CacheReply {
-    Evicted(Option<Eviction>),
+    Probed(Option<LineState>, Option<Eviction>),
     State(Option<LineState>),
-    Hit(bool),
     Flushed(u64),
-    Done,
 }
 
 fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
     let line = || 0u64..24;
     let state = || prop_oneof![Just(LineState::Valid), Just(LineState::Owned)];
-    // Inserts are listed twice so sets fill up and evict.
+    // Fills are listed twice so sets fill up and evict.
     let op = prop_oneof![
-        (line(), state()).prop_map(|(l, s)| CacheOp::Insert(l, s)),
-        (line(), state()).prop_map(|(l, s)| CacheOp::Insert(l, s)),
-        line().prop_map(CacheOp::Lookup),
+        (line(), state()).prop_map(|(l, s)| CacheOp::Fill(l, s)),
+        (line(), state()).prop_map(|(l, s)| CacheOp::Fill(l, s)),
+        (line(), state()).prop_map(|(l, s)| CacheOp::FillOnMiss(l, s)),
+        line().prop_map(CacheOp::Probe),
         line().prop_map(CacheOp::Peek),
-        (line(), state()).prop_map(|(l, s)| CacheOp::LookupThenFill(l, s)),
-        line().prop_map(CacheOp::ProbeFill),
         line().prop_map(CacheOp::Invalidate),
         Just(CacheOp::InvalidateUnowned),
-        (line(), state()).prop_map(|(l, s)| CacheOp::SetState(l, s)),
     ];
     prop::collection::vec(op, 1..200)
 }
@@ -256,28 +255,18 @@ impl RefCache {
 
     fn apply(&mut self, op: CacheOp) -> CacheReply {
         match op {
-            CacheOp::Insert(l, s) => CacheReply::Evicted(self.insert(l, s)),
-            CacheOp::Lookup(l) => CacheReply::State(self.lookup(l)),
-            CacheOp::Peek(l) => CacheReply::State(self.peek(l)),
-            CacheOp::LookupThenFill(l, s) => match self.lookup(l) {
-                Some(_) => CacheReply::Evicted(None),
-                None => CacheReply::Evicted(self.insert(l, s)),
-            },
-            CacheOp::ProbeFill(l) => {
-                let hit = self.lookup(l).is_some();
-                if !hit {
-                    self.insert(l, LineState::Valid);
-                }
-                CacheReply::Hit(hit)
+            CacheOp::Probe(l) => CacheReply::Probed(self.lookup(l), None),
+            CacheOp::Fill(l, s) => {
+                let hit = self.lookup(l);
+                CacheReply::Probed(hit, self.insert(l, s))
             }
+            CacheOp::FillOnMiss(l, s) => match self.lookup(l) {
+                Some(hit) => CacheReply::Probed(Some(hit), None),
+                None => CacheReply::Probed(None, self.insert(l, s)),
+            },
+            CacheOp::Peek(l) => CacheReply::State(self.peek(l)),
             CacheOp::Invalidate(l) => CacheReply::State(self.invalidate(l)),
             CacheOp::InvalidateUnowned => CacheReply::Flushed(self.invalidate_unowned()),
-            CacheOp::SetState(l, s) => {
-                if let Some(way) = self.way(l) {
-                    way.state = s;
-                }
-                CacheReply::Done
-            }
         }
     }
 
@@ -296,20 +285,22 @@ impl RefCache {
 
 fn apply_to_cache(c: &mut Cache, op: CacheOp) -> CacheReply {
     match op {
-        CacheOp::Insert(l, s) => CacheReply::Evicted(c.insert(l, s)),
-        CacheOp::Lookup(l) => CacheReply::State(c.lookup(l)),
+        CacheOp::Probe(l) => CacheReply::Probed(c.probe(l).state(), None),
+        CacheOp::Fill(l, s) => {
+            let p = c.probe(l);
+            CacheReply::Probed(p.state(), c.fill(p, l, s))
+        }
+        CacheOp::FillOnMiss(l, s) => {
+            let p = c.probe(l);
+            let ev = match p.state() {
+                Some(_) => None,
+                None => c.fill(p, l, s),
+            };
+            CacheReply::Probed(p.state(), ev)
+        }
         CacheOp::Peek(l) => CacheReply::State(c.peek(l)),
-        CacheOp::LookupThenFill(l, s) => match c.lookup_or_victim(l) {
-            Ok(_) => CacheReply::Evicted(None),
-            Err(v) => CacheReply::Evicted(c.fill_victim(v, l, s)),
-        },
-        CacheOp::ProbeFill(l) => CacheReply::Hit(c.probe_fill(l)),
         CacheOp::Invalidate(l) => CacheReply::State(c.invalidate(l)),
         CacheOp::InvalidateUnowned => CacheReply::Flushed(c.invalidate_unowned()),
-        CacheOp::SetState(l, s) => {
-            c.set_state(l, s);
-            CacheReply::Done
-        }
     }
 }
 
@@ -394,14 +385,15 @@ proptest! {
         prop_assert_eq!(packed.num_threads(), kernel.num_threads());
     }
 
-    /// Cache: after inserting a line it is present; capacity is never
+    /// Cache: after filling a line it is present; capacity is never
     /// exceeded; flash invalidation leaves only owned lines.
     #[test]
     fn cache_invariants(lines in prop::collection::vec(0u64..512, 1..300)) {
         let mut c = Cache::new(8, 4);
         for (i, &l) in lines.iter().enumerate() {
             let state = if i % 3 == 0 { LineState::Owned } else { LineState::Valid };
-            c.insert(l, state);
+            let p = c.probe(l);
+            c.fill(p, l, state);
             prop_assert_eq!(c.peek(l), Some(state));
             prop_assert!(c.occupancy() <= c.capacity_lines());
         }
@@ -415,8 +407,9 @@ proptest! {
 
     /// Cache matches the reference model call for call: every return
     /// value and every eviction, under mixed `Owned`/`Valid` lines,
-    /// targeted and flash invalidation, and all three fill paths. This
-    /// pins the victim rule (first dead way, else the LRU way).
+    /// targeted and flash invalidation, fills after a miss and fills on
+    /// a hit that change the line's state. This pins the victim rule
+    /// (first dead way, else the LRU way).
     #[test]
     fn cache_matches_reference_model(
         sets in prop_oneof![Just(1u64), Just(2), Just(4)],
