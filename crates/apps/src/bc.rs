@@ -12,7 +12,7 @@
 use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::layout::AddressSpace;
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelSource, MicroOp};
 
 use crate::common::{vertex_kernel, GraphArrays};
 
@@ -104,16 +104,21 @@ pub fn reference(graph: &Csr) -> Vec<f64> {
 }
 
 /// Generates the kernel sequence of a BC run (one kernel per forward
-/// level, then one per backward level), handing each finished trace to
-/// `run` by value. The stream depends only on
-/// `(graph, prop, tb_size)`, so it is safe to materialize once and
-/// replay across configuration cells.
+/// level, then one per backward level), handing each kernel to `run` as
+/// a [`KernelSource`]. The stream depends only on `(graph, prop,
+/// tb_size)`, so it is safe to materialize once and replay across
+/// configuration cells.
 ///
 /// # Panics
 ///
 /// Panics if `prop` is not [`Propagation::Push`] or
 /// [`Propagation::Pull`] (no dynamic direction policy).
-pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelTrace)) {
+pub fn generate(
+    graph: &Csr,
+    prop: Propagation,
+    tb_size: u32,
+    run: &mut dyn FnMut(KernelSource<'_>),
+) {
     assert!(
         matches!(prop, Propagation::Push | Propagation::Pull),
         "BC supports no dynamic direction policy: use Push or Pull"
@@ -135,8 +140,8 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
 
     // Forward phase: one kernel per level.
     for l in 0..levels {
-        let kernel = match prop {
-            Propagation::Push => vertex_kernel(n, tb_size, |s, ops| {
+        match prop {
+            Propagation::Push => vertex_kernel(run, n, tb_size, |s, ops| {
                 // Source control: one level load elides off-frontier work.
                 ops.push(MicroOp::load(level_arr.addr(s as u64)));
                 if level[s as usize] != l {
@@ -156,7 +161,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                     }
                 }
             }),
-            Propagation::Pull => vertex_kernel(n, tb_size, |t, ops| {
+            Propagation::Pull => vertex_kernel(run, n, tb_size, |t, ops| {
                 ops.push(MicroOp::load(level_arr.addr(t as u64)));
                 // Unvisited targets scan their in-neighbors.
                 if level[t as usize] < l + 1 {
@@ -181,8 +186,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                 }
             }),
             _ => unreachable!("direction filtered by supported_propagations"),
-        };
-        run(kernel);
+        }
 
         // Pull writes the level word in a separate settle kernel: the
         // gather kernel above reads `level` remotely, so updating it in
@@ -190,19 +194,18 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
         // is a dense local update — each thread touches only its own
         // word — which keeps pull atomic-free and race-free (Table I).
         if prop == Propagation::Pull {
-            let settle = vertex_kernel(n, tb_size, |v, ops| {
+            vertex_kernel(run, n, tb_size, |v, ops| {
                 ops.push(MicroOp::load(level_arr.addr(v as u64)));
                 if level[v as usize] == l + 1 {
                     ops.push(MicroOp::store(level_arr.addr(v as u64)));
                 }
             });
-            run(settle);
         }
     }
 
     // Backward phase: identical local accumulation for both variants.
     for l in (0..levels).rev() {
-        let kernel = vertex_kernel(n, tb_size, |v, ops| {
+        vertex_kernel(run, n, tb_size, |v, ops| {
             ops.push(MicroOp::load(level_arr.addr(v as u64)));
             if level[v as usize] != l {
                 return;
@@ -220,7 +223,6 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
             }
             ops.push(MicroOp::store(delta_arr.addr(v as u64)));
         });
-        run(kernel);
     }
 }
 
@@ -315,6 +317,7 @@ mod tests {
         let g = path(40);
         let mut seen = 0;
         generate(&g, Propagation::Push, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             if seen == 0 {
                 // Level-0 kernel: only the root works.
                 assert!(k.thread(0).len() > 2);
@@ -329,6 +332,7 @@ mod tests {
         let g = path(40);
         let mut seen = 0;
         generate(&g, Propagation::Pull, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             if seen == 0 {
                 // Vertex 1 is at level 1: scans both neighbors.
                 assert!(k.thread(1).len() >= 5);

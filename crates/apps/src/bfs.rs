@@ -12,7 +12,7 @@
 use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::layout::AddressSpace;
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelSource, MicroOp};
 
 use crate::common::{vertex_kernel, GraphArrays};
 
@@ -108,16 +108,22 @@ pub fn hybrid_schedule(graph: &Csr) -> Vec<Propagation> {
 }
 
 /// Generates the kernel sequence of a BFS run (one kernel per level,
-/// plus a settle kernel per pull level), handing each finished trace to
-/// `run` by value. The stream depends only on `(graph, prop, tb_size)`,
-/// so it is safe to materialize once and replay across configuration
-/// cells. Under [`Propagation::Hybrid`] each level independently runs
-/// the push or pull variant as chosen by [`hybrid_directions`].
+/// plus a settle kernel per pull level), handing each kernel to `run`
+/// as a [`KernelSource`]. The stream depends only on `(graph, prop,
+/// tb_size)`, so it is safe to materialize once and replay across
+/// configuration cells. Under [`Propagation::Hybrid`] each level
+/// independently runs the push or pull variant as chosen by
+/// [`hybrid_directions`].
 ///
 /// # Panics
 ///
 /// Panics if `prop` is [`Propagation::PushPull`].
-pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelTrace)) {
+pub fn generate(
+    graph: &Csr,
+    prop: Propagation,
+    tb_size: u32,
+    run: &mut dyn FnMut(KernelSource<'_>),
+) {
     assert_ne!(
         prop,
         Propagation::PushPull,
@@ -139,8 +145,8 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
 
     for l in 0..max_level.min(MAX_LEVELS) {
         let dir = hybrid_dirs.as_ref().map_or(prop, |dirs| dirs[l as usize]);
-        let kernel = match dir {
-            Propagation::Push => vertex_kernel(n, tb_size, |s, ops| {
+        match dir {
+            Propagation::Push => vertex_kernel(run, n, tb_size, |s, ops| {
                 // Source control: one level load elides off-frontier
                 // sources entirely.
                 ops.push(MicroOp::load(level_arr.addr(s as u64)));
@@ -156,7 +162,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                     }
                 }
             }),
-            Propagation::Pull => vertex_kernel(n, tb_size, |t, ops| {
+            Propagation::Pull => vertex_kernel(run, n, tb_size, |t, ops| {
                 ops.push(MicroOp::load(level_arr.addr(t as u64)));
                 if level[t as usize] < l + 1 {
                     return; // already settled
@@ -173,21 +179,19 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                 }
             }),
             _ => unreachable!("direction filtered by supported_propagations"),
-        };
-        run(kernel);
+        }
 
         // Pull settles discovered vertices in a second, purely local
         // kernel: the gather kernel reads `level` remotely, so storing
         // it there would be an unmarked read/write race (see
         // docs/checking.md). One thread per vertex, own word only.
         if dir == Propagation::Pull {
-            let settle = vertex_kernel(n, tb_size, |v, ops| {
+            vertex_kernel(run, n, tb_size, |v, ops| {
                 ops.push(MicroOp::load(level_arr.addr(v as u64)));
                 if level[v as usize] == l + 1 {
                     ops.push(MicroOp::store(level_arr.addr(v as u64)));
                 }
             });
-            run(settle);
         }
     }
 }
@@ -263,6 +267,7 @@ mod tests {
         let g = path(32);
         let mut first = true;
         generate(&g, Propagation::Push, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             if first {
                 assert!(k.thread(0).len() > 1);
                 assert_eq!(k.thread(20).len(), 1);
@@ -276,6 +281,7 @@ mod tests {
         let g = path(32);
         let mut first = true;
         generate(&g, Propagation::Pull, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             if first {
                 // Vertex 1 finds its parent on the first in-edge:
                 // 1 own-level load + col_idx + parent level + store.
@@ -336,9 +342,13 @@ mod tests {
         // threshold, so the hybrid stream degenerates to pure push.
         let g = path(32);
         let mut push = Vec::new();
-        generate(&g, Propagation::Push, 256, &mut |k| push.push(k));
+        generate(&g, Propagation::Push, 256, &mut |k| {
+            push.push(k.into_trace().unwrap())
+        });
         let mut hybrid = Vec::new();
-        generate(&g, Propagation::Hybrid, 256, &mut |k| hybrid.push(k));
+        generate(&g, Propagation::Hybrid, 256, &mut |k| {
+            hybrid.push(k.into_trace().unwrap())
+        });
         assert_eq!(push, hybrid);
     }
 }

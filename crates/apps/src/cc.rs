@@ -16,7 +16,7 @@
 use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::layout::AddressSpace;
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelSource, MicroOp};
 
 use crate::common::{vertex_kernel, GraphArrays};
 
@@ -70,10 +70,10 @@ fn union(parent: &mut [u32], a: u32, b: u32) {
 }
 
 /// Generates the kernel sequence of a CC run (init, hooking, and
-/// [`SHORTCUT_ROUNDS`] shortcut kernels), handing each finished trace
-/// to `run` by value. The stream depends only on
-/// `(graph, prop, tb_size)`, so it is safe to materialize once and
-/// replay across configuration cells.
+/// [`SHORTCUT_ROUNDS`] shortcut kernels), handing each kernel to `run`
+/// as a [`KernelSource`]. The stream depends only on `(graph, prop,
+/// tb_size)`, so it is safe to materialize once and replay across
+/// configuration cells.
 ///
 /// CC is inherently push+pull; `prop` must be
 /// [`Propagation::PushPull`].
@@ -81,7 +81,12 @@ fn union(parent: &mut [u32], a: u32, b: u32) {
 /// # Panics
 ///
 /// Panics if `prop` is not [`Propagation::PushPull`].
-pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelTrace)) {
+pub fn generate(
+    graph: &Csr,
+    prop: Propagation,
+    tb_size: u32,
+    run: &mut dyn FnMut(KernelSource<'_>),
+) {
     assert_eq!(
         prop,
         Propagation::PushPull,
@@ -96,10 +101,9 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
 
     // Init kernel: parent[v] = v (first smaller neighbor in ECL-CC; a
     // plain store either way).
-    let init = vertex_kernel(n, tb_size, |v, ops| {
+    vertex_kernel(run, n, tb_size, |v, ops| {
         ops.push(MicroOp::store(parent.addr(v as u64)));
     });
-    run(init);
 
     // Hooking kernel: every vertex processes its out-edges to smaller
     // ids; each endpoint's chain is chased with value-returning atomics
@@ -114,7 +118,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
             v = p;
         }
     };
-    let hook = vertex_kernel(n, tb_size, |v, ops| {
+    vertex_kernel(run, n, tb_size, |v, ops| {
         for e in graph.edge_range(v) {
             let t = graph.col_idx()[e as usize];
             if t >= v {
@@ -130,12 +134,11 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
             }
         }
     });
-    run(hook);
 
     // Shortcut kernels: flatten chains with pointer jumping.
     for _ in 0..SHORTCUT_ROUNDS {
         let mut next = pstate.clone();
-        let shortcut = vertex_kernel(n, tb_size, |v, ops| {
+        vertex_kernel(run, n, tb_size, |v, ops| {
             let mut cur = v;
             loop {
                 ops.push(MicroOp::atomic_returning(parent.addr(cur as u64)));
@@ -148,7 +151,6 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
             ops.push(MicroOp::store(parent.addr(v as u64)));
             next[v as usize] = cur;
         });
-        run(shortcut);
         pstate = next;
     }
 }
@@ -215,6 +217,7 @@ mod tests {
         let mut returning = 0u64;
         let mut plain = 0u64;
         generate(&g, Propagation::PushPull, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             kernels += 1;
             for t in 0..k.num_threads() {
                 for op in k.thread(t).iter().map(|o| o.get()) {
@@ -260,6 +263,7 @@ mod tests {
             .unwrap();
         let mut lens = Vec::new();
         generate(&g, Propagation::PushPull, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             lens.push(k.total_ops());
         });
         let shortcut1 = lens[2];

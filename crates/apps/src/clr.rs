@@ -15,7 +15,7 @@
 use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::layout::AddressSpace;
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelSource, MicroOp};
 
 use crate::common::{vertex_kernel, GraphArrays};
 
@@ -93,16 +93,21 @@ fn snapshots(graph: &Csr) -> Vec<Vec<u32>> {
 }
 
 /// Generates the kernel sequence of a CLR run (pull: one kernel per
-/// round; push: two kernels per round), handing each finished trace to
-/// `run` by value. The stream depends only on
-/// `(graph, prop, tb_size)`, so it is safe to materialize once and
-/// replay across configuration cells.
+/// round; push: two kernels per round), handing each kernel to `run` as
+/// a [`KernelSource`]. The stream depends only on `(graph, prop,
+/// tb_size)`, so it is safe to materialize once and replay across
+/// configuration cells.
 ///
 /// # Panics
 ///
 /// Panics if `prop` is not [`Propagation::Push`] or
 /// [`Propagation::Pull`] (no dynamic direction policy).
-pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelTrace)) {
+pub fn generate(
+    graph: &Csr,
+    prop: Propagation,
+    tb_size: u32,
+    run: &mut dyn FnMut(KernelSource<'_>),
+) {
     assert!(
         matches!(prop, Propagation::Push | Propagation::Pull),
         "graph coloring supports no dynamic direction policy: use Push or Pull"
@@ -121,7 +126,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
         match prop {
             Propagation::Push => {
                 // Kernel 1: scatter values to neighbor aggregates.
-                let scatter = vertex_kernel(n, tb_size, |s, ops| {
+                vertex_kernel(run, n, tb_size, |s, ops| {
                     ops.push(MicroOp::load(color.addr(s as u64)));
                     if before[s as usize] != UNCOLORED {
                         return;
@@ -140,9 +145,8 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                         ));
                     }
                 });
-                run(scatter);
                 // Kernel 2: decide colors from the aggregates.
-                let decide = vertex_kernel(n, tb_size, |v, ops| {
+                vertex_kernel(run, n, tb_size, |v, ops| {
                     ops.push(MicroOp::load(color.addr(v as u64)));
                     if before[v as usize] != UNCOLORED {
                         return;
@@ -156,11 +160,10 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                     // Reset the aggregate for the next round.
                     ops.push(MicroOp::store(agg.addr(v as u64)));
                 });
-                run(decide);
             }
             Propagation::Pull => {
                 // Single kernel: local max/min scan, local color write.
-                let kernel = vertex_kernel(n, tb_size, |t, ops| {
+                vertex_kernel(run, n, tb_size, |t, ops| {
                     ops.push(MicroOp::load(color.addr(t as u64)));
                     if before[t as usize] != UNCOLORED {
                         return;
@@ -179,7 +182,6 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                         ops.push(MicroOp::store(color.addr(t as u64)));
                     }
                 });
-                run(kernel);
             }
             _ => unreachable!("direction filtered by supported_propagations"),
         }
@@ -256,6 +258,7 @@ mod tests {
         let g = ring(64);
         let mut first = true;
         generate(&g, Propagation::Push, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             if !first {
                 return;
             }

@@ -2,7 +2,7 @@
 
 use ggs_graph::Csr;
 use ggs_sim::layout::{AddressSpace, ArrayHandle};
-use ggs_sim::trace::{KernelTrace, MicroOp, Op};
+use ggs_sim::trace::{KernelSource, MicroOp};
 
 /// Address handles for the CSR arrays every kernel walks.
 #[derive(Debug, Clone, Copy)]
@@ -57,32 +57,22 @@ impl GraphArrays {
     }
 }
 
-/// Builds a vertex-centric kernel: one thread per vertex, traces
-/// produced by `emit(vertex, ops)`.
+/// Hands `run` a vertex-centric kernel: one thread per vertex, thread
+/// `v`'s ops appended by `emit(v, ops)` as the consumer takes them.
 ///
-/// Each vertex's ops go into one reused scratch buffer and are then
-/// packed onto one flat [`Op`] arena, so building a kernel costs a
-/// fixed handful of allocations instead of one per vertex.
-/// [`KernelTrace::from_flat`] shrinks the arena to its length.
-pub(crate) fn vertex_kernel<F>(num_vertices: u32, tb_size: u32, mut emit: F) -> KernelTrace
-where
+/// The consumer packs each warp as its lanes are emitted
+/// ([`KernelSource::pack`]), so producing a kernel for the simulator
+/// builds no per-thread trace of it; only a consumer that reads threads
+/// one by one materializes one ([`KernelSource::into_trace`]).
+pub(crate) fn vertex_kernel<F>(
+    run: &mut dyn FnMut(KernelSource<'_>),
+    num_vertices: u32,
+    tb_size: u32,
+    mut emit: F,
+) where
     F: FnMut(u32, &mut Vec<MicroOp>),
 {
-    let mut ops = Vec::new();
-    let mut scratch = Vec::new();
-    let mut offsets = Vec::with_capacity(num_vertices as usize + 1);
-    offsets.push(0);
-    for v in 0..num_vertices {
-        scratch.clear();
-        emit(v, &mut scratch);
-        ops.extend(scratch.iter().map(|&op| {
-            // `AddressSpace` lays arrays out far below the packing limit.
-            debug_assert!(op.address().is_none_or(|a| a <= Op::MAX_ADDR));
-            Op::from(op)
-        }));
-        offsets.push(u32::try_from(ops.len()).expect("trace exceeds u32 op capacity"));
-    }
-    KernelTrace::from_flat(ops, offsets, tb_size)
+    run(KernelSource::new(num_vertices, tb_size, &mut emit));
 }
 
 #[cfg(test)]
@@ -107,11 +97,20 @@ mod tests {
 
     #[test]
     fn vertex_kernel_one_thread_per_vertex() {
-        let k = vertex_kernel(10, 4, |v, ops| {
-            if v % 2 == 0 {
-                ops.push(MicroOp::compute(1));
-            }
-        });
+        let mut kernels = Vec::new();
+        vertex_kernel(
+            &mut |k| kernels.push(k.into_trace().unwrap()),
+            10,
+            4,
+            |v, ops| {
+                if v % 2 == 0 {
+                    ops.push(MicroOp::compute(1));
+                }
+            },
+        );
+        let [k] = &kernels[..] else {
+            panic!("one kernel expected, got {}", kernels.len())
+        };
         assert_eq!(k.num_threads(), 10);
         assert_eq!(k.thread(0).len(), 1);
         assert_eq!(k.thread(1).len(), 0);
@@ -119,15 +118,11 @@ mod tests {
     }
 
     #[test]
-    fn vertex_kernel_arena_holds_no_slack() {
-        // 1000 vertices of 0..7 ops each: the arena grows by doubling
-        // while it is built, so any unshrunk capacity shows here.
-        let k = vertex_kernel(1000, 32, |v, ops| {
-            ops.extend((0..v % 7).map(|i| MicroOp::load(u64::from(v * 8 + i) * 4)));
-        });
-        assert_eq!(
-            k.heap_bytes(),
-            k.total_ops() * 8 + (k.num_threads() + 1) * 4
-        );
+    fn an_ignored_kernel_still_emits_every_thread_once() {
+        // Emitters may carry state from one thread to the next, so a
+        // consumer that drops a kernel must not change what follows.
+        let mut emitted = Vec::new();
+        vertex_kernel(&mut |k| drop(k), 5, 4, |v, _| emitted.push(v));
+        assert_eq!(emitted, [0, 1, 2, 3, 4]);
     }
 }

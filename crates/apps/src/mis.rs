@@ -19,7 +19,7 @@
 use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::layout::AddressSpace;
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelSource, MicroOp};
 
 use crate::common::{vertex_kernel, GraphArrays};
 
@@ -113,15 +113,20 @@ fn rounds(graph: &Csr) -> Vec<Vec<Status>> {
 }
 
 /// Generates the kernel sequence of an MIS run (one kernel per round),
-/// handing each finished trace to `run` by value. The stream depends
-/// only on `(graph, prop, tb_size)`, so it is safe to materialize once
-/// and replay across configuration cells.
+/// handing each kernel to `run` as a [`KernelSource`]. The stream
+/// depends only on `(graph, prop, tb_size)`, so it is safe to
+/// materialize once and replay across configuration cells.
 ///
 /// # Panics
 ///
 /// Panics if `prop` is not [`Propagation::Push`] or
 /// [`Propagation::Pull`] (no dynamic direction policy).
-pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelTrace)) {
+pub fn generate(
+    graph: &Csr,
+    prop: Propagation,
+    tb_size: u32,
+    run: &mut dyn FnMut(KernelSource<'_>),
+) {
     assert!(
         matches!(prop, Propagation::Push | Propagation::Pull),
         "MIS supports no dynamic direction policy: use Push or Pull"
@@ -143,7 +148,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                 // fire-and-forget atomic per edge (idempotent for
                 // decided targets, so no blocking predicate load sits in
                 // the inner loop).
-                let scatter = vertex_kernel(n, tb_size, |s, ops| {
+                vertex_kernel(run, n, tb_size, |s, ops| {
                     ops.push(MicroOp::load(status.addr(s as u64)));
                     if before[s as usize] != Status::Undecided {
                         return;
@@ -155,11 +160,10 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                         ops.push(MicroOp::atomic(agg.addr(t as u64)));
                     }
                 });
-                run(scatter);
                 // Decide: compare own priority to the aggregate; the
                 // (few) winners join the set and knock their neighbors
                 // out with fire-and-forget atomics.
-                let decide = vertex_kernel(n, tb_size, |v, ops| {
+                vertex_kernel(run, n, tb_size, |v, ops| {
                     ops.push(MicroOp::load(status.addr(v as u64)));
                     if before[v as usize] != Status::Undecided {
                         return;
@@ -177,7 +181,6 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                         }
                     }
                 });
-                run(decide);
             }
             Propagation::Pull => {
                 // Gather: each undecided target reads its neighbors'
@@ -185,7 +188,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                 // per edge, followed by the data-dependent comparison)
                 // and updates only itself — winners join, vertices that
                 // saw a winner drop out.
-                let gather = vertex_kernel(n, tb_size, |v, ops| {
+                vertex_kernel(run, n, tb_size, |v, ops| {
                     ops.push(MicroOp::load(status.addr(v as u64)));
                     if before[v as usize] != Status::Undecided {
                         return;
@@ -201,7 +204,6 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                         ops.push(MicroOp::store(status.addr(v as u64)));
                     }
                 });
-                run(gather);
             }
             _ => unreachable!("direction filtered by supported_propagations"),
         }
@@ -291,6 +293,7 @@ mod tests {
         let count = |prop| {
             let mut atomics = 0u64;
             generate(&g, prop, 256, &mut |k| {
+                let k = k.into_trace().unwrap();
                 for t in 0..k.num_threads() {
                     atomics += k
                         .thread(t)
@@ -308,8 +311,10 @@ mod tests {
     #[test]
     fn decided_vertices_do_one_load_in_later_rounds() {
         let g = ring(64);
-        let mut last: Option<KernelTrace> = None;
-        generate(&g, Propagation::Pull, 256, &mut |k| last = Some(k));
+        let mut last = None;
+        generate(&g, Propagation::Pull, 256, &mut |k| {
+            last = Some(k.into_trace().unwrap())
+        });
         let k = last.expect("at least one round");
         // In the final round nearly every vertex is already decided.
         let short = (0..k.num_threads())

@@ -10,7 +10,7 @@
 use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::layout::AddressSpace;
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelSource, MicroOp};
 
 use crate::common::{vertex_kernel, GraphArrays};
 
@@ -77,17 +77,22 @@ pub fn reference(graph: &Csr, iterations: u32) -> Vec<f64> {
 }
 
 /// Generates the kernel sequence of a PR run ([`ITERATIONS`] kernels),
-/// handing each finished trace to `run` by value. The stream is a pure
-/// function of `(graph, prop, tb_size)` — coherence and consistency
-/// never appear here — so consumers may materialize and reuse it
-/// across configuration cells.
+/// handing each kernel to `run` as a [`KernelSource`]. The stream is a
+/// pure function of `(graph, prop, tb_size)` — coherence and
+/// consistency never appear here — so consumers may materialize and
+/// reuse it across configuration cells.
 ///
 /// # Panics
 ///
 /// Panics if `prop` is not [`Propagation::Push`] or
 /// [`Propagation::Pull`] (PR has static
 /// traversal).
-pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelTrace)) {
+pub fn generate(
+    graph: &Csr,
+    prop: Propagation,
+    tb_size: u32,
+    run: &mut dyn FnMut(KernelSource<'_>),
+) {
     assert!(
         matches!(prop, Propagation::Push | Propagation::Pull),
         "PageRank supports no dynamic direction policy: use Push or Pull"
@@ -102,8 +107,8 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
     for iter in 0..ITERATIONS {
         let cur = rank[(iter % 2) as usize];
         let nxt = rank[((iter + 1) % 2) as usize];
-        let kernel = match prop {
-            Propagation::Push => vertex_kernel(n, tb_size, |s, ops| {
+        match prop {
+            Propagation::Push => vertex_kernel(run, n, tb_size, |s, ops| {
                 // Hoisted source property: rank[s], degree, one divide.
                 ops.push(MicroOp::load(cur.addr(s as u64)));
                 arrays.load_degree(s, ops);
@@ -114,7 +119,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                     ops.push(MicroOp::atomic(nxt.addr(t as u64)));
                 }
             }),
-            Propagation::Pull => vertex_kernel(n, tb_size, |t, ops| {
+            Propagation::Pull => vertex_kernel(run, n, tb_size, |t, ops| {
                 arrays.load_degree(t, ops);
                 for e in graph.edge_range(t) {
                     arrays.load_edge_target(e as u64, ops);
@@ -128,8 +133,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                 ops.push(MicroOp::store(nxt.addr(t as u64)));
             }),
             _ => unreachable!("direction filtered by supported_propagations"),
-        };
-        run(kernel);
+        }
     }
 }
 
@@ -193,6 +197,7 @@ mod tests {
         let mut atomics = 0u64;
         let mut kernels = 0;
         generate(&g, Propagation::Push, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             kernels += 1;
             for t in 0..k.num_threads() {
                 atomics += k
@@ -210,6 +215,7 @@ mod tests {
     fn pull_emits_no_atomics_and_one_store_per_vertex() {
         let g = chain(20);
         generate(&g, Propagation::Pull, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             let mut stores = 0;
             for t in 0..k.num_threads() {
                 assert!(k
@@ -231,6 +237,7 @@ mod tests {
         let g = chain(20);
         let mut first = true;
         generate(&g, Propagation::Pull, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             if !first {
                 return;
             }

@@ -7,7 +7,7 @@ use std::str::FromStr;
 
 use ggs_graph::Csr;
 use ggs_model::taxonomy::{AlgoBias, AlgoProfile, Propagation};
-use ggs_sim::trace::KernelTrace;
+use ggs_sim::trace::KernelSource;
 
 /// Largest edge weight of the hashed weights SSSP runs on when its
 /// graph carries none (see [`AppKind::weighted`]).
@@ -210,9 +210,11 @@ impl<'g> Workload<'g> {
     }
 
     /// Generates the workload's kernel sequence under propagation
-    /// `prop`, handing each kernel trace to `run` *by value* (streamed
-    /// so only one kernel's trace is live at a time, and kept by the
-    /// consumer without a copy).
+    /// `prop`, handing each kernel to `run` as a [`KernelSource`]: its
+    /// thread count, block size and per-vertex emitter. The consumer
+    /// packs it into warp slots as the lanes are emitted
+    /// ([`KernelSource::pack`]), or materializes its per-thread trace
+    /// ([`KernelSource::into_trace`]); one kernel is produced at a time.
     ///
     /// The emitted stream is the functional half of the workload: it is
     /// a pure function of `(app, graph, prop, tb_size)` and never
@@ -225,7 +227,7 @@ impl<'g> Workload<'g> {
     ///
     /// Panics if `prop` is not supported by the application (see
     /// [`AppKind::supported_propagations`]).
-    pub fn produce(&self, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelTrace)) {
+    pub fn produce(&self, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelSource<'_>)) {
         match self.app {
             AppKind::Pr => crate::pr::generate(self.graph, prop, tb_size, run),
             AppKind::Sssp => crate::sssp::generate(self.graph, prop, tb_size, run),

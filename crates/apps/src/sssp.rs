@@ -14,7 +14,7 @@
 use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::layout::AddressSpace;
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelSource, MicroOp};
 
 use crate::common::{vertex_kernel, GraphArrays};
 
@@ -133,16 +133,22 @@ pub fn hybrid_schedule(graph: &Csr) -> Vec<Propagation> {
 }
 
 /// Generates the kernel sequence of an SSSP run (two kernels per
-/// simulated iteration), handing each finished trace to `run` by
-/// value. The stream depends only on `(graph, prop, tb_size)`, so it
-/// is safe to materialize once and replay across configuration cells.
-/// Under [`Propagation::Hybrid`] each iteration independently runs the
-/// push or pull relax variant as chosen by [`hybrid_directions`].
+/// simulated iteration), handing each kernel to `run` as a
+/// [`KernelSource`]. The stream depends only on `(graph, prop,
+/// tb_size)`, so it is safe to materialize once and replay across
+/// configuration cells. Under [`Propagation::Hybrid`] each iteration
+/// independently runs the push or pull relax variant as chosen by
+/// [`hybrid_directions`].
 ///
 /// # Panics
 ///
 /// Panics if `prop` is [`Propagation::PushPull`].
-pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelTrace)) {
+pub fn generate(
+    graph: &Csr,
+    prop: Propagation,
+    tb_size: u32,
+    run: &mut dyn FnMut(KernelSource<'_>),
+) {
     assert_ne!(
         prop,
         Propagation::PushPull,
@@ -165,8 +171,8 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
         }
 
         let dir = hybrid_dirs.as_ref().map_or(prop, |dirs| dirs[iter]);
-        let relax = match dir {
-            Propagation::Push => vertex_kernel(n, tb_size, |s, ops| {
+        match dir {
+            Propagation::Push => vertex_kernel(run, n, tb_size, |s, ops| {
                 // Control at source: one flag load elides everything.
                 ops.push(MicroOp::load(flag.addr(s as u64)));
                 if !active[s as usize] {
@@ -182,7 +188,7 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                     ops.push(MicroOp::atomic(newdist.addr(t as u64)));
                 }
             }),
-            Propagation::Pull => vertex_kernel(n, tb_size, |t, ops| {
+            Propagation::Pull => vertex_kernel(run, n, tb_size, |t, ops| {
                 let mut any = false;
                 for e in graph.edge_range(t) {
                     arrays.load_edge_target(e as u64, ops);
@@ -201,18 +207,16 @@ pub fn generate(graph: &Csr, prop: Propagation, tb_size: u32, run: &mut dyn FnMu
                 }
             }),
             _ => unreachable!("direction filtered by supported_propagations"),
-        };
-        run(relax);
+        }
 
         // Settle kernel: identical for both variants.
-        let settle = vertex_kernel(n, tb_size, |v, ops| {
+        vertex_kernel(run, n, tb_size, |v, ops| {
             ops.push(MicroOp::load(newdist.addr(v as u64)));
             ops.push(MicroOp::load(dist.addr(v as u64)));
             ops.push(MicroOp::compute(1));
             ops.push(MicroOp::store(dist.addr(v as u64)));
             ops.push(MicroOp::store(flag.addr(v as u64)));
         });
-        run(settle);
     }
 }
 
@@ -302,6 +306,7 @@ mod tests {
             .unwrap();
         let mut first = true;
         generate(&g, Propagation::Push, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             if !first {
                 return;
             }
@@ -321,6 +326,7 @@ mod tests {
             .unwrap();
         let mut first = true;
         generate(&g, Propagation::Pull, 256, &mut |k| {
+            let k = k.into_trace().unwrap();
             if !first {
                 return;
             }
@@ -377,9 +383,13 @@ mod tests {
         // below the threshold, so hybrid degenerates to pure push.
         let g = weighted_chain(64);
         let mut push = Vec::new();
-        generate(&g, Propagation::Push, 256, &mut |k| push.push(k));
+        generate(&g, Propagation::Push, 256, &mut |k| {
+            push.push(k.into_trace().unwrap())
+        });
         let mut hybrid = Vec::new();
-        generate(&g, Propagation::Hybrid, 256, &mut |k| hybrid.push(k));
+        generate(&g, Propagation::Hybrid, 256, &mut |k| {
+            hybrid.push(k.into_trace().unwrap())
+        });
         assert_eq!(push, hybrid);
     }
 }

@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use ggs_apps::{bc, cc, clr, mis, pr, sssp, AppKind, Workload};
 use ggs_graph::{Csr, GraphBuilder};
 use ggs_model::Propagation;
-use ggs_sim::trace::MicroOp;
+use ggs_sim::trace::{MicroOp, WarpTrace};
+use ggs_sim::SystemParams;
 
 /// Strategy: an arbitrary normalized (symmetric, loop-free) graph.
 fn graphs(max_v: u32) -> impl Strategy<Value = Csr> {
@@ -159,6 +160,7 @@ proptest! {
         for app in AppKind::ALL {
             for &prop in app.supported_propagations() {
                 Workload::new(app, &g).produce(prop, 256, &mut |k| {
+                    let k = k.into_trace().unwrap();
                     for t in 0..k.num_threads() {
                         for op in k.thread(t).iter().map(|o| o.get()) {
                             if let Some(addr) = op.address() {
@@ -189,6 +191,7 @@ proptest! {
             };
             for &prop in app.supported_propagations() {
                 Workload::new(app, &g).produce(prop, 256, &mut |k| {
+                    let k = k.into_trace().unwrap();
                     for t in 0..k.num_threads() {
                         for op in k.thread(t).iter().map(|o| o.get()) {
                             if let Some(addr) = op.address() {
@@ -213,6 +216,7 @@ proptest! {
                 let collect = || {
                     let mut kernels = Vec::new();
                     Workload::new(app, &g).produce(prop, 256, &mut |k| {
+                        let k = k.into_trace().unwrap();
                         kernels.push(k.total_ops());
                     });
                     kernels
@@ -221,4 +225,55 @@ proptest! {
             }
         }
     }
+
+    /// Streaming packing — each warp packed as its lanes are emitted —
+    /// equals packing the materialized per-thread trace word for word,
+    /// for every app and direction. Block sizes that are not a multiple
+    /// of the warp size, partial last blocks and lanes without ops
+    /// (CC's hooking kernel always has one: vertex 0 hooks nothing) are
+    /// drawn as often as the study's geometry.
+    #[test]
+    fn streaming_packing_matches_packing_the_materialized_trace(
+        g in graphs(128),
+        tb_size in prop_oneof![Just(256u32), Just(48), 1u32..300],
+        warp_size in prop_oneof![Just(32u32), Just(7), 1u32..64],
+        line_bytes in prop_oneof![Just(64u32), Just(4), Just(128)],
+    ) {
+        let g = g.with_hashed_weights(8);
+        let params = SystemParams {
+            warp_size,
+            line_bytes,
+            ..SystemParams::default()
+        };
+        for app in AppKind::ALL.into_iter().chain(AppKind::EXTENDED) {
+            for &prop in app.supported_propagations() {
+                let workload = Workload::new(app, &g);
+                let mut streamed = Vec::new();
+                workload.produce(prop, tb_size, &mut |k| streamed.push(k.pack(&params).unwrap()));
+                let mut materialized = Vec::new();
+                workload.produce(prop, tb_size, &mut |k| {
+                    let trace = k.into_trace().unwrap();
+                    materialized.push(WarpTrace::pack(&trace, &params).unwrap());
+                });
+                prop_assert_eq!(streamed.len(), materialized.len());
+                for (s, m) in streamed.iter().zip(&materialized) {
+                    // Words, warp offsets, thread and op counts, atomic
+                    // mix and geometry.
+                    prop_assert_eq!(s, m, "{}/{}", app, prop);
+                    prop_assert_eq!(s.heap_bytes(), exact_heap_bytes(s));
+                    prop_assert_eq!(m.heap_bytes(), exact_heap_bytes(m));
+                }
+            }
+        }
+    }
+}
+
+/// The bytes a packed kernel's records and warp offsets take, with no
+/// growth slack.
+fn exact_heap_bytes(w: &WarpTrace) -> u64 {
+    let words: usize = (0..w.num_warps())
+        .flat_map(|i| w.warp(i))
+        .map(|s| 2 + s.loads.len() + s.stores.len() + s.atomics.len())
+        .sum();
+    4 * (words + w.num_warps() + 1) as u64
 }

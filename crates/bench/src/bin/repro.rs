@@ -1055,7 +1055,9 @@ fn check(scale: f64, extended: bool) {
 
     println!("== Check: static DRF + Table I contract certification (EML, scale {scale}) ==");
     for model in ConsistencyModel::ALL {
-        for report in certify_matrix(&graph, model, extended) {
+        let reports =
+            certify_matrix(&graph, model, extended).unwrap_or_else(|e| die(&format!("{e}")));
+        for report in reports {
             println!("{}", report.summary_line());
             if !report.is_clean() {
                 dirty = true;

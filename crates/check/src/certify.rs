@@ -21,7 +21,6 @@ use ggs_model::Propagation;
 use ggs_sim::check::ProtocolViolation;
 use ggs_sim::config::{ConsistencyModel, HwConfig};
 use ggs_sim::params::{ParamsError, SystemParams};
-use ggs_sim::trace::WarpTrace;
 use ggs_sim::Simulation;
 
 use crate::drf::{analyze_kernel, AccessClass, KernelAnalysis, Violation, ViolationKind};
@@ -193,12 +192,17 @@ pub fn check_kernel_contract(
 /// the direction it actually ran — push kernels must confine plain
 /// writes, pull kernels must be atomic-free with thread-private
 /// writes.
+///
+/// # Errors
+///
+/// A [`ParamsError`] if a kernel's per-thread trace cannot be built
+/// (see [`KernelSource::into_trace`](ggs_sim::trace::KernelSource::into_trace)).
 pub fn certify_workload(
     app: AppKind,
     graph: &Csr,
     prop: Propagation,
     consistency: ConsistencyModel,
-) -> AppReport {
+) -> Result<AppReport, ParamsError> {
     let graph = app.weighted(graph);
     let workload = Workload::new(app, &graph);
     let regions = workload.memory_map();
@@ -216,7 +220,18 @@ pub fn certify_workload(
         plain_writes: 0,
         violations: Vec::new(),
     };
+    let mut failed = None;
     workload.produce(prop, TB_SIZE, &mut |kernel| {
+        if failed.is_some() {
+            return;
+        }
+        let kernel = match kernel.into_trace() {
+            Ok(kernel) => kernel,
+            Err(e) => {
+                failed = Some(e);
+                return;
+            }
+        };
         let analysis = analyze_kernel(&kernel, consistency);
         // Hybrid kernels are judged by the direction they actually ran.
         let realized = schedule.as_ref().map_or(prop, |s| s[report.kernels]);
@@ -236,17 +251,24 @@ pub fn certify_workload(
         report.plain_writes += analysis.plain_writes;
         report.kernels += 1;
     });
-    report
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(report),
+    }
 }
 
 /// Certifies the full application × direction matrix on `graph`:
 /// the paper's six applications plus (optionally) the extension apps,
 /// each in every supported direction.
+///
+/// # Errors
+///
+/// As [`certify_workload`].
 pub fn certify_matrix(
     graph: &Csr,
     consistency: ConsistencyModel,
     include_extended: bool,
-) -> Vec<AppReport> {
+) -> Result<Vec<AppReport>, ParamsError> {
     let apps: Vec<AppKind> = AppKind::ALL
         .into_iter()
         .chain(
@@ -259,10 +281,10 @@ pub fn certify_matrix(
     let mut reports = Vec::new();
     for app in apps {
         for &prop in app.supported_propagations() {
-            reports.push(certify_workload(app, graph, prop, consistency));
+            reports.push(certify_workload(app, graph, prop, consistency)?);
         }
     }
-    reports
+    Ok(reports)
 }
 
 /// Runs one workload through the simulator with the dynamic protocol
@@ -272,7 +294,7 @@ pub fn certify_matrix(
 /// # Errors
 ///
 /// A [`ParamsError`] if a kernel cannot be packed for `params` (see
-/// [`WarpTrace::pack`]).
+/// [`KernelSource::pack`](ggs_sim::trace::KernelSource::pack)).
 pub fn run_protocol_checked(
     app: AppKind,
     graph: &Csr,
@@ -290,9 +312,7 @@ pub fn run_protocol_checked(
     let mut failed = None;
     workload.produce(prop, TB_SIZE, &mut |kernel| {
         if failed.is_none() {
-            failed = WarpTrace::pack(&kernel, params)
-                .and_then(|k| sim.run_kernel(&k))
-                .err();
+            failed = kernel.pack(params).and_then(|k| sim.run_kernel(&k)).err();
         }
     });
     if let Some(e) = failed {
@@ -320,7 +340,7 @@ mod tests {
     #[test]
     fn every_workload_is_clean_on_a_ring() {
         let g = ring(64);
-        for report in certify_matrix(&g, ConsistencyModel::Drf1, true) {
+        for report in certify_matrix(&g, ConsistencyModel::Drf1, true).unwrap() {
             assert!(
                 report.is_clean(),
                 "{}\n{:#?}",
@@ -336,13 +356,14 @@ mod tests {
         let g = ring(64);
         for app in AppKind::ALL {
             for &prop in app.supported_propagations() {
-                let r = certify_workload(app, &g, prop, ConsistencyModel::Drf0);
+                let r = certify_workload(app, &g, prop, ConsistencyModel::Drf0).unwrap();
                 if prop == Propagation::Pull {
                     assert_eq!(r.atomic_ops, 0, "{}", r.summary_line());
                 }
             }
         }
-        let push_pr = certify_workload(AppKind::Pr, &g, Propagation::Push, ConsistencyModel::Drf0);
+        let push_pr =
+            certify_workload(AppKind::Pr, &g, Propagation::Push, ConsistencyModel::Drf0).unwrap();
         assert!(push_pr.atomic_ops > 0);
         // Under DRF0 every atomic fences; the counts must agree.
         assert_eq!(push_pr.fence_atomics, push_pr.atomic_ops);
@@ -441,7 +462,8 @@ mod tests {
             &g,
             Propagation::Hybrid,
             ConsistencyModel::Drf1,
-        );
+        )
+        .unwrap();
         assert!(r.is_clean(), "{}\n{:#?}", r.summary_line(), r.violations);
         assert_eq!(r.kernels, schedule.len(), "{}", r.summary_line());
         // The push half uses atomics; under a whole-run pull contract

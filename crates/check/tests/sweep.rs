@@ -28,7 +28,7 @@ fn small_graph() -> ggs_graph::Csr {
 fn full_app_direction_matrix_is_drf_clean() {
     let graph = small_graph();
     for model in ConsistencyModel::ALL {
-        let reports = certify_matrix(&graph, model, true);
+        let reports = certify_matrix(&graph, model, true).unwrap();
         // 6 paper apps + extended set, each with >= 1 direction.
         assert!(reports.len() >= AppKind::ALL.len() * 2 - AppKind::ALL.len());
         let mut saw_push = false;
@@ -53,7 +53,7 @@ fn full_app_direction_matrix_is_drf_clean() {
 #[test]
 fn matrix_distinguishes_directions() {
     let graph = small_graph();
-    let reports = certify_matrix(&graph, ConsistencyModel::Drf0, false);
+    let reports = certify_matrix(&graph, ConsistencyModel::Drf0, false).unwrap();
     for r in &reports {
         match r.prop {
             Propagation::Pull => assert_eq!(r.atomic_ops, 0, "{r}"),

@@ -231,19 +231,22 @@ pub fn run_workload_profiled(
 /// direction (the stream never depends on coherence, consistency, or
 /// timing; see [`Workload::produce`]).
 ///
-/// Each kernel is packed into warp slots ([`WarpTrace::pack`]) as the
-/// application emits it, so only one kernel's per-thread trace is ever
-/// live. SSSP's deterministic weight attachment is the same as
+/// Each kernel is packed into warp slots as the application emits its
+/// lanes ([`KernelSource::pack`]), so no per-thread trace of a kernel
+/// is built: beside the stream, only one warp's lanes are live. SSSP's
+/// deterministic weight attachment is the same as
 /// [`run_workload`]'s, so the stream for an unweighted graph matches
 /// what the fused run simulates. A `prop` that `app` does not support
 /// (see [`AppKind::supported_propagations`]) yields an empty stream;
 /// [`run_stream_budgeted`] rejects such a pairing with
 /// [`GgsError::Unsupported`].
 ///
+/// [`KernelSource::pack`]: ggs_sim::trace::KernelSource::pack
+///
 /// # Errors
 ///
 /// [`GgsError::Params`] if a kernel cannot be packed for `params` (see
-/// [`WarpTrace::pack`]).
+/// [`KernelSource::pack`]).
 pub fn produce_stream(
     app: AppKind,
     graph: &Csr,
@@ -257,7 +260,7 @@ pub fn produce_stream(
     let mut failed = None;
     Workload::new(app, &app.weighted(graph)).produce(prop, params.tb_size, &mut |kernel| {
         if failed.is_none() {
-            match WarpTrace::pack(&kernel, params) {
+            match kernel.pack(params) {
                 Ok(packed) => stream.push(Arc::new(packed)),
                 Err(e) => failed = Some(e),
             }
@@ -355,7 +358,7 @@ fn simulate(
             let mut failed = None;
             workload.produce(config.propagation, spec.params.tb_size, &mut |kernel| {
                 if failed.is_none() && !sim.budget_exhausted() {
-                    let packed = WarpTrace::pack(&kernel, &spec.params);
+                    let packed = kernel.pack(&spec.params);
                     failed = packed.and_then(|k| sim.run_kernel(&k)).err();
                 }
             });
@@ -554,6 +557,19 @@ mod tests {
                 assert!(matches!(err, GgsError::Params(_)), "{path}: {err}");
             }
         }
+    }
+
+    #[test]
+    fn producing_a_stream_for_a_zero_block_size_is_a_typed_error() {
+        let params = SystemParams {
+            tb_size: 0,
+            ..SystemParams::default()
+        };
+        let err = produce_stream(AppKind::Pr, &graph(), Propagation::Push, &params).unwrap_err();
+        assert!(
+            matches!(err, GgsError::Params(ParamsError::NonPositive("tb_size"))),
+            "{err}"
+        );
     }
 
     #[test]

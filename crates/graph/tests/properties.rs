@@ -118,3 +118,109 @@ proptest! {
         prop_assert!(hi > lo, "local fraction should grow: {lo} vs {hi}");
     }
 }
+
+/// One byte-level edit of a Matrix Market stream. Positions are taken
+/// modulo the stream's length, so every edit lands.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    Overwrite(usize, u8),
+    Insert(usize, u8),
+    Delete(usize),
+    FlipBit(usize, u8),
+}
+
+/// Strategy: one edit, writing the bytes the format gives meaning to
+/// as often as an arbitrary byte.
+fn mutations() -> impl Strategy<Value = Mutation> {
+    let byte = || {
+        prop_oneof![
+            prop_oneof![
+                Just(b'0'),
+                Just(b'1'),
+                Just(b'9'),
+                Just(b' '),
+                Just(b'\n'),
+                Just(b'%'),
+                Just(b'-'),
+                Just(0xff),
+            ],
+            0u8..=255,
+        ]
+    };
+    prop_oneof![
+        (0usize..4096, byte()).prop_map(|(at, b)| Mutation::Overwrite(at, b)),
+        (0usize..4096, byte()).prop_map(|(at, b)| Mutation::Insert(at, b)),
+        (0usize..4096).prop_map(Mutation::Delete),
+        (0usize..4096, 0u8..8).prop_map(|(at, bit)| Mutation::FlipBit(at, bit)),
+    ]
+}
+
+/// Strategy: a valid Matrix Market stream — one written from an
+/// arbitrary graph, or a hand-written one using the forms the writer
+/// never emits (comments, blank lines, values, a symmetric banner).
+fn mtx_inputs() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        edge_lists(24).prop_map(|(n, edges)| {
+            let g = GraphBuilder::new(n)
+                .edges(edges)
+                .symmetric(true)
+                .build()
+                .unwrap();
+            let mut buf = Vec::new();
+            write_mtx(&g, &mut buf).expect("write succeeds");
+            buf
+        }),
+        Just(
+            b"%%MatrixMarket matrix coordinate real symmetric\n% a comment\n\n\
+              5 5 4\n2 1 0.5\n3 2 -1e3\n\n5 4 7\n4 4 1\n"
+                .to_vec()
+        ),
+        Just(b"%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n".to_vec()),
+    ]
+}
+
+/// Applies `edits` to `bytes` in order.
+fn mutate(mut bytes: Vec<u8>, edits: &[Mutation]) -> Vec<u8> {
+    for &edit in edits {
+        let at = |i: usize, len: usize| i % len.max(1);
+        match edit {
+            Mutation::Overwrite(i, b) if !bytes.is_empty() => {
+                let i = at(i, bytes.len());
+                bytes[i] = b;
+            }
+            Mutation::Insert(i, b) => {
+                let i = at(i, bytes.len() + 1);
+                bytes.insert(i, b);
+            }
+            Mutation::Delete(i) if !bytes.is_empty() => {
+                let i = at(i, bytes.len());
+                bytes.remove(i);
+            }
+            Mutation::FlipBit(i, bit) if !bytes.is_empty() => {
+                let i = at(i, bytes.len());
+                bytes[i] ^= 1 << bit;
+            }
+            _ => {}
+        }
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Fuzz: byte-level mutations of valid Matrix Market input never
+    /// make the parser panic. It returns a typed error or a graph, and
+    /// any graph it returns is normalized.
+    #[test]
+    fn mtx_parser_survives_byte_mutations(
+        input in mtx_inputs(),
+        edits in prop::collection::vec(mutations(), 1..8),
+    ) {
+        let bytes = mutate(input, &edits);
+        if let Ok(g) = read_mtx(&bytes[..]) {
+            prop_assert!(g.is_symmetric());
+            prop_assert!(!g.has_self_loops());
+        }
+    }
+}

@@ -286,7 +286,7 @@ impl Cache {
     /// way for a [`Cache::fill`].
     ///
     /// Two passes: a pure hit scan touching only the packed words (the
-    /// common case, since the L2 hits about 95% of the time, pays for no
+    /// common case, since the L2 hits about 91% of the time, pays for no
     /// LRU stamps at all), then the victim scan over words and stamps
     /// only when the hit scan came up empty.
     #[inline]

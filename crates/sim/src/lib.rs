@@ -39,17 +39,16 @@
 //! use ggs_sim::config::{CoherenceKind, ConsistencyModel, HwConfig};
 //! use ggs_sim::engine::Simulation;
 //! use ggs_sim::params::SystemParams;
-//! use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
+//! use ggs_sim::trace::{KernelSource, MicroOp};
 //!
 //! // One thread block; every thread loads one word then computes.
-//! let threads = (0..256u64)
-//!     .map(|t| vec![MicroOp::load(t * 4), MicroOp::compute(8)])
-//!     .collect();
-//! let kernel = KernelTrace::new(threads, 256)?;
+//! let mut emit = |t: u32, ops: &mut Vec<MicroOp>| {
+//!     ops.extend([MicroOp::load(u64::from(t) * 4), MicroOp::compute(8)]);
+//! };
 //!
 //! // Coalesce it into warp slots once, for the simulated geometry.
 //! let params = SystemParams::default();
-//! let packed = WarpTrace::pack(&kernel, &params)?;
+//! let packed = KernelSource::new(256, 256, &mut emit).pack(&params)?;
 //!
 //! let hw = HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::Drf0);
 //! let mut sim = Simulation::new(params, hw)?;
@@ -86,4 +85,4 @@ pub use engine::{BudgetBreach, SimBudget, Simulation, SimulationBuilder};
 pub use ggs_trace::{TraceEvent, TraceSink, Tracer};
 pub use params::{ParamsError, SystemParams};
 pub use stats::{ExecStats, StallBreakdown, StallClass};
-pub use trace::{KernelTrace, MicroOp, Op, WarpTrace};
+pub use trace::{KernelSource, KernelTrace, MicroOp, Op, WarpTrace};

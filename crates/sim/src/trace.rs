@@ -1,13 +1,18 @@
 //! The micro-op trace formats kernels are expressed in.
 //!
-//! Applications compile each GPU kernel into one micro-op stream per
-//! thread, a [`KernelTrace`]. The simulator executes threads in 32-lane
-//! warps: at *slot* `k`, a warp executes op `k` of every lane that still
-//! has ops left (shorter lanes simply become inactive — this models
+//! Applications emit each GPU kernel as one micro-op stream per thread,
+//! handed over as a [`KernelSource`]: a thread count, a block size and
+//! an emitter. The simulator executes threads in 32-lane warps: at
+//! *slot* `k`, a warp executes op `k` of every lane that still has ops
+//! left (shorter lanes simply become inactive — this models
 //! loop-trip-count divergence, the dominant divergence in vertex-centric
-//! graph kernels). [`WarpTrace::pack`] turns a kernel into those warp
-//! slots once, coalesced for one warp and line size; that packed form is
-//! what the simulator runs.
+//! graph kernels). [`KernelSource::pack`] turns a kernel into those
+//! warp slots as its threads are emitted, coalesced for one warp and
+//! line size; that packed [`WarpTrace`] is what the simulator runs. A
+//! [`KernelTrace`] holds every thread's stream at once, for consumers
+//! that read threads one by one (the race detector, tests).
+
+use std::ops::Range;
 
 use crate::config::AtomicMix;
 use crate::params::{ParamsError, SystemParams};
@@ -178,8 +183,10 @@ impl std::fmt::Debug for Op {
 /// a cumulative offset table (thread `i` is
 /// `ops[offsets[i]..offsets[i + 1]]`), so a trace costs two allocations
 /// regardless of thread count. Both are shrunk to their length on
-/// construction. The simulator runs the kernel packed into warp slots
-/// ([`WarpTrace::pack`]).
+/// construction. Producers hand kernels over as a [`KernelSource`],
+/// which packs into warp slots without building this form;
+/// [`KernelSource::into_trace`] builds it where a per-thread view is
+/// read, and [`WarpTrace::pack`] packs it.
 ///
 /// # Example
 ///
@@ -200,8 +207,6 @@ pub struct KernelTrace {
     /// `num_threads + 1` cumulative offsets into `ops`.
     offsets: Vec<u32>,
     tb_size: u32,
-    /// Which atomics `ops` holds, found once at construction.
-    atomic_mix: AtomicMix,
 }
 
 impl KernelTrace {
@@ -224,16 +229,8 @@ impl KernelTrace {
         let mut ops = Vec::with_capacity(total);
         let mut offsets = Vec::with_capacity(threads.len() + 1);
         offsets.push(0);
-        for t in &threads {
-            for &op in t {
-                match op.address() {
-                    Some(addr) if addr > Op::MAX_ADDR => {
-                        return Err(ParamsError::AddressOutOfRange(addr))
-                    }
-                    _ => ops.push(Op::from(op)),
-                }
-            }
-            offsets.push(ops.len() as u32);
+        for stream in &threads {
+            append_thread(&mut ops, &mut offsets, stream)?;
         }
         Ok(Self::from_flat(ops, offsets, tb_size))
     }
@@ -259,19 +256,10 @@ impl KernelTrace {
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         ops.shrink_to_fit();
         offsets.shrink_to_fit();
-        let atomic_mix = ops
-            .iter()
-            .filter_map(|op| match op.get() {
-                MicroOp::Atomic { returns_value, .. } => Some(AtomicMix::of_atomic(returns_value)),
-                _ => None,
-            })
-            .max()
-            .unwrap_or_default();
         Self {
             ops,
             offsets,
             tb_size,
-            atomic_mix,
         }
     }
 
@@ -301,14 +289,6 @@ impl KernelTrace {
         &self.ops[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
 
-    /// Which atomics the kernel issues: none, only value-returning ones,
-    /// or some fire-and-forget ones. This is all the consistency model
-    /// can observe of the kernel (see
-    /// [`ConsistencyModel::class_representative`](crate::config::ConsistencyModel::class_representative)).
-    pub fn atomic_mix(&self) -> AtomicMix {
-        self.atomic_mix
-    }
-
     /// Total number of micro-ops across all threads.
     pub fn total_ops(&self) -> u64 {
         self.ops.len() as u64
@@ -324,11 +304,289 @@ impl KernelTrace {
     }
 }
 
-/// Checks that `total` ops fit a trace's `u32` offset table.
+/// Appends one thread's `stream` to a [`KernelTrace`] arena under
+/// construction: its ops to `ops` and its end to `offsets`.
+fn append_thread(
+    ops: &mut Vec<Op>,
+    offsets: &mut Vec<u32>,
+    stream: &[MicroOp],
+) -> Result<(), ParamsError> {
+    for &op in stream {
+        match op.address() {
+            Some(addr) if addr > Op::MAX_ADDR => return Err(ParamsError::AddressOutOfRange(addr)),
+            _ => ops.push(Op::from(op)),
+        }
+    }
+    check_op_count(ops.len())?;
+    offsets.push(ops.len() as u32);
+    Ok(())
+}
+
+/// Checks that `total` entries fit a trace's `u32` offset table.
 fn check_op_count(total: usize) -> Result<(), ParamsError> {
     match u32::try_from(total) {
         Ok(_) => Ok(()),
         Err(_) => Err(ParamsError::TooManyOps(total as u64)),
+    }
+}
+
+/// One kernel launch as its producer emits it: `num_threads` threads in
+/// blocks of `tb_size`, and an emitter that appends thread `t`'s ops.
+///
+/// A consumer takes the kernel once, thread by thread in order:
+/// [`Self::pack`] packs each warp as its lanes are emitted, so no
+/// per-thread trace of the whole kernel is ever built, and
+/// [`Self::into_trace`] materializes that [`KernelTrace`] for consumers
+/// that read threads one by one. An emitter may carry state from one
+/// thread to the next (connected components' hooking kernel replays its
+/// union-find as it goes), so a kernel dropped before every thread was
+/// emitted runs the emitter for the rest: whatever a consumer does with
+/// one kernel, the producer's next kernel is the same.
+///
+/// # Example
+///
+/// ```
+/// use ggs_sim::trace::{KernelSource, MicroOp};
+/// use ggs_sim::SystemParams;
+///
+/// // Three threads; thread t loads t words from address 0.
+/// let mut emit = |t: u32, ops: &mut Vec<MicroOp>| {
+///     ops.extend((0..t).map(|i| MicroOp::load(u64::from(i) * 4)));
+/// };
+/// let packed = KernelSource::new(3, 256, &mut emit).pack(&SystemParams::default())?;
+/// assert_eq!((packed.num_threads(), packed.total_ops()), (3, 3));
+/// let trace = KernelSource::new(3, 256, &mut emit).into_trace()?;
+/// assert_eq!(trace.thread(2).len(), 2);
+/// # Ok::<(), ggs_sim::params::ParamsError>(())
+/// ```
+pub struct KernelSource<'e> {
+    num_threads: u32,
+    tb_size: u32,
+    /// The first thread not yet emitted.
+    next: u32,
+    emit: &'e mut dyn FnMut(u32, &mut Vec<MicroOp>),
+}
+
+impl<'e> KernelSource<'e> {
+    /// A kernel of `num_threads` threads in blocks of `tb_size`, whose
+    /// thread `t` is what `emit(t, ops)` appends to `ops`. Threads are
+    /// emitted once each, in order.
+    pub fn new(
+        num_threads: u32,
+        tb_size: u32,
+        emit: &'e mut dyn FnMut(u32, &mut Vec<MicroOp>),
+    ) -> Self {
+        Self {
+            num_threads,
+            tb_size,
+            next: 0,
+            emit,
+        }
+    }
+
+    /// Number of threads.
+    pub fn num_threads(&self) -> u64 {
+        self.num_threads.into()
+    }
+
+    /// Packs the kernel for the warp size and line size of `params`,
+    /// one warp at a time: each warp is packed as soon as its lanes
+    /// are emitted, so at most one warp's lanes are held.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParamsError`]:
+    /// - [`NonPositive`](ParamsError::NonPositive) if `tb_size` is zero;
+    /// - [`NonPositive`](ParamsError::NonPositive),
+    ///   [`TooLarge`](ParamsError::TooLarge) or
+    ///   [`NotPowerOfTwo`](ParamsError::NotPowerOfTwo) for a warp size or
+    ///   line size that cannot be packed;
+    /// - [`AddressOutOfRange`](ParamsError::AddressOutOfRange) for a load
+    ///   or store whose line number, or an atomic whose word number, does
+    ///   not fit 32 bits;
+    /// - [`TooManyOps`](ParamsError::TooManyOps) if the records outgrow
+    ///   the `u32` offset table.
+    pub fn pack(mut self, params: &SystemParams) -> Result<WarpTrace, ParamsError> {
+        let mut packer = WarpPacker::new(self.tb_size, params)?;
+        while let Some(t) = self.next_thread() {
+            packer.push_thread(|ops| (self.emit)(t, ops))?;
+        }
+        packer.finish()
+    }
+
+    /// Materializes every thread's stream as a [`KernelTrace`].
+    ///
+    /// # Errors
+    ///
+    /// As [`KernelTrace::new`].
+    pub fn into_trace(mut self) -> Result<KernelTrace, ParamsError> {
+        if self.tb_size == 0 {
+            return Err(ParamsError::NonPositive("tb_size"));
+        }
+        let (mut ops, mut stream) = (Vec::new(), Vec::new());
+        let mut offsets = Vec::with_capacity(self.num_threads as usize + 1);
+        offsets.push(0);
+        while let Some(t) = self.next_thread() {
+            stream.clear();
+            (self.emit)(t, &mut stream);
+            append_thread(&mut ops, &mut offsets, &stream)?;
+        }
+        Ok(KernelTrace::from_flat(ops, offsets, self.tb_size))
+    }
+
+    /// The next thread to emit, if any is left.
+    fn next_thread(&mut self) -> Option<u32> {
+        let t = self.next;
+        (t < self.num_threads).then(|| {
+            self.next += 1;
+            t
+        })
+    }
+}
+
+impl Drop for KernelSource<'_> {
+    /// Emits, and discards, the threads no consumer asked for.
+    fn drop(&mut self) {
+        let mut ops = Vec::new();
+        while let Some(t) = self.next_thread() {
+            ops.clear();
+            (self.emit)(t, &mut ops);
+        }
+    }
+}
+
+impl std::fmt::Debug for KernelSource<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KernelSource")
+            .field("num_threads", &self.num_threads)
+            .field("tb_size", &self.tb_size)
+            .field("next", &self.next)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Packs a kernel into a [`WarpTrace`] as its threads arrive, in thread
+/// order, holding at most one warp's lanes: the one packing loop behind
+/// [`KernelSource::pack`] and [`WarpTrace::pack`], whose docs list its
+/// errors.
+///
+/// A warp is `warp_size` consecutive threads of one block, split from
+/// the block's first thread, so the packer packs the pending warp when
+/// it holds `warp_size` lanes or its last lane ends a block, and
+/// [`Self::finish`] packs a partial last warp. The lane buffer is reused
+/// from warp to warp.
+#[derive(Debug)]
+pub(crate) struct WarpPacker {
+    tb_size: u32,
+    warp_size: u32,
+    line_bytes: u32,
+    /// The pending warp's ops, lane after lane.
+    lane_ops: Vec<MicroOp>,
+    /// The unpacked ops of each pending lane that has any, in
+    /// `lane_ops`, in lane order.
+    lanes: Vec<Range<usize>>,
+    /// Lanes the pending warp holds, empty ones included.
+    pending: u32,
+    scratch: SlotScratch,
+    words: Vec<u32>,
+    warps: Vec<u32>,
+    num_threads: u64,
+    total_ops: u64,
+    atomic_mix: AtomicMix,
+}
+
+impl WarpPacker {
+    /// A packer for a kernel in blocks of `tb_size` threads, for the warp
+    /// size and line size of `params`.
+    pub(crate) fn new(tb_size: u32, params: &SystemParams) -> Result<Self, ParamsError> {
+        if tb_size == 0 {
+            return Err(ParamsError::NonPositive("tb_size"));
+        }
+        let (warp_size, line_bytes) = (params.warp_size, params.line_bytes);
+        check_packable(warp_size, line_bytes)?;
+        Ok(Self {
+            tb_size,
+            warp_size,
+            line_bytes,
+            lane_ops: Vec::new(),
+            lanes: Vec::with_capacity(warp_size as usize),
+            pending: 0,
+            scratch: SlotScratch::default(),
+            words: Vec::new(),
+            warps: vec![0],
+            num_threads: 0,
+            total_ops: 0,
+            atomic_mix: AtomicMix::None,
+        })
+    }
+
+    /// Adds the next thread, whose ops `emit` appends to the vector it
+    /// is handed (which may already hold other lanes' ops).
+    pub(crate) fn push_thread(
+        &mut self,
+        emit: impl FnOnce(&mut Vec<MicroOp>),
+    ) -> Result<(), ParamsError> {
+        let start = self.lane_ops.len();
+        emit(&mut self.lane_ops);
+        let end = self.lane_ops.len();
+        if end > start {
+            self.lanes.push(start..end);
+        }
+        self.total_ops += (end - start) as u64;
+        self.num_threads += 1;
+        self.pending += 1;
+        if self.pending == self.warp_size || self.num_threads.is_multiple_of(self.tb_size.into()) {
+            self.pack_warp()?;
+        }
+        Ok(())
+    }
+
+    /// Packs the pending warp: at each slot, the next op of every lane
+    /// that still has one. A lane leaves once it runs out, so a slot
+    /// visits active lanes only.
+    fn pack_warp(&mut self) -> Result<(), ParamsError> {
+        let line_shift = self.line_bytes.trailing_zeros();
+        let Self {
+            lane_ops,
+            lanes,
+            scratch,
+            words,
+            atomic_mix,
+            ..
+        } = self;
+        while !lanes.is_empty() {
+            let ops = lanes.iter_mut().map(|lane| {
+                let op = lane_ops[lane.start];
+                lane.start += 1;
+                op
+            });
+            *atomic_mix = (*atomic_mix).max(scratch.pack(ops, line_shift, words)?);
+            lanes.retain(|lane| !lane.is_empty());
+        }
+        check_op_count(words.len())?;
+        self.warps.push(words.len() as u32);
+        self.lane_ops.clear();
+        self.pending = 0;
+        Ok(())
+    }
+
+    /// Packs a partial last warp and returns the packed kernel.
+    pub(crate) fn finish(mut self) -> Result<WarpTrace, ParamsError> {
+        if self.pending > 0 {
+            self.pack_warp()?;
+        }
+        self.words.shrink_to_fit();
+        self.warps.shrink_to_fit();
+        Ok(WarpTrace {
+            words: self.words,
+            warps: self.warps,
+            num_threads: self.num_threads,
+            total_ops: self.total_ops,
+            tb_size: self.tb_size,
+            warp_size: self.warp_size,
+            line_bytes: self.line_bytes,
+            atomic_mix: self.atomic_mix,
+        })
     }
 }
 
@@ -355,9 +613,9 @@ pub(crate) fn check_packable(warp_size: u32, line_bytes: u32) -> Result<(), Para
 ///
 /// At slot `k` a warp executes op `k` of every lane that still has ops
 /// left. What the SM issues for that slot depends only on the lanes'
-/// ops, the warp size and the line size, so [`WarpTrace::pack`] gathers
-/// and coalesces every slot once, and each configuration that simulates
-/// the kernel walks the records.
+/// ops, the warp size and the line size, so packing gathers and
+/// coalesces every slot once, and each configuration that simulates the
+/// kernel walks the records.
 ///
 /// # Layout
 ///
@@ -418,67 +676,18 @@ impl WarpTrace {
     const COUNT_MASK: u32 = (1 << Self::COUNT_BITS) - 1;
     const RETURNS_BIT: u32 = 1 << 15;
 
-    /// Packs `kernel` for the warp size and line size of `params`.
+    /// Packs `kernel` for the warp size and line size of `params`, thread
+    /// by thread, as [`KernelSource::pack`] packs an emitted kernel.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParamsError`]:
-    /// - [`NonPositive`](ParamsError::NonPositive),
-    ///   [`TooLarge`](ParamsError::TooLarge) or
-    ///   [`NotPowerOfTwo`](ParamsError::NotPowerOfTwo) for a warp size or
-    ///   line size that cannot be packed;
-    /// - [`AddressOutOfRange`](ParamsError::AddressOutOfRange) for a load
-    ///   or store whose line number, or an atomic whose word number, does
-    ///   not fit 32 bits;
-    /// - [`TooManyOps`](ParamsError::TooManyOps) if the records outgrow
-    ///   the `u32` offset table.
+    /// As [`KernelSource::pack`].
     pub fn pack(kernel: &KernelTrace, params: &SystemParams) -> Result<Self, ParamsError> {
-        let (warp_size, line_bytes) = (params.warp_size, params.line_bytes);
-        check_packable(warp_size, line_bytes)?;
-        let line_shift = line_bytes.trailing_zeros();
-        let threads = kernel.num_threads() as usize;
-        let (tb, ws) = (kernel.tb_size() as usize, warp_size as usize);
-        let mut words = Vec::new();
-        let mut warps = vec![0];
-        let mut lanes: Vec<&[Op]> = Vec::with_capacity(ws);
-        let mut scratch = SlotScratch::default();
-        for block in (0..threads).step_by(tb) {
-            let block_end = (block + tb).min(threads);
-            for lo in (block..block_end).step_by(ws) {
-                // Each lane's ops not yet packed, in lane order; a lane
-                // leaves once it runs out, so a slot visits active lanes
-                // only.
-                lanes.clear();
-                lanes.extend(
-                    (lo..(lo + ws).min(block_end))
-                        .map(|t| kernel.thread(t as u64))
-                        .filter(|lane| !lane.is_empty()),
-                );
-                while !lanes.is_empty() {
-                    let ops = lanes.iter_mut().filter_map(|lane| {
-                        let (op, rest) = (*lane).split_first()?;
-                        *lane = rest;
-                        Some(op)
-                    });
-                    scratch.pack(ops, line_shift, &mut words)?;
-                    lanes.retain(|lane| !lane.is_empty());
-                }
-                check_op_count(words.len())?;
-                warps.push(words.len() as u32);
-            }
+        let mut packer = WarpPacker::new(kernel.tb_size(), params)?;
+        for t in 0..kernel.num_threads() {
+            packer.push_thread(|ops| ops.extend(kernel.thread(t).iter().map(|op| op.get())))?;
         }
-        words.shrink_to_fit();
-        warps.shrink_to_fit();
-        Ok(Self {
-            words,
-            warps,
-            num_threads: kernel.num_threads(),
-            total_ops: kernel.total_ops(),
-            tb_size: kernel.tb_size(),
-            warp_size,
-            line_bytes,
-            atomic_mix: kernel.atomic_mix(),
-        })
+        packer.finish()
     }
 
     /// Checks that this trace was packed for the warp size and line size
@@ -556,7 +765,10 @@ impl WarpTrace {
         (lo..hi).map(|w| self.warp(w))
     }
 
-    /// Which atomics the kernel issues (see [`KernelTrace::atomic_mix`]).
+    /// Which atomics the kernel issues: none, only value-returning ones,
+    /// or some fire-and-forget ones. This is all the consistency model
+    /// can observe of the kernel (see
+    /// [`ConsistencyModel::class_representative`](crate::config::ConsistencyModel::class_representative)).
     pub fn atomic_mix(&self) -> AtomicMix {
         self.atomic_mix
     }
@@ -575,7 +787,7 @@ impl WarpTrace {
     }
 }
 
-/// Reusable gather buffers for [`WarpTrace::pack`].
+/// Reusable gather buffers for a [`WarpPacker`].
 #[derive(Debug, Default)]
 struct SlotScratch {
     loads: Vec<u32>,
@@ -584,13 +796,14 @@ struct SlotScratch {
 }
 
 impl SlotScratch {
-    /// Coalesces one slot's lane ops and appends its record to `words`.
-    fn pack<'a>(
+    /// Coalesces one slot's lane ops, appends its record to `words` and
+    /// returns the slot's [`AtomicMix`].
+    fn pack(
         &mut self,
-        ops: impl Iterator<Item = &'a Op>,
+        ops: impl Iterator<Item = MicroOp>,
         line_shift: u32,
         words: &mut Vec<u32>,
-    ) -> Result<(), ParamsError> {
+    ) -> Result<AtomicMix, ParamsError> {
         let Self {
             loads,
             stores,
@@ -600,9 +813,10 @@ impl SlotScratch {
         stores.clear();
         atomics.clear();
         let mut returns = false;
+        let mut mix = AtomicMix::None;
         let mut compute = 0u16;
         for op in ops {
-            match op.get() {
+            match op {
                 MicroOp::Load { addr } => loads.push(number(addr, line_shift)?),
                 MicroOp::Store { addr } => stores.push(number(addr, line_shift)?),
                 MicroOp::Atomic {
@@ -611,6 +825,7 @@ impl SlotScratch {
                 } => {
                     atomics.push(number(addr, WORD_SHIFT)?);
                     returns |= returns_value;
+                    mix = mix.max(AtomicMix::of_atomic(returns_value));
                 }
                 MicroOp::Compute { cycles } => compute = compute.max(cycles),
             }
@@ -633,7 +848,7 @@ impl SlotScratch {
         words.extend_from_slice(loads);
         words.extend_from_slice(stores);
         words.extend_from_slice(atomics);
-        Ok(())
+        Ok(mix)
     }
 }
 
@@ -928,8 +1143,58 @@ mod tests {
     }
 
     #[test]
-    fn atomic_mix_is_recorded_at_construction() {
-        let mix = |threads: Vec<Vec<MicroOp>>| KernelTrace::new(threads, 32).unwrap().atomic_mix();
+    fn kernel_sources_pack_as_their_materialized_trace_does() {
+        // 100 threads in blocks of 48, so blocks end mid-warp and the
+        // last block is partial; every third lane is empty.
+        let mut emit = |t: u32, ops: &mut Vec<MicroOp>| {
+            if !t.is_multiple_of(3) {
+                ops.extend((0..t % 5).map(|i| MicroOp::load(u64::from(t * 8 + i) * 4)));
+            }
+            if t == 40 {
+                ops.push(MicroOp::atomic(8));
+            }
+        };
+        let params = SystemParams::default();
+        let streamed = KernelSource::new(100, 48, &mut emit).pack(&params).unwrap();
+        let trace = KernelSource::new(100, 48, &mut emit).into_trace().unwrap();
+        assert_eq!(streamed, WarpTrace::pack(&trace, &params).unwrap());
+        assert_eq!(streamed.atomic_mix(), AtomicMix::SomeFireAndForget);
+        assert_eq!((streamed.num_threads(), streamed.num_warps()), (100, 5));
+        // The materialized arena holds no growth slack.
+        assert_eq!(
+            trace.heap_bytes(),
+            trace.total_ops() * 8 + (trace.num_threads() + 1) * 4
+        );
+    }
+
+    #[test]
+    fn kernel_sources_report_typed_errors() {
+        let params = SystemParams::default();
+        let too_far = Op::MAX_ADDR + 1;
+        let mut far = |_: u32, ops: &mut Vec<MicroOp>| ops.push(MicroOp::load(too_far));
+        let err = ParamsError::AddressOutOfRange(too_far);
+        assert_eq!(
+            KernelSource::new(1, 32, &mut far).into_trace(),
+            Err(err.clone())
+        );
+        assert_eq!(KernelSource::new(1, 32, &mut far).pack(&params), Err(err));
+        let mut empty = |_: u32, _: &mut Vec<MicroOp>| {};
+        let err = ParamsError::NonPositive("tb_size");
+        assert_eq!(
+            KernelSource::new(1, 0, &mut empty).into_trace(),
+            Err(err.clone())
+        );
+        assert_eq!(KernelSource::new(1, 0, &mut empty).pack(&params), Err(err));
+    }
+
+    #[test]
+    fn atomic_mix_is_recorded_while_packing() {
+        let mix = |threads: Vec<Vec<MicroOp>>| {
+            let kernel = KernelTrace::new(threads, 32).unwrap();
+            WarpTrace::pack(&kernel, &SystemParams::default())
+                .unwrap()
+                .atomic_mix()
+        };
         assert_eq!(
             mix(vec![vec![MicroOp::load(0), MicroOp::store(4)]]),
             AtomicMix::None
