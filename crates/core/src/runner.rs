@@ -603,14 +603,19 @@ pub fn run_study(
     };
     {
         let _phase = metrics.phase("simulate");
+        // The calling thread is one of the workers, so a one-thread
+        // study simulates on it, where a profiler that samples only the
+        // main thread can see the simulation.
+        let worker = || {
+            let local = MetricsRegistry::new();
+            sweep.work(&local);
+            metrics.merge(&local);
+        };
         std::thread::scope(|scope| {
-            for _ in 0..options.threads.min(sweep.groups.len()) {
-                scope.spawn(|| {
-                    let local = MetricsRegistry::new();
-                    sweep.work(&local);
-                    metrics.merge(&local);
-                });
+            for _ in 1..options.threads.min(sweep.groups.len()) {
+                scope.spawn(worker);
             }
+            worker();
         });
     }
     let slots = std::mem::take(&mut *sweep.results.lock().unwrap_or_else(|e| e.into_inner()));

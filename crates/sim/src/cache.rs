@@ -289,7 +289,11 @@ impl Cache {
     /// common case, since the L2 hits about 91% of the time, pays for no
     /// LRU stamps at all), then the victim scan over words and stamps
     /// only when the hit scan came up empty.
-    #[inline]
+    ///
+    /// Always inlined, so each call site predicts its own hit/miss
+    /// branch: the L1's probes mostly miss while the L2's mostly hit,
+    /// and one shared out-of-line copy mispredicts both.
+    #[inline(always)]
     pub fn probe(&mut self, line: u64) -> Probe {
         self.clock += 1;
         let range = self.set_range(line);

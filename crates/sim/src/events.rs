@@ -16,21 +16,35 @@
 //!
 //! # Layout
 //!
-//! The ring holds `W` (a power of two) count buckets; a completion at
-//! absolute cycle `t` lives in bucket `t & (W - 1)`. All buckets within
-//! the active window `[cursor, cursor + W)` map to distinct slots, so
-//! no per-bucket time tag is needed. Completions at or beyond
-//! `cursor + W` overflow into a binary heap and migrate into the ring
-//! as the cursor advances; completions below the cursor go to a second
-//! heap. A one-bit-per-bucket occupancy bitmap lets retirement skip
-//! empty regions 64 buckets at a time.
+//! The ring holds [`RING_BUCKETS`] `u16` count buckets in a fixed array;
+//! a completion at absolute cycle `t` lives in bucket `t & (W - 1)`.
+//! All buckets within the active window `[cursor, cursor + W)` map to
+//! distinct slots, so no per-bucket time tag is needed. Completions at
+//! or beyond `cursor + W` overflow into a binary heap and migrate into
+//! the ring as the cursor advances; completions below the cursor go to
+//! a second heap. A one-bit-per-bucket occupancy bitmap (32 words) and
+//! a summary word with one bit per non-empty occupancy word make the
+//! next completion a rotate and two `trailing_zeros` away.
+//!
+//! A bucket's count never exceeds `outstanding`, which never exceeds
+//! the capacity, and [`SystemParams::validate`](crate::SystemParams::validate)
+//! bounds the capacities by `u16::MAX`, so a count cannot wrap.
+//!
+//! Admission while the ring is not full and a push into the window are
+//! inlined at their call sites; retirement, the full-ring pop and the
+//! heap paths are out of line.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Number of buckets in a [`CompletionRing`]; covers every single-shot
 /// memory latency (chains under contention overflow to the heap).
-const RING_BUCKETS: usize = 1024;
+const RING_BUCKETS: usize = 2048;
+const MASK: u64 = RING_BUCKETS as u64 - 1;
+/// Occupancy words, one bit per bucket; the summary word has one bit
+/// per occupancy word.
+const WORDS: usize = RING_BUCKETS / 64;
+const _: () = assert!(WORDS == u32::BITS as usize);
 
 /// A capacity-bounded multiset of absolute completion times: the MSHR
 /// completion ring (also used for store-buffer slots and
@@ -44,12 +58,14 @@ const RING_BUCKETS: usize = 1024;
 #[derive(Debug)]
 pub(crate) struct CompletionRing {
     /// Completion counts per bucket for cycles in `[cursor, cursor + W)`.
-    counts: Vec<u32>,
-    mask: u64,
+    counts: [u16; RING_BUCKETS],
+    /// Bit `b % 64` of word `b / 64` is set iff bucket `b` is non-empty.
+    occupancy: [u64; WORDS],
+    /// Bit `w` is set iff `occupancy[w]` is non-zero.
+    summary: u32,
     /// No bucketed completion is below `cursor` (monotone; tracks the
     /// largest retirement cycle seen).
     cursor: u64,
-    occupancy: Vec<u64>,
     /// Completions at `cursor + W` or beyond.
     overflow: BinaryHeap<Reverse<u64>>,
     /// Completions pushed *below* the cursor (an SM running behind the
@@ -65,12 +81,21 @@ pub(crate) struct CompletionRing {
 impl CompletionRing {
     /// Creates an empty ring admitting at most `capacity` outstanding
     /// completions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` exceeds `u16::MAX`, where a bucket count
+    /// could wrap (validated parameters never do).
     pub(crate) fn new(capacity: usize) -> Self {
+        assert!(
+            capacity <= usize::from(u16::MAX),
+            "completion ring capacity {capacity} exceeds u16::MAX"
+        );
         Self {
-            counts: vec![0; RING_BUCKETS],
-            mask: (RING_BUCKETS - 1) as u64,
+            counts: [0; RING_BUCKETS],
+            occupancy: [0; WORDS],
+            summary: 0,
             cursor: 0,
-            occupancy: vec![0; RING_BUCKETS / 64],
             overflow: BinaryHeap::new(),
             early: BinaryHeap::new(),
             outstanding: 0,
@@ -91,10 +116,18 @@ impl CompletionRing {
     /// only an apparently-full ring pays for `CompletionRing::retire`
     /// and re-checks. The admitted time is identical to eager
     /// retirement in every case.
+    #[inline]
     pub(crate) fn admit_at(&mut self, now: u64) -> u64 {
         if self.outstanding < self.capacity {
-            return now;
+            now
+        } else {
+            self.admit_full(now)
         }
+    }
+
+    /// [`CompletionRing::admit_at`] on a ring that looks full.
+    #[inline(never)]
+    fn admit_full(&mut self, now: u64) -> u64 {
         self.retire(now);
         if self.outstanding < self.capacity {
             now
@@ -105,15 +138,25 @@ impl CompletionRing {
     }
 
     /// Records a transaction completing at `completion`.
+    #[inline]
     pub(crate) fn push(&mut self, completion: u64) {
         self.high_water = self.high_water.max(completion);
         self.outstanding += 1;
+        debug_assert!(self.outstanding <= self.capacity);
+        // One unsigned compare covers both ends of the window: below
+        // the cursor the difference wraps to a huge value.
+        if completion.wrapping_sub(self.cursor) < RING_BUCKETS as u64 {
+            self.mark(completion);
+        } else {
+            self.push_outside(completion);
+        }
+    }
+
+    /// [`CompletionRing::push`] of a completion outside the window.
+    #[inline(never)]
+    fn push_outside(&mut self, completion: u64) {
         if completion < self.cursor {
             self.early.push(Reverse(completion));
-        } else if completion - self.cursor < RING_BUCKETS as u64 {
-            let b = (completion & self.mask) as usize;
-            self.counts[b] += 1;
-            self.occupancy[b / 64] |= 1 << (b % 64);
         } else {
             self.overflow.push(Reverse(completion));
         }
@@ -122,6 +165,25 @@ impl CompletionRing {
     /// Time by which every outstanding entry has completed.
     pub(crate) fn drain_time(&self) -> u64 {
         self.high_water
+    }
+
+    /// Counts a completion at `t` (inside the window) in its bucket.
+    #[inline]
+    fn mark(&mut self, t: u64) {
+        let b = (t & MASK) as usize;
+        self.counts[b] += 1;
+        self.occupancy[b / 64] |= 1 << (b % 64);
+        self.summary |= 1 << (b / 64);
+    }
+
+    /// Marks bucket `b`, whose count just reached zero, empty.
+    #[inline]
+    fn clear(&mut self, b: usize) {
+        let w = b / 64;
+        self.occupancy[w] &= !(1 << (b % 64));
+        if self.occupancy[w] == 0 {
+            self.summary &= !(1 << w);
+        }
     }
 
     /// Removes every completion at or before `now` and advances the
@@ -139,13 +201,13 @@ impl CompletionRing {
             return;
         }
         // Clear occupied buckets in `[cursor, now]`, window-ordered.
-        while let Some((b, t)) = first_occupied(&self.occupancy, self.mask, self.cursor) {
+        while let Some((b, t)) = self.first_occupied() {
             if t > now {
                 break;
             }
-            self.outstanding -= self.counts[b] as usize;
+            self.outstanding -= usize::from(self.counts[b]);
             self.counts[b] = 0;
-            self.occupancy[b / 64] &= !(1 << (b % 64));
+            self.clear(b);
             self.cursor = t;
         }
         self.cursor = now + 1;
@@ -157,9 +219,7 @@ impl CompletionRing {
                 self.outstanding -= 1;
             } else if t - self.cursor < RING_BUCKETS as u64 {
                 self.overflow.pop();
-                let b = (t & self.mask) as usize;
-                self.counts[b] += 1;
-                self.occupancy[b / 64] |= 1 << (b % 64);
+                self.mark(t);
             } else {
                 break;
             }
@@ -171,7 +231,7 @@ impl CompletionRing {
         if self.outstanding == 0 {
             return None;
         }
-        let ring_min = first_occupied(&self.occupancy, self.mask, self.cursor).map(|(_, t)| t);
+        let ring_min = self.first_occupied().map(|(_, t)| t);
         let early_min = self.early.peek().map(|&Reverse(t)| t);
         let over_min = self.overflow.peek().map(|&Reverse(t)| t);
         // `early` sits below the cursor and the migration in `retire`
@@ -186,44 +246,46 @@ impl CompletionRing {
         if early_min == Some(min) {
             self.early.pop();
         } else if ring_min == Some(min) {
-            let b = (min & self.mask) as usize;
+            let b = (min & MASK) as usize;
             self.counts[b] -= 1;
             if self.counts[b] == 0 {
-                self.occupancy[b / 64] &= !(1 << (b % 64));
+                self.clear(b);
             }
         } else {
             self.overflow.pop();
         }
         Some(min)
     }
-}
 
-/// First occupied bucket of a window-ordered `occupancy` bitmap (one
-/// bit per bucket of a `mask + 1`-bucket queue whose window starts at
-/// `cursor`) and its absolute cycle: the nearest future completion.
-#[inline]
-fn first_occupied(occupancy: &[u64], mask: u64, cursor: u64) -> Option<(usize, u64)> {
-    let at = |b: usize| Some((b, cursor + ((b as u64).wrapping_sub(cursor) & mask)));
-    let start = (cursor & mask) as usize;
-    // The window wraps at `start`: scan `[start, W)` then `[0, start)`,
-    // adjusting the first word for the offset.
-    let words = occupancy.len();
-    let (w0, bit0) = (start / 64, start % 64);
-    let first = occupancy[w0] & (!0u64 << bit0);
-    if first != 0 {
-        return at(w0 * 64 + first.trailing_zeros() as usize);
+    /// First occupied bucket in window order (starting at `cursor`) and
+    /// its absolute cycle: the nearest bucketed completion.
+    ///
+    /// The start word's bits at or above the cursor come first. Failing
+    /// those, the summary word rotated to begin just past the start word
+    /// names the next non-empty word in window order; it ends with the
+    /// start word itself, whose remaining set bits are all below the
+    /// cursor (the window's wrapped tail).
+    #[inline]
+    fn first_occupied(&self) -> Option<(usize, u64)> {
+        let start = (self.cursor & MASK) as usize;
+        let (w0, bit0) = (start / 64, start % 64);
+        let head = self.occupancy[w0] & (!0u64 << bit0);
+        let b = if head != 0 {
+            w0 * 64 + head.trailing_zeros() as usize
+        } else {
+            let rotated = self.summary.rotate_right(w0 as u32 + 1);
+            if rotated == 0 {
+                return None;
+            }
+            let w = (w0 + 1 + rotated.trailing_zeros() as usize) % WORDS;
+            debug_assert_ne!(self.occupancy[w], 0, "summary bit {w} is stale");
+            w * 64 + self.occupancy[w].trailing_zeros() as usize
+        };
+        Some((
+            b,
+            self.cursor + ((b as u64).wrapping_sub(self.cursor) & MASK),
+        ))
     }
-    for i in 1..words {
-        let w = (w0 + i) % words;
-        if occupancy[w] != 0 {
-            return at(w * 64 + occupancy[w].trailing_zeros() as usize);
-        }
-    }
-    let tail = occupancy[w0] & !(!0u64 << bit0);
-    if tail != 0 {
-        return at(w0 * 64 + tail.trailing_zeros() as usize);
-    }
-    None
 }
 
 #[cfg(test)]
@@ -316,19 +378,33 @@ mod tests {
 
     #[test]
     fn ring_matches_heap_queue_on_random_workload() {
+        let window = RING_BUCKETS as u64;
         for cap in [1usize, 2, 16, 128] {
             let mut r = CompletionRing::new(cap);
             let mut q = HeapQueue::new(cap);
             let mut rng = Rng(cap as u64);
             let mut now = 0u64;
-            for _ in 0..10_000 {
-                // Non-monotone `now` (SMs interleave out of order) and
-                // completions from nearby to far-future (chains).
-                now = now.saturating_add(rng.next() % 50).saturating_sub(8);
+            let mut beyond_window = 0;
+            for _ in 0..20_000 {
+                // Non-monotone `now` (SMs interleave out of order),
+                // with an occasional long jump back or forward.
+                now = match rng.next() % 64 {
+                    0 => now.saturating_sub(rng.next() % (2 * window)),
+                    1 => now + rng.next() % (4 * window),
+                    _ => now.saturating_add(rng.next() % 50).saturating_sub(8),
+                };
                 let a = r.admit_at(now);
                 let b = q.admit_at(now);
                 assert_eq!(a, b, "admission diverged at now={now} cap={cap}");
-                let completion = a + rng.next() % 4_000;
+                // Completions from nearby to 8 windows ahead (chains),
+                // so far-future overflow migrates into the window
+                // again and again as the cursor advances.
+                let ahead = match rng.next() % 4 {
+                    0 => rng.next() % (8 * window),
+                    _ => rng.next() % 400,
+                };
+                let completion = a + ahead;
+                beyond_window += u32::from(completion >= r.cursor + window);
                 r.push(completion);
                 q.push(completion);
                 assert_eq!(r.drain_time(), q.high_water);
@@ -340,7 +416,72 @@ mod tests {
                     q.heap.pop();
                 }
                 assert_eq!(r.outstanding, q.heap.len());
+                r.check_summary();
+            }
+            assert!(beyond_window > 1_000, "cap={cap}: {beyond_window}");
+        }
+    }
+
+    impl CompletionRing {
+        /// Asserts that the summary word and the occupancy bitmap agree
+        /// with the bucket counts.
+        fn check_summary(&self) {
+            for (w, &word) in self.occupancy.iter().enumerate() {
+                assert_eq!(self.summary >> w & 1 == 1, word != 0, "word {w}");
+                for bit in 0..64 {
+                    let b = w * 64 + bit;
+                    assert_eq!(word >> bit & 1 == 1, self.counts[b] != 0, "bucket {b}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn first_occupied_wraps_around_the_summary_word() {
+        let window = RING_BUCKETS as u64;
+        // A window starting in the last occupancy word, 40 buckets into
+        // it: cycles 10_000 * W + 2024 onwards.
+        let base = 10_000 * window;
+        let cursor = base + (WORDS as u64 - 1) * 64 + 40;
+        let at = |t: u64| {
+            let mut r = CompletionRing::new(4);
+            r.cursor = cursor;
+            r.push(t);
+            r.first_occupied()
+        };
+        // The start word at or above the cursor.
+        assert_eq!(at(cursor), Some(((cursor & MASK) as usize, cursor)));
+        assert_eq!(at(cursor + 23), Some((RING_BUCKETS - 1, cursor + 23)));
+        // Past the end of the bitmap: word 0, then further words.
+        assert_eq!(at(cursor + 24), Some((0, base + window)));
+        assert_eq!(
+            at(cursor + 24 + 64 * 5 + 3),
+            Some((323, base + window + 323))
+        );
+        // The low bits of the start word are the window's far end.
+        let tail = base + window + (WORDS as u64 - 1) * 64 + 5;
+        assert_eq!(at(tail), Some(((tail & MASK) as usize, tail)));
+        assert_eq!(
+            at(cursor + window - 1),
+            Some((((cursor - 1) & MASK) as usize, cursor + window - 1))
+        );
+
+        // With several words occupied, the nearest in window order wins
+        // and clearing it moves on to the next, tail last.
+        let mut r = CompletionRing::new(8);
+        r.cursor = cursor;
+        for t in [tail, base + window + 700, base + window + 3, cursor + 10] {
+            r.push(t);
+        }
+        let mut order = Vec::new();
+        while let Some(t) = r.pop_min() {
+            order.push(t);
+            r.check_summary();
+        }
+        assert_eq!(
+            order,
+            [cursor + 10, base + window + 3, base + window + 700, tail]
+        );
+        assert_eq!((r.summary, r.first_occupied()), (0, None));
     }
 }

@@ -619,10 +619,13 @@ impl<'t> MemorySystem<'t> {
     /// The DeNovo write step shared by stores and atomics: an owner's
     /// access only refreshes its L1 copy's LRU position and returns
     /// `None`; any other SM registers ownership and gets the
-    /// registration's completion time.
+    /// registration's completion time. The L1 probe answers who owns
+    /// the line: the registry names `sm` exactly when `sm`'s L1 holds
+    /// the line `Owned` (see `owner`).
     fn own_or_register(&mut self, sm: u32, line: u64, at: u64) -> Option<u64> {
         let probe = self.l1[sm as usize].probe(line);
-        (self.owner_of(line) != Some(sm)).then(|| self.register_ownership(sm, probe, line, at))
+        (probe.state() != Some(LineState::Owned))
+            .then(|| self.register_ownership(sm, probe, line, at))
     }
 
     /// Obtains DeNovo ownership of `line` for SM `sm`: a registration

@@ -226,7 +226,9 @@ impl SystemParams {
     /// [`ParamsError::NonPositive`] for a zero count or size,
     /// [`ParamsError::NotPowerOfTwo`] for a line size that is not a
     /// power of two, and [`ParamsError::TooLarge`] for a warp wider than
-    /// [`WarpTrace::MAX_WARP_SIZE`](crate::trace::WarpTrace::MAX_WARP_SIZE).
+    /// [`WarpTrace::MAX_WARP_SIZE`](crate::trace::WarpTrace::MAX_WARP_SIZE)
+    /// or more than `u16::MAX` MSHR or store-buffer entries (the
+    /// completion rings count entries per cycle in `u16`s).
     ///
     /// # Example
     ///
@@ -260,6 +262,17 @@ impl SystemParams {
         ] {
             if value == 0 {
                 return Err(ParamsError::NonPositive(what));
+            }
+        }
+        for (value, what) in [
+            (self.mshr_entries, "mshr_entries"),
+            (self.store_buffer_entries, "store_buffer_entries"),
+        ] {
+            if value > u32::from(u16::MAX) {
+                return Err(ParamsError::TooLarge {
+                    what,
+                    max: u16::MAX.into(),
+                });
             }
         }
         if self.l1_bytes == 0 {
@@ -363,6 +376,41 @@ mod tests {
             })
         );
         assert!(p.validate().unwrap_err().to_string().contains("32767"));
+    }
+
+    #[test]
+    fn validate_bounds_completion_ring_capacities() {
+        let max = u32::from(u16::MAX);
+        let at_max = SystemParams {
+            mshr_entries: max,
+            store_buffer_entries: max,
+            ..SystemParams::default()
+        };
+        assert_eq!(at_max.validate(), Ok(()));
+        let p = SystemParams {
+            mshr_entries: max + 1,
+            ..SystemParams::default()
+        };
+        let err = p.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ParamsError::TooLarge {
+                what: "mshr_entries",
+                max: 65535
+            }
+        );
+        assert_eq!(err.to_string(), "mshr_entries must be at most 65535");
+        let p = SystemParams {
+            store_buffer_entries: u32::MAX,
+            ..SystemParams::default()
+        };
+        assert_eq!(
+            p.validate(),
+            Err(ParamsError::TooLarge {
+                what: "store_buffer_entries",
+                max: 65535
+            })
+        );
     }
 
     #[test]

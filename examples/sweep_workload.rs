@@ -6,6 +6,7 @@
 //! cargo run --release --example sweep_workload -- SSSP RAJ 0.125
 //! ```
 
+use gpu_graph_spec::core::experiment::{produce_stream, run_stream_budgeted};
 use gpu_graph_spec::prelude::*;
 
 fn main() -> Result<(), GgsError> {
@@ -26,10 +27,17 @@ fn main() -> Result<(), GgsError> {
         "sweeping {app} on {preset} (scale {scale}, classes {})…",
         profile.class_code()
     );
+    // Configurations come grouped by propagation, and the kernel stream
+    // depends on nothing else: build it once per group.
     let configs = SystemConfig::all_for(app.algo_profile().traversal);
     let mut results = Vec::with_capacity(configs.len());
+    let mut stream = (None, Vec::new());
     for config in configs {
-        let stats = run_workload(app, &graph, config, &spec, Tracer::off(), None)?;
+        let prop = config.propagation;
+        if stream.0 != Some(prop) {
+            stream = (Some(prop), produce_stream(app, &graph, prop, &spec.params)?);
+        }
+        let stats = run_stream_budgeted(&stream.1, app, config, &spec, Tracer::off(), None)?;
         results.push((config, stats.total_cycles()));
     }
     let cycles_of = |config: SystemConfig| {
