@@ -11,10 +11,9 @@
 
 use ggs_graph::Csr;
 use ggs_model::Propagation;
-use ggs_sim::layout::AddressSpace;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{vertex_kernel, GraphArrays};
+use crate::common::{layout, vertex_kernel};
 
 /// Root vertex of every BC run.
 pub const ROOT: u32 = 0;
@@ -103,6 +102,10 @@ pub fn reference(graph: &Csr) -> Vec<f64> {
     delta
 }
 
+/// The per-vertex arrays `generate` lays out after the CSR arrays, in
+/// order: BFS levels, shortest-path counts and dependencies.
+pub(crate) const ARRAYS: [&str; 3] = ["level", "sigma", "delta"];
+
 /// Generates the kernel sequence of a BC run (one kernel per forward
 /// level, then one per backward level), handing each kernel to `run` as
 /// a [`KernelSource`]. The stream depends only on `(graph, prop,
@@ -124,10 +127,7 @@ pub fn generate(
         "BC supports no dynamic direction policy: use Push or Pull"
     );
     let n = graph.num_vertices();
-    let (mut space, arrays) = GraphArrays::workspace(graph);
-    let level_arr = space.array("level", n as u64);
-    let sigma_arr = space.array("sigma", n as u64);
-    let delta_arr = space.array("delta", n as u64);
+    let (_space, arrays, [level_arr, sigma_arr, delta_arr]) = layout(graph, ARRAYS);
 
     let (level, _sigma) = forward(graph);
     let max_level = level
@@ -224,24 +224,6 @@ pub fn generate(
             ops.push(MicroOp::store(delta_arr.addr(v as u64)));
         });
     }
-}
-
-/// The workload's address map: `(array name, base, bytes)` for every
-/// region its kernels touch, in the exact layout `generate` uses
-/// (deterministic). Feed these to
-/// [`ggs_sim::SimulationBuilder::region`] for per-data-structure
-/// attribution.
-pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
-    let mut space = AddressSpace::new(64);
-    let _ = GraphArrays::new(&mut space, graph);
-    let n = graph.num_vertices() as u64;
-    let _ = space.array("level", n);
-    let _ = space.array("sigma", n);
-    let _ = space.array("delta", n);
-    space
-        .regions()
-        .map(|(name, base, bytes)| (name.to_owned(), base, bytes))
-        .collect()
 }
 
 #[cfg(test)]

@@ -11,10 +11,9 @@
 
 use ggs_graph::Csr;
 use ggs_model::Propagation;
-use ggs_sim::layout::AddressSpace;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{vertex_kernel, GraphArrays};
+use crate::common::{layout, vertex_kernel};
 
 /// Root vertex of every BFS run.
 pub const ROOT: u32 = 0;
@@ -107,6 +106,10 @@ pub fn hybrid_schedule(graph: &Csr) -> Vec<Propagation> {
         .collect()
 }
 
+/// The per-vertex arrays `generate` lays out after the CSR arrays, in
+/// order: BFS levels.
+pub(crate) const ARRAYS: [&str; 1] = ["level"];
+
 /// Generates the kernel sequence of a BFS run (one kernel per level,
 /// plus a settle kernel per pull level), handing each kernel to `run`
 /// as a [`KernelSource`]. The stream depends only on `(graph, prop,
@@ -130,8 +133,7 @@ pub fn generate(
         "BFS has static traversal: use Push, Pull, or Hybrid"
     );
     let n = graph.num_vertices();
-    let (mut space, arrays) = GraphArrays::workspace(graph);
-    let level_arr = space.array("level", n as u64);
+    let (_space, arrays, [level_arr]) = layout(graph, ARRAYS);
 
     let level = reference(graph);
     let max_level = level
@@ -194,21 +196,6 @@ pub fn generate(
             });
         }
     }
-}
-
-/// The workload's address map: `(array name, base, bytes)` for every
-/// region its kernels touch, in the exact layout `generate` uses
-/// (deterministic). Feed these to
-/// [`ggs_sim::SimulationBuilder::region`] for per-data-structure
-/// attribution.
-pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
-    let mut space = AddressSpace::new(64);
-    let _ = GraphArrays::new(&mut space, graph);
-    let _ = space.array("level", graph.num_vertices() as u64);
-    space
-        .regions()
-        .map(|(name, base, bytes)| (name.to_owned(), base, bytes))
-        .collect()
 }
 
 #[cfg(test)]

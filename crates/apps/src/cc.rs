@@ -15,10 +15,9 @@
 
 use ggs_graph::Csr;
 use ggs_model::Propagation;
-use ggs_sim::layout::AddressSpace;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{vertex_kernel, GraphArrays};
+use crate::common::{layout, vertex_kernel};
 
 /// Number of shortcut (pointer-jumping) kernels simulated after the
 /// hooking kernel.
@@ -69,6 +68,10 @@ fn union(parent: &mut [u32], a: u32, b: u32) {
     }
 }
 
+/// The per-vertex arrays `generate` lays out after the CSR arrays, in
+/// order: union-find parent pointers.
+pub(crate) const ARRAYS: [&str; 1] = ["parent"];
+
 /// Generates the kernel sequence of a CC run (init, hooking, and
 /// [`SHORTCUT_ROUNDS`] shortcut kernels), handing each kernel to `run`
 /// as a [`KernelSource`]. The stream depends only on `(graph, prop,
@@ -93,8 +96,7 @@ pub fn generate(
         "connected components has dynamic traversal: use PushPull"
     );
     let n = graph.num_vertices();
-    let (mut space, arrays) = GraphArrays::workspace(graph);
-    let parent = space.array("parent", n as u64);
+    let (_space, arrays, [parent]) = layout(graph, ARRAYS);
 
     // Replayed union-find state mirrors what the trace touches.
     let mut pstate: Vec<u32> = (0..n).collect();
@@ -155,21 +157,6 @@ pub fn generate(
     }
 }
 
-/// The workload's address map: `(array name, base, bytes)` for every
-/// region its kernels touch, in the exact layout `generate` uses
-/// (deterministic). Feed these to
-/// [`ggs_sim::SimulationBuilder::region`] for per-data-structure
-/// attribution.
-pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
-    let mut space = AddressSpace::new(64);
-    let _ = GraphArrays::new(&mut space, graph);
-    let _ = space.array("parent", graph.num_vertices() as u64);
-    space
-        .regions()
-        .map(|(name, base, bytes)| (name.to_owned(), base, bytes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +207,7 @@ mod tests {
             let k = k.into_trace().unwrap();
             kernels += 1;
             for t in 0..k.num_threads() {
-                for op in k.thread(t).iter().map(|o| o.get()) {
+                for &op in k.thread(t) {
                     match op {
                         MicroOp::Atomic {
                             returns_value: true,

@@ -14,10 +14,9 @@
 
 use ggs_graph::Csr;
 use ggs_model::Propagation;
-use ggs_sim::layout::AddressSpace;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{vertex_kernel, GraphArrays};
+use crate::common::{layout, vertex_kernel};
 
 /// Maximum rounds simulated per run (the reference runs to
 /// completion).
@@ -92,6 +91,11 @@ fn snapshots(graph: &Csr) -> Vec<Vec<u32>> {
     snaps
 }
 
+/// The per-vertex arrays `generate` lays out after the CSR arrays, in
+/// order: colors, random values and the packed max/min aggregate (one
+/// 2x32-bit word per vertex).
+pub(crate) const ARRAYS: [&str; 3] = ["color", "val", "agg"];
+
 /// Generates the kernel sequence of a CLR run (pull: one kernel per
 /// round; push: two kernels per round), handing each kernel to `run` as
 /// a [`KernelSource`]. The stream depends only on `(graph, prop,
@@ -113,11 +117,7 @@ pub fn generate(
         "graph coloring supports no dynamic direction policy: use Push or Pull"
     );
     let n = graph.num_vertices();
-    let (mut space, arrays) = GraphArrays::workspace(graph);
-    let color = space.array("color", n as u64);
-    let val = space.array("val", n as u64);
-    // Packed max/min aggregate: one 2x32-bit word per vertex.
-    let agg = space.array("agg", n as u64);
+    let (_space, arrays, [color, val, agg]) = layout(graph, ARRAYS);
 
     let snaps = snapshots(graph);
     let mut before = vec![UNCOLORED; n as usize];
@@ -189,24 +189,6 @@ pub fn generate(
     }
 }
 
-/// The workload's address map: `(array name, base, bytes)` for every
-/// region its kernels touch, in the exact layout `generate` uses
-/// (deterministic). Feed these to
-/// [`ggs_sim::SimulationBuilder::region`] for per-data-structure
-/// attribution.
-pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
-    let mut space = AddressSpace::new(64);
-    let _ = GraphArrays::new(&mut space, graph);
-    let n = graph.num_vertices() as u64;
-    let _ = space.array("color", n);
-    let _ = space.array("val", n);
-    let _ = space.array("agg", n);
-    space
-        .regions()
-        .map(|(name, base, bytes)| (name.to_owned(), base, bytes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +249,7 @@ mod tests {
                 .map(|t| {
                     k.thread(t)
                         .iter()
-                        .filter(|o| matches!(o.get(), MicroOp::Atomic { .. }))
+                        .filter(|o| matches!(o, MicroOp::Atomic { .. }))
                         .count()
                 })
                 .sum();

@@ -18,10 +18,9 @@
 
 use ggs_graph::Csr;
 use ggs_model::Propagation;
-use ggs_sim::layout::AddressSpace;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{vertex_kernel, GraphArrays};
+use crate::common::{layout, vertex_kernel};
 
 /// Maximum rounds simulated per run (the reference runs to
 /// completion; random-priority MIS completes in O(log |V|) rounds).
@@ -112,6 +111,10 @@ fn rounds(graph: &Csr) -> Vec<Vec<Status>> {
     snaps
 }
 
+/// The per-vertex arrays `generate` lays out after the CSR arrays, in
+/// order: statuses, priorities and the neighborhood priority aggregate.
+pub(crate) const ARRAYS: [&str; 3] = ["status", "prio", "prio_agg"];
+
 /// Generates the kernel sequence of an MIS run (one kernel per round),
 /// handing each kernel to `run` as a [`KernelSource`]. The stream
 /// depends only on `(graph, prop, tb_size)`, so it is safe to
@@ -132,10 +135,7 @@ pub fn generate(
         "MIS supports no dynamic direction policy: use Push or Pull"
     );
     let n = graph.num_vertices();
-    let (mut space, arrays) = GraphArrays::workspace(graph);
-    let status = space.array("status", n as u64);
-    let prio = space.array("prio", n as u64);
-    let agg = space.array("prio_agg", n as u64);
+    let (_space, arrays, [status, prio, agg]) = layout(graph, ARRAYS);
 
     let snaps = rounds(graph);
     let mut before = vec![Status::Undecided; n as usize];
@@ -211,24 +211,6 @@ pub fn generate(
     }
 }
 
-/// The workload's address map: `(array name, base, bytes)` for every
-/// region its kernels touch, in the exact layout `generate` uses
-/// (deterministic). Feed these to
-/// [`ggs_sim::SimulationBuilder::region`] for per-data-structure
-/// attribution.
-pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
-    let mut space = AddressSpace::new(64);
-    let _ = GraphArrays::new(&mut space, graph);
-    let n = graph.num_vertices() as u64;
-    let _ = space.array("status", n);
-    let _ = space.array("prio", n);
-    let _ = space.array("prio_agg", n);
-    space
-        .regions()
-        .map(|(name, base, bytes)| (name.to_owned(), base, bytes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +280,7 @@ mod tests {
                     atomics += k
                         .thread(t)
                         .iter()
-                        .filter(|o| matches!(o.get(), MicroOp::Atomic { .. }))
+                        .filter(|o| matches!(o, MicroOp::Atomic { .. }))
                         .count() as u64;
                 }
             });

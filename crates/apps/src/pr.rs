@@ -9,10 +9,9 @@
 
 use ggs_graph::Csr;
 use ggs_model::Propagation;
-use ggs_sim::layout::AddressSpace;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{vertex_kernel, GraphArrays};
+use crate::common::{layout, vertex_kernel};
 
 /// Damping factor used by the reference implementation.
 pub const DAMPING: f64 = 0.85;
@@ -76,6 +75,10 @@ pub fn reference(graph: &Csr, iterations: u32) -> Vec<f64> {
     rank
 }
 
+/// The per-vertex arrays `generate` lays out after the CSR arrays, in
+/// order: the ranks of the current and the next iteration, alternating.
+pub(crate) const ARRAYS: [&str; 2] = ["rank_a", "rank_b"];
+
 /// Generates the kernel sequence of a PR run ([`ITERATIONS`] kernels),
 /// handing each kernel to `run` as a [`KernelSource`]. The stream is a
 /// pure function of `(graph, prop, tb_size)` — coherence and
@@ -98,11 +101,7 @@ pub fn generate(
         "PageRank supports no dynamic direction policy: use Push or Pull"
     );
     let n = graph.num_vertices();
-    let (mut space, arrays) = GraphArrays::workspace(graph);
-    let rank = [
-        space.array("rank_a", n as u64),
-        space.array("rank_b", n as u64),
-    ];
+    let (_space, arrays, rank) = layout(graph, ARRAYS);
 
     for iter in 0..ITERATIONS {
         let cur = rank[(iter % 2) as usize];
@@ -135,23 +134,6 @@ pub fn generate(
             _ => unreachable!("direction filtered by supported_propagations"),
         }
     }
-}
-
-/// The workload's address map: `(array name, base, bytes)` for every
-/// region its kernels touch, in the exact layout `generate` uses
-/// (deterministic). Feed these to
-/// [`ggs_sim::SimulationBuilder::region`] for per-data-structure
-/// attribution.
-pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
-    let mut space = AddressSpace::new(64);
-    let _ = GraphArrays::new(&mut space, graph);
-    let n = graph.num_vertices() as u64;
-    let _ = space.array("rank_a", n);
-    let _ = space.array("rank_b", n);
-    space
-        .regions()
-        .map(|(name, base, bytes)| (name.to_owned(), base, bytes))
-        .collect()
 }
 
 #[cfg(test)]
@@ -203,7 +185,7 @@ mod tests {
                 atomics += k
                     .thread(t)
                     .iter()
-                    .filter(|o| matches!(o.get(), MicroOp::Atomic { .. }))
+                    .filter(|o| matches!(o, MicroOp::Atomic { .. }))
                     .count() as u64;
             }
         });
@@ -221,11 +203,11 @@ mod tests {
                 assert!(k
                     .thread(t)
                     .iter()
-                    .all(|o| !matches!(o.get(), MicroOp::Atomic { .. })));
+                    .all(|o| !matches!(o, MicroOp::Atomic { .. })));
                 stores += k
                     .thread(t)
                     .iter()
-                    .filter(|o| matches!(o.get(), MicroOp::Store { .. }))
+                    .filter(|o| matches!(o, MicroOp::Store { .. }))
                     .count();
             }
             assert_eq!(stores, 20);

@@ -9,6 +9,8 @@ use ggs_graph::Csr;
 use ggs_model::taxonomy::{AlgoBias, AlgoProfile, Propagation};
 use ggs_sim::trace::KernelSource;
 
+use crate::common::layout;
+
 /// Largest edge weight of the hashed weights SSSP runs on when its
 /// graph carries none (see [`AppKind::weighted`]).
 pub const SSSP_MAX_WEIGHT: u32 = 64;
@@ -194,19 +196,26 @@ impl<'g> Workload<'g> {
         self.graph
     }
 
-    /// The workload's address map (`(array name, base, bytes)` per
-    /// region), matching the layout `produce` uses; see each app's
-    /// `memory_map`.
+    /// The workload's address map: `(array name, base, bytes)` for every
+    /// region its kernels touch, in the layout `produce` uses (the CSR
+    /// arrays, then the app's per-vertex arrays). Feed these to
+    /// [`ggs_sim::SimulationBuilder::region`] for per-data-structure
+    /// attribution.
     pub fn memory_map(&self) -> Vec<(String, u64, u64)> {
-        match self.app {
-            AppKind::Pr => crate::pr::memory_map(self.graph),
-            AppKind::Sssp => crate::sssp::memory_map(self.graph),
-            AppKind::Mis => crate::mis::memory_map(self.graph),
-            AppKind::Clr => crate::clr::memory_map(self.graph),
-            AppKind::Bc => crate::bc::memory_map(self.graph),
-            AppKind::Cc => crate::cc::memory_map(self.graph),
-            AppKind::Bfs => crate::bfs::memory_map(self.graph),
-        }
+        let g = self.graph;
+        let space = match self.app {
+            AppKind::Pr => layout(g, crate::pr::ARRAYS).0,
+            AppKind::Sssp => layout(g, crate::sssp::ARRAYS).0,
+            AppKind::Mis => layout(g, crate::mis::ARRAYS).0,
+            AppKind::Clr => layout(g, crate::clr::ARRAYS).0,
+            AppKind::Bc => layout(g, crate::bc::ARRAYS).0,
+            AppKind::Cc => layout(g, crate::cc::ARRAYS).0,
+            AppKind::Bfs => layout(g, crate::bfs::ARRAYS).0,
+        };
+        space
+            .regions()
+            .map(|(name, base, bytes)| (name.to_owned(), base, bytes))
+            .collect()
     }
 
     /// Generates the workload's kernel sequence under propagation

@@ -13,10 +13,9 @@
 
 use ggs_graph::Csr;
 use ggs_model::Propagation;
-use ggs_sim::layout::AddressSpace;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{vertex_kernel, GraphArrays};
+use crate::common::{layout, vertex_kernel};
 
 /// Source vertex of every SSSP run.
 pub const ROOT: u32 = 0;
@@ -132,6 +131,10 @@ pub fn hybrid_schedule(graph: &Csr) -> Vec<Propagation> {
         .collect()
 }
 
+/// The per-vertex arrays `generate` lays out after the CSR arrays, in
+/// order: distances, relaxed distances and updated flags.
+pub(crate) const ARRAYS: [&str; 3] = ["dist", "newdist", "flag"];
+
 /// Generates the kernel sequence of an SSSP run (two kernels per
 /// simulated iteration), handing each kernel to `run` as a
 /// [`KernelSource`]. The stream depends only on `(graph, prop,
@@ -155,10 +158,7 @@ pub fn generate(
         "SSSP has static traversal: use Push, Pull, or Hybrid"
     );
     let n = graph.num_vertices();
-    let (mut space, arrays) = GraphArrays::workspace(graph);
-    let dist = space.array("dist", n as u64);
-    let newdist = space.array("newdist", n as u64);
-    let flag = space.array("flag", n as u64);
+    let (_space, arrays, [dist, newdist, flag]) = layout(graph, ARRAYS);
 
     let fronts = frontiers(graph);
     let hybrid_dirs = (prop == Propagation::Hybrid).then(|| hybrid_directions(graph));
@@ -218,24 +218,6 @@ pub fn generate(
             ops.push(MicroOp::store(flag.addr(v as u64)));
         });
     }
-}
-
-/// The workload's address map: `(array name, base, bytes)` for every
-/// region its kernels touch, in the exact layout `generate` uses
-/// (deterministic). Feed these to
-/// [`ggs_sim::SimulationBuilder::region`] for per-data-structure
-/// attribution.
-pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
-    let mut space = AddressSpace::new(64);
-    let _ = GraphArrays::new(&mut space, graph);
-    let n = graph.num_vertices() as u64;
-    let _ = space.array("dist", n);
-    let _ = space.array("newdist", n);
-    let _ = space.array("flag", n);
-    space
-        .regions()
-        .map(|(name, base, bytes)| (name.to_owned(), base, bytes))
-        .collect()
 }
 
 #[cfg(test)]

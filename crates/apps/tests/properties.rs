@@ -162,7 +162,7 @@ proptest! {
                 Workload::new(app, &g).produce(prop, 256, &mut |k| {
                     let k = k.into_trace().unwrap();
                     for t in 0..k.num_threads() {
-                        for op in k.thread(t).iter().map(|o| o.get()) {
+                        for &op in k.thread(t) {
                             if let Some(addr) = op.address() {
                                 assert_eq!(addr % 4, 0, "{app}/{prop}: unaligned");
                             }
@@ -193,7 +193,7 @@ proptest! {
                 Workload::new(app, &g).produce(prop, 256, &mut |k| {
                     let k = k.into_trace().unwrap();
                     for t in 0..k.num_threads() {
-                        for op in k.thread(t).iter().map(|o| o.get()) {
+                        for &op in k.thread(t) {
                             if let Some(addr) = op.address() {
                                 assert!(
                                     covered(addr),

@@ -217,8 +217,8 @@ impl Race {
 fn first_conflicting_pair(kernel: &KernelTrace, addr: u64) -> Option<(AccessSite, AccessSite)> {
     let mut writer: Option<u64> = None;
     'outer: for t in 0..kernel.num_threads() {
-        for op in kernel.thread(t) {
-            if matches!(op.get(), MicroOp::Store { addr: a } if a == addr) {
+        for &op in kernel.thread(t) {
+            if matches!(op, MicroOp::Store { addr: a } if a == addr) {
                 writer = Some(t);
                 break 'outer;
             }
@@ -229,8 +229,8 @@ fn first_conflicting_pair(kernel: &KernelTrace, addr: u64) -> Option<(AccessSite
         if t == wt {
             continue;
         }
-        for op in kernel.thread(t) {
-            let other = match op.get() {
+        for &op in kernel.thread(t) {
+            let other = match op {
                 MicroOp::Load { addr: a } if a == addr => AccessSite::thread(t, "load", addr),
                 MicroOp::Store { addr: a } if a == addr => AccessSite::thread(t, "store", addr),
                 _ => continue,
@@ -350,8 +350,8 @@ pub fn analyze_kernel(kernel: &KernelTrace, consistency: ConsistencyModel) -> Ke
     let mut plain_writes = 0u64;
 
     for t in 0..kernel.num_threads() {
-        for op in kernel.thread(t) {
-            match op.get() {
+        for &op in kernel.thread(t) {
+            match op {
                 MicroOp::Load { addr } => {
                     let s = map.entry(addr).or_default();
                     s.plain_reads += 1;

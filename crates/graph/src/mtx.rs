@@ -47,6 +47,13 @@ pub enum ParseMtxError {
         /// input was abandoned early).
         found: u64,
     },
+    /// The size line declares more than [`MAX_MTX_VERTICES`] vertices.
+    /// Rejected before the graph is allocated, so a short header cannot
+    /// ask for tens of gigabytes.
+    TooManyVertices {
+        /// Vertices declared by the size line.
+        declared: u64,
+    },
     /// The stream is dominated by duplicate edges — a malformed or
     /// adversarial file (coordinate format forbids duplicates); the
     /// parser refuses to keep burning time deduplicating it.
@@ -73,6 +80,10 @@ impl fmt::Display for ParseMtxError {
             ParseMtxError::WrongEntryCount { declared, found } => {
                 write!(f, "expected {declared} entries, found {found}")
             }
+            ParseMtxError::TooManyVertices { declared } => write!(
+                f,
+                "size line declares {declared} vertices, more than the {MAX_MTX_VERTICES} supported"
+            ),
             ParseMtxError::DuplicateFlood {
                 duplicates,
                 declared,
@@ -100,6 +111,12 @@ impl From<io::Error> for ParseMtxError {
     }
 }
 
+/// The most vertices a Matrix Market size line may declare: 2^28, the
+/// size of the largest `rmat<N>` tier `repro bench --tier` accepts.
+/// [`read_mtx`] allocates the graph for the declared vertex count, so
+/// the bound caps what a header alone can make it allocate.
+pub const MAX_MTX_VERTICES: u64 = 1 << 28;
+
 fn malformed(msg: impl Into<String>) -> ParseMtxError {
     ParseMtxError::Malformed(msg.into())
 }
@@ -114,8 +131,9 @@ fn malformed(msg: impl Into<String>) -> ParseMtxError {
 /// # Errors
 ///
 /// Returns [`ParseMtxError`] if reading fails or the stream is not valid
-/// coordinate-format Matrix Market data (non-square size header, indices
-/// out of range, wrong entry count, …).
+/// coordinate-format Matrix Market data (non-square size header, more
+/// than [`MAX_MTX_VERTICES`] vertices, indices out of range, wrong entry
+/// count, …).
 ///
 /// # Example
 ///
@@ -183,8 +201,8 @@ pub fn read_mtx<R: BufRead>(reader: R) -> Result<Csr, ParseMtxError> {
             "matrix must be square, got {rows}x{cols}"
         )));
     }
-    if rows > u32::MAX as u64 {
-        return Err(malformed("too many vertices for u32 ids"));
+    if rows > MAX_MTX_VERTICES {
+        return Err(ParseMtxError::TooManyVertices { declared: rows });
     }
     let n = rows as u32;
 
@@ -309,6 +327,21 @@ mod tests {
         let g = read_mtx(data.as_bytes()).unwrap();
         assert!(!g.has_self_loops());
         assert_eq!(g.num_edges(), 2); // (0,1) and (1,0)
+    }
+
+    #[test]
+    fn rejects_vertex_counts_above_the_bound_before_allocating() {
+        for declared in [u64::from(u32::MAX), MAX_MTX_VERTICES + 1] {
+            let data = format!(
+                "%%MatrixMarket matrix coordinate pattern symmetric\n{declared} {declared} 0\n"
+            );
+            let err = read_mtx(data.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, ParseMtxError::TooManyVertices { declared: d } if d == declared),
+                "{declared}: {err}"
+            );
+            assert!(err.to_string().contains(&MAX_MTX_VERTICES.to_string()));
+        }
     }
 
     #[test]

@@ -15,10 +15,8 @@ pub enum ParamsError {
     BadScale(f64),
     /// A kernel trace held more ops than its `u32` offset table indexes.
     TooManyOps(u64),
-    /// A trace op's byte address exceeds what a packed trace holds:
-    /// above [`Op::MAX_ADDR`](crate::trace::Op::MAX_ADDR) in a
-    /// [`KernelTrace`](crate::trace::KernelTrace), or a line (word, for
-    /// atomics) number beyond `u32` in a
+    /// A trace op's byte address exceeds what a packed trace holds: a
+    /// line (word, for atomics) number beyond `u32` in a
     /// [`WarpTrace`](crate::trace::WarpTrace).
     AddressOutOfRange(u64),
     /// A parameter exceeded the largest value the simulator supports.

@@ -8,9 +8,11 @@
 //! loop-trip-count divergence, the dominant divergence in vertex-centric
 //! graph kernels). [`KernelSource::pack`] turns a kernel into those
 //! warp slots as its threads are emitted, coalesced for one warp and
-//! line size; that packed [`WarpTrace`] is what the simulator runs. A
-//! [`KernelTrace`] holds every thread's stream at once, for consumers
-//! that read threads one by one (the race detector, tests).
+//! line size; that packed [`WarpTrace`] is what the simulator runs, and
+//! its records bound the addresses a kernel may touch (a line or word
+//! number must fit 32 bits). A [`KernelTrace`] holds every thread's
+//! micro-ops at once, as emitted, for consumers that read threads one
+//! by one (the race detector, tests).
 
 use std::ops::Range;
 
@@ -96,97 +98,18 @@ impl MicroOp {
     }
 }
 
-/// One [`MicroOp`] packed into 8 bytes: the form a [`KernelTrace`]
-/// stores its ops in. Decode with [`Op::get`].
-///
-/// Layout of the `u64`:
-///
-/// | bits | holds |
-/// |---|---|
-/// | 62–63 | kind: 0 load, 1 store, 2 atomic, 3 compute |
-/// | 61 | `returns_value` (atomics only, else 0) |
-/// | 0–60 | byte address, or the compute cycles |
-///
-/// The kind lives in the top bits, so addresses need no alignment;
-/// any byte address up to [`Op::MAX_ADDR`] packs losslessly.
-///
-/// ```
-/// use ggs_sim::trace::{MicroOp, Op};
-///
-/// let m = MicroOp::atomic_returning(0x1234);
-/// assert_eq!(Op::from(m).get(), m);
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq)]
-#[repr(transparent)]
-pub struct Op(u64);
-
-const _: () = assert!(std::mem::size_of::<Op>() == 8);
-
-impl Op {
-    /// Largest byte address an `Op` holds (2^61 − 1).
-    pub const MAX_ADDR: u64 = (1 << 61) - 1;
-    const KIND_SHIFT: u32 = 62;
-    const RETURNS_VALUE_SHIFT: u32 = 61;
-
-    /// The decoded micro-op.
-    #[inline]
-    pub fn get(self) -> MicroOp {
-        let payload = self.0 & Self::MAX_ADDR;
-        match self.0 >> Self::KIND_SHIFT {
-            0 => MicroOp::Load { addr: payload },
-            1 => MicroOp::Store { addr: payload },
-            2 => MicroOp::Atomic {
-                addr: payload,
-                returns_value: (self.0 >> Self::RETURNS_VALUE_SHIFT) & 1 != 0,
-            },
-            _ => MicroOp::Compute {
-                cycles: payload as u16,
-            },
-        }
-    }
-}
-
-impl From<MicroOp> for Op {
-    /// Packs `op`. An address above [`Op::MAX_ADDR`] keeps only its low
-    /// 61 bits; [`KernelTrace::new`] rejects such addresses instead.
-    #[inline]
-    fn from(op: MicroOp) -> Self {
-        let kind = |k: u64| k << Self::KIND_SHIFT;
-        Op(match op {
-            MicroOp::Load { addr } => kind(0) | (addr & Self::MAX_ADDR),
-            MicroOp::Store { addr } => kind(1) | (addr & Self::MAX_ADDR),
-            MicroOp::Atomic {
-                addr,
-                returns_value,
-            } => {
-                kind(2)
-                    | u64::from(returns_value) << Self::RETURNS_VALUE_SHIFT
-                    | (addr & Self::MAX_ADDR)
-            }
-            MicroOp::Compute { cycles } => kind(3) | cycles as u64,
-        })
-    }
-}
-
-impl std::fmt::Debug for Op {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.get().fmt(f)
-    }
-}
-
 /// The per-thread micro-op streams of one kernel launch.
 ///
 /// Thread `i` belongs to thread block `i / tb_size`; blocks are
 /// dispatched to SMs in order as resources free up.
 ///
-/// Internally the streams live in one flat arena of packed [`Op`]s plus
-/// a cumulative offset table (thread `i` is
+/// Internally the streams live in one flat arena of [`MicroOp`]s plus a
+/// cumulative `u32` offset table (thread `i` is
 /// `ops[offsets[i]..offsets[i + 1]]`), so a trace costs two allocations
-/// regardless of thread count. Both are shrunk to their length on
-/// construction. Producers hand kernels over as a [`KernelSource`],
-/// which packs into warp slots without building this form;
-/// [`KernelSource::into_trace`] builds it where a per-thread view is
-/// read, and [`WarpTrace::pack`] packs it.
+/// regardless of thread count. Producers hand kernels over as a
+/// [`KernelSource`], which packs into warp slots without building this
+/// form; [`KernelSource::into_trace`] builds it where a per-thread view
+/// is read, and [`WarpTrace::pack`] packs it.
 ///
 /// # Example
 ///
@@ -197,13 +120,13 @@ impl std::fmt::Debug for Op {
 /// let k = KernelTrace::new(threads, 256)?;
 /// assert_eq!(k.num_threads(), 2);
 /// assert_eq!(k.num_blocks(), 1);
-/// assert_eq!(k.thread(1)[0].get(), MicroOp::compute(4));
+/// assert_eq!(k.thread(1), [MicroOp::compute(4)]);
 /// # Ok::<(), ggs_sim::params::ParamsError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
     /// Every thread's ops, concatenated in thread order.
-    ops: Vec<Op>,
+    ops: Vec<MicroOp>,
     /// `num_threads + 1` cumulative offsets into `ops`.
     offsets: Vec<u32>,
     tb_size: u32,
@@ -217,50 +140,37 @@ impl KernelTrace {
     /// Returns a [`ParamsError`]:
     /// - [`NonPositive`](ParamsError::NonPositive) if `tb_size` is zero;
     /// - [`TooManyOps`](ParamsError::TooManyOps) if the threads hold more
-    ///   ops than the `u32` offset table can index;
-    /// - [`AddressOutOfRange`](ParamsError::AddressOutOfRange) for an
-    ///   address above [`Op::MAX_ADDR`].
+    ///   ops than the `u32` offset table can index.
     pub fn new(threads: Vec<Vec<MicroOp>>, tb_size: u32) -> Result<Self, ParamsError> {
+        Self::build(threads.len(), tb_size, |t, ops| {
+            ops.extend_from_slice(&threads[t])
+        })
+    }
+
+    /// Builds a trace of `num_threads` threads, thread `t`'s ops
+    /// appended by `emit(t, ops)`, in order.
+    fn build(
+        num_threads: usize,
+        tb_size: u32,
+        mut emit: impl FnMut(usize, &mut Vec<MicroOp>),
+    ) -> Result<Self, ParamsError> {
         if tb_size == 0 {
             return Err(ParamsError::NonPositive("tb_size"));
         }
-        let total = threads.iter().map(Vec::len).sum();
-        check_op_count(total)?;
-        let mut ops = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(threads.len() + 1);
+        let mut ops = Vec::new();
+        let mut offsets = Vec::with_capacity(num_threads + 1);
         offsets.push(0);
-        for stream in &threads {
-            append_thread(&mut ops, &mut offsets, stream)?;
+        for t in 0..num_threads {
+            emit(t, &mut ops);
+            check_op_count(ops.len())?;
+            offsets.push(ops.len() as u32);
         }
-        Ok(Self::from_flat(ops, offsets, tb_size))
-    }
-
-    /// Creates a kernel trace directly from a flat op arena and its
-    /// cumulative offset table (`num_threads + 1` entries starting at 0
-    /// and ending at `ops.len()`). This is the allocation-free path for
-    /// trace generators that append thread streams in order. Both
-    /// vectors are shrunk to their length, so [`Self::heap_bytes`]
-    /// counts no growth slack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tb_size` is zero or the offset table is malformed.
-    pub fn from_flat(mut ops: Vec<Op>, mut offsets: Vec<u32>, tb_size: u32) -> Self {
-        assert!(tb_size > 0, "tb_size must be positive");
-        assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().expect("offsets non-empty") as usize,
-            ops.len(),
-            "offsets must end at ops.len()"
-        );
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         ops.shrink_to_fit();
-        offsets.shrink_to_fit();
-        Self {
+        Ok(Self {
             ops,
             offsets,
             tb_size,
-        }
+        })
     }
 
     /// Number of threads (may be less than `num_blocks * tb_size` in the
@@ -284,7 +194,7 @@ impl KernelTrace {
     /// # Panics
     ///
     /// Panics if `thread` is out of range.
-    pub fn thread(&self, thread: u64) -> &[Op] {
+    pub fn thread(&self, thread: u64) -> &[MicroOp] {
         let t = thread as usize;
         &self.ops[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
@@ -293,33 +203,6 @@ impl KernelTrace {
     pub fn total_ops(&self) -> u64 {
         self.ops.len() as u64
     }
-
-    /// Heap bytes held by the trace's op arena and offset table: 8 bytes
-    /// per op plus 4 per offset. Counted from capacity, which equals
-    /// length because construction shrinks both. Capacity-bounded trace
-    /// caches use this for their memory accounting.
-    pub fn heap_bytes(&self) -> u64 {
-        (self.ops.capacity() * std::mem::size_of::<Op>()
-            + self.offsets.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-}
-
-/// Appends one thread's `stream` to a [`KernelTrace`] arena under
-/// construction: its ops to `ops` and its end to `offsets`.
-fn append_thread(
-    ops: &mut Vec<Op>,
-    offsets: &mut Vec<u32>,
-    stream: &[MicroOp],
-) -> Result<(), ParamsError> {
-    for &op in stream {
-        match op.address() {
-            Some(addr) if addr > Op::MAX_ADDR => return Err(ParamsError::AddressOutOfRange(addr)),
-            _ => ops.push(Op::from(op)),
-        }
-    }
-    check_op_count(ops.len())?;
-    offsets.push(ops.len() as u32);
-    Ok(())
 }
 
 /// Checks that `total` entries fit a trace's `u32` offset table.
@@ -420,18 +303,11 @@ impl<'e> KernelSource<'e> {
     ///
     /// As [`KernelTrace::new`].
     pub fn into_trace(mut self) -> Result<KernelTrace, ParamsError> {
-        if self.tb_size == 0 {
-            return Err(ParamsError::NonPositive("tb_size"));
-        }
-        let (mut ops, mut stream) = (Vec::new(), Vec::new());
-        let mut offsets = Vec::with_capacity(self.num_threads as usize + 1);
-        offsets.push(0);
-        while let Some(t) = self.next_thread() {
-            stream.clear();
-            (self.emit)(t, &mut stream);
-            append_thread(&mut ops, &mut offsets, &stream)?;
-        }
-        Ok(KernelTrace::from_flat(ops, offsets, self.tb_size))
+        KernelTrace::build(self.num_threads as usize, self.tb_size, |_, ops| {
+            if let Some(t) = self.next_thread() {
+                (self.emit)(t, ops);
+            }
+        })
     }
 
     /// The next thread to emit, if any is left.
@@ -685,7 +561,7 @@ impl WarpTrace {
     pub fn pack(kernel: &KernelTrace, params: &SystemParams) -> Result<Self, ParamsError> {
         let mut packer = WarpPacker::new(kernel.tb_size(), params)?;
         for t in 0..kernel.num_threads() {
-            packer.push_thread(|ops| ops.extend(kernel.thread(t).iter().map(|op| op.get())))?;
+            packer.push_thread(|ops| ops.extend_from_slice(kernel.thread(t)))?;
         }
         packer.finish()
     }
@@ -940,10 +816,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Any micro-op, with the packing's boundary values drawn as often
-    /// as a uniform pick from the full range.
+    /// Any micro-op, with the boundary values drawn as often as a
+    /// uniform pick from the full range.
     fn micro_ops() -> impl Strategy<Value = MicroOp> {
-        let addr = || prop_oneof![Just(0), Just(Op::MAX_ADDR), 0u64..Op::MAX_ADDR];
+        let addr = || prop_oneof![Just(0), Just(u64::MAX), 0u64..u64::MAX];
         prop_oneof![
             addr().prop_map(MicroOp::load),
             addr().prop_map(MicroOp::store),
@@ -958,29 +834,20 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn op_round_trips(m in micro_ops()) {
-            prop_assert_eq!(Op::from(m).get(), m);
+        fn thread_streams_round_trip_through_the_arena(
+            threads in prop::collection::vec(prop::collection::vec(micro_ops(), 0..6), 0..40),
+            tb_size in 1u32..64,
+        ) {
+            let k = KernelTrace::new(threads.clone(), tb_size).unwrap();
+            prop_assert_eq!(k.num_threads(), threads.len() as u64);
+            for (t, stream) in threads.iter().enumerate() {
+                prop_assert_eq!(k.thread(t as u64), &stream[..]);
+            }
+            prop_assert_eq!(k.total_ops(), threads.iter().map(Vec::len).sum::<usize>() as u64);
         }
-    }
-
-    #[test]
-    fn unpackable_address_rejected() {
-        let too_far = Op::MAX_ADDR + 1;
-        for m in [
-            MicroOp::load(too_far),
-            MicroOp::store(too_far),
-            MicroOp::atomic_returning(u64::MAX),
-        ] {
-            let addr = m.address().unwrap();
-            assert_eq!(
-                KernelTrace::new(vec![vec![m]], 32),
-                Err(ParamsError::AddressOutOfRange(addr))
-            );
-        }
-        assert!(KernelTrace::new(vec![vec![MicroOp::load(Op::MAX_ADDR)]], 32).is_ok());
     }
 
     #[test]
@@ -995,7 +862,7 @@ mod tests {
             MicroOp::load(1 << 50),
             MicroOp::store(last_line + 64),
             MicroOp::atomic_returning(last_word + 4),
-            MicroOp::atomic(Op::MAX_ADDR),
+            MicroOp::atomic(u64::MAX),
         ] {
             let addr = op.address().unwrap();
             assert_eq!(pack(op), Err(ParamsError::AddressOutOfRange(addr)));
@@ -1160,24 +1027,20 @@ mod tests {
         assert_eq!(streamed, WarpTrace::pack(&trace, &params).unwrap());
         assert_eq!(streamed.atomic_mix(), AtomicMix::SomeFireAndForget);
         assert_eq!((streamed.num_threads(), streamed.num_warps()), (100, 5));
-        // The materialized arena holds no growth slack.
-        assert_eq!(
-            trace.heap_bytes(),
-            trace.total_ops() * 8 + (trace.num_threads() + 1) * 4
-        );
     }
 
     #[test]
     fn kernel_sources_report_typed_errors() {
         let params = SystemParams::default();
-        let too_far = Op::MAX_ADDR + 1;
-        let mut far = |_: u32, ops: &mut Vec<MicroOp>| ops.push(MicroOp::load(too_far));
-        let err = ParamsError::AddressOutOfRange(too_far);
+        // A materialized trace holds any address; packing checks that
+        // the line number fits a record.
+        let mut far = |_: u32, ops: &mut Vec<MicroOp>| ops.push(MicroOp::load(u64::MAX));
+        let trace = KernelSource::new(1, 32, &mut far).into_trace().unwrap();
+        assert_eq!(trace.thread(0), [MicroOp::load(u64::MAX)]);
         assert_eq!(
-            KernelSource::new(1, 32, &mut far).into_trace(),
-            Err(err.clone())
+            KernelSource::new(1, 32, &mut far).pack(&params),
+            Err(ParamsError::AddressOutOfRange(u64::MAX))
         );
-        assert_eq!(KernelSource::new(1, 32, &mut far).pack(&params), Err(err));
         let mut empty = |_: u32, _: &mut Vec<MicroOp>| {};
         let err = ParamsError::NonPositive("tb_size");
         assert_eq!(

@@ -8,7 +8,7 @@ use ggs_sim::engine::Simulation;
 use ggs_sim::noc::Mesh;
 use ggs_sim::params::SystemParams;
 use ggs_sim::stats::{StallBreakdown, StallClass};
-use ggs_sim::trace::{KernelTrace, MicroOp, Op, WarpTrace};
+use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
 
 fn small_params() -> SystemParams {
     SystemParams::default().scaled_caches(0.125).unwrap()
@@ -71,7 +71,7 @@ fn gather(kernel: &KernelTrace, warp_size: usize, line_bytes: u64) -> Vec<Vec<Ga
     for block in (0..threads).step_by(tb) {
         let end = (block + tb).min(threads);
         for lo in (block..end).step_by(warp_size) {
-            let lanes: Vec<&[Op]> = (lo..(lo + warp_size).min(end))
+            let lanes: Vec<&[MicroOp]> = (lo..(lo + warp_size).min(end))
                 .map(|t| kernel.thread(t as u64))
                 .collect();
             let len = lanes.iter().map(|l| l.len()).max().unwrap_or(0);
@@ -85,7 +85,7 @@ fn gather(kernel: &KernelTrace, warp_size: usize, line_bytes: u64) -> Vec<Vec<Ga
                         compute: 0,
                     };
                     for op in lanes.iter().filter_map(|l| l.get(k)) {
-                        match op.get() {
+                        match *op {
                             MicroOp::Load { addr } => slot.loads.push(addr & !(line_bytes - 1)),
                             MicroOp::Store { addr } => slot.stores.push(addr & !(line_bytes - 1)),
                             MicroOp::Atomic {
