@@ -13,7 +13,7 @@ use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{layout, vertex_kernel};
+use crate::common::{layout, settle_level_kernel, vertex_kernel, Levels};
 
 /// Root vertex of every BC run.
 pub const ROOT: u32 = 0;
@@ -25,36 +25,17 @@ pub const MAX_LEVELS: u32 = 8;
 /// Level value for unreached vertices.
 pub const UNREACHED: u32 = u32::MAX;
 
-/// Forward BFS from [`ROOT`]: per-vertex `(level, sigma)` where `sigma`
-/// counts shortest paths.
-fn forward(graph: &Csr) -> (Vec<u32>, Vec<u64>) {
-    let n = graph.num_vertices() as usize;
-    let mut level = vec![UNREACHED; n];
-    let mut sigma = vec![0u64; n];
-    if n == 0 {
-        return (level, sigma);
+/// Forward BFS from [`ROOT`]: per-vertex levels and `sigma`, the
+/// number of shortest paths, counted along the traversal's DAG edges.
+fn forward(graph: &Csr) -> (Levels, Vec<u64>) {
+    let mut sigma = vec![0u64; graph.num_vertices() as usize];
+    if let Some(root) = sigma.get_mut(ROOT as usize) {
+        *root = 1;
     }
-    level[ROOT as usize] = 0;
-    sigma[ROOT as usize] = 1;
-    let mut frontier = vec![ROOT];
-    let mut l = 0;
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &s in &frontier {
-            for &t in graph.neighbors(s) {
-                if level[t as usize] == UNREACHED {
-                    level[t as usize] = l + 1;
-                    next.push(t);
-                }
-                if level[t as usize] == l + 1 {
-                    sigma[t as usize] += sigma[s as usize];
-                }
-            }
-        }
-        frontier = next;
-        l += 1;
-    }
-    (level, sigma)
+    let levels = Levels::traverse(graph, ROOT, |s, t| {
+        sigma[t as usize] += sigma[s as usize];
+    });
+    (levels, sigma)
 }
 
 /// Host-reference BC scores (unnormalized, single root).
@@ -75,16 +56,10 @@ fn forward(graph: &Csr) -> (Vec<u32>, Vec<u64>) {
 /// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr) -> Vec<f64> {
-    let n = graph.num_vertices() as usize;
-    let (level, sigma) = forward(graph);
-    let mut delta = vec![0.0f64; n];
-    let max_level = level
-        .iter()
-        .filter(|&&l| l != UNREACHED)
-        .max()
-        .copied()
-        .unwrap_or(0);
-    for l in (0..max_level).rev() {
+    let (levels, sigma) = forward(graph);
+    let level = &levels.level;
+    let mut delta = vec![0.0f64; level.len()];
+    for l in (0..levels.depth()).rev() {
         for v in 0..graph.num_vertices() {
             if level[v as usize] != l {
                 continue;
@@ -129,14 +104,9 @@ pub fn generate(
     let n = graph.num_vertices();
     let (_space, arrays, [level_arr, sigma_arr, delta_arr]) = layout(graph, ARRAYS);
 
-    let (level, _sigma) = forward(graph);
-    let max_level = level
-        .iter()
-        .filter(|&&l| l != UNREACHED)
-        .max()
-        .copied()
-        .unwrap_or(0);
-    let levels = max_level.min(MAX_LEVELS);
+    let traversal = Levels::traverse(graph, ROOT, |_, _| {});
+    let level = &traversal.level;
+    let levels = traversal.depth().min(MAX_LEVELS);
 
     // Forward phase: one kernel per level.
     for l in 0..levels {
@@ -188,18 +158,8 @@ pub fn generate(
             _ => unreachable!("direction filtered by supported_propagations"),
         }
 
-        // Pull writes the level word in a separate settle kernel: the
-        // gather kernel above reads `level` remotely, so updating it in
-        // place would be an (unmarked) read/write race. The settle pass
-        // is a dense local update — each thread touches only its own
-        // word — which keeps pull atomic-free and race-free (Table I).
         if prop == Propagation::Pull {
-            vertex_kernel(run, n, tb_size, |v, ops| {
-                ops.push(MicroOp::load(level_arr.addr(v as u64)));
-                if level[v as usize] == l + 1 {
-                    ops.push(MicroOp::store(level_arr.addr(v as u64)));
-                }
-            });
+            settle_level_kernel(run, tb_size, level_arr, level, l);
         }
     }
 
@@ -281,8 +241,8 @@ mod tests {
             .symmetric(true)
             .build()
             .unwrap();
-        let (level, sigma) = forward(&g);
-        assert_eq!(level, vec![0, 1, 1, 2]);
+        let (levels, sigma) = forward(&g);
+        assert_eq!(levels.level, vec![0, 1, 1, 2]);
         assert_eq!(sigma, vec![1, 1, 1, 2]);
     }
 

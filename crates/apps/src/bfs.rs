@@ -13,7 +13,7 @@ use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{layout, vertex_kernel};
+use crate::common::{layout, settle_level_kernel, step_direction, vertex_kernel, Levels};
 
 /// Root vertex of every BFS run.
 pub const ROOT: u32 = 0;
@@ -41,68 +41,20 @@ pub const UNREACHED: u32 = u32::MAX;
 /// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr) -> Vec<u32> {
-    let n = graph.num_vertices() as usize;
-    let mut level = vec![UNREACHED; n];
-    if n == 0 {
-        return level;
-    }
-    level[ROOT as usize] = 0;
-    let mut frontier = vec![ROOT];
-    let mut l = 0;
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &s in &frontier {
-            for &t in graph.neighbors(s) {
-                if level[t as usize] == UNREACHED {
-                    level[t as usize] = l + 1;
-                    next.push(t);
-                }
-            }
-        }
-        frontier = next;
-        l += 1;
-    }
-    level
+    Levels::traverse(graph, ROOT, |_, _| {}).level
 }
 
 /// The realized per-level directions of a hybrid BFS run on `graph`:
 /// each level runs push while the frontier (vertices at that level) is
 /// below [`Propagation::HYBRID_DENSITY_THRESHOLD`] of the vertex count
 /// and pull once it reaches it. Pure function of the graph — the same
-/// invariant the kernel stream itself obeys.
+/// invariant the kernel stream itself obeys; `generate` hands each
+/// kernel to its consumer with the direction it ran.
 pub fn hybrid_directions(graph: &Csr) -> Vec<Propagation> {
-    let n = graph.num_vertices();
-    let level = reference(graph);
-    let max_level = level
+    let levels = Levels::traverse(graph, ROOT, |_, _| {});
+    levels.frontier_sizes[..levels.depth().min(MAX_LEVELS) as usize]
         .iter()
-        .filter(|&&l| l != UNREACHED)
-        .max()
-        .copied()
-        .unwrap_or(0);
-    (0..max_level.min(MAX_LEVELS))
-        .map(|l| {
-            let frontier = level.iter().filter(|&&x| x == l).count();
-            Propagation::hybrid_direction_for_density(frontier as f64 / n.max(1) as f64)
-        })
-        .collect()
-}
-
-/// The realized per-**kernel** direction schedule of a hybrid BFS run:
-/// a push level emits one kernel, a pull level emits the gather kernel
-/// plus the local settle kernel (both labeled pull). Mirrors the
-/// `generate` emission order exactly, so element *i* is the direction
-/// kernel *i* actually ran — the contract certification and the trace
-/// cache's policy fingerprint both key on this.
-pub fn hybrid_schedule(graph: &Csr) -> Vec<Propagation> {
-    hybrid_directions(graph)
-        .into_iter()
-        .flat_map(|d| {
-            if d == Propagation::Pull {
-                vec![Propagation::Pull; 2]
-            } else {
-                vec![Propagation::Push]
-            }
-        })
+        .map(|&f| step_direction(Propagation::Hybrid, f, graph.num_vertices()))
         .collect()
 }
 
@@ -112,11 +64,12 @@ pub(crate) const ARRAYS: [&str; 1] = ["level"];
 
 /// Generates the kernel sequence of a BFS run (one kernel per level,
 /// plus a settle kernel per pull level), handing each kernel to `run`
-/// as a [`KernelSource`]. The stream depends only on `(graph, prop,
-/// tb_size)`, so it is safe to materialize once and replay across
-/// configuration cells. Under [`Propagation::Hybrid`] each level
-/// independently runs the push or pull variant as chosen by
-/// [`hybrid_directions`].
+/// as a [`KernelSource`] together with the direction it ran. The stream
+/// depends only on `(graph, prop, tb_size)`, so it is safe to
+/// materialize once and replay across configuration cells. Under
+/// [`Propagation::Hybrid`] each level independently runs the push or
+/// pull variant as chosen by [`hybrid_directions`]; both kernels of a
+/// pull level are labeled pull.
 ///
 /// # Panics
 ///
@@ -125,7 +78,7 @@ pub fn generate(
     graph: &Csr,
     prop: Propagation,
     tb_size: u32,
-    run: &mut dyn FnMut(KernelSource<'_>),
+    run: &mut dyn FnMut(KernelSource<'_>, Propagation),
 ) {
     assert_ne!(
         prop,
@@ -135,18 +88,12 @@ pub fn generate(
     let n = graph.num_vertices();
     let (_space, arrays, [level_arr]) = layout(graph, ARRAYS);
 
-    let level = reference(graph);
-    let max_level = level
-        .iter()
-        .filter(|&&l| l != UNREACHED)
-        .max()
-        .copied()
-        .unwrap_or(0);
+    let levels = Levels::traverse(graph, ROOT, |_, _| {});
+    let level = &levels.level;
 
-    let hybrid_dirs = (prop == Propagation::Hybrid).then(|| hybrid_directions(graph));
-
-    for l in 0..max_level.min(MAX_LEVELS) {
-        let dir = hybrid_dirs.as_ref().map_or(prop, |dirs| dirs[l as usize]);
+    for l in 0..levels.depth().min(MAX_LEVELS) {
+        let dir = step_direction(prop, levels.frontier_sizes[l as usize], n);
+        let run = &mut |k: KernelSource<'_>| run(k, dir);
         match dir {
             Propagation::Push => vertex_kernel(run, n, tb_size, |s, ops| {
                 // Source control: one level load elides off-frontier
@@ -174,8 +121,8 @@ pub fn generate(
                     let s = graph.col_idx()[e as usize];
                     ops.push(MicroOp::load(level_arr.addr(s as u64)));
                     if level[s as usize] == l {
-                        // Found a frontier parent; real kernels break out
-                        // here, so remaining edges are skipped.
+                        // Found a frontier parent; real kernels break
+                        // out here, so remaining edges are skipped.
                         break;
                     }
                 }
@@ -183,17 +130,8 @@ pub fn generate(
             _ => unreachable!("direction filtered by supported_propagations"),
         }
 
-        // Pull settles discovered vertices in a second, purely local
-        // kernel: the gather kernel reads `level` remotely, so storing
-        // it there would be an unmarked read/write race (see
-        // docs/checking.md). One thread per vertex, own word only.
         if dir == Propagation::Pull {
-            vertex_kernel(run, n, tb_size, |v, ops| {
-                ops.push(MicroOp::load(level_arr.addr(v as u64)));
-                if level[v as usize] == l + 1 {
-                    ops.push(MicroOp::store(level_arr.addr(v as u64)));
-                }
-            });
+            settle_level_kernel(run, tb_size, level_arr, level, l);
         }
     }
 }
@@ -253,7 +191,7 @@ mod tests {
     fn push_elides_off_frontier() {
         let g = path(32);
         let mut first = true;
-        generate(&g, Propagation::Push, 256, &mut |k| {
+        generate(&g, Propagation::Push, 256, &mut |k, _| {
             let k = k.into_trace().unwrap();
             if first {
                 assert!(k.thread(0).len() > 1);
@@ -267,7 +205,7 @@ mod tests {
     fn pull_early_exits_on_found_parent() {
         let g = path(32);
         let mut first = true;
-        generate(&g, Propagation::Pull, 256, &mut |k| {
+        generate(&g, Propagation::Pull, 256, &mut |k, _| {
             let k = k.into_trace().unwrap();
             if first {
                 // Vertex 1 finds its parent on the first in-edge:
@@ -282,7 +220,7 @@ mod tests {
     fn kernel_count_is_levels() {
         let g = path(6);
         let mut kernels = 0;
-        generate(&g, Propagation::Push, 256, &mut |_| kernels += 1);
+        generate(&g, Propagation::Push, 256, &mut |_, _| kernels += 1);
         assert_eq!(kernels, 5);
     }
 
@@ -314,28 +252,19 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_schedule_mirrors_emitted_kernels() {
-        for g in [path(32), fanout(256)] {
-            let schedule = hybrid_schedule(&g);
-            let mut kernels = 0;
-            generate(&g, Propagation::Hybrid, 256, &mut |_| kernels += 1);
-            assert_eq!(schedule.len(), kernels, "one schedule entry per kernel");
-        }
-    }
-
-    #[test]
     fn hybrid_on_sparse_frontiers_matches_push_stream() {
         // A path's frontier is one vertex per level — always below the
         // threshold, so the hybrid stream degenerates to pure push.
         let g = path(32);
         let mut push = Vec::new();
-        generate(&g, Propagation::Push, 256, &mut |k| {
-            push.push(k.into_trace().unwrap())
+        generate(&g, Propagation::Push, 256, &mut |k, dir| {
+            push.push((k.into_trace().unwrap(), dir))
         });
         let mut hybrid = Vec::new();
-        generate(&g, Propagation::Hybrid, 256, &mut |k| {
-            hybrid.push(k.into_trace().unwrap())
+        generate(&g, Propagation::Hybrid, 256, &mut |k, dir| {
+            hybrid.push((k.into_trace().unwrap(), dir))
         });
+        assert!(hybrid.iter().all(|(_, dir)| *dir == Propagation::Push));
         assert_eq!(push, hybrid);
     }
 }

@@ -1,8 +1,11 @@
 //! Shared trace-generation machinery for the vertex-centric kernels.
 
 use ggs_graph::Csr;
+use ggs_model::Propagation;
 use ggs_sim::layout::{AddressSpace, ArrayHandle};
 use ggs_sim::trace::{KernelSource, MicroOp};
+
+use crate::bfs::UNREACHED;
 
 /// Address handles for the CSR arrays every kernel walks.
 #[derive(Debug, Clone, Copy)]
@@ -77,6 +80,96 @@ pub(crate) fn vertex_kernel<F>(
     F: FnMut(u32, &mut Vec<MicroOp>),
 {
     run(KernelSource::new(num_vertices, tb_size, &mut emit));
+}
+
+/// The one level-synchronous traversal behind BFS and BC: each vertex's
+/// level (hop distance from the root, [`UNREACHED`] if none) and the
+/// size of each level's frontier.
+#[derive(Debug)]
+pub(crate) struct Levels {
+    pub level: Vec<u32>,
+    /// `frontier_sizes[l]` vertices sit at level `l`; the last entry is
+    /// the deepest level reached.
+    pub frontier_sizes: Vec<usize>,
+}
+
+impl Levels {
+    /// Traverses `graph` from `root`, calling `on_edge(s, t)` for every
+    /// edge from a level-`l` vertex `s` to a level-`l + 1` vertex `t`
+    /// (the shortest-path DAG), in traversal order.
+    pub fn traverse(graph: &Csr, root: u32, mut on_edge: impl FnMut(u32, u32)) -> Self {
+        let mut level = vec![UNREACHED; graph.num_vertices() as usize];
+        let mut frontier_sizes = Vec::new();
+        if level.is_empty() {
+            return Self {
+                level,
+                frontier_sizes,
+            };
+        }
+        level[root as usize] = 0;
+        let mut frontier = vec![root];
+        let mut l = 0;
+        while !frontier.is_empty() {
+            frontier_sizes.push(frontier.len());
+            let mut next = Vec::new();
+            for &s in &frontier {
+                for &t in graph.neighbors(s) {
+                    if level[t as usize] == UNREACHED {
+                        level[t as usize] = l + 1;
+                        next.push(t);
+                    }
+                    if level[t as usize] == l + 1 {
+                        on_edge(s, t);
+                    }
+                }
+            }
+            frontier = next;
+            l += 1;
+        }
+        Self {
+            level,
+            frontier_sizes,
+        }
+    }
+
+    /// The deepest level reached: the number of level steps a full run
+    /// takes (0 for an empty graph or a lone root).
+    pub fn depth(&self) -> u32 {
+        self.frontier_sizes.len().saturating_sub(1) as u32
+    }
+}
+
+/// The direction one frontier step of a `prop` run takes: `prop`
+/// itself, or under [`Propagation::Hybrid`] push while the frontier
+/// (`frontier` of `n` vertices) is below
+/// [`Propagation::HYBRID_DENSITY_THRESHOLD`] and pull once it reaches it.
+pub(crate) fn step_direction(prop: Propagation, frontier: usize, n: u32) -> Propagation {
+    if prop == Propagation::Hybrid {
+        Propagation::hybrid_direction_for_density(frontier as f64 / n.max(1) as f64)
+    } else {
+        prop
+    }
+}
+
+/// Emits the settle kernel that follows a pull level step of BFS and
+/// BC: every vertex loads its own `level` word and stores it if the step
+/// discovered it (`level[v] == l + 1`). The gather kernel before it
+/// reads `level` remotely, so storing it there would be an unmarked
+/// read/write race (see docs/checking.md); here each thread touches only
+/// its own word, which keeps pull atomic-free and race-free (Table I).
+pub(crate) fn settle_level_kernel(
+    run: &mut dyn FnMut(KernelSource<'_>),
+    tb_size: u32,
+    level_arr: ArrayHandle,
+    level: &[u32],
+    l: u32,
+) {
+    vertex_kernel(run, level.len() as u32, tb_size, |v, ops| {
+        ops.push(MicroOp::load(level_arr.addr(v as u64)));
+        if level[v as usize] == l + 1 {
+            ops.push(MicroOp::store(level_arr.addr(v as u64)));
+        }
+    });
 }
 
 #[cfg(test)]

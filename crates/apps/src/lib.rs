@@ -39,7 +39,7 @@
 //! // Count the kernels a push PageRank run launches.
 //! let workload = Workload::new(AppKind::Pr, &graph);
 //! let mut kernels = 0;
-//! workload.produce(Propagation::Push, 256, &mut |_k| kernels += 1);
+//! workload.produce(Propagation::Push, 256, &mut |_k, _dir| kernels += 1);
 //! assert_eq!(kernels, ggs_apps::pr::ITERATIONS as usize);
 //! # Ok::<(), ggs_graph::GraphError>(())
 //! ```

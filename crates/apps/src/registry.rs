@@ -170,7 +170,7 @@ impl FromStr for AppKind {
 ///     .build()?;
 /// let w = Workload::new(AppKind::Cc, &g);
 /// let mut kernels = 0;
-/// w.produce(Propagation::PushPull, 256, &mut |_| kernels += 1);
+/// w.produce(Propagation::PushPull, 256, &mut |_, _| kernels += 1);
 /// assert!(kernels > 0);
 /// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
@@ -219,11 +219,14 @@ impl<'g> Workload<'g> {
     }
 
     /// Generates the workload's kernel sequence under propagation
-    /// `prop`, handing each kernel to `run` as a [`KernelSource`]: its
-    /// thread count, block size and per-vertex emitter. The consumer
-    /// packs it into warp slots as the lanes are emitted
-    /// ([`KernelSource::pack`]), or materializes its per-thread trace
-    /// ([`KernelSource::into_trace`]); one kernel is produced at a time.
+    /// `prop`, handing each kernel to `run` as a [`KernelSource`] (its
+    /// thread count, block size and per-vertex emitter) together with
+    /// the direction it ran: `prop` itself for the static propagations,
+    /// push or pull per kernel under [`Propagation::Hybrid`]. The
+    /// consumer packs the kernel into warp slots as the lanes are
+    /// emitted ([`KernelSource::pack`]), or materializes its per-thread
+    /// trace ([`KernelSource::into_trace`]); one kernel is produced at a
+    /// time.
     ///
     /// The emitted stream is the functional half of the workload: it is
     /// a pure function of `(app, graph, prop, tb_size)` and never
@@ -236,57 +239,44 @@ impl<'g> Workload<'g> {
     ///
     /// Panics if `prop` is not supported by the application (see
     /// [`AppKind::supported_propagations`]).
-    pub fn produce(&self, prop: Propagation, tb_size: u32, run: &mut dyn FnMut(KernelSource<'_>)) {
+    pub fn produce(
+        &self,
+        prop: Propagation,
+        tb_size: u32,
+        run: &mut dyn FnMut(KernelSource<'_>, Propagation),
+    ) {
+        let g = self.graph;
+        let run_static = &mut |k: KernelSource<'_>| run(k, prop);
         match self.app {
-            AppKind::Pr => crate::pr::generate(self.graph, prop, tb_size, run),
-            AppKind::Sssp => crate::sssp::generate(self.graph, prop, tb_size, run),
-            AppKind::Mis => crate::mis::generate(self.graph, prop, tb_size, run),
-            AppKind::Clr => crate::clr::generate(self.graph, prop, tb_size, run),
-            AppKind::Bc => crate::bc::generate(self.graph, prop, tb_size, run),
-            AppKind::Cc => crate::cc::generate(self.graph, prop, tb_size, run),
-            AppKind::Bfs => crate::bfs::generate(self.graph, prop, tb_size, run),
+            AppKind::Pr => crate::pr::generate(g, prop, tb_size, run_static),
+            AppKind::Sssp => crate::sssp::generate(g, prop, tb_size, run),
+            AppKind::Mis => crate::mis::generate(g, prop, tb_size, run_static),
+            AppKind::Clr => crate::clr::generate(g, prop, tb_size, run_static),
+            AppKind::Bc => crate::bc::generate(g, prop, tb_size, run_static),
+            AppKind::Cc => crate::cc::generate(g, prop, tb_size, run_static),
+            AppKind::Bfs => crate::bfs::generate(g, prop, tb_size, run),
         }
-    }
-
-    /// The realized per-kernel direction schedule of this workload
-    /// under `prop`: `None` for the static propagations (every kernel
-    /// runs `prop` itself), `Some(schedule)` for
-    /// [`Propagation::Hybrid`], where element *i* is the direction
-    /// kernel *i* of [`Workload::produce`]'s stream actually ran.
-    /// Like the stream, the schedule is a pure function of
-    /// `(app, graph)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prop` is hybrid and the application does not support
-    /// it (see [`AppKind::supported_propagations`]).
-    pub fn direction_schedule(&self, prop: Propagation) -> Option<Vec<Propagation>> {
-        if prop != Propagation::Hybrid {
-            return None;
-        }
-        Some(match self.app {
-            AppKind::Bfs => crate::bfs::hybrid_schedule(self.graph),
-            AppKind::Sssp => crate::sssp::hybrid_schedule(self.graph),
-            other => panic!("{other} does not support hybrid propagation"),
-        })
     }
 
     /// Fingerprint of the direction policy as *realized* on this
     /// workload's graph: `0` for the static propagations (the
-    /// direction is fully named by the propagation itself) and an
-    /// FNV-1a hash of the density threshold plus the per-kernel
-    /// direction letters for [`Propagation::Hybrid`]. Cache keys must
-    /// incorporate this so a hybrid stream never collides with a
-    /// static push or pull stream — nor with a hybrid stream produced
-    /// under a different threshold or realized schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prop` is hybrid and the application does not support
-    /// it (see [`AppKind::supported_propagations`]).
+    /// direction is fully named by the propagation itself) and, for
+    /// [`Propagation::Hybrid`], an FNV-1a hash of the density threshold
+    /// plus the per-iteration direction letters
+    /// ([`crate::bfs::hybrid_directions`],
+    /// [`crate::sssp::hybrid_directions`]; none for an app without a
+    /// hybrid stream). Cache keys must incorporate this so a hybrid
+    /// stream never collides with a static push or pull stream — nor
+    /// with a hybrid stream produced under a different threshold or
+    /// realized schedule.
     pub fn policy_fingerprint(&self, prop: Propagation) -> u64 {
-        let Some(schedule) = self.direction_schedule(prop) else {
+        if prop != Propagation::Hybrid {
             return 0;
+        }
+        let directions = match self.app {
+            AppKind::Bfs => crate::bfs::hybrid_directions(self.graph),
+            AppKind::Sssp => crate::sssp::hybrid_directions(self.graph),
+            _ => Vec::new(),
         };
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -297,7 +287,7 @@ impl<'g> Workload<'g> {
         {
             h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
         }
-        for dir in schedule {
+        for dir in directions {
             h = (h ^ dir.letter() as u64).wrapping_mul(PRIME);
         }
         h
@@ -338,39 +328,57 @@ mod tests {
         );
     }
 
-    #[test]
-    fn policy_fingerprint_is_zero_only_for_static_props() {
-        let g = GraphBuilder::new(64)
+    /// A chain with a star from vertex 0: the frontier after the root
+    /// is dense, so hybrid BFS and SSSP flip from push to pull.
+    fn star_chain() -> Csr {
+        GraphBuilder::new(64)
             .edges((0..63).map(|i| (i, i + 1)))
             .edges((1..63).map(|v| (0, v)))
             .symmetric(true)
             .build()
             .unwrap()
-            .with_hashed_weights(4);
+            .with_hashed_weights(4)
+    }
+
+    #[test]
+    fn policy_fingerprint_is_zero_only_for_static_props() {
+        let g = star_chain();
         for app in [AppKind::Bfs, AppKind::Sssp] {
             let w = Workload::new(app, &g);
             assert_eq!(w.policy_fingerprint(Propagation::Push), 0);
             assert_eq!(w.policy_fingerprint(Propagation::Pull), 0);
-            assert_eq!(w.direction_schedule(Propagation::Push), None);
             let fp = w.policy_fingerprint(Propagation::Hybrid);
             assert_ne!(fp, 0, "{app} hybrid fingerprint");
-            let schedule = w.direction_schedule(Propagation::Hybrid).unwrap();
-            assert!(!schedule.is_empty());
-            assert!(schedule
-                .iter()
-                .all(|d| matches!(d, Propagation::Push | Propagation::Pull)));
+            let mut directions = Vec::new();
+            w.produce(Propagation::Hybrid, 256, &mut |_, dir| directions.push(dir));
+            assert!(directions.contains(&Propagation::Push), "{directions:?}");
+            assert!(directions.contains(&Propagation::Pull), "{directions:?}");
         }
+        // An app without a hybrid stream still keys it apart from its
+        // static streams.
+        assert_ne!(
+            Workload::new(AppKind::Pr, &g).policy_fingerprint(Propagation::Hybrid),
+            0
+        );
     }
 
     #[test]
-    #[should_panic(expected = "does not support hybrid")]
-    fn direction_schedule_rejects_non_frontier_apps() {
-        let g = GraphBuilder::new(8)
-            .edges((0..7).map(|i| (i, i + 1)))
+    fn policy_fingerprint_tells_realized_schedules_apart() {
+        // A chain's frontier stays sparse, so its hybrid runs push only.
+        let chain = GraphBuilder::new(64)
+            .edges((0..63).map(|i| (i, i + 1)))
             .symmetric(true)
             .build()
-            .unwrap();
-        let _ = Workload::new(AppKind::Pr, &g).direction_schedule(Propagation::Hybrid);
+            .unwrap()
+            .with_hashed_weights(4);
+        let star = star_chain();
+        for app in [AppKind::Bfs, AppKind::Sssp] {
+            assert_ne!(
+                Workload::new(app, &chain).policy_fingerprint(Propagation::Hybrid),
+                Workload::new(app, &star).policy_fingerprint(Propagation::Hybrid),
+                "{app}"
+            );
+        }
     }
 
     #[test]
@@ -416,8 +424,9 @@ mod tests {
         for app in AppKind::ALL.into_iter().chain(AppKind::EXTENDED) {
             for &prop in app.supported_propagations() {
                 let mut kernels = 0;
-                Workload::new(app, &g).produce(prop, 256, &mut |k| {
+                Workload::new(app, &g).produce(prop, 256, &mut |k, dir| {
                     kernels += 1;
+                    assert_eq!(dir == prop, prop != Propagation::Hybrid, "{app}/{prop}");
                     assert_eq!(k.num_threads(), 32);
                 });
                 assert!(kernels > 0, "{app}/{prop} emitted no kernels");

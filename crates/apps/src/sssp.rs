@@ -15,7 +15,7 @@ use ggs_graph::Csr;
 use ggs_model::Propagation;
 use ggs_sim::trace::{KernelSource, MicroOp};
 
-use crate::common::{layout, vertex_kernel};
+use crate::common::{layout, step_direction, vertex_kernel};
 
 /// Source vertex of every SSSP run.
 pub const ROOT: u32 = 0;
@@ -46,30 +46,7 @@ pub const INF: u32 = u32::MAX;
 /// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr) -> Vec<u32> {
-    let n = graph.num_vertices() as usize;
-    let mut dist = vec![INF; n];
-    if n == 0 {
-        return dist;
-    }
-    dist[ROOT as usize] = 0;
-    let mut active = vec![ROOT];
-    while !active.is_empty() {
-        let mut changed = std::collections::BTreeSet::new();
-        for &s in &active {
-            let ds = dist[s as usize];
-            let weights = graph.edge_weights(s);
-            for (i, &t) in graph.neighbors(s).iter().enumerate() {
-                let w = weights.map_or(1, |w| w[i]);
-                let cand = ds.saturating_add(w);
-                if cand < dist[t as usize] {
-                    dist[t as usize] = cand;
-                    changed.insert(t);
-                }
-            }
-        }
-        active = changed.into_iter().collect();
-    }
-    dist
+    bellman_ford(graph).0
 }
 
 /// Per-iteration frontiers (sets of *updated* vertices), starting with
@@ -77,16 +54,21 @@ pub fn reference(graph: &Csr) -> Vec<u32> {
 /// hybrid direction policy (the frontier's density decides push vs.
 /// pull per iteration).
 pub fn frontiers(graph: &Csr) -> Vec<Vec<u32>> {
+    bellman_ford(graph).1
+}
+
+/// The one Bellman-Ford pass from [`ROOT`] behind [`reference`] and
+/// [`frontiers`]: the final distances and every iteration's frontier.
+fn bellman_ford(graph: &Csr) -> (Vec<u32>, Vec<Vec<u32>>) {
     let n = graph.num_vertices() as usize;
     let mut dist = vec![INF; n];
+    let mut fronts = Vec::new();
     if n == 0 {
-        return Vec::new();
+        return (dist, fronts);
     }
     dist[ROOT as usize] = 0;
-    let mut fronts = Vec::new();
     let mut active = vec![ROOT];
     while !active.is_empty() {
-        fronts.push(active.clone());
         let mut changed = std::collections::BTreeSet::new();
         for &s in &active {
             let ds = dist[s as usize];
@@ -100,34 +82,25 @@ pub fn frontiers(graph: &Csr) -> Vec<Vec<u32>> {
                 }
             }
         }
-        active = changed.into_iter().collect();
+        fronts.push(std::mem::replace(
+            &mut active,
+            changed.into_iter().collect(),
+        ));
     }
-    fronts
+    (dist, fronts)
 }
 
 /// The realized per-iteration directions of a hybrid SSSP run on
 /// `graph`: each Bellman-Ford iteration runs push while its updated-
 /// vertex frontier is below [`Propagation::HYBRID_DENSITY_THRESHOLD`]
 /// of the vertex count and pull once it reaches it. Pure function of
-/// the graph, like the kernel stream itself.
+/// the graph, like the kernel stream itself; `generate` hands each
+/// kernel to its consumer with the direction it ran.
 pub fn hybrid_directions(graph: &Csr) -> Vec<Propagation> {
-    let n = graph.num_vertices().max(1);
     frontiers(graph)
         .iter()
         .take(MAX_ITERATIONS as usize)
-        .map(|front| Propagation::hybrid_direction_for_density(front.len() as f64 / n as f64))
-        .collect()
-}
-
-/// The realized per-**kernel** direction schedule of a hybrid SSSP
-/// run: every iteration emits a relax kernel and a settle kernel, both
-/// labeled with the iteration's direction. Mirrors the `generate`
-/// emission order exactly — the contract certification and the trace
-/// cache's policy fingerprint both key on this.
-pub fn hybrid_schedule(graph: &Csr) -> Vec<Propagation> {
-    hybrid_directions(graph)
-        .into_iter()
-        .flat_map(|d| [d, d])
+        .map(|front| step_direction(Propagation::Hybrid, front.len(), graph.num_vertices()))
         .collect()
 }
 
@@ -137,11 +110,12 @@ pub(crate) const ARRAYS: [&str; 3] = ["dist", "newdist", "flag"];
 
 /// Generates the kernel sequence of an SSSP run (two kernels per
 /// simulated iteration), handing each kernel to `run` as a
-/// [`KernelSource`]. The stream depends only on `(graph, prop,
-/// tb_size)`, so it is safe to materialize once and replay across
-/// configuration cells. Under [`Propagation::Hybrid`] each iteration
-/// independently runs the push or pull relax variant as chosen by
-/// [`hybrid_directions`].
+/// [`KernelSource`] together with the direction it ran. The stream
+/// depends only on `(graph, prop, tb_size)`, so it is safe to
+/// materialize once and replay across configuration cells. Under
+/// [`Propagation::Hybrid`] each iteration independently runs the push
+/// or pull relax variant as chosen by [`hybrid_directions`]; its settle
+/// kernel is labeled with the same direction.
 ///
 /// # Panics
 ///
@@ -150,7 +124,7 @@ pub fn generate(
     graph: &Csr,
     prop: Propagation,
     tb_size: u32,
-    run: &mut dyn FnMut(KernelSource<'_>),
+    run: &mut dyn FnMut(KernelSource<'_>, Propagation),
 ) {
     assert_ne!(
         prop,
@@ -161,16 +135,16 @@ pub fn generate(
     let (_space, arrays, [dist, newdist, flag]) = layout(graph, ARRAYS);
 
     let fronts = frontiers(graph);
-    let hybrid_dirs = (prop == Propagation::Hybrid).then(|| hybrid_directions(graph));
     let mut active = vec![false; n as usize];
 
-    for (iter, front) in fronts.iter().take(MAX_ITERATIONS as usize).enumerate() {
+    for front in fronts.iter().take(MAX_ITERATIONS as usize) {
         active.fill(false);
         for &v in front {
             active[v as usize] = true;
         }
 
-        let dir = hybrid_dirs.as_ref().map_or(prop, |dirs| dirs[iter]);
+        let dir = step_direction(prop, front.len(), n);
+        let run = &mut |k: KernelSource<'_>| run(k, dir);
         match dir {
             Propagation::Push => vertex_kernel(run, n, tb_size, |s, ops| {
                 // Control at source: one flag load elides everything.
@@ -287,7 +261,7 @@ mod tests {
             .build()
             .unwrap();
         let mut first = true;
-        generate(&g, Propagation::Push, 256, &mut |k| {
+        generate(&g, Propagation::Push, 256, &mut |k, _| {
             let k = k.into_trace().unwrap();
             if !first {
                 return;
@@ -307,7 +281,7 @@ mod tests {
             .build()
             .unwrap();
         let mut first = true;
-        generate(&g, Propagation::Pull, 256, &mut |k| {
+        generate(&g, Propagation::Pull, 256, &mut |k, _| {
             let k = k.into_trace().unwrap();
             if !first {
                 return;
@@ -322,7 +296,7 @@ mod tests {
     fn kernel_count_is_two_per_iteration() {
         let g = weighted_chain(32);
         let mut kernels = 0;
-        generate(&g, Propagation::Push, 256, &mut |_| kernels += 1);
+        generate(&g, Propagation::Push, 256, &mut |_, _| kernels += 1);
         let fronts = frontiers(&g).len().min(MAX_ITERATIONS as usize);
         assert_eq!(kernels, 2 * fronts);
     }
@@ -350,28 +324,19 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_schedule_mirrors_emitted_kernels() {
-        for g in [weighted_chain(64), star(128)] {
-            let schedule = hybrid_schedule(&g);
-            let mut realized = 0;
-            generate(&g, Propagation::Hybrid, 256, &mut |_| realized += 1);
-            assert_eq!(schedule.len(), realized, "one schedule entry per kernel");
-        }
-    }
-
-    #[test]
     fn hybrid_on_sparse_frontiers_matches_push_stream() {
         // A 64-chain's frontier is one vertex per iteration — always
         // below the threshold, so hybrid degenerates to pure push.
         let g = weighted_chain(64);
         let mut push = Vec::new();
-        generate(&g, Propagation::Push, 256, &mut |k| {
-            push.push(k.into_trace().unwrap())
+        generate(&g, Propagation::Push, 256, &mut |k, dir| {
+            push.push((k.into_trace().unwrap(), dir))
         });
         let mut hybrid = Vec::new();
-        generate(&g, Propagation::Hybrid, 256, &mut |k| {
-            hybrid.push(k.into_trace().unwrap())
+        generate(&g, Propagation::Hybrid, 256, &mut |k, dir| {
+            hybrid.push((k.into_trace().unwrap(), dir))
         });
+        assert!(hybrid.iter().all(|(_, dir)| *dir == Propagation::Push));
         assert_eq!(push, hybrid);
     }
 }

@@ -159,7 +159,7 @@ proptest! {
         let g = g.with_hashed_weights(8);
         for app in AppKind::ALL {
             for &prop in app.supported_propagations() {
-                Workload::new(app, &g).produce(prop, 256, &mut |k| {
+                Workload::new(app, &g).produce(prop, 256, &mut |k, _| {
                     let k = k.into_trace().unwrap();
                     for t in 0..k.num_threads() {
                         for &op in k.thread(t) {
@@ -190,7 +190,7 @@ proptest! {
                 map.iter().any(|(_, base, bytes)| addr >= *base && addr < base + bytes)
             };
             for &prop in app.supported_propagations() {
-                Workload::new(app, &g).produce(prop, 256, &mut |k| {
+                Workload::new(app, &g).produce(prop, 256, &mut |k, _| {
                     let k = k.into_trace().unwrap();
                     for t in 0..k.num_threads() {
                         for &op in k.thread(t) {
@@ -215,7 +215,7 @@ proptest! {
             for &prop in app.supported_propagations() {
                 let collect = || {
                     let mut kernels = Vec::new();
-                    Workload::new(app, &g).produce(prop, 256, &mut |k| {
+                    Workload::new(app, &g).produce(prop, 256, &mut |k, _| {
                         let k = k.into_trace().unwrap();
                         kernels.push(k.total_ops());
                     });
@@ -249,9 +249,9 @@ proptest! {
             for &prop in app.supported_propagations() {
                 let workload = Workload::new(app, &g);
                 let mut streamed = Vec::new();
-                workload.produce(prop, tb_size, &mut |k| streamed.push(k.pack(&params).unwrap()));
+                workload.produce(prop, tb_size, &mut |k, _| streamed.push(k.pack(&params).unwrap()));
                 let mut materialized = Vec::new();
-                workload.produce(prop, tb_size, &mut |k| {
+                workload.produce(prop, tb_size, &mut |k, _| {
                     let trace = k.into_trace().unwrap();
                     materialized.push(WarpTrace::pack(&trace, &params).unwrap());
                 });

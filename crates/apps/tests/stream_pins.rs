@@ -76,11 +76,11 @@ fn pin(app: AppKind, graph: &Csr, prop: Propagation) -> (u64, String) {
     let workload = Workload::new(app, &graph);
     let params = SystemParams::default();
     let mut kernels = Vec::new();
-    workload.produce(prop, 256, &mut |k| kernels.push(k.pack(&params).unwrap()));
-    let directions: Vec<Propagation> = workload
-        .direction_schedule(prop)
-        .unwrap_or_else(|| vec![prop; kernels.len()]);
-    assert_eq!(directions.len(), kernels.len(), "{app}/{prop}");
+    let mut directions = Vec::new();
+    workload.produce(prop, 256, &mut |k, dir| {
+        kernels.push(k.pack(&params).unwrap());
+        directions.push(dir);
+    });
     let mut h = Fnv::new();
     let mut letters = String::new();
     for (kernel, dir) in kernels.iter().zip(&directions) {

@@ -103,13 +103,11 @@ impl fmt::Display for AppReport {
 /// attributing addresses to `regions` (`(name, base, bytes)` entries
 /// from the workload's memory map).
 ///
-/// # Panics
-///
-/// Panics if `prop` is [`Propagation::Hybrid`]: a hybrid run has no
-/// single whole-run contract. Each kernel must be checked under the
-/// direction it actually ran — zip the kernel stream with
-/// [`Workload::direction_schedule`] and pass the realized direction,
-/// as [`certify_workload`] does.
+/// [`Propagation::Hybrid`] names no contract: each kernel of a hybrid
+/// run must be checked under the direction it actually ran, which
+/// [`Workload::produce`] hands over with the kernel (as
+/// [`certify_workload`] does). Passing it yields one
+/// [`ViolationKind::UnresolvedDirection`].
 pub fn check_kernel_contract(
     analysis: &KernelAnalysis,
     prop: Propagation,
@@ -174,10 +172,13 @@ pub fn check_kernel_contract(
         // CC's dynamic direction admits benign monotonic reads and
         // marked updates: only the DRF rule applies.
         Propagation::PushPull => {}
-        Propagation::Hybrid => panic!(
-            "hybrid kernels must be checked under their realized direction \
-             (zip the stream with Workload::direction_schedule)"
-        ),
+        Propagation::Hybrid => out.push(Violation {
+            kernel,
+            addr: 0,
+            region: None,
+            kind: ViolationKind::UnresolvedDirection,
+            detail: "hybrid names no contract: check the direction the kernel ran".to_owned(),
+        }),
     }
     out
 }
@@ -185,13 +186,10 @@ pub fn check_kernel_contract(
 /// Statically certifies one application in one direction on `graph`:
 /// analyzes every kernel trace and checks the direction's contract.
 ///
-/// For [`Propagation::Hybrid`] there is no single whole-run contract:
-/// the realized per-kernel direction schedule (a pure function of the
-/// graph, [`Workload::direction_schedule`]) is zipped with the kernel
-/// stream, and every kernel is checked under the Table I contract of
-/// the direction it actually ran — push kernels must confine plain
-/// writes, pull kernels must be atomic-free with thread-private
-/// writes.
+/// Every kernel is checked under the Table I contract of the direction
+/// [`Workload::produce`] reports it ran. For [`Propagation::Hybrid`]
+/// that differs from kernel to kernel: push kernels must confine plain
+/// writes, pull kernels must be atomic-free with thread-private writes.
 ///
 /// # Errors
 ///
@@ -206,7 +204,6 @@ pub fn certify_workload(
     let graph = app.weighted(graph);
     let workload = Workload::new(app, &graph);
     let regions = workload.memory_map();
-    let schedule = workload.direction_schedule(prop);
     let mut report = AppReport {
         app,
         prop,
@@ -221,7 +218,7 @@ pub fn certify_workload(
         violations: Vec::new(),
     };
     let mut failed = None;
-    workload.produce(prop, TB_SIZE, &mut |kernel| {
+    workload.produce(prop, TB_SIZE, &mut |kernel, dir| {
         if failed.is_some() {
             return;
         }
@@ -233,11 +230,9 @@ pub fn certify_workload(
             }
         };
         let analysis = analyze_kernel(&kernel, consistency);
-        // Hybrid kernels are judged by the direction they actually ran.
-        let realized = schedule.as_ref().map_or(prop, |s| s[report.kernels]);
         report.violations.extend(check_kernel_contract(
             &analysis,
-            realized,
+            dir,
             report.kernels,
             &regions,
         ));
@@ -310,7 +305,7 @@ pub fn run_protocol_checked(
     }
     let mut sim = builder.build()?;
     let mut failed = None;
-    workload.produce(prop, TB_SIZE, &mut |kernel| {
+    workload.produce(prop, TB_SIZE, &mut |kernel, _| {
         if failed.is_none() {
             failed = kernel.pack(params).and_then(|k| sim.run_kernel(&k)).err();
         }
@@ -449,13 +444,14 @@ mod tests {
     #[test]
     fn hybrid_certifies_each_kernel_under_its_realized_direction() {
         let g = fanout(256);
-        let schedule = Workload::new(AppKind::Bfs, &g)
-            .direction_schedule(Propagation::Hybrid)
-            .expect("BFS supports hybrid");
+        let mut directions = Vec::new();
+        Workload::new(AppKind::Bfs, &g).produce(Propagation::Hybrid, TB_SIZE, &mut |_, dir| {
+            directions.push(dir)
+        });
         // The run must actually mix directions, otherwise this test
         // degenerates to a static certification.
-        assert!(schedule.contains(&Propagation::Push), "{schedule:?}");
-        assert!(schedule.contains(&Propagation::Pull), "{schedule:?}");
+        assert!(directions.contains(&Propagation::Push), "{directions:?}");
+        assert!(directions.contains(&Propagation::Pull), "{directions:?}");
 
         let r = certify_workload(
             AppKind::Bfs,
@@ -465,7 +461,7 @@ mod tests {
         )
         .unwrap();
         assert!(r.is_clean(), "{}\n{:#?}", r.summary_line(), r.violations);
-        assert_eq!(r.kernels, schedule.len(), "{}", r.summary_line());
+        assert_eq!(r.kernels, directions.len(), "{}", r.summary_line());
         // The push half uses atomics; under a whole-run pull contract
         // those kernels would be flagged, so a clean report is evidence
         // the checker followed the realized schedule.
@@ -473,11 +469,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "realized direction")]
     fn contract_check_rejects_raw_hybrid() {
         let kernel = KernelTrace::new(vec![vec![MicroOp::load(0)]], 256).unwrap();
         let analysis = analyze_kernel(&kernel, ConsistencyModel::Drf1);
-        let _ = check_kernel_contract(&analysis, Propagation::Hybrid, 0, &[]);
+        let v = check_kernel_contract(&analysis, Propagation::Hybrid, 2, &[]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].kind, ViolationKind::UnresolvedDirection);
+        assert_eq!(v[0].kernel, 2);
     }
 
     #[test]

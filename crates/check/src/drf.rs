@@ -256,6 +256,12 @@ pub enum ViolationKind {
     /// Pull contract: a pull kernel issued an atomic — pull promises an
     /// entirely synchronization-free epoch.
     PullAtomic,
+    /// The kernel was checked under [`Propagation::Hybrid`], which names
+    /// no contract: a hybrid kernel runs push or pull, and is checked
+    /// under the direction it ran.
+    ///
+    /// [`Propagation::Hybrid`]: ggs_model::Propagation::Hybrid
+    UnresolvedDirection,
 }
 
 impl fmt::Display for ViolationKind {
@@ -265,6 +271,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::PushPlainSharedWrite => "push: plain write to shared address",
             ViolationKind::PullRemoteWrite => "pull: write to non-private address",
             ViolationKind::PullAtomic => "pull: atomic issued",
+            ViolationKind::UnresolvedDirection => "hybrid: direction not resolved",
         })
     }
 }

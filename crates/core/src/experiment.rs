@@ -258,7 +258,7 @@ pub fn produce_stream(
         return Ok(stream);
     }
     let mut failed = None;
-    Workload::new(app, &app.weighted(graph)).produce(prop, params.tb_size, &mut |kernel| {
+    Workload::new(app, &app.weighted(graph)).produce(prop, params.tb_size, &mut |kernel, _| {
         if failed.is_none() {
             match kernel.pack(params) {
                 Ok(packed) => stream.push(Arc::new(packed)),
@@ -356,7 +356,7 @@ fn simulate(
             }
             let mut sim = builder.build()?;
             let mut failed = None;
-            workload.produce(config.propagation, spec.params.tb_size, &mut |kernel| {
+            workload.produce(config.propagation, spec.params.tb_size, &mut |kernel, _| {
                 if failed.is_none() && !sim.budget_exhausted() {
                     let packed = kernel.pack(&spec.params);
                     failed = packed.and_then(|k| sim.run_kernel(&k)).err();

@@ -1917,4 +1917,121 @@ mod tests {
             }
         }
     }
+
+    /// A valid store image: the header, then `records` frames cycling
+    /// through results, leases and releases on five cells.
+    fn store_image(records: usize) -> Vec<u8> {
+        let mut bytes = STORE_MAGIC.to_vec();
+        bytes.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        for i in 0..records {
+            let config = format!("C{}", i % 5);
+            let key = format!("PR/AMZ/{config}");
+            let (spec_hash, owner) = ("h".to_owned(), i as u32);
+            let record = match i % 3 {
+                0 => Record::Result {
+                    spec_hash,
+                    app: "PR".to_owned(),
+                    graph: "AMZ".to_owned(),
+                    row: row(&config, i as u64),
+                },
+                1 => Record::Lease {
+                    spec_hash,
+                    key,
+                    owner,
+                    acquired_ms: 1_000 * i as u64,
+                    ttl_ms: 60_000,
+                },
+                _ => Record::Release {
+                    spec_hash,
+                    key,
+                    owner,
+                },
+            };
+            bytes.extend_from_slice(&record.frame());
+        }
+        bytes
+    }
+
+    /// Applies byte-level edits `(kind, at, byte)` to `bytes` at or past
+    /// offset `from`: insert, truncate, overwrite, delete or bit flip.
+    fn mutate(bytes: &mut Vec<u8>, from: usize, edits: &[(u8, usize, u8)]) {
+        for &(kind, at, byte) in edits {
+            let i = from + at % (bytes.len() + 1 - from);
+            match kind {
+                0 => bytes.insert(i, byte),
+                1 => bytes.truncate(i),
+                _ if i == bytes.len() => {}
+                2 => bytes[i] = byte,
+                3 => {
+                    bytes.remove(i);
+                }
+                _ => bytes[i] ^= 1 << (byte % 8),
+            }
+        }
+    }
+
+    /// Strategy: byte edits, with the frame magic's bytes drawn as often
+    /// as a uniform byte so mutations forge frame starts.
+    fn edits() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+        let byte = prop_oneof![
+            (0usize..4).prop_map(|i| RECORD_MAGIC.to_le_bytes()[i]),
+            0u8..=255,
+        ];
+        prop::collection::vec((0u8..8, 0usize..1 << 16, byte), 1..9)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Fuzz: a record scan of a byte-mutated image never panics,
+        /// reports only corrupt spans inside the image, and an index
+        /// caught up from any split point equals a full scan.
+        #[test]
+        fn record_frames_survive_byte_mutations(edits in edits(), split in 0usize..1 << 16) {
+            let mut bytes = store_image(20);
+            mutate(&mut bytes, HEADER_LEN, &edits);
+            let scan = full_scan(&bytes);
+            let len = bytes.len() as u64;
+            prop_assert!(scan.report.valid_end <= len);
+            for span in &scan.report.corrupt {
+                prop_assert!(
+                    span.offset >= HEADER_LEN as u64 && span.offset + span.bytes <= len,
+                    "{span:?} outside a {len}-byte image"
+                );
+            }
+            let mut index = Index::new();
+            index.ingest(&bytes[..split % (bytes.len() + 1)]).map_err(|e| e.to_string())?;
+            let settled = index.offset() as usize;
+            index.ingest(&bytes[settled..]).map_err(|e| e.to_string())?;
+            same_as_scan(index.view(), &bytes)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Fuzz: a byte-mutated store file, header included, is either
+        /// refused as foreign or opens with its tail repaired: loads
+        /// equal a full scan, and a result published after the repair
+        /// reads back.
+        #[test]
+        fn mutated_store_files_open_or_are_refused(edits in edits()) {
+            let mut bytes = store_image(20);
+            mutate(&mut bytes, 0, &edits);
+            let path = temp_store("fuzz.store");
+            std::fs::write(&path, &bytes).map_err(|e| e.to_string())?;
+            let store = match Store::open(&path) {
+                Ok(store) => store,
+                Err(GgsError::StoreFormat { .. }) => return Ok(()),
+                Err(e) => return Err(format!("open: {e}")),
+            };
+            let read = || std::fs::read(&path).map_err(|e| e.to_string());
+            same_as_scan(&store.load().map_err(|e| e.to_string())?, &read()?)?;
+            store.publish("h", "PR", "AMZ", &row("FUZZ", 7)).map_err(|e| e.to_string())?;
+            let loaded = store.load().map_err(|e| e.to_string())?;
+            same_as_scan(&loaded, &read()?)?;
+            prop_assert_eq!(loaded.lookup("h", "PR/AMZ/FUZZ").map(|r| r.total_cycles), Some(7));
+        }
+    }
 }

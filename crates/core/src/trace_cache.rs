@@ -66,7 +66,7 @@ pub struct StreamKey {
     /// Fingerprint of the realized direction policy
     /// ([`ggs_apps::Workload::policy_fingerprint`]): `0` for the
     /// static propagations, a hash of the density threshold and the
-    /// per-kernel direction schedule for [`Propagation::Hybrid`].
+    /// per-iteration directions for [`Propagation::Hybrid`].
     /// Keeps hybrid streams from ever colliding with static push/pull
     /// entries — or with hybrid streams realized under a different
     /// threshold.
