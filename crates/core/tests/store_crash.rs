@@ -162,6 +162,7 @@ fn warm_store_rerun_simulates_nothing_and_is_byte_identical() {
         "{}",
         evicts[0]
     );
+    drop(store);
     let compacted = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &NOOP)
         .expect("run on the compacted store");
     assert_eq!(compacted.counts().3, compacted.cells.len());
@@ -177,10 +178,12 @@ fn faulted_run_resumed_from_store_is_byte_identical() {
 
     let path = temp_path("faulted.store");
     let faults = StoreFaults::none().torn_write(20);
-    let mut first = options();
-    first.store = Some(Store::open_with(&path, faults).expect("open store"));
-    first.faults = FaultPlan::new().inject("PR", "AMZ", "SGR", Fault::Panic);
-    let first = run_study(&spec, &first, &MetricsRegistry::new(), &NOOP).expect("sabotaged run");
+    let mut sabotaged = options();
+    sabotaged.store = Some(Store::open_with(&path, faults).expect("open store"));
+    sabotaged.faults = FaultPlan::new().inject("PR", "AMZ", "SGR", Fault::Panic);
+    let first =
+        run_study(&spec, &sabotaged, &MetricsRegistry::new(), &NOOP).expect("sabotaged run");
+    drop(sabotaged);
     let (_, failed, _, _) = first.counts();
     assert_eq!(failed, 1, "the injected panic fails exactly one cell");
     // The torn write left one simulated-but-unpersisted cell behind.
