@@ -13,8 +13,8 @@
 //! repro study [--scale S] [--threads N] [--json PATH] [--trace-out PATH]
 //!             [--deadline-ms N] [--max-kernels N] [--max-sim-cycles N] [--retries N]
 //!             [--inject-fault APP/GRAPH/CFG[=panic|hang|io]]...
-//!             [--store PATH] [--store-compact] [--lease-ttl-ms N]
-//!             [--inject-store-fault torn[:BYTES]|short|crc|lock]...
+//!             [--store PATH] [--store-compact]
+//!             [--inject-store-fault torn[:BYTES]|short|crc]...
 //! repro bench [--iters N] [--smoke] [--out PATH]
 //!             [--baseline PATH] [--threshold PCT] [--tier NAME]...
 //! repro verify [--cell CODE]... [--smoke] [--mutations]
@@ -40,7 +40,9 @@
 //! budgets (`--max-kernels`, `--max-sim-cycles`, `--deadline-ms`),
 //! bounded retries for transient I/O errors, and checkpoint/resume via
 //! the crash-safe result store (`--store PATH`: re-running the same
-//! command after a kill simulates only the cells the store lacks).
+//! command after a kill simulates only the cells the store lacks). A
+//! store has one writer: while one process has it open, a second
+//! `repro study` on it exits 2 with `result store lock unavailable`.
 //! Failed or timed-out cells are reported individually and the partial
 //! Figure 5/6 output is rendered from the surviving cells; the exit
 //! status is 0 as long as the study itself completes. `--inject-fault`
@@ -207,16 +209,15 @@ const COMMANDS: [Command; 5] = [
             repeated("--inject-fault", "APP/GRAPH/CFG[=panic|hang|io]"),
             value("--store", "PATH"),
             switch("--store-compact"),
-            value("--lease-ttl-ms", "N"),
-            repeated("--inject-store-fault", "torn[:BYTES]|short|crc|lock"),
+            repeated("--inject-store-fault", "torn[:BYTES]|short|crc"),
         ],
         about: "run the 36-workload study fault-tolerantly: failed cells are \
-                isolated and reported, budgets bound runaway cells; --store shares \
-                a crash-safe content-addressed result store across runs and \
-                processes (re-running the same command resumes a killed study, \
-                cells already solved are never re-simulated, leases partition \
-                concurrent sweeps, --store-compact rewrites the store after the \
-                run) (docs/robustness.md)",
+                isolated and reported, budgets bound runaway cells; --store keeps \
+                results in a crash-safe content-addressed result store across runs \
+                (re-running the same command resumes a killed study, cells already \
+                solved are never re-simulated, --store-compact rewrites the store \
+                after the run); one process at a time may open a store, and a \
+                second exits 2 (docs/robustness.md)",
     },
     Command {
         name: "bench",
@@ -277,10 +278,17 @@ impl Command {
         line
     }
 
-    fn print_help(&self) {
-        println!("usage: {}", self.usage());
-        println!("  {}", self.about);
+    fn help(&self) -> String {
+        format!("usage: {}\n  {}\n", self.usage(), self.about)
     }
+}
+
+/// What a command line asks for.
+enum Parsed {
+    /// Run the chosen subcommand.
+    Run(Args),
+    /// Print this help text and exit 0.
+    Help(String),
 }
 
 /// The command line split by the flag tables: the chosen subcommand,
@@ -295,9 +303,9 @@ impl Args {
     /// Splits `raw` into flags and operands (flags may precede or
     /// follow the subcommand word), picks the subcommand from the first
     /// operand, and rejects any flag outside that subcommand's table.
-    /// `--help` prints the chosen subcommand's usage (every usage for
-    /// the section runner) and exits 0.
-    fn parse(mut raw: impl Iterator<Item = String>) -> Self {
+    /// `--help` asks for the chosen subcommand's usage (every usage for
+    /// the section runner).
+    fn parse(mut raw: impl Iterator<Item = String>) -> Result<Parsed, String> {
         let mut flags = Vec::new();
         let mut operands = Vec::new();
         let mut help = false;
@@ -311,12 +319,12 @@ impl Args {
                     .iter()
                     .flat_map(|c| c.flags)
                     .find(|f| f.name == arg)
-                    .unwrap_or_else(|| die(&format!("unknown flag {arg} (see repro --help)")));
+                    .ok_or_else(|| format!("unknown flag {arg} (see repro --help)"))?;
                 let value = match flag.arity {
                     Arity::Switch => String::new(),
-                    Arity::Value | Arity::Repeated => raw.next().unwrap_or_else(|| {
-                        die(&format!("{arg} needs a value ({arg} {})", flag.metavar))
-                    }),
+                    Arity::Value | Arity::Repeated => raw
+                        .next()
+                        .ok_or_else(|| format!("{arg} needs a value ({arg} {})", flag.metavar))?,
                 };
                 flags.push((flag.name, value));
             } else {
@@ -331,12 +339,11 @@ impl Args {
             operands.remove(0);
         }
         if help {
-            if command.name.is_empty() {
-                COMMANDS.iter().for_each(Command::print_help);
+            return Ok(Parsed::Help(if command.name.is_empty() {
+                COMMANDS.iter().map(Command::help).collect()
             } else {
-                command.print_help();
-            }
-            std::process::exit(0);
+                command.help()
+            }));
         }
         for (name, _) in &flags {
             if !command.flags.iter().any(|f| f.name == *name) {
@@ -345,17 +352,17 @@ impl Args {
                 } else {
                     format!("`repro {}`", command.name)
                 };
-                die(&format!(
+                return Err(format!(
                     "{name} is not a flag of {scope}; usage: {}",
                     command.usage()
                 ));
             }
         }
-        Self {
+        Ok(Parsed::Run(Self {
             command,
             flags,
             operands,
-        }
+        }))
     }
 
     /// Every value given for `name`, in command-line order.
@@ -376,13 +383,15 @@ impl Args {
         self.flags.iter().any(|(n, _)| *n == name)
     }
 
-    /// The last value of numeric flag `name`, which must parse as `T`
-    /// and be finite and positive; anything else exits 2.
-    fn positive<T: FromStr>(&self, name: &str) -> Option<T> {
-        let v = self.value(name)?;
+    /// The last value of numeric flag `name`, if given, which must
+    /// parse as `T` and be finite and positive.
+    fn positive<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let Some(v) = self.value(name) else {
+            return Ok(None);
+        };
         let is_positive = v.parse::<f64>().is_ok_and(|x| x.is_finite() && x > 0.0);
         match v.parse::<T>() {
-            Ok(parsed) if is_positive => Some(parsed),
+            Ok(parsed) if is_positive => Ok(Some(parsed)),
             _ => {
                 let integer = self
                     .command
@@ -390,144 +399,88 @@ impl Args {
                     .iter()
                     .any(|f| f.name == name && f.metavar == "N");
                 let what = if integer { "integer" } else { "number" };
-                die(&format!("{name} needs a positive {what}"))
+                Err(format!("{name} needs a positive {what}"))
             }
         }
     }
 
-    fn scale(&self) -> f64 {
-        self.positive("--scale").unwrap_or(0.125)
+    fn scale(&self) -> Result<f64, String> {
+        Ok(self.positive("--scale")?.unwrap_or(0.125))
     }
 
-    fn threads(&self) -> usize {
-        self.positive("--threads")
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
-    }
-
-    fn no_operands(&self) {
-        if !self.operands.is_empty() {
-            die(&format!(
-                "{} takes no operands, only flags",
-                self.command.name
-            ));
-        }
+    fn threads(&self) -> Result<usize, String> {
+        Ok(self
+            .positive("--threads")?
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get())))
     }
 }
 
 fn main() {
-    let args = Args::parse(std::env::args().skip(1));
-    match args.command.name {
-        "trace" => {
-            let [app, graph, config] = args.operands.as_slice() else {
-                die("trace needs exactly three operands: repro trace <app> <graph> <config>");
-            };
-            trace_cmd(&TraceCmd {
-                app,
-                graph,
-                config,
-                scale: args.scale(),
-                trace_out: args.value("--trace-out"),
-                stride: args.positive("--trace-stride").unwrap_or(1000),
-            });
-        }
-        "study" => {
-            args.no_operands();
-            study_cmd(&StudyCmd {
-                scale: args.scale(),
-                threads: args.threads(),
-                json_path: args.value("--json"),
-                trace_out: args.value("--trace-out"),
-                deadline_ms: args.positive("--deadline-ms"),
-                max_kernels: args.positive("--max-kernels"),
-                max_sim_cycles: args.positive("--max-sim-cycles"),
-                retries: args.positive("--retries"),
-                inject_faults: args.values("--inject-fault"),
-                store_path: args.value("--store"),
-                store_compact: args.switch("--store-compact"),
-                lease_ttl_ms: args.positive("--lease-ttl-ms"),
-                inject_store_faults: args.values("--inject-store-fault"),
-            });
-        }
-        "bench" => {
-            args.no_operands();
-            bench_cmd(&BenchCmd {
-                iters: args.positive("--iters").unwrap_or(3),
-                smoke: args.switch("--smoke"),
-                out: args.value("--out"),
-                baseline: args.value("--baseline"),
-                threshold_pct: args.positive("--threshold").unwrap_or(25.0),
-                tiers: args.values("--tier"),
-            });
-        }
-        "verify" => {
-            args.no_operands();
-            verify_cmd(&VerifyCmd {
-                cells: args.values("--cell"),
-                smoke: args.switch("--smoke"),
-                mutations: args.switch("--mutations"),
-            });
-        }
-        _ => {
-            let mut sections = args.operands.clone();
-            if sections.is_empty() {
-                sections.push("all".to_owned());
-            }
-            if let Some(s) = sections.iter().find(|s| !SECTIONS.contains(&s.as_str())) {
-                die(&format!(
-                    "unknown section {s:?} (expected one of {})",
-                    SECTIONS.join("|")
-                ));
-            }
-            sections_cmd(&SectionsCmd {
-                sections,
-                scale: args.scale(),
-                threads: args.threads(),
-                json_path: args.value("--json"),
-                svg_path: args.value("--svg"),
-                trace_out: args.value("--trace-out"),
-                check_extended: args.switch("--all"),
-            });
-        }
+    if let Err(msg) = run(std::env::args().skip(1)) {
+        die(&msg);
     }
 }
 
-/// Flags and operands of the section runner.
-struct SectionsCmd {
-    sections: Vec<String>,
-    scale: f64,
-    threads: usize,
-    json_path: Option<String>,
-    svg_path: Option<String>,
-    trace_out: Option<String>,
-    check_extended: bool,
+/// Parses the command line and runs the subcommand it chose; `Err` is
+/// a usage or setup error.
+fn run(raw: impl Iterator<Item = String>) -> Result<(), String> {
+    let args = match Args::parse(raw)? {
+        Parsed::Run(args) => args,
+        Parsed::Help(text) => {
+            print!("{text}");
+            return Ok(());
+        }
+    };
+    let name = args.command.name;
+    if !args.operands.is_empty() && !["", "trace"].contains(&name) {
+        return Err(format!("{name} takes no operands, only flags"));
+    }
+    match name {
+        "trace" => trace_cmd(&args),
+        "study" => study_cmd(&args),
+        "bench" => bench_cmd(&args),
+        "verify" => verify_cmd(&args),
+        _ => sections_cmd(&args),
+    }
 }
 
 /// `repro [SECTION]...`: the paper's tables and figures, plus the
 /// `check` and `hybrid` sections when named.
-fn sections_cmd(cmd: &SectionsCmd) {
-    let scale = cmd.scale;
-    let want = |name: &str| -> bool { cmd.sections.iter().any(|s| s == name || s == "all") };
+fn sections_cmd(args: &Args) -> Result<(), String> {
+    let mut sections = args.operands.clone();
+    if sections.is_empty() {
+        sections.push("all".to_owned());
+    }
+    if let Some(s) = sections.iter().find(|s| !SECTIONS.contains(&s.as_str())) {
+        return Err(format!(
+            "unknown section {s:?} (expected one of {})",
+            SECTIONS.join("|")
+        ));
+    }
+    let (scale, threads) = (args.scale()?, args.threads()?);
+    let (json_path, svg_path) = (args.value("--json"), args.value("--svg"));
+    let want = |name: &str| -> bool { sections.iter().any(|s| s == name || s == "all") };
     let needs_study = ["fig5", "fig6", "summary", "partial", "flexible"]
         .iter()
         .any(|s| want(s))
-        || cmd.svg_path.is_some();
+        || svg_path.is_some();
 
     // `check` is a gate, not a paper artifact: it runs only when named
     // explicitly, never as part of `all`.
-    if cmd.sections.iter().any(|s| s == "check") {
-        check(scale, cmd.check_extended);
+    if sections.iter().any(|s| s == "check") {
+        check(scale, args.switch("--all"))?;
     }
     // `hybrid` is this repo's extension beyond the paper's 12-point
     // grid; like `check`, it runs only when named explicitly.
-    if cmd.sections.iter().any(|s| s == "hybrid") {
-        hybrid(scale);
+    if sections.iter().any(|s| s == "hybrid") {
+        hybrid(scale)?;
     }
 
     if want("traffic") {
-        traffic(scale);
+        traffic(scale)?;
     }
     if want("gsi") {
-        gsi(scale);
+        gsi(scale)?;
     }
 
     if want("table1") {
@@ -540,28 +493,27 @@ fn sections_cmd(cmd: &SectionsCmd) {
         table3();
     }
     if want("table4") {
-        table4(scale);
+        table4(scale)?;
     }
     if want("table5") {
         table5(scale);
     }
 
-    if needs_study || cmd.json_path.is_some() {
+    if needs_study || json_path.is_some() {
         eprintln!(
             "[repro] running the 36-workload study at scale {scale} on {} threads…",
-            cmd.threads
+            threads
         );
         let start = std::time::Instant::now();
         let metrics = ggs_trace::MetricsRegistry::new();
-        let spec = match ExperimentSpec::builder().scale(scale).build() {
-            Ok(s) => s,
-            Err(e) => die(&format!("{e}")),
-        };
-        let options = StudyOptions::new(ConfigSet::Figure5, cmd.threads);
-        let study = match run_study(&spec, &options, &metrics, &ggs_trace::NOOP) {
-            Ok(outcome) => outcome.study,
-            Err(e) => die(&format!("{e}")),
-        };
+        let spec = ExperimentSpec::builder()
+            .scale(scale)
+            .build()
+            .map_err(|e| e.to_string())?;
+        let options = StudyOptions::new(ConfigSet::Figure5, threads);
+        let study = run_study(&spec, &options, &metrics, &ggs_trace::NOOP)
+            .map_err(|e| e.to_string())?
+            .study;
         eprintln!(
             "[repro] study finished in {:.1}s",
             start.elapsed().as_secs_f64()
@@ -576,24 +528,17 @@ fn sections_cmd(cmd: &SectionsCmd) {
                 eprintln!("[repro]   {} {}: {}", cell.status, cell.key(), cell.detail);
             }
         }
-        if let Some(path) = &cmd.trace_out {
-            write_phase_profile(path, &metrics);
+        if let Some(path) = &args.value("--trace-out") {
+            write_phase_profile(path, &metrics)?;
         }
-        if let Some(path) = &cmd.json_path {
-            if let Err(e) = std::fs::write(path, study.to_json_pretty()) {
-                die(&format!("cannot write {path}: {e}"));
-            }
-            eprintln!("[repro] wrote {path}");
+        if let Some(path) = &json_path {
+            write_file(path, study.to_json_pretty())?;
         }
         if want("fig5") {
             fig5(&study);
         }
-        if let Some(path) = &cmd.svg_path {
-            let svg = fig5_svg(&study);
-            if let Err(e) = std::fs::write(path, svg) {
-                die(&format!("cannot write {path}: {e}"));
-            }
-            eprintln!("[repro] wrote {path}");
+        if let Some(path) = &svg_path {
+            write_file(path, fig5_svg(&study))?;
         }
         if want("fig6") {
             fig6(&study);
@@ -608,168 +553,141 @@ fn sections_cmd(cmd: &SectionsCmd) {
             summary(&study);
         }
     }
+    Ok(())
 }
 
+/// Reports a usage or setup error and exits 2; only `main` calls it.
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
+}
+
+/// Writes `contents` to `path` and says so on stderr.
+fn write_file(path: &str, contents: String) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("[repro] wrote {path}");
+    Ok(())
 }
 
 type BoxedSink = Box<dyn ggs_trace::TraceSink>;
 
 /// Opens `path` as a trace sink: JSON lines when the path ends in
 /// `.jsonl`, Chrome trace-event JSON otherwise.
-fn open_sink(path: &str) -> BoxedSink {
-    let file = match std::fs::File::create(path) {
-        Ok(f) => std::io::BufWriter::new(f),
-        Err(e) => die(&format!("cannot create {path}: {e}")),
-    };
-    Box::new(if path.ends_with(".jsonl") {
+fn open_sink(path: &str) -> Result<BoxedSink, String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let file = std::io::BufWriter::new(file);
+    Ok(Box::new(if path.ends_with(".jsonl") {
         ggs_trace::WriterSink::jsonl(file)
     } else {
         ggs_trace::WriterSink::chrome(file)
-    })
+    }))
 }
 
-fn close_sink(path: &str, sink: BoxedSink) {
-    if let Err(e) = sink.finish() {
-        die(&format!("cannot write {path}: {e}"));
-    }
+fn close_sink(path: &str, sink: BoxedSink) -> Result<(), String> {
+    sink.finish()
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!("[repro] wrote {path}");
+    Ok(())
 }
 
 /// Writes the study's wall-clock phase spans as a Chrome trace.
-fn write_phase_profile(path: &str, metrics: &ggs_trace::MetricsRegistry) {
-    let sink = open_sink(path);
+fn write_phase_profile(path: &str, metrics: &ggs_trace::MetricsRegistry) -> Result<(), String> {
+    let sink = open_sink(path)?;
     metrics.emit_phases(sink.as_ref());
-    close_sink(path, sink);
-}
-
-/// Flags and operands of `repro trace`.
-struct TraceCmd<'a> {
-    app: &'a str,
-    graph: &'a str,
-    config: &'a str,
-    scale: f64,
-    trace_out: Option<String>,
-    stride: u64,
+    close_sink(path, sink)
 }
 
 /// `repro trace <app> <graph> <config>`: one fully-instrumented
 /// simulation, streamed to a trace file.
-fn trace_cmd(cmd: &TraceCmd<'_>) {
+fn trace_cmd(args: &Args) -> Result<(), String> {
     use ggs_core::experiment::run_workload;
     use ggs_trace::Tracer;
 
-    let (graph_name, stride) = (cmd.graph, cmd.stride);
-    let app: AppKind = match cmd.app.parse() {
-        Ok(a) => a,
-        Err(e) => die(&format!("{e}")),
+    let [app, graph_name, config] = args.operands.as_slice() else {
+        return Err(
+            "trace needs exactly three operands: repro trace <app> <graph> <config>".to_owned(),
+        );
     };
-    let config: ggs_model::SystemConfig = match cmd.config.parse() {
-        Ok(c) => c,
-        Err(e) => die(&format!("{e}")),
-    };
-    let graph = trace_graph(graph_name, cmd.scale);
-    let spec = match ExperimentSpec::builder().scale(cmd.scale).build() {
-        Ok(s) => s,
-        Err(e) => die(&format!("{e}")),
-    };
-    let path = cmd.trace_out.as_deref().unwrap_or("trace.json");
+    let (scale, stride) = (args.scale()?, args.positive("--trace-stride")?);
+    let stride = stride.unwrap_or(1000);
+    let app: AppKind = app.parse().map_err(|e| format!("{e}"))?;
+    let config: ggs_model::SystemConfig = config.parse().map_err(|e| format!("{e}"))?;
+    let graph = trace_graph(graph_name, scale)?;
+    let spec = ExperimentSpec::builder()
+        .scale(scale)
+        .build()
+        .map_err(|e| e.to_string())?;
+    let path = args.value("--trace-out");
+    let path = path.as_deref().unwrap_or("trace.json");
     eprintln!(
         "[repro] tracing {app} on {graph_name} ({} vertices, {} edges) under {config}, \
          stride {stride}…",
         graph.num_vertices(),
         graph.num_edges()
     );
-    let sink = open_sink(path);
+    let sink = open_sink(path)?;
     let tracer = Tracer::new(sink.as_ref(), stride);
-    let stats = match run_workload(app, &graph, config, &spec, tracer, None) {
-        Ok(stats) => stats,
-        Err(e) => die(&format!("{e}")),
-    };
-    close_sink(path, sink);
+    let stats =
+        run_workload(app, &graph, config, &spec, tracer, None).map_err(|e| e.to_string())?;
+    close_sink(path, sink)?;
     println!(
         "{app} on {graph_name} under {config}: {} cycles over {} kernels",
         stats.total_cycles(),
         stats.kernels
     );
-}
-
-/// Flags of the `repro study` subcommand.
-struct StudyCmd {
-    scale: f64,
-    threads: usize,
-    json_path: Option<String>,
-    trace_out: Option<String>,
-    deadline_ms: Option<u64>,
-    max_kernels: Option<u64>,
-    max_sim_cycles: Option<u64>,
-    retries: Option<u32>,
-    inject_faults: Vec<String>,
-    store_path: Option<String>,
-    store_compact: bool,
-    lease_ttl_ms: Option<u64>,
-    inject_store_faults: Vec<String>,
+    Ok(())
 }
 
 /// `repro study`: the 36-workload study through the fault-tolerant
 /// runner, with per-cell failure reporting and partial Figure 5/6
 /// output. Exits 0 as long as the study itself completes, even when
 /// individual cells fail — graceful degradation is the point.
-fn study_cmd(cmd: &StudyCmd) {
+fn study_cmd(args: &Args) -> Result<(), String> {
     use ggs_core::runner::FaultPlan;
 
-    let mut builder = ExperimentSpec::builder().scale(cmd.scale);
-    if let Some(n) = cmd.max_kernels {
+    let (scale, threads) = (args.scale()?, args.threads()?);
+    let deadline_ms = args.positive("--deadline-ms")?;
+    let max_kernels = args.positive("--max-kernels")?;
+    let max_sim_cycles = args.positive("--max-sim-cycles")?;
+    let retries = args.positive("--retries")?;
+    let store_path = args.value("--store");
+    let store_compact = args.switch("--store-compact");
+    let inject_store_faults = args.values("--inject-store-fault");
+    let mut builder = ExperimentSpec::builder().scale(scale);
+    if let Some(n) = max_kernels {
         builder = builder.max_kernels(n);
     }
-    if let Some(n) = cmd.max_sim_cycles {
+    if let Some(n) = max_sim_cycles {
         builder = builder.max_sim_cycles(n);
     }
-    let spec = match builder.build() {
-        Ok(s) => s,
-        Err(e) => die(&format!("{e}")),
-    };
+    let spec = builder.build().map_err(|e| e.to_string())?;
 
-    let mut options = StudyOptions::new(ConfigSet::Figure5, cmd.threads);
-    if let Some(n) = cmd.retries {
+    let mut options = StudyOptions::new(ConfigSet::Figure5, threads);
+    if let Some(n) = retries {
         options.retry.max_attempts = n;
     }
-    options.cell_deadline = cmd.deadline_ms.map(std::time::Duration::from_millis);
+    options.cell_deadline = deadline_ms.map(std::time::Duration::from_millis);
     let mut faults = FaultPlan::new();
-    for spec_str in &cmd.inject_faults {
-        faults = match faults.parse_spec(spec_str) {
-            Ok(f) => f,
-            Err(e) => die(&format!("{e}")),
-        };
+    for spec_str in &args.values("--inject-fault") {
+        faults = faults.parse_spec(spec_str).map_err(|e| e.to_string())?;
     }
     options.faults = faults;
 
-    if cmd.store_path.is_none() && (cmd.store_compact || !cmd.inject_store_faults.is_empty()) {
-        die("--store-compact and --inject-store-fault require --store");
+    if store_path.is_none() && (store_compact || !inject_store_faults.is_empty()) {
+        return Err("--store-compact and --inject-store-fault require --store".to_owned());
     }
-    if let Some(ms) = cmd.lease_ttl_ms {
-        options.lease_ttl = std::time::Duration::from_millis(ms);
+    // Store faults fire only on appends, so arming them before the open
+    // still sabotages the run, and a bad spec leaves no store behind.
+    let mut store_faults = ggs_core::StoreFaults::none();
+    for spec_str in &inject_store_faults {
+        store_faults = store_faults
+            .parse_spec(spec_str)
+            .map_err(|e| e.to_string())?;
     }
-    let store_faults = ggs_core::StoreFaults::none();
-    if let Some(path) = &cmd.store_path {
-        let store =
-            match ggs_core::Store::open_with(std::path::Path::new(path), store_faults.clone()) {
-                Ok(s) => s,
-                Err(e) => die(&format!("cannot open store {path}: {e}")),
-            };
+    if let Some(path) = &store_path {
+        let store = ggs_core::Store::open_with(std::path::Path::new(path), store_faults)
+            .map_err(|e| format!("cannot open store {path}: {e}"))?;
         options.store = Some(store);
-    }
-    // Arm injected store faults only after the store opened cleanly, so
-    // they sabotage the run itself rather than setup (the fault handle
-    // shares its counters with the store's clone).
-    let mut armed = store_faults;
-    for spec_str in &cmd.inject_store_faults {
-        armed = match armed.parse_spec(spec_str) {
-            Ok(f) => f,
-            Err(e) => die(&format!("{e}")),
-        };
     }
 
     // Cell panics are caught and reported by the runner; replace the
@@ -782,7 +700,7 @@ fn study_cmd(cmd: &StudyCmd) {
     }
     eprintln!(
         "[repro] running the fault-tolerant study at scale {} on {} threads…",
-        cmd.scale, cmd.threads
+        scale, threads
     );
     let start = std::time::Instant::now();
     let metrics = ggs_trace::MetricsRegistry::new();
@@ -791,24 +709,21 @@ fn study_cmd(cmd: &StudyCmd) {
     let run = |sink: &dyn ggs_trace::TraceSink| {
         let outcome = run_study(&spec, &options, &metrics, sink);
         let compaction = match (&options.store, &outcome) {
-            (Some(store), Ok(_)) if cmd.store_compact => Some(store.compact(sink, start)),
+            (Some(store), Ok(_)) if store_compact => Some(store.compact(sink, start)),
             _ => None,
         };
         (outcome, compaction)
     };
-    let (outcome, compaction) = if let Some(path) = &cmd.trace_out {
-        let sink = open_sink(path);
+    let (outcome, compaction) = if let Some(path) = &args.value("--trace-out") {
+        let sink = open_sink(path)?;
         let ran = run(sink.as_ref());
         metrics.emit_phases(sink.as_ref());
-        close_sink(path, sink);
+        close_sink(path, sink)?;
         ran
     } else {
         run(&ggs_trace::NOOP)
     };
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => die(&format!("{e}")),
-    };
+    let outcome = outcome.map_err(|e| e.to_string())?;
     eprintln!(
         "[repro] study finished in {:.1}s",
         start.elapsed().as_secs_f64()
@@ -847,31 +762,19 @@ fn study_cmd(cmd: &StudyCmd) {
     }
     println!();
 
-    if let Some(path) = &cmd.json_path {
-        if let Err(e) = std::fs::write(path, outcome.study.to_json_pretty()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("[repro] wrote {path}");
+    if let Some(path) = &args.value("--json") {
+        write_file(path, outcome.study.to_json_pretty())?;
     }
     fig5(&outcome.study);
     fig6(&outcome.study);
-}
-
-/// Flags of `repro bench`.
-struct BenchCmd {
-    iters: u32,
-    smoke: bool,
-    out: Option<String>,
-    baseline: Option<String>,
-    threshold_pct: f64,
-    tiers: Vec<String>,
+    Ok(())
 }
 
 /// `repro bench`: times the fixed benchmark slice, the shared-cache
 /// grid sweep, and the scale tiers; writes/prints the
 /// `BENCH_sim.json` report, and optionally gates against a committed
 /// baseline (exit 1 on regression). See docs/performance.md.
-fn bench_cmd(cmd: &BenchCmd) {
+fn bench_cmd(args: &Args) -> Result<(), String> {
     use ggs_bench::bench::{
         peak_rss_kb, run_grid, run_slice, run_tier, BenchReport, BENCH_GRAPH, BENCH_SCALE, SLICE,
         TIERS,
@@ -881,15 +784,20 @@ fn bench_cmd(cmd: &BenchCmd) {
     // CI runner for the throughput arm of the gate, and five keep the
     // per-cell minima stable enough for a 20% backstop while holding
     // the slice under a second of wall clock.
-    let iters = if cmd.smoke { 5 } else { cmd.iters };
+    let iters = args.positive("--iters")?.unwrap_or(3);
+    let threshold_pct = args.positive("--threshold")?.unwrap_or(25.0);
+    let iters = if args.switch("--smoke") { 5 } else { iters };
     // Read the baseline before benchmarking, so a bad one fails at once.
-    let baseline = cmd.baseline.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read baseline {path}: {e}")));
-        let base = BenchReport::from_json(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse baseline {path}: {e}")));
-        (path, base)
-    });
+    let baseline = match args.value("--baseline") {
+        Some(path) => {
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+            let base = BenchReport::from_json(&text)
+                .map_err(|e| format!("cannot parse baseline {path}: {e}"))?;
+            Some((path, base))
+        }
+        None => None,
+    };
     eprintln!(
         "[repro] benchmarking the {}-cell slice ({BENCH_GRAPH}, scale {BENCH_SCALE}), \
          best of {iters} iteration(s) per cell…",
@@ -899,10 +807,11 @@ fn bench_cmd(cmd: &BenchCmd) {
     let mut report = run_slice(iters, &mut progress);
     eprintln!("[repro] sweeping the 12-configuration grid with a shared trace cache…");
     report.grid = Some(run_grid(&mut progress));
-    let tier_names: Vec<&str> = if cmd.tiers.is_empty() {
+    let tiers = args.values("--tier");
+    let tier_names: Vec<&str> = if tiers.is_empty() {
         TIERS.to_vec()
     } else {
-        cmd.tiers.iter().map(String::as_str).collect()
+        tiers.iter().map(String::as_str).collect()
     };
     eprintln!(
         "[repro] running {} scale tier(s): {}…",
@@ -910,10 +819,7 @@ fn bench_cmd(cmd: &BenchCmd) {
         tier_names.join(", ")
     );
     for tier in tier_names {
-        match run_tier(tier, &mut progress) {
-            Ok(t) => report.tiers.push(t),
-            Err(e) => die(&e),
-        }
+        report.tiers.push(run_tier(tier, &mut progress)?);
     }
     // Re-sample the RSS high-water mark now that the big tiers ran —
     // the sweep path's memory footprint is the point of the gate.
@@ -935,14 +841,10 @@ fn bench_cmd(cmd: &BenchCmd) {
             None => String::new(),
         }
     );
-    if let Some(path) = &cmd.out {
-        if let Err(e) = std::fs::write(path, report.to_json_pretty()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("[repro] wrote {path}");
+    if let Some(path) = &args.value("--out") {
+        write_file(path, report.to_json_pretty())?;
     }
     if let Some((path, base)) = &baseline {
-        let threshold_pct = cmd.threshold_pct;
         let failures = ggs_bench::bench::regression_failures(&report, base, threshold_pct);
         if failures.is_empty() {
             println!(
@@ -956,13 +858,7 @@ fn bench_cmd(cmd: &BenchCmd) {
             std::process::exit(1);
         }
     }
-}
-
-/// Flags of `repro verify`.
-struct VerifyCmd {
-    cells: Vec<String>,
-    smoke: bool,
-    mutations: bool,
+    Ok(())
 }
 
 /// `repro verify`: exhaustive explicit-state model checking of the
@@ -970,18 +866,16 @@ struct VerifyCmd {
 /// checking" section of docs/checking.md). Exits 1 on any invariant
 /// violation, forbidden litmus outcome, missing required outcome,
 /// truncated run, or missed mutation.
-fn verify_cmd(cmd: &VerifyCmd) {
+fn verify_cmd(args: &Args) -> Result<(), String> {
     use ggs_sim::config::HwConfig;
 
-    let (smoke, mutations) = (cmd.smoke, cmd.mutations);
-    let cells: Vec<HwConfig> = cmd
-        .cells
+    let (smoke, mutations) = (args.switch("--smoke"), args.switch("--mutations"));
+    let cells = args
+        .values("--cell")
         .iter()
-        .map(|c| {
-            c.parse()
-                .unwrap_or_else(|e| die(&format!("{e} (expected a cell code like G0 or DR)")))
-        })
-        .collect();
+        .map(|c| c.parse::<HwConfig>())
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("{e} (expected a cell code like G0 or DR)"))?;
     eprintln!(
         "[repro] model-checking {} with {} bounds{}…",
         if cells.is_empty() {
@@ -1010,25 +904,26 @@ fn verify_cmd(cmd: &VerifyCmd) {
     if !report.passed() {
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// Resolves a `repro trace` graph operand: a preset mnemonic, or
 /// `rmat<N>` for a power-law graph with 2^N vertices (before `--scale`
 /// is applied) and average degree 16.
-fn trace_graph(name: &str, scale: f64) -> ggs_graph::Csr {
+fn trace_graph(name: &str, scale: f64) -> Result<ggs_graph::Csr, String> {
     if let Some(exp) = name
         .strip_prefix("rmat")
         .and_then(|s| s.parse::<u32>().ok())
     {
         if !(4..=28).contains(&exp) {
-            die("rmat exponent must be between 4 and 28");
+            return Err("rmat exponent must be between 4 and 28".to_owned());
         }
-        return ggs_bench::bench::rmat_graph(exp, scale);
+        return Ok(ggs_bench::bench::rmat_graph(exp, scale));
     }
-    match name.parse::<GraphPreset>() {
-        Ok(preset) => SynthConfig::preset(preset).scale(scale).generate(),
-        Err(e) => die(&format!("{e} (expected a preset mnemonic or rmat<N>)")),
-    }
+    let preset = name
+        .parse::<GraphPreset>()
+        .map_err(|e| format!("{e} (expected a preset mnemonic or rmat<N>)"))?;
+    Ok(SynthConfig::preset(preset).scale(scale).generate())
 }
 
 /// The `ggs-check` certification sweep (the CI gate; `docs/checking.md`):
@@ -1044,7 +939,7 @@ fn trace_graph(name: &str, scale: f64) -> ggs_graph::Csr {
 ///
 /// Exits with status 1 if any race, contract violation, or protocol
 /// invariant violation is found.
-fn check(scale: f64, extended: bool) {
+fn check(scale: f64, extended: bool) -> Result<(), String> {
     use ggs_check::certify::{certify_matrix, run_protocol_checked};
     use ggs_sim::config::{ConsistencyModel, HwConfig};
 
@@ -1055,8 +950,7 @@ fn check(scale: f64, extended: bool) {
 
     println!("== Check: static DRF + Table I contract certification (EML, scale {scale}) ==");
     for model in ConsistencyModel::ALL {
-        let reports =
-            certify_matrix(&graph, model, extended).unwrap_or_else(|e| die(&format!("{e}")));
+        let reports = certify_matrix(&graph, model, extended).map_err(|e| e.to_string())?;
         for report in reports {
             println!("{}", report.summary_line());
             if !report.is_clean() {
@@ -1072,7 +966,7 @@ fn check(scale: f64, extended: bool) {
     println!("== Check: dynamic protocol invariants (coherence x consistency grid) ==");
     let params = SystemParams::default()
         .scaled_caches(scale)
-        .unwrap_or_else(|e| die(&format!("{e}")));
+        .map_err(|e| e.to_string())?;
     let apps = AppKind::ALL
         .into_iter()
         .chain(extended.then_some(AppKind::EXTENDED).into_iter().flatten());
@@ -1081,7 +975,7 @@ fn check(scale: f64, extended: bool) {
             let mut line = format!("{:4} {:9}:", app.mnemonic(), prop.to_string());
             for hw in HwConfig::all() {
                 let violations = run_protocol_checked(app, &graph, prop, hw, &params)
-                    .unwrap_or_else(|e| die(&format!("{e}")));
+                    .map_err(|e| e.to_string())?;
                 if violations.is_empty() {
                     line.push_str(&format!(" {}=ok", hw.code()));
                 } else {
@@ -1102,17 +996,20 @@ fn check(scale: f64, extended: bool) {
     }
     println!();
     println!("check: all contracts certified, all protocol invariants hold");
+    Ok(())
 }
 
 /// The hybrid extension sweep: for every frontier app × graph preset,
 /// simulate the four frontier-adaptive `H*` cells alongside the full
 /// 12-point static grid and report where dynamic direction switching
 /// beats the best static configuration (EXPERIMENTS.md, "Dynamic vs.
-/// best-static direction").
-fn hybrid(scale: f64) {
-    use ggs_core::experiment::run_workload;
+/// best-static direction"). Each workload's push, pull and hybrid
+/// streams are built once and shared by the configurations that run
+/// them.
+fn hybrid(scale: f64) -> Result<(), String> {
+    use ggs_core::experiment::{produce_stream, run_stream_budgeted};
     use ggs_core::sweep::hybrid_configs;
-    use ggs_core::Tracer;
+    use ggs_core::{GgsError, Tracer};
     use ggs_model::SystemConfig;
 
     println!("== Hybrid: frontier-adaptive push/pull vs best static (scale {scale}) ==");
@@ -1133,20 +1030,29 @@ fn hybrid(scale: f64) {
         let static_cells = SystemConfig::all_for(app.algo_profile().traversal);
         for preset in GraphPreset::ALL {
             let graph = SynthConfig::preset(preset).scale(scale).generate();
-            let best = |configs: &[SystemConfig]| {
-                configs
-                    .iter()
-                    .map(|&config| {
-                        match run_workload(app, &graph, config, &spec, Tracer::off(), None) {
-                            Ok(stats) => (config, stats.total_cycles()),
-                            Err(e) => die(&format!("{e}")),
-                        }
-                    })
-                    .min_by_key(|&(_, cycles)| cycles)
-                    .unwrap_or_else(|| die("hybrid sweep is empty"))
+            // Both config lists are propagation-major, so holding the
+            // current direction's stream builds each stream once.
+            let mut stream = (None, Vec::new());
+            let mut cycles = |config: SystemConfig| -> Result<_, GgsError> {
+                let prop = config.propagation;
+                if stream.0 != Some(prop) {
+                    stream = (Some(prop), produce_stream(app, &graph, prop, &spec.params)?);
+                }
+                let stats =
+                    run_stream_budgeted(&stream.1, app, config, &spec, Tracer::off(), None)?;
+                Ok((config, stats.total_cycles()))
             };
-            let (s_cfg, s_cycles) = best(&static_cells);
-            let (h_cfg, h_cycles) = best(&hybrid_cells);
+            let mut best = |configs: &[SystemConfig]| {
+                let runs = configs.iter().map(|&c| cycles(c));
+                let runs = runs
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| e.to_string())?;
+                runs.into_iter()
+                    .min_by_key(|&(_, cycles)| cycles)
+                    .ok_or_else(|| "hybrid sweep is empty".to_owned())
+            };
+            let (s_cfg, s_cycles) = best(&static_cells)?;
+            let (h_cfg, h_cycles) = best(&hybrid_cells)?;
             total += 1;
             let won = h_cycles < s_cycles;
             if won {
@@ -1169,6 +1075,7 @@ fn hybrid(scale: f64) {
          {wins} of {total} frontier workloads (threshold {}, push below / pull above)\n",
         ggs_model::Propagation::HYBRID_DENSITY_THRESHOLD
     );
+    Ok(())
 }
 
 /// Table I: the design space (static text; the code itself is the
@@ -1280,11 +1187,11 @@ fn table3() {
 }
 
 /// Table IV: simulated system parameters.
-fn table4(scale: f64) {
+fn table4(scale: f64) -> Result<(), String> {
     println!("== Table IV: simulated system parameters (scale {scale}) ==");
     let p = SystemParams::default()
         .scaled_caches(scale)
-        .unwrap_or_else(|e| die(&format!("{e}")));
+        .map_err(|e| e.to_string())?;
     let mut t = TextTable::new(["Parameter", "Value"]);
     t.row(["GPU CUs (SMs)", &p.num_sms.to_string()]);
     t.row([
@@ -1305,6 +1212,7 @@ fn table4(scale: f64) {
     t.row(["L2 hit latency", "29-59 cycles"]);
     t.row(["Memory latency", "197-255 cycles"]);
     println!("{}", t.render());
+    Ok(())
 }
 
 /// Table V: model predictions for every workload.
@@ -1442,7 +1350,7 @@ fn fig6(study: &Study) {
 /// configuration — the communication-volume view of the coherence
 /// tradeoff (DeNovo trades L2 atomic round-trips for registrations and
 /// ownership transfers).
-fn traffic(scale: f64) {
+fn traffic(scale: f64) -> Result<(), String> {
     use ggs_apps::AppKind;
     use ggs_core::experiment::run_workload;
     use ggs_sim::noc::{Mesh, FLIT_BYTES};
@@ -1466,7 +1374,7 @@ fn traffic(scale: f64) {
         for code in ["TG0", "SGR", "SDR"] {
             let cfg = code.parse().expect("valid config");
             let stats = run_workload(AppKind::Pr, &graph, cfg, &spec, Tracer::off(), None)
-                .unwrap_or_else(|e| die(&e.to_string()));
+                .map_err(|e| e.to_string())?;
             let flits =
                 mesh.flit_total(stats.mem.noc_line_transfers, stats.mem.noc_control_messages);
             let kb = flits * u64::from(FLIT_BYTES) / 1024;
@@ -1480,12 +1388,13 @@ fn traffic(scale: f64) {
         }
     }
     println!("{}", t.render());
+    Ok(())
 }
 
 /// GSI-style per-data-structure attribution for two contrasting
 /// workloads: where each array's accesses execute and what they cost
 /// under the model-predicted configuration.
-fn gsi(scale: f64) {
+fn gsi(scale: f64) -> Result<(), String> {
     use ggs_apps::AppKind;
     use ggs_core::experiment::run_workload_profiled;
     use ggs_trace::Tracer;
@@ -1499,7 +1408,7 @@ fn gsi(scale: f64) {
         let graph = SynthConfig::preset(preset).scale(scale).generate();
         let cfg = code.parse().expect("valid config");
         let (stats, regions) = run_workload_profiled(app, &graph, cfg, &spec, Tracer::off(), None)
-            .unwrap_or_else(|e| die(&e.to_string()));
+            .map_err(|e| e.to_string())?;
         println!(
             "{app}-{preset} under {code}: {} cycles",
             stats.total_cycles()
@@ -1525,6 +1434,7 @@ fn gsi(scale: f64) {
         }
         println!("{}", t.render());
     }
+    Ok(())
 }
 
 /// §IV-B / §VI: the partial design space (hardware without DRFrlx).
@@ -1648,6 +1558,7 @@ fn summary(study: &Study) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The parser splits arguments by the union of every table, so a
     /// flag must take a value (with the same metavar) in every table
@@ -1663,6 +1574,87 @@ mod tests {
         let mut names: Vec<&str> = all.iter().map(|f| f.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 24, "{names:?}");
+        assert_eq!(names.len(), 23, "{names:?}");
+    }
+
+    /// The words the parser gives a meaning to (subcommand words,
+    /// section names and flags, as the tables list them), and numeric
+    /// values at and past the edges of what `positive` accepts.
+    fn vocabulary() -> [Vec<&'static str>; 2] {
+        let words = COMMANDS
+            .iter()
+            .flat_map(|c| std::iter::once(c.name).chain(c.flags.iter().map(|f| f.name)))
+            .chain(SECTIONS)
+            .chain(["--help"]);
+        let values = ["0", "-1", "1e400", "NaN", "inf", "0.5", ""];
+        [words.collect(), values.to_vec()]
+    }
+
+    /// Numeric flags: `N` takes a positive integer, `S` and `PCT` a
+    /// positive number.
+    fn checks_positive(flag: &Flag, args: &Args) -> Result<(), String> {
+        let value = match flag.metavar {
+            "N" => args.positive::<u64>(flag.name).map(|v| v.map(|v| v as f64)),
+            "S" | "PCT" => args.positive::<f64>(flag.name),
+            _ => return Ok(()),
+        };
+        match value {
+            Ok(Some(v)) => prop_assert!(v.is_finite() && v > 0.0, "{}: {v}", flag.name),
+            Ok(None) => prop_assert!(false, "{} given but read as absent", flag.name),
+            Err(msg) => prop_assert!(!msg.is_empty()),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Fuzz: argument vectors of 1–8 known words, each byte-mutated
+        /// or not, never panic the parser. An error carries a message,
+        /// a parsed command holds only flags of its own table, and each
+        /// numeric flag given reads as finite and positive or errs.
+        #[test]
+        fn parser_survives_mutated_arguments(
+            picks in prop::collection::vec(
+                (0usize..2, 0usize..1 << 16, 0u8..8, 0usize..64, 0u8..=255),
+                1..9,
+            )
+        ) {
+            // Words and values are drawn equally often, and three in four
+            // tokens stay intact, so flags meet the edge values often.
+            let pools = vocabulary();
+            let argv: Vec<String> = picks
+                .iter()
+                .map(|&(pool, pick, edit, at, byte)| {
+                    let pool = &pools[pool];
+                    let mut bytes = pool[pick % pool.len()].as_bytes().to_vec();
+                    let i = at % (bytes.len() + 1);
+                    match edit {
+                        0 => bytes.insert(i, byte),
+                        _ if edit > 2 || i == bytes.len() => {}
+                        1 => bytes[i] = byte,
+                        _ => {
+                            bytes.remove(i);
+                        }
+                    }
+                    String::from_utf8_lossy(&bytes).into_owned()
+                })
+                .collect();
+            match Args::parse(argv.clone().into_iter()) {
+                Err(msg) => prop_assert!(!msg.is_empty(), "{argv:?}"),
+                Ok(Parsed::Help(text)) => prop_assert!(text.starts_with("usage: repro"), "{argv:?}"),
+                Ok(Parsed::Run(args)) => {
+                    for (name, _) in &args.flags {
+                        prop_assert!(
+                            args.command.flags.iter().any(|f| f.name == *name),
+                            "{argv:?}: {name} is not a flag of {:?}", args.command.name
+                        );
+                    }
+                    for flag in args.command.flags.iter().filter(|f| args.value(f.name).is_some()) {
+                        checks_positive(flag, &args).map_err(|e| format!("{argv:?}: {e}"))?;
+                    }
+                }
+            }
+        }
     }
 }

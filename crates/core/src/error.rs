@@ -80,9 +80,9 @@ pub enum GgsError {
         /// What was wrong with the file.
         detail: String,
     },
-    /// The result-store advisory lock could not be acquired within the
-    /// bounded retry budget (another process holds it, or an injected
-    /// lock fault). Transient by nature: retryable.
+    /// The result store is already open: another live handle, in this
+    /// process or another, holds its lock file (`PATH.lock`). Retryable:
+    /// the lock frees when that handle drops or its process exits.
     StoreLock {
         /// Lock path and contention detail.
         detail: String,

@@ -56,7 +56,7 @@ use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
 
 use crate::error::GgsError;
 use crate::experiment::{produce_stream, run_stream_budgeted, ExperimentSpec};
-use crate::store::{fnv1a64, versioned_spec_hash, Claim, Store, StoreLoadReport};
+use crate::store::{fnv1a64, versioned_spec_hash, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
 use crate::sweep::{baseline_config, figure5_configs};
 
@@ -268,13 +268,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Upper bound on any single backoff sleep.
     pub max_backoff: Duration,
-    /// Deterministic jitter seed. `None` keeps the pure exponential
-    /// schedule; `Some(seed)` spreads each sleep over the upper half of
-    /// its exponential slot so concurrent processes retrying the same
-    /// contended resource (the store lock) do not synchronize into a
-    /// thundering herd. The jitter is a pure function of
-    /// `(seed, attempt)`, so a given policy is exactly reproducible.
-    pub jitter_seed: Option<u64>,
 }
 
 impl Default for RetryPolicy {
@@ -283,35 +276,18 @@ impl Default for RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(200),
-            jitter_seed: None,
         }
     }
 }
 
 impl RetryPolicy {
     /// Backoff to sleep after the `attempt`-th failure (1-based):
-    /// `base · 2^(attempt-1)`, capped at `max_backoff`. With a
-    /// [`RetryPolicy::jitter_seed`], the sleep lands deterministically
-    /// in `(slot/2, slot]` instead of exactly on the slot boundary.
+    /// `base · 2^(attempt-1)`, capped at `max_backoff`.
     pub fn backoff(&self, attempt: u32) -> Duration {
         let exp = attempt.saturating_sub(1).min(16);
-        let raw = self.base_backoff.saturating_mul(1u32 << exp);
-        let slot = raw.min(self.max_backoff);
-        match self.jitter_seed {
-            None => slot,
-            Some(seed) => {
-                // splitmix64 of (seed, attempt): cheap, stateless, and
-                // well distributed even for sequential attempt numbers.
-                let mut z = seed
-                    .wrapping_add(u64::from(attempt))
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^= z >> 31;
-                let frac = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-                slot - slot.mul_f64(frac * 0.5)
-            }
-        }
+        self.base_backoff
+            .saturating_mul(1u32 << exp)
+            .min(self.max_backoff)
     }
 }
 
@@ -337,15 +313,10 @@ pub struct StudyOptions {
     pub cell_deadline: Option<Duration>,
     /// Deliberate faults to inject (tests, smoke jobs).
     pub faults: FaultPlan,
-    /// A shared crash-safe result store (see `crate::store`): each cell
-    /// is looked up (and leased) before simulating and published after,
-    /// so concurrent runners sharing the store partition the sweep
-    /// without simulating any cell twice.
+    /// A crash-safe result store (see `crate::store`): each cell is
+    /// looked up before simulating and published after, so a re-run
+    /// simulates only the cells the store lacks.
     pub store: Option<Store>,
-    /// Store lease time-to-live: how long a claimed-but-unfinished cell
-    /// stays reserved before other runners may reclaim it (bounds the
-    /// damage of a runner that dies holding leases).
-    pub lease_ttl: Duration,
     /// Not read by [`run_study`]; delete with the next benchmark
     /// change. The frozen benchmark harness reads its default to size
     /// its own [`TraceCache`](crate::TraceCache).
@@ -361,7 +332,6 @@ impl Default for StudyOptions {
             cell_deadline: None,
             faults: FaultPlan::new(),
             store: None,
-            lease_ttl: Duration::from_secs(30),
             trace_cache_bytes: 256 << 20,
         }
     }
@@ -516,9 +486,8 @@ pub fn run_study(
     let store_report = match &options.store {
         Some(store) => {
             // Surface pre-existing corruption up front. Opening the
-            // store already replayed it into the handle's index, so this
-            // re-reads the file without re-parsing it; per-cell claims
-            // then read only what peers append.
+            // store replayed it into the handle's index, so neither this
+            // nor the per-cell lookups read the file.
             let snapshot = store.load()?;
             if sink.enabled() {
                 for span in &snapshot.report.corrupt {
@@ -744,7 +713,7 @@ impl Sweep<'_> {
         outcome
     }
 
-    /// Runs cell `i`: claimed from the store if one is attached (a store
+    /// Runs cell `i`: looked up in the store if one is attached (a store
     /// hit ends it as [`CellStatus::Skipped`]), then simulated on its
     /// group's `stream`, building it if no cell has yet, and published.
     fn run(
@@ -755,7 +724,7 @@ impl Sweep<'_> {
         local: &MetricsRegistry,
     ) -> CellOutcome {
         self.traced(names, || match &self.options.store {
-            Some(store) => match self.claim(store, names) {
+            Some(store) => match self.lookup(store, names) {
                 Some(outcome) => outcome,
                 None => {
                     let outcome = self.execute_with_retries(i, names, stream, local);
@@ -767,7 +736,7 @@ impl Sweep<'_> {
     }
 
     /// Answers a cell with its class's `row`, simulated by config `by`:
-    /// claimed from the store first, so a store hit still wins, then
+    /// looked up in the store first, so a store hit still wins, then
     /// published under the cell's own key.
     fn answer(&self, names: &Names, row: &ResultRow, by: &str) -> CellOutcome {
         self.traced(names, || {
@@ -778,7 +747,7 @@ impl Sweep<'_> {
             let outcome =
                 names.outcome(CellStatus::Ok, format!("answered from {by}"), 0, Some(row));
             match &self.options.store {
-                Some(store) => match self.claim(store, names) {
+                Some(store) => match self.lookup(store, names) {
                     Some(outcome) => outcome,
                     None => self.publish(store, names, outcome),
                 },
@@ -787,100 +756,41 @@ impl Sweep<'_> {
         })
     }
 
-    /// Resolves a cell through [`Store::try_claim`], returning `None`
-    /// once it is leased to this process (a *store miss*), else the
-    /// cell's final outcome: an existing result ends it as
-    /// [`CellStatus::Skipped`] (a *store hit*: zero simulation), and a
-    /// claim that keeps failing ends it as [`CellStatus::Failed`]. A live
-    /// foreign lease is polled until its owner publishes or it expires.
-    fn claim(&self, store: &Store, names: &Names) -> Option<CellOutcome> {
+    /// Looks a cell up in the store: `None` if it has no result (a
+    /// *store miss*, to be simulated), else the cell's final outcome,
+    /// [`CellStatus::Skipped`] with the stored row (a *store hit*: zero
+    /// simulation).
+    fn lookup(&self, store: &Store, names: &Names) -> Option<CellOutcome> {
         let key = &names.key;
-        let wait_started = Instant::now();
-        // A live foreign lease resolves itself: its owner either publishes
-        // a result (Done) or the lease expires and becomes reclaimable.
-        // Twice the TTL is the failsafe against pathological clocks.
-        let wait_limit = self
-            .options
-            .lease_ttl
-            .saturating_mul(2)
-            .max(Duration::from_millis(100));
-        let mut claim_attempts = 0u32;
-        loop {
-            match store.try_claim(&self.store_hash, key, self.options.lease_ttl) {
-                Ok(Claim::Done(row)) => {
-                    if self.sink.enabled() {
-                        self.sink.emit(&TraceEvent::StoreHit {
-                            key: key.clone(),
-                            at_us: self.epoch.elapsed().as_micros() as u64,
-                        });
-                    }
-                    return Some(names.outcome(
-                        CellStatus::Skipped,
-                        "store hit".to_owned(),
-                        0,
-                        Some(row),
-                    ));
-                }
-                Ok(Claim::Claimed) => break,
-                Ok(Claim::Busy(lease)) => {
-                    if wait_started.elapsed() >= wait_limit {
-                        return Some(names.outcome(
-                            CellStatus::Failed,
-                            format!(
-                                "store lease on {key} held by pid {} beyond the {} ms failsafe",
-                                lease.owner,
-                                wait_limit.as_millis()
-                            ),
-                            claim_attempts,
-                            None,
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(20).min(wait_limit));
-                }
-                Err(e) => {
-                    claim_attempts += 1;
-                    let retry = &self.options.retry;
-                    if e.is_retryable() && claim_attempts < retry.max_attempts.max(1) {
-                        std::thread::sleep(retry.backoff(claim_attempts));
-                        continue;
-                    }
-                    return Some(names.outcome(
-                        CellStatus::Failed,
-                        e.to_string(),
-                        claim_attempts,
-                        None,
-                    ));
-                }
-            }
-        }
+        let row = store.lookup(&self.store_hash, key);
         if self.sink.enabled() {
-            self.sink.emit(&TraceEvent::StoreMiss {
-                key: key.clone(),
-                at_us: self.epoch.elapsed().as_micros() as u64,
+            let at_us = self.epoch.elapsed().as_micros() as u64;
+            self.sink.emit(&match row {
+                Some(_) => TraceEvent::StoreHit {
+                    key: key.clone(),
+                    at_us,
+                },
+                None => TraceEvent::StoreMiss {
+                    key: key.clone(),
+                    at_us,
+                },
             });
         }
-        None
+        let row = row?;
+        Some(names.outcome(CellStatus::Skipped, "store hit".to_owned(), 0, Some(row)))
     }
 
-    /// Publishes a claimed cell's row, or releases its lease if it has
-    /// none, so peers need not wait out the TTL.
+    /// Publishes a cell's row if it has one. A failed publish leaves
+    /// the cell's outcome, noted in its detail: only durability
+    /// degraded.
     fn publish(&self, store: &Store, names: &Names, mut outcome: CellOutcome) -> CellOutcome {
-        match (&outcome.report.status, &outcome.row) {
-            (CellStatus::Ok, Some(row)) => {
-                if let Err(e) = store.publish(&self.store_hash, names.app, names.graph, row) {
-                    // The cell succeeded; only durability degraded. The
-                    // lease stays until its TTL, keeping peers from
-                    // double-publishing a possibly-torn record.
-                    let detail = &mut outcome.report.detail;
-                    if !detail.is_empty() {
-                        detail.push_str("; ");
-                    }
-                    detail.push_str(&format!("result not persisted to store: {e}"));
+        if let (CellStatus::Ok, Some(row)) = (&outcome.report.status, &outcome.row) {
+            if let Err(e) = store.publish(&self.store_hash, names.app, names.graph, row) {
+                let detail = &mut outcome.report.detail;
+                if !detail.is_empty() {
+                    detail.push_str("; ");
                 }
-            }
-            _ => {
-                // Best effort: an unreleased lease merely delays peers.
-                let _ = store.release(&self.store_hash, &names.key);
+                detail.push_str(&format!("result not persisted to store: {e}"));
             }
         }
         outcome

@@ -178,39 +178,6 @@ fn push_config(graph: &GraphProfile) -> SystemConfig {
     SystemConfig::new(Propagation::Push, coherence, consistency)
 }
 
-/// The hybrid (frontier-adaptive push/pull) configuration point for a
-/// graph: propagation `H` paired with the push sub-tree's hardware half
-/// (Figure 4, right) — any hybrid iteration may realize the push
-/// variant, so the hardware must still service its fine-grained
-/// atomics, while pull iterations are simply over-provisioned.
-pub fn hybrid_config(graph: &GraphProfile) -> SystemConfig {
-    let push = push_config(graph);
-    SystemConfig::new(Propagation::Hybrid, push.coherence, push.consistency)
-}
-
-/// Extends the decision tree with the frontier-adaptive hybrid point
-/// (this repo's 13th configuration dimension, beyond Figure 4).
-///
-/// Returns `Some` only for frontier-driven algorithms — static
-/// traversals whose *control* property favors the source, i.e. the
-/// active-set predicate lives at the update source (BFS, SSSP), which
-/// is exactly what a per-iteration frontier-density switch exploits.
-/// Symmetric- or target-control apps and dynamic traversals get `None`:
-/// they have no sparse frontier for push iterations to win on.
-///
-/// Callers must still intersect with the application's
-/// `supported_propagations` table — an algorithm may be frontier-driven
-/// on paper yet not expose its active set in this repo's producer.
-pub fn predict_hybrid(algo: &AlgoProfile, graph: &GraphProfile) -> Option<SystemConfig> {
-    if algo.traversal == Traversal::Static
-        && algo.control == Some(crate::taxonomy::AlgoBias::Source)
-    {
-        Some(hybrid_config(graph))
-    } else {
-        None
-    }
-}
-
 /// Predicts the best configuration when the hardware does **not**
 /// support DRFrlx (§IV-B).
 ///
@@ -399,21 +366,6 @@ mod tests {
                 let parsed: SystemConfig = cfg.code().parse().unwrap();
                 assert_eq!(parsed, cfg);
             }
-        }
-    }
-
-    #[test]
-    fn hybrid_predictor_gates_on_source_control() {
-        for g in [amz(), dct(), eml(), ols(), raj(), wng()] {
-            // Frontier-driven apps (source control) get the hybrid
-            // point, with the push sub-tree's hardware half.
-            let h = predict_hybrid(&sssp(), &g).expect("SSSP is frontier-driven");
-            assert_eq!(h.propagation, Propagation::Hybrid);
-            assert_eq!(h.hw(), push_config(&g).hw());
-            // Symmetric control and dynamic traversal have no frontier.
-            assert_eq!(predict_hybrid(&pr(), &g), None);
-            assert_eq!(predict_hybrid(&mis(), &g), None);
-            assert_eq!(predict_hybrid(&cc(), &g), None);
         }
     }
 }

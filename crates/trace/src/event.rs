@@ -161,18 +161,19 @@ pub enum TraceEvent {
         /// When the hit resolved, in microseconds since the study began.
         at_us: u64,
     },
-    /// A study cell was absent from the result store; a lease was taken
-    /// and the cell will be simulated.
+    /// A study cell was absent from the result store, so this run will
+    /// simulate it (or answer it from its consistency class) and
+    /// publish it.
     StoreMiss {
         /// `APP/GRAPH/CONFIG` cell key.
         key: String,
-        /// When the claim resolved, in microseconds since the study began.
+        /// When the lookup resolved, in microseconds since the study began.
         at_us: u64,
     },
-    /// Store compaction dropped superseded / expired / corrupt data
+    /// Store compaction dropped superseded results and corrupt data
     /// (atomic rewrite; see `ggs_core::store`).
     StoreEvict {
-        /// Records dropped (superseded results, leases, releases).
+        /// Superseded result records dropped.
         records: u64,
         /// Bytes reclaimed by the rewrite.
         bytes: u64,
