@@ -11,8 +11,8 @@
 //!       [table1|table2|table3|table4|table5|fig5|fig6|partial|flexible|traffic|gsi|summary|check|hybrid|all]...
 //! repro trace [--scale S] [--trace-out PATH] [--trace-stride N] <app> <graph> <config>
 //! repro study [--scale S] [--threads N] [--json PATH] [--trace-out PATH]
-//!             [--deadline-ms N] [--max-kernels N] [--max-sim-cycles N] [--retries N]
-//!             [--inject-fault APP/GRAPH/CFG[=panic|hang|io]]...
+//!             [--deadline-ms N] [--max-kernels N] [--max-sim-cycles N]
+//!             [--inject-fault APP/GRAPH/CFG[=panic|hang]]...
 //!             [--store PATH] [--store-compact]
 //!             [--inject-store-fault torn[:BYTES]|short|crc]...
 //! repro bench [--iters N] [--smoke] [--out PATH]
@@ -37,9 +37,9 @@
 //!
 //! `repro study` runs the 36-workload study through the fault-tolerant
 //! runner (see docs/robustness.md): per-cell panic isolation, watchdog
-//! budgets (`--max-kernels`, `--max-sim-cycles`, `--deadline-ms`),
-//! bounded retries for transient I/O errors, and checkpoint/resume via
-//! the crash-safe result store (`--store PATH`: re-running the same
+//! budgets (`--max-kernels`, `--max-sim-cycles`, and `--deadline-ms`, a
+//! wall-clock limit on each cell's simulation), and checkpoint/resume
+//! via the crash-safe result store (`--store PATH`: re-running the same
 //! command after a kill simulates only the cells the store lacks). A
 //! store has one writer: while one process has it open, a second
 //! `repro study` on it exits 2 with `result store lock unavailable`.
@@ -205,19 +205,19 @@ const COMMANDS: [Command; 5] = [
             value("--deadline-ms", "N"),
             value("--max-kernels", "N"),
             value("--max-sim-cycles", "N"),
-            value("--retries", "N"),
-            repeated("--inject-fault", "APP/GRAPH/CFG[=panic|hang|io]"),
+            repeated("--inject-fault", "APP/GRAPH/CFG[=panic|hang]"),
             value("--store", "PATH"),
             switch("--store-compact"),
             repeated("--inject-store-fault", "torn[:BYTES]|short|crc"),
         ],
         about: "run the 36-workload study fault-tolerantly: failed cells are \
-                isolated and reported, budgets bound runaway cells; --store keeps \
-                results in a crash-safe content-addressed result store across runs \
-                (re-running the same command resumes a killed study, cells already \
-                solved are never re-simulated, --store-compact rewrites the store \
-                after the run); one process at a time may open a store, and a \
-                second exits 2 (docs/robustness.md)",
+                isolated and reported, budgets bound runaway cells (--deadline-ms \
+                limits each cell's simulation in wall-clock time), and each cell \
+                runs once; --store keeps results in a crash-safe content-addressed \
+                result store across runs (re-running the same command resumes a \
+                killed study, cells already solved are never re-simulated, \
+                --store-compact rewrites the store after the run); one process at \
+                a time may open a store, and a second exits 2 (docs/robustness.md)",
     },
     Command {
         name: "bench",
@@ -649,7 +649,6 @@ fn study_cmd(args: &Args) -> Result<(), String> {
     let deadline_ms = args.positive("--deadline-ms")?;
     let max_kernels = args.positive("--max-kernels")?;
     let max_sim_cycles = args.positive("--max-sim-cycles")?;
-    let retries = args.positive("--retries")?;
     let store_path = args.value("--store");
     let store_compact = args.switch("--store-compact");
     let inject_store_faults = args.values("--inject-store-fault");
@@ -663,9 +662,6 @@ fn study_cmd(args: &Args) -> Result<(), String> {
     let spec = builder.build().map_err(|e| e.to_string())?;
 
     let mut options = StudyOptions::new(ConfigSet::Figure5, threads);
-    if let Some(n) = retries {
-        options.retry.max_attempts = n;
-    }
     options.cell_deadline = deadline_ms.map(std::time::Duration::from_millis);
     let mut faults = FaultPlan::new();
     for spec_str in &args.values("--inject-fault") {
@@ -1574,7 +1570,7 @@ mod tests {
         let mut names: Vec<&str> = all.iter().map(|f| f.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 23, "{names:?}");
+        assert_eq!(names.len(), 22, "{names:?}");
     }
 
     /// The words the parser gives a meaning to (subcommand words,

@@ -108,6 +108,10 @@ fn help_and_bad_flags() {
         &["verify", "--threads", "2"],
         &["trace", "bfs", "rmat10", "SDR", "--store", "x"],
         &["study", "--journal", "x"],
+        // Cells run once; there is no retry layer to configure, and no
+        // transient-I/O fault to exercise one.
+        &["study", "--retries", "3"],
+        &["study", "--inject-fault", "PR/AMZ/SGR=io"],
         &["--trace-stride", "5", "table1"],
         // Zero workers is rejected at parse time, not by a panic in
         // the study runner.
@@ -138,7 +142,7 @@ fn help_and_bad_flags() {
     assert_eq!(tables.len(), 5, "{help}");
     let every: std::collections::BTreeSet<&str> =
         tables.iter().flat_map(|(_, f)| f.iter().copied()).collect();
-    assert_eq!(every.len(), 23, "{every:?}");
+    assert_eq!(every.len(), 22, "{every:?}");
     for (command, flags) in &tables {
         for flag in every.iter().filter(|f| !flags.contains(f)) {
             let args: Vec<&str> = command.iter().copied().chain([*flag, "x"]).collect();
@@ -200,6 +204,23 @@ fn study_isolates_injected_faults_and_resumes_from_its_store() {
     );
     let _ = std::fs::remove_file(store);
     let _ = std::fs::remove_file(format!("{store}.lock"));
+}
+
+#[test]
+fn a_timed_out_cell_reports_its_configured_limit() {
+    // The hung cell runs until the engine stops it at the limit given
+    // with --deadline-ms; other cells may time out too.
+    let out = repro(&[
+        "study",
+        "--scale",
+        "0.004",
+        "--deadline-ms",
+        "1",
+        "--inject-fault",
+        "CC/RAJ/DGR=hang",
+    ]);
+    let line = "TIMEOUT CC/RAJ/DGR (attempt 1): wall-clock deadline exceeded (1 ms)";
+    assert!(out.contains(line), "{out}");
 }
 
 #[test]

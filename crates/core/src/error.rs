@@ -62,13 +62,14 @@ pub enum GgsError {
     /// A simulation exceeded its configured kernel or simulated-cycle
     /// budget (watchdog; see `ExperimentSpec::budget`).
     Budget(ggs_sim::BudgetBreach),
-    /// A study cell exceeded its wall-clock deadline.
+    /// A simulation ran past its wall-clock limit (a study cell's
+    /// `StudyOptions::cell_deadline`).
     Deadline {
-        /// The configured per-cell deadline, in milliseconds.
+        /// The configured limit, in milliseconds.
         limit_ms: u64,
     },
     /// A study cell panicked; the panic was caught at the cell boundary
-    /// and converted into this error (see `runner::CellFailure`).
+    /// and its payload kept as this error's message.
     CellPanic {
         /// The panic payload, downcast to a string when possible.
         payload: String,
@@ -81,8 +82,8 @@ pub enum GgsError {
         detail: String,
     },
     /// The result store is already open: another live handle, in this
-    /// process or another, holds its lock file (`PATH.lock`). Retryable:
-    /// the lock frees when that handle drops or its process exits.
+    /// process or another, holds its lock file (`PATH.lock`). The lock
+    /// frees when that handle drops or its process exits.
     StoreLock {
         /// Lock path and contention detail.
         detail: String,
@@ -90,16 +91,6 @@ pub enum GgsError {
 }
 
 impl GgsError {
-    /// Whether retrying the failed operation could plausibly succeed.
-    ///
-    /// Only transient environmental failures (I/O, store-lock
-    /// contention) are retryable; deterministic errors — bad specs,
-    /// unsupported pairings, budget breaches, panics — fail the same
-    /// way every time and are not.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, GgsError::Io(_) | GgsError::StoreLock { .. })
-    }
-
     /// Whether this error is a watchdog trip (budget or wall-clock
     /// deadline) rather than a genuine failure; the study runner
     /// records such cells as `Timeout` instead of `Failed`.

@@ -1,7 +1,7 @@
 //! Running one (application, graph, configuration) experiment point.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ggs_apps::{AppKind, Workload};
 use ggs_graph::Csr;
@@ -22,9 +22,10 @@ pub struct ExperimentSpec {
     /// Simulated hardware parameters (Table IV, possibly cache-scaled).
     pub params: SystemParams,
     /// Watchdog budget applied to every simulation run under this spec
-    /// (kernel/iteration and simulated-cycle limits, and an optional
-    /// wall-clock deadline). Unlimited by default; a breached run is
-    /// reported as [`GgsError::Budget`] / [`GgsError::Deadline`].
+    /// (kernel/iteration and simulated-cycle limits). Unlimited by
+    /// default; a breached run is reported as [`GgsError::Budget`]. The
+    /// wall-clock limit is an argument of each run function instead, so
+    /// a spec never carries a point in time.
     pub budget: SimBudget,
 }
 
@@ -93,13 +94,6 @@ impl ExperimentSpecBuilder {
     /// (default 1.0).
     pub fn scale(mut self, scale: f64) -> Self {
         self.scale = scale;
-        self
-    }
-
-    /// Watchdog budget for every simulation run under the spec
-    /// (default [`SimBudget::UNLIMITED`]).
-    pub fn budget(mut self, budget: SimBudget) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -176,30 +170,31 @@ impl ExperimentSpecBuilder {
 /// cost). SSSP requires a weighted graph; deterministic weights are
 /// attached on the fly when missing.
 ///
-/// The spec's [`SimBudget`] and the wall-clock `deadline` (which
-/// overrides the budget's own) are enforced inside the engine — cycle
-/// limits at the exact breach cycle and the deadline mid-kernel, so
-/// even a single hung kernel is abandoned. Once either trips, the
+/// The spec's [`SimBudget`] and the wall-clock `limit` are enforced
+/// inside the engine — cycle limits at the exact breach cycle and the
+/// limit mid-kernel, so even a single hung kernel is abandoned. The
+/// limit starts when the simulation is built; one too large to
+/// represent as a deadline means none. Once either trips, the
 /// remaining kernels are skipped.
 ///
 /// # Errors
 ///
 /// [`GgsError::Unsupported`] if `app` does not support
 /// `config.propagation` (e.g. push for CC); [`GgsError::Budget`] /
-/// [`GgsError::Deadline`] if the budget or deadline is breached.
+/// [`GgsError::Deadline`] if the budget or the limit is breached.
 pub fn run_workload(
     app: AppKind,
     graph: &Csr,
     config: SystemConfig,
     spec: &ExperimentSpec,
     tracer: Tracer<'_>,
-    deadline: Option<Instant>,
+    limit: Option<Duration>,
 ) -> Result<ExecStats, GgsError> {
     let kernels = Kernels::Generate {
         graph,
         regions: false,
     };
-    let (stats, _) = simulate(app, config, kernels, spec, tracer, deadline)?;
+    let (stats, _) = simulate(app, config, kernels, spec, tracer, limit)?;
     Ok(stats)
 }
 
@@ -216,13 +211,13 @@ pub fn run_workload_profiled(
     config: SystemConfig,
     spec: &ExperimentSpec,
     tracer: Tracer<'_>,
-    deadline: Option<Instant>,
+    limit: Option<Duration>,
 ) -> Result<(ExecStats, Vec<(String, RegionStats)>), GgsError> {
     let kernels = Kernels::Generate {
         graph,
         regions: true,
     };
-    simulate(app, config, kernels, spec, tracer, deadline)
+    simulate(app, config, kernels, spec, tracer, limit)
 }
 
 /// Materializes the kernel stream of `(app, graph, prop)` for the
@@ -292,7 +287,7 @@ pub fn produce_trace_stream(
 
 /// Timing half of the split workload run: simulates a pre-built kernel
 /// `stream` (from [`produce_stream`], possibly via a `TraceCache`)
-/// under `config`, with the same tracing, budget and deadline semantics
+/// under `config`, with the same tracing, budget and limit semantics
 /// as [`run_workload`]. Feeding the same kernels in the same order
 /// through the same engine makes the statistics bit-identical to the
 /// fused run.
@@ -309,10 +304,10 @@ pub fn run_stream_budgeted(
     config: SystemConfig,
     spec: &ExperimentSpec,
     tracer: Tracer<'_>,
-    deadline: Option<Instant>,
+    limit: Option<Duration>,
 ) -> Result<ExecStats, GgsError> {
     let kernels = Kernels::Cached(stream);
-    let (stats, _) = simulate(app, config, kernels, spec, tracer, deadline)?;
+    let (stats, _) = simulate(app, config, kernels, spec, tracer, limit)?;
     Ok(stats)
 }
 
@@ -327,8 +322,8 @@ enum Kernels<'a> {
 }
 
 /// The consumer loop behind every run function: builds the
-/// [`Simulation`] for `config` under the spec's budget merged with
-/// `deadline`, feeds it `kernels` until the budget trips, and maps a
+/// [`Simulation`] for `config` under the spec's budget and a deadline
+/// `limit` from now, feeds it `kernels` until either trips, and maps a
 /// breach to [`GgsError`].
 fn simulate(
     app: AppKind,
@@ -336,15 +331,13 @@ fn simulate(
     kernels: Kernels<'_>,
     spec: &ExperimentSpec,
     tracer: Tracer<'_>,
-    deadline: Option<Instant>,
+    limit: Option<Duration>,
 ) -> Result<(ExecStats, Vec<(String, RegionStats)>), GgsError> {
     check_supported(app, config)?;
-    let mut budget = spec.budget;
-    budget.deadline = deadline.or(budget.deadline);
     let mut builder = Simulation::builder(spec.params.clone(), config.hw())
         .tracer(tracer)
-        .budget(budget);
-    let started = Instant::now();
+        .budget(spec.budget)
+        .deadline(limit.and_then(|l| Instant::now().checked_add(l)));
     let sim = match kernels {
         Kernels::Generate { graph, regions } => {
             let graph = app.weighted(graph);
@@ -380,9 +373,7 @@ fn simulate(
     };
     match sim.budget_breach() {
         Some(BudgetBreach::Deadline { .. }) => Err(GgsError::Deadline {
-            limit_ms: budget.deadline.map_or(0, |d| {
-                d.saturating_duration_since(started).as_millis() as u64
-            }),
+            limit_ms: limit.map_or(0, |l| u64::try_from(l.as_millis()).unwrap_or(u64::MAX)),
         }),
         Some(breach) => Err(GgsError::Budget(breach)),
         None => {
@@ -503,7 +494,7 @@ mod tests {
     /// limit under test.
     fn errors_on_every_path(
         spec: &ExperimentSpec,
-        deadline: Option<Instant>,
+        limit: Option<Duration>,
     ) -> Vec<(&'static str, GgsError)> {
         let g = graph();
         let cfg: SystemConfig = "SGR".parse().unwrap();
@@ -512,15 +503,15 @@ mod tests {
         [
             (
                 "fused",
-                run_workload(AppKind::Pr, &g, cfg, spec, off(), deadline).err(),
+                run_workload(AppKind::Pr, &g, cfg, spec, off(), limit).err(),
             ),
             (
                 "profiled",
-                run_workload_profiled(AppKind::Pr, &g, cfg, spec, off(), deadline).err(),
+                run_workload_profiled(AppKind::Pr, &g, cfg, spec, off(), limit).err(),
             ),
             (
                 "stream",
-                run_stream_budgeted(&stream, AppKind::Pr, cfg, spec, off(), deadline).err(),
+                run_stream_budgeted(&stream, AppKind::Pr, cfg, spec, off(), limit).err(),
             ),
         ]
         .into_iter()
@@ -583,7 +574,7 @@ mod tests {
             .unwrap();
         for (path, err) in errors_on_every_path(&spec, None) {
             assert!(matches!(err, GgsError::Budget(_)), "{path}: {err}");
-            assert!(err.is_timeout() && !err.is_retryable(), "{path}");
+            assert!(err.is_timeout(), "{path}");
             assert!(
                 err.to_string().contains("kernel budget exhausted"),
                 "{path}: {err}"
@@ -602,47 +593,40 @@ mod tests {
             .unwrap();
         for (path, err) in errors_on_every_path(&spec, None) {
             assert!(matches!(err, GgsError::Budget(_)), "{path}: {err}");
-            assert!(err.is_timeout() && !err.is_retryable(), "{path}");
+            assert!(err.is_timeout(), "{path}");
             assert!(err.to_string().contains("cycle budget"), "{path}: {err}");
         }
     }
 
     #[test]
-    fn budgeted_run_honors_wall_clock_deadline() {
-        // A deadline passed as an argument (not carried by the spec)
-        // stops every public run path.
+    fn budgeted_run_honors_wall_clock_limit() {
+        // A zero limit stops every public run path before its first
+        // kernel, and reports the limit it was given.
         let spec = ExperimentSpec::at_scale(0.05);
-        let deadline = Instant::now() - std::time::Duration::from_millis(1);
-        for (path, err) in errors_on_every_path(&spec, Some(deadline)) {
-            assert!(matches!(err, GgsError::Deadline { .. }), "{path}: {err}");
+        for (path, err) in errors_on_every_path(&spec, Some(Duration::ZERO)) {
+            assert!(
+                matches!(err, GgsError::Deadline { limit_ms: 0 }),
+                "{path}: {err}"
+            );
             assert!(err.is_timeout(), "{path}");
         }
     }
 
     #[test]
-    fn deadline_on_the_spec_reports_its_limit() {
-        // A deadline carried by the spec's budget (not passed as an
-        // argument) must still report how long the run was allowed.
-        let limit = std::time::Duration::from_millis(100);
-        let spec = ExperimentSpec::builder()
-            .scale(0.05)
-            .budget(SimBudget {
-                deadline: Some(Instant::now() + limit),
-                ..SimBudget::UNLIMITED
-            })
-            .build()
-            .unwrap();
+    fn deadline_reports_the_configured_limit() {
+        // A limit that expires mid-stream reports the limit as given,
+        // not the time left when the simulation started.
+        let spec = ExperimentSpec::at_scale(0.05);
         let threads = (0..256).map(|_| vec![MicroOp::compute(64)]).collect();
         let kernel = KernelTrace::new(threads, spec.params.tb_size).unwrap();
         let kernel = Arc::new(WarpTrace::pack(&kernel, &spec.params).unwrap());
         let endless = vec![kernel; 200_000];
         let cfg = "SGR".parse().unwrap();
-        let err = run_stream_budgeted(&endless, AppKind::Pr, cfg, &spec, Tracer::off(), None)
+        let limit = Some(Duration::from_millis(100));
+        let err = run_stream_budgeted(&endless, AppKind::Pr, cfg, &spec, Tracer::off(), limit)
             .unwrap_err();
         match err {
-            GgsError::Deadline { limit_ms } => {
-                assert!(limit_ms > 0 && limit_ms <= 100, "limit_ms = {limit_ms}")
-            }
+            GgsError::Deadline { limit_ms } => assert_eq!(limit_ms, 100),
             other => panic!("expected a deadline breach, got {other}"),
         }
     }
@@ -658,17 +642,9 @@ mod tests {
             .max_sim_cycles(u64::MAX)
             .build()
             .unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_secs(3600);
+        let limit = Some(Duration::from_secs(3600));
         let cfg = "SGR".parse().unwrap();
-        let budgeted = run_workload(
-            AppKind::Pr,
-            &g,
-            cfg,
-            &generous,
-            Tracer::off(),
-            Some(deadline),
-        )
-        .unwrap();
+        let budgeted = run_workload(AppKind::Pr, &g, cfg, &generous, Tracer::off(), limit).unwrap();
         assert_eq!(budgeted, run(AppKind::Pr, &g, "SGR", &spec));
     }
 

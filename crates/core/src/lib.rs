@@ -51,10 +51,7 @@ pub mod trace_cache;
 pub use error::GgsError;
 pub use experiment::{run_workload, ExperimentSpec, ExperimentSpecBuilder};
 pub use ggs_trace::{MetricsRegistry, Tracer};
-pub use runner::{
-    run_study, CellFailure, CellReport, CellStatus, Fault, FaultPlan, RetryPolicy, StudyOptions,
-    StudyOutcome,
-};
+pub use runner::{run_study, CellReport, CellStatus, Fault, FaultPlan, StudyOptions, StudyOutcome};
 pub use store::{Claim, CompactReport, Store, StoreFaults, StoreLoadReport, StoreSnapshot};
 pub use study::{Study, WorkloadReport};
 pub use trace_cache::{graph_fingerprint, StreamKey, TraceCache, TraceCacheStats, TraceStream};

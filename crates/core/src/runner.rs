@@ -8,16 +8,16 @@
 //! standard long-job robustness kit:
 //!
 //! * **Isolation** — each cell runs behind
-//!   [`std::panic::catch_unwind`]; a panic becomes a typed
-//!   [`CellFailure`] recorded in the failure report instead of
+//!   [`std::panic::catch_unwind`]; a panic becomes a
+//!   [`GgsError::CellPanic`] recorded in the failure report instead of
 //!   poisoning the pool.
 //! * **Watchdogs** — the spec's [`ggs_sim::SimBudget`] (kernel /
-//!   simulated-cycle limits) plus an optional wall-clock deadline per
-//!   cell; breached cells are recorded as [`CellStatus::Timeout`] and
+//!   simulated-cycle limits) plus an optional wall-clock limit per
+//!   cell ([`StudyOptions::cell_deadline`]), both enforced by the
+//!   engine; breached cells are recorded as [`CellStatus::Timeout`] and
 //!   the study continues.
-//! * **Retry** — cells failing with a retryable error (I/O) are retried
-//!   with bounded exponential backoff; deterministic failures (panics,
-//!   budget breaches, bad specs) fail fast.
+//! * **One attempt** — a cell is deterministic, so it runs once and
+//!   its failure is final: a retry would fail the same way.
 //! * **Checkpoint/resume** — with a [`Store`] attached, completed cells
 //!   are published as they finish; re-running the same study against
 //!   the same store answers them from it ([`CellStatus::Skipped`]) and
@@ -43,7 +43,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -63,10 +63,10 @@ use crate::sweep::{baseline_config, figure5_configs};
 /// Terminal state of one study cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellStatus {
-    /// The cell simulated successfully (possibly after retries), or was
-    /// answered from another cell of its consistency class that did.
+    /// The cell simulated successfully, or was answered from another
+    /// cell of its consistency class that did.
     Ok,
-    /// The cell panicked or failed with a non-retryable error.
+    /// The cell panicked or failed with an error.
     Failed,
     /// The cell tripped a watchdog (budget or wall-clock deadline).
     Timeout,
@@ -120,8 +120,8 @@ pub struct CellReport {
     /// cell answered from the cell of its consistency class that
     /// simulated. Empty for cleanly simulated `Ok` cells.
     pub detail: String,
-    /// Execution attempts made (0 for cells answered from the store or
-    /// from their consistency class).
+    /// Execution attempts made: 1 for a cell that ran, 0 for cells
+    /// answered from the store or from their consistency class.
     pub attempts: u32,
 }
 
@@ -132,75 +132,16 @@ impl CellReport {
     }
 }
 
-/// A panic caught at a cell boundary, converted to a typed value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellFailure {
-    /// Application mnemonic of the panicking cell.
-    pub app: String,
-    /// Graph mnemonic of the panicking cell.
-    pub graph: String,
-    /// Configuration code of the panicking cell.
-    pub config: String,
-    /// The panic payload, downcast to a string when possible.
-    pub payload: String,
-}
-
-impl CellFailure {
-    /// Converts a [`catch_unwind`] payload into a typed failure.
-    pub fn from_payload(
-        app: &str,
-        graph: &str,
-        config: &str,
-        payload: Box<dyn std::any::Any + Send>,
-    ) -> Self {
-        let text = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_owned())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_owned());
-        Self {
-            app: app.to_owned(),
-            graph: graph.to_owned(),
-            config: config.to_owned(),
-            payload: text,
-        }
-    }
-}
-
-impl fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{}/{} panicked: {}",
-            self.app, self.graph, self.config, self.payload
-        )
-    }
-}
-
-impl From<CellFailure> for GgsError {
-    fn from(failure: CellFailure) -> Self {
-        GgsError::CellPanic {
-            payload: failure.payload,
-        }
-    }
-}
-
 /// A deliberately injected failure mode, for fault-injection tests and
 /// the `repro study --inject-fault` smoke job.
 #[derive(Debug)]
 pub enum Fault {
-    /// The cell panics on every attempt (deterministic; fails fast).
+    /// The cell panics.
     Panic,
     /// The cell spins feeding kernels forever; only a watchdog (budget
     /// or deadline) can stop it. An internal failsafe caps the spin
     /// when no watchdog is configured, so tests cannot truly hang.
     Hang,
-    /// The first `remaining` attempts fail with a transient I/O error,
-    /// after which the cell runs normally (exercises the retry path).
-    TransientIo {
-        /// Failures left to inject (decremented per attempt).
-        remaining: AtomicU32,
-    },
 }
 
 /// Which cells to sabotage, keyed by `APP/GRAPH/CONFIG`.
@@ -221,7 +162,7 @@ impl FaultPlan {
         self
     }
 
-    /// Parses a CLI fault spec: `APP/GRAPH/CONFIG[=panic|hang|io]`
+    /// Parses a CLI fault spec: `APP/GRAPH/CONFIG[=panic|hang]`
     /// (default `panic`), e.g. `PR/RMAT/SGR=hang`.
     pub fn parse_spec(mut self, spec: &str) -> Result<Self, GgsError> {
         let (key, kind) = match spec.split_once('=') {
@@ -236,12 +177,9 @@ impl FaultPlan {
         let fault = match kind {
             "panic" => Fault::Panic,
             "hang" => Fault::Hang,
-            "io" => Fault::TransientIo {
-                remaining: AtomicU32::new(2),
-            },
             other => {
                 return Err(GgsError::InvalidSpec(format!(
-                    "unknown fault kind {other:?} (expected panic, hang, or io)"
+                    "unknown fault kind {other:?} (expected panic or hang)"
                 )))
             }
         };
@@ -249,45 +187,8 @@ impl FaultPlan {
         Ok(self)
     }
 
-    /// Whether no faults are registered.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     fn get(&self, key: &str) -> Option<&Fault> {
         self.cells.get(key)
-    }
-}
-
-/// Bounded-backoff retry policy for retryable cell failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per cell, including the first (minimum 1).
-    pub max_attempts: u32,
-    /// Backoff before the second attempt; doubles per retry.
-    pub base_backoff: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(200),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff to sleep after the `attempt`-th failure (1-based):
-    /// `base · 2^(attempt-1)`, capped at `max_backoff`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = attempt.saturating_sub(1).min(16);
-        self.base_backoff
-            .saturating_mul(1u32 << exp)
-            .min(self.max_backoff)
     }
 }
 
@@ -307,9 +208,9 @@ pub struct StudyOptions {
     pub configs: ConfigSet,
     /// Worker threads (0 is rejected as an invalid spec).
     pub threads: usize,
-    /// Retry policy for retryable cell failures.
-    pub retry: RetryPolicy,
-    /// Wall-clock deadline per cell attempt, if any.
+    /// Wall-clock limit on each cell's simulation, if any. The engine
+    /// enforces it, and a cell that runs past it ends as
+    /// [`CellStatus::Timeout`] with [`GgsError::Deadline`].
     pub cell_deadline: Option<Duration>,
     /// Deliberate faults to inject (tests, smoke jobs).
     pub faults: FaultPlan,
@@ -328,7 +229,6 @@ impl Default for StudyOptions {
         Self {
             configs: ConfigSet::Figure5,
             threads: 1,
-            retry: RetryPolicy::default(),
             cell_deadline: None,
             faults: FaultPlan::new(),
             store: None,
@@ -453,9 +353,9 @@ struct Sweep<'a> {
 }
 
 /// Runs the study under `spec` with full fault tolerance: panics are
-/// isolated per cell, watchdogs convert runaways into timeouts, retryable
-/// errors are retried with bounded backoff, and, with a store attached,
-/// completed cells are published to (and answered from) the store.
+/// isolated per cell, watchdogs convert runaways into timeouts, and,
+/// with a store attached, completed cells are published to (and
+/// answered from) the store. Each cell that simulates runs once.
 ///
 /// Each worker takes one *stream group* at a time: the cells of one
 /// graph × application × propagation, which share one kernel stream.
@@ -595,9 +495,10 @@ pub fn run_study(
         .enumerate()
         .map(|(i, slot)| {
             slot.unwrap_or_else(|| {
-                // A worker died without recording this cell (should be
-                // unreachable given per-cell catch_unwind, but degrade
-                // to a report rather than poisoning the aggregate).
+                // Unreachable: a worker records every cell of each group
+                // it takes, and a panic outside a cell's catch_unwind
+                // re-raises out of `thread::scope`. Degrade to a report
+                // rather than poisoning the aggregate.
                 let detail = "worker terminated before completing this cell".to_owned();
                 sweep.names(i).outcome(CellStatus::Failed, detail, 0, None)
             })
@@ -727,11 +628,11 @@ impl Sweep<'_> {
             Some(store) => match self.lookup(store, names) {
                 Some(outcome) => outcome,
                 None => {
-                    let outcome = self.execute_with_retries(i, names, stream, local);
+                    let outcome = self.execute(i, names, stream, local);
                     self.publish(store, names, outcome)
                 }
             },
-            None => self.execute_with_retries(i, names, stream, local),
+            None => self.execute(i, names, stream, local),
         })
     }
 
@@ -796,43 +697,23 @@ impl Sweep<'_> {
         outcome
     }
 
-    fn execute_with_retries(
+    /// Runs cell `i` once behind `catch_unwind`, turning a panic into
+    /// [`GgsError::CellPanic`].
+    fn execute(
         &self,
         i: usize,
         names: &Names,
         stream: &mut Option<GroupStream>,
         local: &MetricsRegistry,
     ) -> CellOutcome {
-        let fault = self.options.faults.get(&names.key);
-        let max_attempts = self.options.retry.max_attempts.max(1);
-        let mut attempts = 0u32;
-        let result = loop {
-            attempts += 1;
-            let deadline = self.options.cell_deadline.map(|d| Instant::now() + d);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                self.execute_cell(i, names, fault, deadline, stream, local)
-            }));
-            match caught {
-                Ok(Ok(stats)) => break Ok(stats),
-                Ok(Err(e)) => {
-                    if e.is_retryable() && attempts < max_attempts {
-                        std::thread::sleep(self.options.retry.backoff(attempts));
-                        continue;
-                    }
-                    break Err(e);
-                }
-                // Panics are deterministic: fail fast, no retry.
-                Err(payload) => {
-                    break Err(CellFailure::from_payload(
-                        names.app,
-                        names.graph,
-                        &names.config,
-                        payload,
-                    )
-                    .into())
-                }
-            }
-        };
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.execute_cell(i, names, stream, local)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(GgsError::CellPanic {
+                payload: panic_message(payload),
+            })
+        });
         match result {
             Ok(stats) => {
                 let row = ResultRow {
@@ -846,7 +727,7 @@ impl Sweep<'_> {
                         stats.breakdown.fraction(StallClass::Idle),
                     ],
                 };
-                names.outcome(CellStatus::Ok, String::new(), attempts, Some(row))
+                names.outcome(CellStatus::Ok, String::new(), 1, Some(row))
             }
             Err(e) => {
                 let status = if e.is_timeout() {
@@ -854,7 +735,7 @@ impl Sweep<'_> {
                 } else {
                     CellStatus::Failed
                 };
-                names.outcome(status, e.to_string(), attempts, None)
+                names.outcome(status, e.to_string(), 1, None)
             }
         }
     }
@@ -863,28 +744,17 @@ impl Sweep<'_> {
         &self,
         i: usize,
         names: &Names,
-        fault: Option<&Fault>,
-        deadline: Option<Instant>,
         stream: &mut Option<GroupStream>,
         local: &MetricsRegistry,
     ) -> Result<ggs_sim::ExecStats, GgsError> {
         let cell = self.cells[i];
-        match fault {
+        let limit = self.options.cell_deadline;
+        match self.options.faults.get(&names.key) {
             Some(Fault::Panic) => {
                 let key = &names.key;
                 panic!("injected fault: deliberate panic in {key}")
             }
-            Some(Fault::Hang) => return run_hang(cell, self.spec, deadline),
-            Some(Fault::TransientIo { remaining }) => {
-                let took = remaining
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                    .is_ok();
-                if took {
-                    return Err(GgsError::Io(std::io::Error::other(
-                        "injected transient I/O failure",
-                    )));
-                }
-            }
+            Some(Fault::Hang) => return run_hang(cell, self.spec, limit),
             None => {}
         }
         // Split run: the functional half once per stream group, the
@@ -909,9 +779,19 @@ impl Sweep<'_> {
             cell.config,
             self.spec,
             Tracer::off(),
-            deadline,
+            limit,
         )
     }
+}
+
+/// The message of a panic caught at a cell boundary: its payload when
+/// that is a string, else a placeholder.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 /// The `Hang` fault: feed small compute kernels forever, exactly like a
@@ -921,7 +801,7 @@ impl Sweep<'_> {
 fn run_hang(
     cell: Cell,
     spec: &ExperimentSpec,
-    deadline: Option<Instant>,
+    limit: Option<Duration>,
 ) -> Result<ggs_sim::ExecStats, GgsError> {
     const FAILSAFE_KERNELS: u64 = 4096;
     let mut spec = spec.clone();
@@ -932,14 +812,7 @@ fn run_hang(
     let kernel = Arc::new(WarpTrace::pack(&kernel, &spec.params)?);
     // One kernel past the cap, so the cap always trips.
     let forever = vec![kernel; FAILSAFE_KERNELS as usize + 1];
-    run_stream_budgeted(
-        &forever,
-        cell.app,
-        cell.config,
-        &spec,
-        Tracer::off(),
-        deadline,
-    )
+    run_stream_budgeted(&forever, cell.app, cell.config, &spec, Tracer::off(), limit)
 }
 
 /// Builds the (possibly partial) study from per-cell outcomes: rows
@@ -1020,44 +893,26 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_doubles_and_caps() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.backoff(1), Duration::from_millis(10));
-        assert_eq!(policy.backoff(2), Duration::from_millis(20));
-        assert_eq!(policy.backoff(3), Duration::from_millis(40));
-        assert_eq!(policy.backoff(10), Duration::from_millis(200));
-        assert_eq!(policy.backoff(u32::MAX), Duration::from_millis(200));
-    }
-
-    #[test]
     fn fault_plan_parses_cli_specs() {
         let plan = FaultPlan::new()
             .parse_spec("PR/AMZ/SGR")
             .and_then(|p| p.parse_spec("CC/RAJ/DGR=hang"))
-            .and_then(|p| p.parse_spec("MIS/EML/SD1=io"))
             .expect("valid specs");
         assert!(matches!(plan.get("PR/AMZ/SGR"), Some(Fault::Panic)));
         assert!(matches!(plan.get("CC/RAJ/DGR"), Some(Fault::Hang)));
-        assert!(matches!(
-            plan.get("MIS/EML/SD1"),
-            Some(Fault::TransientIo { .. })
-        ));
         assert!(FaultPlan::new().parse_spec("PR/AMZ").is_err());
+        assert!(FaultPlan::new().parse_spec("MIS/EML/SD1=io").is_err());
         assert!(FaultPlan::new().parse_spec("PR/AMZ/SGR=meteor").is_err());
     }
 
     #[test]
-    fn cell_failure_downcasts_common_payloads() {
-        let f = CellFailure::from_payload("PR", "AMZ", "SGR", Box::new("boom"));
-        assert_eq!(f.payload, "boom");
-        let f = CellFailure::from_payload("PR", "AMZ", "SGR", Box::new(String::from("heap boom")));
-        assert_eq!(f.payload, "heap boom");
-        let f = CellFailure::from_payload("PR", "AMZ", "SGR", Box::new(42u32));
-        assert_eq!(f.payload, "non-string panic payload");
-        assert!(f.to_string().contains("PR/AMZ/SGR"));
-        let err: GgsError = f.into();
-        assert!(matches!(err, GgsError::CellPanic { .. }));
-        assert!(!err.is_retryable() && !err.is_timeout());
+    fn panic_message_downcasts_common_payloads() {
+        assert_eq!(panic_message(Box::new("boom")), "boom");
+        assert_eq!(
+            panic_message(Box::new(String::from("heap boom"))),
+            "heap boom"
+        );
+        assert_eq!(panic_message(Box::new(42u32)), "non-string panic payload");
     }
 
     #[test]

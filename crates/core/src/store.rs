@@ -918,13 +918,26 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn temp_store(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ggs-store-unit-{}", std::process::id()));
+    /// A directory of one test's own, removed when it drops. Tests run
+    /// in parallel, so none may remove a directory another one uses.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh path named `name`, in a directory that lives as long as
+    /// the returned guard.
+    fn temp_store(name: &str) -> (TempDir, PathBuf) {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("ggs-store-unit-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let path = dir.join(name);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(sibling_path(&path, ".lock"));
-        path
+        (TempDir(dir), path)
     }
 
     fn row(config: &str, cycles: u64) -> ResultRow {
@@ -958,7 +971,7 @@ mod tests {
 
     #[test]
     fn publish_lookup_and_later_duplicates_win() {
-        let path = temp_store("basic.store");
+        let (_dir, path) = temp_store("basic.store");
         let store = Store::open(&path).expect("open");
         store.publish("h1", "PR", "AMZ", &row("SGR", 100)).unwrap();
         store.publish("h1", "PR", "AMZ", &row("SGR", 200)).unwrap();
@@ -977,7 +990,7 @@ mod tests {
     /// publishes. Once it drops, the path opens again.
     #[test]
     fn a_second_open_is_refused_while_a_handle_lives() {
-        let path = temp_store("one-writer.store");
+        let (_dir, path) = temp_store("one-writer.store");
         let first = Store::open(&path).expect("open");
         let started = Instant::now();
         let refused = |open: Result<Store, GgsError>| match open {
@@ -1002,7 +1015,7 @@ mod tests {
     /// lock file, whatever it holds, does not block an open.
     #[test]
     fn leftover_lock_files_do_not_block() {
-        let path = temp_store("leftover-lock.store");
+        let (_dir, path) = temp_store("leftover-lock.store");
         let lock = sibling_path(&path, ".lock");
         for leftover in [&b""[..], b"garbage", br#"{"pid":999999,"acquired_ms":1}"#] {
             std::fs::write(&lock, leftover).unwrap();
@@ -1018,7 +1031,7 @@ mod tests {
     /// is a lookup that writes nothing, and `release` does nothing.
     #[test]
     fn lease_shims_answer_from_the_index() {
-        let path = temp_store("shims.store");
+        let (_dir, path) = temp_store("shims.store");
         let store = Store::open(&path).expect("open");
         let ttl = Duration::from_secs(30);
         let len = || std::fs::metadata(&path).unwrap().len();
@@ -1044,7 +1057,7 @@ mod tests {
 
     #[test]
     fn corrupt_records_are_skipped_and_reported() {
-        let path = temp_store("corrupt.store");
+        let (_dir, path) = temp_store("corrupt.store");
         let store = Store::open(&path).expect("open");
         for i in 0..4 {
             store
@@ -1069,7 +1082,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_repaired_on_open() {
-        let path = temp_store("torn.store");
+        let (_dir, path) = temp_store("torn.store");
         {
             let store = Store::open(&path).expect("open");
             store.publish("h", "PR", "AMZ", &row("SGR", 1)).unwrap();
@@ -1093,7 +1106,7 @@ mod tests {
 
     #[test]
     fn injected_faults_fire_once_each() {
-        let path = temp_store("faults.store");
+        let (_dir, path) = temp_store("faults.store");
         let faults = StoreFaults::none();
         let store = Store::open_with(&path, faults.clone()).expect("open");
         // First publish: checksum flip — write succeeds, record is dead.
@@ -1103,7 +1116,7 @@ mod tests {
         let _ = faults.clone().torn_write(15);
         let err = store.publish("h", "PR", "AMZ", &row("TG0", 2)).unwrap_err();
         assert!(err.to_string().contains("torn write"), "{err}");
-        assert!(err.is_retryable());
+        assert!(matches!(err, GgsError::Io(_)), "{err}");
         // Both sabotaged records are detected and reported, not trusted.
         let snap = store.load().unwrap();
         assert_eq!(snap.completed_for("h").len(), 0, "{:?}", snap.report);
@@ -1120,14 +1133,14 @@ mod tests {
 
     #[test]
     fn foreign_and_newer_files_are_refused() {
-        let path = temp_store("foreign.bin");
+        let (_dir, path) = temp_store("foreign.bin");
         std::fs::write(&path, b"definitely not a store file").unwrap();
         assert!(matches!(
             Store::open(&path),
             Err(GgsError::StoreFormat { .. })
         ));
 
-        let path = temp_store("newer.store");
+        let (_dir, path) = temp_store("newer.store");
         let mut bytes = header().to_vec();
         bytes[8..12].copy_from_slice(&(STORE_FORMAT_VERSION + 1).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -1141,7 +1154,7 @@ mod tests {
     /// refused, naming both versions, and left as it was.
     #[test]
     fn version_one_stores_are_refused() {
-        let path = temp_store("v1.store");
+        let (_dir, path) = temp_store("v1.store");
         let mut bytes = header().to_vec();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         bytes.extend_from_slice(&result("SGR", 1).frame());
@@ -1158,7 +1171,7 @@ mod tests {
 
     #[test]
     fn compaction_keeps_latest_results_and_is_loadable() {
-        let path = temp_store("compact.store");
+        let (_dir, path) = temp_store("compact.store");
         let store = Store::open(&path).expect("open");
         for i in 0..10 {
             store.publish("h", "PR", "AMZ", &row("SGR", i)).unwrap();
@@ -1209,7 +1222,7 @@ mod tests {
     #[test]
     fn compacting_a_store_named_tmp_replaces_it_by_rename() {
         use std::os::unix::fs::MetadataExt as _;
-        let path = temp_store("foo.tmp");
+        let (_dir, path) = temp_store("foo.tmp");
         let store = Store::open(&path).expect("open");
         for i in 0..4 {
             store.publish("h", "PR", "AMZ", &row("SGR", i)).unwrap();
@@ -1236,7 +1249,7 @@ mod tests {
     /// a temp file, so compacting `x.store` leaves `x.tmp` alone.
     #[test]
     fn compaction_leaves_an_unrelated_dot_tmp_file_alone() {
-        let path = temp_store("x.store");
+        let (_dir, path) = temp_store("x.store");
         let bystander = path.with_extension("tmp");
         std::fs::write(&bystander, b"someone else's data").unwrap();
         let store = Store::open(&path).expect("open");
@@ -1282,7 +1295,7 @@ mod tests {
         fn index_matches_a_fresh_scan(
             ops in prop::collection::vec((0u8..6, 0u8..4, 0u64..1_000_000), 1..32)
         ) {
-            let path = temp_store("differential.store");
+            let (_dir, path) = temp_store("differential.store");
             let faults = StoreFaults::none();
             let mut store = Store::open_with(&path, faults.clone()).map_err(|e| e.to_string())?;
             for (step, &(op, cell, n)) in ops.iter().enumerate() {
@@ -1381,7 +1394,7 @@ mod tests {
             }
             let records = &bytes[HEADER_LEN..];
             let split = split % (records.len() + 1);
-            let path = temp_store("split.store");
+            let (_dir, path) = temp_store("split.store");
             let file = File::create(&path).map_err(|e| e.to_string())?;
             let mut index = Index::replay(file, &records[..split]);
             index.ingest(&records[split..]);
@@ -1401,7 +1414,7 @@ mod tests {
         fn mutated_store_files_open_or_are_refused(edits in edits()) {
             let mut bytes = store_image(20);
             mutate(&mut bytes, 0, &edits);
-            let path = temp_store("fuzz.store");
+            let (_dir, path) = temp_store("fuzz.store");
             std::fs::write(&path, &bytes).map_err(|e| e.to_string())?;
             let store = match Store::open(&path) {
                 Ok(store) => store,

@@ -335,6 +335,10 @@ impl Study {
         if let Some(list) = root.get("failures").and_then(Value::as_array) {
             for c in list {
                 let status_name = str_field(c, "status")?;
+                let attempts = c
+                    .get("attempts")
+                    .and_then(Value::as_u64)
+                    .ok_or("missing integer field \"attempts\"")?;
                 failures.push(CellReport {
                     app: str_field(c, "app")?,
                     graph: str_field(c, "graph")?,
@@ -342,11 +346,8 @@ impl Study {
                     status: CellStatus::from_name(&status_name)
                         .ok_or_else(|| format!("unknown cell status {status_name:?}"))?,
                     detail: str_field(c, "detail")?,
-                    attempts: c
-                        .get("attempts")
-                        .and_then(Value::as_u64)
-                        .ok_or("missing integer field \"attempts\"")?
-                        as u32,
+                    attempts: u32::try_from(attempts)
+                        .map_err(|_| format!("field \"attempts\" exceeds u32: {attempts}"))?,
                 });
             }
         }
@@ -419,6 +420,23 @@ mod tests {
         assert!(matches!(err, crate::error::GgsError::Json(_)));
         let err = Study::from_json("{\"scale\": 1.0}").unwrap_err();
         assert!(err.to_string().contains("reports"));
+    }
+
+    #[test]
+    fn from_json_rejects_attempts_past_u32() {
+        // 2^32 + 1 must not load as 1.
+        let failure = |attempts: &str| {
+            format!(
+                "{{\"scale\": 1.0, \"reports\": [], \"failures\": [{{\"app\": \"PR\", \
+                 \"graph\": \"AMZ\", \"config\": \"SGR\", \"status\": \"failed\", \
+                 \"detail\": \"x\", \"attempts\": {attempts}}}]}}"
+            )
+        };
+        let study = Study::from_json(&failure("4294967295")).unwrap();
+        assert_eq!(study.failures[0].attempts, u32::MAX);
+        let err = Study::from_json(&failure("4294967297")).unwrap_err();
+        assert!(matches!(err, crate::error::GgsError::Json(_)), "{err}");
+        assert!(err.to_string().contains("attempts"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Fault-injection integration tests for the study runner: a panicking
 //! cell and a hung cell must leave the other workloads' results intact,
-//! and transient I/O failures are retried within a bounded budget.
+//! and the per-cell wall-clock limit reaches every cell's simulation.
 //! Resuming a killed study from the result store is covered in
 //! `store_crash.rs`.
+
+use std::time::Duration;
 
 use ggs_core::runner::{run_study, CellStatus, Fault, FaultPlan, StudyOptions};
 use ggs_core::study::ConfigSet;
@@ -60,7 +62,7 @@ fn panicking_and_hanging_cells_leave_the_rest_intact() {
         .expect("panicking cell reported");
     assert_eq!(panic_cell.status, CellStatus::Failed);
     assert!(panic_cell.detail.contains("injected fault"));
-    assert_eq!(panic_cell.attempts, 1, "panics must fail fast, no retry");
+    assert_eq!(panic_cell.attempts, 1, "a cell runs once");
     let hang_cell = failures
         .iter()
         .find(|c| c.key() == "CC/RAJ/DGR")
@@ -79,7 +81,7 @@ fn panicking_and_hanging_cells_leave_the_rest_intact() {
         .expect("sibling cell reported");
     assert_eq!(sibling.status, CellStatus::Ok);
     assert_eq!(sibling.attempts, 1, "DG1 simulated, not answered");
-    assert!(hang_cell.attempts >= 1, "the hung cell ran");
+    assert_eq!(hang_cell.attempts, 1, "the hung cell ran once");
 
     // All 36 workloads still report; only the sabotaged ones lose a row.
     assert_eq!(faulted.study.reports.len(), 36);
@@ -107,60 +109,6 @@ fn panicking_and_hanging_cells_leave_the_rest_intact() {
     assert_eq!(ok + 2, clean.cells.len());
 }
 
-#[test]
-fn transient_io_failures_are_retried_to_success() {
-    let spec = budgeted_spec();
-    let mut opts = options();
-    opts.faults = FaultPlan::new().inject(
-        "MIS",
-        "EML",
-        "SD1",
-        Fault::TransientIo {
-            remaining: std::sync::atomic::AtomicU32::new(2),
-        },
-    );
-    let outcome = run_study(&spec, &opts, &MetricsRegistry::new(), &NOOP).expect("run completes");
-    assert!(outcome.study.failures.is_empty(), "retries must succeed");
-    let cell = outcome
-        .cells
-        .iter()
-        .find(|c| c.key() == "MIS/EML/SD1")
-        .expect("cell reported");
-    assert_eq!(cell.status, CellStatus::Ok);
-    assert_eq!(cell.attempts, 3, "two injected failures, then success");
-}
-
-#[test]
-fn exhausted_retries_report_the_transient_error() {
-    let spec = budgeted_spec();
-    let mut opts = options();
-    opts.retry.max_attempts = 2;
-    opts.retry.base_backoff = std::time::Duration::from_millis(1);
-    opts.faults = FaultPlan::new().inject(
-        "MIS",
-        "EML",
-        "SD1",
-        Fault::TransientIo {
-            remaining: std::sync::atomic::AtomicU32::new(10),
-        },
-    );
-    let outcome = run_study(&spec, &opts, &MetricsRegistry::new(), &NOOP).expect("run completes");
-    let cell = outcome
-        .cells
-        .iter()
-        .find(|c| c.key() == "MIS/EML/SD1")
-        .expect("cell reported");
-    assert_eq!(cell.status, CellStatus::Failed);
-    assert_eq!(cell.attempts, 2);
-    assert!(cell.detail.contains("injected transient I/O failure"));
-    // The workload still reports with its other four configurations.
-    let report = outcome
-        .study
-        .report("EML", "MIS")
-        .expect("workload present");
-    assert_eq!(report.rows.len(), 4);
-}
-
 /// A consistency class whose simulating cell times out answers nobody:
 /// under a cycle budget no cell can meet, every cell, CC's DGR and DDR
 /// included, runs on its own and times out.
@@ -182,4 +130,42 @@ fn a_timed_out_class_answers_nobody() {
             cell.detail
         );
     }
+}
+
+/// A zero wall-clock limit times out every cell's simulation before its
+/// first kernel, reporting the limit as given; like any timed-out
+/// class, none answers another cell.
+#[test]
+fn a_zero_cell_deadline_times_out_every_cell() {
+    let mut opts = options();
+    opts.cell_deadline = Some(Duration::ZERO);
+    let outcome =
+        run_study(&budgeted_spec(), &opts, &MetricsRegistry::new(), &NOOP).expect("run completes");
+    let (ok, failed, timeout, skipped) = outcome.counts();
+    assert_eq!((ok, failed, skipped), (0, 0, 0));
+    assert_eq!(timeout, outcome.cells.len());
+    for cell in &outcome.cells {
+        assert_eq!(cell.status, CellStatus::Timeout, "{}", cell.key());
+        assert_eq!(cell.attempts, 1, "{} ran itself", cell.key());
+        assert_eq!(
+            cell.detail,
+            "wall-clock deadline exceeded (0 ms)",
+            "{}",
+            cell.key()
+        );
+    }
+}
+
+/// A limit too large to add to the clock means no deadline: the study
+/// completes with every cell `Ok` instead of panicking.
+#[test]
+fn an_unrepresentable_cell_deadline_means_none() {
+    let mut opts = options();
+    opts.cell_deadline = Some(Duration::MAX);
+    let outcome =
+        run_study(&budgeted_spec(), &opts, &MetricsRegistry::new(), &NOOP).expect("run completes");
+    let (ok, failed, timeout, skipped) = outcome.counts();
+    assert_eq!((failed, timeout, skipped), (0, 0, 0));
+    assert_eq!(ok, outcome.cells.len());
+    assert!(outcome.cells.iter().all(|c| c.status == CellStatus::Ok));
 }

@@ -13,6 +13,7 @@
 //!   span on the study outcome and re-simulates only that cell.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ggs_core::runner::{run_study, spec_hash, Fault, FaultPlan, StudyOptions};
 use ggs_core::store::{versioned_spec_hash, Store, StoreFaults};
@@ -35,13 +36,26 @@ fn options() -> StudyOptions {
     StudyOptions::new(ConfigSet::Figure5, THREADS)
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ggs-store-tests-{}", std::process::id()));
+/// A directory of one test's own, removed when it drops. Tests run
+/// in parallel, so none may remove a directory another one uses.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A fresh path named `name`, in a directory that lives as long as the
+/// returned guard.
+fn temp_path(name: &str) -> (TempDir, PathBuf) {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ggs-store-tests-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(dir.join(format!("{name}.lock")));
-    path
+    (TempDir(dir), path)
 }
 
 fn store_options(path: &Path) -> StudyOptions {
@@ -63,7 +77,7 @@ fn row(config: &str, cycles: u64) -> ResultRow {
 /// entirely within the surviving prefix.
 #[test]
 fn truncation_at_every_byte_offset_never_panics_and_keeps_intact_records() {
-    let path = temp_path("every-offset.store");
+    let (_dir, path) = temp_path("every-offset.store");
     let configs = ["SGR", "TG0", "SD1", "DGR", "SG0", "SDR", "TGR", "DG0"];
     let mut frame_ends: Vec<(u64, usize)> = Vec::new(); // (end offset, records so far)
     {
@@ -78,7 +92,7 @@ fn truncation_at_every_byte_offset_never_panics_and_keeps_intact_records() {
     }
     let bytes = std::fs::read(&path).expect("read full store");
 
-    let cut_path = temp_path("every-offset-cut.store");
+    let (_cut_dir, cut_path) = temp_path("every-offset-cut.store");
     for cut in 0..=bytes.len() {
         std::fs::write(&cut_path, &bytes[..cut]).expect("write truncation");
         // (a) open + load never panic, whatever the cut point.
@@ -108,7 +122,7 @@ fn warm_store_rerun_simulates_nothing_and_is_byte_identical() {
     let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
     assert!(clean.study.failures.is_empty());
 
-    let path = temp_path("warm.store");
+    let (_dir, path) = temp_path("warm.store");
     let cold = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &NOOP)
         .expect("cold store run");
     let (ok, failed, timeout, skipped) = cold.counts();
@@ -182,7 +196,7 @@ fn faulted_run_resumed_from_store_is_byte_identical() {
     let spec = budgeted_spec();
     let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
 
-    let path = temp_path("faulted.store");
+    let (_dir, path) = temp_path("faulted.store");
     let faults = StoreFaults::none().torn_write(20);
     let mut sabotaged = options();
     sabotaged.store = Some(Store::open_with(&path, faults).expect("open store"));
@@ -219,7 +233,7 @@ fn truncated_store_resume_is_byte_identical() {
     let spec = budgeted_spec();
     let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
 
-    let path = temp_path("truncate-resume.store");
+    let (_dir, path) = temp_path("truncate-resume.store");
     let warm = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &NOOP)
         .expect("warm-up run");
     assert!(warm.study.failures.is_empty());
@@ -229,7 +243,7 @@ fn truncated_store_resume_is_byte_identical() {
     // with near certainty), and one byte short of the full file.
     let cuts = [9usize, 17, bytes.len() / 2, bytes.len() - 1];
     for cut in cuts {
-        let cut_path = temp_path("truncate-resume-cut.store");
+        let (_cut_dir, cut_path) = temp_path("truncate-resume-cut.store");
         std::fs::write(&cut_path, &bytes[..cut]).expect("write truncation");
         let resumed = run_study(
             &spec,
@@ -257,7 +271,7 @@ fn corrupt_result_record_is_surfaced_and_resimulated() {
     let spec = budgeted_spec();
     let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
 
-    let path = temp_path("corrupt-result.store");
+    let (_dir, path) = temp_path("corrupt-result.store");
     let warm = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &NOOP)
         .expect("warm-up run");
     assert!(warm.study.failures.is_empty());

@@ -37,14 +37,15 @@ const QUANTUM_CYCLES: u64 = 256;
 /// check branch-predictable).
 const DEADLINE_CHECK_EVERY: u32 = 64;
 
-/// Watchdog limits on a simulation.
+/// Watchdog limits on a simulation's work.
 ///
 /// Long-running sweeps (the 36-workload study) use budgets to bound
 /// non-converging dynamic workloads and oversized inputs: once a limit
 /// is breached the simulation stops *at the limit* and refuses further
 /// kernels, and the caller observes [`Simulation::budget_exhausted`].
 /// `None` means unlimited (the default), so existing callers are
-/// unaffected.
+/// unaffected. The wall-clock limit is not part of the budget: it is
+/// set with [`SimulationBuilder::deadline`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimBudget {
     /// Maximum number of kernels (≈ algorithm iterations for the
@@ -54,11 +55,6 @@ pub struct SimBudget {
     /// clamped to the limit, so the simulation stops at the breach
     /// cycle itself even though the engine skips idle cycles.
     pub max_cycles: Option<u64>,
-    /// Wall-clock deadline. Checked inside the engine's event loop
-    /// (every `DEADLINE_CHECK_EVERY` wake-ups) and at kernel
-    /// boundaries, so a hung kernel is abandoned mid-flight instead of
-    /// running to completion first.
-    pub deadline: Option<Instant>,
 }
 
 impl SimBudget {
@@ -66,16 +62,11 @@ impl SimBudget {
     pub const UNLIMITED: SimBudget = SimBudget {
         max_kernels: None,
         max_cycles: None,
-        deadline: None,
     };
-
-    /// Whether any limit is configured.
-    pub fn is_limited(&self) -> bool {
-        self.max_kernels.is_some() || self.max_cycles.is_some() || self.deadline.is_some()
-    }
 }
 
-/// Which [`SimBudget`] limit a simulation ran into.
+/// Which watchdog limit a simulation ran into: a [`SimBudget`] limit
+/// or the [deadline](SimulationBuilder::deadline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetBreach {
     /// The kernel-count limit was reached.
@@ -118,8 +109,8 @@ impl std::fmt::Display for BudgetBreach {
     }
 }
 
-/// Fluent constructor for [`Simulation`]: tracer, budget, address
-/// regions, and (under the `check` feature) the protocol checker are
+/// Fluent constructor for [`Simulation`]: tracer, budget, deadline,
+/// address regions, and (under the `check` feature) the protocol checker are
 /// all fixed before the first kernel runs, replacing the former
 /// construct-then-mutate sequence.
 ///
@@ -136,7 +127,7 @@ impl std::fmt::Display for BudgetBreach {
 ///     })
 ///     .region("ranks", 0x1000, 4096)
 ///     .build()?;
-/// assert!(sim.budget().is_limited());
+/// assert_eq!(sim.budget().max_kernels, Some(64));
 /// # Ok::<(), ggs_sim::params::ParamsError>(())
 /// ```
 #[derive(Debug)]
@@ -145,6 +136,7 @@ pub struct SimulationBuilder<'t> {
     hw: HwConfig,
     tracer: Tracer<'t>,
     budget: SimBudget,
+    deadline: Option<Instant>,
     regions: Vec<(String, u64, u64)>,
     #[cfg(feature = "check")]
     checker: bool,
@@ -164,6 +156,15 @@ impl<'t> SimulationBuilder<'t> {
     /// kernel.
     pub fn budget(mut self, budget: SimBudget) -> Self {
         self.budget = budget;
+        self
+    }
+
+    /// Sets the wall-clock deadline (`None`, the default, for none).
+    /// It is checked at kernel boundaries and inside the event loop
+    /// (every `DEADLINE_CHECK_EVERY` wake-ups), so a hung kernel is
+    /// abandoned mid-flight instead of running to completion first.
+    pub fn deadline(mut self, deadline: Option<Instant>) -> Self {
+        self.deadline = deadline;
         self
     }
 
@@ -208,6 +209,7 @@ impl<'t> SimulationBuilder<'t> {
             clock: 0,
             tracer: self.tracer,
             budget: self.budget,
+            deadline: self.deadline,
             breach: None,
         })
     }
@@ -221,7 +223,7 @@ impl<'t> SimulationBuilder<'t> {
 /// call [`Simulation::finish`] to retrieve the final [`ExecStats`].
 ///
 /// Construct via [`Simulation::new`] (bare) or [`Simulation::builder`]
-/// (tracer, budget, regions, checker). See the crate-level
+/// (tracer, budget, deadline, regions, checker). See the crate-level
 /// documentation for an end-to-end example.
 ///
 /// The lifetime parameter is the borrow of an injected
@@ -236,12 +238,13 @@ pub struct Simulation<'t> {
     clock: u64,
     tracer: Tracer<'t>,
     budget: SimBudget,
+    deadline: Option<Instant>,
     breach: Option<BudgetBreach>,
 }
 
 impl<'t> Simulation<'t> {
     /// Creates a simulation of `params` hardware under configuration
-    /// `hw`, with tracing off and no budget — the same as
+    /// `hw`, with tracing off, no budget and no deadline — the same as
     /// `Simulation::builder(params, hw).build()`.
     ///
     /// # Errors
@@ -259,6 +262,7 @@ impl<'t> Simulation<'t> {
             hw,
             tracer: Tracer::off(),
             budget: SimBudget::UNLIMITED,
+            deadline: None,
             regions: Vec::new(),
             #[cfg(feature = "check")]
             checker: false,
@@ -308,7 +312,7 @@ impl<'t> Simulation<'t> {
                 return;
             }
         }
-        if let Some(deadline) = self.budget.deadline {
+        if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 self.breach = Some(BudgetBreach::Deadline {
                     reached: self.clock,
@@ -446,7 +450,7 @@ impl<'t> Simulation<'t> {
         let mut wakeups: BinaryHeap<Reverse<(u64, u32)>> =
             sms.iter().map(|sm| Reverse((sm.now, sm.id()))).collect();
 
-        let deadline = self.budget.deadline;
+        let deadline = self.deadline;
         let mut events: u32 = 0;
         let mut deadline_hit: Option<u64> = None;
         let mut finish_times = vec![0u64; sms.len()];
@@ -898,10 +902,7 @@ mod tests {
             SystemParams::default(),
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
         )
-        .budget(SimBudget {
-            deadline: Some(Instant::now()),
-            ..SimBudget::UNLIMITED
-        })
+        .deadline(Some(Instant::now()))
         .build()
         .unwrap();
         run(&mut sim, &compute_kernel(256, 4));
@@ -929,10 +930,9 @@ mod tests {
                 SystemParams::default(),
                 hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
             )
-            .budget(SimBudget {
-                deadline: Some(Instant::now() + std::time::Duration::from_micros(micros)),
-                ..SimBudget::UNLIMITED
-            })
+            .deadline(Some(
+                Instant::now() + std::time::Duration::from_micros(micros),
+            ))
             .build()
             .unwrap();
             sim.run_kernel(&kernel).unwrap();
@@ -953,7 +953,6 @@ mod tests {
             hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
         )
         .unwrap();
-        assert!(!SimBudget::UNLIMITED.is_limited());
         for _ in 0..4 {
             run(&mut sim, &compute_kernel(256, 2));
         }

@@ -145,11 +145,12 @@ pub enum TraceEvent {
         config: String,
         /// Final status (`ok`/`failed`/`timeout`/`skipped`).
         status: &'static str,
-        /// Number of execution attempts (1 unless retried).
+        /// Execution attempts: 1 when the cell ran, 0 when it was
+        /// answered from the result store or its consistency class.
         attempts: u32,
         /// Start, in microseconds since the study began.
         start_us: u64,
-        /// Wall-clock duration of all attempts, in microseconds.
+        /// Wall-clock duration of the cell, in microseconds.
         dur_us: u64,
     },
     /// A study cell was answered from the result store without
