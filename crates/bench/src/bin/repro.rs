@@ -11,8 +11,7 @@
 //!       [table1|table2|table3|table4|table5|fig5|fig6|partial|flexible|traffic|gsi|summary|check|hybrid|all]...
 //! repro trace [--scale S] [--trace-out PATH] [--trace-stride N] <app> <graph> <config>
 //! repro study [--scale S] [--threads N] [--json PATH] [--trace-out PATH]
-//!             [--deadline-ms N] [--max-kernels N] [--max-sim-cycles N]
-//!             [--inject-fault APP/GRAPH/CFG[=panic|hang]]...
+//!             [--deadline-ms N] [--inject-fault APP/GRAPH/CFG[=panic|hang]]...
 //!             [--store PATH] [--store-compact]
 //!             [--inject-store-fault torn[:BYTES]|short|crc]...
 //! repro bench [--iters N] [--smoke] [--out PATH]
@@ -36,9 +35,9 @@
 //! blow-ups are also caught.
 //!
 //! `repro study` runs the 36-workload study through the fault-tolerant
-//! runner (see docs/robustness.md): per-cell panic isolation, watchdog
-//! budgets (`--max-kernels`, `--max-sim-cycles`, and `--deadline-ms`, a
-//! wall-clock limit on each cell's simulation), and checkpoint/resume
+//! runner (see docs/robustness.md): per-cell panic isolation, a
+//! watchdog (`--deadline-ms`, a wall-clock limit on each cell's
+//! simulation), and checkpoint/resume
 //! via the crash-safe result store (`--store PATH`: re-running the same
 //! command after a kill simulates only the cells the store lacks). A
 //! store has one writer: while one process has it open, a second
@@ -46,7 +45,8 @@
 //! Failed or timed-out cells are reported individually and the partial
 //! Figure 5/6 output is rendered from the surviving cells; the exit
 //! status is 0 as long as the study itself completes. `--inject-fault`
-//! sabotages named cells for testing the machinery.
+//! sabotages named cells for testing the machinery; a `hang` fault needs
+//! `--deadline-ms` to stop it, and exits 2 without one.
 //!
 //! `repro trace` simulates one (application, graph, configuration)
 //! point with full instrumentation and writes the event stream to
@@ -203,17 +203,15 @@ const COMMANDS: [Command; 5] = [
             value("--json", "PATH"),
             value("--trace-out", "PATH"),
             value("--deadline-ms", "N"),
-            value("--max-kernels", "N"),
-            value("--max-sim-cycles", "N"),
             repeated("--inject-fault", "APP/GRAPH/CFG[=panic|hang]"),
             value("--store", "PATH"),
             switch("--store-compact"),
             repeated("--inject-store-fault", "torn[:BYTES]|short|crc"),
         ],
         about: "run the 36-workload study fault-tolerantly: failed cells are \
-                isolated and reported, budgets bound runaway cells (--deadline-ms \
-                limits each cell's simulation in wall-clock time), and each cell \
-                runs once; --store keeps results in a crash-safe content-addressed \
+                isolated and reported, --deadline-ms limits each cell's simulation \
+                in wall-clock time (a hang fault needs it), and each cell runs \
+                once; --store keeps results in a crash-safe content-addressed \
                 result store across runs (re-running the same command resumes a \
                 killed study, cells already solved are never re-simulated, \
                 --store-compact rewrites the store after the run); one process at \
@@ -647,19 +645,13 @@ fn study_cmd(args: &Args) -> Result<(), String> {
 
     let (scale, threads) = (args.scale()?, args.threads()?);
     let deadline_ms = args.positive("--deadline-ms")?;
-    let max_kernels = args.positive("--max-kernels")?;
-    let max_sim_cycles = args.positive("--max-sim-cycles")?;
     let store_path = args.value("--store");
     let store_compact = args.switch("--store-compact");
     let inject_store_faults = args.values("--inject-store-fault");
-    let mut builder = ExperimentSpec::builder().scale(scale);
-    if let Some(n) = max_kernels {
-        builder = builder.max_kernels(n);
-    }
-    if let Some(n) = max_sim_cycles {
-        builder = builder.max_sim_cycles(n);
-    }
-    let spec = builder.build().map_err(|e| e.to_string())?;
+    let spec = ExperimentSpec::builder()
+        .scale(scale)
+        .build()
+        .map_err(|e| e.to_string())?;
 
     let mut options = StudyOptions::new(ConfigSet::Figure5, threads);
     options.cell_deadline = deadline_ms.map(std::time::Duration::from_millis);
@@ -1570,7 +1562,7 @@ mod tests {
         let mut names: Vec<&str> = all.iter().map(|f| f.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 22, "{names:?}");
+        assert_eq!(names.len(), 20, "{names:?}");
     }
 
     /// The words the parser gives a meaning to (subcommand words,

@@ -112,6 +112,10 @@ fn help_and_bad_flags() {
         // transient-I/O fault to exercise one.
         &["study", "--retries", "3"],
         &["study", "--inject-fault", "PR/AMZ/SGR=io"],
+        // The wall-clock limit is the one watchdog; the kernel and
+        // cycle budgets are gone.
+        &["study", "--max-kernels", "3"],
+        &["study", "--max-sim-cycles", "3"],
         &["--trace-stride", "5", "table1"],
         // Zero workers is rejected at parse time, not by a panic in
         // the study runner.
@@ -142,7 +146,7 @@ fn help_and_bad_flags() {
     assert_eq!(tables.len(), 5, "{help}");
     let every: std::collections::BTreeSet<&str> =
         tables.iter().flat_map(|(_, f)| f.iter().copied()).collect();
-    assert_eq!(every.len(), 22, "{every:?}");
+    assert_eq!(every.len(), 20, "{every:?}");
     for (command, flags) in &tables {
         for flag in every.iter().filter(|f| !flags.contains(f)) {
             let args: Vec<&str> = command.iter().copied().chain([*flag, "x"]).collect();
@@ -208,19 +212,22 @@ fn study_isolates_injected_faults_and_resumes_from_its_store() {
 
 #[test]
 fn a_timed_out_cell_reports_its_configured_limit() {
-    // The hung cell runs until the engine stops it at the limit given
-    // with --deadline-ms; other cells may time out too.
-    let out = repro(&[
+    // The hung cell feeds kernels until the engine stops it at the
+    // limit given with --deadline-ms; clean cells finish well inside a
+    // second at this scale.
+    let hang = [
         "study",
         "--scale",
         "0.004",
-        "--deadline-ms",
-        "1",
         "--inject-fault",
         "CC/RAJ/DGR=hang",
-    ]);
-    let line = "TIMEOUT CC/RAJ/DGR (attempt 1): wall-clock deadline exceeded (1 ms)";
+    ];
+    let out = repro(&[&hang[..], &["--deadline-ms", "1000"]].concat());
+    let line = "TIMEOUT CC/RAJ/DGR (attempt 1): wall-clock deadline exceeded (1000 ms)";
     assert!(out.contains(line), "{out}");
+    assert!(out.contains("0 failed, 1 timeout, 0 skipped"), "{out}");
+    // Without a deadline nothing would stop it, so the study is refused.
+    repro_rejects(&hang);
 }
 
 #[test]

@@ -59,9 +59,6 @@ pub enum GgsError {
     Json(String),
     /// An I/O failure (trace output, study files).
     Io(std::io::Error),
-    /// A simulation exceeded its configured kernel or simulated-cycle
-    /// budget (watchdog; see `ExperimentSpec::budget`).
-    Budget(ggs_sim::BudgetBreach),
     /// A simulation ran past its wall-clock limit (a study cell's
     /// `StudyOptions::cell_deadline`).
     Deadline {
@@ -91,11 +88,18 @@ pub enum GgsError {
 }
 
 impl GgsError {
-    /// Whether this error is a watchdog trip (budget or wall-clock
-    /// deadline) rather than a genuine failure; the study runner
-    /// records such cells as `Timeout` instead of `Failed`.
+    /// Whether this error is a watchdog trip (the wall-clock deadline)
+    /// rather than a genuine failure; the study runner records such
+    /// cells as `Timeout` instead of `Failed`.
     pub fn is_timeout(&self) -> bool {
-        matches!(self, GgsError::Budget(_) | GgsError::Deadline { .. })
+        matches!(self, GgsError::Deadline { .. })
+    }
+
+    /// The breach of a wall-clock `limit`, reported as given.
+    pub(crate) fn deadline(limit: std::time::Duration) -> Self {
+        GgsError::Deadline {
+            limit_ms: u64::try_from(limit.as_millis()).unwrap_or(u64::MAX),
+        }
     }
 }
 
@@ -115,7 +119,6 @@ impl fmt::Display for GgsError {
             }
             GgsError::Json(msg) => write!(f, "malformed study JSON: {msg}"),
             GgsError::Io(e) => e.fmt(f),
-            GgsError::Budget(b) => b.fmt(f),
             GgsError::Deadline { limit_ms } => {
                 write!(f, "wall-clock deadline exceeded ({limit_ms} ms)")
             }

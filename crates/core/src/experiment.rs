@@ -8,7 +8,7 @@ use ggs_graph::Csr;
 use ggs_model::{Propagation, SystemConfig};
 use ggs_sim::stats::RegionStats;
 use ggs_sim::trace::WarpTrace;
-use ggs_sim::{BudgetBreach, ExecStats, SimBudget, Simulation, SystemParams};
+use ggs_sim::{ExecStats, Simulation, SystemParams};
 use ggs_trace::Tracer;
 
 use crate::error::GgsError;
@@ -21,12 +21,6 @@ pub struct ExperimentSpec {
     pub scale: f64,
     /// Simulated hardware parameters (Table IV, possibly cache-scaled).
     pub params: SystemParams,
-    /// Watchdog budget applied to every simulation run under this spec
-    /// (kernel/iteration and simulated-cycle limits). Unlimited by
-    /// default; a breached run is reported as [`GgsError::Budget`]. The
-    /// wall-clock limit is an argument of each run function instead, so
-    /// a spec never carries a point in time.
-    pub budget: SimBudget,
 }
 
 impl Default for ExperimentSpec {
@@ -67,7 +61,6 @@ impl ExperimentSpec {
         ExperimentSpecBuilder {
             scale: 1.0,
             params: None,
-            budget: SimBudget::UNLIMITED,
         }
     }
 
@@ -86,7 +79,6 @@ impl ExperimentSpec {
 pub struct ExperimentSpecBuilder {
     scale: f64,
     params: Option<SystemParams>,
-    budget: SimBudget,
 }
 
 impl ExperimentSpecBuilder {
@@ -94,19 +86,6 @@ impl ExperimentSpecBuilder {
     /// (default 1.0).
     pub fn scale(mut self, scale: f64) -> Self {
         self.scale = scale;
-        self
-    }
-
-    /// Caps the number of kernels (≈ iterations for the level-
-    /// synchronous graph workloads) any single simulation may launch.
-    pub fn max_kernels(mut self, limit: u64) -> Self {
-        self.budget.max_kernels = Some(limit);
-        self
-    }
-
-    /// Caps the simulated cycles any single simulation may accumulate.
-    pub fn max_sim_cycles(mut self, limit: u64) -> Self {
-        self.budget.max_cycles = Some(limit);
         self
     }
 
@@ -151,11 +130,7 @@ impl ExperimentSpecBuilder {
             given.validate()?;
             params = given;
         }
-        Ok(ExperimentSpec {
-            scale,
-            params,
-            budget: self.budget,
-        })
+        Ok(ExperimentSpec { scale, params })
     }
 }
 
@@ -170,18 +145,17 @@ impl ExperimentSpecBuilder {
 /// cost). SSSP requires a weighted graph; deterministic weights are
 /// attached on the fly when missing.
 ///
-/// The spec's [`SimBudget`] and the wall-clock `limit` are enforced
-/// inside the engine — cycle limits at the exact breach cycle and the
-/// limit mid-kernel, so even a single hung kernel is abandoned. The
+/// The wall-clock `limit` is the only limit on the run. The engine
+/// checks it mid-kernel, so even a single hung kernel is abandoned. The
 /// limit starts when the simulation is built; one too large to
-/// represent as a deadline means none. Once either trips, the
-/// remaining kernels are skipped.
+/// represent as a deadline means none. Once it trips, the remaining
+/// kernels are skipped.
 ///
 /// # Errors
 ///
 /// [`GgsError::Unsupported`] if `app` does not support
-/// `config.propagation` (e.g. push for CC); [`GgsError::Budget`] /
-/// [`GgsError::Deadline`] if the budget or the limit is breached.
+/// `config.propagation` (e.g. push for CC); [`GgsError::Deadline`] if
+/// the limit is breached.
 pub fn run_workload(
     app: AppKind,
     graph: &Csr,
@@ -287,7 +261,7 @@ pub fn produce_trace_stream(
 
 /// Timing half of the split workload run: simulates a pre-built kernel
 /// `stream` (from [`produce_stream`], possibly via a `TraceCache`)
-/// under `config`, with the same tracing, budget and limit semantics
+/// under `config`, with the same tracing and limit semantics
 /// as [`run_workload`]. Feeding the same kernels in the same order
 /// through the same engine makes the statistics bit-identical to the
 /// fused run.
@@ -322,9 +296,8 @@ enum Kernels<'a> {
 }
 
 /// The consumer loop behind every run function: builds the
-/// [`Simulation`] for `config` under the spec's budget and a deadline
-/// `limit` from now, feeds it `kernels` until either trips, and maps a
-/// breach to [`GgsError`].
+/// [`Simulation`] for `config` with a deadline `limit` from now, feeds
+/// it `kernels` until that trips, and maps a breach to [`GgsError`].
 fn simulate(
     app: AppKind,
     config: SystemConfig,
@@ -336,7 +309,6 @@ fn simulate(
     check_supported(app, config)?;
     let mut builder = Simulation::builder(spec.params.clone(), config.hw())
         .tracer(tracer)
-        .budget(spec.budget)
         .deadline(limit.and_then(|l| Instant::now().checked_add(l)));
     let sim = match kernels {
         Kernels::Generate { graph, regions } => {
@@ -350,7 +322,7 @@ fn simulate(
             let mut sim = builder.build()?;
             let mut failed = None;
             workload.produce(config.propagation, spec.params.tb_size, &mut |kernel, _| {
-                if failed.is_none() && !sim.budget_exhausted() {
+                if failed.is_none() && sim.deadline_breach().is_none() {
                     let packed = kernel.pack(&spec.params);
                     failed = packed.and_then(|k| sim.run_kernel(&k)).err();
                 }
@@ -363,7 +335,7 @@ fn simulate(
         Kernels::Cached(stream) => {
             let mut sim = builder.build()?;
             for kernel in stream {
-                if sim.budget_exhausted() {
+                if sim.deadline_breach().is_some() {
                     break;
                 }
                 sim.run_kernel(kernel)?;
@@ -371,16 +343,11 @@ fn simulate(
             sim
         }
     };
-    match sim.budget_breach() {
-        Some(BudgetBreach::Deadline { .. }) => Err(GgsError::Deadline {
-            limit_ms: limit.map_or(0, |l| u64::try_from(l.as_millis()).unwrap_or(u64::MAX)),
-        }),
-        Some(breach) => Err(GgsError::Budget(breach)),
-        None => {
-            let regions = sim.region_stats();
-            Ok((sim.finish(), regions))
-        }
+    if sim.deadline_breach().is_some() {
+        return Err(GgsError::deadline(limit.unwrap_or_default()));
     }
+    let regions = sim.region_stats();
+    Ok((sim.finish(), regions))
 }
 
 fn check_supported(app: AppKind, config: SystemConfig) -> Result<(), GgsError> {
@@ -564,41 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_run_reports_kernel_budget_breach_as_timeout() {
-        // Every public run path honors the spec's budget, not only the
-        // ones that also take a deadline.
-        let spec = ExperimentSpec::builder()
-            .scale(0.05)
-            .max_kernels(1)
-            .build()
-            .unwrap();
-        for (path, err) in errors_on_every_path(&spec, None) {
-            assert!(matches!(err, GgsError::Budget(_)), "{path}: {err}");
-            assert!(err.is_timeout(), "{path}");
-            assert!(
-                err.to_string().contains("kernel budget exhausted"),
-                "{path}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn budgeted_run_reports_cycle_budget_breach_as_timeout() {
-        // The spec's simulated-cycle cap reaches the engine on every
-        // public run path and surfaces as a typed budget error.
-        let spec = ExperimentSpec::builder()
-            .scale(0.05)
-            .max_sim_cycles(1)
-            .build()
-            .unwrap();
-        for (path, err) in errors_on_every_path(&spec, None) {
-            assert!(matches!(err, GgsError::Budget(_)), "{path}: {err}");
-            assert!(err.is_timeout(), "{path}");
-            assert!(err.to_string().contains("cycle budget"), "{path}: {err}");
-        }
-    }
-
-    #[test]
     fn budgeted_run_honors_wall_clock_limit() {
         // A zero limit stops every public run path before its first
         // kernel, and reports the limit it was given.
@@ -632,20 +564,14 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_matches_untracked_run() {
-        // Generous limits never trip and never perturb the statistics.
+    fn generous_limit_matches_unlimited_run() {
+        // A limit that never trips never perturbs the statistics.
         let g = graph();
         let spec = ExperimentSpec::at_scale(0.05);
-        let generous = ExperimentSpec::builder()
-            .scale(0.05)
-            .max_kernels(1 << 20)
-            .max_sim_cycles(u64::MAX)
-            .build()
-            .unwrap();
         let limit = Some(Duration::from_secs(3600));
         let cfg = "SGR".parse().unwrap();
-        let budgeted = run_workload(AppKind::Pr, &g, cfg, &generous, Tracer::off(), limit).unwrap();
-        assert_eq!(budgeted, run(AppKind::Pr, &g, "SGR", &spec));
+        let limited = run_workload(AppKind::Pr, &g, cfg, &spec, Tracer::off(), limit).unwrap();
+        assert_eq!(limited, run(AppKind::Pr, &g, "SGR", &spec));
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!   [`std::panic::catch_unwind`]; a panic becomes a
 //!   [`GgsError::CellPanic`] recorded in the failure report instead of
 //!   poisoning the pool.
-//! * **Watchdogs** — the spec's [`ggs_sim::SimBudget`] (kernel /
-//!   simulated-cycle limits) plus an optional wall-clock limit per
-//!   cell ([`StudyOptions::cell_deadline`]), both enforced by the
-//!   engine; breached cells are recorded as [`CellStatus::Timeout`] and
-//!   the study continues.
+//! * **Watchdog** — an optional wall-clock limit per cell
+//!   ([`StudyOptions::cell_deadline`]), enforced by the engine; a
+//!   breached cell is recorded as [`CellStatus::Timeout`] and the study
+//!   continues.
 //! * **One attempt** — a cell is deterministic, so it runs once and
 //!   its failure is final: a retry would fail the same way.
 //! * **Checkpoint/resume** — with a [`Store`] attached, completed cells
@@ -42,16 +41,16 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ggs_apps::{AppKind, SSSP_MAX_WEIGHT};
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::{predict_full, predict_partial, GraphProfile, SystemConfig};
 use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
-use ggs_sim::{AtomicMix, StallClass};
+use ggs_sim::{AtomicMix, ExecStats, Simulation, StallClass};
 use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
 
 use crate::error::GgsError;
@@ -68,7 +67,7 @@ pub enum CellStatus {
     Ok,
     /// The cell panicked or failed with an error.
     Failed,
-    /// The cell tripped a watchdog (budget or wall-clock deadline).
+    /// The cell ran past its wall-clock deadline.
     Timeout,
     /// The cell was answered from the result store without re-running.
     Skipped,
@@ -116,7 +115,7 @@ pub struct CellReport {
     /// Terminal state.
     pub status: CellStatus,
     /// Human-readable detail: the error/panic message, the breached
-    /// budget, the store provenance, or `answered from <CONFIG>` for a
+    /// deadline, the store provenance, or `answered from <CONFIG>` for a
     /// cell answered from the cell of its consistency class that
     /// simulated. Empty for cleanly simulated `Ok` cells.
     pub detail: String,
@@ -138,9 +137,9 @@ impl CellReport {
 pub enum Fault {
     /// The cell panics.
     Panic,
-    /// The cell spins feeding kernels forever; only a watchdog (budget
-    /// or deadline) can stop it. An internal failsafe caps the spin
-    /// when no watchdog is configured, so tests cannot truly hang.
+    /// The cell feeds kernels until its deadline stops it, so
+    /// [`run_study`] refuses a plan with a hang unless
+    /// [`StudyOptions::cell_deadline`] is set.
     Hang,
 }
 
@@ -189,6 +188,10 @@ impl FaultPlan {
 
     fn get(&self, key: &str) -> Option<&Fault> {
         self.cells.get(key)
+    }
+
+    fn has_hang(&self) -> bool {
+        self.cells.values().any(|f| matches!(f, Fault::Hang))
     }
 }
 
@@ -349,7 +352,6 @@ struct Sweep<'a> {
     epoch: Instant,
     sink: &'a dyn TraceSink,
     next: AtomicUsize,
-    results: Mutex<Vec<Option<CellOutcome>>>,
 }
 
 /// Runs the study under `spec` with full fault tolerance: panics are
@@ -368,9 +370,14 @@ struct Sweep<'a> {
 /// order that simulated. Store hits and cells with an injected fault
 /// never answer a class.
 ///
-/// Returns `Err` only for setup failures (zero threads, an unreadable
-/// or foreign store); individual cell failures never abort the run — they
-/// are reported in [`StudyOutcome::cells`] and `study.failures`.
+/// Returns `Err` only for setup failures (zero threads, a fault plan
+/// with a hang but no [`StudyOptions::cell_deadline`] that fits the
+/// clock, an unreadable or foreign store); individual cell failures
+/// never abort the run — they are reported in [`StudyOutcome::cells`]
+/// and `study.failures`. Only a cell's simulation runs behind its
+/// `catch_unwind`; a panic in a step around it (the store lookup, the
+/// store publish, or answering a cell from its consistency class)
+/// propagates out of `run_study`.
 pub fn run_study(
     spec: &ExperimentSpec,
     options: &StudyOptions,
@@ -380,6 +387,11 @@ pub fn run_study(
     if options.threads == 0 {
         return Err(GgsError::InvalidSpec(
             "need at least one worker thread".to_owned(),
+        ));
+    }
+    if options.faults.has_hang() && hang_deadline(options.cell_deadline).is_none() {
+        return Err(GgsError::InvalidSpec(
+            "a hang fault needs a cell deadline (--deadline-ms) to stop it".to_owned(),
         ));
     }
     let epoch = Instant::now();
@@ -468,42 +480,35 @@ pub fn run_study(
         epoch,
         sink,
         next: AtomicUsize::new(0),
-        results: Mutex::new((0..cells.len()).map(|_| None).collect()),
     };
-    {
+    let mut outcomes = {
         let _phase = metrics.phase("simulate");
         // The calling thread is one of the workers, so a one-thread
         // study simulates on it, where a profiler that samples only the
         // main thread can see the simulation.
         let worker = || {
             let local = MetricsRegistry::new();
-            sweep.work(&local);
+            let done = sweep.work(&local);
             metrics.merge(&local);
+            done
         };
         std::thread::scope(|scope| {
-            for _ in 1..options.threads.min(sweep.groups.len()) {
-                scope.spawn(worker);
+            let helpers: Vec<_> = (1..options.threads.min(sweep.groups.len()))
+                .map(|_| scope.spawn(worker))
+                .collect();
+            let mut done = worker();
+            for helper in helpers {
+                done.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
             }
-            worker();
-        });
-    }
-    let slots = std::mem::take(&mut *sweep.results.lock().unwrap_or_else(|e| e.into_inner()));
+            done
+        })
+    };
+    // Every group's cells were recorded once, by the worker that took
+    // the group, so job order is a sort away.
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    let outcomes: Vec<CellOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
 
     let _phase = metrics.phase("aggregate");
-    let outcomes: Vec<CellOutcome> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| {
-                // Unreachable: a worker records every cell of each group
-                // it takes, and a panic outside a cell's catch_unwind
-                // re-raises out of `thread::scope`. Degrade to a report
-                // rather than poisoning the aggregate.
-                let detail = "worker terminated before completing this cell".to_owned();
-                sweep.names(i).outcome(CellStatus::Failed, detail, 0, None)
-            })
-        })
-        .collect();
     let study = aggregate(spec, &graphs, &cells, &outcomes);
     let reports_out: Vec<CellReport> = outcomes.into_iter().map(|o| o.report).collect();
 
@@ -517,11 +522,14 @@ pub fn run_study(
 }
 
 impl Sweep<'_> {
-    /// One worker: takes stream groups until none is left.
-    fn work(&self, local: &MetricsRegistry) {
+    /// One worker: takes stream groups until none is left, and returns
+    /// the outcome of each of their cells with the cell's index.
+    fn work(&self, local: &MetricsRegistry) -> Vec<(usize, CellOutcome)> {
+        let mut done = Vec::new();
         while let Some(group) = self.groups.get(self.next.fetch_add(1, Ordering::Relaxed)) {
-            self.walk(group, local);
+            self.walk(group, local, &mut done);
         }
+        done
     }
 
     /// Walks one stream group's cells in job order. The group's stream
@@ -530,7 +538,7 @@ impl Sweep<'_> {
     /// class representative) to the row and configuration code of its
     /// first `Ok` simulation, or to `None` once that simulation failed
     /// or timed out, after which each member runs on its own.
-    fn walk(&self, group: &[usize], local: &MetricsRegistry) {
+    fn walk(&self, group: &[usize], local: &MetricsRegistry, done: &mut Vec<(usize, CellOutcome)>) {
         let mut stream: Option<GroupStream> = None;
         let mut classes: HashMap<SystemConfig, Option<(ResultRow, String)>> = HashMap::new();
         for &i in group {
@@ -544,7 +552,9 @@ impl Sweep<'_> {
                 Some(config)
             };
             if let Some((row, by)) = class(&stream).and_then(|key| classes.get(&key)?.as_ref()) {
-                self.record(i, self.answer(&names, row, by), true, local);
+                let outcome = self.answer(&names, row, by);
+                count(&outcome, true, local);
+                done.push((i, outcome));
                 continue;
             }
             let outcome = self.run(i, &names, &mut stream, local);
@@ -554,24 +564,9 @@ impl Sweep<'_> {
                 let settled = || outcome.row.clone().map(|row| (row, names.config.clone()));
                 classes.entry(key).or_insert_with(settled);
             }
-            self.record(i, outcome, false, local);
+            count(&outcome, false, local);
+            done.push((i, outcome));
         }
-    }
-
-    fn record(&self, i: usize, outcome: CellOutcome, answered: bool, local: &MetricsRegistry) {
-        if outcome.report.status == CellStatus::Ok {
-            let counter = if answered {
-                "configs_answered"
-            } else {
-                "configs_simulated"
-            };
-            local.add(counter, 1);
-            if let Some(row) = &outcome.row {
-                local.observe("config_total_cycles", row.total_cycles);
-            }
-        }
-        let mut slots = self.results.lock().unwrap_or_else(|e| e.into_inner());
-        slots[i] = Some(outcome);
     }
 
     fn names(&self, i: usize) -> Names {
@@ -746,7 +741,7 @@ impl Sweep<'_> {
         names: &Names,
         stream: &mut Option<GroupStream>,
         local: &MetricsRegistry,
-    ) -> Result<ggs_sim::ExecStats, GgsError> {
+    ) -> Result<ExecStats, GgsError> {
         let cell = self.cells[i];
         let limit = self.options.cell_deadline;
         match self.options.faults.get(&names.key) {
@@ -784,6 +779,22 @@ impl Sweep<'_> {
     }
 }
 
+/// Counts an `Ok` cell as simulated or `answered` from its class, and
+/// observes its cycles.
+fn count(outcome: &CellOutcome, answered: bool, local: &MetricsRegistry) {
+    if outcome.report.status == CellStatus::Ok {
+        let counter = if answered {
+            "configs_answered"
+        } else {
+            "configs_simulated"
+        };
+        local.add(counter, 1);
+        if let Some(row) = &outcome.row {
+            local.observe("config_total_cycles", row.total_cycles);
+        }
+    }
+}
+
 /// The message of a panic caught at a cell boundary: its payload when
 /// that is a string, else a placeholder.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -794,25 +805,35 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
-/// The `Hang` fault: feed small compute kernels forever, exactly like a
-/// non-converging workload would, so only the watchdogs stop it. A
-/// failsafe kernel cap keeps tests honest when neither watchdog is
-/// configured; it trips as a kernel-budget breach.
+/// The deadline a hang started now runs to, if `limit` is set and fits
+/// the clock.
+fn hang_deadline(limit: Option<Duration>) -> Option<Instant> {
+    limit.and_then(|l| Instant::now().checked_add(l))
+}
+
+/// The `Hang` fault: feed a one-warp compute kernel until the cell's
+/// deadline trips, exactly like a non-converging workload would.
+/// [`run_study`] refuses a hang without a deadline, so the loop ends.
 fn run_hang(
     cell: Cell,
     spec: &ExperimentSpec,
     limit: Option<Duration>,
-) -> Result<ggs_sim::ExecStats, GgsError> {
-    const FAILSAFE_KERNELS: u64 = 4096;
-    let mut spec = spec.clone();
-    let cap = spec.budget.max_kernels.unwrap_or(FAILSAFE_KERNELS);
-    spec.budget.max_kernels = Some(cap.min(FAILSAFE_KERNELS));
+) -> Result<ExecStats, GgsError> {
+    let (Some(limit), Some(deadline)) = (limit, hang_deadline(limit)) else {
+        return Err(GgsError::InvalidSpec(
+            "a hang needs a cell deadline".to_owned(),
+        ));
+    };
     let threads: Vec<Vec<MicroOp>> = (0..32).map(|_| vec![MicroOp::compute(64)]).collect();
     let kernel = KernelTrace::new(threads, spec.params.tb_size)?;
-    let kernel = Arc::new(WarpTrace::pack(&kernel, &spec.params)?);
-    // One kernel past the cap, so the cap always trips.
-    let forever = vec![kernel; FAILSAFE_KERNELS as usize + 1];
-    run_stream_budgeted(&forever, cell.app, cell.config, &spec, Tracer::off(), limit)
+    let kernel = WarpTrace::pack(&kernel, &spec.params)?;
+    let mut sim = Simulation::builder(spec.params.clone(), cell.config.hw())
+        .deadline(Some(deadline))
+        .build()?;
+    while sim.deadline_breach().is_none() {
+        sim.run_kernel(&kernel)?;
+    }
+    Err(GgsError::deadline(limit))
 }
 
 /// Builds the (possibly partial) study from per-cell outcomes: rows
@@ -930,12 +951,6 @@ mod tests {
         assert_ne!(
             spec_hash(&a, ConfigSet::Figure5),
             spec_hash(&a, ConfigSet::Full)
-        );
-        let mut budgeted = a.clone();
-        budgeted.budget.max_kernels = Some(5);
-        assert_ne!(
-            spec_hash(&a, ConfigSet::Figure5),
-            spec_hash(&budgeted, ConfigSet::Figure5)
         );
     }
 

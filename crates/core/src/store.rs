@@ -7,8 +7,8 @@
 //! truncated, or bit-flipped. [`Store`] is that substrate:
 //!
 //! * **Content addressing** — records are keyed by the
-//!   [`crate::runner::spec_hash`] of the experiment (app set, graph
-//!   set, configuration set, scale, budgets) mixed with the crate
+//!   [`crate::runner::spec_hash`] of the experiment (scale, simulated
+//!   hardware params, configuration set) mixed with the crate
 //!   version ([`CODE_VERSION`]), so results produced by a different
 //!   spec *or a different simulator build* never silently mix.
 //! * **Crash safety** — the on-disk format is length-framed and

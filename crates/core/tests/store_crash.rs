@@ -24,14 +24,6 @@ use ggs_trace::{WriterSink, NOOP};
 const SCALE: f64 = 0.004;
 const THREADS: usize = 8;
 
-fn budgeted_spec() -> ExperimentSpec {
-    ExperimentSpec::builder()
-        .scale(SCALE)
-        .max_kernels(256)
-        .build()
-        .expect("valid spec")
-}
-
 fn options() -> StudyOptions {
     StudyOptions::new(ConfigSet::Figure5, THREADS)
 }
@@ -118,7 +110,7 @@ fn truncation_at_every_byte_offset_never_panics_and_keeps_intact_records() {
 /// byte-identical to the uninterrupted run.
 #[test]
 fn warm_store_rerun_simulates_nothing_and_is_byte_identical() {
-    let spec = budgeted_spec();
+    let spec = ExperimentSpec::at_scale(SCALE);
     let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
     assert!(clean.study.failures.is_empty());
 
@@ -193,7 +185,7 @@ fn warm_store_rerun_simulates_nothing_and_is_byte_identical() {
 /// the uninterrupted results byte for byte.
 #[test]
 fn faulted_run_resumed_from_store_is_byte_identical() {
-    let spec = budgeted_spec();
+    let spec = ExperimentSpec::at_scale(SCALE);
     let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
 
     let (_dir, path) = temp_path("faulted.store");
@@ -230,7 +222,7 @@ fn faulted_run_resumed_from_store_is_byte_identical() {
 /// reproduces the uninterrupted study byte for byte.
 #[test]
 fn truncated_store_resume_is_byte_identical() {
-    let spec = budgeted_spec();
+    let spec = ExperimentSpec::at_scale(SCALE);
     let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
 
     let (_dir, path) = temp_path("truncate-resume.store");
@@ -268,7 +260,7 @@ fn truncated_store_resume_is_byte_identical() {
 /// study outcome, and only the damaged cell re-simulates.
 #[test]
 fn corrupt_result_record_is_surfaced_and_resimulated() {
-    let spec = budgeted_spec();
+    let spec = ExperimentSpec::at_scale(SCALE);
     let clean = run_study(&spec, &options(), &MetricsRegistry::new(), &NOOP).expect("clean run");
 
     let (_dir, path) = temp_path("corrupt-result.store");

@@ -26,14 +26,6 @@ use ggs_trace::{Tracer, WriterSink, NOOP};
 const SCALE: f64 = 0.004;
 const THREADS: usize = 8;
 
-fn budgeted_spec() -> ExperimentSpec {
-    ExperimentSpec::builder()
-        .scale(SCALE)
-        .max_kernels(256)
-        .build()
-        .expect("valid spec")
-}
-
 /// The six coherence × consistency cells sharing one traversal
 /// direction.
 fn configs_of(prop: Propagation) -> Vec<SystemConfig> {
@@ -63,7 +55,7 @@ fn streams_are_identical_across_cells_sharing_a_direction() {
     let graph = SynthConfig::preset(GraphPreset::Ols)
         .scale(SCALE)
         .generate();
-    let spec = budgeted_spec();
+    let spec = ExperimentSpec::at_scale(SCALE);
     let tb = spec.params.tb_size;
     let apps = AppKind::ALL.into_iter().chain(AppKind::EXTENDED);
     for app in apps {
@@ -106,7 +98,7 @@ fn a_full_study_builds_each_graph_exactly_once() {
     let sink = WriterSink::jsonl(Vec::new());
     let metrics = MetricsRegistry::new();
     let outcome = run_study(
-        &budgeted_spec(),
+        &ExperimentSpec::at_scale(SCALE),
         &StudyOptions::new(ConfigSet::Full, THREADS),
         &metrics,
         &sink,
@@ -151,7 +143,7 @@ fn hybrid_streams_cache_independently_of_static_directions() {
     let graph = SynthConfig::preset(GraphPreset::Ols)
         .scale(SCALE)
         .generate();
-    let spec = budgeted_spec();
+    let spec = ExperimentSpec::at_scale(SCALE);
     let tb = spec.params.tb_size;
     let cache = TraceCache::new(64 * 1024 * 1024);
     let app = AppKind::Bfs;
@@ -191,7 +183,7 @@ fn a_study_builds_each_stream_once() {
     let sink = WriterSink::jsonl(Vec::new());
     let metrics = MetricsRegistry::new();
     let outcome = run_study(
-        &budgeted_spec(),
+        &ExperimentSpec::at_scale(SCALE),
         &StudyOptions::new(ConfigSet::Figure5, THREADS),
         &metrics,
         &sink,

@@ -37,97 +37,23 @@ const QUANTUM_CYCLES: u64 = 256;
 /// check branch-predictable).
 const DEADLINE_CHECK_EVERY: u32 = 64;
 
-/// Watchdog limits on a simulation's work.
-///
-/// Long-running sweeps (the 36-workload study) use budgets to bound
-/// non-converging dynamic workloads and oversized inputs: once a limit
-/// is breached the simulation stops *at the limit* and refuses further
-/// kernels, and the caller observes [`Simulation::budget_exhausted`].
-/// `None` means unlimited (the default), so existing callers are
-/// unaffected. The wall-clock limit is not part of the budget: it is
-/// set with [`SimulationBuilder::deadline`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimBudget {
-    /// Maximum number of kernels (≈ algorithm iterations for the
-    /// level-synchronous graph apps) the simulation may execute.
-    pub max_kernels: Option<u64>,
-    /// Maximum simulated GPU cycles. Enforced *exactly*: SM clocks are
-    /// clamped to the limit, so the simulation stops at the breach
-    /// cycle itself even though the engine skips idle cycles.
-    pub max_cycles: Option<u64>,
-}
-
-impl SimBudget {
-    /// The unlimited budget (all limits absent).
-    pub const UNLIMITED: SimBudget = SimBudget {
-        max_kernels: None,
-        max_cycles: None,
-    };
-}
-
-/// Which watchdog limit a simulation ran into: a [`SimBudget`] limit
-/// or the [deadline](SimulationBuilder::deadline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetBreach {
-    /// The kernel-count limit was reached.
-    Kernels {
-        /// Configured limit.
-        limit: u64,
-        /// Kernels executed when the breach was detected.
-        reached: u64,
-    },
-    /// The simulated-cycle limit was reached. The clock is clamped to
-    /// the limit, so `reached == limit` exactly.
-    Cycles {
-        /// Configured limit.
-        limit: u64,
-        /// Simulated clock when the breach was detected.
-        reached: u64,
-    },
-    /// The wall-clock deadline expired.
-    Deadline {
-        /// Simulated clock when the deadline was observed expired.
-        reached: u64,
-    },
-}
-
-impl std::fmt::Display for BudgetBreach {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            BudgetBreach::Kernels { limit, reached } => {
-                write!(f, "kernel budget exhausted: {reached} of at most {limit}")
-            }
-            BudgetBreach::Cycles { limit, reached } => write!(
-                f,
-                "simulated-cycle budget exhausted: {reached} of at most {limit}"
-            ),
-            BudgetBreach::Deadline { reached } => write!(
-                f,
-                "wall-clock deadline exhausted at simulated cycle {reached}"
-            ),
-        }
-    }
-}
-
-/// Fluent constructor for [`Simulation`]: tracer, budget, deadline,
-/// address regions, and (under the `check` feature) the protocol checker are
+/// Fluent constructor for [`Simulation`]: tracer, deadline, address
+/// regions, and (under the `check` feature) the protocol checker are
 /// all fixed before the first kernel runs, replacing the former
 /// construct-then-mutate sequence.
 ///
 /// ```
 /// use ggs_sim::config::{CoherenceKind, ConsistencyModel, HwConfig};
-/// use ggs_sim::engine::{SimBudget, Simulation};
+/// use ggs_sim::engine::Simulation;
 /// use ggs_sim::params::SystemParams;
+/// use std::time::{Duration, Instant};
 ///
 /// let hw = HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::Drf0);
 /// let sim = Simulation::builder(SystemParams::default(), hw)
-///     .budget(SimBudget {
-///         max_kernels: Some(64),
-///         ..SimBudget::UNLIMITED
-///     })
+///     .deadline(Some(Instant::now() + Duration::from_secs(60)))
 ///     .region("ranks", 0x1000, 4096)
 ///     .build()?;
-/// assert_eq!(sim.budget().max_kernels, Some(64));
+/// assert_eq!(sim.deadline_breach(), None);
 /// # Ok::<(), ggs_sim::params::ParamsError>(())
 /// ```
 #[derive(Debug)]
@@ -135,7 +61,6 @@ pub struct SimulationBuilder<'t> {
     params: SystemParams,
     hw: HwConfig,
     tracer: Tracer<'t>,
-    budget: SimBudget,
     deadline: Option<Instant>,
     regions: Vec<(String, u64, u64)>,
     #[cfg(feature = "check")]
@@ -151,18 +76,11 @@ impl<'t> SimulationBuilder<'t> {
         self
     }
 
-    /// Installs a watchdog budget (see [`SimBudget`]). Limits apply to
-    /// the simulation's cumulative kernel count and clock, not per
-    /// kernel.
-    pub fn budget(mut self, budget: SimBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the wall-clock deadline (`None`, the default, for none).
-    /// It is checked at kernel boundaries and inside the event loop
-    /// (every `DEADLINE_CHECK_EVERY` wake-ups), so a hung kernel is
-    /// abandoned mid-flight instead of running to completion first.
+    /// Sets the wall-clock deadline (`None`, the default, for none),
+    /// the only limit on a simulation's work. It is checked at kernel
+    /// boundaries and inside the event loop (every
+    /// `DEADLINE_CHECK_EVERY` wake-ups), so a hung kernel is abandoned
+    /// mid-flight instead of running to completion first.
     pub fn deadline(mut self, deadline: Option<Instant>) -> Self {
         self.deadline = deadline;
         self
@@ -208,7 +126,6 @@ impl<'t> SimulationBuilder<'t> {
             stats: ExecStats::default(),
             clock: 0,
             tracer: self.tracer,
-            budget: self.budget,
             deadline: self.deadline,
             breach: None,
         })
@@ -223,7 +140,7 @@ impl<'t> SimulationBuilder<'t> {
 /// call [`Simulation::finish`] to retrieve the final [`ExecStats`].
 ///
 /// Construct via [`Simulation::new`] (bare) or [`Simulation::builder`]
-/// (tracer, budget, deadline, regions, checker). See the crate-level
+/// (tracer, deadline, regions, checker). See the crate-level
 /// documentation for an end-to-end example.
 ///
 /// The lifetime parameter is the borrow of an injected
@@ -237,14 +154,14 @@ pub struct Simulation<'t> {
     stats: ExecStats,
     clock: u64,
     tracer: Tracer<'t>,
-    budget: SimBudget,
     deadline: Option<Instant>,
-    breach: Option<BudgetBreach>,
+    /// Simulated cycle at which the deadline was observed expired.
+    breach: Option<u64>,
 }
 
 impl<'t> Simulation<'t> {
     /// Creates a simulation of `params` hardware under configuration
-    /// `hw`, with tracing off, no budget and no deadline — the same as
+    /// `hw`, with tracing off and no deadline — the same as
     /// `Simulation::builder(params, hw).build()`.
     ///
     /// # Errors
@@ -261,7 +178,6 @@ impl<'t> Simulation<'t> {
             params,
             hw,
             tracer: Tracer::off(),
-            budget: SimBudget::UNLIMITED,
             deadline: None,
             regions: Vec::new(),
             #[cfg(feature = "check")]
@@ -269,55 +185,19 @@ impl<'t> Simulation<'t> {
         }
     }
 
-    /// The configured watchdog budget (unlimited by default).
-    pub fn budget(&self) -> SimBudget {
-        self.budget
-    }
-
-    /// Whether a budget limit has been breached. Once set, every
-    /// subsequent [`Simulation::run_kernel`] call is ignored, so partial
-    /// statistics stay valid for reporting.
-    pub fn budget_exhausted(&self) -> bool {
-        self.breach.is_some()
-    }
-
-    /// The first budget breach observed, if any.
-    pub fn budget_breach(&self) -> Option<BudgetBreach> {
+    /// The simulated cycle at which the wall-clock deadline was
+    /// observed expired, if it was. Once set, every subsequent
+    /// [`Simulation::run_kernel`] call is ignored, so partial statistics
+    /// stay valid for reporting.
+    pub fn deadline_breach(&self) -> Option<u64> {
         self.breach
     }
 
-    /// Latches a breach if the budget is exceeded at the current clock /
-    /// kernel count / wall time. Called at kernel boundaries (the cycle
-    /// and deadline limits are additionally enforced inside the event
-    /// loop, so `reached` is exact under cycle-skipping).
-    fn check_budget(&mut self) {
-        if self.breach.is_some() {
-            return;
-        }
-        if let Some(limit) = self.budget.max_kernels {
-            if self.stats.kernels >= limit {
-                self.breach = Some(BudgetBreach::Kernels {
-                    limit,
-                    reached: self.stats.kernels,
-                });
-                return;
-            }
-        }
-        if let Some(limit) = self.budget.max_cycles {
-            if self.clock >= limit {
-                self.breach = Some(BudgetBreach::Cycles {
-                    limit,
-                    reached: self.clock,
-                });
-                return;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.breach = Some(BudgetBreach::Deadline {
-                    reached: self.clock,
-                });
-            }
+    /// Latches a breach if the deadline has passed. Called at kernel
+    /// boundaries (the event loop also checks it mid-kernel).
+    fn check_deadline(&mut self) {
+        if self.breach.is_none() && self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.breach = Some(self.clock);
         }
     }
 
@@ -343,8 +223,8 @@ impl<'t> Simulation<'t> {
         &self.params
     }
 
-    /// Executes one kernel launch to completion (or to the budget
-    /// boundary, whichever comes first).
+    /// Executes one kernel launch to completion (or until the deadline
+    /// passes, whichever comes first).
     ///
     /// Empty kernels (no threads) are ignored entirely.
     ///
@@ -358,7 +238,7 @@ impl<'t> Simulation<'t> {
         if kernel.num_threads() == 0 {
             return Ok(());
         }
-        self.check_budget();
+        self.check_deadline();
         if self.breach.is_some() {
             return Ok(());
         }
@@ -374,23 +254,9 @@ impl<'t> Simulation<'t> {
         }
         let counters_before = self.mem.counters;
         let flits_before = self.mem.noc_flit_total();
-        let hard_stop = self.budget.max_cycles;
 
-        // Kernel launch overhead: all SMs idle. A cycle budget clamps
-        // the launch itself — the breach cycle can fall inside it.
+        // Kernel launch overhead: all SMs idle.
         let launch = self.params.kernel_launch_cycles;
-        if let Some(limit) = hard_stop {
-            if self.clock + launch >= limit {
-                let idle = limit - self.clock;
-                self.clock = limit;
-                self.stats
-                    .breakdown
-                    .record(StallClass::Idle, idle * self.params.num_sms as u64);
-                self.stats.total_cycles = self.clock;
-                self.check_budget();
-                return Ok(());
-            }
-        }
         self.clock += launch;
         self.stats
             .breakdown
@@ -420,7 +286,6 @@ impl<'t> Simulation<'t> {
                     self.params.max_blocks_per_sm,
                 )
                 .with_tracer(self.tracer)
-                .with_hard_stop(hard_stop)
             })
             .collect();
 
@@ -480,12 +345,6 @@ impl<'t> Simulation<'t> {
                             break;
                         }
                     }
-                    Step::Stopped => {
-                        // Cycle budget: the SM sits exactly on the
-                        // boundary and never resumes.
-                        finish_times[idx] = sm.now;
-                        break;
-                    }
                     Step::Drained => {
                         if next_block < num_blocks {
                             continue; // more blocks to fetch
@@ -501,26 +360,17 @@ impl<'t> Simulation<'t> {
             // Wall-clock abort mid-kernel: keep the statistics recorded
             // so far, pin the clock at the abort cycle, and latch.
             self.abort_kernel(&sms, reached, kernel_seq, &counters_before, flits_before);
-            self.breach = Some(BudgetBreach::Deadline { reached });
+            self.breach = Some(reached);
             return Ok(());
         }
 
-        let mut kernel_end = finish_times
+        let kernel_end = finish_times
             .iter()
             .copied()
             .max()
             .unwrap_or(start)
             .max(self.mem.global_drain())
             .max(start);
-        if let Some(limit) = hard_stop {
-            // The drain tail (outstanding memory completions) may lie
-            // past the budget boundary; the budget cuts it off so the
-            // breach is observed at exactly the limit.
-            kernel_end = kernel_end.min(limit);
-            for f in finish_times.iter_mut() {
-                *f = (*f).min(limit);
-            }
-        }
 
         // Aggregate per-SM breakdowns plus end-of-kernel idle time.
         for (i, sm) in sms.iter().enumerate() {
@@ -546,10 +396,9 @@ impl<'t> Simulation<'t> {
         if self.tracer.enabled() {
             self.emit_kernel_end(kernel_seq, kernel_end, &counters_before, flits_before);
         }
-        // Re-check after the kernel so a breach (now at exactly the
-        // budget cycle, thanks to the clamping above) is visible to the
-        // caller immediately, not only on the next launch attempt.
-        self.check_budget();
+        // Re-check after the kernel so a breach is visible to the caller
+        // immediately, not only on the next launch attempt.
+        self.check_deadline();
         Ok(())
     }
 
@@ -810,93 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_budget_stops_further_launches() {
-        let mut sim = Simulation::builder(
-            SystemParams::default(),
-            hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        )
-        .budget(SimBudget {
-            max_kernels: Some(2),
-            ..SimBudget::UNLIMITED
-        })
-        .build()
-        .unwrap();
-        for _ in 0..10 {
-            run(&mut sim, &compute_kernel(256, 4));
-        }
-        assert!(sim.budget_exhausted());
-        assert!(matches!(
-            sim.budget_breach(),
-            Some(BudgetBreach::Kernels { limit: 2, .. })
-        ));
-        assert_eq!(sim.stats().kernels, 2, "third and later launches ignored");
-    }
-
-    #[test]
-    fn cycle_budget_breaches_at_exactly_the_limit() {
-        // The limit falls inside the kernel launch overhead: the clock
-        // must stop at the limit itself, not at the end of the launch.
-        let mut sim = Simulation::builder(
-            SystemParams::default(),
-            hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        )
-        .budget(SimBudget {
-            max_cycles: Some(1),
-            ..SimBudget::UNLIMITED
-        })
-        .build()
-        .unwrap();
-        run(&mut sim, &compute_kernel(256, 4));
-        assert_eq!(sim.stats().kernels, 1);
-        assert_eq!(
-            sim.budget_breach(),
-            Some(BudgetBreach::Cycles {
-                limit: 1,
-                reached: 1
-            })
-        );
-        let clock_after = sim.stats().total_cycles();
-        assert_eq!(clock_after, 1, "the clock stops exactly at the limit");
-        run(&mut sim, &compute_kernel(256, 4));
-        assert_eq!(sim.stats().kernels, 1);
-        assert_eq!(sim.stats().total_cycles(), clock_after);
-    }
-
-    #[test]
-    fn cycle_budget_is_exact_under_cycle_skipping() {
-        // Memory-bound kernel: warps stall for long latencies, so the
-        // engine's stall jumps would overshoot a mid-stall limit if the
-        // skip target were not clamped to the budget boundary.
-        let params = SystemParams::default();
-        let limit = params.kernel_launch_cycles + 150;
-        let scattered_loads = KernelTrace::new(
-            (0..256u64)
-                .map(|t| (0..8).map(|k| MicroOp::load((t * 8 + k) * 4096)).collect())
-                .collect(),
-            256,
-        )
-        .unwrap();
-        let mut sim = Simulation::builder(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0))
-            .budget(SimBudget {
-                max_cycles: Some(limit),
-                ..SimBudget::UNLIMITED
-            })
-            .build()
-            .unwrap();
-        run(&mut sim, &scattered_loads);
-        assert_eq!(
-            sim.budget_breach(),
-            Some(BudgetBreach::Cycles {
-                limit,
-                reached: limit
-            }),
-            "breach is detected at the exact breach cycle"
-        );
-        let stats = sim.finish();
-        assert_eq!(stats.total_cycles(), limit);
-    }
-
-    #[test]
     fn expired_deadline_blocks_the_next_launch() {
         let mut sim = Simulation::builder(
             SystemParams::default(),
@@ -907,10 +669,7 @@ mod tests {
         .unwrap();
         run(&mut sim, &compute_kernel(256, 4));
         assert_eq!(sim.stats().kernels, 0, "deadline already expired");
-        assert!(matches!(
-            sim.budget_breach(),
-            Some(BudgetBreach::Deadline { .. })
-        ));
+        assert_eq!(sim.deadline_breach(), Some(0));
     }
 
     #[test]
@@ -936,45 +695,13 @@ mod tests {
             .build()
             .unwrap();
             sim.run_kernel(&kernel).unwrap();
-            let aborted_mid_kernel = sim.stats().kernels == 1
-                && matches!(sim.budget_breach(), Some(BudgetBreach::Deadline { .. }));
+            let aborted_mid_kernel = sim.stats().kernels == 1 && sim.deadline_breach().is_some();
             if aborted_mid_kernel {
                 return;
             }
-            outcomes.push((micros, sim.stats().kernels, sim.budget_breach()));
+            outcomes.push((micros, sim.stats().kernels, sim.deadline_breach()));
         }
         panic!("no margin aborted mid-kernel: {outcomes:?}");
-    }
-
-    #[test]
-    fn unlimited_budget_never_breaches() {
-        let mut sim = Simulation::new(
-            SystemParams::default(),
-            hw(CoherenceKind::Gpu, ConsistencyModel::Drf0),
-        )
-        .unwrap();
-        for _ in 0..4 {
-            run(&mut sim, &compute_kernel(256, 2));
-        }
-        assert!(!sim.budget_exhausted());
-        assert!(sim.budget_breach().is_none());
-        assert_eq!(sim.stats().kernels, 4);
-    }
-
-    #[test]
-    fn budget_breach_display_names_the_limit() {
-        let k = BudgetBreach::Kernels {
-            limit: 5,
-            reached: 5,
-        };
-        assert!(k.to_string().contains("kernel budget"));
-        let c = BudgetBreach::Cycles {
-            limit: 100,
-            reached: 100,
-        };
-        assert!(c.to_string().contains("cycle budget"));
-        let d = BudgetBreach::Deadline { reached: 42 };
-        assert!(d.to_string().contains("deadline"));
     }
 
     #[test]

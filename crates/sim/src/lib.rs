@@ -81,7 +81,7 @@ pub use check::{InvariantKind, ProtocolViolation};
 pub use config::{AtomicMix, CoherenceKind, ConsistencyModel, HwConfig};
 #[cfg(feature = "check")]
 pub use engine::DebugHooks;
-pub use engine::{BudgetBreach, SimBudget, Simulation, SimulationBuilder};
+pub use engine::{Simulation, SimulationBuilder};
 pub use ggs_trace::{TraceEvent, TraceSink, Tracer};
 pub use params::{ParamsError, SystemParams};
 pub use stats::{ExecStats, StallBreakdown, StallClass};

@@ -60,10 +60,6 @@ pub struct Sm<'k> {
     /// Latest ready time of a warp that retired its final slot (tail
     /// pipeline latency still in flight when the warp finished).
     tail: u64,
-    /// Hard simulated-cycle boundary, if any: the SM never advances
-    /// `now` past it, so a cycle budget is breached at the exact budget
-    /// cycle even when the stall jump would skip over it.
-    hard_stop: Option<u64>,
     /// Injected trace sink handle; off by default.
     tracer: Tracer<'k>,
     /// Start cycle of the last stall sample emitted (stride sampling).
@@ -81,9 +77,6 @@ pub enum Step {
     /// Every resident warp has finished; the SM needs a new block (or is
     /// done).
     Drained,
-    /// The SM reached its hard stop (cycle-budget boundary): its clock
-    /// sits exactly on the boundary and it must not run further.
-    Stopped,
 }
 
 impl<'k> Sm<'k> {
@@ -103,7 +96,6 @@ impl<'k> Sm<'k> {
             stats: StallBreakdown::default(),
             last_completion: 0,
             tail: 0,
-            hard_stop: None,
             tracer: Tracer::off(),
             last_sample: 0,
         }
@@ -113,14 +105,6 @@ impl<'k> Sm<'k> {
     /// events); returns the SM for builder-style chaining.
     pub fn with_tracer(mut self, tracer: Tracer<'k>) -> Self {
         self.tracer = tracer;
-        self
-    }
-
-    /// Installs a hard simulated-cycle boundary (a cycle budget): the SM
-    /// parks at `stop` instead of issuing or jumping past it, and
-    /// [`Sm::step`] reports [`Step::Stopped`] once `now` reaches it.
-    pub fn with_hard_stop(mut self, stop: Option<u64>) -> Self {
-        self.hard_stop = stop;
         self
     }
 
@@ -173,9 +157,6 @@ impl<'k> Sm<'k> {
         if self.ready.is_empty() {
             return Step::Drained;
         }
-        if self.hard_stop.is_some_and(|stop| self.now >= stop) {
-            return Step::Stopped;
-        }
         let n = self.ready.len();
         let now = self.now;
         // Issue scan over the flat ready mirror: the first warp at or
@@ -220,12 +201,6 @@ impl<'k> Sm<'k> {
         let (t, i) = earliest;
         let class = self.warps[i].blocked;
         debug_assert!(t > self.now);
-        // A cycle budget clamps the jump: account the stall only up to
-        // the boundary and park exactly on it.
-        let (t, stopped) = match self.hard_stop {
-            Some(stop) if t >= stop => (stop, true),
-            _ => (t, false),
-        };
         self.stats.record(class, t - self.now);
         // Sampled stall-transition event: at most one per stride window
         // per SM, so hot stalls stay bounded in the trace.
@@ -239,11 +214,7 @@ impl<'k> Sm<'k> {
             });
         }
         self.now = t;
-        if stopped {
-            Step::Stopped
-        } else {
-            Step::Waited
-        }
+        Step::Waited
     }
 
     /// Executes the next slot of warp `idx`.

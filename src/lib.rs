@@ -43,7 +43,7 @@ pub mod prelude {
     pub use ggs_graph::{Csr, GraphBuilder, GraphError};
     pub use ggs_model::{predict_full, predict_partial, GraphProfile, SystemConfig};
     pub use ggs_sim::{
-        ExecStats, HwConfig, SimBudget, Simulation, SimulationBuilder, StallClass, SystemParams,
+        ExecStats, HwConfig, Simulation, SimulationBuilder, StallClass, SystemParams,
     };
     pub use ggs_trace::{MetricsRegistry, NoopSink, TraceEvent, TraceSink, Tracer, WriterSink};
 }
