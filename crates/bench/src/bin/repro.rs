@@ -660,12 +660,14 @@ fn study_cmd(args: &Args) -> Result<(), String> {
         faults = faults.parse_spec(spec_str).map_err(|e| e.to_string())?;
     }
     options.faults = faults;
+    options.validate().map_err(|e| e.to_string())?;
 
     if store_path.is_none() && (store_compact || !inject_store_faults.is_empty()) {
         return Err("--store-compact and --inject-store-fault require --store".to_owned());
     }
     // Store faults fire only on appends, so arming them before the open
-    // still sabotages the run, and a bad spec leaves no store behind.
+    // still sabotages the run, and a bad spec or refused study leaves no
+    // store behind.
     let mut store_faults = ggs_core::StoreFaults::none();
     for spec_str in &inject_store_faults {
         store_faults = store_faults

@@ -231,6 +231,31 @@ fn a_timed_out_cell_reports_its_configured_limit() {
 }
 
 #[test]
+fn a_refused_study_leaves_no_store_behind() {
+    let dir = std::env::temp_dir().join(format!("ggs-cli-refused-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let store = dir.join("h.store");
+    let store_arg = store.to_str().expect("utf8 temp path");
+    // A hang with no deadline is refused before the store would open.
+    repro_rejects(&[
+        "study",
+        "--scale",
+        "0.004",
+        "--store",
+        store_arg,
+        "--inject-fault",
+        "CC/RAJ/DGR=hang",
+    ]);
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("temp dir readable")
+        .map(|e| e.map(|e| e.file_name()))
+        .collect::<Result<_, _>>()
+        .expect("temp dir entries");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(left.is_empty(), "refused study left {left:?}");
+}
+
+#[test]
 fn section_runner_and_study_print_the_same_figures() {
     // The section runner and `repro study` both run the study through
     // `run_study`; from the Figure 5 header on, their stdout must agree.

@@ -12,9 +12,9 @@
 //!   [`GgsError::CellPanic`] recorded in the failure report instead of
 //!   poisoning the pool.
 //! * **Watchdog** — an optional wall-clock limit per cell
-//!   ([`StudyOptions::cell_deadline`]), enforced by the engine; a
-//!   breached cell is recorded as [`CellStatus::Timeout`] and the study
-//!   continues.
+//!   ([`StudyOptions::cell_deadline`]), enforced by the engine and
+//!   charged only with the cell's own simulation time; a breached cell
+//!   is recorded as [`CellStatus::Timeout`] and the study continues.
 //! * **One attempt** — a cell is deterministic, so it runs once and
 //!   its failure is final: a retry would fail the same way.
 //! * **Checkpoint/resume** — with a [`Store`] attached, completed cells
@@ -25,15 +25,34 @@
 //!
 //! The unit of work is a *stream group*: the cells of one graph ×
 //! application × propagation, which share one kernel stream. A worker
-//! takes the next group and walks its cells in job order, building the
-//! stream at the first cell that simulates and dropping it when the
-//! group ends. It also simulates each *consistency class* once: cells
-//! that differ only in a consistency model their kernel stream cannot
-//! observe (see
+//! takes the next group, answers its store hits, runs its faulted cells
+//! alone, and simulates the rest in *lockstep*: the group's producer
+//! runs once, and each kernel is packed once, run by every live
+//! simulation of the group, and dropped before the next is produced. So
+//! a worker holds one kernel and a few simulator states, never a whole
+//! stream.
+//!
+//! Each *consistency class* is simulated once: cells that differ only
+//! in a consistency model their kernel stream cannot observe (see
 //! [`ConsistencyModel::class_representative`](ggs_sim::ConsistencyModel::class_representative))
-//! lie in one group, and take the row of the first of them in job order
-//! that simulated. No class spans two groups, so workers never wait on
-//! each other.
+//! lie in one group and share one simulation, and the first of them in
+//! job order is the one counted as simulated; the others are answered
+//! from it. A stream's [`AtomicMix`] is only known when it ends, so the
+//! lockstep keeps one simulation per class *under the mix seen so far*,
+//! and when a kernel raises the mix and splits a class, forks that
+//! class's simulation at the kernel boundary
+//! ([`Simulation::fork`]) for each new class. The members were
+//! indistinguishable on the prefix, so each fork is exactly where a
+//! fresh simulation of its class would be.
+//!
+//! Every live simulation runs each kernel behind its own
+//! `catch_unwind`, and its wall-clock limit is charged only with its own
+//! simulation time: before each kernel its deadline is re-armed with
+//! what is left ([`Simulation::set_deadline`]). A simulation that panics
+//! or breaches leaves the lockstep with its typed error, failing the
+//! cells of its class, and the others go on. A lockstep cell's
+//! `cell_start`/`cell_finish` trace span covers its whole group. No
+//! class spans two groups, so workers never wait on each other.
 //!
 //! The failure taxonomy, the store resume workflow and how answered
 //! cells go through the store are documented in `docs/robustness.md`;
@@ -43,18 +62,17 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ggs_apps::{AppKind, SSSP_MAX_WEIGHT};
+use ggs_apps::{AppKind, Workload, SSSP_MAX_WEIGHT};
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::{predict_full, predict_partial, GraphProfile, SystemConfig};
 use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
-use ggs_sim::{AtomicMix, ExecStats, Simulation, StallClass};
-use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
+use ggs_sim::{AtomicMix, ExecStats, Simulation, StallClass, SystemParams};
+use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink};
 
 use crate::error::GgsError;
-use crate::experiment::{produce_stream, run_stream_budgeted, ExperimentSpec};
+use crate::experiment::ExperimentSpec;
 use crate::store::{fnv1a64, versioned_spec_hash, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
 use crate::sweep::{baseline_config, figure5_configs};
@@ -250,6 +268,28 @@ impl StudyOptions {
             ..Self::default()
         }
     }
+
+    /// Checks what [`run_study`] refuses before any work: zero worker
+    /// threads, or a hang fault without a [`StudyOptions::cell_deadline`]
+    /// that fits the clock. A caller that opens a store for the study
+    /// calls this first, so a refused study leaves no store behind.
+    ///
+    /// # Errors
+    ///
+    /// [`GgsError::InvalidSpec`] naming the problem.
+    pub fn validate(&self) -> Result<(), GgsError> {
+        if self.threads == 0 {
+            return Err(GgsError::InvalidSpec(
+                "need at least one worker thread".to_owned(),
+            ));
+        }
+        if self.faults.has_hang() && hang_deadline(self.cell_deadline).is_none() {
+            return Err(GgsError::InvalidSpec(
+                "a hang fault needs a cell deadline (--deadline-ms) to stop it".to_owned(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The result of a fault-tolerant study run.
@@ -313,6 +353,28 @@ struct Names {
 }
 
 impl Names {
+    /// The outcome of a cell that ran once: `Ok` with its row, or its
+    /// failure.
+    fn ran(&self, ran: Ran) -> CellOutcome {
+        match ran {
+            Ok(stats) => {
+                let row = ResultRow {
+                    config: self.config.clone(),
+                    total_cycles: stats.total_cycles(),
+                    fractions: [
+                        stats.breakdown.fraction(StallClass::Busy),
+                        stats.breakdown.fraction(StallClass::Comp),
+                        stats.breakdown.fraction(StallClass::Data),
+                        stats.breakdown.fraction(StallClass::Sync),
+                        stats.breakdown.fraction(StallClass::Idle),
+                    ],
+                };
+                self.outcome(CellStatus::Ok, String::new(), 1, Some(row))
+            }
+            Err((status, detail)) => self.outcome(status, detail, 1, None),
+        }
+    }
+
     fn outcome(
         &self,
         status: CellStatus,
@@ -334,10 +396,184 @@ impl Names {
     }
 }
 
-/// A kernel stream, built by the first cell of its stream group that
-/// simulates, and the [`AtomicMix`] that puts the group's cells into
-/// consistency classes.
-type GroupStream = (Vec<Arc<WarpTrace>>, AtomicMix);
+/// How a cell that ran ended: its statistics, or its terminal status
+/// ([`CellStatus::Failed`] or [`CellStatus::Timeout`]) and message.
+type Ran = Result<ExecStats, (CellStatus, String)>;
+
+fn ran(result: Result<ExecStats, GgsError>) -> Ran {
+    result.map_err(|e| {
+        let status = if e.is_timeout() {
+            CellStatus::Timeout
+        } else {
+            CellStatus::Failed
+        };
+        (status, e.to_string())
+    })
+}
+
+/// A cell of a stream group that the store did not answer and no fault
+/// sabotages: it simulates in the group's lockstep.
+struct Pending {
+    i: usize,
+    names: Names,
+    /// Its `cell_start` time, in µs since the study epoch.
+    start_us: u64,
+}
+
+/// One live simulation of a lockstep: the cells of one consistency
+/// class under the atomic mix seen so far, as positions into the
+/// group's [`Pending`] cells in job order. The simulation runs under the
+/// first member's configuration.
+struct Lane {
+    sim: Simulation<'static>,
+    members: Vec<usize>,
+    /// Wall-clock time spent simulating this lane's kernels, including
+    /// the prefix it shared before a fork: what its cells' limit is
+    /// charged with.
+    spent: Duration,
+}
+
+/// A stream group's lockstep: the live lanes and the classes already
+/// settled, by running to the end or by leaving with a failure.
+struct Lockstep<'a> {
+    params: &'a SystemParams,
+    /// The pending cells' configurations, by position.
+    configs: Vec<SystemConfig>,
+    limit: Option<Duration>,
+    /// The maximum [`AtomicMix`] of the kernels seen so far; `None`
+    /// before the first kernel, when no lane is open yet.
+    mix: Option<AtomicMix>,
+    lanes: Vec<Lane>,
+    settled: Vec<(Vec<usize>, Ran)>,
+}
+
+impl Lockstep<'_> {
+    /// Splits `members` into classes under `mix`, each in job order,
+    /// the classes ordered by their first member. A class's key is the
+    /// configuration with its consistency model replaced by the class
+    /// representative.
+    fn classes(configs: &[SystemConfig], members: Vec<usize>, mix: AtomicMix) -> Vec<Vec<usize>> {
+        let mut classes: Vec<(SystemConfig, Vec<usize>)> = Vec::new();
+        for m in members {
+            let mut key = configs[m];
+            key.consistency = key.consistency.class_representative(mix);
+            match classes.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, class)) => class.push(m),
+                None => classes.push((key, vec![m])),
+            }
+        }
+        classes.into_iter().map(|(_, class)| class).collect()
+    }
+
+    /// Opens one lane per class of every pending cell under `mix`.
+    fn open(&mut self, mix: AtomicMix) {
+        let everyone = (0..self.configs.len()).collect();
+        for members in Self::classes(&self.configs, everyone, mix) {
+            let hw = self.configs[members[0]].hw();
+            match Simulation::builder(self.params.clone(), hw).build() {
+                Ok(sim) => self.lanes.push(Lane {
+                    sim,
+                    members,
+                    spent: Duration::ZERO,
+                }),
+                Err(e) => self.settled.push((members, ran(Err(e.into())))),
+            }
+        }
+        self.mix = Some(mix);
+    }
+
+    /// Re-classes every lane under the raised `mix`. A lane whose
+    /// members now fall into several classes keeps its simulation for
+    /// the class of its first member and forks it at this kernel
+    /// boundary for each other class: the members were indistinguishable
+    /// on the prefix, so each fork is exactly where that class would be.
+    fn split(&mut self, mix: AtomicMix) {
+        let mut forks = Vec::new();
+        for lane in &mut self.lanes {
+            let members = std::mem::take(&mut lane.members);
+            let mut classes = Self::classes(&self.configs, members, mix).into_iter();
+            lane.members = classes.next().unwrap_or_default();
+            for members in classes {
+                let model = self.configs[members[0]].consistency;
+                forks.push(Lane {
+                    sim: lane.sim.fork(model),
+                    members,
+                    spent: lane.spent,
+                });
+            }
+        }
+        self.lanes.extend(forks);
+        self.mix = Some(mix);
+    }
+
+    /// Feeds one kernel to every live lane, after opening or splitting
+    /// the lanes for its atomics. A lane that fails leaves with its
+    /// error; the others go on.
+    fn step(&mut self, kernel: &WarpTrace) {
+        let mix = kernel.atomic_mix();
+        match self.mix {
+            None => self.open(mix),
+            Some(seen) if mix > seen => self.split(mix),
+            Some(_) => {}
+        }
+        let limit = self.limit;
+        let mut failed = Vec::new();
+        self.lanes.retain_mut(|lane| match lane.run(kernel, limit) {
+            Ok(()) => true,
+            Err(e) => {
+                failed.push((std::mem::take(&mut lane.members), ran(Err(e))));
+                false
+            }
+        });
+        self.settled.extend(failed);
+    }
+
+    /// `true` once lanes are open and every one has left.
+    fn is_over(&self) -> bool {
+        self.mix.is_some() && self.lanes.is_empty()
+    }
+
+    /// Ends the lockstep: every pending cell settles, the live lanes'
+    /// members with their final statistics, or with `failure` if the
+    /// stream could not be produced.
+    fn finish(mut self, failure: Option<GgsError>) -> Vec<(Vec<usize>, Ran)> {
+        if self.mix.is_none() {
+            // No kernel came: every cell is in its class under no atomics.
+            self.open(AtomicMix::None);
+        }
+        let failure = failure.map(|e| ran(Err(e)));
+        for lane in std::mem::take(&mut self.lanes) {
+            let result = failure.clone().unwrap_or_else(|| Ok(lane.sim.finish()));
+            self.settled.push((lane.members, result));
+        }
+        self.settled
+    }
+}
+
+impl Lane {
+    /// Runs one kernel behind its own `catch_unwind`, with the deadline
+    /// re-armed to what is left of `limit` after the lane's simulation
+    /// time so far.
+    fn run(&mut self, kernel: &WarpTrace, limit: Option<Duration>) -> Result<(), GgsError> {
+        if let Some(limit) = limit {
+            let left = limit.saturating_sub(self.spent);
+            self.sim.set_deadline(Instant::now().checked_add(left));
+        }
+        let start = Instant::now();
+        let ran = catch_unwind(AssertUnwindSafe(|| self.sim.run_kernel(kernel)));
+        self.spent += start.elapsed();
+        match ran {
+            Err(payload) => Err(GgsError::CellPanic {
+                payload: panic_message(payload),
+            }),
+            Ok(Err(e)) => Err(e.into()),
+            Ok(Ok(())) if self.sim.deadline_breach().is_some() => {
+                Err(GgsError::deadline(limit.unwrap_or_default()))
+            }
+            Ok(Ok(())) => Ok(()),
+        }
+    }
+}
 
 /// Everything the workers of one study share.
 struct Sweep<'a> {
@@ -360,40 +596,30 @@ struct Sweep<'a> {
 /// answered from) the store. Each cell that simulates runs once.
 ///
 /// Each worker takes one *stream group* at a time: the cells of one
-/// graph × application × propagation, which share one kernel stream.
-/// The group's first cell that simulates builds the stream, and the
-/// worker drops it when the group ends. Each consistency class is
-/// simulated once: cells whose configurations differ only in a
-/// consistency model their stream cannot observe
+/// graph × application × propagation, which share one kernel stream,
+/// and simulates the group's cells in lockstep (see the module docs),
+/// producing the stream once and holding one kernel at a time. Each
+/// consistency class is simulated once: cells whose configurations
+/// differ only in a consistency model their stream cannot observe
 /// ([`ConsistencyModel::class_representative`](ggs_sim::ConsistencyModel::class_representative))
 /// are answered, as [`CellStatus::Ok`], from the first of them in job
-/// order that simulated. Store hits and cells with an injected fault
-/// never answer a class.
+/// order. Store hits and cells with an injected fault never answer a
+/// class.
 ///
-/// Returns `Err` only for setup failures (zero threads, a fault plan
-/// with a hang but no [`StudyOptions::cell_deadline`] that fits the
-/// clock, an unreadable or foreign store); individual cell failures
-/// never abort the run — they are reported in [`StudyOutcome::cells`]
-/// and `study.failures`. Only a cell's simulation runs behind its
-/// `catch_unwind`; a panic in a step around it (the store lookup, the
-/// store publish, or answering a cell from its consistency class)
-/// propagates out of `run_study`.
+/// Returns `Err` only for setup failures (those of
+/// [`StudyOptions::validate`], an unreadable or foreign store);
+/// individual cell failures never abort the run — they are reported in
+/// [`StudyOutcome::cells`] and `study.failures`. Only the simulations
+/// and the group's producer run behind a `catch_unwind`; a panic in a
+/// step around them (the store lookup or publish) propagates out of
+/// `run_study`.
 pub fn run_study(
     spec: &ExperimentSpec,
     options: &StudyOptions,
     metrics: &MetricsRegistry,
     sink: &dyn TraceSink,
 ) -> Result<StudyOutcome, GgsError> {
-    if options.threads == 0 {
-        return Err(GgsError::InvalidSpec(
-            "need at least one worker thread".to_owned(),
-        ));
-    }
-    if options.faults.has_hang() && hang_deadline(options.cell_deadline).is_none() {
-        return Err(GgsError::InvalidSpec(
-            "a hang fault needs a cell deadline (--deadline-ms) to stop it".to_owned(),
-        ));
-    }
+    options.validate()?;
     let epoch = Instant::now();
     let store_report = match &options.store {
         Some(store) => {
@@ -532,41 +758,114 @@ impl Sweep<'_> {
         done
     }
 
-    /// Walks one stream group's cells in job order. The group's stream
-    /// lives in this call only. `classes` maps each consistency class
-    /// (the configuration with its consistency model replaced by the
-    /// class representative) to the row and configuration code of its
-    /// first `Ok` simulation, or to `None` once that simulation failed
-    /// or timed out, after which each member runs on its own.
+    /// Walks one stream group's cells in job order. Store hits are
+    /// answered first and cells with an injected fault run alone; the
+    /// rest simulate in the group's [`Lockstep`], which produces the
+    /// stream once, one kernel at a time. Each final consistency class
+    /// takes its statistics from its lane: the class's first cell in job
+    /// order is counted as simulated and the others as answered from it,
+    /// or, if the lane failed, every member carries its failure.
     fn walk(&self, group: &[usize], local: &MetricsRegistry, done: &mut Vec<(usize, CellOutcome)>) {
-        let mut stream: Option<GroupStream> = None;
-        let mut classes: HashMap<SystemConfig, Option<(ResultRow, String)>> = HashMap::new();
+        let mut pending = Vec::new();
         for &i in group {
             let names = self.names(i);
-            // Cells with an injected fault neither answer nor are answered.
-            let faulted = self.options.faults.get(&names.key).is_some();
-            let class = |stream: &Option<GroupStream>| {
-                let (_, mix) = stream.as_ref().filter(|_| !faulted)?;
-                let mut config = self.cells[i].config;
-                config.consistency = config.consistency.class_representative(*mix);
-                Some(config)
+            let start_us = self.cell_start(&names);
+            let hit = self
+                .options
+                .store
+                .as_ref()
+                .and_then(|store| self.lookup(store, &names));
+            let outcome = match (hit, self.options.faults.get(&names.key)) {
+                (Some(hit), _) => hit,
+                (None, Some(fault)) => self.publish(&names, self.run_faulted(i, &names, fault)),
+                (None, None) => {
+                    pending.push(Pending { i, names, start_us });
+                    continue;
+                }
             };
-            if let Some((row, by)) = class(&stream).and_then(|key| classes.get(&key)?.as_ref()) {
-                let outcome = self.answer(&names, row, by);
-                count(&outcome, true, local);
-                done.push((i, outcome));
-                continue;
-            }
-            let outcome = self.run(i, &names, &mut stream, local);
-            // A store hit leaves the class to the next member.
-            let settles = outcome.report.status != CellStatus::Skipped;
-            if let (true, Some(key)) = (settles, class(&stream)) {
-                let settled = || outcome.row.clone().map(|row| (row, names.config.clone()));
-                classes.entry(key).or_insert_with(settled);
-            }
+            self.cell_finish(&names, start_us, &outcome);
             count(&outcome, false, local);
             done.push((i, outcome));
         }
+        if pending.is_empty() {
+            return;
+        }
+        let mut settled: Vec<(usize, CellOutcome, bool)> = Vec::new();
+        for (members, result) in self.lockstep(&pending, local) {
+            let lead = &pending[members[0]].names;
+            let first = lead.ran(result);
+            for &m in &members[1..] {
+                let names = &pending[m].names;
+                let outcome = match &first.row {
+                    Some(row) => {
+                        let row = ResultRow {
+                            config: names.config.clone(),
+                            ..row.clone()
+                        };
+                        let detail = format!("answered from {}", lead.config);
+                        names.outcome(CellStatus::Ok, detail, 0, Some(row))
+                    }
+                    None => {
+                        let report = &first.report;
+                        names.outcome(report.status, report.detail.clone(), 1, None)
+                    }
+                };
+                settled.push((m, outcome, true));
+            }
+            settled.push((members[0], first, false));
+        }
+        settled.sort_unstable_by_key(|&(m, ..)| m);
+        debug_assert!(
+            settled.iter().enumerate().all(|(k, &(m, ..))| k == m),
+            "every pending cell settles exactly once"
+        );
+        for (cell, (_, outcome, answered)) in pending.iter().zip(settled) {
+            let outcome = self.publish(&cell.names, outcome);
+            self.cell_finish(&cell.names, cell.start_us, &outcome);
+            count(&outcome, answered, local);
+            done.push((cell.i, outcome));
+        }
+    }
+
+    /// Simulates a group's `pending` cells in lockstep: produces the
+    /// group's stream once and packs each kernel once, feeds it to every
+    /// live lane, and drops it before the next kernel is produced.
+    /// Returns each final class (positions into `pending`, in job order)
+    /// with its result.
+    fn lockstep(&self, pending: &[Pending], local: &MetricsRegistry) -> Vec<(Vec<usize>, Ran)> {
+        let cell = self.cells[pending[0].i];
+        let graph = cell.app.weighted(&self.graphs[cell.graph_index].1);
+        let params = &self.spec.params;
+        let mut lockstep = Lockstep {
+            params,
+            configs: pending.iter().map(|p| self.cells[p.i].config).collect(),
+            limit: self.options.cell_deadline,
+            mix: None,
+            lanes: Vec::new(),
+            settled: Vec::new(),
+        };
+        let mut failure = None;
+        let produced = catch_unwind(AssertUnwindSafe(|| {
+            let prop = cell.config.propagation;
+            Workload::new(cell.app, &graph).produce(prop, params.tb_size, &mut |kernel, _| {
+                // A kernel left unpacked drains itself when dropped.
+                if failure.is_none() && !lockstep.is_over() {
+                    match kernel.pack(params) {
+                        Ok(kernel) => lockstep.step(&kernel),
+                        Err(e) => failure = Some(GgsError::from(e)),
+                    }
+                }
+            });
+        }));
+        if let Err(payload) = produced {
+            failure = Some(GgsError::CellPanic {
+                payload: panic_message(payload),
+            });
+        }
+        if failure.is_none() {
+            local.add("streams_built", 1);
+        }
+        lockstep.finish(failure)
     }
 
     fn names(&self, i: usize) -> Names {
@@ -582,11 +881,10 @@ impl Sweep<'_> {
         }
     }
 
-    /// Emits `cell_start`, runs `body`, then emits `cell_finish`.
-    fn traced(&self, names: &Names, body: impl FnOnce() -> CellOutcome) -> CellOutcome {
+    /// Emits `cell_start` for a cell and returns its start time.
+    fn cell_start(&self, names: &Names) -> u64 {
         let start_us = self.epoch.elapsed().as_micros() as u64;
-        let traced = self.sink.enabled();
-        if traced {
+        if self.sink.enabled() {
             self.sink.emit(&TraceEvent::CellStart {
                 app: names.app.to_owned(),
                 graph: names.graph.to_owned(),
@@ -594,8 +892,12 @@ impl Sweep<'_> {
                 start_us,
             });
         }
-        let outcome = body();
-        if traced {
+        start_us
+    }
+
+    /// Emits `cell_finish` for a cell that started at `start_us`.
+    fn cell_finish(&self, names: &Names, start_us: u64, outcome: &CellOutcome) {
+        if self.sink.enabled() {
             self.sink.emit(&TraceEvent::CellFinish {
                 app: names.app.to_owned(),
                 graph: names.graph.to_owned(),
@@ -606,50 +908,6 @@ impl Sweep<'_> {
                 dur_us: self.epoch.elapsed().as_micros() as u64 - start_us,
             });
         }
-        outcome
-    }
-
-    /// Runs cell `i`: looked up in the store if one is attached (a store
-    /// hit ends it as [`CellStatus::Skipped`]), then simulated on its
-    /// group's `stream`, building it if no cell has yet, and published.
-    fn run(
-        &self,
-        i: usize,
-        names: &Names,
-        stream: &mut Option<GroupStream>,
-        local: &MetricsRegistry,
-    ) -> CellOutcome {
-        self.traced(names, || match &self.options.store {
-            Some(store) => match self.lookup(store, names) {
-                Some(outcome) => outcome,
-                None => {
-                    let outcome = self.execute(i, names, stream, local);
-                    self.publish(store, names, outcome)
-                }
-            },
-            None => self.execute(i, names, stream, local),
-        })
-    }
-
-    /// Answers a cell with its class's `row`, simulated by config `by`:
-    /// looked up in the store first, so a store hit still wins, then
-    /// published under the cell's own key.
-    fn answer(&self, names: &Names, row: &ResultRow, by: &str) -> CellOutcome {
-        self.traced(names, || {
-            let row = ResultRow {
-                config: names.config.clone(),
-                ..row.clone()
-            };
-            let outcome =
-                names.outcome(CellStatus::Ok, format!("answered from {by}"), 0, Some(row));
-            match &self.options.store {
-                Some(store) => match self.lookup(store, names) {
-                    Some(outcome) => outcome,
-                    None => self.publish(store, names, outcome),
-                },
-                None => outcome,
-            }
-        })
     }
 
     /// Looks a cell up in the store: `None` if it has no result (a
@@ -676,10 +934,13 @@ impl Sweep<'_> {
         Some(names.outcome(CellStatus::Skipped, "store hit".to_owned(), 0, Some(row)))
     }
 
-    /// Publishes a cell's row if it has one. A failed publish leaves
-    /// the cell's outcome, noted in its detail: only durability
-    /// degraded.
-    fn publish(&self, store: &Store, names: &Names, mut outcome: CellOutcome) -> CellOutcome {
+    /// Publishes a cell's row to the store, if one is attached and the
+    /// cell is `Ok`. A failed publish leaves the cell's outcome, noted
+    /// in its detail: only durability degraded.
+    fn publish(&self, names: &Names, mut outcome: CellOutcome) -> CellOutcome {
+        let Some(store) = &self.options.store else {
+            return outcome;
+        };
         if let (CellStatus::Ok, Some(row)) = (&outcome.report.status, &outcome.row) {
             if let Err(e) = store.publish(&self.store_hash, names.app, names.graph, row) {
                 let detail = &mut outcome.report.detail;
@@ -692,90 +953,22 @@ impl Sweep<'_> {
         outcome
     }
 
-    /// Runs cell `i` once behind `catch_unwind`, turning a panic into
-    /// [`GgsError::CellPanic`].
-    fn execute(
-        &self,
-        i: usize,
-        names: &Names,
-        stream: &mut Option<GroupStream>,
-        local: &MetricsRegistry,
-    ) -> CellOutcome {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.execute_cell(i, names, stream, local)
+    /// Runs a cell with an injected `fault`, alone and once, behind
+    /// `catch_unwind`.
+    fn run_faulted(&self, i: usize, names: &Names, fault: &Fault) -> CellOutcome {
+        let result = catch_unwind(AssertUnwindSafe(|| match fault {
+            Fault::Panic => {
+                let key = &names.key;
+                panic!("injected fault: deliberate panic in {key}")
+            }
+            Fault::Hang => run_hang(self.cells[i], self.spec, self.options.cell_deadline),
         }))
         .unwrap_or_else(|payload| {
             Err(GgsError::CellPanic {
                 payload: panic_message(payload),
             })
         });
-        match result {
-            Ok(stats) => {
-                let row = ResultRow {
-                    config: names.config.clone(),
-                    total_cycles: stats.total_cycles(),
-                    fractions: [
-                        stats.breakdown.fraction(StallClass::Busy),
-                        stats.breakdown.fraction(StallClass::Comp),
-                        stats.breakdown.fraction(StallClass::Data),
-                        stats.breakdown.fraction(StallClass::Sync),
-                        stats.breakdown.fraction(StallClass::Idle),
-                    ],
-                };
-                names.outcome(CellStatus::Ok, String::new(), 1, Some(row))
-            }
-            Err(e) => {
-                let status = if e.is_timeout() {
-                    CellStatus::Timeout
-                } else {
-                    CellStatus::Failed
-                };
-                names.outcome(status, e.to_string(), 1, None)
-            }
-        }
-    }
-
-    fn execute_cell(
-        &self,
-        i: usize,
-        names: &Names,
-        stream: &mut Option<GroupStream>,
-        local: &MetricsRegistry,
-    ) -> Result<ExecStats, GgsError> {
-        let cell = self.cells[i];
-        let limit = self.options.cell_deadline;
-        match self.options.faults.get(&names.key) {
-            Some(Fault::Panic) => {
-                let key = &names.key;
-                panic!("injected fault: deliberate panic in {key}")
-            }
-            Some(Fault::Hang) => return run_hang(cell, self.spec, limit),
-            None => {}
-        }
-        // Split run: the functional half once per stream group, the
-        // timing half on a fresh engine per cell. The same kernels flow
-        // through the same simulator in the same order, so the
-        // statistics are bit-identical to the fused run that generates
-        // kernels as it simulates.
-        let (kernels, _) = match stream {
-            Some(built) => built,
-            None => {
-                let graph = &self.graphs[cell.graph_index].1;
-                let prop = cell.config.propagation;
-                let kernels = produce_stream(cell.app, graph, prop, &self.spec.params)?;
-                local.add("streams_built", 1);
-                let mix = kernels.iter().map(|k| k.atomic_mix()).max();
-                stream.insert((kernels, mix.unwrap_or_default()))
-            }
-        };
-        run_stream_budgeted(
-            kernels,
-            cell.app,
-            cell.config,
-            self.spec,
-            Tracer::off(),
-            limit,
-        )
+        names.ran(ran(result))
     }
 }
 
@@ -952,6 +1145,56 @@ mod tests {
             spec_hash(&a, ConfigSet::Figure5),
             spec_hash(&a, ConfigSet::Full)
         );
+    }
+
+    #[test]
+    fn a_lane_out_of_time_leaves_the_lockstep_and_the_others_go_on() {
+        use crate::experiment::run_stream_budgeted;
+        use ggs_trace::Tracer;
+        use std::sync::Arc;
+        let spec = ExperimentSpec::at_scale(0.004);
+        let threads = (0..512u64)
+            .map(|t| vec![MicroOp::load(t * 4), MicroOp::atomic(0x4000 + t % 32 * 4)])
+            .collect();
+        let kernel = KernelTrace::new(threads, spec.params.tb_size).unwrap();
+        let kernel = WarpTrace::pack(&kernel, &spec.params).unwrap();
+        let configs: Vec<SystemConfig> = ["SG1", "SGR", "SD1"]
+            .iter()
+            .map(|code| code.parse().unwrap())
+            .collect();
+        let limit = Duration::from_secs(3600);
+        let mut lockstep = Lockstep {
+            params: &spec.params,
+            configs: configs.clone(),
+            limit: Some(limit),
+            mix: None,
+            lanes: Vec::new(),
+            settled: Vec::new(),
+        };
+        lockstep.step(&kernel);
+        assert_eq!(
+            lockstep.lanes.len(),
+            3,
+            "fire-and-forget atomics: three classes"
+        );
+        // SGR's lane has used up its limit, so its next kernel breaches.
+        lockstep.lanes[1].spent = limit;
+        lockstep.step(&kernel);
+        assert_eq!(lockstep.lanes.len(), 2);
+        let mut settled = lockstep.finish(None);
+        settled.sort_by_key(|(members, _)| members[0]);
+        let stream = [Arc::new(kernel.clone()), Arc::new(kernel)];
+        for (k, (members, result)) in settled.into_iter().enumerate() {
+            assert_eq!(members, [k]);
+            if k == 1 {
+                let timeout = (CellStatus::Timeout, GgsError::deadline(limit).to_string());
+                assert_eq!(result, Err(timeout));
+                continue;
+            }
+            let alone =
+                run_stream_budgeted(&stream, AppKind::Pr, configs[k], &spec, Tracer::off(), None);
+            assert_eq!(result, Ok(alone.unwrap()), "{}", configs[k].code());
+        }
     }
 
     #[test]

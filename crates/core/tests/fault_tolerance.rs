@@ -4,10 +4,11 @@
 //! Resuming a killed study from the result store is covered in
 //! `store_crash.rs`.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use ggs_core::runner::{run_study, CellStatus, Fault, FaultPlan, StudyOptions};
-use ggs_core::study::ConfigSet;
+use ggs_core::study::{ConfigSet, ResultRow};
 use ggs_core::{ExperimentSpec, MetricsRegistry};
 use ggs_trace::NOOP;
 
@@ -99,6 +100,74 @@ fn panicking_and_hanging_cells_leave_the_rest_intact() {
     let (ok, failed, timeout, skipped) = faulted.counts();
     assert_eq!((failed, timeout, skipped), (1, 1, 0));
     assert_eq!(ok + 2, clean.cells.len());
+}
+
+/// Faulted cells leave their stream group's lockstep and run alone; the
+/// group's other cells still simulate in lockstep and come out exactly
+/// as in a clean run, and no other group's cells are answered
+/// differently. PR/AMZ's push group loses a panicking and a hung cell.
+#[test]
+fn faults_inside_a_lockstep_group_leave_its_other_cells_intact() {
+    let spec = ExperimentSpec::at_scale(SCALE);
+    let clean_metrics = MetricsRegistry::new();
+    let clean = run_study(&spec, &options(), &clean_metrics, &NOOP).expect("clean run");
+    assert!(clean.study.failures.is_empty());
+
+    // A deadline with headroom for clean cells on a loaded test host.
+    let mut faulted_options = options();
+    faulted_options.cell_deadline = Some(Duration::from_secs(2));
+    faulted_options.faults = FaultPlan::new()
+        .inject("PR", "AMZ", "SG1", Fault::Panic)
+        .inject("PR", "AMZ", "SDR", Fault::Hang);
+    let metrics = MetricsRegistry::new();
+    let faulted =
+        run_study(&spec, &faulted_options, &metrics, &NOOP).expect("faulted run completes");
+
+    let status = |key: &str| {
+        let cell = faulted.cells.iter().find(|c| c.key() == key);
+        cell.map(|c| (c.status, c.attempts))
+    };
+    assert_eq!(status("PR/AMZ/SG1"), Some((CellStatus::Failed, 1)));
+    assert_eq!(status("PR/AMZ/SDR"), Some((CellStatus::Timeout, 1)));
+    for key in ["PR/AMZ/SGR", "PR/AMZ/SD1"] {
+        assert_eq!(status(key), Some((CellStatus::Ok, 1)), "{key} simulated");
+    }
+    let (ok, failed, timeout, skipped) = faulted.counts();
+    assert_eq!((failed, timeout, skipped), (1, 1, 0));
+    assert_eq!(ok + 2, clean.cells.len());
+
+    // Every other cell reports as in the clean run, row for row.
+    let rows = |outcome: &ggs_core::StudyOutcome| -> BTreeMap<String, ResultRow> {
+        let reports = outcome.study.reports.iter();
+        reports
+            .flat_map(|r| {
+                let key = move |row: &ResultRow| format!("{}/{}/{}", r.app, r.graph, row.config);
+                r.rows.iter().map(move |row| (key(row), row.clone()))
+            })
+            .collect()
+    };
+    let (clean_rows, faulted_rows) = (rows(&clean), rows(&faulted));
+    assert_eq!(faulted_rows.len() + 2, clean_rows.len());
+    for (clean_cell, cell) in clean.cells.iter().zip(&faulted.cells) {
+        let key = cell.key();
+        if key != "PR/AMZ/SG1" && key != "PR/AMZ/SDR" {
+            assert_eq!(clean_cell, cell, "{key}");
+            assert_eq!(clean_rows.get(&key), faulted_rows.get(&key), "{key}");
+        }
+    }
+    // The faulted cells answered nobody, so only they are missing from
+    // the simulated count, and the group still built its stream once.
+    for (name, missing) in [
+        ("configs_answered", 0),
+        ("configs_simulated", 2),
+        ("streams_built", 0),
+    ] {
+        assert_eq!(
+            metrics.counter(name) + missing,
+            clean_metrics.counter(name),
+            "{name}"
+        );
+    }
 }
 
 /// A zero wall-clock limit times out every cell's simulation before its

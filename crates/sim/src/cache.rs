@@ -169,6 +169,11 @@ impl Cache {
         Self::new(sets, ways)
     }
 
+    /// Heap bytes held by the tag and stamp arrays.
+    pub fn heap_bytes(&self) -> u64 {
+        ((self.words.capacity() + self.stamps.capacity()) * size_of::<u64>()) as u64
+    }
+
     #[inline]
     fn set_range(&self, line: u64) -> std::ops::Range<usize> {
         let set = (line & (self.sets - 1)) as usize;

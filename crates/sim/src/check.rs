@@ -90,7 +90,7 @@ impl fmt::Display for ProtocolViolation {
 /// logic itself lives in `MemorySystem` (it needs the caches and the
 /// ownership registry); this struct only accumulates results and holds
 /// injection flags.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ProtocolChecker {
     /// Violations recorded since the last
     /// [`crate::mem::MemorySystem::take_protocol_violations`].

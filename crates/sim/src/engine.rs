@@ -15,7 +15,7 @@
 //! See `docs/performance.md` for why this reproduces the stepped loop's
 //! statistics bit-exactly.
 
-use crate::config::HwConfig;
+use crate::config::{ConsistencyModel, HwConfig};
 use crate::mem::MemorySystem;
 use crate::params::ParamsError;
 use crate::params::SystemParams;
@@ -191,6 +191,12 @@ impl<'t> Simulation<'t> {
     /// stay valid for reporting.
     pub fn deadline_breach(&self) -> Option<u64> {
         self.breach
+    }
+
+    /// Re-arms the wall-clock deadline (`None` for none) for the
+    /// kernels still to run. A breach already latched stays latched.
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
     }
 
     /// Latches a breach if the deadline has passed. Called at kernel
@@ -458,6 +464,41 @@ impl<'t> Simulation<'t> {
             kernel: kernel_seq,
             cycle: kernel_end,
         });
+    }
+
+    /// Forks the simulation at the current kernel boundary: the copy
+    /// holds the same cache, ownership, queue and statistics state and
+    /// the same deadline, and runs its further kernels under
+    /// consistency model `model`.
+    ///
+    /// The model is consulted only when a kernel issues atomics, so on
+    /// a prefix whose atomics `model` and this simulation's model treat
+    /// alike (they share a class under the prefix's
+    /// [`AtomicMix`](crate::config::AtomicMix), see
+    /// [`ConsistencyModel::class_representative`]), the fork is in
+    /// exactly the state a fresh simulation under `model` would reach
+    /// on that prefix.
+    pub fn fork(&self, model: ConsistencyModel) -> Simulation<'t> {
+        let mut mem = self.mem.clone();
+        mem.set_consistency(model);
+        Simulation {
+            params: self.params.clone(),
+            hw: HwConfig::new(self.hw.coherence, model),
+            mem,
+            stats: self.stats.clone(),
+            clock: self.clock,
+            tracer: self.tracer,
+            deadline: self.deadline,
+            breach: self.breach,
+        }
+    }
+
+    /// Heap bytes held by the simulator state between kernels (the
+    /// memory system's caches, id tables and queues); the per-kernel SM
+    /// state is freed when each kernel ends. Grows with the lines and
+    /// words the run touched, not with the span of its address space.
+    pub fn heap_bytes(&self) -> u64 {
+        self.mem.heap_bytes()
     }
 
     /// Read-only view of the statistics accumulated so far.
@@ -797,6 +838,122 @@ mod tests {
         // Busy cycles equal the total number of issued warp instructions:
         // 64 blocks x 8 warps x 2 slots.
         assert_eq!(stats.breakdown.get(StallClass::Busy), 64 * 8 * 2);
+    }
+
+    #[test]
+    fn a_fork_after_an_atomic_free_prefix_equals_a_fresh_run() {
+        // Kernel 0 issues no atomics, so every consistency model times
+        // it alike; kernel 1 mixes fire-and-forget and value-returning
+        // atomics on contended words, so the models part ways there.
+        let plain = KernelTrace::new(
+            (0..512u64)
+                .map(|t| {
+                    vec![
+                        MicroOp::load(t * 4),
+                        MicroOp::store(0x8000 + t * 4),
+                        MicroOp::compute(2),
+                    ]
+                })
+                .collect(),
+            256,
+        )
+        .unwrap();
+        let atomics = KernelTrace::new(
+            (0..512u64)
+                .map(|t| {
+                    vec![
+                        MicroOp::load(0x8000 + t * 4),
+                        MicroOp::atomic(0x2_0000 + (t % 16) * 4),
+                        MicroOp::atomic(0x2_0000 + (t * 7 % 16) * 4),
+                        MicroOp::compute(2),
+                        MicroOp::atomic_returning(0x3_0000 + (t % 8) * 4),
+                    ]
+                })
+                .collect(),
+            256,
+        )
+        .unwrap();
+        let params = SystemParams::default();
+        let (plain, atomics) = (
+            WarpTrace::pack(&plain, &params).unwrap(),
+            WarpTrace::pack(&atomics, &params).unwrap(),
+        );
+        assert_eq!(plain.atomic_mix(), crate::config::AtomicMix::None);
+        assert_eq!(
+            atomics.atomic_mix(),
+            crate::config::AtomicMix::SomeFireAndForget
+        );
+        for coherence in [CoherenceKind::Gpu, CoherenceKind::DeNovo] {
+            let fresh = |model| {
+                let mut sim = Simulation::new(params.clone(), hw(coherence, model)).unwrap();
+                sim.run_kernel(&plain).unwrap();
+                sim.run_kernel(&atomics).unwrap();
+                sim.finish()
+            };
+            let fresh: Vec<ExecStats> = ConsistencyModel::ALL.into_iter().map(fresh).collect();
+            assert!(
+                fresh[0] != fresh[1] && fresh[1] != fresh[2],
+                "kernel 1 must tell the models apart under {coherence:?}"
+            );
+            for (a, base) in ConsistencyModel::ALL.into_iter().enumerate() {
+                let mut prefix = Simulation::new(params.clone(), hw(coherence, base)).unwrap();
+                prefix.run_kernel(&plain).unwrap();
+                for (b, model) in ConsistencyModel::ALL.into_iter().enumerate() {
+                    if a == b {
+                        continue;
+                    }
+                    let mut fork = prefix.fork(model);
+                    assert_eq!(fork.hw(), hw(coherence, model));
+                    fork.run_kernel(&atomics).unwrap();
+                    assert_eq!(
+                        fork.finish(),
+                        fresh[b],
+                        "{coherence:?}: {base:?} forked to {model:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simulator_state_grows_with_touched_words_not_the_address_space() {
+        // A push kernel on a graph with a large edge array and few
+        // vertices: its atomics hit 1024 vertex words laid out after a
+        // 64 MB edge array, of which it reads one line per vertex. The
+        // id tables must cost about one page per touched window, not a
+        // slot for every word below the vertex array (64 MB of them).
+        let vertices = 1024u64;
+        let ranks = 64 << 20;
+        let kernel = KernelTrace::new(
+            (0..vertices)
+                .map(|v| {
+                    vec![
+                        MicroOp::load(v * 64 * 1024),
+                        MicroOp::atomic(ranks + v * 4),
+                        MicroOp::atomic(ranks + (v * 37 % vertices) * 4),
+                    ]
+                })
+                .collect(),
+            256,
+        )
+        .unwrap();
+        for coherence in [CoherenceKind::Gpu, CoherenceKind::DeNovo] {
+            let mut sim = Simulation::new(
+                SystemParams::default(),
+                hw(coherence, ConsistencyModel::DrfRlx),
+            )
+            .unwrap();
+            let fixed = sim.heap_bytes();
+            run(&mut sim, &kernel);
+            let grown = sim.heap_bytes() - fixed;
+            assert!(
+                grown < 512 << 10,
+                "{coherence:?}: {grown} bytes for {vertices} words (fixed {fixed})"
+            );
+            // A fork copies the state (at no spare capacity).
+            let fork = sim.fork(ConsistencyModel::Drf1).heap_bytes();
+            assert!(fork <= sim.heap_bytes() && fork > fixed, "{fork}");
+        }
     }
 
     #[test]

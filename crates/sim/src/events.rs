@@ -55,7 +55,7 @@ const _: () = assert!(WORDS == u32::BITS as usize);
 /// before `now`, then returns `now` if a slot is free, otherwise
 /// removes and returns the earliest outstanding completion (the cycle
 /// at which the next slot frees up).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct CompletionRing {
     /// Completion counts per bucket for cycles in `[cursor, cursor + W)`.
     counts: [u16; RING_BUCKETS],
@@ -163,6 +163,12 @@ impl CompletionRing {
     }
 
     /// Time by which every outstanding entry has completed.
+    /// Heap bytes held by the two overflow heaps (the bucket arrays
+    /// live inline).
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        ((self.overflow.capacity() + self.early.capacity()) * size_of::<u64>()) as u64
+    }
+
     pub(crate) fn drain_time(&self) -> u64 {
         self.high_water
     }

@@ -16,7 +16,7 @@
 use crate::cache::{Cache, LineState, Probe};
 #[cfg(feature = "check")]
 use crate::check::{InvariantKind, ProtocolChecker, ProtocolViolation};
-use crate::config::{CoherenceKind, HwConfig};
+use crate::config::{CoherenceKind, ConsistencyModel, HwConfig};
 use crate::events::CompletionRing;
 use crate::noc::Mesh;
 use crate::params::SystemParams;
@@ -25,52 +25,36 @@ use crate::trace::WORD_SHIFT;
 use ggs_trace::{TraceEvent, Tracer};
 use std::collections::HashMap;
 
-/// Keys below this bound use the direct-indexed fast path of
-/// [`IdTable`]: one flat `key -> id + 1` array covering every key from
-/// 0, so small workloads pay a single array load and no per-page
-/// indirection.
-const DENSE_KEY_LIMIT: u64 = 1 << 24;
-
-/// Page granularity of the paged middle tier (64Ki keys per page).
-const PAGE_BITS: u32 = 16;
+/// Page granularity of the paged tier: 4Ki keys, one 16 KB page.
+const PAGE_BITS: u32 = 12;
 
 /// Slots per page of the paged tier.
 const PAGE_SLOTS: usize = 1 << PAGE_BITS;
 
-/// First page index of the paged tier (pages below this are covered by
-/// the direct table).
-const FIRST_PAGE: usize = (DENSE_KEY_LIMIT >> PAGE_BITS) as usize;
+/// Keys below this bound use the paged tier: lazily allocated
+/// 4Ki-slot pages indexed by `key >>` [`PAGE_BITS`], so a table costs
+/// one pointer per 4Ki keys of span plus one page per 4Ki-key window
+/// that holds an interned key — it grows with the keys interned, not
+/// with the address space below them. Packed traces store line and
+/// word numbers as `u32`, so only direct [`MemorySystem`] callers can
+/// pass this bound; their keys fall to a `HashMap`.
+const PAGED_KEY_LIMIT: u64 = 1 << 32;
 
-/// Keys below this bound (and at or above [`DENSE_KEY_LIMIT`]) use the
-/// paged tier: lazily allocated 64Ki-slot pages indexed by `key >>`
-/// [`PAGE_BITS`]. Large-graph address spaces (rmat16/rmat18 and beyond)
-/// blow past the direct table but stay contiguous, so they touch a
-/// short dense run of pages — still one array load per access after the
-/// page-vector index, no hashing. Keys past this bound fall to a
-/// `HashMap`; packed traces store line and word numbers as `u32`, so
-/// only direct [`MemorySystem`] callers can reach it.
-const PAGED_KEY_LIMIT: u64 = 1 << 40;
-
-/// Dense interner from 64-bit keys (line numbers, word addresses) to
+/// Interner from 64-bit keys (line numbers, word addresses) to dense
 /// `u32` ids, built lazily as a run touches addresses. Ids index flat
 /// side tables (ownership registry, serialization chains), replacing
 /// per-access `HashMap` probes with array loads on every re-visit.
 ///
-/// Three tiers by key magnitude — direct (`< 2^24`), paged
-/// (`< 2^40`), hashed (the rest) — chosen so the id of
-/// a key depends only on *first-touch order*, never on which tier
-/// resolved it: golden statistics are invariant to the tier layout.
-#[derive(Debug, Default)]
+/// Two tiers by key magnitude — paged (`< 2^32`) and hashed (the rest)
+/// — chosen so the id of a key depends only on *first-touch order*,
+/// never on which tier resolved it: golden statistics are invariant to
+/// the tier layout.
+#[derive(Debug, Clone, Default)]
 struct IdTable {
-    /// `dense[key] == id + 1`, `0` = never interned. Grows to the
-    /// largest interned key below [`DENSE_KEY_LIMIT`].
-    dense: Vec<u32>,
-    /// Paged tier for keys in `[`[`DENSE_KEY_LIMIT`]`, `
-    /// [`PAGED_KEY_LIMIT`]`)`: `pages[key >> PAGE_BITS - FIRST_PAGE]`
-    /// holds a lazily allocated 64Ki-slot `id + 1` page. The page
-    /// vector grows to the highest *touched* page, so a contiguous
-    /// big-graph address space costs one pointer per 64Ki keys.
-    pages: Vec<Option<Box<[u32]>>>,
+    /// `pages[key >> PAGE_BITS]` holds a lazily allocated `id + 1`
+    /// page (`0` = never interned). The page vector grows to the
+    /// highest *touched* page.
+    pages: Vec<Option<Box<[u32; PAGE_SLOTS]>>>,
     /// Keys at or above [`PAGED_KEY_LIMIT`].
     sparse: HashMap<u64, u32>,
     keys: Vec<u64>,
@@ -78,26 +62,13 @@ struct IdTable {
 
 impl IdTable {
     fn intern(&mut self, key: u64) -> u32 {
-        if key < DENSE_KEY_LIMIT {
-            let k = key as usize;
-            if k >= self.dense.len() {
-                self.dense.resize(k + 1, 0);
-            }
-            if self.dense[k] == 0 {
-                let id = self.keys.len() as u32;
-                self.keys.push(key);
-                self.dense[k] = id + 1;
-            }
-            return self.dense[k] - 1;
-        }
         if key < PAGED_KEY_LIMIT {
-            let page = (key >> PAGE_BITS) as usize - FIRST_PAGE;
+            let page = (key >> PAGE_BITS) as usize;
             if page >= self.pages.len() {
                 self.pages.resize_with(page + 1, || None);
             }
-            let page =
-                self.pages[page].get_or_insert_with(|| vec![0u32; PAGE_SLOTS].into_boxed_slice());
-            let slot = &mut page[(key & (PAGE_SLOTS as u64 - 1)) as usize];
+            let page = self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_SLOTS]));
+            let slot = &mut page[key as usize & (PAGE_SLOTS - 1)];
             if *slot == 0 {
                 let id = self.keys.len() as u32;
                 self.keys.push(key);
@@ -115,24 +86,9 @@ impl IdTable {
 
     #[inline]
     fn get(&self, key: u64) -> Option<u32> {
-        if key < DENSE_KEY_LIMIT {
-            return match self.dense.get(key as usize) {
-                Some(&slot) if slot != 0 => Some(slot - 1),
-                _ => None,
-            };
-        }
         if key < PAGED_KEY_LIMIT {
-            return match self
-                .pages
-                .get((key >> PAGE_BITS) as usize - FIRST_PAGE)
-                .and_then(Option::as_deref)
-            {
-                Some(page) => match page[(key & (PAGE_SLOTS as u64 - 1)) as usize] {
-                    0 => None,
-                    slot => Some(slot - 1),
-                },
-                None => None,
-            };
+            let page = self.pages.get((key >> PAGE_BITS) as usize)?.as_deref()?;
+            return page[key as usize & (PAGE_SLOTS - 1)].checked_sub(1);
         }
         self.sparse.get(&key).copied()
     }
@@ -140,6 +96,17 @@ impl IdTable {
     #[inline]
     fn key(&self, id: u32) -> u64 {
         self.keys[id as usize]
+    }
+
+    /// Heap bytes held: the page vector, its allocated pages, the key
+    /// list and the hashed tier.
+    fn heap_bytes(&self) -> u64 {
+        let pages = self.pages.iter().flatten().count() * PAGE_SLOTS * size_of::<u32>();
+        let hashed = self.sparse.capacity() * (size_of::<u64>() + size_of::<u32>());
+        (self.pages.capacity() * size_of::<usize>()
+            + pages
+            + self.keys.capacity() * size_of::<u64>()
+            + hashed) as u64
     }
 }
 
@@ -180,7 +147,10 @@ impl Access {
 /// The lifetime parameter is the borrow of an injected
 /// [`ggs_trace::TraceSink`]; constructing via [`MemorySystem::new`]
 /// leaves tracing off and the lifetime unconstrained.
-#[derive(Debug)]
+///
+/// `Clone` copies the whole hierarchy state, so a simulation can fork
+/// at a kernel boundary (see `Simulation::fork`).
+#[derive(Debug, Clone)]
 pub struct MemorySystem<'t> {
     hw: HwConfig,
     mesh: Mesh,
@@ -205,7 +175,7 @@ pub struct MemorySystem<'t> {
     /// Per-bank next-free time (service occupancy / contention).
     bank_free: Vec<u64>,
     /// Dense ids for atomically-accessed words, keyed by word number
-    /// (byte address / 4), so the direct tier spans only the words.
+    /// (byte address / 4).
     words: IdTable,
     /// Per-word atomic serialization chain, indexed by word id: epoch
     /// tag + completion of the latest atomic to the word. Entries from
@@ -382,6 +352,40 @@ impl<'t> MemorySystem<'t> {
     /// The configured hardware point.
     pub fn hw(&self) -> HwConfig {
         self.hw
+    }
+
+    /// Switches the consistency model recorded with the hardware point.
+    /// The memory system itself never consults it (only the coherence
+    /// protocol), so a forked simulation carries its new model here.
+    pub(crate) fn set_consistency(&mut self, model: ConsistencyModel) {
+        self.hw.consistency = model;
+    }
+
+    /// Heap bytes held by the hierarchy state: caches, id tables and
+    /// their side tables, completion rings and region attribution.
+    /// Grows with the lines and words a run touches, not with the span
+    /// of the address space.
+    pub fn heap_bytes(&self) -> u64 {
+        let vec = |len: usize, elem: usize| (len * elem) as u64;
+        let rings = [&self.mshr, &self.store_buf, &self.atomic_q]
+            .into_iter()
+            .map(|q| {
+                vec(q.capacity(), size_of::<CompletionRing>())
+                    + q.iter().map(CompletionRing::heap_bytes).sum::<u64>()
+            })
+            .sum::<u64>();
+        vec(self.l1.capacity(), size_of::<Cache>())
+            + self.l1.iter().map(Cache::heap_bytes).sum::<u64>()
+            + self.l2.heap_bytes()
+            + self.lines.heap_bytes()
+            + self.words.heap_bytes()
+            + vec(self.owner.capacity(), size_of::<u32>())
+            + vec(self.bank_free.capacity(), size_of::<u64>())
+            + vec(self.atomic_chain.capacity(), size_of::<(u64, u64)>())
+            + vec(self.owner_chain.capacity(), size_of::<(u64, u64)>())
+            + rings
+            + vec(self.regions.capacity(), size_of::<(u64, u64, String)>())
+            + vec(self.region_stats.capacity(), size_of::<RegionStats>())
     }
 
     #[inline]
@@ -980,15 +984,17 @@ mod tests {
     #[test]
     fn id_table_assigns_first_touch_order_across_tiers() {
         let mut t = IdTable::default();
-        // One key per tier, interleaved, then revisited: ids must follow
-        // first-touch order regardless of which tier resolves the key.
+        // One key per tier and page, interleaved, then revisited: ids
+        // must follow first-touch order regardless of which tier or page
+        // resolves the key.
+        let page = PAGE_SLOTS as u64;
         let keys = [
-            7u64,                    // direct
-            DENSE_KEY_LIMIT + 3,     // first paged page
-            PAGED_KEY_LIMIT + 11,    // sparse
-            DENSE_KEY_LIMIT * 2 + 5, // later paged page
-            u64::MAX,                // sparse extreme
-            8,                       // direct again
+            7u64,                 // first page
+            page * 300 + 3,       // a later page
+            PAGED_KEY_LIMIT + 11, // hashed
+            PAGED_KEY_LIMIT - 1,  // last paged key
+            u64::MAX,             // hashed extreme
+            8,                    // first page again
         ];
         for (expect, &k) in keys.iter().enumerate() {
             assert_eq!(t.intern(k), expect as u32, "first touch of {k:#x}");
@@ -999,7 +1005,8 @@ mod tests {
             assert_eq!(t.key(expect as u32), k);
         }
         assert_eq!(t.get(9), None);
-        assert_eq!(t.get(DENSE_KEY_LIMIT + 4), None);
+        assert_eq!(t.get(page * 300 + 4), None);
+        assert_eq!(t.get(page * 299), None, "untouched page inside the span");
         assert_eq!(t.get(PAGED_KEY_LIMIT + 12), None);
         // Many scattered huge keys keep first-touch ids in the hashed
         // tier too.
@@ -1017,10 +1024,9 @@ mod tests {
 
     #[test]
     fn id_table_paged_tier_survives_a_dense_key_run() {
-        // A contiguous big-graph address range past the direct bound:
-        // every key lands in the paged tier, spanning page boundaries.
+        // A contiguous key run far from 0, spanning page boundaries.
         let mut t = IdTable::default();
-        let base = DENSE_KEY_LIMIT - 100;
+        let base = (1 << 26) - 100;
         for i in 0..(PAGE_SLOTS as u64 * 3) {
             assert_eq!(t.intern(base + i), i as u32);
         }
@@ -1028,6 +1034,26 @@ mod tests {
             assert_eq!(t.get(base + i), Some(i as u32));
             assert_eq!(t.key(i as u32), base + i);
         }
+    }
+
+    #[test]
+    fn id_table_grows_with_interned_keys_not_their_span() {
+        // 1024 word keys past 2^26 untouched ones (a 256 MB address
+        // gap) allocate one page plus a pointer per page of span, not a
+        // slot per key below them.
+        let mut t = IdTable::default();
+        let base = 1u64 << 26;
+        for i in 0..1024 {
+            t.intern(base + i);
+        }
+        let span_pointers = (base >> PAGE_BITS) as usize * size_of::<usize>();
+        let bytes = t.heap_bytes() as usize;
+        assert!(bytes >= PAGE_SLOTS * size_of::<u32>(), "{bytes}");
+        assert!(
+            bytes <= 2 * (span_pointers + PAGE_SLOTS * size_of::<u32>()),
+            "{bytes} bytes for 1024 keys"
+        );
+        assert!(bytes < (base as usize) / 64, "{bytes} bytes");
     }
 
     #[test]
