@@ -494,9 +494,10 @@ impl<'t> Simulation<'t> {
     }
 
     /// Heap bytes held by the simulator state between kernels (the
-    /// memory system's caches, id tables and queues); the per-kernel SM
-    /// state is freed when each kernel ends. Grows with the lines and
-    /// words the run touched, not with the span of its address space.
+    /// memory system's caches, line and word maps and queues); the
+    /// per-kernel SM state is freed when each kernel ends. Grows with
+    /// the lines and words the run touched, not with the span of its
+    /// address space.
     pub fn heap_bytes(&self) -> u64 {
         self.mem.heap_bytes()
     }
@@ -920,8 +921,9 @@ mod tests {
         // A push kernel on a graph with a large edge array and few
         // vertices: its atomics hit 1024 vertex words laid out after a
         // 64 MB edge array, of which it reads one line per vertex. The
-        // id tables must cost about one page per touched window, not a
-        // slot for every word below the vertex array (64 MB of them).
+        // line and word maps must cost about one page per touched
+        // window, not a slot for every word below the vertex array
+        // (64 MB of them).
         let vertices = 1024u64;
         let ranks = 64 << 20;
         let kernel = KernelTrace::new(
@@ -953,6 +955,33 @@ mod tests {
             // A fork copies the state (at no spare capacity).
             let fork = sim.fork(ConsistencyModel::Drf1).heap_bytes();
             assert!(fork <= sim.heap_bytes() && fork > fixed, "{fork}");
+        }
+    }
+
+    #[test]
+    fn dense_atomic_words_grow_the_state_by_their_chains() {
+        // A push kernel whose atomics hit 64 Ki consecutive vertex words.
+        // Their 8-byte chains fill sixteen 32 KB pages (512 KB); DeNovo
+        // adds one 64 KB page for the 4096 registered lines.
+        let words = 64u64 << 10;
+        let kernel = KernelTrace::new(
+            (0..words).map(|v| vec![MicroOp::atomic(v * 4)]).collect(),
+            256,
+        )
+        .unwrap();
+        for coherence in [CoherenceKind::Gpu, CoherenceKind::DeNovo] {
+            let mut sim = Simulation::new(
+                SystemParams::default(),
+                hw(coherence, ConsistencyModel::DrfRlx),
+            )
+            .unwrap();
+            let fixed = sim.heap_bytes();
+            run(&mut sim, &kernel);
+            let grown = sim.heap_bytes() - fixed;
+            assert!(
+                grown < 1 << 20,
+                "{coherence:?}: {grown} bytes for {words} atomic words (fixed {fixed})"
+            );
         }
     }
 

@@ -162,13 +162,13 @@ impl CompletionRing {
         }
     }
 
-    /// Time by which every outstanding entry has completed.
     /// Heap bytes held by the two overflow heaps (the bucket arrays
     /// live inline).
     pub(crate) fn heap_bytes(&self) -> u64 {
         ((self.overflow.capacity() + self.early.capacity()) * size_of::<u64>()) as u64
     }
 
+    /// Time by which every outstanding entry has completed.
     pub(crate) fn drain_time(&self) -> u64 {
         self.high_water
     }

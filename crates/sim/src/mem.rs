@@ -8,10 +8,10 @@
 //! near-global time order.
 //!
 //! Per-line and per-word side state (the DeNovo ownership registry, the
-//! atomic and ownership-transfer chains) lives in flat vectors indexed
-//! by ids that an `IdTable` hands out in first-touch order. MSHRs,
-//! store buffers and outstanding-atomic trackers are `CompletionRing`s,
-//! admitted on every L1 load miss, store and atomic.
+//! atomic and ownership-transfer chains) lives in two `PagedMap`s keyed
+//! by line and word number, one lookup per access. MSHRs, store buffers
+//! and outstanding-atomic trackers are `CompletionRing`s, admitted on
+//! every L1 load miss, store and atomic.
 
 use crate::cache::{Cache, LineState, Probe};
 #[cfg(feature = "check")]
@@ -25,93 +25,160 @@ use crate::trace::WORD_SHIFT;
 use ggs_trace::{TraceEvent, Tracer};
 use std::collections::HashMap;
 
-/// Page granularity of the paged tier: 4Ki keys, one 16 KB page.
+/// Page granularity of the paged tier: 4Ki keys per page.
 const PAGE_BITS: u32 = 12;
 
 /// Slots per page of the paged tier.
 const PAGE_SLOTS: usize = 1 << PAGE_BITS;
 
 /// Keys below this bound use the paged tier: lazily allocated
-/// 4Ki-slot pages indexed by `key >>` [`PAGE_BITS`], so a table costs
+/// 4Ki-slot pages indexed by `key >>` [`PAGE_BITS`], so a map costs
 /// one pointer per 4Ki keys of span plus one page per 4Ki-key window
-/// that holds an interned key — it grows with the keys interned, not
+/// that holds a written key — it grows with the keys written, not
 /// with the address space below them. Packed traces store line and
 /// word numbers as `u32`, so only direct [`MemorySystem`] callers can
 /// pass this bound; their keys fall to a `HashMap`.
 const PAGED_KEY_LIMIT: u64 = 1 << 32;
 
-/// Interner from 64-bit keys (line numbers, word addresses) to dense
-/// `u32` ids, built lazily as a run touches addresses. Ids index flat
-/// side tables (ownership registry, serialization chains), replacing
-/// per-access `HashMap` probes with array loads on every re-visit.
-///
-/// Two tiers by key magnitude — paged (`< 2^32`) and hashed (the rest)
-/// — chosen so the id of a key depends only on *first-touch order*,
-/// never on which tier resolved it: golden statistics are invariant to
-/// the tier layout.
-#[derive(Debug, Clone, Default)]
-struct IdTable {
-    /// `pages[key >> PAGE_BITS]` holds a lazily allocated `id + 1`
-    /// page (`0` = never interned). The page vector grows to the
-    /// highest *touched* page.
-    pages: Vec<Option<Box<[u32; PAGE_SLOTS]>>>,
+/// Per-key state keyed by the key itself (a line number or a word
+/// number): keys below [`PAGED_KEY_LIMIT`] index lazily allocated
+/// pages that hold their entries inline, the rest a `HashMap`. A key
+/// never written reads as `T::default()`; only writes allocate.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct PagedMap<T> {
+    /// `pages[key >> PAGE_BITS]`, allocated on the first write into its
+    /// window. The vector grows to the highest written page.
+    pages: Vec<Option<Box<[T]>>>,
     /// Keys at or above [`PAGED_KEY_LIMIT`].
-    sparse: HashMap<u64, u32>,
-    keys: Vec<u64>,
+    sparse: HashMap<u64, T>,
 }
 
-impl IdTable {
-    fn intern(&mut self, key: u64) -> u32 {
-        if key < PAGED_KEY_LIMIT {
-            let page = (key >> PAGE_BITS) as usize;
-            if page >= self.pages.len() {
-                self.pages.resize_with(page + 1, || None);
-            }
-            let page = self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_SLOTS]));
-            let slot = &mut page[key as usize & (PAGE_SLOTS - 1)];
-            if *slot == 0 {
-                let id = self.keys.len() as u32;
-                self.keys.push(key);
-                *slot = id + 1;
-            }
-            return *slot - 1;
-        }
-        let next = self.keys.len() as u32;
-        let id = *self.sparse.entry(key).or_insert(next);
-        if id == next {
-            self.keys.push(key);
-        }
-        id
-    }
-
+impl<T: Copy + Default> PagedMap<T> {
+    /// The entry of `key`, or `T::default()` if it was never written.
     #[inline]
-    fn get(&self, key: u64) -> Option<u32> {
+    fn get(&self, key: u64) -> T {
         if key < PAGED_KEY_LIMIT {
-            let page = self.pages.get((key >> PAGE_BITS) as usize)?.as_deref()?;
-            return page[key as usize & (PAGE_SLOTS - 1)].checked_sub(1);
+            return match self.pages.get((key >> PAGE_BITS) as usize) {
+                Some(Some(page)) => page[key as usize & (PAGE_SLOTS - 1)],
+                _ => T::default(),
+            };
         }
-        self.sparse.get(&key).copied()
+        self.sparse.get(&key).copied().unwrap_or_default()
     }
 
+    /// The entry of `key` if its page (or hashed entry) exists; never
+    /// allocates.
     #[inline]
-    fn key(&self, id: u32) -> u64 {
-        self.keys[id as usize]
+    fn get_mut(&mut self, key: u64) -> Option<&mut T> {
+        if key < PAGED_KEY_LIMIT {
+            let page = self
+                .pages
+                .get_mut((key >> PAGE_BITS) as usize)?
+                .as_deref_mut()?;
+            return Some(&mut page[key as usize & (PAGE_SLOTS - 1)]);
+        }
+        self.sparse.get_mut(&key)
     }
 
-    /// Heap bytes held: the page vector, its allocated pages, the key
-    /// list and the hashed tier.
+    /// The entry of `key` for writing, allocating its page on first use.
+    #[inline]
+    fn entry(&mut self, key: u64) -> &mut T {
+        if key >= PAGED_KEY_LIMIT {
+            return self.sparse.entry(key).or_default();
+        }
+        let index = (key >> PAGE_BITS) as usize;
+        if index >= self.pages.len() {
+            self.pages.resize_with(index + 1, || None);
+        }
+        let page = self.pages[index].get_or_insert_with(Self::new_page);
+        &mut page[key as usize & (PAGE_SLOTS - 1)]
+    }
+
+    /// A page of default entries, built on the heap (a page is tens of
+    /// KB; kept out of line so no caller carries it on its stack).
+    #[cold]
+    #[inline(never)]
+    fn new_page() -> Box<[T]> {
+        vec![T::default(); PAGE_SLOTS].into_boxed_slice()
+    }
+
+    /// Every entry of an allocated page or of the hashed tier, with its
+    /// key, in no particular order.
+    #[cfg(any(test, feature = "check"))]
+    fn iter(&self) -> impl Iterator<Item = (u64, T)> + '_ {
+        let paged = self.pages.iter().enumerate().flat_map(|(index, page)| {
+            let base = (index as u64) << PAGE_BITS;
+            page.iter()
+                .flat_map(|page| page.iter().enumerate())
+                .map(move |(slot, &entry)| (base | slot as u64, entry))
+        });
+        paged.chain(self.sparse.iter().map(|(&key, &entry)| (key, entry)))
+    }
+
+    /// Every entry of an allocated page or of the hashed tier.
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.pages
+            .iter_mut()
+            .flatten()
+            .flat_map(|page| page.iter_mut())
+            .chain(self.sparse.values_mut())
+    }
+
+    /// Heap bytes held: the page vector, its allocated pages and the
+    /// hashed tier.
     fn heap_bytes(&self) -> u64 {
-        let pages = self.pages.iter().flatten().count() * PAGE_SLOTS * size_of::<u32>();
-        let hashed = self.sparse.capacity() * (size_of::<u64>() + size_of::<u32>());
-        (self.pages.capacity() * size_of::<usize>()
-            + pages
-            + self.keys.capacity() * size_of::<u64>()
-            + hashed) as u64
+        let pages = self.pages.iter().flatten().count() * PAGE_SLOTS * size_of::<T>();
+        let hashed = self.sparse.capacity() * (size_of::<u64>() + size_of::<T>());
+        (self.pages.capacity() * size_of::<Option<Box<[T]>>>() + pages + hashed) as u64
     }
 }
 
-/// Sentinel in the dense ownership registry: line currently unowned.
-const NO_OWNER: u32 = u32::MAX;
+/// Bits of a packed [`Chain`] that hold its kernel epoch (high) and
+/// its completion cycle (low).
+const EPOCH_BITS: u32 = 16;
+const CYCLE_BITS: u32 = u64::BITS - EPOCH_BITS;
+
+/// Largest epoch the field holds; the kernel after it clears every
+/// chain and restarts the count (see [`MemorySystem::begin_kernel`]).
+const EPOCH_MAX: u64 = (1 << EPOCH_BITS) - 1;
+
+/// A serialization chain entry: the completion cycle of the latest
+/// atomic to a word, or of the latest ownership transfer of a line,
+/// packed beside the epoch (kernel) that wrote it. An entry of another
+/// epoch reads as "no chain", so a kernel boundary retires every chain
+/// at once. The default entry, epoch 0, is never current once a kernel
+/// has begun.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Chain(u64);
+
+impl Chain {
+    #[inline]
+    fn new(epoch: u64, completion: u64) -> Self {
+        assert!(
+            completion >> CYCLE_BITS == 0,
+            "completion cycle {completion} exceeds {CYCLE_BITS} bits"
+        );
+        Self(epoch << CYCLE_BITS | completion)
+    }
+
+    /// The recorded completion if it belongs to `epoch`, else 0.
+    #[inline]
+    fn completion(self, epoch: u64) -> u64 {
+        if self.0 >> CYCLE_BITS == epoch {
+            self.0 & ((1 << CYCLE_BITS) - 1)
+        } else {
+            0
+        }
+    }
+}
+
+/// DeNovo state of one line: its registered owner SM and its
+/// ownership-transfer chain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LineEntry {
+    owner: Option<u32>,
+    transfer: Chain,
+}
 
 /// Kind of memory access, for per-region attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,31 +231,20 @@ pub struct MemorySystem<'t> {
 
     l1: Vec<Cache>,
     l2: Cache,
-    /// Dense ids for every ownership-registered line (lazily interned;
-    /// never-registered lines don't enter the table, so pure-GPU runs
-    /// keep it empty).
-    lines: IdTable,
-    /// DeNovo ownership registry, indexed by line id ([`NO_OWNER`] when
-    /// unowned). Invariant: a line is registered here iff it is resident
-    /// `Owned` in that SM's L1.
-    owner: Vec<u32>,
+    /// DeNovo line state by line number. The ownership registry:
+    /// a line is registered to an SM iff it is resident `Owned` in that
+    /// SM's L1. The transfer chain: a line's registration cannot begin
+    /// before the previous transfer of that line completed (DeNovo
+    /// ping-pong serialization). Only registrations write it, so
+    /// pure-GPU runs keep it empty.
+    lines: PagedMap<LineEntry>,
     /// Per-bank next-free time (service occupancy / contention).
     bank_free: Vec<u64>,
-    /// Dense ids for atomically-accessed words, keyed by word number
-    /// (byte address / 4).
-    words: IdTable,
-    /// Per-word atomic serialization chain, indexed by word id: epoch
-    /// tag + completion of the latest atomic to the word. Entries from
-    /// older epochs read as "no chain", so kernel boundaries clear the
-    /// chain in O(1) by bumping `atomic_epoch`.
-    atomic_chain: Vec<(u64, u64)>,
-    atomic_epoch: u64,
-    /// Per-line ownership-transfer chain, indexed by line id and
-    /// epoch-tagged like `atomic_chain`: a line's registration cannot
-    /// begin before the previous transfer of that line completed
-    /// (DeNovo ping-pong serialization).
-    owner_chain: Vec<(u64, u64)>,
-    owner_epoch: u64,
+    /// Per-word atomic serialization chain by word number (byte
+    /// address / 4).
+    words: PagedMap<Chain>,
+    /// Epoch of the current kernel, tagging the chains it writes.
+    epoch: u64,
     mshr: Vec<CompletionRing>,
     store_buf: Vec<CompletionRing>,
     /// Outstanding-atomic trackers: one entry per warp atomic
@@ -256,14 +312,10 @@ impl<'t> MemorySystem<'t> {
                 params.l2_assoc as usize,
                 params.line_bytes as u64,
             ),
-            lines: IdTable::default(),
-            owner: Vec::new(),
+            lines: PagedMap::default(),
             bank_free: vec![0; params.l2_banks as usize],
-            words: IdTable::default(),
-            atomic_chain: Vec::new(),
-            atomic_epoch: 0,
-            owner_chain: Vec::new(),
-            owner_epoch: 0,
+            words: PagedMap::default(),
+            epoch: 0,
             mshr: (0..n)
                 .map(|_| CompletionRing::new(params.mshr_entries as usize))
                 .collect(),
@@ -361,8 +413,8 @@ impl<'t> MemorySystem<'t> {
         self.hw.consistency = model;
     }
 
-    /// Heap bytes held by the hierarchy state: caches, id tables and
-    /// their side tables, completion rings and region attribution.
+    /// Heap bytes held by the hierarchy state: caches, the line and
+    /// word maps, completion rings and region attribution.
     /// Grows with the lines and words a run touches, not with the span
     /// of the address space.
     pub fn heap_bytes(&self) -> u64 {
@@ -379,10 +431,7 @@ impl<'t> MemorySystem<'t> {
             + self.l2.heap_bytes()
             + self.lines.heap_bytes()
             + self.words.heap_bytes()
-            + vec(self.owner.capacity(), size_of::<u32>())
             + vec(self.bank_free.capacity(), size_of::<u64>())
-            + vec(self.atomic_chain.capacity(), size_of::<(u64, u64)>())
-            + vec(self.owner_chain.capacity(), size_of::<(u64, u64)>())
             + rings
             + vec(self.regions.capacity(), size_of::<(u64, u64, String)>())
             + vec(self.region_stats.capacity(), size_of::<RegionStats>())
@@ -404,32 +453,11 @@ impl<'t> MemorySystem<'t> {
         }
     }
 
-    /// Interns `line`, growing the id-indexed side tables in lockstep.
-    fn intern_line(&mut self, line: u64) -> u32 {
-        let id = self.lines.intern(line);
-        if self.owner.len() <= id as usize {
-            self.owner.resize(id as usize + 1, NO_OWNER);
-            self.owner_chain.resize(id as usize + 1, (0, 0));
-        }
-        id
-    }
-
-    /// Interns an atomic word number, growing its chain table.
-    fn intern_word(&mut self, word: u64) -> u32 {
-        let id = self.words.intern(word);
-        if self.atomic_chain.len() <= id as usize {
-            self.atomic_chain.resize(id as usize + 1, (0, 0));
-        }
-        id
-    }
-
     /// The registered owner of `line`, ignoring the active coherence
     /// protocol (checker paths need the raw registry view).
     #[inline]
     fn registered_owner(&self, line: u64) -> Option<u32> {
-        let id = self.lines.get(line)?;
-        let o = self.owner[id as usize];
-        (o != NO_OWNER).then_some(o)
+        self.lines.get(line).owner
     }
 
     /// The registered owner of `line` on the access hot path. Under GPU
@@ -441,17 +469,6 @@ impl<'t> MemorySystem<'t> {
         match self.hw.coherence {
             CoherenceKind::Gpu => None,
             CoherenceKind::DeNovo => self.registered_owner(line),
-        }
-    }
-
-    /// Epoch-tagged chain read: the recorded completion if it belongs to
-    /// the current epoch, else "no chain".
-    #[inline]
-    fn chain_get(entry: (u64, u64), epoch: u64) -> u64 {
-        if entry.0 == epoch {
-            entry.1
-        } else {
-            0
         }
     }
 
@@ -518,23 +535,13 @@ impl<'t> MemorySystem<'t> {
     /// Writes back an owned line leaving an L1: ownership returns to
     /// the L2 directory and the home bank absorbs the data.
     fn write_back(&mut self, line: u64, at: u64) {
-        if let Some(id) = self.lines.get(line) {
-            self.owner[id as usize] = NO_OWNER;
+        if let Some(entry) = self.lines.get_mut(line) {
+            entry.owner = None;
         }
         self.l2_hit_or_fill(line);
         let bank = self.bank_of(line);
         self.bank_service(bank, at, 2);
         self.counters.noc_line_transfers += 1;
-    }
-
-    /// Revokes the previous owner's hold on line `id` (downgrade on
-    /// remote registration or read), invalidating its L1 copy.
-    fn revoke_owner(&mut self, id: u32) {
-        let prev = self.owner[id as usize];
-        if prev != NO_OWNER {
-            self.owner[id as usize] = NO_OWNER;
-            self.l1[prev as usize].invalidate(self.lines.key(id));
-        }
     }
 
     /// The end of every access: attributes it to its address region,
@@ -639,14 +646,13 @@ impl<'t> MemorySystem<'t> {
     /// store-buffer slot until then.
     fn register_ownership(&mut self, sm: u32, probe: Probe, line: u64, at: u64) -> u64 {
         self.counters.registrations += 1;
-        let id = self.intern_line(line);
+        let entry = self.lines.get(line);
         let admit = self.store_buf[sm as usize].admit_at(at);
         // Transfers of the same line serialize: the directory hands a
         // line to one owner at a time (ping-pong under contention).
-        let chain = Self::chain_get(self.owner_chain[id as usize], self.owner_epoch);
-        let start = admit.max(chain);
-        let prev = self.owner[id as usize];
-        let remote = prev != NO_OWNER && prev != sm;
+        let start = admit.max(entry.transfer.completion(self.epoch));
+        let prev = entry.owner;
+        let remote = prev.filter(|&p| p != sm);
         if self.tracer.enabled()
             && (at >= self.last_ownership_emit + self.tracer.stride()
                 || self.counters.registrations == 1)
@@ -656,10 +662,10 @@ impl<'t> MemorySystem<'t> {
                 sm,
                 cycle: at,
                 line,
-                remote,
+                remote: remote.is_some(),
             });
         }
-        let complete_at = if remote {
+        let complete_at = if let Some(prev) = remote {
             self.counters.remote_transfers += 1;
             start + self.mesh.remote_l1_latency(sm, prev)
         } else {
@@ -668,11 +674,17 @@ impl<'t> MemorySystem<'t> {
             let occupancy = self.registration_occupancy;
             self.l2_trip(sm, line, start, 0, occupancy, 0).1
         };
-        self.owner_chain[id as usize] = (self.owner_epoch, complete_at);
         self.counters.noc_line_transfers += 1;
         self.counters.noc_control_messages += 2; // request + ack
-        self.revoke_owner(id);
-        self.owner[id as usize] = sm;
+
+        // The previous owner's hold is revoked: its L1 copy goes.
+        if let Some(prev) = prev {
+            self.l1[prev as usize].invalidate(line);
+        }
+        *self.lines.entry(line) = LineEntry {
+            owner: Some(sm),
+            transfer: Chain::new(self.epoch, complete_at),
+        };
         self.l1_fill(sm, probe, line, LineState::Owned, at);
         self.store_buf[sm as usize].push(complete_at);
         complete_at
@@ -685,8 +697,8 @@ impl<'t> MemorySystem<'t> {
     /// when owned (registering first when not), serialized per word.
     pub fn atomic(&mut self, sm: u32, addr: u64, at: u64) -> Access {
         let line = self.line_of(addr);
-        let wid = self.intern_word(addr >> WORD_SHIFT) as usize;
-        let chain = Self::chain_get(self.atomic_chain[wid], self.atomic_epoch);
+        let word = addr >> WORD_SHIFT;
+        let chain = self.words.get(word).completion(self.epoch);
         let (hit, done, complete_at) = match self.hw.coherence {
             CoherenceKind::Gpu => {
                 self.counters.l2_atomics += 1;
@@ -702,7 +714,7 @@ impl<'t> MemorySystem<'t> {
                 (registered.is_none(), done, done)
             }
         };
-        self.atomic_chain[wid] = (self.atomic_epoch, done);
+        *self.words.entry(word) = Chain::new(self.epoch, done);
         self.finish(
             addr,
             AccessKind::Atomic,
@@ -763,18 +775,33 @@ impl<'t> MemorySystem<'t> {
             .unwrap_or(0)
     }
 
-    /// Marks a kernel boundary: clears the per-word atomic serialization
-    /// chains (new kernel, new epoch) and performs the launch acquire on
-    /// every SM. Cache and ownership state persist, as in the simulated
-    /// machine.
+    /// Marks a kernel boundary: clears the per-word atomic and per-line
+    /// transfer chains (new kernel, new epoch) and performs the launch
+    /// acquire on every SM. Cache and ownership state persist, as in the
+    /// simulated machine.
     pub fn begin_kernel(&mut self) {
-        // Epoch bumps retire every chain entry at once; the tables keep
-        // their interned capacity for the next kernel.
-        self.atomic_epoch += 1;
-        self.owner_epoch += 1;
+        // Epoch bumps retire every chain entry at once; the maps keep
+        // their pages for the next kernel.
+        self.epoch += 1;
+        if self.epoch > EPOCH_MAX {
+            self.clear_chains();
+        }
         for sm in 0..self.l1.len() as u32 {
             self.acquire(sm);
         }
+    }
+
+    /// Epoch-field rollover (every [`EPOCH_MAX`] kernels): no chain
+    /// written so far belongs to the new kernel, so clear them all and
+    /// restart the epoch count. Owners stay. Amortized to nothing;
+    /// keeps the 16-bit packed epoch exact over any number of kernels.
+    #[cold]
+    fn clear_chains(&mut self) {
+        self.words.values_mut().for_each(|c| *c = Chain::default());
+        self.lines
+            .values_mut()
+            .for_each(|l| l.transfer = Chain::default());
+        self.epoch = 1;
     }
 }
 
@@ -805,9 +832,10 @@ impl MemorySystem<'_> {
         if self.checker.is_none() {
             return;
         }
-        let mut lines: Vec<u64> = (0..self.owner.len() as u32)
-            .filter(|&id| self.owner[id as usize] != NO_OWNER)
-            .map(|id| self.lines.key(id))
+        let mut lines: Vec<u64> = self
+            .lines
+            .iter()
+            .filter_map(|(line, entry)| entry.owner.map(|_| line))
             .collect();
         for l1 in &self.l1 {
             lines.extend(l1.resident_lines().map(|(line, _)| line));
@@ -973,6 +1001,7 @@ impl MemorySystem<'_> {
 mod tests {
     use super::*;
     use crate::config::ConsistencyModel;
+    use proptest::prelude::*;
 
     fn mem(coh: CoherenceKind) -> MemorySystem<'static> {
         MemorySystem::new(
@@ -981,79 +1010,186 @@ mod tests {
         )
     }
 
-    #[test]
-    fn id_table_assigns_first_touch_order_across_tiers() {
-        let mut t = IdTable::default();
-        // One key per tier and page, interleaved, then revisited: ids
-        // must follow first-touch order regardless of which tier or page
-        // resolves the key.
-        let page = PAGE_SLOTS as u64;
-        let keys = [
-            7u64,                 // first page
-            page * 300 + 3,       // a later page
-            PAGED_KEY_LIMIT + 11, // hashed
-            PAGED_KEY_LIMIT - 1,  // last paged key
-            u64::MAX,             // hashed extreme
-            8,                    // first page again
-        ];
-        for (expect, &k) in keys.iter().enumerate() {
-            assert_eq!(t.intern(k), expect as u32, "first touch of {k:#x}");
+    /// Allocated pages of `map`.
+    fn pages<T>(map: &PagedMap<T>) -> usize {
+        map.pages.iter().flatten().count()
+    }
+
+    /// Keys across both tiers: dense runs over the first pages, paged
+    /// keys scattered over many pages, and hashed keys from the tier
+    /// limit up to `u64::MAX`. (Paged keys just below the limit cost a
+    /// 16 MB page vector each case; `paged_map_splits_its_tiers_at_the_limit`
+    /// covers them.)
+    fn map_keys() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..(3 * PAGE_SLOTS as u64),
+            0u64..(1 << 24),
+            PAGED_KEY_LIMIT..(PAGED_KEY_LIMIT + 3),
+            PAGED_KEY_LIMIT..u64::MAX,
+            Just(u64::MAX),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Writes (`Some`) and reads (`None`) against a `HashMap`
+        /// reference model: every read returns the model's entry (the
+        /// default when absent) and allocates nothing.
+        #[test]
+        fn paged_map_matches_a_hash_map_model(
+            ops in prop::collection::vec((map_keys(), prop_oneof![Just(None), (0u64..u64::MAX).prop_map(Some)]), 0..200),
+        ) {
+            let mut map = PagedMap::<u64>::default();
+            let mut model = HashMap::new();
+            for &(key, write) in &ops {
+                let expect = model.get(&key).copied().unwrap_or_default();
+                match write {
+                    Some(value) => {
+                        *map.entry(key) = value;
+                        model.insert(key, value);
+                    }
+                    None => {
+                        // A read could only allocate its own key's page
+                        // or hashed entry.
+                        let index = (key >> PAGE_BITS) as usize;
+                        let shape = |m: &PagedMap<u64>| {
+                            let page = m.pages.get(index).is_some_and(Option::is_some);
+                            (m.pages.len(), page, m.sparse.len())
+                        };
+                        let before = shape(&map);
+                        prop_assert_eq!(map.get(key), expect);
+                        prop_assert_eq!(map.get_mut(key).map_or(0, |v| *v), expect);
+                        prop_assert_eq!(shape(&map), before);
+                    }
+                }
+            }
+            for (&key, &value) in &model {
+                prop_assert_eq!(map.get(key), value);
+            }
+            let mut written: Vec<(u64, u64)> = map.iter().filter(|&(_, v)| v != 0).collect();
+            let mut expect: Vec<(u64, u64)> = model.into_iter().filter(|&(_, v)| v != 0).collect();
+            written.sort_unstable();
+            expect.sort_unstable();
+            prop_assert_eq!(written, expect);
+            let copy = map.clone();
+            prop_assert!(copy == map);
+            prop_assert_eq!(copy.heap_bytes() <= map.heap_bytes(), true);
         }
-        for (expect, &k) in keys.iter().enumerate() {
-            assert_eq!(t.intern(k), expect as u32, "revisit of {k:#x}");
-            assert_eq!(t.get(k), Some(expect as u32));
-            assert_eq!(t.key(expect as u32), k);
-        }
-        assert_eq!(t.get(9), None);
-        assert_eq!(t.get(page * 300 + 4), None);
-        assert_eq!(t.get(page * 299), None, "untouched page inside the span");
-        assert_eq!(t.get(PAGED_KEY_LIMIT + 12), None);
-        // Many scattered huge keys keep first-touch ids in the hashed
-        // tier too.
-        let first = keys.len() as u64;
-        let huge = |i: u64| PAGED_KEY_LIMIT + 13 + i * 0x9E37_79B9;
-        for i in 0..10_000u64 {
-            assert_eq!(t.intern(huge(i)), (first + i) as u32);
-        }
-        for i in (0..10_000u64).step_by(271) {
-            assert_eq!(t.get(huge(i)), Some((first + i) as u32));
-            assert_eq!(t.key((first + i) as u32), huge(i));
-        }
-        assert_eq!(t.get(PAGED_KEY_LIMIT + 1), None);
     }
 
     #[test]
-    fn id_table_paged_tier_survives_a_dense_key_run() {
+    fn paged_map_splits_its_tiers_at_the_limit() {
+        let mut t = PagedMap::<u64>::default();
+        *t.entry(PAGED_KEY_LIMIT - 1) = 1;
+        *t.entry(PAGED_KEY_LIMIT) = 2;
+        assert_eq!((pages(&t), t.sparse.len()), (1, 1));
+        assert_eq!(t.pages.len(), (PAGED_KEY_LIMIT >> PAGE_BITS) as usize);
+        assert_eq!((t.get(PAGED_KEY_LIMIT - 1), t.get(PAGED_KEY_LIMIT)), (1, 2));
+        assert_eq!(
+            (t.get(PAGED_KEY_LIMIT - 2), t.get(PAGED_KEY_LIMIT + 1)),
+            (0, 0)
+        );
+        assert_eq!(t.get_mut(PAGED_KEY_LIMIT + 1), None);
+        let mut keys: Vec<(u64, u64)> = t.iter().filter(|&(_, v)| v != 0).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, [(PAGED_KEY_LIMIT - 1, 1), (PAGED_KEY_LIMIT, 2)]);
+        assert!(t.clone() == t);
+    }
+
+    #[test]
+    fn paged_map_survives_a_dense_key_run() {
         // A contiguous key run far from 0, spanning page boundaries.
-        let mut t = IdTable::default();
+        let mut t = PagedMap::<u64>::default();
         let base = (1 << 26) - 100;
-        for i in 0..(PAGE_SLOTS as u64 * 3) {
-            assert_eq!(t.intern(base + i), i as u32);
+        let n = PAGE_SLOTS as u64 * 3;
+        for i in 0..n {
+            *t.entry(base + i) = i + 1;
         }
-        for i in (0..(PAGE_SLOTS as u64 * 3)).step_by(997) {
-            assert_eq!(t.get(base + i), Some(i as u32));
-            assert_eq!(t.key(i as u32), base + i);
+        // Three pages of keys that start 100 before a page boundary.
+        assert_eq!(pages(&t), 4);
+        for i in (0..n).step_by(997) {
+            assert_eq!(t.get(base + i), i + 1);
         }
+        assert_eq!(t.get(base - 1), 0);
+        assert_eq!(t.get(base + n), 0);
+        let keys: Vec<(u64, u64)> = t.iter().filter(|&(_, v)| v != 0).collect();
+        assert_eq!(keys, (0..n).map(|i| (base + i, i + 1)).collect::<Vec<_>>());
     }
 
     #[test]
-    fn id_table_grows_with_interned_keys_not_their_span() {
+    fn paged_map_grows_with_written_keys_not_their_span() {
         // 1024 word keys past 2^26 untouched ones (a 256 MB address
         // gap) allocate one page plus a pointer per page of span, not a
         // slot per key below them.
-        let mut t = IdTable::default();
+        // Entries sit inline: 8 bytes per word, 16 per line.
+        assert_eq!((size_of::<Chain>(), size_of::<LineEntry>()), (8, 16));
+        let mut t = PagedMap::<Chain>::default();
         let base = 1u64 << 26;
         for i in 0..1024 {
-            t.intern(base + i);
+            *t.entry(base + i) = Chain::new(1, i);
         }
-        let span_pointers = (base >> PAGE_BITS) as usize * size_of::<usize>();
+        let span_pointers = (base >> PAGE_BITS) as usize * size_of::<Option<Box<[Chain]>>>();
+        let page = PAGE_SLOTS * size_of::<Chain>();
         let bytes = t.heap_bytes() as usize;
-        assert!(bytes >= PAGE_SLOTS * size_of::<u32>(), "{bytes}");
+        assert_eq!(pages(&t), 1);
+        assert!(bytes >= span_pointers + page, "{bytes}");
         assert!(
-            bytes <= 2 * (span_pointers + PAGE_SLOTS * size_of::<u32>()),
+            bytes <= 2 * (span_pointers + page),
             "{bytes} bytes for 1024 keys"
         );
         assert!(bytes < (base as usize) / 64, "{bytes} bytes");
+        assert_eq!(t.get(base - 1), Chain::default(), "untouched key");
+        assert_eq!(t.get(base >> 1), Chain::default(), "untouched page");
+    }
+
+    #[test]
+    fn chains_stay_exact_past_the_epoch_field() {
+        // DeNovo atomics to a line SM 0 owns complete at
+        // `max(at, chain) + occupancy`, so the completion shows exactly
+        // whether a chain held. Word 0 takes atomics every kernel; word i
+        // every `gaps[i]`-th kernel, around the sizes a narrow epoch
+        // field would alias at.
+        let occupancy = SystemParams::default().l1_atomic_occupancy;
+        let mut m = mem(CoherenceKind::DeNovo);
+        let at = m.store(0, 0x1000, 0).complete_at + 1;
+        let gaps = [
+            1,
+            2,
+            255,
+            256,
+            257,
+            EPOCH_MAX - 1,
+            EPOCH_MAX,
+            EPOCH_MAX + 1,
+            EPOCH_MAX + 2,
+            2 * EPOCH_MAX,
+            2 * EPOCH_MAX + 2,
+        ];
+        let kernels = 3 * (EPOCH_MAX + 1) + 7;
+        for kernel in 1..=kernels {
+            m.begin_kernel();
+            for (i, &gap) in gaps.iter().enumerate() {
+                if kernel % gap != 0 {
+                    continue;
+                }
+                let addr = 0x1000 + 4 * i as u64;
+                let first = m.atomic(0, addr, at);
+                assert_eq!(
+                    first.complete_at,
+                    at + occupancy,
+                    "kernel {kernel}, gap {gap}: an earlier kernel's atomic held"
+                );
+                let second = m.atomic(0, addr, at);
+                assert_eq!(
+                    second.complete_at,
+                    at + 2 * occupancy,
+                    "kernel {kernel}, gap {gap}: the same kernel's atomic did not hold"
+                );
+            }
+        }
+        assert_eq!(m.counters.registrations, 1);
+        assert_eq!(m.registered_owner(0x1000 >> 6), Some(0));
     }
 
     #[test]
