@@ -224,9 +224,12 @@ impl<'g> Workload<'g> {
     /// the direction it ran: `prop` itself for the static propagations,
     /// push or pull per kernel under [`Propagation::Hybrid`]. The
     /// consumer packs the kernel into warp slots as the lanes are
-    /// emitted ([`KernelSource::pack`]), or materializes its per-thread
-    /// trace ([`KernelSource::into_trace`]); one kernel is produced at a
-    /// time.
+    /// emitted, in windows of consecutive thread blocks
+    /// ([`KernelSource::windows`], how the simulations take it) or whole
+    /// ([`KernelSource::pack`]), or materializes its per-thread trace
+    /// ([`KernelSource::into_trace`]); one kernel is produced at a time,
+    /// and its threads are emitted once each, in order, whatever the
+    /// consumer takes.
     ///
     /// The emitted stream is the functional half of the workload: it is
     /// a pure function of `(app, graph, prop, tb_size)` and never

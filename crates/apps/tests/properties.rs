@@ -268,12 +268,14 @@ proptest! {
     }
 }
 
-/// The bytes a packed kernel's records and warp offsets take, with no
-/// growth slack.
+/// The bytes a packed kernel's records, per-block warp offsets and
+/// block table take, with no growth slack.
 fn exact_heap_bytes(w: &WarpTrace) -> u64 {
     let words: usize = (0..w.num_warps())
         .flat_map(|i| w.warp(i))
         .map(|s| 2 + s.loads.len() + s.stores.len() + s.atomics.len())
         .sum();
-    4 * (words + w.num_warps() + 1) as u64
+    let blocks = w.num_blocks() as usize;
+    let table = blocks * std::mem::size_of::<ggs_sim::trace::PackedBlock>();
+    (4 * (words + w.num_warps() + blocks) + table) as u64
 }

@@ -1,17 +1,18 @@
 //! Running one (application, graph, configuration) experiment point.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ggs_apps::{AppKind, Workload};
 use ggs_graph::Csr;
 use ggs_model::{Propagation, SystemConfig};
 use ggs_sim::stats::RegionStats;
 use ggs_sim::trace::WarpTrace;
-use ggs_sim::{ExecStats, Simulation, SystemParams};
+use ggs_sim::{ExecStats, SystemParams};
 use ggs_trace::Tracer;
 
 use crate::error::GgsError;
+use crate::lockstep::Lockstep;
 
 /// Experiment-wide settings shared by every simulation of a study.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,18 +139,21 @@ impl ExperimentSpecBuilder {
 /// execution statistics.
 ///
 /// The application's kernel sequence is generated lazily and fed to a
-/// fresh [`Simulation`] configured with the hardware half of `config`;
-/// cache and ownership state persist across the workload's kernels, as
-/// on the simulated machine. Every simulator event is emitted through
-/// `tracer` ([`Tracer::off`] runs without instrumentation at zero
-/// cost). SSSP requires a weighted graph; deterministic weights are
-/// attached on the fly when missing.
+/// fresh [`Simulation`](ggs_sim::Simulation) configured with the
+/// hardware half of `config`, each kernel packed and delivered in
+/// windows of consecutive thread blocks
+/// ([`KernelSource::windows`](ggs_sim::trace::KernelSource::windows)),
+/// as the study runner delivers it; cache and ownership state persist
+/// across the workload's kernels, as on the simulated machine. Every
+/// simulator event is emitted through `tracer` ([`Tracer::off`] runs
+/// without instrumentation at zero cost). SSSP requires a weighted
+/// graph; deterministic weights are attached on the fly when missing.
 ///
-/// The wall-clock `limit` is the only limit on the run. The engine
-/// checks it mid-kernel, so even a single hung kernel is abandoned. The
-/// limit starts when the simulation is built; one too large to
-/// represent as a deadline means none. Once it trips, the remaining
-/// kernels are skipped.
+/// The wall-clock `limit` is the only limit on the run, and it is
+/// charged with simulation time only, not with producing and packing
+/// the kernels. The engine checks it mid-kernel, so even a single hung
+/// kernel is abandoned; one too large to represent as a deadline means
+/// none. Once it trips, the remaining kernels are skipped.
 ///
 /// # Errors
 ///
@@ -295,9 +299,12 @@ enum Kernels<'a> {
     Cached(&'a [Arc<WarpTrace>]),
 }
 
-/// The consumer loop behind every run function: builds the
-/// [`Simulation`] for `config` with a deadline `limit` from now, feeds
-/// it `kernels` until that trips, and maps a breach to [`GgsError`].
+/// The consumer loop behind every run function: a one-lane
+/// [`Lockstep`], the study runner's delivery path, simulating `config`
+/// with `kernels`. Generated kernels are delivered window by window,
+/// a pre-built stream kernel by kernel. The lane's simulation time is
+/// charged against `limit`, and a breach maps to
+/// [`GgsError::Deadline`].
 fn simulate(
     app: AppKind,
     config: SystemConfig,
@@ -307,45 +314,32 @@ fn simulate(
     limit: Option<Duration>,
 ) -> Result<(ExecStats, Vec<(String, RegionStats)>), GgsError> {
     check_supported(app, config)?;
-    let mut builder = Simulation::builder(spec.params.clone(), config.hw())
-        .tracer(tracer)
-        .deadline(limit.and_then(|l| Instant::now().checked_add(l)));
-    let sim = match kernels {
+    let mut lockstep = Lockstep::new(&spec.params, vec![config], limit, tracer);
+    let settled = match kernels {
         Kernels::Generate { graph, regions } => {
             let graph = app.weighted(graph);
             let workload = Workload::new(app, &graph);
             if regions {
-                for (name, base, bytes) in workload.memory_map() {
-                    builder = builder.region(name, base, bytes);
-                }
+                lockstep = lockstep.regions(workload.memory_map());
             }
-            let mut sim = builder.build()?;
-            let mut failed = None;
-            workload.produce(config.propagation, spec.params.tb_size, &mut |kernel, _| {
-                if failed.is_none() && sim.deadline_breach().is_none() {
-                    let packed = kernel.pack(&spec.params);
-                    failed = packed.and_then(|k| sim.run_kernel(&k)).err();
-                }
-            });
-            if let Some(e) = failed {
-                return Err(e.into());
-            }
-            sim
+            let failure = lockstep.produce(&workload, config.propagation);
+            lockstep.finish(failure)
         }
         Kernels::Cached(stream) => {
-            let mut sim = builder.build()?;
             for kernel in stream {
-                if sim.deadline_breach().is_some() {
+                if lockstep.is_over() {
                     break;
                 }
-                sim.run_kernel(kernel)?;
+                lockstep.step(kernel);
             }
-            sim
+            lockstep.finish(None)
         }
     };
-    if sim.deadline_breach().is_some() {
-        return Err(GgsError::deadline(limit.unwrap_or_default()));
-    }
+    // One configuration is one class, so one entry settles.
+    let Some((_, result)) = settled.into_iter().next() else {
+        return Err(GgsError::InvalidSpec("no simulation settled".to_owned()));
+    };
+    let sim = result?;
     let regions = sim.region_stats();
     Ok((sim.finish(), regions))
 }

@@ -42,6 +42,7 @@
 pub mod error;
 pub mod experiment;
 pub mod json;
+mod lockstep;
 pub mod runner;
 pub mod store;
 pub mod study;

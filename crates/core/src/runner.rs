@@ -26,31 +26,23 @@
 //! The unit of work is a *stream group*: the cells of one graph ×
 //! application × propagation, which share one kernel stream. A worker
 //! takes the next group, answers its store hits, runs its faulted cells
-//! alone, and simulates the rest in *lockstep*: the group's producer
-//! runs once, and each kernel is packed once, run by every live
-//! simulation of the group, and dropped before the next is produced. So
-//! a worker holds one kernel and a few simulator states, never a whole
-//! stream.
+//! alone, and simulates the rest in *lockstep*: the group's
+//! producer runs once, each kernel is packed once, in windows of
+//! consecutive thread blocks, and each window is run by every live
+//! simulation of the group before the next is packed. So a worker holds
+//! one window, the blocks still resident, and a few simulator states,
+//! never a whole kernel, let alone a stream.
 //!
 //! Each *consistency class* is simulated once: cells that differ only
 //! in a consistency model their kernel stream cannot observe (see
 //! [`ConsistencyModel::class_representative`](ggs_sim::ConsistencyModel::class_representative))
-//! lie in one group and share one simulation, and the first of them in
-//! job order is the one counted as simulated; the others are answered
-//! from it. A stream's [`AtomicMix`] is only known when it ends, so the
-//! lockstep keeps one simulation per class *under the mix seen so far*,
-//! and when a kernel raises the mix and splits a class, forks that
-//! class's simulation at the kernel boundary
-//! ([`Simulation::fork`]) for each new class. The members were
-//! indistinguishable on the prefix, so each fork is exactly where a
-//! fresh simulation of its class would be.
-//!
-//! Every live simulation runs each kernel behind its own
-//! `catch_unwind`, and its wall-clock limit is charged only with its own
-//! simulation time: before each kernel its deadline is re-armed with
-//! what is left ([`Simulation::set_deadline`]). A simulation that panics
-//! or breaches leaves the lockstep with its typed error, failing the
-//! cells of its class, and the others go on. A lockstep cell's
+//! share one lane of the lockstep, and the first of them in job order
+//! is the one counted as simulated; the others are answered from it. A
+//! lane is forked when a window raises the stream's atomic mix and
+//! splits its class. Every lane runs behind its own `catch_unwind` and
+//! is charged only with its own simulation time; one that panics or
+//! breaches leaves with its typed error, failing the cells of its
+//! class, and the others go on. A lockstep cell's
 //! `cell_start`/`cell_finish` trace span covers its whole group. No
 //! class spans two groups, so workers never wait on each other.
 //!
@@ -68,11 +60,12 @@ use ggs_apps::{AppKind, Workload, SSSP_MAX_WEIGHT};
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::{predict_full, predict_partial, GraphProfile, SystemConfig};
 use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
-use ggs_sim::{AtomicMix, ExecStats, Simulation, StallClass, SystemParams};
-use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink};
+use ggs_sim::{ExecStats, Simulation, StallClass};
+use ggs_trace::{MetricsRegistry, TraceEvent, TraceSink, Tracer};
 
 use crate::error::GgsError;
 use crate::experiment::ExperimentSpec;
+use crate::lockstep::{panic_message, Lockstep, Settled};
 use crate::store::{fnv1a64, versioned_spec_hash, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
 use crate::sweep::{baseline_config, figure5_configs};
@@ -420,161 +413,6 @@ struct Pending {
     start_us: u64,
 }
 
-/// One live simulation of a lockstep: the cells of one consistency
-/// class under the atomic mix seen so far, as positions into the
-/// group's [`Pending`] cells in job order. The simulation runs under the
-/// first member's configuration.
-struct Lane {
-    sim: Simulation<'static>,
-    members: Vec<usize>,
-    /// Wall-clock time spent simulating this lane's kernels, including
-    /// the prefix it shared before a fork: what its cells' limit is
-    /// charged with.
-    spent: Duration,
-}
-
-/// A stream group's lockstep: the live lanes and the classes already
-/// settled, by running to the end or by leaving with a failure.
-struct Lockstep<'a> {
-    params: &'a SystemParams,
-    /// The pending cells' configurations, by position.
-    configs: Vec<SystemConfig>,
-    limit: Option<Duration>,
-    /// The maximum [`AtomicMix`] of the kernels seen so far; `None`
-    /// before the first kernel, when no lane is open yet.
-    mix: Option<AtomicMix>,
-    lanes: Vec<Lane>,
-    settled: Vec<(Vec<usize>, Ran)>,
-}
-
-impl Lockstep<'_> {
-    /// Splits `members` into classes under `mix`, each in job order,
-    /// the classes ordered by their first member. A class's key is the
-    /// configuration with its consistency model replaced by the class
-    /// representative.
-    fn classes(configs: &[SystemConfig], members: Vec<usize>, mix: AtomicMix) -> Vec<Vec<usize>> {
-        let mut classes: Vec<(SystemConfig, Vec<usize>)> = Vec::new();
-        for m in members {
-            let mut key = configs[m];
-            key.consistency = key.consistency.class_representative(mix);
-            match classes.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, class)) => class.push(m),
-                None => classes.push((key, vec![m])),
-            }
-        }
-        classes.into_iter().map(|(_, class)| class).collect()
-    }
-
-    /// Opens one lane per class of every pending cell under `mix`.
-    fn open(&mut self, mix: AtomicMix) {
-        let everyone = (0..self.configs.len()).collect();
-        for members in Self::classes(&self.configs, everyone, mix) {
-            let hw = self.configs[members[0]].hw();
-            match Simulation::builder(self.params.clone(), hw).build() {
-                Ok(sim) => self.lanes.push(Lane {
-                    sim,
-                    members,
-                    spent: Duration::ZERO,
-                }),
-                Err(e) => self.settled.push((members, ran(Err(e.into())))),
-            }
-        }
-        self.mix = Some(mix);
-    }
-
-    /// Re-classes every lane under the raised `mix`. A lane whose
-    /// members now fall into several classes keeps its simulation for
-    /// the class of its first member and forks it at this kernel
-    /// boundary for each other class: the members were indistinguishable
-    /// on the prefix, so each fork is exactly where that class would be.
-    fn split(&mut self, mix: AtomicMix) {
-        let mut forks = Vec::new();
-        for lane in &mut self.lanes {
-            let members = std::mem::take(&mut lane.members);
-            let mut classes = Self::classes(&self.configs, members, mix).into_iter();
-            lane.members = classes.next().unwrap_or_default();
-            for members in classes {
-                let model = self.configs[members[0]].consistency;
-                forks.push(Lane {
-                    sim: lane.sim.fork(model),
-                    members,
-                    spent: lane.spent,
-                });
-            }
-        }
-        self.lanes.extend(forks);
-        self.mix = Some(mix);
-    }
-
-    /// Feeds one kernel to every live lane, after opening or splitting
-    /// the lanes for its atomics. A lane that fails leaves with its
-    /// error; the others go on.
-    fn step(&mut self, kernel: &WarpTrace) {
-        let mix = kernel.atomic_mix();
-        match self.mix {
-            None => self.open(mix),
-            Some(seen) if mix > seen => self.split(mix),
-            Some(_) => {}
-        }
-        let limit = self.limit;
-        let mut failed = Vec::new();
-        self.lanes.retain_mut(|lane| match lane.run(kernel, limit) {
-            Ok(()) => true,
-            Err(e) => {
-                failed.push((std::mem::take(&mut lane.members), ran(Err(e))));
-                false
-            }
-        });
-        self.settled.extend(failed);
-    }
-
-    /// `true` once lanes are open and every one has left.
-    fn is_over(&self) -> bool {
-        self.mix.is_some() && self.lanes.is_empty()
-    }
-
-    /// Ends the lockstep: every pending cell settles, the live lanes'
-    /// members with their final statistics, or with `failure` if the
-    /// stream could not be produced.
-    fn finish(mut self, failure: Option<GgsError>) -> Vec<(Vec<usize>, Ran)> {
-        if self.mix.is_none() {
-            // No kernel came: every cell is in its class under no atomics.
-            self.open(AtomicMix::None);
-        }
-        let failure = failure.map(|e| ran(Err(e)));
-        for lane in std::mem::take(&mut self.lanes) {
-            let result = failure.clone().unwrap_or_else(|| Ok(lane.sim.finish()));
-            self.settled.push((lane.members, result));
-        }
-        self.settled
-    }
-}
-
-impl Lane {
-    /// Runs one kernel behind its own `catch_unwind`, with the deadline
-    /// re-armed to what is left of `limit` after the lane's simulation
-    /// time so far.
-    fn run(&mut self, kernel: &WarpTrace, limit: Option<Duration>) -> Result<(), GgsError> {
-        if let Some(limit) = limit {
-            let left = limit.saturating_sub(self.spent);
-            self.sim.set_deadline(Instant::now().checked_add(left));
-        }
-        let start = Instant::now();
-        let ran = catch_unwind(AssertUnwindSafe(|| self.sim.run_kernel(kernel)));
-        self.spent += start.elapsed();
-        match ran {
-            Err(payload) => Err(GgsError::CellPanic {
-                payload: panic_message(payload),
-            }),
-            Ok(Err(e)) => Err(e.into()),
-            Ok(Ok(())) if self.sim.deadline_breach().is_some() => {
-                Err(GgsError::deadline(limit.unwrap_or_default()))
-            }
-            Ok(Ok(())) => Ok(()),
-        }
-    }
-}
-
 /// Everything the workers of one study share.
 struct Sweep<'a> {
     spec: &'a ExperimentSpec,
@@ -827,45 +665,23 @@ impl Sweep<'_> {
         }
     }
 
-    /// Simulates a group's `pending` cells in lockstep: produces the
-    /// group's stream once and packs each kernel once, feeds it to every
-    /// live lane, and drops it before the next kernel is produced.
-    /// Returns each final class (positions into `pending`, in job order)
-    /// with its result.
+    /// Simulates a group's `pending` cells in a [`Lockstep`]: produces
+    /// the group's stream once and delivers each kernel to every live
+    /// lane window by window, recording the peak packed bytes the
+    /// windows kept live. Returns each final class (positions into
+    /// `pending`, in job order) with its result.
     fn lockstep(&self, pending: &[Pending], local: &MetricsRegistry) -> Vec<(Vec<usize>, Ran)> {
         let cell = self.cells[pending[0].i];
         let graph = cell.app.weighted(&self.graphs[cell.graph_index].1);
-        let params = &self.spec.params;
-        let mut lockstep = Lockstep {
-            params,
-            configs: pending.iter().map(|p| self.cells[p.i].config).collect(),
-            limit: self.options.cell_deadline,
-            mix: None,
-            lanes: Vec::new(),
-            settled: Vec::new(),
-        };
-        let mut failure = None;
-        let produced = catch_unwind(AssertUnwindSafe(|| {
-            let prop = cell.config.propagation;
-            Workload::new(cell.app, &graph).produce(prop, params.tb_size, &mut |kernel, _| {
-                // A kernel left unpacked drains itself when dropped.
-                if failure.is_none() && !lockstep.is_over() {
-                    match kernel.pack(params) {
-                        Ok(kernel) => lockstep.step(&kernel),
-                        Err(e) => failure = Some(GgsError::from(e)),
-                    }
-                }
-            });
-        }));
-        if let Err(payload) = produced {
-            failure = Some(GgsError::CellPanic {
-                payload: panic_message(payload),
-            });
-        }
+        let configs = pending.iter().map(|p| self.cells[p.i].config).collect();
+        let limit = self.options.cell_deadline;
+        let mut lockstep = Lockstep::new(&self.spec.params, configs, limit, Tracer::off());
+        let failure = lockstep.produce(&Workload::new(cell.app, &graph), cell.config.propagation);
         if failure.is_none() {
             local.add("streams_built", 1);
+            local.observe("window_peak_bytes", lockstep.peak_window_bytes());
         }
-        lockstep.finish(failure)
+        settle(lockstep.finish(failure))
     }
 
     fn names(&self, i: usize) -> Names {
@@ -988,14 +804,14 @@ fn count(outcome: &CellOutcome, answered: bool, local: &MetricsRegistry) {
     }
 }
 
-/// The message of a panic caught at a cell boundary: its payload when
-/// that is a string, else a placeholder.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_owned())
+/// Each settled class of a lockstep with its cells' result: the final
+/// statistics, or the failure the class left with.
+fn settle(classes: Settled<'_>) -> Vec<(Vec<usize>, Ran)> {
+    let ran_to_end = |sim: Simulation<'_>| sim.finish();
+    classes
+        .into_iter()
+        .map(|(members, result)| (members, ran(result.map(ran_to_end))))
+        .collect()
 }
 
 /// The deadline a hang started now runs to, if `limit` is set and fits
@@ -1163,14 +979,7 @@ mod tests {
             .map(|code| code.parse().unwrap())
             .collect();
         let limit = Duration::from_secs(3600);
-        let mut lockstep = Lockstep {
-            params: &spec.params,
-            configs: configs.clone(),
-            limit: Some(limit),
-            mix: None,
-            lanes: Vec::new(),
-            settled: Vec::new(),
-        };
+        let mut lockstep = Lockstep::new(&spec.params, configs.clone(), Some(limit), Tracer::off());
         lockstep.step(&kernel);
         assert_eq!(
             lockstep.lanes.len(),
@@ -1181,7 +990,7 @@ mod tests {
         lockstep.lanes[1].spent = limit;
         lockstep.step(&kernel);
         assert_eq!(lockstep.lanes.len(), 2);
-        let mut settled = lockstep.finish(None);
+        let mut settled = settle(lockstep.finish(None));
         settled.sort_by_key(|(members, _)| members[0]);
         let stream = [Arc::new(kernel.clone()), Arc::new(kernel)];
         for (k, (members, result)) in settled.into_iter().enumerate() {
@@ -1194,6 +1003,69 @@ mod tests {
             let alone =
                 run_stream_budgeted(&stream, AppKind::Pr, configs[k], &spec, Tracer::off(), None);
             assert_eq!(result, Ok(alone.unwrap()), "{}", configs[k].code());
+        }
+    }
+
+    #[test]
+    fn a_window_that_raises_the_atomic_mix_splits_lanes_mid_kernel() {
+        // 100 blocks, 30 a window: blocks 0..40 issue no atomics, 40..70
+        // value-returning ones and 70..100 fire-and-forget ones, so the
+        // kernel's second window splits DRF0 from the others and its
+        // third splits DRF1 from DRFrlx, both while the kernel runs.
+        use ggs_sim::trace::KernelSource;
+        let spec = ExperimentSpec::at_scale(0.004);
+        let params = &spec.params;
+        let tb = params.tb_size;
+        assert_eq!((params.window_blocks(), tb), (30, 256));
+        let ops = |t: u32| {
+            let (block, t) = (u64::from(t / tb), u64::from(t));
+            let mut ops = vec![MicroOp::load(t * 4), MicroOp::compute(2)];
+            match block {
+                0..40 => ops.push(MicroOp::store(0x10_0000 + t * 4)),
+                40..70 => ops.push(MicroOp::atomic_returning(0x20_0000 + t % 64 * 4)),
+                _ => ops.extend([
+                    MicroOp::atomic(0x20_0000 + t % 16 * 4),
+                    MicroOp::atomic(0x30_0000 + t * 7 % 16 * 4),
+                ]),
+            }
+            ops
+        };
+        let threads = 100 * tb;
+        let configs: Vec<SystemConfig> = ["SG0", "SG1", "SGR", "SD0", "SD1", "SDR"]
+            .iter()
+            .map(|code| code.parse().unwrap())
+            .collect();
+        let mut lockstep = Lockstep::new(params, configs.clone(), None, Tracer::off());
+        for _ in 0..2 {
+            let mut emit = |t: u32, out: &mut Vec<MicroOp>| out.extend(ops(t));
+            lockstep
+                .run_kernel(KernelSource::new(threads, tb, &mut emit))
+                .unwrap();
+        }
+        let mut settled = settle(lockstep.finish(None));
+        settled.sort_by_key(|(members, _)| members[0]);
+        let mut emit = |t: u32, out: &mut Vec<MicroOp>| out.extend(ops(t));
+        let whole = KernelSource::new(threads, tb, &mut emit)
+            .pack(params)
+            .unwrap();
+        let fresh: Vec<ExecStats> = configs
+            .iter()
+            .map(|config| {
+                let mut sim = Simulation::new(params.clone(), config.hw()).unwrap();
+                for _ in 0..2 {
+                    sim.run_kernel(&whole).unwrap();
+                }
+                sim.finish()
+            })
+            .collect();
+        assert!(
+            fresh[0] != fresh[1] && fresh[1] != fresh[2],
+            "the models part"
+        );
+        assert_eq!(settled.len(), configs.len(), "every class split");
+        for (k, (members, result)) in settled.into_iter().enumerate() {
+            assert_eq!(members, [k]);
+            assert_eq!(result, Ok(fresh[k].clone()), "{}", configs[k].code());
         }
     }
 

@@ -412,6 +412,15 @@ mod tests {
             .expect("cycle histogram recorded")
             .1;
         assert!(hist.count > 0 && hist.min > 0);
+        let windows = metrics
+            .histograms()
+            .into_iter()
+            .find(|(n, _)| n == "window_peak_bytes")
+            .expect("window bytes recorded")
+            .1;
+        // One observation per stream group that simulated.
+        assert_eq!(windows.count, metrics.counter("streams_built"));
+        assert!(windows.min > 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::params::ParamsError;
 use crate::params::SystemParams;
 use crate::sm::{Sm, Step};
 use crate::stats::{ExecStats, StallClass};
-use crate::trace::WarpTrace;
+use crate::trace::{BlockWindow, KernelShape, WarpTrace};
 use ggs_trace::{TraceEvent, Tracer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -128,6 +128,7 @@ impl<'t> SimulationBuilder<'t> {
             tracer: self.tracer,
             deadline: self.deadline,
             breach: None,
+            run: None,
         })
     }
 }
@@ -157,6 +158,8 @@ pub struct Simulation<'t> {
     deadline: Option<Instant>,
     /// Simulated cycle at which the deadline was observed expired.
     breach: Option<u64>,
+    /// The kernel run paused between windows, if one is in flight.
+    run: Option<KernelRun<'t>>,
 }
 
 impl<'t> Simulation<'t> {
@@ -187,8 +190,8 @@ impl<'t> Simulation<'t> {
 
     /// The simulated cycle at which the wall-clock deadline was
     /// observed expired, if it was. Once set, every subsequent
-    /// [`Simulation::run_kernel`] call is ignored, so partial statistics
-    /// stay valid for reporting.
+    /// [`Simulation::run_kernel`] or [`Simulation::run_window`] call is
+    /// ignored, so partial statistics stay valid for reporting.
     pub fn deadline_breach(&self) -> Option<u64> {
         self.breach
     }
@@ -230,31 +233,94 @@ impl<'t> Simulation<'t> {
     }
 
     /// Executes one kernel launch to completion (or until the deadline
-    /// passes, whichever comes first).
+    /// passes, whichever comes first): the one-window case of
+    /// [`Self::run_window`], with the whole kernel as the window.
     ///
     /// Empty kernels (no threads) are ignored entirely.
     ///
     /// # Errors
     ///
-    /// [`ParamsError::GeometryMismatch`] if `kernel` was packed for
-    /// another warp size or line size than this simulation's params;
-    /// nothing runs then.
+    /// As [`Self::run_window`].
     pub fn run_kernel(&mut self, kernel: &WarpTrace) -> Result<(), ParamsError> {
-        kernel.check_geometry(&self.params)?;
-        if kernel.num_threads() == 0 {
-            return Ok(());
-        }
-        self.check_deadline();
+        self.run_window(kernel.as_window())
+    }
+
+    /// Runs one window of a kernel's blocks: the first window launches
+    /// the kernel, and the run *pauses* when block dispatch needs a
+    /// block past the window, to go on when the next window is handed
+    /// over. The window holding the kernel's last block runs it to
+    /// completion (or until the deadline passes). Dispatch, and so every
+    /// statistic, is the same whatever the windows are: a kernel run in
+    /// windows equals the same kernel run whole ([`Self::run_kernel`]).
+    ///
+    /// A paused run holds each resident block's records and nothing
+    /// else of the kernel, so the caller may drop a window once it has
+    /// run. [`Self::fork`] copies a paused run with the rest of the
+    /// state.
+    ///
+    /// Empty kernels (no threads) are ignored entirely, and so is every
+    /// window once the deadline has been breached.
+    ///
+    /// # Errors
+    ///
+    /// Nothing runs on an error:
+    /// - [`ParamsError::GeometryMismatch`] if the window was packed for
+    ///   another warp size or line size than this simulation's params;
+    /// - [`ParamsError::WindowOutOfOrder`] if the window is not the next
+    ///   one of the kernel in flight (or, with none in flight, not a
+    ///   kernel's first).
+    pub fn run_window(&mut self, window: &BlockWindow) -> Result<(), ParamsError> {
+        let shape = window.shape();
+        shape.check_geometry(&self.params)?;
         if self.breach.is_some() {
             return Ok(());
         }
-        let kernel_seq = self.stats.kernels;
+        let expected = match &self.run {
+            Some(run) if run.shape == shape => run.next_block,
+            Some(_) => u64::MAX,
+            None => 0,
+        };
+        if window.first_block() != expected {
+            return Err(ParamsError::WindowOutOfOrder {
+                expected,
+                got: window.first_block(),
+            });
+        }
+        let Some(mut run) = self.run.take().or_else(|| self.launch(shape)) else {
+            return Ok(());
+        };
+        match run.advance(&mut self.mem, window, self.deadline) {
+            Advance::Paused => self.run = Some(run),
+            Advance::Done => self.end_kernel(run),
+            Advance::Aborted(reached) => {
+                // Wall-clock abort mid-kernel: keep the statistics
+                // recorded so far, pin the clock at the abort cycle, and
+                // latch.
+                self.abort_kernel(&run, reached);
+                self.breach = Some(reached);
+            }
+        }
+        Ok(())
+    }
+
+    /// Launches a kernel of `shape`: charges the launch overhead,
+    /// self-invalidates the L1s and sets up the SMs. `None` for an empty
+    /// kernel or once the deadline has passed.
+    fn launch(&mut self, shape: KernelShape) -> Option<KernelRun<'t>> {
+        if shape.num_threads == 0 {
+            return None;
+        }
+        self.check_deadline();
+        if self.breach.is_some() {
+            return None;
+        }
+        let seq = self.stats.kernels;
         self.stats.kernels += 1;
         if self.tracer.enabled() {
             // Round boundary: the pre-launch clock marks where the host
             // submitted this iteration's kernel.
             self.tracer.emit(&TraceEvent::Iteration {
-                round: kernel_seq,
+                round: seq,
                 cycle: self.clock,
             });
         }
@@ -273,122 +339,64 @@ impl<'t> Simulation<'t> {
         self.mem.begin_kernel();
 
         let start = self.clock;
-        let num_blocks = kernel.num_blocks();
         if self.tracer.enabled() {
             self.tracer.emit(&TraceEvent::KernelBegin {
-                kernel: kernel_seq,
+                kernel: seq,
                 cycle: start,
-                blocks: num_blocks,
-                threads: kernel.num_threads(),
+                blocks: shape.num_blocks(),
+                threads: shape.num_threads,
             });
         }
-        let num_blocks = num_blocks as usize;
-        let mut sms: Vec<Sm<'_>> = (0..self.params.num_sms)
+        let sms: Vec<Sm<'t>> = (0..self.params.num_sms)
             .map(|id| {
-                Sm::new(
-                    id,
-                    start,
-                    self.hw.consistency,
-                    self.params.max_blocks_per_sm,
-                )
-                .with_tracer(self.tracer)
+                Sm::new(id, start, self.hw.consistency, &self.params).with_tracer(self.tracer)
             })
             .collect();
+        Some(KernelRun {
+            shape,
+            seq,
+            start,
+            counters_before,
+            flits_before,
+            finish_times: vec![0; sms.len()],
+            sms,
+            next_block: 0,
+            phase: Phase::Fill { sm: 0, any: false },
+            wakeups: BinaryHeap::new(),
+            events: 0,
+        })
+    }
 
-        let mut next_block = 0usize;
-
-        // Initial block distribution, round-robin over SMs.
-        'fill: loop {
-            let mut any = false;
-            for sm in sms.iter_mut() {
-                if next_block >= num_blocks {
-                    break 'fill;
-                }
-                if sm.has_capacity() {
-                    sm.assign_block(kernel.block(next_block));
-                    next_block += 1;
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-
-        // Event loop: each SM is queued at most once, at its own clock;
-        // popping resumes the earliest one (ties by id, so the
-        // interleaving is deterministic).
-        let mut wakeups: BinaryHeap<Reverse<(u64, u32)>> =
-            sms.iter().map(|sm| Reverse((sm.now, sm.id()))).collect();
-
-        let deadline = self.deadline;
-        let mut events: u32 = 0;
-        let mut deadline_hit: Option<u64> = None;
-        let mut finish_times = vec![0u64; sms.len()];
-        while let Some(Reverse((t, id))) = wakeups.pop() {
-            if let Some(d) = deadline {
-                events = events.wrapping_add(1);
-                if events.is_multiple_of(DEADLINE_CHECK_EVERY) && Instant::now() >= d {
-                    deadline_hit = Some(t);
-                    break;
-                }
-            }
-            let idx = id as usize;
-            let sm = &mut sms[idx];
-            let horizon = t + QUANTUM_CYCLES;
-            loop {
-                // Feed new blocks whenever capacity frees up.
-                while sm.has_capacity() && next_block < num_blocks {
-                    sm.assign_block(kernel.block(next_block));
-                    next_block += 1;
-                }
-                match sm.step(&mut self.mem) {
-                    Step::Issued | Step::Waited => {
-                        if sm.now > horizon {
-                            // Quantum exhausted: park until the SM's
-                            // local clock, letting its peers catch up.
-                            wakeups.push(Reverse((sm.now, id)));
-                            break;
-                        }
-                    }
-                    Step::Drained => {
-                        if next_block < num_blocks {
-                            continue; // more blocks to fetch
-                        }
-                        finish_times[idx] = sm.finish_time(&self.mem);
-                        break;
-                    }
-                }
-            }
-        }
-
-        if let Some(reached) = deadline_hit {
-            // Wall-clock abort mid-kernel: keep the statistics recorded
-            // so far, pin the clock at the abort cycle, and latch.
-            self.abort_kernel(&sms, reached, kernel_seq, &counters_before, flits_before);
-            self.breach = Some(reached);
-            return Ok(());
-        }
-
+    /// End-of-kernel bookkeeping for a run that dispatched every block
+    /// and drained: the kernel ends when the last SM finishes (or the
+    /// memory system drains), and each SM's cycles after its own finish
+    /// are idle.
+    fn end_kernel(&mut self, run: KernelRun<'t>) {
+        let KernelRun {
+            sms,
+            finish_times,
+            start,
+            ..
+        } = &run;
         let kernel_end = finish_times
             .iter()
             .copied()
             .max()
-            .unwrap_or(start)
+            .unwrap_or(*start)
             .max(self.mem.global_drain())
-            .max(start);
+            .max(*start);
 
         // Aggregate per-SM breakdowns plus end-of-kernel idle time.
-        for (i, sm) in sms.iter().enumerate() {
+        for (sm, &finish) in sms.iter().zip(finish_times) {
             self.stats.breakdown += sm.stats;
-            let fin = finish_times[i].max(sm.now);
+            let fin = finish.max(sm.now);
             // Cycles between an SM's own completion and the kernel end
             // are idle; cycles between `now` and its own outstanding
             // completions are sync drain.
-            if finish_times[i] > sm.now {
+            if finish > sm.now {
                 self.stats
                     .breakdown
-                    .record(StallClass::Sync, finish_times[i] - sm.now);
+                    .record(StallClass::Sync, finish - sm.now);
             }
             self.stats
                 .breakdown
@@ -400,46 +408,33 @@ impl<'t> Simulation<'t> {
         self.stats.mem = self.mem.counters;
 
         if self.tracer.enabled() {
-            self.emit_kernel_end(kernel_seq, kernel_end, &counters_before, flits_before);
+            self.emit_kernel_end(&run, kernel_end);
         }
         // Re-check after the kernel so a breach is visible to the caller
         // immediately, not only on the next launch attempt.
         self.check_deadline();
-        Ok(())
     }
 
     /// Mid-kernel abort bookkeeping (wall-clock deadline): fold in the
     /// partial per-SM statistics and close the kernel's trace span at
     /// `reached`.
-    fn abort_kernel(
-        &mut self,
-        sms: &[Sm<'_>],
-        reached: u64,
-        kernel_seq: u64,
-        counters_before: &crate::stats::MemCounters,
-        flits_before: u64,
-    ) {
-        for sm in sms {
+    fn abort_kernel(&mut self, run: &KernelRun<'t>, reached: u64) {
+        for sm in &run.sms {
             self.stats.breakdown += sm.stats;
         }
         self.clock = reached;
         self.stats.total_cycles = reached;
         self.stats.mem = self.mem.counters;
         if self.tracer.enabled() {
-            self.emit_kernel_end(kernel_seq, reached, counters_before, flits_before);
+            self.emit_kernel_end(run, reached);
         }
     }
 
     /// Per-kernel counter deltas (the memory system accumulates across
     /// kernels) plus the end-of-kernel marker.
-    fn emit_kernel_end(
-        &self,
-        kernel_seq: u64,
-        kernel_end: u64,
-        counters_before: &crate::stats::MemCounters,
-        flits_before: u64,
-    ) {
-        let d = self.mem.counters.delta(counters_before);
+    fn emit_kernel_end(&self, run: &KernelRun<'t>, kernel_end: u64) {
+        let kernel_seq = run.seq;
+        let d = self.mem.counters.delta(&run.counters_before);
         self.tracer.emit(&TraceEvent::CacheCounters {
             kernel: kernel_seq,
             cycle: kernel_end,
@@ -458,7 +453,7 @@ impl<'t> Simulation<'t> {
             cycle: kernel_end,
             line_transfers: d.noc_line_transfers,
             control_messages: d.noc_control_messages,
-            flits: self.mem.noc_flit_total().saturating_sub(flits_before),
+            flits: self.mem.noc_flit_total().saturating_sub(run.flits_before),
         });
         self.tracer.emit(&TraceEvent::KernelEnd {
             kernel: kernel_seq,
@@ -466,21 +461,26 @@ impl<'t> Simulation<'t> {
         });
     }
 
-    /// Forks the simulation at the current kernel boundary: the copy
-    /// holds the same cache, ownership, queue and statistics state and
-    /// the same deadline, and runs its further kernels under
-    /// consistency model `model`.
+    /// Forks the simulation: the copy holds the same cache, ownership,
+    /// queue and statistics state, the same deadline and the same paused
+    /// kernel run, if one is in flight ([`Self::run_window`]), and runs
+    /// every slot still to issue under consistency model `model`.
     ///
-    /// The model is consulted only when a kernel issues atomics, so on
-    /// a prefix whose atomics `model` and this simulation's model treat
-    /// alike (they share a class under the prefix's
+    /// The model is consulted only when an atomic issues, so on a prefix
+    /// whose atomics `model` and this simulation's model treat alike
+    /// (they share a class under the prefix's
     /// [`AtomicMix`](crate::config::AtomicMix), see
     /// [`ConsistencyModel::class_representative`]), the fork is in
     /// exactly the state a fresh simulation under `model` would reach
-    /// on that prefix.
+    /// on that prefix. Between the windows of a kernel, the prefix is
+    /// every block dispatched so far.
     pub fn fork(&self, model: ConsistencyModel) -> Simulation<'t> {
         let mut mem = self.mem.clone();
         mem.set_consistency(model);
+        let mut run = self.run.clone();
+        for sm in run.iter_mut().flat_map(|run| &mut run.sms) {
+            sm.set_consistency(model);
+        }
         Simulation {
             params: self.params.clone(),
             hw: HwConfig::new(self.hw.coherence, model),
@@ -490,12 +490,20 @@ impl<'t> Simulation<'t> {
             tracer: self.tracer,
             deadline: self.deadline,
             breach: self.breach,
+            run,
         }
+    }
+
+    /// `true` while a kernel run is paused between windows
+    /// ([`Self::run_window`]).
+    pub fn kernel_in_flight(&self) -> bool {
+        self.run.is_some()
     }
 
     /// Heap bytes held by the simulator state between kernels (the
     /// memory system's caches, line and word maps and queues); the
-    /// per-kernel SM state is freed when each kernel ends. Grows with
+    /// per-kernel SM state, and the records of the blocks it holds, are
+    /// freed when each kernel ends. Grows with
     /// the lines and words the run touched, not with the span of its
     /// address space.
     pub fn heap_bytes(&self) -> u64 {
@@ -510,6 +518,146 @@ impl<'t> Simulation<'t> {
     /// Consumes the simulation and returns the final statistics.
     pub fn finish(self) -> ExecStats {
         self.stats
+    }
+}
+
+/// One kernel in flight: its SMs, the wake-up heap and block dispatch,
+/// paused between windows.
+#[derive(Debug, Clone)]
+struct KernelRun<'t> {
+    shape: KernelShape,
+    /// The kernel's index among the simulation's kernels.
+    seq: u64,
+    /// The cycle the kernel's first block could issue (after launch).
+    start: u64,
+    counters_before: crate::stats::MemCounters,
+    flits_before: u64,
+    sms: Vec<Sm<'t>>,
+    /// Each SM's finish time, set once it has drained for good.
+    finish_times: Vec<u64>,
+    /// The next block to dispatch.
+    next_block: u64,
+    phase: Phase,
+    /// SM wake-ups, each SM at most once, at its own clock.
+    wakeups: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Wake-ups popped, for the deadline check's stride.
+    events: u32,
+}
+
+/// Where a [`KernelRun`]'s dispatch is, so a run paused for want of a
+/// block resumes at the very step it stopped at.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// The initial round-robin distribution: the next SM offered a
+    /// block, and whether the current round placed one.
+    Fill { sm: usize, any: bool },
+    /// The event loop: `Some((id, horizon))` while SM `id` is mid
+    /// quantum, with the horizon it runs ahead to.
+    Run(Option<(u32, u64)>),
+}
+
+/// How [`KernelRun::advance`] stopped.
+#[derive(Debug)]
+enum Advance {
+    /// Dispatch needs a block past the window.
+    Paused,
+    /// Every block dispatched and every SM drained.
+    Done,
+    /// The deadline passed at the given cycle.
+    Aborted(u64),
+}
+
+impl KernelRun<'_> {
+    /// Runs the kernel with the blocks of `window` until dispatch needs
+    /// one past it, the kernel ends, or `deadline` passes.
+    fn advance(
+        &mut self,
+        mem: &mut MemorySystem<'_>,
+        window: &BlockWindow,
+        deadline: Option<Instant>,
+    ) -> Advance {
+        let num_blocks = self.shape.num_blocks();
+        let end = window.end_block();
+        let sms = &mut self.sms;
+
+        // Initial block distribution, round-robin over SMs.
+        if let Phase::Fill { mut sm, mut any } = self.phase {
+            loop {
+                if sm == sms.len() {
+                    if !any {
+                        break;
+                    }
+                    (sm, any) = (0, false);
+                }
+                if self.next_block >= num_blocks {
+                    break;
+                }
+                if sms[sm].has_capacity() {
+                    if self.next_block == end {
+                        self.phase = Phase::Fill { sm, any };
+                        return Advance::Paused;
+                    }
+                    sms[sm].assign_block(window.block(self.next_block));
+                    self.next_block += 1;
+                    any = true;
+                }
+                sm += 1;
+            }
+            self.wakeups = sms.iter().map(|sm| Reverse((sm.now, sm.id()))).collect();
+            self.phase = Phase::Run(None);
+        }
+
+        // Event loop: each SM is queued at most once, at its own clock;
+        // popping resumes the earliest one (ties by id, so the
+        // interleaving is deterministic).
+        loop {
+            let (id, horizon) = match self.phase {
+                Phase::Run(Some(resume)) => resume,
+                _ => {
+                    let Some(Reverse((t, id))) = self.wakeups.pop() else {
+                        return Advance::Done;
+                    };
+                    if let Some(d) = deadline {
+                        self.events = self.events.wrapping_add(1);
+                        if self.events.is_multiple_of(DEADLINE_CHECK_EVERY) && Instant::now() >= d {
+                            return Advance::Aborted(t);
+                        }
+                    }
+                    (id, t + QUANTUM_CYCLES)
+                }
+            };
+            self.phase = Phase::Run(None);
+            let idx = id as usize;
+            let sm = &mut sms[idx];
+            loop {
+                // Feed new blocks whenever capacity frees up.
+                while sm.has_capacity() && self.next_block < num_blocks {
+                    if self.next_block == end {
+                        self.phase = Phase::Run(Some((id, horizon)));
+                        return Advance::Paused;
+                    }
+                    sm.assign_block(window.block(self.next_block));
+                    self.next_block += 1;
+                }
+                match sm.step(mem) {
+                    Step::Issued | Step::Waited => {
+                        if sm.now > horizon {
+                            // Quantum exhausted: park until the SM's
+                            // local clock, letting its peers catch up.
+                            self.wakeups.push(Reverse((sm.now, id)));
+                            break;
+                        }
+                    }
+                    Step::Drained => {
+                        if self.next_block < num_blocks {
+                            continue; // more blocks to fetch
+                        }
+                        self.finish_times[idx] = sm.finish_time(mem);
+                        break;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -634,6 +782,36 @@ mod tests {
         );
         assert_eq!(sim.stats().kernels, 0);
         assert_eq!(sim.stats().total_cycles(), 0);
+    }
+
+    #[test]
+    fn windows_run_only_in_kernel_order() {
+        use crate::trace::{BlockWindow, KernelSource};
+        // One SM holding one block: two blocks a window.
+        let params = SystemParams {
+            num_sms: 1,
+            max_blocks_per_sm: 1,
+            ..SystemParams::default()
+        };
+        let mut emit = |_: u32, ops: &mut Vec<MicroOp>| ops.push(MicroOp::compute(2));
+        let windows: Vec<BlockWindow> = KernelSource::new(6 * 32, 32, &mut emit)
+            .windows(&params)
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(windows.len(), 3);
+        let mut sim =
+            Simulation::new(params, hw(CoherenceKind::Gpu, ConsistencyModel::Drf0)).unwrap();
+        let out_of_order = |expected, got| Err(ParamsError::WindowOutOfOrder { expected, got });
+        assert_eq!(sim.run_window(&windows[1]), out_of_order(0, 2));
+        sim.run_window(&windows[0]).unwrap();
+        assert!(sim.kernel_in_flight());
+        assert_eq!(sim.run_window(&windows[2]), out_of_order(2, 4));
+        sim.run_window(&windows[1]).unwrap();
+        sim.run_window(&windows[2]).unwrap();
+        assert!(!sim.kernel_in_flight());
+        assert_eq!(sim.stats().kernels, 1);
+        assert_eq!(sim.stats().breakdown.get(StallClass::Busy), 6);
     }
 
     #[test]

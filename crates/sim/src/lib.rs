@@ -85,4 +85,4 @@ pub use engine::{Simulation, SimulationBuilder};
 pub use ggs_trace::{TraceEvent, TraceSink, Tracer};
 pub use params::{ParamsError, SystemParams};
 pub use stats::{ExecStats, StallBreakdown, StallClass};
-pub use trace::{KernelSource, KernelTrace, MicroOp, WarpTrace};
+pub use trace::{BlockWindow, KernelSource, KernelTrace, MicroOp, WarpTrace};

@@ -36,6 +36,16 @@ pub enum ParamsError {
         /// The value the simulation runs with.
         params: u32,
     },
+    /// A [`BlockWindow`](crate::trace::BlockWindow) was handed to a
+    /// simulation out of order: not the next window of the kernel in
+    /// flight, or not a kernel's first window when none is.
+    WindowOutOfOrder {
+        /// The first block the simulation expected (`u64::MAX` if the
+        /// window belongs to another kernel than the one in flight).
+        expected: u64,
+        /// The window's first block.
+        got: u64,
+    },
 }
 
 impl fmt::Display for ParamsError {
@@ -68,6 +78,10 @@ impl fmt::Display for ParamsError {
             } => write!(
                 f,
                 "trace was packed for {what} {trace}, but the simulation uses {params}"
+            ),
+            ParamsError::WindowOutOfOrder { expected, got } => write!(
+                f,
+                "block window starts at block {got}, but the simulation expected block {expected}"
             ),
         }
     }
@@ -285,6 +299,15 @@ impl SystemParams {
     /// Number of warps per thread block.
     pub fn warps_per_block(&self) -> u32 {
         self.tb_size.div_ceil(self.warp_size)
+    }
+
+    /// Thread blocks per window when a kernel is delivered in windows
+    /// ([`KernelSource::windows`](crate::trace::KernelSource::windows)):
+    /// twice the blocks the GPU holds resident at once, so a window
+    /// refills every SM at least once before the next is packed. At
+    /// least 1.
+    pub fn window_blocks(&self) -> u64 {
+        (2 * u64::from(self.num_sms) * u64::from(self.max_blocks_per_sm)).max(1)
     }
 
     /// L1 capacity in kilobytes (used by the volume classifier).

@@ -2,18 +2,25 @@
 //! warp slots, consistency-model ordering, and greedy-then-oldest
 //! scheduling with stall classification.
 
+use std::sync::Arc;
+
 use crate::config::ConsistencyModel;
 use crate::mem::MemorySystem;
+use crate::params::SystemParams;
 use crate::stats::{StallBreakdown, StallClass};
-use crate::trace::{Slot, Slots};
+use crate::trace::{decode, PackedBlock, Slot};
 use ggs_trace::{TraceEvent, Tracer};
 
 /// One warp walking its packed slot records (see
-/// [`WarpTrace`](crate::trace::WarpTrace)).
-#[derive(Debug)]
-struct Warp<'k> {
-    /// The slots not yet issued.
-    slots: Slots<'k>,
+/// [`WarpTrace`](crate::trace::WarpTrace)). It holds its block's shared
+/// records, so they stay live while the warp runs.
+#[derive(Debug, Clone)]
+struct Warp {
+    /// The block's records; the warp's own are `records[pos..end]`,
+    /// from the next slot on.
+    records: Arc<[u32]>,
+    pos: usize,
+    end: usize,
     block: usize,
     /// Why the warp's ready time (its [`Sm`] `ready` entry) is in the
     /// future (classification of a wait on this warp).
@@ -23,23 +30,37 @@ struct Warp<'k> {
     last_atomic_done: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BlockState {
     warps_left: u32,
 }
 
+/// The SM's load-store path: what issuing a slot reads and updates
+/// besides the issuing warp.
+#[derive(Debug, Clone)]
+struct Lsu<'t> {
+    id: u32,
+    /// The cycle the load-store unit is next free.
+    free: u64,
+    consistency: ConsistencyModel,
+    /// Latest completion time of any transaction this SM issued
+    /// (outstanding stores/atomics at kernel end).
+    last_completion: u64,
+    /// Injected trace sink handle; off by default.
+    tracer: Tracer<'t>,
+}
+
 /// One streaming multiprocessor: resident warps, a load-store unit, and
 /// the issue scheduler.
-#[derive(Debug)]
-pub struct Sm<'k> {
-    id: u32,
+#[derive(Debug, Clone)]
+pub struct Sm<'t> {
     /// Local clock in cycles.
     pub now: u64,
-    lsu_free: u64,
+    lsu: Lsu<'t>,
     /// The unfinished resident warps, in assignment order: a warp
     /// leaves when it issues its last slot, and an empty warp never
     /// enters.
-    warps: Vec<Warp<'k>>,
+    warps: Vec<Warp>,
     /// Each warp's ready time (the cycle it can issue next), index for
     /// index with `warps`. The scheduler scan in [`Sm::step`] runs every
     /// simulated cycle and only needs (ready, index); keeping those in a
@@ -48,20 +69,15 @@ pub struct Sm<'k> {
     blocks: Vec<BlockState>,
     resident_blocks: u32,
     max_blocks: u32,
-    consistency: ConsistencyModel,
+    line_shift: u32,
     /// Greedy-then-oldest cursor: the warp that issued last (or, if it
     /// retired, the index it vacated), where the next issue scan starts.
     greedy: usize,
     /// Cycle classification accumulated so far.
     pub stats: StallBreakdown,
-    /// Latest completion time of any transaction this SM issued
-    /// (outstanding stores/atomics at kernel end).
-    pub last_completion: u64,
     /// Latest ready time of a warp that retired its final slot (tail
     /// pipeline latency still in flight when the warp finished).
     tail: u64,
-    /// Injected trace sink handle; off by default.
-    tracer: Tracer<'k>,
     /// Start cycle of the last stall sample emitted (stride sampling).
     last_sample: u64,
 }
@@ -79,38 +95,57 @@ pub enum Step {
     Drained,
 }
 
-impl<'k> Sm<'k> {
-    /// Creates an SM with its clock at `start`.
-    pub fn new(id: u32, start: u64, consistency: ConsistencyModel, max_blocks: u32) -> Self {
+/// Raises a warp's ready time to `r`, charging the wait to `c`, if `r`
+/// is later than the ready time so far.
+fn raise(r: u64, c: StallClass, ready: &mut u64, blocked: &mut StallClass) {
+    if r > *ready {
+        *ready = r;
+        *blocked = c;
+    }
+}
+
+impl<'t> Sm<'t> {
+    /// Creates an SM with its clock at `start`, holding at most
+    /// `params.max_blocks_per_sm` blocks of records packed for
+    /// `params.line_bytes`.
+    pub fn new(id: u32, start: u64, consistency: ConsistencyModel, params: &SystemParams) -> Self {
         Self {
-            id,
             now: start,
-            lsu_free: 0,
+            lsu: Lsu {
+                id,
+                free: 0,
+                consistency,
+                last_completion: 0,
+                tracer: Tracer::off(),
+            },
             warps: Vec::new(),
             ready: Vec::new(),
             blocks: Vec::new(),
             resident_blocks: 0,
-            max_blocks,
-            consistency,
+            max_blocks: params.max_blocks_per_sm,
+            line_shift: params.line_bytes.trailing_zeros(),
             greedy: 0,
             stats: StallBreakdown::default(),
-            last_completion: 0,
             tail: 0,
-            tracer: Tracer::off(),
             last_sample: 0,
         }
     }
 
     /// Attach a trace sink handle (stall samples and acquire/release
     /// events); returns the SM for builder-style chaining.
-    pub fn with_tracer(mut self, tracer: Tracer<'k>) -> Self {
-        self.tracer = tracer;
+    pub fn with_tracer(mut self, tracer: Tracer<'t>) -> Self {
+        self.lsu.tracer = tracer;
         self
+    }
+
+    /// Switches the consistency model of the slots still to issue.
+    pub(crate) fn set_consistency(&mut self, model: ConsistencyModel) {
+        self.lsu.consistency = model;
     }
 
     /// This SM's id (its index among the GPU's cores).
     pub fn id(&self) -> u32 {
-        self.id
+        self.lsu.id
     }
 
     /// `true` if another thread block can be made resident.
@@ -123,22 +158,28 @@ impl<'k> Sm<'k> {
         self.ready.len()
     }
 
-    /// Makes a thread block resident: `warps` are its warps in order
-    /// ([`WarpTrace::block`](crate::trace::WarpTrace::block)).
+    /// Makes a thread block resident. Its warps hold the block's records
+    /// until each issues its last slot.
     ///
     /// # Panics
     ///
     /// Panics if the SM has no block capacity left.
-    pub fn assign_block(&mut self, warps: impl Iterator<Item = Slots<'k>>) {
-        assert!(self.has_capacity(), "SM {} has no block capacity", self.id);
+    pub fn assign_block(&mut self, block: &PackedBlock) {
+        assert!(
+            self.has_capacity(),
+            "SM {} has no block capacity",
+            self.id()
+        );
         let block_idx = self.blocks.len();
         let mut warps_in_block = 0;
         // An empty warp never issues, so it never enters the scan.
-        for slots in warps.filter(|s| !s.is_empty()) {
+        for range in block.warp_ranges().filter(|r| !r.is_empty()) {
             warps_in_block += 1;
             self.ready.push(self.now);
             self.warps.push(Warp {
-                slots,
+                records: Arc::clone(block.records()),
+                pos: range.start,
+                end: range.end,
                 block: block_idx,
                 blocked: StallClass::Idle,
                 last_atomic_done: 0,
@@ -204,10 +245,11 @@ impl<'k> Sm<'k> {
         self.stats.record(class, t - self.now);
         // Sampled stall-transition event: at most one per stride window
         // per SM, so hot stalls stay bounded in the trace.
-        if self.tracer.enabled() && self.now >= self.last_sample + self.tracer.stride() {
+        let tracer = self.lsu.tracer;
+        if tracer.enabled() && self.now >= self.last_sample + tracer.stride() {
             self.last_sample = self.now;
-            self.tracer.emit(&TraceEvent::StallSample {
-                sm: self.id,
+            tracer.emit(&TraceEvent::StallSample {
+                sm: self.id(),
                 cycle: self.now,
                 class: class.name(),
                 cycles: t - self.now,
@@ -219,65 +261,26 @@ impl<'k> Sm<'k> {
 
     /// Executes the next slot of warp `idx`.
     fn issue(&mut self, idx: usize, mem: &mut MemorySystem) {
+        let warp = &self.warps[idx];
         // Resident warps always have a slot left: a warp leaves the
         // scan when it issues its last one.
-        let Some(slot) = self.warps[idx].slots.next() else {
+        let Some((slot, rest)) = decode(&warp.records[warp.pos..warp.end], self.line_shift) else {
             return;
         };
-        let now = self.now;
-        let mut ready = now + 1;
-        let mut blocked = StallClass::Comp;
-        let raise = |r: u64, c: StallClass, ready: &mut u64, blocked: &mut StallClass| {
-            if r > *ready {
-                *ready = r;
-                *blocked = c;
-            }
-        };
-
-        if slot.compute > 0 {
-            raise(
-                now + 1 + u64::from(slot.compute),
-                StallClass::Comp,
-                &mut ready,
-                &mut blocked,
-            );
-        }
-
-        if !slot.loads.is_empty() {
-            let start = now.max(self.lsu_free);
-            self.lsu_free = start + slot.loads.len() as u64;
-            let mut done = 0;
-            for line in slot.load_addrs() {
-                let acc = mem.load(self.id, line, start);
-                done = done.max(acc.complete_at);
-            }
-            self.last_completion = self.last_completion.max(done);
-            // Loads are blocking (their values feed the next op).
-            raise(done, StallClass::Data, &mut ready, &mut blocked);
-        }
-
-        if !slot.stores.is_empty() {
-            let start = now.max(self.lsu_free);
-            self.lsu_free = start + slot.stores.len() as u64;
-            let mut proceed = 0;
-            for line in slot.store_addrs() {
-                let acc = mem.store(self.id, line, start);
-                proceed = proceed.max(acc.proceed_at);
-                self.last_completion = self.last_completion.max(acc.complete_at);
-            }
-            // Stores only block on buffer back-pressure.
-            raise(proceed, StallClass::Data, &mut ready, &mut blocked);
-        }
-
-        if !slot.atomics.is_empty() {
-            self.issue_atomics(idx, slot, &mut ready, &mut blocked, mem);
-        }
+        let pos = warp.end - rest.len();
+        let (ready, blocked, atomic_done) =
+            self.lsu.issue(slot, self.now, warp.last_atomic_done, mem);
 
         let w = &mut self.warps[idx];
+        w.pos = pos;
         w.blocked = blocked;
-        if w.slots.is_empty() {
-            // Retire the warp. `greedy` stays at `idx`, which now names
-            // the following warp, so the next scan starts where it would
+        if let Some(done) = atomic_done {
+            w.last_atomic_done = done;
+        }
+        if w.pos == w.end {
+            // Retire the warp, releasing its hold on the block's
+            // records. `greedy` stays at `idx`, which now names the
+            // following warp, so the next scan starts where it would
             // have after skipping this one; `Vec::remove` keeps the
             // array order the stall tie-break relies on.
             let b = w.block;
@@ -293,22 +296,83 @@ impl<'k> Sm<'k> {
         }
     }
 
+    /// The time at which this SM finished all its issued work, including
+    /// outstanding transactions and its store-buffer drain.
+    pub fn finish_time(&self, mem: &MemorySystem) -> u64 {
+        self.now
+            .max(self.lsu.last_completion)
+            .max(self.tail)
+            .max(mem.release_drain(self.id()))
+    }
+}
+
+impl Lsu<'_> {
+    /// Issues `slot` at cycle `now` for a warp whose previous atomic
+    /// completed at `last_atomic_done`. Returns the warp's next ready
+    /// time, the stall class of the wait until then, and the completion
+    /// time of the slot's atomics, if it has any.
+    fn issue(
+        &mut self,
+        slot: Slot<'_>,
+        now: u64,
+        last_atomic_done: u64,
+        mem: &mut MemorySystem,
+    ) -> (u64, StallClass, Option<u64>) {
+        let mut ready = now + 1;
+        let mut blocked = StallClass::Comp;
+
+        if slot.compute > 0 {
+            raise(
+                now + 1 + u64::from(slot.compute),
+                StallClass::Comp,
+                &mut ready,
+                &mut blocked,
+            );
+        }
+
+        if !slot.loads.is_empty() {
+            let start = now.max(self.free);
+            self.free = start + slot.loads.len() as u64;
+            let mut done = 0;
+            for line in slot.load_addrs() {
+                let acc = mem.load(self.id, line, start);
+                done = done.max(acc.complete_at);
+            }
+            self.last_completion = self.last_completion.max(done);
+            // Loads are blocking (their values feed the next op).
+            raise(done, StallClass::Data, &mut ready, &mut blocked);
+        }
+
+        if !slot.stores.is_empty() {
+            let start = now.max(self.free);
+            self.free = start + slot.stores.len() as u64;
+            let mut proceed = 0;
+            for line in slot.store_addrs() {
+                let acc = mem.store(self.id, line, start);
+                proceed = proceed.max(acc.proceed_at);
+                self.last_completion = self.last_completion.max(acc.complete_at);
+            }
+            // Stores only block on buffer back-pressure.
+            raise(proceed, StallClass::Data, &mut ready, &mut blocked);
+        }
+
+        let atomic_done = (!slot.atomics.is_empty()).then(|| {
+            self.issue_atomics(slot, now, last_atomic_done, &mut ready, &mut blocked, mem)
+        });
+        (ready, blocked, atomic_done)
+    }
+
+    /// Issues `slot`'s atomics (see [`Self::issue`]) and returns their
+    /// completion time.
     fn issue_atomics(
         &mut self,
-        idx: usize,
         slot: Slot<'_>,
+        now: u64,
+        last_atomic_done: u64,
         ready: &mut u64,
         blocked: &mut StallClass,
         mem: &mut MemorySystem,
-    ) {
-        let now = self.now;
-        let raise = |r: u64, c: StallClass, ready: &mut u64, blocked: &mut StallClass| {
-            if r > *ready {
-                *ready = r;
-                *blocked = c;
-            }
-        };
-
+    ) -> u64 {
         // Ordering constraints before issue (shared predicates on
         // ConsistencyModel keep this in lockstep with ggs-check).
         let issue_from = if self.consistency.atomic_is_fence() {
@@ -327,7 +391,7 @@ impl<'k> Sm<'k> {
         } else if self.consistency.atomics_program_ordered() {
             // Program order between atomics: wait for this warp's
             // previous atomic.
-            now.max(self.warps[idx].last_atomic_done)
+            now.max(last_atomic_done)
         } else {
             now
         };
@@ -340,8 +404,8 @@ impl<'k> Sm<'k> {
         let admitted = mem.atomic_slot_admit(self.id, issue_from);
         // LSU occupancy: one transaction per lane (atomics to the same
         // word are distinct RMWs and serialize downstream).
-        let start = admitted.max(self.lsu_free);
-        self.lsu_free = start + slot.atomics.len() as u64;
+        let start = admitted.max(self.free);
+        self.free = start + slot.atomics.len() as u64;
 
         let mut done = 0;
         let mut proceed = start + 1;
@@ -352,7 +416,6 @@ impl<'k> Sm<'k> {
         }
         mem.atomic_slot_complete(self.id, done);
         self.last_completion = self.last_completion.max(done);
-        self.warps[idx].last_atomic_done = done;
 
         // Paired or value-returning atomics block the warp until the
         // value is back; fire-and-forget unpaired atomics only wait for
@@ -362,15 +425,7 @@ impl<'k> Sm<'k> {
         } else {
             raise(proceed, StallClass::Sync, ready, blocked);
         }
-    }
-
-    /// The time at which this SM finished all its issued work, including
-    /// outstanding transactions and its store-buffer drain.
-    pub fn finish_time(&self, mem: &MemorySystem) -> u64 {
-        self.now
-            .max(self.last_completion)
-            .max(self.tail)
-            .max(mem.release_drain(self.id))
+        done
     }
 }
 
@@ -394,7 +449,7 @@ mod tests {
     fn setup(consistency: ConsistencyModel) -> (MemorySystem<'static>, Sm<'static>) {
         let params = SystemParams::default();
         let mem = MemorySystem::new(&params, HwConfig::new(CoherenceKind::Gpu, consistency));
-        let sm = Sm::new(0, 0, consistency, 8);
+        let sm = Sm::new(0, 0, consistency, &params);
         (mem, sm)
     }
 
@@ -418,7 +473,7 @@ mod tests {
         let threads: Vec<Vec<MicroOp>> = vec![vec![MicroOp::compute(10); 4]; 32];
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
         let threads_static = leak_block(threads);
-        sm.assign_block(threads_static.block(0));
+        sm.assign_block(&threads_static.as_window().blocks()[0]);
         let t = run_to_completion(&mut sm, &mut mem);
         assert!(t >= 40, "4 slots x 10 cycles");
         assert!(sm.stats.get(StallClass::Comp) > 0);
@@ -431,7 +486,7 @@ mod tests {
         let threads: Vec<Vec<MicroOp>> = (0..32).map(|i| vec![MicroOp::load(i * 4)]).collect();
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
         let threads_static = leak_block(threads);
-        sm.assign_block(threads_static.block(0));
+        sm.assign_block(&threads_static.as_window().blocks()[0]);
         run_to_completion(&mut sm, &mut mem);
         assert_eq!(
             mem.counters.l1_misses, 2,
@@ -445,7 +500,7 @@ mod tests {
             (0..32u64).map(|i| vec![MicroOp::load(i * 4096)]).collect();
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
         let threads_static = leak_block(threads);
-        sm.assign_block(threads_static.block(0));
+        sm.assign_block(&threads_static.as_window().blocks()[0]);
         run_to_completion(&mut sm, &mut mem);
         assert_eq!(mem.counters.l1_misses, 32);
     }
@@ -459,11 +514,11 @@ mod tests {
             leak_block(threads)
         };
         let (mut mem1, mut sm1) = setup(ConsistencyModel::Drf1);
-        sm1.assign_block(mk().block(0));
+        sm1.assign_block(&mk().as_window().blocks()[0]);
         let t1 = run_to_completion(&mut sm1, &mut mem1);
 
         let (mut memr, mut smr) = setup(ConsistencyModel::DrfRlx);
-        smr.assign_block(mk().block(0));
+        smr.assign_block(&mk().as_window().blocks()[0]);
         let tr = run_to_completion(&mut smr, &mut memr);
 
         assert!(
@@ -482,11 +537,11 @@ mod tests {
             leak_block(threads)
         };
         let (mut mem0, mut sm0) = setup(ConsistencyModel::Drf0);
-        sm0.assign_block(mk().block(0));
+        sm0.assign_block(&mk().as_window().blocks()[0]);
         let t0 = run_to_completion(&mut sm0, &mut mem0);
 
         let (mut mem1, mut sm1) = setup(ConsistencyModel::Drf1);
-        sm1.assign_block(mk().block(0));
+        sm1.assign_block(&mk().as_window().blocks()[0]);
         let t1 = run_to_completion(&mut sm1, &mut mem1);
 
         assert!(t0 > t1, "DRF0 ({t0}) should be slower than DRF1 ({t1})");
@@ -508,11 +563,11 @@ mod tests {
             leak_block(threads)
         };
         let (mut mem_a, mut sm_a) = setup(ConsistencyModel::DrfRlx);
-        sm_a.assign_block(mk(true).block(0));
+        sm_a.assign_block(&mk(true).as_window().blocks()[0]);
         let t_ret = run_to_completion(&mut sm_a, &mut mem_a);
 
         let (mut mem_b, mut sm_b) = setup(ConsistencyModel::DrfRlx);
-        sm_b.assign_block(mk(false).block(0));
+        sm_b.assign_block(&mk(false).as_window().blocks()[0]);
         let t_fire = run_to_completion(&mut sm_b, &mut mem_b);
 
         assert!(
@@ -528,7 +583,7 @@ mod tests {
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
         for _ in 0..8 {
             assert!(sm.has_capacity());
-            sm.assign_block(threads_static.block(0));
+            sm.assign_block(&threads_static.as_window().blocks()[0]);
         }
         assert!(!sm.has_capacity());
         run_to_completion(&mut sm, &mut mem);
@@ -542,7 +597,7 @@ mod tests {
         threads[0] = vec![MicroOp::compute(1); 100];
         let threads_static = leak_block(threads);
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
-        sm.assign_block(threads_static.block(0));
+        sm.assign_block(&threads_static.as_window().blocks()[0]);
         let t = run_to_completion(&mut sm, &mut mem);
         assert!(t >= 100, "warp runs as long as its longest lane");
     }
@@ -589,15 +644,19 @@ mod tests {
     fn run_crafted(hw: HwConfig) -> (u64, StallBreakdown, usize) {
         let trace = crafted_kernel();
         let blocks = trace.num_blocks() as usize;
-        let mut mem = MemorySystem::new(&SystemParams::default(), hw);
-        let mut sm = Sm::new(0, 0, hw.consistency, 2);
+        let params = SystemParams {
+            max_blocks_per_sm: 2,
+            ..SystemParams::default()
+        };
+        let mut mem = MemorySystem::new(&params, hw);
+        let mut sm = Sm::new(0, 0, hw.consistency, &params);
         let (mut next, mut appended_at_end) = (0, 0);
         loop {
             while sm.has_capacity() && next < blocks {
                 if sm.greedy > 0 && sm.greedy == sm.ready.len() {
                     appended_at_end += 1;
                 }
-                sm.assign_block(trace.block(next));
+                sm.assign_block(&trace.as_window().blocks()[next]);
                 next += 1;
             }
             let step = sm.step(&mut mem);
@@ -605,7 +664,7 @@ mod tests {
             // each with a slot left, matching the blocks' live counts.
             assert_eq!(sm.ready.len(), sm.live_warps());
             assert_eq!(sm.warps.len(), sm.ready.len());
-            assert!(sm.warps.iter().all(|w| !w.slots.is_empty()));
+            assert!(sm.warps.iter().all(|w| w.pos < w.end));
             let left: u32 = sm.blocks.iter().map(|b| b.warps_left).sum();
             assert_eq!(left as usize, sm.live_warps());
             if step == Step::Drained && next == blocks {
@@ -647,7 +706,7 @@ mod tests {
         // to the lower index even though the cursor sits on the other.
         let threads_static = leak_block(vec![vec![MicroOp::compute(1)]; 64]);
         let (mut mem, mut sm) = setup(ConsistencyModel::Drf1);
-        sm.assign_block(threads_static.block(0));
+        sm.assign_block(&threads_static.as_window().blocks()[0]);
         sm.ready = vec![10, 10];
         sm.warps[0].blocked = StallClass::Data;
         sm.warps[1].blocked = StallClass::Comp;

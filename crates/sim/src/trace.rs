@@ -6,15 +6,19 @@
 //! *slot* `k`, a warp executes op `k` of every lane that still has ops
 //! left (shorter lanes simply become inactive — this models
 //! loop-trip-count divergence, the dominant divergence in vertex-centric
-//! graph kernels). [`KernelSource::pack`] turns a kernel into those
-//! warp slots as its threads are emitted, coalesced for one warp and
-//! line size; that packed [`WarpTrace`] is what the simulator runs, and
-//! its records bound the addresses a kernel may touch (a line or word
-//! number must fit 32 bits). A [`KernelTrace`] holds every thread's
-//! micro-ops at once, as emitted, for consumers that read threads one
-//! by one (the race detector, tests).
+//! graph kernels). Packing turns a kernel into those warp slots as its
+//! threads are emitted, coalesced for one warp and line size, one
+//! thread block at a time ([`PackedBlock`]); the records bound the
+//! addresses a kernel may touch (a line or word number must fit 32
+//! bits). [`KernelSource::windows`] delivers a kernel in
+//! [`BlockWindow`]s of consecutive blocks, each packed when it is asked
+//! for, and [`KernelSource::pack`] packs it whole as a [`WarpTrace`],
+//! its one window; the simulator runs either. A [`KernelTrace`] holds
+//! every thread's micro-ops at once, as emitted, for consumers that
+//! read threads one by one (the race detector, tests).
 
 use std::ops::Range;
+use std::sync::{Arc, Weak};
 
 use crate::config::AtomicMix;
 use crate::params::{ParamsError, SystemParams};
@@ -217,14 +221,16 @@ fn check_op_count(total: usize) -> Result<(), ParamsError> {
 /// blocks of `tb_size`, and an emitter that appends thread `t`'s ops.
 ///
 /// A consumer takes the kernel once, thread by thread in order:
-/// [`Self::pack`] packs each warp as its lanes are emitted, so no
-/// per-thread trace of the whole kernel is ever built, and
-/// [`Self::into_trace`] materializes that [`KernelTrace`] for consumers
-/// that read threads one by one. An emitter may carry state from one
-/// thread to the next (connected components' hooking kernel replays its
-/// union-find as it goes), so a kernel dropped before every thread was
-/// emitted runs the emitter for the rest: whatever a consumer does with
-/// one kernel, the producer's next kernel is the same.
+/// [`Self::windows`] packs it in windows of consecutive thread blocks,
+/// each packed only when it is asked for, so at most one window of the
+/// kernel's records is built at a time; [`Self::pack`] packs the whole
+/// kernel into one [`WarpTrace`]; and [`Self::into_trace`] materializes
+/// the per-thread [`KernelTrace`] for consumers that read threads one by
+/// one. Packing holds one warp's lanes at a time. An emitter may carry
+/// state from one thread to the next (connected components' hooking
+/// kernel replays its union-find as it goes), so a kernel dropped before
+/// every thread was emitted runs the emitter for the rest: whatever a
+/// consumer does with one kernel, the producer's next kernel is the same.
 ///
 /// # Example
 ///
@@ -272,9 +278,9 @@ impl<'e> KernelSource<'e> {
         self.num_threads.into()
     }
 
-    /// Packs the kernel for the warp size and line size of `params`,
-    /// one warp at a time: each warp is packed as soon as its lanes
-    /// are emitted, so at most one warp's lanes are held.
+    /// Packs the whole kernel for the warp size and line size of
+    /// `params`, one warp at a time: each warp is packed as soon as its
+    /// lanes are emitted, so at most one warp's lanes are held.
     ///
     /// # Errors
     ///
@@ -287,14 +293,36 @@ impl<'e> KernelSource<'e> {
     /// - [`AddressOutOfRange`](ParamsError::AddressOutOfRange) for a load
     ///   or store whose line number, or an atomic whose word number, does
     ///   not fit 32 bits;
-    /// - [`TooManyOps`](ParamsError::TooManyOps) if the records outgrow
-    ///   the `u32` offset table.
+    /// - [`TooManyOps`](ParamsError::TooManyOps) if one block's records
+    ///   outgrow its `u32` offset table.
     pub fn pack(mut self, params: &SystemParams) -> Result<WarpTrace, ParamsError> {
-        let mut packer = WarpPacker::new(self.tb_size, params)?;
+        let mut packer = WarpPacker::new(self.num_threads(), self.tb_size, params)?;
         while let Some(t) = self.next_thread() {
             packer.push_thread(|ops| (self.emit)(t, ops))?;
         }
         packer.finish()
+    }
+
+    /// Packs the kernel for the warp size and line size of `params` in
+    /// windows of [`SystemParams::window_blocks`] consecutive thread
+    /// blocks (the last may hold fewer). A window's threads are emitted
+    /// and packed when the window is asked for, so the kernel's records
+    /// are never all built at once; each window carries the
+    /// [`AtomicMix`] of its own blocks.
+    ///
+    /// # Errors
+    ///
+    /// [`NonPositive`](ParamsError::NonPositive) for a zero `tb_size`,
+    /// and the geometry errors of [`Self::pack`]; a window that cannot
+    /// be packed is yielded as the error of [`Self::pack`], and ends the
+    /// windows.
+    pub fn windows(self, params: &SystemParams) -> Result<KernelWindows<'e>, ParamsError> {
+        Ok(KernelWindows {
+            packer: WarpPacker::new(self.num_threads(), self.tb_size, params)?,
+            source: self,
+            window_blocks: params.window_blocks(),
+            done: false,
+        })
     }
 
     /// Materializes every thread's stream as a [`KernelTrace`].
@@ -341,21 +369,77 @@ impl std::fmt::Debug for KernelSource<'_> {
     }
 }
 
-/// Packs a kernel into a [`WarpTrace`] as its threads arrive, in thread
-/// order, holding at most one warp's lanes: the one packing loop behind
-/// [`KernelSource::pack`] and [`WarpTrace::pack`], whose docs list its
-/// errors.
+/// A kernel's windows of consecutive thread blocks, in block order
+/// ([`KernelSource::windows`]). A kernel without threads has none.
+///
+/// The iterator ends after yielding an error. Dropped before its end, it
+/// drops its [`KernelSource`], which emits the threads left.
+///
+/// # Example
+///
+/// ```
+/// use ggs_sim::trace::{KernelSource, MicroOp};
+/// use ggs_sim::SystemParams;
+///
+/// // 100 blocks of 32 threads, on a GPU that packs 4 blocks a window.
+/// let params = SystemParams { num_sms: 2, max_blocks_per_sm: 1, ..SystemParams::default() };
+/// let mut emit = |t: u32, ops: &mut Vec<MicroOp>| ops.push(MicroOp::load(u64::from(t) * 4));
+/// let windows = KernelSource::new(3200, 32, &mut emit).windows(&params)?;
+/// let firsts: Vec<u64> = windows.map(|w| w.map(|w| w.first_block())).collect::<Result<_, _>>()?;
+/// assert_eq!(firsts.len(), 25);
+/// assert_eq!(firsts[1], 4);
+/// # Ok::<(), ggs_sim::params::ParamsError>(())
+/// ```
+#[derive(Debug)]
+pub struct KernelWindows<'e> {
+    source: KernelSource<'e>,
+    packer: WarpPacker,
+    window_blocks: u64,
+    /// Set once every thread is packed or packing failed.
+    done: bool,
+}
+
+impl Iterator for KernelWindows<'_> {
+    type Item = Result<BlockWindow, ParamsError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while !self.done && (self.packer.blocks.len() as u64) < self.window_blocks {
+            let packed = match self.source.next_thread() {
+                Some(t) => {
+                    let emit = &mut self.source.emit;
+                    self.packer.push_thread(|ops| emit(t, ops))
+                }
+                None => {
+                    self.done = true;
+                    self.packer.finish_block()
+                }
+            };
+            if let Err(e) = packed {
+                self.done = true;
+                self.packer.blocks.clear();
+                return Some(Err(e));
+            }
+        }
+        let window = self.packer.take_window();
+        (!window.blocks.is_empty()).then_some(Ok(window))
+    }
+}
+
+/// Packs a kernel as its threads arrive, in thread order, holding at
+/// most one warp's lanes: the one packing loop behind
+/// [`KernelSource::pack`], [`KernelSource::windows`] and
+/// [`WarpTrace::pack`], whose docs list its errors.
 ///
 /// A warp is `warp_size` consecutive threads of one block, split from
 /// the block's first thread, so the packer packs the pending warp when
-/// it holds `warp_size` lanes or its last lane ends a block, and
-/// [`Self::finish`] packs a partial last warp. The lane buffer is reused
-/// from warp to warp.
+/// it holds `warp_size` lanes or its last lane ends a block, and the
+/// pending block when its last lane arrives; [`Self::finish_block`]
+/// packs a partial last warp and block. Packed blocks wait in the
+/// packer until [`Self::take_window`] takes them. The lane and record
+/// buffers are reused from warp to warp and block to block.
 #[derive(Debug)]
 pub(crate) struct WarpPacker {
-    tb_size: u32,
-    warp_size: u32,
-    line_bytes: u32,
+    shape: KernelShape,
     /// The pending warp's ops, lane after lane.
     lane_ops: Vec<MicroOp>,
     /// The unpacked ops of each pending lane that has any, in
@@ -364,35 +448,51 @@ pub(crate) struct WarpPacker {
     /// Lanes the pending warp holds, empty ones included.
     pending: u32,
     scratch: SlotScratch,
+    /// The pending block's records, and the offset of each of its packed
+    /// warps (starting with 0).
     words: Vec<u32>,
     warps: Vec<u32>,
-    num_threads: u64,
-    total_ops: u64,
+    /// Packed blocks not yet taken, and their atomic mix.
+    blocks: Vec<PackedBlock>,
     atomic_mix: AtomicMix,
+    /// The kernel-wide index of the first block not yet taken.
+    first: u64,
+    /// Threads pushed so far.
+    pushed: u64,
+    total_ops: u64,
 }
 
 impl WarpPacker {
-    /// A packer for a kernel in blocks of `tb_size` threads, for the warp
-    /// size and line size of `params`.
-    pub(crate) fn new(tb_size: u32, params: &SystemParams) -> Result<Self, ParamsError> {
+    /// A packer for a kernel of `num_threads` threads in blocks of
+    /// `tb_size`, for the warp size and line size of `params`.
+    pub(crate) fn new(
+        num_threads: u64,
+        tb_size: u32,
+        params: &SystemParams,
+    ) -> Result<Self, ParamsError> {
         if tb_size == 0 {
             return Err(ParamsError::NonPositive("tb_size"));
         }
         let (warp_size, line_bytes) = (params.warp_size, params.line_bytes);
         check_packable(warp_size, line_bytes)?;
         Ok(Self {
-            tb_size,
-            warp_size,
-            line_bytes,
+            shape: KernelShape {
+                num_threads,
+                tb_size,
+                warp_size,
+                line_bytes,
+            },
             lane_ops: Vec::new(),
             lanes: Vec::with_capacity(warp_size as usize),
             pending: 0,
             scratch: SlotScratch::default(),
             words: Vec::new(),
             warps: vec![0],
-            num_threads: 0,
-            total_ops: 0,
+            blocks: Vec::new(),
             atomic_mix: AtomicMix::None,
+            first: 0,
+            pushed: 0,
+            total_ops: 0,
         })
     }
 
@@ -409,9 +509,11 @@ impl WarpPacker {
             self.lanes.push(start..end);
         }
         self.total_ops += (end - start) as u64;
-        self.num_threads += 1;
+        self.pushed += 1;
         self.pending += 1;
-        if self.pending == self.warp_size || self.num_threads.is_multiple_of(self.tb_size.into()) {
+        if self.pushed.is_multiple_of(self.shape.tb_size.into()) {
+            self.finish_block()?;
+        } else if self.pending == self.shape.warp_size {
             self.pack_warp()?;
         }
         Ok(())
@@ -421,7 +523,7 @@ impl WarpPacker {
     /// that still has one. A lane leaves once it runs out, so a slot
     /// visits active lanes only.
     fn pack_warp(&mut self) -> Result<(), ParamsError> {
-        let line_shift = self.line_bytes.trailing_zeros();
+        let line_shift = self.shape.line_bytes.trailing_zeros();
         let Self {
             lane_ops,
             lanes,
@@ -446,22 +548,44 @@ impl WarpPacker {
         Ok(())
     }
 
-    /// Packs a partial last warp and returns the packed kernel.
-    pub(crate) fn finish(mut self) -> Result<WarpTrace, ParamsError> {
+    /// Packs the pending warp and block, if any thread is pending: the
+    /// end of a block, or of the kernel.
+    pub(crate) fn finish_block(&mut self) -> Result<(), ParamsError> {
         if self.pending > 0 {
             self.pack_warp()?;
         }
-        self.words.shrink_to_fit();
-        self.warps.shrink_to_fit();
+        if self.warps.len() > 1 {
+            self.blocks.push(PackedBlock {
+                words: Arc::from(self.words.as_slice()),
+                warps: self.warps.as_slice().into(),
+            });
+            self.words.clear();
+            self.warps.truncate(1);
+        }
+        Ok(())
+    }
+
+    /// Takes the packed blocks not yet taken, as a window.
+    pub(crate) fn take_window(&mut self) -> BlockWindow {
+        let window = BlockWindow {
+            shape: self.shape,
+            first: self.first,
+            blocks: std::mem::take(&mut self.blocks),
+            atomic_mix: std::mem::replace(&mut self.atomic_mix, AtomicMix::None),
+        };
+        self.first += window.blocks.len() as u64;
+        window
+    }
+
+    /// Packs the partial last warp and block and returns the whole
+    /// kernel.
+    pub(crate) fn finish(mut self) -> Result<WarpTrace, ParamsError> {
+        self.finish_block()?;
+        let mut window = self.take_window();
+        window.blocks.shrink_to_fit();
         Ok(WarpTrace {
-            words: self.words,
-            warps: self.warps,
-            num_threads: self.num_threads,
+            window,
             total_ops: self.total_ops,
-            tb_size: self.tb_size,
-            warp_size: self.warp_size,
-            line_bytes: self.line_bytes,
-            atomic_mix: self.atomic_mix,
         })
     }
 }
@@ -484,6 +608,140 @@ pub(crate) fn check_packable(warp_size: u32, line_bytes: u32) -> Result<(), Para
     Ok(())
 }
 
+/// What the engine needs of a kernel before its first block: its thread
+/// count and block size, and the geometry its blocks were packed for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KernelShape {
+    pub(crate) num_threads: u64,
+    pub(crate) tb_size: u32,
+    pub(crate) warp_size: u32,
+    pub(crate) line_bytes: u32,
+}
+
+impl KernelShape {
+    /// Number of thread blocks.
+    pub(crate) fn num_blocks(&self) -> u64 {
+        self.num_threads.div_ceil(self.tb_size.into())
+    }
+
+    /// See [`WarpTrace::check_geometry`].
+    pub(crate) fn check_geometry(&self, params: &SystemParams) -> Result<(), ParamsError> {
+        for (what, trace, params) in [
+            ("warp_size", self.warp_size, params.warp_size),
+            ("line_bytes", self.line_bytes, params.line_bytes),
+        ] {
+            if trace != params {
+                return Err(ParamsError::GeometryMismatch {
+                    what,
+                    trace,
+                    params,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One thread block packed into warp slots (see [`WarpTrace`] for the
+/// record layout).
+///
+/// The records live in one shared allocation: an SM that makes the
+/// block resident holds it from each of the block's warps, so the
+/// records are freed once the block's window, or [`WarpTrace`], is
+/// dropped and every SM that ran the block has finished it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedBlock {
+    /// The block's slot records, warp after warp.
+    words: Arc<[u32]>,
+    /// `num_warps + 1` cumulative offsets into `words`.
+    warps: Box<[u32]>,
+}
+
+impl PackedBlock {
+    /// Number of warps, empty ones included.
+    pub fn num_warps(&self) -> usize {
+        self.warps.len() - 1
+    }
+
+    /// The records of each warp, in warp order, as a range of
+    /// [`Self::records`].
+    pub(crate) fn warp_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.warps.windows(2).map(|w| w[0] as usize..w[1] as usize)
+    }
+
+    /// The block's shared record allocation.
+    pub(crate) fn records(&self) -> &Arc<[u32]> {
+        &self.words
+    }
+
+    /// The slot records of warp `w`.
+    fn slots(&self, w: usize, line_shift: u32) -> Slots<'_> {
+        Slots {
+            rest: &self.words[self.warps[w] as usize..self.warps[w + 1] as usize],
+            line_shift,
+        }
+    }
+
+    /// Heap bytes of the records and the offset table, 4 bytes per
+    /// entry (both are allocated at their exact length).
+    pub fn heap_bytes(&self) -> u64 {
+        ((self.words.len() + self.warps.len()) * std::mem::size_of::<u32>()) as u64
+    }
+}
+
+/// A run of consecutive thread blocks of one kernel, packed: the unit a
+/// kernel is delivered in ([`KernelSource::windows`]) and a
+/// [`Simulation`](crate::engine::Simulation) runs
+/// ([`Simulation::run_window`](crate::engine::Simulation::run_window)).
+/// A [`WarpTrace`] is the one window of a whole kernel.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockWindow {
+    shape: KernelShape,
+    /// The kernel-wide index of the first block.
+    first: u64,
+    blocks: Vec<PackedBlock>,
+    atomic_mix: AtomicMix,
+}
+
+impl BlockWindow {
+    /// The kernel-wide index of the window's first block.
+    pub fn first_block(&self) -> u64 {
+        self.first
+    }
+
+    /// The window's blocks, in order.
+    pub fn blocks(&self) -> &[PackedBlock] {
+        &self.blocks
+    }
+
+    /// Which atomics the window's blocks issue (see
+    /// [`WarpTrace::atomic_mix`]).
+    pub fn atomic_mix(&self) -> AtomicMix {
+        self.atomic_mix
+    }
+
+    /// Heap bytes held by the window: its blocks'
+    /// [`PackedBlock::heap_bytes`] and the block table.
+    pub fn heap_bytes(&self) -> u64 {
+        let table = self.blocks.capacity() * std::mem::size_of::<PackedBlock>();
+        table as u64 + self.blocks.iter().map(PackedBlock::heap_bytes).sum::<u64>()
+    }
+
+    pub(crate) fn shape(&self) -> KernelShape {
+        self.shape
+    }
+
+    /// Block `b` of the kernel, which must lie in the window.
+    pub(crate) fn block(&self, b: u64) -> &PackedBlock {
+        &self.blocks[(b - self.first) as usize]
+    }
+
+    /// The kernel-wide index one past the window's last block.
+    pub(crate) fn end_block(&self) -> u64 {
+        self.first + self.blocks.len() as u64
+    }
+}
+
 /// One kernel launch packed into warp slots: the form the simulator
 /// executes.
 ///
@@ -495,9 +753,9 @@ pub(crate) fn check_packable(warp_size: u32, line_bytes: u32) -> Result<(), Para
 ///
 /// # Layout
 ///
-/// The slot records of all warps live in one flat `u32` arena, warp
-/// after warp, found through a `num_warps + 1` cumulative offset table.
-/// One record is:
+/// Each thread block is a [`PackedBlock`]: its warps' slot records in
+/// one flat `u32` allocation, warp after warp, found through a
+/// `num_warps + 1` cumulative offset table. One record is:
 ///
 /// | words | hold |
 /// |---|---|
@@ -509,7 +767,8 @@ pub(crate) fn check_packable(warp_size: u32, line_bytes: u32) -> Result<(), Para
 ///
 /// Warps split each thread block from its first thread, as the engine
 /// hands blocks to SMs, so a block's last warp may be partial. A warp
-/// whose lanes hold no ops keeps its index and has no records.
+/// whose lanes hold no ops keeps its index and has no records. The
+/// whole kernel is one [`BlockWindow`] ([`Self::as_window`]).
 ///
 /// # Example
 ///
@@ -533,16 +792,8 @@ pub(crate) fn check_packable(warp_size: u32, line_bytes: u32) -> Result<(), Para
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarpTrace {
-    /// Every warp's slot records, concatenated in warp order.
-    words: Vec<u32>,
-    /// `num_warps + 1` cumulative offsets into `words`.
-    warps: Vec<u32>,
-    num_threads: u64,
+    window: BlockWindow,
     total_ops: u64,
-    tb_size: u32,
-    warp_size: u32,
-    line_bytes: u32,
-    atomic_mix: AtomicMix,
 }
 
 impl WarpTrace {
@@ -559,7 +810,7 @@ impl WarpTrace {
     ///
     /// As [`KernelSource::pack`].
     pub fn pack(kernel: &KernelTrace, params: &SystemParams) -> Result<Self, ParamsError> {
-        let mut packer = WarpPacker::new(kernel.tb_size(), params)?;
+        let mut packer = WarpPacker::new(kernel.num_threads(), kernel.tb_size(), params)?;
         for t in 0..kernel.num_threads() {
             packer.push_thread(|ops| ops.extend_from_slice(kernel.thread(t)))?;
         }
@@ -574,50 +825,45 @@ impl WarpTrace {
     /// [`ParamsError::GeometryMismatch`] naming the first parameter that
     /// differs.
     pub fn check_geometry(&self, params: &SystemParams) -> Result<(), ParamsError> {
-        for (what, trace, params) in [
-            ("warp_size", self.warp_size, params.warp_size),
-            ("line_bytes", self.line_bytes, params.line_bytes),
-        ] {
-            if trace != params {
-                return Err(ParamsError::GeometryMismatch {
-                    what,
-                    trace,
-                    params,
-                });
-            }
-        }
-        Ok(())
+        self.window.shape.check_geometry(params)
+    }
+
+    /// The whole kernel as one window, the form
+    /// [`Simulation::run_kernel`](crate::engine::Simulation::run_kernel)
+    /// runs it in.
+    pub fn as_window(&self) -> &BlockWindow {
+        &self.window
     }
 
     /// Number of threads packed (may be less than
     /// `num_blocks * tb_size` in the final block).
     pub fn num_threads(&self) -> u64 {
-        self.num_threads
+        self.window.shape.num_threads
     }
 
     /// Thread block size the kernel was generated for.
     pub fn tb_size(&self) -> u32 {
-        self.tb_size
+        self.window.shape.tb_size
     }
 
     /// Number of thread blocks.
     pub fn num_blocks(&self) -> u64 {
-        self.num_threads.div_ceil(self.tb_size as u64)
+        self.window.shape.num_blocks()
     }
 
     /// Warp size the trace was packed for.
     pub fn warp_size(&self) -> u32 {
-        self.warp_size
+        self.window.shape.warp_size
     }
 
     /// Line size in bytes the trace was packed for.
     pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
+        self.window.shape.line_bytes
     }
 
     /// Number of warps, empty ones included.
     pub fn num_warps(&self) -> usize {
-        self.warps.len() - 1
+        self.window.blocks.iter().map(PackedBlock::num_warps).sum()
     }
 
     /// The slot records of warp `w`, in slot order.
@@ -626,19 +872,17 @@ impl WarpTrace {
     ///
     /// Panics if `w` is out of range.
     pub fn warp(&self, w: usize) -> Slots<'_> {
-        Slots {
-            rest: &self.words[self.warps[w] as usize..self.warps[w + 1] as usize],
-            line_shift: self.line_bytes.trailing_zeros(),
-        }
+        let per_block = self.tb_size().div_ceil(self.warp_size()) as usize;
+        self.window.blocks[w / per_block].slots(w % per_block, self.line_shift())
     }
 
     /// The warps of thread block `b`, in order (none past the last
     /// block).
     pub fn block(&self, b: usize) -> impl Iterator<Item = Slots<'_>> {
-        let per_block = self.tb_size.div_ceil(self.warp_size) as usize;
-        let lo = b.saturating_mul(per_block).min(self.num_warps());
-        let hi = lo.saturating_add(per_block).min(self.num_warps());
-        (lo..hi).map(|w| self.warp(w))
+        let line_shift = self.line_shift();
+        let block = self.window.blocks.get(b);
+        let warps = block.map_or(0, PackedBlock::num_warps);
+        (0..warps).filter_map(move |w| Some(block?.slots(w, line_shift)))
     }
 
     /// Which atomics the kernel issues: none, only value-returning ones,
@@ -646,7 +890,7 @@ impl WarpTrace {
     /// can observe of the kernel (see
     /// [`ConsistencyModel::class_representative`](crate::config::ConsistencyModel::class_representative)).
     pub fn atomic_mix(&self) -> AtomicMix {
-        self.atomic_mix
+        self.window.atomic_mix
     }
 
     /// Number of thread micro-ops packed into the records.
@@ -654,12 +898,47 @@ impl WarpTrace {
         self.total_ops
     }
 
-    /// Heap bytes held by the record arena and the warp offset table: 4
-    /// bytes per word, counted from capacity, which equals length because
-    /// packing shrinks both. Capacity-bounded trace caches use this for
-    /// their memory accounting.
+    /// Heap bytes held by the packed blocks and the block table (see
+    /// [`BlockWindow::heap_bytes`]), counted from capacity, which equals
+    /// length because packing shrinks each. Capacity-bounded trace
+    /// caches use this for their memory accounting.
     pub fn heap_bytes(&self) -> u64 {
-        ((self.words.capacity() + self.warps.capacity()) * std::mem::size_of::<u32>()) as u64
+        self.window.heap_bytes()
+    }
+
+    fn line_shift(&self) -> u32 {
+        self.line_bytes().trailing_zeros()
+    }
+}
+
+/// Watches the blocks of delivered windows that something still holds
+/// once their window is dropped: the SMs they are resident on. A window
+/// consumer uses it to measure the packed bytes its windowed delivery
+/// keeps live: the current window's, plus those of the earlier blocks
+/// still running.
+#[derive(Debug, Default)]
+pub struct BlockWatch {
+    /// A weak handle on each watched block's records, with their bytes.
+    held: Vec<(Weak<[u32]>, u64)>,
+}
+
+impl BlockWatch {
+    /// Watches each block of `window` that is held beyond the window
+    /// itself. Call it before dropping the window.
+    pub fn watch(&mut self, window: &BlockWindow) {
+        for block in &window.blocks {
+            if Arc::strong_count(&block.words) > 1 {
+                let bytes = (block.words.len() * std::mem::size_of::<u32>()) as u64;
+                self.held.push((Arc::downgrade(&block.words), bytes));
+            }
+        }
+    }
+
+    /// The record bytes of the watched blocks still held. Forgets the
+    /// others, so their memory is returned.
+    pub fn held_bytes(&mut self) -> u64 {
+        self.held.retain(|(block, _)| block.strong_count() > 0);
+        self.held.iter().map(|&(_, bytes)| bytes).sum()
     }
 }
 
@@ -772,8 +1051,7 @@ impl Slot<'_> {
 }
 
 /// A cursor over one warp's slot records ([`WarpTrace::warp`]). It is
-/// `Copy` and borrows the trace's arena, so handing a warp to an SM
-/// never allocates.
+/// `Copy` and borrows the trace's records.
 #[derive(Debug, Clone, Copy)]
 pub struct Slots<'k> {
     /// The records not yet visited.
@@ -793,22 +1071,31 @@ impl<'k> Iterator for Slots<'k> {
 
     #[inline]
     fn next(&mut self) -> Option<Slot<'k>> {
-        let (&[counts, rest_of_header], body) = self.rest.split_first_chunk::<2>()?;
-        let mask = WarpTrace::COUNT_MASK;
-        let (loads, body) = body.split_at_checked((counts & mask) as usize)?;
-        let (stores, body) = body.split_at_checked((counts >> WarpTrace::COUNT_BITS) as usize)?;
-        let atomic_count = rest_of_header & (WarpTrace::RETURNS_BIT - 1);
-        let (atomics, rest) = body.split_at_checked(atomic_count as usize)?;
+        let (slot, rest) = decode(self.rest, self.line_shift)?;
         self.rest = rest;
-        Some(Slot {
-            loads,
-            stores,
-            atomics,
-            any_returns: rest_of_header & WarpTrace::RETURNS_BIT != 0,
-            compute: (rest_of_header >> WarpTrace::COUNT_BITS) as u16,
-            line_shift: self.line_shift,
-        })
+        Some(slot)
     }
+}
+
+/// Decodes the slot record at the head of `records`, returning it and
+/// the records after it (`None` once `records` is empty).
+#[inline]
+pub(crate) fn decode(records: &[u32], line_shift: u32) -> Option<(Slot<'_>, &[u32])> {
+    let (&[counts, rest_of_header], body) = records.split_first_chunk::<2>()?;
+    let mask = WarpTrace::COUNT_MASK;
+    let (loads, body) = body.split_at_checked((counts & mask) as usize)?;
+    let (stores, body) = body.split_at_checked((counts >> WarpTrace::COUNT_BITS) as usize)?;
+    let atomic_count = rest_of_header & (WarpTrace::RETURNS_BIT - 1);
+    let (atomics, rest) = body.split_at_checked(atomic_count as usize)?;
+    let slot = Slot {
+        loads,
+        stores,
+        atomics,
+        any_returns: rest_of_header & WarpTrace::RETURNS_BIT != 0,
+        compute: (rest_of_header >> WarpTrace::COUNT_BITS) as u16,
+        line_shift,
+    };
+    Some((slot, rest))
 }
 
 #[cfg(test)]
@@ -964,7 +1251,12 @@ mod tests {
             .flat_map(|i| w.warp(i))
             .map(|s| 2 + s.loads.len() + s.stores.len() + s.atomics.len())
             .sum();
-        assert_eq!(w.heap_bytes(), 4 * (words + w.num_warps() + 1) as u64);
+        // Per block: its records, `num_warps + 1` offsets, and its entry
+        // in the block table.
+        let blocks = w.num_blocks() as usize;
+        let table = blocks * std::mem::size_of::<PackedBlock>();
+        let bytes = 4 * (words + w.num_warps() + blocks) + table;
+        assert_eq!(w.heap_bytes(), bytes as u64);
         assert_eq!(w.total_ops(), k.total_ops());
     }
 

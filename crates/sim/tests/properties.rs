@@ -8,7 +8,7 @@ use ggs_sim::engine::Simulation;
 use ggs_sim::noc::Mesh;
 use ggs_sim::params::SystemParams;
 use ggs_sim::stats::{StallBreakdown, StallClass};
-use ggs_sim::trace::{KernelTrace, MicroOp, WarpTrace};
+use ggs_sim::trace::{KernelSource, KernelTrace, MicroOp, WarpTrace};
 
 fn small_params() -> SystemParams {
     SystemParams::default().scaled_caches(0.125).unwrap()
@@ -122,6 +122,80 @@ fn kernels() -> impl Strategy<Value = KernelTrace> {
     ];
     let thread = prop::collection::vec(op, 0..12);
     prop::collection::vec(thread, 1..200).prop_map(|threads| KernelTrace::new(threads, 64).unwrap())
+}
+
+/// A kernel built block by block for windowed delivery, with the
+/// hardware it runs on.
+#[derive(Debug, Clone)]
+struct BlockedKernel {
+    kernel: KernelTrace,
+    params: SystemParams,
+}
+
+/// Strategy: a kernel of many small blocks on a GPU of one to three SMs
+/// holding one or two blocks each, so a window is two to twelve blocks.
+/// Block sizes are skewed (some blocks are empty, some eight times the
+/// work of others), odd lanes of some warps are empty and some whole
+/// warps are, and atomics start only at a late block: value-returning
+/// or fire-and-forget ones first, the other kind from a later block on.
+fn blocked_kernels() -> impl Strategy<Value = BlockedKernel> {
+    let block = (
+        prop_oneof![Just(0u64), Just(1), Just(1), Just(8)],
+        0u64..u64::MAX,
+    );
+    let shape = (
+        prop::collection::vec(block, 1..40),
+        prop_oneof![Just(32u32), Just(48), Just(64)],
+        (0u64..100, 0u64..100, prop_oneof![Just(false), Just(true)]),
+        (1u32..4, 1u32..3),
+    );
+    shape.prop_map(
+        |(blocks, tb, (first, second, returning_first), (num_sms, max_blocks))| {
+            let n = blocks.len() as u64;
+            // The first atomic block lies in the back half of the kernel.
+            let first = n / 2 + first % n.div_ceil(2);
+            let second = first + second % (n - first + 1);
+            let threads = blocks
+                .iter()
+                .enumerate()
+                .flat_map(|(b, &(weight, seed))| {
+                    (0..u64::from(tb)).map(move |lane| {
+                        let b = b as u64;
+                        let empty_warp = seed >> (lane / 16 % 64) & 1 == 1 && lane % 2 == 1;
+                        let len = if empty_warp {
+                            0
+                        } else {
+                            weight * (1 + (seed >> 7 ^ lane) % 3)
+                        };
+                        (0..len)
+                            .map(|k| {
+                                let h = seed.wrapping_mul(lane * 31 + k + 1) >> 13;
+                                let addr = (h % 2048) * 4;
+                                let returning = (b < second) == returning_first;
+                                match h % 5 {
+                                    0 | 1 => MicroOp::load(addr),
+                                    2 => MicroOp::store(addr + 0x10_0000),
+                                    3 => MicroOp::compute((h % 20) as u16),
+                                    _ if b < first => MicroOp::load(addr + 0x20_0000),
+                                    _ if returning => MicroOp::atomic_returning(addr % 64 * 4),
+                                    _ => MicroOp::atomic(addr % 64 * 4),
+                                }
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let params = SystemParams {
+                num_sms,
+                max_blocks_per_sm: max_blocks,
+                ..small_params()
+            };
+            BlockedKernel {
+                kernel: KernelTrace::new(threads, tb).unwrap(),
+                params,
+            }
+        },
+    )
 }
 
 /// One call (or probe-then-fill pair) on a [`Cache`], as driven by
@@ -348,6 +422,39 @@ proptest! {
             prop_assert!(t0 * 23 >= t1 * 20, "DRF0 {t0} < DRF1 {t1}");
             prop_assert!(t1 * 23 >= tr * 20, "DRF1 {t1} < DRFrlx {tr}");
         }
+    }
+
+    /// A kernel delivered in windows ([`KernelSource::windows`]) runs
+    /// exactly as the same kernel packed whole ([`Simulation::run_kernel`]),
+    /// on every hardware configuration, twice in a row: the run pauses
+    /// for a block past its window at any dispatch point, the initial
+    /// fill included, and resumes where it stopped.
+    #[test]
+    fn windowed_delivery_equals_whole_kernel_delivery(k in blocked_kernels()) {
+        let BlockedKernel { kernel, params } = k;
+        let whole = WarpTrace::pack(&kernel, &params).unwrap();
+        let (threads, tb) = (kernel.num_threads() as u32, kernel.tb_size());
+        let mut windows = 0;
+        for hw in HwConfig::all() {
+            let mut by_window = Simulation::new(params.clone(), hw).unwrap();
+            let mut by_kernel = Simulation::new(params.clone(), hw).unwrap();
+            for _ in 0..2 {
+                let mut emit = |t: u32, ops: &mut Vec<MicroOp>| {
+                    ops.extend_from_slice(kernel.thread(t.into()))
+                };
+                for window in KernelSource::new(threads, tb, &mut emit).windows(&params).unwrap() {
+                    let window = window.unwrap();
+                    prop_assert!(window.blocks().len() as u64 <= params.window_blocks());
+                    by_window.run_window(&window).unwrap();
+                    windows += 1;
+                }
+                prop_assert!(!by_window.kernel_in_flight());
+                by_kernel.run_kernel(&whole).unwrap();
+            }
+            prop_assert_eq!(by_window.finish(), by_kernel.finish(), "{:?}", hw);
+        }
+        let expected = whole.num_blocks().div_ceil(params.window_blocks());
+        prop_assert_eq!(windows, 12 * expected);
     }
 
     /// Every packed slot record equals the per-lane gather, line masking,
