@@ -8,12 +8,10 @@
 //!
 //! ```text
 //! repro [--scale S] [--threads N] [--json PATH] [--svg PATH] [--trace-out PATH] [--all]
-//!       [table1|table2|table3|table4|table5|fig5|fig6|partial|flexible|traffic|gsi|summary|check|hybrid|all]...
+//!       [--deadline-ms N] [--inject-fault APP/GRAPH/CFG[=panic|hang]]...
+//!       [--store PATH] [--store-compact] [--inject-store-fault torn[:BYTES]|short|crc]...
+//!       [table1|table2|table3|table4|table5|cells|fig5|fig6|partial|flexible|traffic|gsi|summary|check|hybrid|all]...
 //! repro trace [--scale S] [--trace-out PATH] [--trace-stride N] <app> <graph> <config>
-//! repro study [--scale S] [--threads N] [--json PATH] [--trace-out PATH]
-//!             [--deadline-ms N] [--inject-fault APP/GRAPH/CFG[=panic|hang]]...
-//!             [--store PATH] [--store-compact]
-//!             [--inject-store-fault torn[:BYTES]|short|crc]...
 //! repro bench [--iters N] [--smoke] [--out PATH]
 //!             [--baseline PATH] [--threshold PCT] [--tier NAME]...
 //! repro verify [--cell CODE]... [--smoke] [--mutations]
@@ -34,19 +32,22 @@
 //! peak RSS are part of the baseline, so behavior drift and memory
 //! blow-ups are also caught.
 //!
-//! `repro study` runs the 36-workload study through the fault-tolerant
-//! runner (see docs/robustness.md): per-cell panic isolation, a
-//! watchdog (`--deadline-ms`, a wall-clock limit on each cell's
-//! simulation), and checkpoint/resume
-//! via the crash-safe result store (`--store PATH`: re-running the same
-//! command after a kill simulates only the cells the store lacks). A
-//! store has one writer: while one process has it open, a second
-//! `repro study` on it exits 2 with `result store lock unavailable`.
-//! Failed or timed-out cells are reported individually and the partial
-//! Figure 5/6 output is rendered from the surviving cells; the exit
-//! status is 0 as long as the study itself completes. `--inject-fault`
-//! sabotages named cells for testing the machinery; a `hang` fault needs
-//! `--deadline-ms` to stop it, and exits 2 without one.
+//! The study sections (`cells`, `fig5`, `fig6`, `partial`, `flexible`,
+//! `summary`, or `--json`/`--svg`) share one run of the 36-workload
+//! study through the fault-tolerant runner (see docs/robustness.md):
+//! per-cell panic isolation, a watchdog (`--deadline-ms`, a wall-clock
+//! limit on each cell's simulation), and checkpoint/resume via the
+//! crash-safe result store (`--store PATH`: re-running the same command
+//! after a kill simulates only the cells the store lacks, and on a warm
+//! store it simulates nothing and only renders). A store has one writer:
+//! while one process has it open, a second exits 2 with `result store
+//! lock unavailable`. Failed or timed-out cells are listed by the
+//! `cells` section and the figures are rendered from the surviving
+//! cells; the exit status is 0 as long as the study itself completes.
+//! `--inject-fault` sabotages named cells for testing the machinery; a
+//! `hang` fault needs `--deadline-ms` to stop it, and exits 2 without
+//! one. `--trace-out` writes the study's trace events and phase spans.
+//! The study's flags exit 2 when no named section runs the study.
 //!
 //! `repro trace` simulates one (application, graph, configuration)
 //! point with full instrumentation and writes the event stream to
@@ -55,15 +56,10 @@
 //! ends in `.jsonl`. `<graph>` is a preset mnemonic (`OLS`, `EML`, …)
 //! or `rmat<N>` for a synthetic power-law graph with 2^N vertices
 //! (scaled by `--scale`). `--trace-stride` (default 1000 cycles)
-//! bounds the per-SM stall-sample and ownership-event rate. When
-//! `--trace-out` is given alongside study sections (`fig5`, `summary`,
-//! …), a per-phase wall-clock profile of the study itself is written
-//! instead (see docs/observability.md).
+//! bounds the per-SM stall-sample and ownership-event rate.
 //!
 //! Default scale is 0.125 (inputs and cache capacities scaled together,
-//! preserving every Table II class — see DESIGN.md). The expensive
-//! simulation study (fig5/fig6/summary/table5-empirical) is run once and
-//! shared between sections.
+//! preserving every Table II class — see DESIGN.md).
 //!
 //! `repro verify` is the static companion to `check`: it model-checks
 //! the coherence × consistency grid exhaustively (see `ggs-verify` and
@@ -83,8 +79,9 @@
 //! application × direction × consistency model, then the dynamic
 //! coherence-protocol invariant checker over the coherence × consistency
 //! hardware grid, and exits nonzero if anything is violated. `--all`
-//! additionally certifies the extended application set (BFS). It is not
-//! part of the `all` section (which reproduces the paper's artifacts).
+//! additionally certifies the extended application set (BFS). Like
+//! `cells` and `hybrid`, it is not part of the `all` section (which
+//! reproduces the paper's artifacts).
 
 #![forbid(unsafe_code)]
 
@@ -93,7 +90,7 @@ use std::str::FromStr;
 
 use ggs_apps::AppKind;
 use ggs_bench::render::TextTable;
-use ggs_core::runner::{run_study, StudyOptions};
+use ggs_core::runner::{run_study, StudyOptions, StudyOutcome};
 use ggs_core::study::{ConfigSet, Study};
 use ggs_core::ExperimentSpec;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
@@ -157,13 +154,24 @@ struct Command {
 }
 
 /// Section names the section runner accepts as operands.
-const SECTIONS: [&str; 15] = [
-    "table1", "table2", "table3", "table4", "table5", "fig5", "fig6", "partial", "flexible",
-    "traffic", "gsi", "summary", "check", "hybrid", "all",
+const SECTIONS: [&str; 16] = [
+    "table1", "table2", "table3", "table4", "table5", "cells", "fig5", "fig6", "partial",
+    "flexible", "traffic", "gsi", "summary", "check", "hybrid", "all",
+];
+
+/// Section-runner flags that only the study reads: refused, not
+/// ignored, when no named section runs the study.
+const STUDY_FLAGS: [&str; 6] = [
+    "--trace-out",
+    "--deadline-ms",
+    "--inject-fault",
+    "--store",
+    "--store-compact",
+    "--inject-store-fault",
 ];
 
 /// Every subcommand; the section runner (first) is the default.
-const COMMANDS: [Command; 5] = [
+const COMMANDS: [Command; 4] = [
     Command {
         name: "",
         operands: "",
@@ -174,13 +182,26 @@ const COMMANDS: [Command; 5] = [
             value("--svg", "PATH"),
             value("--trace-out", "PATH"),
             switch("--all"),
+            value("--deadline-ms", "N"),
+            repeated("--inject-fault", "APP/GRAPH/CFG[=panic|hang]"),
+            value("--store", "PATH"),
+            switch("--store-compact"),
+            repeated("--inject-store-fault", "torn[:BYTES]|short|crc"),
         ],
-        about: "regenerate the paper's tables and figures (default: all); \
-                --trace-out writes the study's per-phase profile. check \
-                certifies Table I contracts (static DRF) and protocol invariants \
-                (dynamic), --all includes the extended app set; hybrid sweeps the \
-                frontier-adaptive hybrid push/pull cells (H*) against the 12 \
-                static configurations. Neither is part of all.",
+        about: "regenerate the paper's tables and figures (default: all). cells, fig5, \
+                fig6, partial, flexible, summary, --json and --svg share one run of the \
+                36-workload study: failed cells are isolated, reported by cells and left \
+                out of the figures; --deadline-ms limits each cell's simulation in \
+                wall-clock time (a hang fault needs it); --store keeps results in a \
+                crash-safe result store, so re-running the same command resumes a killed \
+                study or renders from a warm store without simulating, and \
+                --store-compact rewrites it after the run; one process at a time may open \
+                a store, and a second exits 2 (docs/robustness.md); --trace-out writes the \
+                study's events and phase spans. The study flags are refused when no \
+                section runs the study. check certifies Table I contracts (static DRF) and \
+                protocol invariants (dynamic), --all includes the extended app set; \
+                hybrid sweeps the frontier-adaptive hybrid push/pull cells (H*) against \
+                the 12 static configurations. cells, check and hybrid run only when named.",
     },
     Command {
         name: "trace",
@@ -193,29 +214,6 @@ const COMMANDS: [Command; 5] = [
         about: "simulate one workload with instrumentation; <graph> is a preset \
                 mnemonic or rmat<N> (2^N vertices, scaled by --scale); the trace is \
                 Chrome trace-event JSON (.jsonl for JSON lines)",
-    },
-    Command {
-        name: "study",
-        operands: "",
-        flags: &[
-            value("--scale", "S"),
-            value("--threads", "N"),
-            value("--json", "PATH"),
-            value("--trace-out", "PATH"),
-            value("--deadline-ms", "N"),
-            repeated("--inject-fault", "APP/GRAPH/CFG[=panic|hang]"),
-            value("--store", "PATH"),
-            switch("--store-compact"),
-            repeated("--inject-store-fault", "torn[:BYTES]|short|crc"),
-        ],
-        about: "run the 36-workload study fault-tolerantly: failed cells are \
-                isolated and reported, --deadline-ms limits each cell's simulation \
-                in wall-clock time (a hang fault needs it), and each cell runs \
-                once; --store keeps results in a crash-safe content-addressed \
-                result store across runs (re-running the same command resumes a \
-                killed study, cells already solved are never re-simulated, \
-                --store-compact rewrites the store after the run); one process at \
-                a time may open a store, and a second exits 2 (docs/robustness.md)",
     },
     Command {
         name: "bench",
@@ -435,7 +433,6 @@ fn run(raw: impl Iterator<Item = String>) -> Result<(), String> {
     }
     match name {
         "trace" => trace_cmd(&args),
-        "study" => study_cmd(&args),
         "bench" => bench_cmd(&args),
         "verify" => verify_cmd(&args),
         _ => sections_cmd(&args),
@@ -457,20 +454,35 @@ fn sections_cmd(args: &Args) -> Result<(), String> {
     }
     let (scale, threads) = (args.scale()?, args.threads()?);
     let (json_path, svg_path) = (args.value("--json"), args.value("--svg"));
-    let want = |name: &str| -> bool { sections.iter().any(|s| s == name || s == "all") };
-    let needs_study = ["fig5", "fig6", "summary", "partial", "flexible"]
-        .iter()
-        .any(|s| want(s))
+    let named = |name: &str| -> bool { sections.iter().any(|s| s == name) };
+    let want = |name: &str| -> bool { named(name) || named("all") };
+    let runs_study = named("cells")
+        || ["fig5", "fig6", "summary", "partial", "flexible"]
+            .iter()
+            .any(|s| want(s))
+        || json_path.is_some()
         || svg_path.is_some();
+    // The study is set up before any section prints, so a refused one
+    // exits 2 at once.
+    let options = if runs_study {
+        Some(study_options(args, threads)?)
+    } else if let Some((flag, _)) = args.flags.iter().find(|(f, _)| STUDY_FLAGS.contains(f)) {
+        return Err(format!(
+            "{flag} applies to the study, which no named section runs \
+             (cells, fig5, fig6, partial, flexible, summary)"
+        ));
+    } else {
+        None
+    };
 
     // `check` is a gate, not a paper artifact: it runs only when named
     // explicitly, never as part of `all`.
-    if sections.iter().any(|s| s == "check") {
+    if named("check") {
         check(scale, args.switch("--all"))?;
     }
     // `hybrid` is this repo's extension beyond the paper's 12-point
     // grid; like `check`, it runs only when named explicitly.
-    if sections.iter().any(|s| s == "hybrid") {
+    if named("hybrid") {
         hybrid(scale)?;
     }
 
@@ -497,61 +509,154 @@ fn sections_cmd(args: &Args) -> Result<(), String> {
         table5(scale);
     }
 
-    if needs_study || json_path.is_some() {
-        eprintln!(
-            "[repro] running the 36-workload study at scale {scale} on {} threads…",
-            threads
-        );
-        let start = std::time::Instant::now();
-        let metrics = ggs_trace::MetricsRegistry::new();
-        let spec = ExperimentSpec::builder()
-            .scale(scale)
-            .build()
-            .map_err(|e| e.to_string())?;
-        let options = StudyOptions::new(ConfigSet::Figure5, threads);
-        let study = run_study(&spec, &options, &metrics, &ggs_trace::NOOP)
-            .map_err(|e| e.to_string())?
-            .study;
-        eprintln!(
-            "[repro] study finished in {:.1}s",
-            start.elapsed().as_secs_f64()
-        );
-        if !study.failures.is_empty() {
-            eprintln!(
-                "[repro] warning: {} cell(s) failed; figures are rendered from the \
-                 surviving cells (run `repro study` for the per-cell report)",
-                study.failures.len()
-            );
-            for cell in &study.failures {
-                eprintln!("[repro]   {} {}: {}", cell.status, cell.key(), cell.detail);
+    let Some(options) = options else {
+        return Ok(());
+    };
+    let spec = ExperimentSpec::builder()
+        .scale(scale)
+        .build()
+        .map_err(|e| e.to_string())?;
+    // Cell panics are caught and reported by the runner; replace the
+    // default hook so each one costs a single stderr line instead of a
+    // full backtrace. Set RUST_BACKTRACE=1 to keep the default hook.
+    if std::env::var_os("RUST_BACKTRACE").is_none() {
+        std::panic::set_hook(Box::new(|info| {
+            eprintln!("[repro] cell worker panicked: {info}");
+        }));
+    }
+    eprintln!("[repro] running the 36-workload study at scale {scale} on {threads} threads…");
+    let start = std::time::Instant::now();
+    let metrics = ggs_trace::MetricsRegistry::new();
+    // The study, then any compaction, both into the trace if one is
+    // written (compaction emits `store_evict`).
+    let run = |sink: &dyn ggs_trace::TraceSink| {
+        let outcome = run_study(&spec, &options, &metrics, sink);
+        let compaction = match (&options.store, &outcome) {
+            (Some(store), Ok(_)) if args.switch("--store-compact") => {
+                Some(store.compact(sink, start))
             }
-        }
-        if let Some(path) = &args.value("--trace-out") {
-            write_phase_profile(path, &metrics)?;
-        }
-        if let Some(path) = &json_path {
-            write_file(path, study.to_json_pretty())?;
-        }
-        if want("fig5") {
-            fig5(&study);
-        }
-        if let Some(path) = &svg_path {
-            write_file(path, fig5_svg(&study))?;
-        }
-        if want("fig6") {
-            fig6(&study);
-        }
-        if want("partial") {
-            partial(&study);
-        }
-        if want("flexible") {
-            flexible(&study);
-        }
-        if want("summary") {
-            summary(&study);
+            _ => None,
+        };
+        (outcome, compaction)
+    };
+    let (outcome, compaction) = if let Some(path) = &args.value("--trace-out") {
+        let sink = open_sink(path)?;
+        let ran = run(sink.as_ref());
+        metrics.emit_phases(sink.as_ref());
+        close_sink(path, sink)?;
+        ran
+    } else {
+        run(&ggs_trace::NOOP)
+    };
+    let outcome = outcome.map_err(|e| e.to_string())?;
+    eprintln!(
+        "[repro] study finished in {:.1}s",
+        start.elapsed().as_secs_f64()
+    );
+    let study = &outcome.study;
+    if !study.failures.is_empty() {
+        eprintln!(
+            "[repro] warning: {} cell(s) failed; figures are rendered from the \
+             surviving cells (name the `cells` section for the per-cell report)",
+            study.failures.len()
+        );
+        for cell in &study.failures {
+            eprintln!("[repro]   {} {}: {}", cell.status, cell.key(), cell.detail);
         }
     }
+    if let Some(Err(e)) = &compaction {
+        eprintln!("[repro] warning: store compaction failed: {e}");
+    }
+    if let Some(path) = &json_path {
+        write_file(path, study.to_json_pretty())?;
+    }
+    if named("cells") {
+        cells(&outcome, compaction.and_then(Result::ok));
+    }
+    if want("fig5") {
+        fig5(study);
+    }
+    if let Some(path) = &svg_path {
+        write_file(path, fig5_svg(study))?;
+    }
+    if want("fig6") {
+        fig6(study);
+    }
+    if want("partial") {
+        partial(study);
+    }
+    if want("flexible") {
+        flexible(study);
+    }
+    if want("summary") {
+        summary(study);
+    }
     Ok(())
+}
+
+/// The study's options from the command line, validated and with the
+/// store (if any) open. Everything is checked before the store opens,
+/// so a refused study leaves no files behind.
+fn study_options(args: &Args, threads: usize) -> Result<StudyOptions, String> {
+    let mut options = StudyOptions::new(ConfigSet::Figure5, threads);
+    options.cell_deadline = args
+        .positive("--deadline-ms")?
+        .map(std::time::Duration::from_millis);
+    let mut faults = ggs_core::FaultPlan::new();
+    for spec in &args.values("--inject-fault") {
+        faults = faults.parse_spec(spec).map_err(|e| e.to_string())?;
+    }
+    options.faults = faults;
+    options.validate().map_err(|e| e.to_string())?;
+
+    let store_path = args.value("--store");
+    let inject_store_faults = args.values("--inject-store-fault");
+    if store_path.is_none() && (args.switch("--store-compact") || !inject_store_faults.is_empty()) {
+        return Err("--store-compact and --inject-store-fault require --store".to_owned());
+    }
+    // Store faults fire only on appends, so arming them before the open
+    // still sabotages the run, and a bad spec leaves no store behind.
+    let mut store_faults = ggs_core::StoreFaults::none();
+    for spec in &inject_store_faults {
+        store_faults = store_faults.parse_spec(spec).map_err(|e| e.to_string())?;
+    }
+    if let Some(path) = &store_path {
+        let store = ggs_core::Store::open_with(std::path::Path::new(path), store_faults)
+            .map_err(|e| format!("cannot open store {path}: {e}"))?;
+        options.store = Some(store);
+    }
+    Ok(options)
+}
+
+/// The `cells` section: each failed or timed-out cell, the cell totals,
+/// the store's load report and any compaction.
+fn cells(outcome: &StudyOutcome, compaction: Option<ggs_core::CompactReport>) {
+    for cell in &outcome.study.failures {
+        println!(
+            "  {:7} {} (attempt {}): {}",
+            cell.status.to_string().to_uppercase(),
+            cell.key(),
+            cell.attempts,
+            cell.detail
+        );
+    }
+    let (ok, failed, timeout, skipped) = outcome.counts();
+    println!(
+        "study: {} cells — {ok} ok, {failed} failed, {timeout} timeout, {skipped} skipped",
+        outcome.cells.len()
+    );
+    if let Some(report) = &outcome.store_report {
+        println!(
+            "store: {} records, {} corrupt span(s) ({} bytes skipped)",
+            report.records,
+            report.corrupt.len(),
+            report.corrupt_bytes()
+        );
+    }
+    if let Some(report) = compaction {
+        println!("store compacted: {report}");
+    }
+    println!();
 }
 
 /// Reports a usage or setup error and exits 2; only `main` calls it.
@@ -586,13 +691,6 @@ fn close_sink(path: &str, sink: BoxedSink) -> Result<(), String> {
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!("[repro] wrote {path}");
     Ok(())
-}
-
-/// Writes the study's wall-clock phase spans as a Chrome trace.
-fn write_phase_profile(path: &str, metrics: &ggs_trace::MetricsRegistry) -> Result<(), String> {
-    let sink = open_sink(path)?;
-    metrics.emit_phases(sink.as_ref());
-    close_sink(path, sink)
 }
 
 /// `repro trace <app> <graph> <config>`: one fully-instrumented
@@ -633,130 +731,6 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
         stats.total_cycles(),
         stats.kernels
     );
-    Ok(())
-}
-
-/// `repro study`: the 36-workload study through the fault-tolerant
-/// runner, with per-cell failure reporting and partial Figure 5/6
-/// output. Exits 0 as long as the study itself completes, even when
-/// individual cells fail — graceful degradation is the point.
-fn study_cmd(args: &Args) -> Result<(), String> {
-    use ggs_core::runner::FaultPlan;
-
-    let (scale, threads) = (args.scale()?, args.threads()?);
-    let deadline_ms = args.positive("--deadline-ms")?;
-    let store_path = args.value("--store");
-    let store_compact = args.switch("--store-compact");
-    let inject_store_faults = args.values("--inject-store-fault");
-    let spec = ExperimentSpec::builder()
-        .scale(scale)
-        .build()
-        .map_err(|e| e.to_string())?;
-
-    let mut options = StudyOptions::new(ConfigSet::Figure5, threads);
-    options.cell_deadline = deadline_ms.map(std::time::Duration::from_millis);
-    let mut faults = FaultPlan::new();
-    for spec_str in &args.values("--inject-fault") {
-        faults = faults.parse_spec(spec_str).map_err(|e| e.to_string())?;
-    }
-    options.faults = faults;
-    options.validate().map_err(|e| e.to_string())?;
-
-    if store_path.is_none() && (store_compact || !inject_store_faults.is_empty()) {
-        return Err("--store-compact and --inject-store-fault require --store".to_owned());
-    }
-    // Store faults fire only on appends, so arming them before the open
-    // still sabotages the run, and a bad spec or refused study leaves no
-    // store behind.
-    let mut store_faults = ggs_core::StoreFaults::none();
-    for spec_str in &inject_store_faults {
-        store_faults = store_faults
-            .parse_spec(spec_str)
-            .map_err(|e| e.to_string())?;
-    }
-    if let Some(path) = &store_path {
-        let store = ggs_core::Store::open_with(std::path::Path::new(path), store_faults)
-            .map_err(|e| format!("cannot open store {path}: {e}"))?;
-        options.store = Some(store);
-    }
-
-    // Cell panics are caught and reported by the runner; replace the
-    // default hook so each one costs a single stderr line instead of a
-    // full backtrace. Set RUST_BACKTRACE=1 to keep the default hook.
-    if std::env::var_os("RUST_BACKTRACE").is_none() {
-        std::panic::set_hook(Box::new(|info| {
-            eprintln!("[repro] cell worker panicked: {info}");
-        }));
-    }
-    eprintln!(
-        "[repro] running the fault-tolerant study at scale {} on {} threads…",
-        scale, threads
-    );
-    let start = std::time::Instant::now();
-    let metrics = ggs_trace::MetricsRegistry::new();
-    // The study, then any compaction, both into the trace if one is
-    // written (compaction emits `store_evict`).
-    let run = |sink: &dyn ggs_trace::TraceSink| {
-        let outcome = run_study(&spec, &options, &metrics, sink);
-        let compaction = match (&options.store, &outcome) {
-            (Some(store), Ok(_)) if store_compact => Some(store.compact(sink, start)),
-            _ => None,
-        };
-        (outcome, compaction)
-    };
-    let (outcome, compaction) = if let Some(path) = &args.value("--trace-out") {
-        let sink = open_sink(path)?;
-        let ran = run(sink.as_ref());
-        metrics.emit_phases(sink.as_ref());
-        close_sink(path, sink)?;
-        ran
-    } else {
-        run(&ggs_trace::NOOP)
-    };
-    let outcome = outcome.map_err(|e| e.to_string())?;
-    eprintln!(
-        "[repro] study finished in {:.1}s",
-        start.elapsed().as_secs_f64()
-    );
-
-    for cell in &outcome.study.failures {
-        println!(
-            "  {:7} {} (attempt {}): {}",
-            cell.status.to_string().to_uppercase(),
-            cell.key(),
-            cell.attempts,
-            cell.detail
-        );
-    }
-    let (ok, failed, timeout, skipped) = outcome.counts();
-    println!(
-        "study: {} cells — {} ok, {} failed, {} timeout, {} skipped",
-        outcome.cells.len(),
-        ok,
-        failed,
-        timeout,
-        skipped
-    );
-    if let Some(report) = &outcome.store_report {
-        println!(
-            "store: {} records, {} corrupt span(s) ({} bytes skipped)",
-            report.records,
-            report.corrupt.len(),
-            report.corrupt_bytes()
-        );
-    }
-    match compaction {
-        Some(Ok(report)) => println!("store compacted: {report}"),
-        Some(Err(e)) => eprintln!("[repro] warning: store compaction failed: {e}"),
-        None => {}
-    }
-    println!();
-
-    if let Some(path) = &args.value("--json") {
-        write_file(path, outcome.study.to_json_pretty())?;
-    }
-    fig5(&outcome.study);
-    fig6(&outcome.study);
     Ok(())
 }
 

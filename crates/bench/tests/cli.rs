@@ -96,31 +96,36 @@ fn repro_rejects(args: &[&str]) {
 fn help_and_bad_flags() {
     let out = repro(&["--help"]);
     assert!(out.contains("usage"));
-    let out = repro(&["study", "--help"]);
-    assert!(out.contains("usage: repro study") && out.contains("--store PATH"));
+    // The section runner's usage line, first, lists the study flags.
+    let runner = out.lines().next().expect("usage line");
+    assert!(runner.starts_with("usage: repro [") && runner.contains("--store PATH"));
+    let out = repro(&["trace", "--help"]);
+    assert!(out.contains("usage: repro trace") && out.contains("--trace-stride N"));
     assert!(!out.contains("repro bench"), "{out}");
     repro_rejects(&["--scale"]);
     // A flag outside the chosen subcommand's table is a usage error,
     // not silently ignored.
     for args in [
-        &["study", "--iters", "3"][..],
+        &["--iters", "3", "fig5"][..],
         &["bench", "--store", "x"],
         &["verify", "--threads", "2"],
         &["trace", "bfs", "rmat10", "SDR", "--store", "x"],
-        &["study", "--journal", "x"],
+        &["--journal", "x", "fig5"],
         // Cells run once; there is no retry layer to configure, and no
         // transient-I/O fault to exercise one.
-        &["study", "--retries", "3"],
-        &["study", "--inject-fault", "PR/AMZ/SGR=io"],
+        &["--retries", "3", "fig5"],
+        &["--inject-fault", "PR/AMZ/SGR=io", "cells"],
         // The wall-clock limit is the one watchdog; the kernel and
         // cycle budgets are gone.
-        &["study", "--max-kernels", "3"],
-        &["study", "--max-sim-cycles", "3"],
+        &["--max-kernels", "3", "fig5"],
+        &["--max-sim-cycles", "3", "fig5"],
         &["--trace-stride", "5", "table1"],
         // Zero workers is rejected at parse time, not by a panic in
         // the study runner.
         &["--threads", "0", "fig5"],
-        &["study", "--threads", "0"],
+        &["--threads", "0", "cells"],
+        // The study is one section runner; there is no `study` word.
+        &["study"],
     ] {
         repro_rejects(args);
     }
@@ -143,7 +148,7 @@ fn help_and_bad_flags() {
             (command, flags)
         })
         .collect();
-    assert_eq!(tables.len(), 5, "{help}");
+    assert_eq!(tables.len(), 4, "{help}");
     let every: std::collections::BTreeSet<&str> =
         tables.iter().flat_map(|(_, f)| f.iter().copied()).collect();
     assert_eq!(every.len(), 20, "{every:?}");
@@ -173,7 +178,6 @@ fn study_isolates_injected_faults_and_resumes_from_its_store() {
     // An injected panic must not take the study down: exit 0, the cell
     // reported, everything else completed and published to the store.
     let out = repro(&[
-        "study",
         "--scale",
         "0.004",
         "--threads",
@@ -182,6 +186,9 @@ fn study_isolates_injected_faults_and_resumes_from_its_store() {
         store,
         "--inject-fault",
         "PR/AMZ/SGR",
+        "cells",
+        "fig5",
+        "fig6",
     ]);
     assert!(out.contains("FAILED  PR/AMZ/SGR"), "{out}");
     assert!(
@@ -194,13 +201,15 @@ fn study_isolates_injected_faults_and_resumes_from_its_store() {
     // Re-running the same command without the fault simulates only
     // the missing cell.
     let out = repro(&[
-        "study",
         "--scale",
         "0.004",
         "--threads",
         "8",
         "--store",
         store,
+        "cells",
+        "fig5",
+        "fig6",
     ]);
     assert!(
         out.contains("1 ok, 0 failed, 0 timeout, 173 skipped"),
@@ -216,11 +225,11 @@ fn a_timed_out_cell_reports_its_configured_limit() {
     // limit given with --deadline-ms; clean cells finish well inside a
     // second at this scale.
     let hang = [
-        "study",
         "--scale",
         "0.004",
         "--inject-fault",
         "CC/RAJ/DGR=hang",
+        "cells",
     ];
     let out = repro(&[&hang[..], &["--deadline-ms", "1000"]].concat());
     let line = "TIMEOUT CC/RAJ/DGR (attempt 1): wall-clock deadline exceeded (1000 ms)";
@@ -236,16 +245,25 @@ fn a_refused_study_leaves_no_store_behind() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let store = dir.join("h.store");
     let store_arg = store.to_str().expect("utf8 temp path");
-    // A hang with no deadline is refused before the store would open.
-    repro_rejects(&[
-        "study",
-        "--scale",
-        "0.004",
-        "--store",
-        store_arg,
-        "--inject-fault",
+    // A hang with no deadline, or a fault keyed to no cell, is refused
+    // before the store would open.
+    for fault in [
         "CC/RAJ/DGR=hang",
-    ]);
+        "pr/amz/sgr",
+        "PR/XYZ/SGR",
+        "PR/AMZ/TD0",
+        "cc/raj/dgr=hang",
+    ] {
+        repro_rejects(&[
+            "--scale",
+            "0.004",
+            "--store",
+            store_arg,
+            "--inject-fault",
+            fault,
+            "cells",
+        ]);
+    }
     let left: Vec<_> = std::fs::read_dir(&dir)
         .expect("temp dir readable")
         .map(|e| e.map(|e| e.file_name()))
@@ -256,16 +274,83 @@ fn a_refused_study_leaves_no_store_behind() {
 }
 
 #[test]
-fn section_runner_and_study_print_the_same_figures() {
-    // The section runner and `repro study` both run the study through
-    // `run_study`; from the Figure 5 header on, their stdout must agree.
-    let figures = |out: &str| -> String {
-        let at = out.find("== Figure 5").expect("Figure 5 header");
-        out[at..].to_owned()
+fn study_flags_need_a_section_that_runs_the_study() {
+    let dir = std::env::temp_dir().join(format!("ggs-cli-unread-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf8 temp path").to_owned();
+    let (trace, store, json) = (path("t.json"), path("s.store"), path("s.json"));
+    // No named section reads these, so each is refused, not ignored.
+    for args in [
+        &["--trace-out", &trace, "table1"][..],
+        &["--store", &store, "table3"],
+        &["--store-compact", "table1"],
+        &["--deadline-ms", "5", "table1"],
+        &["--inject-fault", "PR/AMZ/SGR", "table1"],
+        &["--inject-store-fault", "crc", "table1"],
+        &["--scale", "0.02", "--trace-out", &trace, "check"],
+    ] {
+        repro_rejects(args);
+    }
+    let left = std::fs::read_dir(&dir).expect("temp dir readable").count();
+    assert_eq!(left, 0, "a refused run wrote a file");
+    // --json runs the study on its own, and the store flags then apply.
+    let out = repro(&[
+        "--scale", "0.004", "--json", &json, "--store", &store, "table1",
+    ]);
+    assert!(
+        out.contains("Table I") && !out.contains("Figure 5"),
+        "{out}"
+    );
+    let written = std::fs::read_to_string(&json).expect("study JSON written");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(written.contains("\"reports\""), "{written}");
+}
+
+#[test]
+fn a_warm_store_renders_the_same_figures_without_simulating() {
+    let dir = std::env::temp_dir().join(format!("ggs-cli-warm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let store = dir.join("w.store");
+    let trace = dir.join("t.jsonl");
+    let (store, trace) = (store.to_str().expect("utf8"), trace.to_str().expect("utf8"));
+    let args = [
+        "--scale",
+        "0.004",
+        "--store",
+        store,
+        "--trace-out",
+        trace,
+        "fig5",
+        "fig6",
+        "summary",
+    ];
+    // (events of one type, of those the ok cell_finish events)
+    let count = |event: &str| -> (usize, usize) {
+        let text = std::fs::read_to_string(trace).expect("trace written");
+        let tag = format!("\"type\":\"{event}\"");
+        let lines: Vec<&str> = text.lines().filter(|l| l.contains(&tag)).collect();
+        let ok = lines
+            .iter()
+            .filter(|l| l.contains("\"status\":\"ok\""))
+            .count();
+        (lines.len(), ok)
     };
-    let sections = repro(&["--scale", "0.02", "fig5", "fig6"]);
-    let study = repro(&["--scale", "0.02", "study"]);
-    assert_eq!(figures(&sections), figures(&study));
+    let cold = repro(&args);
+    assert!(count("cell_finish").1 > 0, "the cold run simulated nothing");
+    let warm = repro(&args);
+    let (starts, hits) = (count("cell_start").0, count("store_hit").0);
+    let warm_ok = count("cell_finish").1;
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(warm_ok, 0, "the warm run simulated {warm_ok} cell(s)");
+    assert!(
+        starts > 0 && hits == starts,
+        "{hits} store hits for {starts} cells"
+    );
+    assert_eq!(cold, warm);
+    assert!(
+        warm.contains("== Figure 5") && warm.contains("== Summary"),
+        "{warm}"
+    );
 }
 
 #[test]

@@ -68,7 +68,7 @@ use crate::experiment::ExperimentSpec;
 use crate::lockstep::{panic_message, Lockstep, Settled};
 use crate::store::{fnv1a64, versioned_spec_hash, Store, StoreLoadReport};
 use crate::study::{ConfigSet, ResultRow, Study, WorkloadReport};
-use crate::sweep::{baseline_config, figure5_configs};
+use crate::sweep::baseline_config;
 
 /// Terminal state of one study cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +143,7 @@ impl CellReport {
 }
 
 /// A deliberately injected failure mode, for fault-injection tests and
-/// the `repro study --inject-fault` smoke job.
+/// the `repro --inject-fault` smoke job.
 #[derive(Debug)]
 pub enum Fault {
     /// The cell panics.
@@ -263,8 +263,9 @@ impl StudyOptions {
     }
 
     /// Checks what [`run_study`] refuses before any work: zero worker
-    /// threads, or a hang fault without a [`StudyOptions::cell_deadline`]
-    /// that fits the clock. A caller that opens a store for the study
+    /// threads, a fault keyed to no cell of [`StudyOptions::configs`], or
+    /// a hang fault without a [`StudyOptions::cell_deadline`] that fits
+    /// the clock. A caller that opens a store for the study
     /// calls this first, so a refused study leaves no store behind.
     ///
     /// # Errors
@@ -276,12 +277,30 @@ impl StudyOptions {
                 "need at least one worker thread".to_owned(),
             ));
         }
+        if let Some(key) = self.faults.cells.keys().find(|k| !self.has_cell(k)) {
+            return Err(GgsError::InvalidSpec(format!(
+                "fault cell {key:?} is not a cell of the study \
+                 (APP/GRAPH/CONFIG, as in PR/AMZ/SGR)"
+            )));
+        }
         if self.faults.has_hang() && hang_deadline(self.cell_deadline).is_none() {
             return Err(GgsError::InvalidSpec(
                 "a hang fault needs a cell deadline (--deadline-ms) to stop it".to_owned(),
             ));
         }
         Ok(())
+    }
+
+    /// Whether `key` names a cell this study runs.
+    fn has_cell(&self, key: &str) -> bool {
+        AppKind::ALL.into_iter().any(|app| {
+            let configs = self.configs.configs_for(app);
+            GraphPreset::ALL.into_iter().any(|graph| {
+                configs
+                    .iter()
+                    .any(|c| cell_key(app.mnemonic(), graph.mnemonic(), &c.code()) == key)
+            })
+        })
     }
 }
 
@@ -511,10 +530,7 @@ pub fn run_study(
     let cells: Vec<Cell> = (0..graphs.len())
         .flat_map(|graph_index| {
             AppKind::ALL.into_iter().flat_map(move |app| {
-                let configs = match options.configs {
-                    ConfigSet::Figure5 => figure5_configs(app),
-                    ConfigSet::Full => SystemConfig::all_for(app.algo_profile().traversal),
-                };
+                let configs = options.configs.configs_for(app);
                 configs.into_iter().map(move |config| Cell {
                     graph_index,
                     app,
@@ -933,6 +949,34 @@ mod tests {
         assert!(FaultPlan::new().parse_spec("PR/AMZ").is_err());
         assert!(FaultPlan::new().parse_spec("MIS/EML/SD1=io").is_err());
         assert!(FaultPlan::new().parse_spec("PR/AMZ/SGR=meteor").is_err());
+    }
+
+    /// A fault keyed to no cell of the study would inject nothing, and a
+    /// mistyped hang would still force a deadline on every clean cell.
+    #[test]
+    fn validate_refuses_fault_keys_that_name_no_cell() {
+        let with_fault = |configs, spec: &str| {
+            let mut options = StudyOptions::new(configs, 1);
+            options.faults = FaultPlan::new().parse_spec(spec).expect("well-formed spec");
+            options.validate()
+        };
+        assert!(with_fault(ConfigSet::Figure5, "PR/AMZ/SGR").is_ok());
+        assert!(with_fault(ConfigSet::Figure5, "CC/RAJ/DD1").is_ok());
+        for spec in [
+            "pr/amz/sgr",
+            "PR/XYZ/SGR",
+            "PR/AMZ/TD0",
+            "CC/RAJ/SGR",
+            "pr/raj/dgr=hang",
+        ] {
+            let refused = with_fault(ConfigSet::Figure5, spec);
+            assert!(
+                matches!(&refused, Err(GgsError::InvalidSpec(m)) if m.contains("not a cell")),
+                "{spec}: {refused:?}"
+            );
+        }
+        // TD0 is outside Figure 5 but a cell of the full grid.
+        assert!(with_fault(ConfigSet::Full, "PR/AMZ/TD0").is_ok());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The store is the study runner's one persistence format: it is both
 //! the checkpoint a killed study resumes from and the cache that lets
-//! repeated cells be *simulated once, ever*, across many `repro study`
+//! repeated cells be *simulated once, ever*, across many `repro --store`
 //! invocations. The file must survive being killed mid-write,
 //! truncated, or bit-flipped. [`Store`] is that substrate:
 //!
@@ -368,7 +368,7 @@ impl StoreFaults {
     }
 
     /// Parses a CLI store-fault spec: `torn[:BYTES]`, `short`, or `crc`
-    /// (see `repro study --inject-store-fault`).
+    /// (see `repro --inject-store-fault`).
     pub fn parse_spec(self, spec: &str) -> Result<Self, GgsError> {
         match spec.split_once(':') {
             Some(("torn", at)) => {

@@ -3,9 +3,13 @@
 
 use std::collections::BTreeMap;
 
+use ggs_apps::AppKind;
+use ggs_model::SystemConfig;
+
 use crate::error::GgsError;
 use crate::json::{self, Value};
 use crate::runner::{CellReport, CellStatus};
+use crate::sweep::figure5_configs;
 
 /// Which configuration set a study sweeps per workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,6 +19,16 @@ pub enum ConfigSet {
     Figure5,
     /// Every configuration of the design space: 12 static / 6 dynamic.
     Full,
+}
+
+impl ConfigSet {
+    /// The configurations this set runs for `app`, in job order.
+    pub(crate) fn configs_for(self, app: AppKind) -> Vec<SystemConfig> {
+        match self {
+            ConfigSet::Figure5 => figure5_configs(app),
+            ConfigSet::Full => SystemConfig::all_for(app.algo_profile().traversal),
+        }
+    }
 }
 
 /// Serializable per-configuration result row.

@@ -555,11 +555,12 @@ impl WarpPacker {
             self.pack_warp()?;
         }
         if self.warps.len() > 1 {
+            // The block takes the record buffer, so none is held at the
+            // largest block's capacity for the rest of the kernel.
             self.blocks.push(PackedBlock {
-                words: Arc::from(self.words.as_slice()),
+                words: Arc::from(std::mem::take(&mut self.words)),
                 warps: self.warps.as_slice().into(),
             });
-            self.words.clear();
             self.warps.truncate(1);
         }
         Ok(())
